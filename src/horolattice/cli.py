@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .errors import BudgetExceededError, ConfigError, PrecisionError
+from .errors import BudgetExceededError, ConfigError, DeterminantError, PrecisionError
 from .harness import KINDS, ExperimentConfig, run
 
 
@@ -95,6 +95,9 @@ def main(argv=None) -> int:
         report = run(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except DeterminantError as exc:
+        print(f"determinant error: {exc}", file=sys.stderr)
         return 2
     except (BudgetExceededError, PrecisionError) as exc:
         print(f"budget/precision error: {exc}", file=sys.stderr)

@@ -13,7 +13,10 @@ norm below an explicit bound, and those bases are enumerated
 exhaustively.  The enumeration bound is tightened further by the mutual
 constraint F^2 = AB/(A+B) against certified lower bounds on the other
 side's Frobenius mass (the sum of squared successive minima), which is
-what keeps deep-cusp reductions cheap.
+what keeps deep-cusp reductions cheap.  Basis columns are primitive, so
+the ball walk visits primitive coefficient vectors only; near the cusp
+almost every lattice vector in the ball is a multiple k v_1 of the
+short vector, and none of those costs budget.
 
 The unimodular transform is accumulated in exact integer arithmetic
 throughout, so the returned gamma is exact by construction and the
@@ -22,7 +25,9 @@ float residual check is a genuine consistency certificate.
 A vectorized fast path `reduce_batch_2x2` handles bulk d = 2 reductions
 (the hot loop of orbit sampling); it agrees with the scalar path and
 falls back to it sample-by-sample near the cusp, where the static
-candidate table is no longer provably complete.
+candidate table is no longer provably complete.  Its sweep over the
+static table runs in fixed blocks of rows, so its memory does not grow
+with the batch size.
 """
 
 from __future__ import annotations
@@ -155,10 +160,7 @@ def _candidates_2d(B: np.ndarray, boundsq: float, lam1sq: float, budget: int):
     room1 = boundsq - lam1sq
     if room1 <= 0:
         return []
-    cols = []
-    for c in enumerate_ball(B, math.sqrt(room1), budget):
-        if math.gcd(abs(c[0]), abs(c[1])) == 1:
-            cols.append(c)
+    cols = list(enumerate_ball(B, math.sqrt(room1), budget, primitive=True))
     out = []
     for a, b in _pm(cols):
         qc = G[0, 0] * a * a + 2 * G[0, 1] * a * b + G[1, 1] * b * b
@@ -168,9 +170,7 @@ def _candidates_2d(B: np.ndarray, boundsq: float, lam1sq: float, budget: int):
         # particular solution of a*y - b*x = 1 -> second column (x0, y0)
         g, u, v = _ext_gcd(a, b)
         if g < 0:
-            g, u, v = -g, -u, -v
-        if g != 1:
-            continue
+            u, v = -u, -v
         x0, y0 = -v, u
         # quadratic in the shift k: q(c2_0 + k c1) <= room2
         q0 = G[0, 0] * x0 * x0 + 2 * G[0, 1] * x0 * y0 + G[1, 1] * y0 * y0
@@ -203,7 +203,9 @@ def _candidates_3d(B: np.ndarray, boundsq: float, minima_sq: list, budget: int):
     if slack < -1e-9 * boundsq:
         return []  # any basis carries at least the full minima mass
     room1 = boundsq - lam1 - lam2
-    coeffs = list(enumerate_ball(B, math.sqrt(max(room1, 0.0) + 1e-12), budget))
+    coeffs = list(
+        enumerate_ball(B, math.sqrt(max(room1, 0.0) + 1e-12), budget, primitive=True)
+    )
     if not coeffs:
         return []
     carr = np.array(coeffs, dtype=float)
@@ -223,11 +225,9 @@ def _candidates_3d(B: np.ndarray, boundsq: float, minima_sq: list, budget: int):
                 return True
         return False
 
-    prim = [
-        _gcd_all(c) == 1 and feasible(qlist[i]) for i, c in enumerate(coeffs)
-    ]
+    usable = [feasible(q) for q in qlist]
     firsts = [
-        i for i in range(len(coeffs)) if qlist[i] <= room1 * (1 + 1e-12) and prim[i]
+        i for i in range(len(coeffs)) if qlist[i] <= room1 * (1 + 1e-12) and usable[i]
     ]
     out = []
     for i1 in firsts:
@@ -243,7 +243,7 @@ def _candidates_3d(B: np.ndarray, boundsq: float, minima_sq: list, budget: int):
             q2 = qlist[i2]
             if q2 > room2 * (1 + 1e-12):
                 break
-            if not prim[i2]:
+            if not usable[i2]:
                 continue
             hi, lo = (q1, q2) if q1 >= q2 else (q2, q1)
             if hi < lam2 * (1 - 1e-9):
@@ -551,6 +551,31 @@ def _static_candidates_2x2() -> np.ndarray:
 
 _C_STATIC = _static_candidates_2x2()
 _C_STATIC_F = _C_STATIC.astype(float)
+#: Rows per block of the static-candidate sweep; bounds its memory.
+_SWEEP_CHUNK = 8192
+
+
+def _sweep_static(Bc: np.ndarray):
+    """F-minimal element of {b C : C in the static table} for each row b.
+
+    Returns (reps, pick): the chosen products and their table indices,
+    with the scalar path's tie-break (F within TIE_TOL of the minimum,
+    then the smallest lexicographic key).  Every table entry lies in
+    {-2, ..., 2}, so each product b_ij C_jl is exact and each entry of
+    b C is one rounding of an exact sum: the result does not depend on
+    how the matrix product is evaluated.
+    """
+    H = np.matmul(Bc[:, None], _C_STATIC_F)
+    A = (H * H).sum(axis=(2, 3))
+    F = np.sqrt(A / 2.0)  # |h^{-1}|_F = |h|_F for d = 2
+    cand = F <= (F.min(axis=1)[:, None] + TIE_TOL)
+    keys = np.rint(H / LEX_GRID).astype(np.int64)
+    sentinel = np.iinfo(np.int64).max
+    for (i, j) in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        key = np.where(cand, keys[:, :, i, j], sentinel)
+        cand &= key == key.min(axis=1)[:, None]
+    pick = cand.argmax(axis=1)
+    return H[np.arange(Bc.shape[0]), pick], pick
 
 
 def reduce_batch_2x2(P: np.ndarray, budget: int = DEFAULT_BUDGET, max_iter: int = 200):
@@ -558,6 +583,9 @@ def reduce_batch_2x2(P: np.ndarray, budget: int = DEFAULT_BUDGET, max_iter: int 
 
     Returns (reps (N,2,2) float, gammas (N,2,2) int64) matching the
     scalar `reduce_matrix` output (same minimizer, same tie-break).
+    After a vectorized Lagrange loop, the static candidate table is
+    swept in blocks of _SWEEP_CHUNK rows, so the sweep's memory stays
+    flat in N and each row's arithmetic does not depend on the block.
     Samples for which the static candidate table is not provably
     complete (lambda_1 below _BATCH_LAMBDA1_MIN) or the vectorized
     Lagrange loop did not converge are re-run through the scalar path.
@@ -605,24 +633,13 @@ def reduce_batch_2x2(P: np.ndarray, budget: int = DEFAULT_BUDGET, max_iter: int 
     )
     fallback = (~converged) | (lam1sq < _BATCH_LAMBDA1_MIN**2)
 
-    # candidate sweep: H[n,k] = B[n] @ C_static[k]
-    H = np.einsum("nij,kjl->nkil", B, _C_STATIC_F)
-    A = (H * H).sum(axis=(2, 3))
-    F = np.sqrt(A / 2.0)  # |h^{-1}|_F = |h|_F for d = 2
-    fmin = F.min(axis=1)
-    tie = F <= (fmin[:, None] + TIE_TOL)
-    keys = np.rint(H / LEX_GRID).astype(np.int64)
-    sentinel = np.iinfo(np.int64).max
-    cand = tie.copy()
-    for (i, j) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        key = np.where(cand, keys[:, :, i, j], sentinel)
-        kmin = key.min(axis=1)
-        cand &= key == kmin[:, None]
-    pick = cand.argmax(axis=1)
+    reps = np.empty_like(B)
+    pick = np.empty(N, dtype=np.intp)
+    for start in range(0, N, _SWEEP_CHUNK):
+        rows = slice(start, start + _SWEEP_CHUNK)
+        reps[rows], pick[rows] = _sweep_static(B[rows])
 
-    C_pick = _C_STATIC[pick]
-    reps = H[np.arange(N), pick]
-    U_total = U @ C_pick
+    U_total = U @ _C_STATIC[pick]
     gammas = np.empty_like(U_total)
     gammas[:, 0, 0] = U_total[:, 1, 1]
     gammas[:, 0, 1] = -U_total[:, 0, 1]

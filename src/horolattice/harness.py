@@ -41,7 +41,7 @@ from .errors import ConfigError
 from .fundamental import ReducedRepresentative, reduce_matrix
 from .lattices import DEFAULT_BUDGET, LatticeDescriptor, RadialStepFunction, siegel_transform
 from .measures import fourier_spectrum, max_concentration
-from .orbits import NeighborhoodV, orbit_pushforward, gamma_orbit, localized_measure
+from .orbits import NeighborhoodV, gamma_orbit, localized_measure, orbit_pushforward, reconstruction_residual
 
 __all__ = [
     "ExperimentConfig",
@@ -351,11 +351,17 @@ def _run_reduce(cfg: ExperimentConfig) -> RunReport:
         "certificate": r.certificate,
         "certified": r.certified,
     }
+    residual, tol = reconstruction_residual(g.entries, r.rep.entries, r.gamma.to_array(), r.rep.inverse)
     checks = [
         CheckResult(
             "reduce-coset-preserved",
-            True,
-            details={"fvalue": r.fvalue, "certificate": r.certificate},
+            residual <= tol,
+            details={
+                "fvalue": r.fvalue,
+                "certificate": r.certificate,
+                "residual": residual,
+                "tolerance": tol,
+            },
         )
     ]
     report = RunReport(config=cfg.to_json(), checks=checks)

@@ -222,12 +222,19 @@ def enumerate_ball(
     basis: np.ndarray,
     radius: float,
     budget: int = DEFAULT_BUDGET,
+    primitive: bool = False,
 ) -> Iterator[tuple]:
     """Yield every nonzero integer c with ||basis c||_2 <= radius.
 
     One representative per {c, -c} pair (last nonzero coefficient
     positive); callers needing both signs mirror.  Every visited
     coefficient tuple costs one unit of budget.
+
+    With `primitive`, only tuples with gcd 1 are visited: at the
+    innermost level, c_0 must be coprime to the gcd g of the outer
+    coefficients (c_0 = +-1 when g = 0).  The walk, its order and its
+    float tests are otherwise unchanged, so the output is exactly the
+    gcd-filtered output of the full walk; skipped tuples cost no budget.
     """
     B = np.asarray(basis, dtype=float)
     d = B.shape[0]
@@ -248,7 +255,16 @@ def enumerate_ball(
         span = math.sqrt(room) / R[level, level]
         lo = math.ceil(center - span - 1e-12)
         hi = math.floor(center + span + 1e-12)
-        for cval in range(lo, hi + 1):
+        cvals = range(lo, hi + 1)
+        if primitive and level == 0:
+            g = 0
+            for j in range(1, d):
+                g = math.gcd(g, coeff[j])
+            if g == 0:
+                cvals = [c for c in (-1, 1) if lo <= c <= hi]
+            elif g > 1:
+                cvals = [c for c in cvals if math.gcd(c, g) == 1]
+        for cval in cvals:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError("enumeration node budget exceeded", nodes=nodes)

@@ -54,6 +54,7 @@ __all__ = [
     "EmpiricalTorusMeasure",
     "sample_V",
     "decompose",
+    "reconstruction_residual",
     "sigma",
     "orbit_pushforward",
     "localized_measure",
@@ -116,13 +117,16 @@ def sample_V(V: NeighborhoodV, count: int, seed: int) -> np.ndarray:
     return out
 
 
-def _check_decomposition(P: np.ndarray, rep: np.ndarray, gamma_arr: np.ndarray, rep_inv: np.ndarray):
+def reconstruction_residual(P: np.ndarray, rep: np.ndarray, gamma_arr: np.ndarray, rep_inv: np.ndarray):
+    """(|P - rep gamma|, its tolerance); the error grows with the entry scale."""
     scale = max(1.0, float(np.abs(rep).max()), float(np.abs(rep_inv).max()))
-    recon = np.abs(P - rep @ gamma_arr).max()
-    if recon > RECONSTRUCTION_TOL * scale:
-        raise PrecisionError(
-            f"reconstruction residual {recon:.3g} exceeds {RECONSTRUCTION_TOL:g} * {scale:.3g}"
-        )
+    return float(np.abs(P - rep @ gamma_arr).max()), RECONSTRUCTION_TOL * scale
+
+
+def _check_decomposition(P: np.ndarray, rep: np.ndarray, gamma_arr: np.ndarray, rep_inv: np.ndarray):
+    recon, tol = reconstruction_residual(P, rep, gamma_arr, rep_inv)
+    if recon > tol:
+        raise PrecisionError(f"reconstruction residual {recon:.3g} exceeds {tol:.3g}")
     integrality = np.abs(rep_inv @ P - gamma_arr).max()
     if integrality > INTEGRALITY_TOL:
         raise PrecisionError(
@@ -285,6 +289,17 @@ def _bulk_decompose_2x2(x_rep: SpecialLinearMatrix, us: np.ndarray, t: float, bu
     return P, reps, gammas
 
 
+def _fiber_numerators(gammas: np.ndarray, num0: list, q: int) -> np.ndarray:
+    """Exact numerators (gamma @ num0) mod q of the fiber points, as int64.
+
+    The products overflow int64 once q is large (decimal strings give
+    q = 2 * 10^16), so they are summed in Python ints; q < 2^63 is the
+    caller's check.
+    """
+    exact = (gammas % q).astype(object) @ np.array(num0, dtype=object)
+    return (exact % q).astype(np.int64)
+
+
 def orbit_pushforward(
     y0: AffineLatticePoint,
     t: float,
@@ -306,18 +321,19 @@ def orbit_pushforward(
     b_start = torus_act(r0.gamma, y0.torus)
     us = sample_V(V, count, seed)
     rational = b_start.is_rational
+    q = b_start.denominator() if rational else None
+    if rational and q >= 2**63:
+        raise PrecisionError(f"fiber denominator {q} does not fit the int64 numerators (q < 2^63)")
 
     if sig.d == 2 and sig.m == 1 and sig.n == 1:
         _, reps, gammas = _bulk_decompose_2x2(x_rep, us, t, budget)
         heights = _batch_heights_2x2(reps)
         if rational:
-            q = b_start.denominator()
-            num0 = np.array([int(c * q) for c in b_start.coords], dtype=np.int64)
-            nums = (gammas @ num0) % q
-            coords = nums.astype(float) / q
+            nums = _fiber_numerators(gammas, [int(c * q) for c in b_start.coords], q)
+            # once q > 2^53 the float of (q - 1) / q can round to 1.0, which is 0 on the torus
+            coords = (nums.astype(float) / q) % 1.0
         else:
             nums = None
-            q = None
             bvec = b_start.as_floats()
             coords = (gammas.astype(float) @ bvec) % 1.0
         weights = np.full(count, 1.0 / count)
@@ -340,7 +356,6 @@ def orbit_pushforward(
     xis = np.empty((count, d, d))
     heights = np.empty(count)
     nums = np.empty((count, d), dtype=np.int64) if rational else None
-    q = b_start.denominator() if rational else None
     for i in range(count):
         xi, gamma = decompose(x_rep, us[i], t, sig, budget)
         point = torus_act(gamma, b_start)
@@ -350,6 +365,8 @@ def orbit_pushforward(
         heights[i] = 1.0 / shortest_vector(LatticeDescriptor(xi), "sup", budget)[1]
         if rational:
             nums[i] = [int(c * q) for c in point.coords]
+    if rational:
+        coords %= 1.0  # as in the bulk path: a float of (q - 1) / q can round to 1.0
     weights = np.full(count, 1.0 / count)
     weights[-1] = 1.0 - weights[:-1].sum()
     return EmpiricalTorusMeasure(

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from horolattice import fundamental
 from horolattice.core import IntegerMatrix, SpecialLinearMatrix
+from horolattice.errors import BudgetExceededError
 from horolattice.fundamental import (
     F_value,
     candidate_bases,
@@ -14,7 +16,7 @@ from horolattice.fundamental import (
     x_distance,
     _lex_key,
 )
-from horolattice.lattices import LatticeDescriptor
+from horolattice.lattices import LatticeDescriptor, enumerate_ball, successive_minima
 
 
 def sl2z_box(X):
@@ -259,19 +261,67 @@ def test_candidate_bases_monotone():
     assert small <= large
 
 
-def test_batch_agrees_with_scalar():
+def _flow_orbit(s, us):
+    x0 = np.array([[0.0, -1.0], [1.0, 0.0]])
+    P = np.empty((len(us), 2, 2))
+    for i, u in enumerate(us):
+        P[i] = np.diag([math.exp(s), math.exp(-s)]) @ np.array([[1.0, u], [0.0, 1.0]]) @ x0
+    return P
+
+
+def test_batch_agrees_with_scalar(monkeypatch):
     rng = np.random.default_rng(9)
-    for s in (4.0, 9.0):
-        x0 = np.array([[0.0, -1.0], [1.0, 0.0]])
-        us = rng.uniform(-0.5, 0.5, 200)
-        P = np.empty((200, 2, 2))
-        for i, u in enumerate(us):
-            P[i] = np.diag([math.exp(s), math.exp(-s)]) @ np.array([[1.0, u], [0.0, 1.0]]) @ x0
+    cases = [(4.0, rng.uniform(-0.5, 0.5, 200)), (9.0, rng.uniform(-0.5, 0.5, 200))]
+    # u at fractions of small denominator puts lambda_1 below the batch
+    # threshold at s = 8, so those samples take the scalar fallback
+    near = np.array([0.3, 0.25, 1 / 3, -0.2, 2 / 7, -0.125])
+    cases.append((8.0, np.concatenate([rng.uniform(-0.5, 0.5, 194), near])))
+    real_core = fundamental._reduce_core
+    for s, us in cases:
+        P = _flow_orbit(s, us)
+        fell_back = []
+
+        def spy(arr, budget):
+            fell_back.append(next(i for i in range(len(P)) if np.array_equal(P[i], arr)))
+            return real_core(arr, budget)
+
+        monkeypatch.setattr(fundamental, "_reduce_core", spy)
         reps, gammas = reduce_batch_2x2(P)
+        monkeypatch.setattr(fundamental, "_reduce_core", real_core)
+        if s == 8.0:
+            assert set(fell_back) >= set(range(194, 200))
+        for i in fell_back:
+            r = reduce_matrix(P[i])
+            assert np.array_equal(np.array(r.gamma.rows, dtype=np.int64), gammas[i])
+            assert np.array_equal(r.rep.entries, reps[i])
         for i in range(0, 200, 10):
             r = reduce_matrix(P[i])
             assert np.array_equal(np.array(r.gamma.rows, dtype=np.int64), gammas[i])
             assert np.abs(r.rep.entries - reps[i]).max() < 1e-9
+
+
+def test_primitive_walk_fits_a_budget_the_full_walk_exceeds(monkeypatch):
+    # lambda_1 = 10 e^{-8} ~ 3.4e-3, below the batch threshold; the full
+    # walk visits ~178k nodes (all but a few are multiples k v_1), the
+    # primitive walk 33
+    (g,) = _flow_orbit(8.0, [0.3])
+    L = LatticeDescriptor.from_matrix(g)
+    assert successive_minima(L)[0] < fundamental._BATCH_LAMBDA1_MIN
+    budget = 10_000
+    calls = []
+    real_enum = fundamental.enumerate_ball
+
+    def spy(basis, radius, budget, primitive=False):
+        calls.append((np.array(basis), radius, primitive))
+        return real_enum(basis, radius, budget, primitive)
+
+    monkeypatch.setattr(fundamental, "enumerate_ball", spy)
+    r = reduce_matrix(g, budget)
+    assert r.gamma.rows == reduce_matrix(g).gamma.rows
+    assert calls and all(primitive for _, _, primitive in calls)
+    B, radius, _ = calls[0]
+    with pytest.raises(BudgetExceededError):
+        list(enumerate_ball(B, radius, budget))
 
 
 def test_distances():

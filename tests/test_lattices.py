@@ -200,6 +200,29 @@ def test_enumerate_ball_complete():
     assert got == expected
 
 
+def _deep_cusp_basis(rng, d):
+    # lambda_1 = 0.01, below the d = 2 batch threshold 0.015
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] *= -1
+    diag = [0.01, 100.0] if d == 2 else [0.01, 2.0, 50.0]
+    S = np.eye(d)
+    S[0, 1:] = rng.uniform(-1, 1, d - 1)
+    return q @ np.diag(diag) @ S
+
+
+@pytest.mark.parametrize(
+    "d, deep, radius", [(2, False, 4.0), (2, True, 210.0), (3, False, 3.0), (3, True, 5.0)]
+)
+def test_enumerate_ball_primitive_is_filtered_full_walk(d, deep, radius):
+    rng = np.random.default_rng(21 + d)
+    B = _deep_cusp_basis(rng, d) if deep else random_basis(rng, d, spread=1.0)
+    full = list(enumerate_ball(B, radius))
+    expected = [c for c in full if math.gcd(*c) == 1]
+    assert len(expected) < len(full)
+    assert list(enumerate_ball(B, radius, primitive=True)) == expected
+
+
 def test_constrained_shortest_excludes_span():
     B = np.diag([0.1, 1.0, 3.0])
     c, l2, _ = constrained_shortest(B, 0)

@@ -140,6 +140,42 @@ def test_orbit_rational_grid_exact():
     assert abs(float(nu.weights.sum()) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "b0, q, sig, count",
+    [
+        # decimal strings parse as rationals over q = 2 * 10^16; gamma @ num0
+        # in plain int64 overflows for some rows
+        (["0.41421356237309515", "0.7320508075688772"], 2 * 10**16, SIG, 4096),
+        # numerators are int64, so 2^63 - 1 is the largest denominator accepted;
+        # a negative gamma entry gives a numerator q - k, and (q - k) / q
+        # rounds to 1.0 as a float
+        ([f"1/{2**63 - 1}", "0"], 2**63 - 1, SIG, 4096),
+        ([f"1/{2**63 - 1}", "0", "0"], 2**63 - 1, SplittingSignature(2, 1), 32),
+    ],
+    ids=["decimal-strings", "int64-edge", "int64-edge-generic"],
+)
+def test_orbit_rational_fiber_exact_at_large_denominator(b0, q, sig, count):
+    y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(sig.d)), TorusPoint.from_values(b0))
+    nu = orbit_pushforward(y0, 4.0, NeighborhoodV(sig), count, seed=0)
+    assert nu.denominator == q
+    assert np.all((nu.coords >= 0) & (nu.coords < 1))
+    b_start = torus_act(reduce_matrix(y0.linear).gamma, y0.torus)
+    num0 = [int(c * q) for c in b_start.coords]
+    for gamma, got in zip(nu.gammas.tolist(), nu.numerators.tolist()):
+        expected = [sum(g * n for g, n in zip(row, num0)) % q for row in gamma]
+        assert got == expected
+
+
+@pytest.mark.parametrize("sig", [SIG, SplittingSignature(2, 1)])
+def test_orbit_rational_fiber_denominator_over_cap(sig):
+    over = AffineLatticePoint(
+        SpecialLinearMatrix.from_entries(np.eye(sig.d)),
+        TorusPoint.from_values([f"1/{2**63}"] + ["0"] * (sig.d - 1)),
+    )
+    with pytest.raises(PrecisionError, match="denominator"):
+        orbit_pushforward(over, 4.0, NeighborhoodV(sig), 16, seed=0)
+
+
 def test_orbit_generic_path_matches_bulk():
     # the scalar fallback signature (m=2, n=1) runs the generic loop
     sig = SplittingSignature(2, 1)

@@ -42,7 +42,7 @@ from .fundamental import _lex_key, reduce_matrix
 from .harness import CheckResult, RunReport, decay_fit, loglog_fit, siegel_average_2x2
 from .lattices import DEFAULT_BUDGET, LatticeDescriptor, height
 from .measures import FlatteningInstance, _verify_flattening, flatten_weights, fourier_coefficient
-from .orbits import NeighborhoodV, gamma_orbit, localized_measure, orbit_pushforward
+from .orbits import NeighborhoodV, _det1_box_table, gamma_orbit, localized_measure, orbit_pushforward
 
 __all__ = ["run_acceptance", "CRITERIA", "SUITES"]
 
@@ -189,50 +189,9 @@ def criterion_effective_weyl(budget=DEFAULT_BUDGET, cache=None) -> List[CheckRes
 # -- criterion 4: reduction vs brute force -----------------------------------
 
 
-def _sl2z_box(X: int) -> np.ndarray:
-    def ext(x, y):
-        old_r, r = x, y
-        old_s, s = 1, 0
-        old_t, t = 0, 1
-        while r:
-            q = old_r // r
-            old_r, r = r, old_r - q * r
-            old_s, s = s, old_s - q * s
-            old_t, t = t, old_t - q * t
-        return old_r, old_s, old_t
-
-    mats = []
-    for a in range(-X, X + 1):
-        for c in range(-X, X + 1):
-            if (a, c) == (0, 0) or math.gcd(abs(a), abs(c)) != 1:
-                continue
-            g, p, q = ext(a, c)
-            if g < 0:
-                g, p, q = -g, -p, -q
-            d0, b0 = p, -q
-            lo, hi = -(10**9), 10**9
-            ok = True
-            for w0, w in ((b0, a), (d0, c)):
-                if w == 0:
-                    if abs(w0) > X:
-                        ok = False
-                else:
-                    l0 = (-X - w0) / w
-                    h0 = (X - w0) / w
-                    if l0 > h0:
-                        l0, h0 = h0, l0
-                    lo = max(lo, math.ceil(l0 - 1e-9))
-                    hi = min(hi, math.floor(h0 + 1e-9))
-            if not ok:
-                continue
-            for k in range(lo, hi + 1):
-                mats.append(((a, b0 + k * a), (c, d0 + k * c)))
-    return np.array(mats, dtype=float)
-
-
 def criterion_reduction_oracle(budget=DEFAULT_BUDGET, cache=None, n_cases: int = 500) -> List[CheckResult]:
     t0 = time.time()
-    box = _sl2z_box(50)
+    box = _det1_box_table(50)
     rng = np.random.default_rng(_SEED + 4)
 
     def rand_g():

@@ -40,7 +40,7 @@ import numpy as np
 
 from .core import IntegerMatrix, SpecialLinearMatrix
 from .errors import BudgetExceededError, PrecisionError
-from .lattices import DEFAULT_BUDGET, LatticeDescriptor, enumerate_ball, lll_reduce
+from .lattices import DEFAULT_BUDGET, LatticeDescriptor, _ext_gcd, enumerate_ball, lll_reduce
 
 __all__ = [
     "F_value",
@@ -117,18 +117,6 @@ class ReducedRepresentative:
     fvalue: float
     certificate: float
     certified: bool = True
-
-
-def _ext_gcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 def _minima_sq_of(B: np.ndarray, budget: int) -> list:

@@ -46,7 +46,7 @@ from .fundamental import (
     x_distance,
     F_value,
 )
-from .lattices import DEFAULT_BUDGET, LatticeDescriptor, shortest_vector
+from .lattices import DEFAULT_BUDGET, LatticeDescriptor, _ext_gcd, shortest_vector
 
 __all__ = [
     "NeighborhoodV",
@@ -172,7 +172,8 @@ class EmpiricalTorusMeasure:
     as integers over a common denominator.  Per-sample metadata (the
     horospherical coordinate, the integer cocycle value, the reduced
     matrix, the height) lives in parallel arrays; `sample(i)` wraps row
-    i as an OrbitSample.
+    i as an OrbitSample.  `localization_mass` is the raw bump mass of a
+    measure made by `localized_measure`, and None otherwise.
     """
 
     coords: np.ndarray
@@ -183,6 +184,7 @@ class EmpiricalTorusMeasure:
     gammas: Optional[np.ndarray] = None
     xis: Optional[np.ndarray] = None
     heights: Optional[np.ndarray] = None
+    localization_mass: Optional[float] = None
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=float)
@@ -228,7 +230,9 @@ class EmpiricalTorusMeasure:
             height_after=float(self.heights[i]),
         )
 
-    def reweighted(self, new_weights: np.ndarray) -> "EmpiricalTorusMeasure":
+    def reweighted(
+        self, new_weights: np.ndarray, localization_mass: Optional[float] = None
+    ) -> "EmpiricalTorusMeasure":
         return EmpiricalTorusMeasure(
             coords=self.coords,
             weights=new_weights,
@@ -238,6 +242,7 @@ class EmpiricalTorusMeasure:
             gammas=self.gammas,
             xis=self.xis,
             heights=self.heights,
+            localization_mass=localization_mass,
         )
 
 
@@ -387,20 +392,20 @@ def _bump(s: np.ndarray) -> np.ndarray:
     return 1.0 - (3.0 * x * x - 2.0 * x * x * x)
 
 
-_LOC_TABLES: dict = {}
+_DET1_TABLES: dict = {}
 
 
 def _det1_box_table(K: int) -> np.ndarray:
     """All integer 2x2 matrices with det +1 and entries bounded by K."""
     key = int(K)
-    if key in _LOC_TABLES:
-        return _LOC_TABLES[key]
+    if key in _DET1_TABLES:
+        return _DET1_TABLES[key]
     mats = []
     for a in range(-K, K + 1):
         for b in range(-K, K + 1):
             if math.gcd(abs(a), abs(b)) != 1:
                 continue
-            g, u, v = _ext_gcd2(a, b)
+            g, u, v = _ext_gcd(a, b)
             if g < 0:
                 u, v = -u, -v
             x0, y0 = -v, u  # a*y0 - b*x0 = 1
@@ -423,23 +428,12 @@ def _det1_box_table(K: int) -> np.ndarray:
             for k in range(lo, hi + 1):
                 mats.append(((a, x0 + k * a), (b, y0 + k * b)))
     table = np.array(mats, dtype=float)
-    _LOC_TABLES[key] = table
+    _DET1_TABLES[key] = table
     return table
 
 
-def _ext_gcd2(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 _LOC_K_MAX = 24
+_LOC_CHUNK = 1024
 
 
 def _proxy_distances_2x2(
@@ -459,6 +453,14 @@ def _proxy_distances_2x2(
     Samples needing a box beyond _LOC_K_MAX either certify "at most
     `certify_below`" through the capped box (the box minimum is an upper
     bound) or fall back to the scalar search.
+
+    Each bucket runs in blocks of _LOC_CHUNK samples, so memory stays
+    flat in N.  The rounding of every step is fixed, and a test pins the
+    distances bit for bit: xi C is the explicit sum
+    xi[:, 0] C[0] + xi[:, 1] C[1] with each product rounded before the
+    add (a matmul would fuse them into an FMA); the product with z^{-1}
+    is one BLAS call over the rows of a block; the squared Frobenius
+    norm adds the four entries in row-major order.
     """
     from .fundamental import x_distance
 
@@ -482,12 +484,20 @@ def _proxy_distances_2x2(
     Ks_eff = np.minimum(Ks, _LOC_K_MAX)
     for K in np.unique(Ks_eff):
         table = _det1_box_table(int(K))
-        sel = Ks_eff == K
-        rows = idx_alive[sel]
-        H = np.einsum("nij,kjl->nkil", xis[rows], table)
-        D = H @ zinv - eye
-        dsq = (D * D).sum(axis=(2, 3))
-        dists[rows] = np.sqrt(dsq.min(axis=1))
+        k = table.shape[0]
+        T0 = table[:, 0, :].reshape(-1)
+        T1 = table[:, 1, :].reshape(-1)
+        bucket = idx_alive[Ks_eff == K]
+        for start in range(0, bucket.size, _LOC_CHUNK):
+            rows = bucket[start : start + _LOC_CHUNK]
+            X = xis[rows]
+            # H[n, i, c, l] = (xi_n C_c)[i, l], laid out so that each
+            # elementwise step runs along the long (c, l) axis
+            H = X[:, :, 0, None] * T0 + X[:, :, 1, None] * T1
+            D = (H.reshape(-1, 2) @ zinv).reshape(-1, 2, k, 2) - eye[None, :, None, :]
+            Q = D * D
+            dsq = ((Q[:, 0, :, 0] + Q[:, 0, :, 1]) + Q[:, 1, :, 0]) + Q[:, 1, :, 1]
+            dists[rows] = np.sqrt(dsq.min(axis=1))
     # capped samples: the box minimum is only an upper bound; keep it
     # when it certifies the bump plateau, otherwise resolve exactly
     for i, row in zip(np.nonzero(capped)[0], idx_alive[capped]):
@@ -505,8 +515,8 @@ def localized_measure(
 ) -> EmpiricalTorusMeasure:
     """Reweight by a bump in the base-point distance to z, renormalized.
 
-    The raw (pre-normalization) bump mass is attached as
-    `.localization_mass` on the returned measure.
+    The raw (pre-normalization) bump mass is the returned measure's
+    `localization_mass`.
     """
     if not r > 0:
         raise ValueError("radius must be positive")
@@ -531,9 +541,7 @@ def localized_measure(
         raise EmptyLocalizationError(
             f"localized mass {total:.3g} below the 10/{orbit.size} floor"
         )
-    new = orbit.reweighted(raw / total)
-    new.localization_mass = total
-    return new
+    return orbit.reweighted(raw / total, localization_mass=total)
 
 
 @dataclass(frozen=True)

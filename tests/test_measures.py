@@ -15,6 +15,7 @@ from horolattice.measures import (
     large_coefficient_set,
     max_concentration,
 )
+from horolattice import measures
 from horolattice.orbits import EmpiricalTorusMeasure
 
 
@@ -163,6 +164,97 @@ def test_max_concentration_uniform():
     _, mass = max_concentration(cloud, rho)
     expect = (2 * rho) ** 2
     assert expect <= mass <= expect * 1.6
+
+
+def full_scan_max_concentration(nu, rho):
+    """Reference: the full scan, every centre against every sample, in blocks of 10^7 // N."""
+    steps = int(math.ceil(2.0 / rho))
+    axes = [np.arange(steps) * (rho / 2.0) for _ in range(nu.dim)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    grid = np.stack([m.ravel() for m in mesh], axis=1) % 1.0
+    centers = np.vstack([grid, nu.coords])
+    best_mass = -1.0
+    best_center = None
+    chunk = max(1, 10_000_000 // max(nu.size, 1))
+    for start in range(0, centers.shape[0], chunk):
+        block = centers[start : start + chunk]
+        diff = np.abs(block[:, None, :] - nu.coords[None, :, :])
+        dist = np.minimum(diff, 1.0 - diff).max(axis=2)
+        masses = (dist <= rho) @ nu.weights
+        for j in range(block.shape[0]):
+            mass = float(masses[j])
+            if mass > best_mass + 1e-15:
+                best_mass = mass
+                best_center = tuple(float(x) for x in block[j])
+            elif abs(mass - best_mass) <= 1e-15 and tuple(block[j]) < best_center:
+                best_center = tuple(float(x) for x in block[j])
+    return best_center, best_mass
+
+
+def cloud_of(coords, weights=None):
+    coords = np.asarray(coords, dtype=float) % 1.0
+    n = coords.shape[0]
+    w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
+    return EmpiricalTorusMeasure(coords=coords, weights=w / w.sum())
+
+
+def _concentration_clouds():
+    rng = np.random.default_rng(11)
+    # 2500 atoms on the edges of the bounding grid's cells, plus 120 on a ball's boundary
+    m = int(min(measures._MAX_CELLS, measures._CELLS_PER_SAMPLE * 2620) ** 0.5)
+    lattice = rng.integers(0, m, (2500, 2)) / m
+    rim = np.array([[0.3, 0.3], [0.35, 0.3], [0.3, 0.25], [0.35, 0.35]])
+    # isolated atoms whose masses step by less than the tie gap of the search
+    chain = np.array([[i / 5.0 + 0.01, j / 5.0 + 0.01] for i in range(5) for j in range(5)])
+    return [
+        ("uniform", cloud_of(rng.random((3000, 2))), 0.05),
+        ("uniform-odd-size", cloud_of(rng.random((777, 2))), 0.1),
+        ("clustered", cloud_of(np.vstack([rng.random((2500, 2)), 0.4 + 0.02 * rng.standard_normal((400, 2))])), 0.05),
+        ("unequal-weights", cloud_of(rng.random((3000, 2)), rng.random(3000) ** 4), 0.07),
+        ("cell-edges", cloud_of(np.vstack([lattice, rim.repeat(30, axis=0)])), 0.05),
+        ("wrap", cloud_of(np.vstack([0.015 * rng.standard_normal((600, 2)), rng.random((900, 2))])), 0.03),
+        ("coarse-grid-ties", cloud_of(rng.integers(0, 13, (2000, 2)) / 13.0), 0.07),
+        ("exact-ties", cloud_of([[0.1, 0.1], [0.6, 0.6], [0.3, 0.85]]), 0.05),
+        ("near-tie-chain", cloud_of(chain, 0.04 + 3e-15 * rng.permutation(25)), 0.05),
+        ("d1", cloud_of(rng.random((4000, 1))), 0.1),
+        ("d1-ties", cloud_of(rng.integers(0, 50, (1000, 1)) / 50.0), 0.03),
+        ("d3", cloud_of(rng.random((1500, 3))), 0.15),
+        ("d3-clustered", cloud_of(np.vstack([rng.random((1000, 3)), 0.7 + 0.03 * rng.standard_normal((200, 3))])), 0.1),
+    ]
+
+
+@pytest.mark.parametrize(
+    "nu,rho", [pytest.param(nu, rho, id=name) for name, nu, rho in _concentration_clouds()]
+)
+def test_max_concentration_matches_full_scan(nu, rho):
+    centre, mass = full_scan_max_concentration(nu, rho)
+    p, got = max_concentration(nu, rho)
+    assert tuple(p.as_floats()) == centre
+    assert np.float64(got).tobytes() == np.float64(mass).tobytes()
+
+
+def test_fourier_spectrum_matches_fourier_coefficient_bit_for_bit():
+    rng = np.random.default_rng(12)
+    q7 = rng.integers(0, 7, (3000, 2))
+    w = rng.random(3000)
+    clouds = [
+        uniform_cloud(3000, seed=13),
+        EmpiricalTorusMeasure(coords=rng.random((2000, 2)), weights=w[:2000] / w[:2000].sum()),
+        dirac([0.0, 0.0]),  # every coefficient has an exactly zero imaginary part
+        dirac([0.5, 0.25]),
+        grid_measure(3),
+        EmpiricalTorusMeasure(
+            coords=q7 / 7.0, weights=w / w.sum(), numerators=q7, denominator=7
+        ),
+        EmpiricalTorusMeasure(coords=rng.random((500, 3)), weights=np.full(500, 1.0 / 500)),
+    ]
+    for nu in clouds:
+        spec = fourier_spectrum(nu, 4)
+        keys = list(spec.coeffs)
+        assert keys == sorted(keys)
+        got = np.array([spec.coeffs[m] for m in keys])
+        want = np.array([fourier_coefficient(nu, m) for m in keys])
+        assert got.tobytes() == want.tobytes()
 
 
 def make_instance(rng, nI=30, nJ=12, lam=1.0):

@@ -246,6 +246,71 @@ def test_localized_measure_matches_ball_fraction():
     assert inner - 1e-12 <= loc.localization_mass <= outer + 1e-12
 
 
+def einsum_proxy_distances_2x2(xis, z_rep, reach, certify_below=0.0):
+    """Reference: _proxy_distances_2x2 with one einsum and one stacked matmul per box size."""
+    from horolattice.fundamental import x_distance
+    from horolattice.orbits import _LOC_K_MAX, _det1_box_table
+
+    za = z_rep.entries
+    z_frob = math.sqrt(float((za * za).sum()))
+    S = z_frob * (1.0 + reach) + 1e-9
+    N = xis.shape[0]
+    dists = np.full(N, np.inf)
+    frob = np.sqrt((xis * xis).sum(axis=(1, 2)))
+    colmax = np.maximum(
+        np.linalg.norm(xis[:, :, 0], axis=1), np.linalg.norm(xis[:, :, 1], axis=1)
+    )
+    alive = frob <= S
+    idx_alive = np.nonzero(alive)[0]
+    Ks = np.ceil(S * colmax[alive] * 1.0001).astype(np.int64)
+    zinv = z_rep.inverse
+    eye = np.eye(2)
+    capped = Ks > _LOC_K_MAX
+    Ks_eff = np.minimum(Ks, _LOC_K_MAX)
+    for K in np.unique(Ks_eff):
+        table = _det1_box_table(int(K))
+        sel = Ks_eff == K
+        rows = idx_alive[sel]
+        H = np.einsum("nij,kjl->nkil", xis[rows], table)
+        D = H @ zinv - eye
+        dsq = (D * D).sum(axis=(2, 3))
+        dists[rows] = np.sqrt(dsq.min(axis=1))
+    for i, row in zip(np.nonzero(capped)[0], idx_alive[capped]):
+        if dists[row] <= certify_below:
+            continue
+        dists[row] = x_distance(xis[row], z_rep, max_distance=reach * 1.5)
+    return dists, int(capped.sum())
+
+
+def test_proxy_distances_match_einsum_form_bit_for_bit():
+    from horolattice.orbits import _proxy_distances_2x2
+
+    y0 = AffineLatticePoint(
+        SpecialLinearMatrix.from_entries(np.eye(2)), TorusPoint.from_values([0.3, 0.4])
+    )
+    nu = orbit_pushforward(y0, 6.0, V, 1200, seed=5)
+    z = reduce_matrix(np.array([[1.1, 0.3], [0.2, (1 + 0.06) / 1.1]])).rep
+    capped_total = 0
+    for r in (0.05, 0.12, 0.6):
+        want, capped = einsum_proxy_distances_2x2(nu.xis, z, 5 * r, certify_below=r)
+        got = _proxy_distances_2x2(nu.xis, z, 5 * r, certify_below=r)
+        assert got.tobytes() == want.tobytes()
+        capped_total += capped
+    assert capped_total > 0  # the _LOC_K_MAX cap was exercised
+
+
+def test_localization_mass_is_a_constructor_field():
+    y0 = AffineLatticePoint(
+        SpecialLinearMatrix.from_entries(np.eye(2)), TorusPoint.from_values([0.3, 0.4])
+    )
+    nu = orbit_pushforward(y0, 0.5, V, 200, seed=4)
+    assert nu.localization_mass is None
+    z = SpecialLinearMatrix.from_entries(nu.xis[int(np.argmin(nu.heights))])
+    loc = localized_measure(nu, z, 0.5)
+    assert 0.0 < loc.localization_mass <= 1.0
+    assert nu.reweighted(loc.weights).localization_mass is None
+
+
 def test_gamma_orbit_trivial_at_time_zero():
     x_rep = reduce_matrix(np.eye(2)).rep
     tiny = NeighborhoodV(SIG, half_width=1e-4)

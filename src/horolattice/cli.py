@@ -105,7 +105,7 @@ def main(argv=None) -> int:
     for check in report.checks:
         if cfg.kind != "acceptance":  # acceptance already printed its lines
             print(check.line())
-    if getattr(report, "result", None) is not None:
+    if report.result is not None:
         print(json.dumps(report.result, indent=2))
     return report.exit_code
 

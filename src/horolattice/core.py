@@ -63,6 +63,10 @@ def _det_tolerance(scale: float, dim: int) -> float:
     return max(DET_TOL, 64.0 * dim * _EPS * max(1.0, scale) ** dim)
 
 
+#: For each index of {0, 1, 2}, the other two in increasing order.
+_OTHER_TWO = ((1, 2), (0, 2), (0, 1))
+
+
 def _unimodular_inverse(a: np.ndarray) -> np.ndarray:
     """Inverse of a (near-)unimodular matrix via the adjugate for d <= 3."""
     d = a.shape[0]
@@ -71,12 +75,14 @@ def _unimodular_inverse(a: np.ndarray) -> np.ndarray:
         adj = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
         return adj / det
     if d == 3:
+        # adj[i, j] is the signed minor without row j and column i; Python
+        # floats are cheaper than numpy scalars and round identically.
+        rows = a.tolist()
         adj = np.empty((3, 3))
-        for i in range(3):
-            for j in range(3):
-                minor = np.delete(np.delete(a, j, axis=0), i, axis=1)
+        for i, (c0, c1) in enumerate(_OTHER_TWO):
+            for j, (r0, r1) in enumerate(_OTHER_TWO):
                 adj[i, j] = ((-1) ** (i + j)) * (
-                    minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0]
+                    rows[r0][c0] * rows[r1][c1] - rows[r0][c1] * rows[r1][c0]
                 )
         return adj / det
     return np.linalg.inv(a)
@@ -104,15 +110,24 @@ class SpecialLinearMatrix:
     Construction validates unimodularity (scale-aware tolerance, see
     `_det_tolerance`) and renormalizes small determinant drift by
     scaling the first column.  Entries and inverse are read-only numpy
-    arrays.
+    arrays; the inverse is computed on first use, since many matrices
+    (lattice bases handed to a reduction) never need it.
     """
 
-    __slots__ = ("entries", "inverse")
+    __slots__ = ("entries", "_inverse")
 
-    def __init__(self, entries: np.ndarray, inverse: np.ndarray):
+    def __init__(self, entries: np.ndarray):
         # Internal constructor; use from_entries() for validated input.
         self.entries = entries
-        self.inverse = inverse
+        self._inverse = None
+
+    @property
+    def inverse(self) -> np.ndarray:
+        if self._inverse is None:
+            inv = _unimodular_inverse(self.entries)
+            inv.setflags(write=False)
+            self._inverse = inv
+        return self._inverse
 
     @classmethod
     def from_entries(cls, entries) -> "SpecialLinearMatrix":
@@ -131,10 +146,8 @@ class SpecialLinearMatrix:
         if abs(det - 1.0) > DET_RENORM_TOL:
             a = a.copy()
             a[:, 0] /= det
-        inv = _unimodular_inverse(a)
         a.setflags(write=False)
-        inv.setflags(write=False)
-        return cls(a, inv)
+        return cls(a)
 
     @property
     def dim(self) -> int:
@@ -161,13 +174,32 @@ class SpecialLinearMatrix:
         return f"SpecialLinearMatrix({self.entries.tolist()!r})"
 
 
-def _int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant (cofactor expansion; d stays small here)."""
+def _int_adjugate(rows: Sequence[Sequence[int]]) -> tuple:
+    """Exact adjugate adj(C) = det(C) C^{-1} of an integer matrix, d <= 3.
+
+    Closed form in Python ints, so nothing overflows; the cofactor
+    matrix of C is its transpose.
+    """
     d = len(rows)
     if d == 1:
-        return rows[0][0]
+        return ((1,),)
     if d == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+        (a, b), (c, e) = rows
+        return ((e, -b), (-c, a))
+    (a, b, c), (p, q, r), (x, y, z) = rows
+    return (
+        (q * z - r * y, c * y - b * z, b * r - c * q),
+        (r * x - p * z, a * z - c * x, c * p - a * r),
+        (p * y - q * x, b * x - a * y, a * q - b * p),
+    )
+
+
+def _int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact integer determinant: closed form for d <= 3, else cofactor expansion."""
+    d = len(rows)
+    if d <= 3:
+        adj = _int_adjugate(rows)
+        return sum(rows[0][k] * adj[k][0] for k in range(d))
     total = 0
     for j in range(d):
         if rows[0][j] == 0:
@@ -242,16 +274,19 @@ class IntegerMatrix:
         det = self.det()
         if det not in (1, -1):
             raise DeterminantError("only determinant +-1 integer matrices invert exactly")
-        cof = [[0] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                minor = [
-                    [self.rows[r][c] for c in range(d) if c != j]
-                    for r in range(d)
-                    if r != i
-                ]
-                cof[j][i] = ((-1) ** (i + j)) * (_int_det(minor) if d > 1 else 1)
-        return IntegerMatrix(tuple(tuple(x * det for x in row) for row in cof))
+        if d <= 3:
+            adj = _int_adjugate(self.rows)
+        else:
+            adj = [[0] * d for _ in range(d)]
+            for i in range(d):
+                for j in range(d):
+                    minor = [
+                        [self.rows[r][c] for c in range(d) if c != j]
+                        for r in range(d)
+                        if r != i
+                    ]
+                    adj[j][i] = ((-1) ** (i + j)) * _int_det(minor)
+        return IntegerMatrix(tuple(tuple(x * det for x in row) for row in adj))
 
     def to_array(self) -> np.ndarray:
         return np.array(self.rows, dtype=float)
@@ -405,11 +440,12 @@ def torus_act(gamma: IntegerMatrix, b: TorusPoint) -> TorusPoint:
     if gamma.dim != b.dim:
         raise DimensionMismatchError("dimension mismatch in torus action")
     if b.is_rational:
-        coords = tuple(
-            sum(Fraction(gamma.rows[i][j]) * b.coords[j] for j in range(b.dim)) % 1
-            for i in range(b.dim)
+        # integer numerators over the common denominator; Fraction reduces
+        q = b.denominator()
+        nums = [c.numerator * (q // c.denominator) for c in b.coords]
+        return TorusPoint(
+            tuple(Fraction(sum(g * n for g, n in zip(row, nums)) % q, q) for row in gamma.rows)
         )
-        return TorusPoint(coords)
     vec = gamma.to_array() @ b.as_floats()
     return TorusPoint(tuple(float(x % 1.0) for x in vec))
 

@@ -22,6 +22,17 @@ The unimodular transform is accumulated in exact integer arithmetic
 throughout, so the returned gamma is exact by construction and the
 float residual check is a genuine consistency certificate.
 
+For d = 3 every matrix takes the scalar path `_reduce_core`: LLL on
+the primal and on the dual basis (the one with the smaller F seeds the
+search), certified successive minima of both sides, then the candidate
+walks of `_candidates_3d` on both sides, repeated until no candidate
+lowers F, and the lexicographic tie-break.  A dual candidate C has
+det C = 1, so its primal transform C^{-T} is the integer cofactor matrix
+of C.  Floating point enters only through LLL's Gram-Schmidt, the QR of
+the enumerations and the F-values; each is computed by the same numpy
+operations whatever the surrounding bookkeeping, so outputs are
+reproducible bit for bit.
+
 A vectorized fast path `reduce_batch_2x2` handles bulk d = 2 reductions
 (the hot loop of orbit sampling); it agrees with the scalar path and
 falls back to it sample-by-sample near the cusp, where the static
@@ -38,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import IntegerMatrix, SpecialLinearMatrix
+from .core import IntegerMatrix, SpecialLinearMatrix, _int_adjugate
 from .errors import BudgetExceededError, PrecisionError
 from .lattices import DEFAULT_BUDGET, LatticeDescriptor, _ext_gcd, enumerate_ball, lll_reduce
 
@@ -67,23 +78,22 @@ _BATCH_LAMBDA1_MIN = 0.015
 
 
 def _inv_unimodular(h: np.ndarray) -> np.ndarray:
+    # Python floats are cheaper than numpy scalars and round each product
+    # and difference identically.
     d = h.shape[0]
     if d == 2:
-        det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
-        return np.array([[h[1, 1], -h[0, 1]], [-h[1, 0], h[0, 0]]]) / det
+        (a, b), (c, e) = h.tolist()
+        det = a * e - b * c
+        return np.array([[e, -b], [-c, a]]) / det
     if d == 3:
-        a, b, c = h[0]
-        p, q, r = h[1]
-        x, y, z = h[2]
-        adj = np.array(
-            [
-                [q * z - r * y, c * y - b * z, b * r - c * q],
-                [r * x - p * z, a * z - c * x, c * p - a * r],
-                [p * y - q * x, b * x - a * y, a * q - b * p],
-            ]
-        )
-        det = a * adj[0, 0] + b * adj[1, 0] + c * adj[2, 0]
-        return adj / det
+        (a, b, c), (p, q, r), (x, y, z) = h.tolist()
+        adj = [
+            [q * z - r * y, c * y - b * z, b * r - c * q],
+            [r * x - p * z, a * z - c * x, c * p - a * r],
+            [p * y - q * x, b * x - a * y, a * q - b * p],
+        ]
+        det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+        return np.array(adj) / det
     return np.linalg.inv(h)
 
 
@@ -338,12 +348,8 @@ def _side_bound_sq(fmax: float, other_lower_sq: float) -> float:
     return root * root
 
 
-def _int_adj_transpose(C: IntegerMatrix) -> IntegerMatrix:
-    return C.inv().transpose()
-
-
 def _lex_key(h: np.ndarray):
-    return tuple(round(float(x) / LEX_GRID) for x in h.ravel())
+    return tuple(map(round, (h.ravel() / LEX_GRID).tolist()))
 
 
 def _reduce_core(arr: np.ndarray, budget: int = DEFAULT_BUDGET):
@@ -362,7 +368,7 @@ def _reduce_core(arr: np.ndarray, budget: int = DEFAULT_BUDGET):
         Bd, Ud_rows = lll_reduce(dual_arr)
         Ud = IntegerMatrix.from_rows(Ud_rows)
         seed_B = _inv_unimodular(Bd).T
-        seed_U = _int_adj_transpose(Ud)
+        seed_U = Ud.inv().transpose()
         if _f_of_array(seed_B) < _f_of_array(best_B):
             best_B, best_U = seed_B, seed_U
     if d not in (2, 3):
@@ -386,8 +392,9 @@ def _reduce_core(arr: np.ndarray, budget: int = DEFAULT_BUDGET):
             cand_cs = _candidates_3d(best_B, prim_boundsq, prim_min_sq, budget)
             dual_boundsq = _side_bound_sq(f_max, sum(prim_min_sq))
             dual_B = _inv_unimodular(best_B).T
+            # a dual candidate C has det C = +1, so C^{-T} is its cofactor matrix
             for rows in _candidates_3d(dual_B, dual_boundsq, dual_min_sq, budget):
-                cand_cs.append(tuple(map(tuple, _int_adj_transpose(IntegerMatrix.from_rows(rows)).rows)))
+                cand_cs.append(tuple(zip(*_int_adjugate(rows))))
         seen = set()
         unique_cs = []
         ident = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
@@ -414,8 +421,7 @@ def _reduce_core(arr: np.ndarray, budget: int = DEFAULT_BUDGET):
 
         f_min = min(e[0] for e in entries)
         ties = [e for e in entries if e[0] <= f_min + TIE_TOL]
-        ties.sort(key=lambda e: _lex_key(e[2]))
-        f_pick, rows_pick, h_pick = ties[0]
+        f_pick, rows_pick, h_pick = min(ties, key=lambda e: _lex_key(e[2]))
         if rows_pick is not None:
             best_B = h_pick
             best_U = best_U @ IntegerMatrix.from_rows(rows_pick)

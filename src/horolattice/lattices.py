@@ -58,38 +58,50 @@ def lll_reduce(basis: np.ndarray, delta: float = _LLL_DELTA, max_rounds: int = 1
     (the numerically stable way to get it) and U is the exact unimodular
     transform as nested Python ints with det +1, so B tracks basis @ U.
     Swaps are swap-with-sign to keep the determinant +1 throughout.
+
+    Gram-Schmidt rows are computed lazily: row j of (Q, mu, norms2)
+    reads only columns <= j of B and rows < j of itself, so a change to
+    column k (a size reduction of k, or a swap of k - 1 and k, which
+    touches k - 1) invalidates rows >= that column only, and a row is
+    recomputed when the loop next reads it.  Each row is then the value
+    a full recompute of the current basis gives, by the same operations
+    in the same order, so the result equals the full-recompute
+    algorithm bit for bit while most rows are never recomputed.
     """
     B = np.array(basis, dtype=float)
     d = B.shape[0]
     U = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    Q = np.zeros_like(B)
+    mu = np.zeros((d, d))
+    norms2 = np.zeros(d)
+    valid = 0  # rows < valid match the current B
 
-    def gram_schmidt():
-        Q = np.zeros_like(B)
-        mu = np.zeros((d, d))
-        norms2 = np.zeros(d)
-        for j in range(d):
+    def gram_schmidt(upto: int):
+        nonlocal valid
+        for j in range(valid, upto + 1):
             v = B[:, j].copy()
             for i in range(j):
                 mu[j, i] = 0.0 if norms2[i] == 0 else float(B[:, j] @ Q[:, i]) / norms2[i]
                 v -= mu[j, i] * Q[:, i]
             Q[:, j] = v
             norms2[j] = float(v @ v)
-        return mu, norms2
+        valid = max(valid, upto + 1)
 
     rounds = 0
     k = 1
-    mu, norms2 = gram_schmidt()
     while k < d:
         rounds += 1
         if rounds > max_rounds:
             raise BudgetExceededError("LLL failed to converge within the round budget")
+        gram_schmidt(k)
         for i in range(k - 1, -1, -1):
             r = round(mu[k, i])
             if r != 0:
                 B[:, k] -= r * B[:, i]
                 for row in range(d):
                     U[row][k] -= r * U[row][i]
-                mu, norms2 = gram_schmidt()
+                valid = k
+                gram_schmidt(k)
         if norms2[k] >= (delta - mu[k, k - 1] ** 2) * norms2[k - 1]:
             k += 1
         else:
@@ -98,14 +110,14 @@ def lll_reduce(basis: np.ndarray, delta: float = _LLL_DELTA, max_rounds: int = 1
             B[:, k] = -tmp
             for row in range(d):
                 U[row][k - 1], U[row][k] = U[row][k], -U[row][k - 1]
-            mu, norms2 = gram_schmidt()
+            valid = k - 1
             k = max(k - 1, 1)
     return B, U
 
 
 def _qr_positive(B: np.ndarray) -> np.ndarray:
-    _, R = np.linalg.qr(B)
-    R = R.copy()
+    # mode "r" returns the R of the same factorization without forming Q
+    R = np.linalg.qr(B, mode="r")
     for i in range(B.shape[0]):
         if R[i, i] < 0:
             R[i, :] *= -1.0

@@ -5,7 +5,9 @@ phases: the dot products m . b are reduced mod 1 in integer arithmetic
 over the common denominator before any complex exponential is formed,
 so grid identities (coefficient exactly 1 on the dual grid) survive to
 the last bit of the weight sum.  `fourier_spectrum` computes one
-coefficient per pair +-m and gets the other from it exactly.
+coefficient per pair +-m and gets the other from it exactly.  The
+phase tables have one entry per residue mod q, so denominators above
+`MAX_PHASE_DENOMINATOR` are refused with a `PrecisionError`.
 
 `max_concentration` finds the heaviest closed sup ball of radius rho
 among a fixed candidate set without comparing every centre with every
@@ -33,9 +35,11 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .core import TorusPoint
+from .errors import PrecisionError
 from .orbits import EmpiricalTorusMeasure
 
 __all__ = [
+    "MAX_PHASE_DENOMINATOR",
     "FourierSpectrum",
     "fourier_coefficient",
     "fourier_spectrum",
@@ -48,6 +52,13 @@ __all__ = [
     "flatten_weights",
 ]
 
+#: Largest denominator q of a rational cloud whose Fourier coefficients
+#: are evaluated with exact phases.  The phase histogram, the roots of
+#: unity and the negation permutation take 32 bytes per residue mod q,
+#: 128 MiB at this cap; q = 2 * 10^16 (decimal-string fibers) would need
+#: hundreds of PiB.
+MAX_PHASE_DENOMINATOR = 1 << 22
+
 _MAX_BOX = 10_000_000
 # max_concentration: the size of the bounding grid (a few dozen cells per
 # sample; finer grids are mostly empty), the entries of one batch's
@@ -57,6 +68,16 @@ _CELLS_PER_SAMPLE = 64
 _MAX_CELLS = 1 << 20
 _BATCH_ENTRIES = 1 << 17
 _TIE_GAP = 4e-15
+
+
+def _phase_denominator(nu: EmpiricalTorusMeasure) -> int:
+    q = nu.denominator
+    if q > MAX_PHASE_DENOMINATOR:
+        raise PrecisionError(
+            f"fiber denominator q = {q} exceeds MAX_PHASE_DENOMINATOR = {MAX_PHASE_DENOMINATOR}: "
+            "the exact-phase tables hold one entry per residue mod q"
+        )
+    return q
 
 
 def _phase_histogram(nu: EmpiricalTorusMeasure, mv: np.ndarray) -> np.ndarray:
@@ -78,7 +99,8 @@ def fourier_coefficient(nu: EmpiricalTorusMeasure, m) -> complex:
     if not mv.any():
         return complex(1.0, 0.0)
     if nu.is_rational:
-        return complex(_phase_histogram(nu, mv) @ _roots_of_unity(nu.denominator))
+        q = _phase_denominator(nu)
+        return complex(_phase_histogram(nu, mv) @ _roots_of_unity(q))
     angles = -2.0 * np.pi * (nu.coords @ mv.astype(float))
     return complex(np.sum(nu.weights * np.exp(1j * angles)))
 
@@ -118,7 +140,7 @@ def fourier_spectrum(nu: EmpiricalTorusMeasure, max_freq: int) -> FourierSpectru
     if side**nu.dim > _MAX_BOX:
         raise ValueError("frequency box too large")
     if nu.is_rational:
-        q = nu.denominator
+        q = _phase_denominator(nu)
         roots = _roots_of_unity(q)
         negate = -np.arange(q) % q
     coeffs: Dict[tuple, complex] = {}

@@ -22,6 +22,7 @@ the scalar decomposition.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -38,7 +39,7 @@ from .core import (
     matrix_norm,
     torus_act,
 )
-from .errors import EmptyLocalizationError, PrecisionError
+from .errors import BudgetExceededError, DeterminantError, EmptyLocalizationError, PrecisionError
 from .fundamental import (
     _reduce_core,
     reduce_batch_2x2,
@@ -305,6 +306,25 @@ def _fiber_numerators(gammas: np.ndarray, num0: list, q: int) -> np.ndarray:
     return (exact % q).astype(np.int64)
 
 
+@contextmanager
+def _naming_sample(stage: str, i: int, t: float):
+    """Re-raise a sample's typed failure as its own class, naming stage, sample and t.
+
+    The original traceback is kept, so the innermost failing frame stays
+    visible; a budget failure keeps its `partial` and `nodes`.
+    """
+    try:
+        yield
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(
+            f"{stage} of sample {i} at t = {t:g}: {exc}", partial=exc.partial, nodes=exc.nodes
+        ).with_traceback(exc.__traceback__) from None
+    except (PrecisionError, DeterminantError) as exc:
+        raise type(exc)(f"{stage} of sample {i} at t = {t:g}: {exc}").with_traceback(
+            exc.__traceback__
+        ) from None
+
+
 def orbit_pushforward(
     y0: AffineLatticePoint,
     t: float,
@@ -316,7 +336,9 @@ def orbit_pushforward(
     """Empirical law of the fiber coordinate along a_t V y0.
 
     Equal weights 1/count; any per-sample precision failure aborts the
-    whole run.  Rational starting fibers stay exactly rational.
+    whole run, and on the scalar path its message names the stage
+    (decompose or height), the sample index and t.  Rational starting
+    fibers stay exactly rational.
     """
     sig = V.sig
     if y0.dim != sig.d:
@@ -362,12 +384,14 @@ def orbit_pushforward(
     heights = np.empty(count)
     nums = np.empty((count, d), dtype=np.int64) if rational else None
     for i in range(count):
-        xi, gamma = decompose(x_rep, us[i], t, sig, budget)
+        with _naming_sample("decompose", i, t):
+            xi, gamma = decompose(x_rep, us[i], t, sig, budget)
         point = torus_act(gamma, b_start)
         coords[i] = point.as_floats()
         gammas[i] = gamma.to_int64()
         xis[i] = xi.entries
-        heights[i] = 1.0 / shortest_vector(LatticeDescriptor(xi), "sup", budget)[1]
+        with _naming_sample("height", i, t):
+            heights[i] = 1.0 / shortest_vector(LatticeDescriptor(xi), "sup", budget)[1]
         if rational:
             nums[i] = [int(c * q) for c in point.coords]
     if rational:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horolattice import core
 from horolattice.core import (
     AffineLatticePoint,
     IntegerMatrix,
@@ -179,6 +180,111 @@ def test_integer_matrix_exact_inverse():
     assert (m @ inv).rows == IntegerMatrix.identity(2).rows
     m3 = IntegerMatrix.from_rows([[1, 2, 3], [0, 1, 4], [0, 0, 1]])
     assert (m3 @ m3.inv()).rows == IntegerMatrix.identity(3).rows
+
+
+def cofactor_expansion_det(rows):
+    """Reference determinant: Laplace expansion along the first row."""
+    d = len(rows)
+    if d == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * rows[0][j] * cofactor_expansion_det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j in range(d)
+    )
+
+
+def cofactor_expansion_inverse(rows):
+    """Reference inverse of a det +-1 integer matrix: det times the adjugate."""
+    d = len(rows)
+    det = cofactor_expansion_det(rows)
+    assert det in (1, -1)
+    if d == 1:
+        return ((det,),)
+
+    def cofactor(i, j):
+        minor = [row[:j] + row[j + 1 :] for k, row in enumerate(rows) if k != i]
+        return (-1) ** (i + j) * cofactor_expansion_det(minor)
+
+    return tuple(tuple(det * cofactor(j, i) for j in range(d)) for i in range(d))
+
+
+def unimodular_integer_matrices(rng, d, det, steps=40, big=2**70):
+    """Products of random elementary shears with det = +-1 and huge entries."""
+    rows = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    rows[0][0] = det
+    for _ in range(steps if d > 1 else 0):
+        i, j = (int(x) for x in rng.choice(d, size=2, replace=False))
+        k = int(rng.integers(-3, 4)) * (big if rng.random() < 0.1 else 1)
+        rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+def test_closed_form_integer_inverse_matches_cofactor_expansion():
+    rng = np.random.default_rng(11)
+    seen_big = False
+    for d in (1, 2, 3):
+        for det in (1, -1):
+            for _ in range(40):
+                rows = unimodular_integer_matrices(rng, d, det)
+                seen_big |= max(abs(x) for row in rows for x in row) > 2**63
+                m = IntegerMatrix.from_rows(rows)
+                assert m.det() == cofactor_expansion_det(rows) == det
+                assert m.inv().rows == cofactor_expansion_inverse(rows)
+                assert (m @ m.inv()).rows == IntegerMatrix.identity(d).rows
+    assert seen_big
+    singular = IntegerMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    with pytest.raises(DeterminantError):
+        singular.inv()
+    m4 = IntegerMatrix.from_rows(unimodular_integer_matrices(rng, 4, 1))
+    assert m4.inv().rows == cofactor_expansion_inverse([list(r) for r in m4.rows])
+
+
+def test_dual_candidate_cofactors_match_inverse_transpose():
+    # the reduction takes C^{-T} of a det +1 candidate as its cofactor matrix
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        rows = unimodular_integer_matrices(rng, 3, 1)
+        direct = tuple(zip(*core._int_adjugate(rows)))
+        inv = cofactor_expansion_inverse(rows)
+        assert direct == tuple(zip(*inv))
+        assert direct == IntegerMatrix.from_rows(rows).inv().transpose().rows
+
+
+def np_delete_unimodular_inverse(a):
+    """Reference: the adjugate with each minor taken by np.delete."""
+    det = float(np.linalg.det(a))
+    adj = np.empty((3, 3))
+    for i in range(3):
+        for j in range(3):
+            minor = np.delete(np.delete(a, j, axis=0), i, axis=1)
+            adj[i, j] = ((-1) ** (i + j)) * (minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0])
+    return adj / det
+
+
+def test_unimodular_inverse_matches_np_delete_minors_bit_for_bit():
+    rng = np.random.default_rng(13)
+    cases = [random_sl(rng, 3, scale=s).entries for s in (0.5, 3.0, 9.0) for _ in range(30)]
+    cases += [np.eye(3), np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])]
+    for a in cases:
+        got = core._unimodular_inverse(np.array(a))
+        want = np_delete_unimodular_inverse(np.array(a))
+        assert got.tobytes() == want.tobytes()  # signed zeros included
+
+
+def test_special_linear_inverse_is_computed_on_first_use():
+    g = SpecialLinearMatrix.from_entries([[2.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    inv = g.inverse
+    assert inv is g.inverse and not inv.flags.writeable
+    assert inv.tobytes() == core._unimodular_inverse(g.entries).tobytes()
+
+
+def test_rational_torus_act_matches_fraction_sums():
+    rng = np.random.default_rng(14)
+    b = TorusPoint.from_values(["1/3", "5/7", "2/11"])
+    for _ in range(30):
+        gamma = IntegerMatrix.from_rows(unimodular_integer_matrices(rng, 3, 1))
+        want = tuple(sum(Fraction(gamma.rows[i][j]) * b.coords[j] for j in range(3)) % 1 for i in range(3))
+        assert torus_act(gamma, b).coords == want
 
 
 def test_special_linear_rejects_bad_determinant():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horolattice.core import SplittingSignature, diagonal_flow_vector
 from horolattice.errors import BudgetExceededError
 from horolattice.lattices import (
     LatticeDescriptor,
@@ -242,3 +243,76 @@ def test_radial_step_function_validation():
     f = RadialStepFunction([(1.0, 3.0)], norm="euclidean")
     assert f([0.5, 0.5]) == 3.0
     assert f([2.0, 0.0]) == 0.0
+
+
+def full_recompute_lll(basis, delta=0.99, max_rounds=10_000):
+    """Reference LLL: the whole Gram-Schmidt is rebuilt after every change."""
+    B = np.array(basis, dtype=float)
+    d = B.shape[0]
+    U = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+
+    def gram_schmidt():
+        Q = np.zeros_like(B)
+        mu = np.zeros((d, d))
+        norms2 = np.zeros(d)
+        for j in range(d):
+            v = B[:, j].copy()
+            for i in range(j):
+                mu[j, i] = 0.0 if norms2[i] == 0 else float(B[:, j] @ Q[:, i]) / norms2[i]
+                v -= mu[j, i] * Q[:, i]
+            Q[:, j] = v
+            norms2[j] = float(v @ v)
+        return mu, norms2
+
+    rounds = 0
+    k = 1
+    mu, norms2 = gram_schmidt()
+    while k < d:
+        rounds += 1
+        if rounds > max_rounds:
+            raise BudgetExceededError("LLL failed to converge within the round budget")
+        for i in range(k - 1, -1, -1):
+            r = round(mu[k, i])
+            if r != 0:
+                B[:, k] -= r * B[:, i]
+                for row in range(d):
+                    U[row][k] -= r * U[row][i]
+                mu, norms2 = gram_schmidt()
+        if norms2[k] >= (delta - mu[k, k - 1] ** 2) * norms2[k - 1]:
+            k += 1
+        else:
+            tmp = B[:, k - 1].copy()
+            B[:, k - 1] = B[:, k]
+            B[:, k] = -tmp
+            for row in range(d):
+                U[row][k - 1], U[row][k] = U[row][k], -U[row][k - 1]
+            mu, norms2 = gram_schmidt()
+            k = max(k - 1, 1)
+    return B, U
+
+
+def _flowed_bases():
+    """a_t phi(u) x for the d <= 3 signatures, t up to 8."""
+    rng = np.random.default_rng(21)
+    for m, n in ((1, 1), (1, 2), (2, 1)):
+        sig = SplittingSignature(m, n)
+        for t in (0.5, 2.0, 4.0, 6.0, 8.0):
+            for _ in range(12):
+                H = np.eye(sig.d)
+                H[:m, m:] = rng.uniform(-0.5, 0.5, (m, n))
+                x = np.eye(sig.d) if rng.random() < 0.5 else random_basis(rng, sig.d, spread=0.5)
+                yield diagonal_flow_vector(t, sig)[:, None] * (H @ x)
+
+
+def test_lll_matches_full_recompute_bit_for_bit():
+    rng = np.random.default_rng(20)
+    bases = [random_basis(rng, d, spread=s) for d in (2, 3) for s in (0.5, 2.0, 5.0) for _ in range(15)]
+    bases += list(_flowed_bases())
+    reduced = 0
+    for basis in bases:
+        B, U = lll_reduce(basis)
+        B_ref, U_ref = full_recompute_lll(basis)
+        assert U == U_ref
+        assert B.tobytes() == B_ref.tobytes()
+        reduced += U != [[1 if i == j else 0 for j in range(len(U))] for i in range(len(U))]
+    assert reduced > len(bases) // 2  # most inputs do real reduction work

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from horolattice.errors import PrecisionError
 from horolattice.measures import (
+    MAX_PHASE_DENOMINATOR,
     FlatteningInstance,
     FlatteningSearchError,
     _verify_flattening,
@@ -255,6 +257,30 @@ def test_fourier_spectrum_matches_fourier_coefficient_bit_for_bit():
         got = np.array([spec.coeffs[m] for m in keys])
         want = np.array([fourier_coefficient(nu, m) for m in keys])
         assert got.tobytes() == want.tobytes()
+
+
+def two_point_cloud(q):
+    nums = np.array([[1, 0], [q - 1, 2]], dtype=np.int64)
+    return EmpiricalTorusMeasure(
+        coords=(nums / q) % 1.0, weights=np.array([0.5, 0.5]), numerators=nums, denominator=q
+    )
+
+
+def test_fourier_denominator_cap_edge():
+    q = MAX_PHASE_DENOMINATOR
+    nu = two_point_cloud(q)
+    c = fourier_coefficient(nu, (1, 0))
+    assert c == pytest.approx(0.5 * cmath.exp(-2j * math.pi / q) + 0.5 * cmath.exp(2j * math.pi / q), abs=1e-12)
+    spec = fourier_spectrum(nu, 1)
+    assert spec[(1, 0)] == c and spec[(-1, 0)] == fourier_coefficient(nu, (-1, 0))
+    over = two_point_cloud(q + 1)
+    for call in (lambda: fourier_coefficient(over, (1, 0)), lambda: fourier_spectrum(over, 1)):
+        with pytest.raises(PrecisionError, match=str(q + 1)):
+            call()
+    assert fourier_coefficient(over, (0, 0)) == 1.0  # the zero mode needs no phases
+    # decimal-string fibers give q = 2 * 10^16, which used to exhaust memory
+    with pytest.raises(PrecisionError, match=str(2 * 10**16)):
+        fourier_coefficient(two_point_cloud(2 * 10**16), (1, 0))
 
 
 def make_instance(rng, nI=30, nJ=12, lam=1.0):

@@ -1,4 +1,5 @@
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -13,7 +14,12 @@ from horolattice.core import (
     horo_embed,
     torus_act,
 )
-from horolattice.errors import EmptyLocalizationError, PrecisionError
+from horolattice.errors import (
+    BudgetExceededError,
+    DeterminantError,
+    EmptyLocalizationError,
+    PrecisionError,
+)
 from horolattice.fundamental import reduce_matrix
 from horolattice.harness import decay_fit
 from horolattice.orbits import (
@@ -174,6 +180,39 @@ def test_orbit_rational_fiber_denominator_over_cap(sig):
     )
     with pytest.raises(PrecisionError, match="denominator"):
         orbit_pushforward(over, 4.0, NeighborhoodV(sig), 16, seed=0)
+
+
+def test_scalar_path_errors_name_stage_sample_and_t():
+    sig = SplittingSignature(1, 2)
+    y0 = AffineLatticePoint(
+        SpecialLinearMatrix.from_entries(np.eye(3)), TorusPoint.from_values(["1/3", "2/3", "1/5"])
+    )
+    # budget = 1 already fails on the base point, which is no sample
+    with pytest.raises(BudgetExceededError) as info:
+        orbit_pushforward(y0, 4.0, NeighborhoodV(sig), 20, seed=0, budget=1)
+    assert "sample" not in str(info.value)
+
+    def reduces(budget):
+        try:
+            reduce_matrix(np.eye(3), budget)
+        except BudgetExceededError:
+            return False
+        return True
+
+    budget = next(b for b in range(1, 200) if reduces(b))
+    with pytest.raises(BudgetExceededError) as info:
+        orbit_pushforward(y0, 4.0, NeighborhoodV(sig), 20, seed=0, budget=budget)
+    assert str(info.value).startswith("decompose of sample 0 at t = 4: ")
+    assert info.value.nodes == budget + 1 and info.value.partial is None
+    # the traceback still ends in the enumeration that ran out
+    assert traceback.extract_tb(info.value.__traceback__)[-1].filename.endswith("lattices.py")
+
+    # beyond the (2, 1) cap, seed 2 fails on the integrality check of sample 0
+    V21 = NeighborhoodV(SplittingSignature(2, 1))
+    with pytest.raises(PrecisionError, match=r"^decompose of sample 0 at t = 6.5: integrality"):
+        orbit_pushforward(y0, 6.5, V21, 20, seed=2)
+    with pytest.raises(DeterminantError, match=r"^decompose of sample 3 at t = 6.5: determinant"):
+        orbit_pushforward(y0, 6.5, V21, 20, seed=0)
 
 
 def test_orbit_generic_path_matches_bulk():

@@ -42,7 +42,14 @@ from .fundamental import _lex_key, reduce_matrix
 from .harness import CheckResult, RunReport, decay_fit, loglog_fit, siegel_average_2x2
 from .lattices import DEFAULT_BUDGET, LatticeDescriptor, height
 from .measures import FlatteningInstance, _verify_flattening, flatten_weights, fourier_coefficient
-from .orbits import NeighborhoodV, _det1_box_table, gamma_orbit, localized_measure, orbit_pushforward
+from .orbits import (
+    NeighborhoodV,
+    _det1_box_table,
+    decompose_batch,
+    gamma_orbit,
+    localized_measure,
+    orbit_pushforward,
+)
 
 __all__ = ["run_acceptance", "CRITERIA", "SUITES"]
 
@@ -318,29 +325,21 @@ def criterion_iota_height(budget=DEFAULT_BUDGET, cache=None, per_dim: int = 500)
 
 
 def criterion_cocycle(budget=DEFAULT_BUDGET, cache=None, count: int = 100_000) -> List[CheckResult]:
-    from .fundamental import reduce_batch_2x2
-
     t0 = time.time()
     y0 = _irrational_y0()
     cache = cache if cache is not None else _OrbitCache()
     nu = cache.get_orbit("irr", y0, 12.0, count, budget)
-    # independent path: reduce a_t phi(u) g0 directly (g0 = identity)
-    et, emt = math.exp(12.0), math.exp(-12.0)
-    u = nu.us[:, 0, 0]
-    P2 = np.empty((count, 2, 2))
-    P2[:, 0, 0] = et
-    P2[:, 0, 1] = et * u
-    P2[:, 1, 0] = 0.0
-    P2[:, 1, 1] = emt
-    _, gammas2 = reduce_batch_2x2(P2, budget)
+    # independent path: decompose a_t phi(u) g0 from g0 = y0.linear itself,
+    # not the orbit's reduced base point, and act on the unreduced fiber
+    _, gammas2 = decompose_batch(y0.linear, nu.us, 12.0, _SIG2, budget)
     bvec = y0.torus.as_floats()
     sigma2 = (gammas2.astype(float) @ bvec) % 1.0
     gap = np.abs(sigma2 - nu.coords)
     gap = np.minimum(gap, 1.0 - gap).max(axis=1)
     dets = gammas2[:, 0, 0] * gammas2[:, 1, 1] - gammas2[:, 0, 1] * gammas2[:, 1, 0]
     elapsed = time.time() - t0
-    # reconstruction and integrality residuals were verified inside the
-    # orbit run (hard errors); reaching here means zero failures there
+    # reconstruction and integrality residuals were verified inside both
+    # decompositions (hard errors); reaching here means zero failures there
     return [
         CheckResult(
             "06-cocycle-exactness[t=12]",

@@ -231,16 +231,6 @@ class IntegerMatrix:
     def identity(cls, d: int) -> "IntegerMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d)))
 
-    @classmethod
-    def from_array(cls, arr, residual_tol: float = 1e-6) -> "IntegerMatrix":
-        """Round a float array to integers, rejecting residuals above tolerance."""
-        a = np.asarray(arr, dtype=float)
-        rounded = np.rint(a)
-        residual = float(np.abs(a - rounded).max())
-        if residual > residual_tol:
-            raise ValueError(f"rounding residual {residual:g} exceeds {residual_tol:g}")
-        return cls.from_rows(rounded.astype(object).tolist())
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -293,13 +283,6 @@ class IntegerMatrix:
 
     def to_int64(self) -> np.ndarray:
         return np.array(self.rows, dtype=np.int64)
-
-    def max_abs_entry(self) -> int:
-        return max(abs(x) for row in self.rows for x in row)
-
-    def to_special_linear(self) -> SpecialLinearMatrix:
-        self.require_unimodular()
-        return SpecialLinearMatrix.from_entries(self.to_array())
 
 
 Coordinate = Union[Fraction, float]
@@ -407,7 +390,7 @@ def diagonal_flow(t: float, sig: SplittingSignature) -> SpecialLinearMatrix:
 
 
 def diagonal_flow_vector(t: float, sig: SplittingSignature) -> np.ndarray:
-    """The diagonal of `diagonal_flow` as a plain vector (bulk-path helper)."""
+    """The diagonal of `diagonal_flow` as a plain vector."""
     if abs(t) * sig.d > 600.0:
         raise FlowRangeError(f"flow time {t} overflows double precision for d={sig.d}")
     return np.array([math.exp(sig.n * t)] * sig.m + [math.exp(-sig.m * t)] * sig.n)

@@ -32,7 +32,6 @@ from .core import IntegerMatrix, TorusPoint, integer_operator_norm
 from .errors import RationalityError
 
 __all__ = [
-    "DiophantineQuery",
     "WeylInstance",
     "zeta",
     "dirichlet_cap",
@@ -51,18 +50,6 @@ def _as_point(b) -> TorusPoint:
     if isinstance(b, (int, float, Fraction, str)):
         return TorusPoint.from_values([b])
     return TorusPoint.from_values(list(b))
-
-
-@dataclass(frozen=True)
-class DiophantineQuery:
-    """A (b, T) pair for the quality function."""
-
-    b: TorusPoint
-    T: float
-
-    def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError("T must be positive")
 
 
 def _int_root(n: int, d: int) -> int:

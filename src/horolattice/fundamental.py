@@ -33,12 +33,15 @@ the enumerations and the F-values; each is computed by the same numpy
 operations whatever the surrounding bookkeeping, so outputs are
 reproducible bit for bit.
 
-A vectorized fast path `reduce_batch_2x2` handles bulk d = 2 reductions
-(the hot loop of orbit sampling); it agrees with the scalar path and
-falls back to it sample-by-sample near the cusp, where the static
-candidate table is no longer provably complete.  Its sweep over the
-static table runs in fixed blocks of rows, so its memory does not grow
-with the batch size.
+A vectorized fast path `reduce_batch_2x2` reduces a whole batch of
+d = 2 matrices.  Its one caller is the signature (1, 1) branch of
+`orbits.decompose_batch`, the package's single decomposition entry
+point for sample batches; other signatures reach `_reduce_core` one
+sample at a time through `orbits.decompose`.  The fast path agrees with
+the scalar path and falls back to it sample by sample near the cusp,
+where the static candidate table is no longer provably complete.  Its
+sweep over the static table runs in fixed blocks of rows, so its memory
+does not grow with the batch size.
 """
 
 from __future__ import annotations

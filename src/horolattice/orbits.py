@@ -14,16 +14,21 @@ Sampling is chunked: chunk i derives its own Philox stream from
 scheduled.  Per-sample failures abort the run; silently dropping a
 sample would bias the measure.
 
-The d = 2, m = n = 1 bulk path is vectorized end to end (this is the
-hot loop of every scaling experiment); all other signatures go through
-the scalar decomposition.
+`decompose_batch` is the one decomposition entry point for a batch of
+samples, whatever the signature.  For m = n = 1 (the hot loop of every
+scaling experiment) it runs the vectorized `_bulk_decompose_2x2`; every
+other signature runs the scalar `decompose` once per sample.  Its
+callers (`orbit_pushforward`, `gamma_orbit`) do the rest on whole
+arrays: the fiber and the regularity gate have one formula for every
+signature, and only the heights branch on d.  A failure names the
+stage, the sample (or the base point) and t.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -36,17 +41,10 @@ from .core import (
     SplittingSignature,
     TorusPoint,
     diagonal_flow_vector,
-    matrix_norm,
     torus_act,
 )
 from .errors import BudgetExceededError, DeterminantError, EmptyLocalizationError, PrecisionError
-from .fundamental import (
-    _reduce_core,
-    reduce_batch_2x2,
-    reduce_matrix,
-    x_distance,
-    F_value,
-)
+from .fundamental import _reduce_core, reduce_batch_2x2, reduce_matrix, x_distance
 from .lattices import DEFAULT_BUDGET, LatticeDescriptor, _ext_gcd, shortest_vector
 
 __all__ = [
@@ -55,6 +53,7 @@ __all__ = [
     "EmpiricalTorusMeasure",
     "sample_V",
     "decompose",
+    "decompose_batch",
     "reconstruction_residual",
     "sigma",
     "orbit_pushforward",
@@ -140,7 +139,9 @@ def decompose(x_rep: SpecialLinearMatrix, u, s: float, sig: SplittingSignature, 
 
     gamma is exact by construction (the unimodular transform is
     accumulated in integers); the float residuals are verified and a
-    violation is a hard error.
+    violation is a hard error.  P has det 1 by construction, so a basis
+    derived from it can drift from det 1 only by rounding: a determinant
+    failure in the reduction is a `PrecisionError`.
     """
     ub = np.atleast_2d(np.asarray(u, dtype=float))
     if ub.shape != (sig.m, sig.n):
@@ -151,9 +152,12 @@ def decompose(x_rep: SpecialLinearMatrix, u, s: float, sig: SplittingSignature, 
     H = np.eye(d)
     H[: sig.m, sig.m :] = ub
     P = diagonal_flow_vector(s, sig)[:, None] * (H @ x_rep.entries)
-    rep_arr, U, _, _, _ = _reduce_core(P, budget)
+    try:
+        rep_arr, U, _, _, _ = _reduce_core(P, budget)
+        xi = SpecialLinearMatrix.from_entries(rep_arr)
+    except DeterminantError as exc:
+        raise PrecisionError(str(exc)) from exc
     gamma = U.inv().require_unimodular()
-    xi = SpecialLinearMatrix.from_entries(rep_arr)
     _check_decomposition(P, xi.entries, gamma.to_array(), xi.inverse)
     return xi, gamma
 
@@ -247,22 +251,34 @@ class EmpiricalTorusMeasure:
         )
 
 
-def _batch_heights_2x2(reps: np.ndarray) -> np.ndarray:
-    """Sup-norm first minimum of reduced 2x2 bases, vectorized.
+def _failure_site(stage: str, i: Optional[int], t: float) -> str:
+    """Where a failure happened: the stage, sample i (the base point if None) and t."""
+    what = "the base point" if i is None else f"sample {i}"
+    return f"{stage} of {what} at t = {t:g}"
 
-    For a Frobenius-minimal basis the sup-shortest vector has both
-    coefficients in {-1, 0, 1} (coefficient bounds via lambda_1
-    lambda_2 <= 2/sqrt(3)), so four candidates certify the minimum.
+
+@contextmanager
+def _naming_sample(stage: str, i: Optional[int], t: float):
+    """Re-raise a typed failure as its own class, naming stage, sample i and t.
+
+    i = None names the base point instead of a sample.  The original
+    traceback is kept, so the innermost failing frame stays visible; a
+    budget failure keeps its `partial` and `nodes`.
     """
-    c1 = reps[:, :, 0]
-    c2 = reps[:, :, 1]
-    cands = np.stack([c1, c2, c1 + c2, c1 - c2], axis=1)
-    sup = np.abs(cands).max(axis=2)
-    return 1.0 / sup.min(axis=1)
+    try:
+        yield
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(
+            f"{_failure_site(stage, i, t)}: {exc}", partial=exc.partial, nodes=exc.nodes
+        ).with_traceback(exc.__traceback__) from None
+    except (PrecisionError, DeterminantError) as exc:
+        raise type(exc)(f"{_failure_site(stage, i, t)}: {exc}").with_traceback(
+            exc.__traceback__
+        ) from None
 
 
 def _bulk_decompose_2x2(x_rep: SpecialLinearMatrix, us: np.ndarray, t: float, budget: int):
-    """Vectorized decomposition for sig (1,1): returns (P, reps, gammas)."""
+    """Vectorized decomposition for sig (1,1): returns (reps, gammas)."""
     X = x_rep.entries
     et = math.exp(t)
     emt = math.exp(-t)
@@ -284,45 +300,81 @@ def _bulk_decompose_2x2(x_rep: SpecialLinearMatrix, us: np.ndarray, t: float, bu
     adj[:, 1, 1] = reps[:, 0, 0]
     dets = reps[:, 0, 0] * reps[:, 1, 1] - reps[:, 0, 1] * reps[:, 1, 0]
     inv = adj / dets[:, None, None]
-    scale = np.maximum(1.0, np.abs(reps).max(axis=(1, 2)))
-    if np.any(recon > RECONSTRUCTION_TOL * scale):
-        i = int(np.argmax(recon / scale))
-        raise PrecisionError(f"bulk reconstruction residual {recon[i]:.3g} at sample {i}")
+    tol = RECONSTRUCTION_TOL * np.maximum(1.0, np.abs(reps).max(axis=(1, 2)))
+    if np.any(recon > tol):
+        i = int(np.argmax(recon / tol))
+        where = _failure_site("decompose", i, t)
+        raise PrecisionError(f"{where}: reconstruction residual {recon[i]:.3g} exceeds {tol[i]:.3g}")
     integ = np.abs(inv @ P - gf).max(axis=(1, 2))
     if np.any(integ > INTEGRALITY_TOL):
         i = int(np.argmax(integ))
-        raise PrecisionError(f"bulk integrality residual {integ[i]:.3g} at sample {i}")
-    return P, reps, gammas
+        where = _failure_site("decompose", i, t)
+        raise PrecisionError(f"{where}: integrality residual {integ[i]:.3g} exceeds {INTEGRALITY_TOL:g}")
+    return reps, gammas
 
 
-def _fiber_numerators(gammas: np.ndarray, num0: list, q: int) -> np.ndarray:
-    """Exact numerators (gamma @ num0) mod q of the fiber points, as int64.
+def decompose_batch(
+    x_rep: SpecialLinearMatrix,
+    us: np.ndarray,
+    t: float,
+    sig: SplittingSignature,
+    budget: int = DEFAULT_BUDGET,
+):
+    """Factor a_t phi(u) x_rep = xi . gamma for every row u of us.
+
+    Returns (xis (N, d, d) float, gammas (N, d, d) int64).  Signature
+    (1, 1) runs the vectorized `_bulk_decompose_2x2`; every other
+    signature runs `decompose` once per sample.  A failure names the
+    sample and t.
+    """
+    if sig.d == 2:
+        return _bulk_decompose_2x2(x_rep, us, t, budget)
+    count, d = us.shape[0], sig.d
+    xis = np.empty((count, d, d))
+    gammas = np.empty((count, d, d), dtype=np.int64)
+    for i in range(count):
+        with _naming_sample("decompose", i, t):
+            xi, gamma = decompose(x_rep, us[i], t, sig, budget)
+        xis[i] = xi.entries
+        gammas[i] = gamma.to_int64()
+    return xis, gammas
+
+
+def _heights(xis: np.ndarray, t: float, budget: int) -> np.ndarray:
+    """1 / (sup-norm first minimum) of each reduced basis xis[i].
+
+    For d = 2 a closed form: the sup-shortest vector of a
+    Frobenius-minimal basis has both coefficients in {-1, 0, 1}
+    (coefficient bounds via lambda_1 lambda_2 <= 2/sqrt(3)), so four
+    candidates certify the minimum.  Otherwise a certified search per
+    basis, whose failure names the sample and t.
+    """
+    if xis.shape[1] == 2:
+        c1 = xis[:, :, 0]
+        c2 = xis[:, :, 1]
+        cands = np.stack([c1, c2, c1 + c2, c1 - c2], axis=1)
+        sup = np.abs(cands).max(axis=2)
+        return 1.0 / sup.min(axis=1)
+    heights = np.empty(xis.shape[0])
+    for i, xi in enumerate(xis):
+        # xi passed decompose's checks, so it needs no second validation
+        lattice = LatticeDescriptor(SpecialLinearMatrix(xi))
+        with _naming_sample("height", i, t):
+            heights[i] = 1.0 / shortest_vector(lattice, "sup", budget)[1]
+    return heights
+
+
+def _rational_fiber(gammas: np.ndarray, num0: list, q: int):
+    """Exact numerators (gamma @ num0) mod q of the fiber points, as int64, and their floats.
 
     The products overflow int64 once q is large (decimal strings give
     q = 2 * 10^16), so they are summed in Python ints; q < 2^63 is the
-    caller's check.
+    caller's check.  Each float is the correctly rounded n / q, so it
+    does not depend on whether n and q fit a double's 53 bits.
     """
-    exact = (gammas % q).astype(object) @ np.array(num0, dtype=object)
-    return (exact % q).astype(np.int64)
-
-
-@contextmanager
-def _naming_sample(stage: str, i: int, t: float):
-    """Re-raise a sample's typed failure as its own class, naming stage, sample and t.
-
-    The original traceback is kept, so the innermost failing frame stays
-    visible; a budget failure keeps its `partial` and `nodes`.
-    """
-    try:
-        yield
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(
-            f"{stage} of sample {i} at t = {t:g}: {exc}", partial=exc.partial, nodes=exc.nodes
-        ).with_traceback(exc.__traceback__) from None
-    except (PrecisionError, DeterminantError) as exc:
-        raise type(exc)(f"{stage} of sample {i} at t = {t:g}: {exc}").with_traceback(
-            exc.__traceback__
-        ) from None
+    exact = ((gammas % q).astype(object) @ np.array(num0, dtype=object)) % q
+    # once q > 2^53 the float of (q - 1) / q can round to 1.0, which is 0 on the torus
+    return exact.astype(np.int64), (exact / q).astype(float) % 1.0
 
 
 def orbit_pushforward(
@@ -336,15 +388,15 @@ def orbit_pushforward(
     """Empirical law of the fiber coordinate along a_t V y0.
 
     Equal weights 1/count; any per-sample precision failure aborts the
-    whole run, and on the scalar path its message names the stage
-    (decompose or height), the sample index and t.  Rational starting
+    whole run, and its message names the stage (reduce of the base
+    point, decompose or height of a sample) and t.  Rational starting
     fibers stay exactly rational.
     """
     sig = V.sig
     if y0.dim != sig.d:
         raise ValueError("dimension mismatch between y0 and V")
-    r0 = reduce_matrix(y0.linear, budget)
-    x_rep = r0.rep
+    with _naming_sample("reduce", None, t):
+        r0 = reduce_matrix(y0.linear, budget)
     b_start = torus_act(r0.gamma, y0.torus)
     us = sample_V(V, count, seed)
     rational = b_start.is_rational
@@ -352,50 +404,13 @@ def orbit_pushforward(
     if rational and q >= 2**63:
         raise PrecisionError(f"fiber denominator {q} does not fit the int64 numerators (q < 2^63)")
 
-    if sig.d == 2 and sig.m == 1 and sig.n == 1:
-        _, reps, gammas = _bulk_decompose_2x2(x_rep, us, t, budget)
-        heights = _batch_heights_2x2(reps)
-        if rational:
-            nums = _fiber_numerators(gammas, [int(c * q) for c in b_start.coords], q)
-            # once q > 2^53 the float of (q - 1) / q can round to 1.0, which is 0 on the torus
-            coords = (nums.astype(float) / q) % 1.0
-        else:
-            nums = None
-            bvec = b_start.as_floats()
-            coords = (gammas.astype(float) @ bvec) % 1.0
-        weights = np.full(count, 1.0 / count)
-        weights[-1] = 1.0 - weights[:-1].sum()
-        return EmpiricalTorusMeasure(
-            coords=coords,
-            weights=weights,
-            numerators=nums,
-            denominator=q,
-            us=us,
-            gammas=gammas,
-            xis=reps,
-            heights=heights,
-        )
-
-    # generic signature: scalar path
-    d = sig.d
-    coords = np.empty((count, d))
-    gammas = np.empty((count, d, d), dtype=np.int64)
-    xis = np.empty((count, d, d))
-    heights = np.empty(count)
-    nums = np.empty((count, d), dtype=np.int64) if rational else None
-    for i in range(count):
-        with _naming_sample("decompose", i, t):
-            xi, gamma = decompose(x_rep, us[i], t, sig, budget)
-        point = torus_act(gamma, b_start)
-        coords[i] = point.as_floats()
-        gammas[i] = gamma.to_int64()
-        xis[i] = xi.entries
-        with _naming_sample("height", i, t):
-            heights[i] = 1.0 / shortest_vector(LatticeDescriptor(xi), "sup", budget)[1]
-        if rational:
-            nums[i] = [int(c * q) for c in point.coords]
+    xis, gammas = decompose_batch(r0.rep, us, t, sig, budget)
+    heights = _heights(xis, t, budget)
     if rational:
-        coords %= 1.0  # as in the bulk path: a float of (q - 1) / q can round to 1.0
+        nums, coords = _rational_fiber(gammas, [int(c * q) for c in b_start.coords], q)
+    else:
+        nums = None
+        coords = (gammas.astype(float) @ b_start.as_floats()) % 1.0
     weights = np.full(count, 1.0 / count)
     weights[-1] = 1.0 - weights[:-1].sum()
     return EmpiricalTorusMeasure(
@@ -486,8 +501,6 @@ def _proxy_distances_2x2(
     is one BLAS call over the rows of a block; the squared Frobenius
     norm adds the four entries in row-major order.
     """
-    from .fundamental import x_distance
-
     za = z_rep.entries
     z_frob = math.sqrt(float((za * za).sum()))
     S = z_frob * (1.0 + reach) + 1e-9
@@ -610,25 +623,11 @@ def gamma_orbit(
     us = sample_V(V, count, seed)
     m0f = m0.astype(float)
     m0norm = float(np.abs(m0f).max())
-
-    if sig.d == 2 and sig.m == 1 and sig.n == 1:
-        _, reps, gammas = _bulk_decompose_2x2(x_rep, us, s, budget)
-        mnorm = np.abs(reps).max(axis=(1, 2))  # = matrix norm for d = 2
-        # (xi^T)^{-1} = adj(xi)^T / det; solve directly from the adjugate
-        dets = reps[:, 0, 0] * reps[:, 1, 1] - reps[:, 0, 1] * reps[:, 1, 0]
-        w0 = (reps[:, 1, 1] * m0f[0] - reps[:, 1, 0] * m0f[1]) / dets
-        keep = (mnorm < 1.0 / eps) & (np.abs(w0) > eps * eps * m0norm)
-        emitted = np.einsum("nji,j->ni", gammas[keep], m0)
-        return GammaOrbitResult(emitted, float(keep.mean()), count)
-
-    kept = []
-    nkeep = 0
-    for i in range(count):
-        xi, gamma = decompose(x_rep, us[i], s, sig, budget)
-        w = np.linalg.solve(xi.entries.T, m0f)
-        ok = matrix_norm(xi) < 1.0 / eps and np.abs(w[: sig.m]).max() > eps * eps * m0norm
-        if ok:
-            nkeep += 1
-            kept.append(gamma.transpose().to_int64() @ m0)
-    vectors = np.array(kept, dtype=np.int64) if kept else np.empty((0, sig.d), dtype=np.int64)
-    return GammaOrbitResult(vectors, nkeep / count, count)
+    xis, gammas = decompose_batch(x_rep, us, s, sig, budget)
+    # the matrix norm max(|xi|, |xi^{-1}|) and w = (xi^T)^{-1} m0, batched
+    mnorm = np.maximum(np.abs(xis).max(axis=(1, 2)), np.abs(np.linalg.inv(xis)).max(axis=(1, 2)))
+    rhs = np.broadcast_to(m0f[:, None], (count, sig.d, 1))
+    w = np.linalg.solve(xis.transpose(0, 2, 1), rhs)[:, :, 0]
+    keep = (mnorm < 1.0 / eps) & (np.abs(w[:, : sig.m]).max(axis=1) > eps * eps * m0norm)
+    emitted = np.einsum("nji,j->ni", gammas[keep], m0)
+    return GammaOrbitResult(emitted, float(keep.mean()), count)

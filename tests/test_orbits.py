@@ -16,12 +16,12 @@ from horolattice.core import (
 )
 from horolattice.errors import (
     BudgetExceededError,
-    DeterminantError,
     EmptyLocalizationError,
     PrecisionError,
 )
 from horolattice.fundamental import reduce_matrix
 from horolattice.harness import decay_fit
+from horolattice.lattices import DEFAULT_BUDGET, LatticeDescriptor, shortest_vector
 from horolattice.orbits import (
     EmpiricalTorusMeasure,
     NeighborhoodV,
@@ -167,9 +167,11 @@ def test_orbit_rational_fiber_exact_at_large_denominator(b0, q, sig, count):
     assert np.all((nu.coords >= 0) & (nu.coords < 1))
     b_start = torus_act(reduce_matrix(y0.linear).gamma, y0.torus)
     num0 = [int(c * q) for c in b_start.coords]
-    for gamma, got in zip(nu.gammas.tolist(), nu.numerators.tolist()):
+    for gamma, got, coords in zip(nu.gammas.tolist(), nu.numerators.tolist(), nu.coords.tolist()):
         expected = [sum(g * n for g, n in zip(row, num0)) % q for row in gamma]
         assert got == expected
+        # each coordinate is the correctly rounded n / q, folded onto [0, 1)
+        assert coords == [(n / q) % 1.0 for n in expected]
 
 
 @pytest.mark.parametrize("sig", [SIG, SplittingSignature(2, 1)])
@@ -190,6 +192,7 @@ def test_scalar_path_errors_name_stage_sample_and_t():
     # budget = 1 already fails on the base point, which is no sample
     with pytest.raises(BudgetExceededError) as info:
         orbit_pushforward(y0, 4.0, NeighborhoodV(sig), 20, seed=0, budget=1)
+    assert str(info.value).startswith("reduce of the base point at t = 4: ")
     assert "sample" not in str(info.value)
 
     def reduces(budget):
@@ -211,22 +214,90 @@ def test_scalar_path_errors_name_stage_sample_and_t():
     V21 = NeighborhoodV(SplittingSignature(2, 1))
     with pytest.raises(PrecisionError, match=r"^decompose of sample 0 at t = 6.5: integrality"):
         orbit_pushforward(y0, 6.5, V21, 20, seed=2)
-    with pytest.raises(DeterminantError, match=r"^decompose of sample 3 at t = 6.5: determinant"):
+    # the reduced basis drifts from det 1 by rounding only: a precision failure
+    with pytest.raises(PrecisionError, match=r"^decompose of sample 3 at t = 6.5: determinant"):
         orbit_pushforward(y0, 6.5, V21, 20, seed=0)
 
 
-def test_orbit_generic_path_matches_bulk():
-    # the scalar fallback signature (m=2, n=1) runs the generic loop
-    sig = SplittingSignature(2, 1)
-    Vg = NeighborhoodV(sig)
-    y0 = AffineLatticePoint(
-        SpecialLinearMatrix.from_entries(np.eye(3)), TorusPoint.from_values([0.11, 0.5, 0.77])
-    )
-    nu = orbit_pushforward(y0, 1.5, Vg, 120, seed=3)
-    assert nu.size == 120
+def test_bulk_residual_error_names_the_sample_and_t():
+    y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(2)), TorusPoint.from_values(["0", "0"]))
+    with pytest.raises(PrecisionError, match=r"^decompose of sample 14 at t = 25: reconstruction residual "):
+        orbit_pushforward(y0, 25.0, V, 100, seed=0)
+
+
+def test_bulk_base_point_error_names_the_base_point_and_t():
+    y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(2)), TorusPoint.from_values(["0", "0"]))
+    with pytest.raises(BudgetExceededError) as info:
+        orbit_pushforward(y0, 4.0, V, 20, seed=0, budget=1)
+    assert str(info.value).startswith("reduce of the base point at t = 4: ")
+    assert "sample" not in str(info.value)
+
+
+def _per_sample_orbit(y0, t, sig, count, seed, budget=DEFAULT_BUDGET):
+    """The per-sample loop decompose_batch replaced: decompose, torus_act, shortest_vector.
+
+    Returns (us, coords, numerators, gammas, xis, heights) as orbit_pushforward stores them.
+    """
+    r0 = reduce_matrix(y0.linear, budget)
+    b_start = torus_act(r0.gamma, y0.torus)
+    us = sample_V(NeighborhoodV(sig), count, seed)
+    rational = b_start.is_rational
+    q = b_start.denominator() if rational else None
+    d = sig.d
+    coords = np.empty((count, d))
+    gammas = np.empty((count, d, d), dtype=np.int64)
+    xis = np.empty((count, d, d))
+    heights = np.empty(count)
+    nums = np.empty((count, d), dtype=np.int64) if rational else None
+    for i in range(count):
+        xi, gamma = decompose(r0.rep, us[i], t, sig, budget)
+        point = torus_act(gamma, b_start)
+        coords[i] = point.as_floats()
+        gammas[i] = gamma.to_int64()
+        xis[i] = xi.entries
+        heights[i] = 1.0 / shortest_vector(LatticeDescriptor(xi), "sup", budget)[1]
+        if rational:
+            nums[i] = [int(c * q) for c in point.coords]
+    if rational:
+        coords %= 1.0
+    return us, coords, nums, gammas, xis, heights
+
+
+@pytest.mark.parametrize(
+    "sig, b0",
+    [
+        (SplittingSignature(1, 2), [0.11, 0.5, 0.77]),
+        (SplittingSignature(2, 1), [0.11, 0.5, 0.77]),
+        (SplittingSignature(1, 2), ["1/3", "2/3", "1/5"]),
+        (SplittingSignature(2, 1), ["1/3", "2/3", "1/5"]),
+        # q = 2 * 10^16 > 2^53: each coordinate is the correctly rounded n / q
+        (SplittingSignature(2, 1), ["0.41421356237309515", "0.7320508075688772", "0.1"]),
+        (SIG, [0.11, 0.5]),
+        (SIG, ["1/3", "2/3"]),
+    ],
+    ids=["12-float", "21-float", "12-rational", "21-rational", "21-decimal-strings", "11-float", "11-rational"],
+)
+def test_decompose_batch_matches_per_sample_reference(sig, b0):
+    y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(sig.d)), TorusPoint.from_values(b0))
+    # (1, 1) at t = 8 sends samples through the batch reduction's scalar fallback
+    t, count = (8.0, 400) if sig == SIG else (3.0, 60)
+    nu = orbit_pushforward(y0, t, NeighborhoodV(sig), count, seed=3)
+    assert nu.size == count
     assert nu.heights.min() >= 1.0 - 1e-9
-    s = nu.sample(0)
-    assert s.gamma.det() == 1
+    assert nu.sample(0).gamma.det() == 1
+    ref = _per_sample_orbit(y0, t, sig, count, seed=3)
+    if sig == SIG:
+        # the vectorized reduction agrees with the scalar one: the same gamma, xi up to rounding
+        _, _, _, gammas, xis, _ = ref
+        assert np.array_equal(nu.gammas, gammas)
+        assert np.abs(nu.xis - xis).max() <= 1e-9
+        return
+    got = (nu.us, nu.coords, nu.numerators, nu.gammas, nu.xis, nu.heights)
+    for name, a, b in zip(("us", "coords", "numerators", "gammas", "xis", "heights"), got, ref):
+        if b is None:
+            assert a is None, name
+        else:
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def test_orbit_sample_accessor():
@@ -379,6 +450,26 @@ def test_gamma_orbit_inputs_validated():
         gamma_orbit(x_rep, (0, 0), 1.0, V, 100, seed=0, eps=0.1)
     with pytest.raises(ValueError):
         gamma_orbit(x_rep, (1, 0), 1.0, V, 100, seed=0, eps=0.7)
+
+
+@pytest.mark.parametrize("sig", [SplittingSignature(1, 2), SplittingSignature(2, 1)], ids=["12", "21"])
+def test_gamma_orbit_gate_matches_per_sample_reference(sig):
+    # the per-sample gate the batched one replaced: matrix_norm and one solve per sample
+    from horolattice.core import matrix_norm
+
+    x_rep = reduce_matrix(np.eye(3)).rep
+    m0, s, count, eps = np.array([0, 1, 2]), 2.0, 120, 0.3
+    res = gamma_orbit(x_rep, m0, s, NeighborhoodV(sig), count, seed=5, eps=eps)
+    us = sample_V(NeighborhoodV(sig), count, seed=5)
+    kept = []
+    for u in us:
+        xi, gamma = decompose(x_rep, u, s, sig)
+        w = np.linalg.solve(xi.entries.T, m0.astype(float))
+        if matrix_norm(xi) < 1.0 / eps and np.abs(w[: sig.m]).max() > eps * eps * 2.0:
+            kept.append(gamma.transpose().to_int64() @ m0)
+    assert 0 < len(kept) < count
+    assert np.array_equal(res.vectors, np.array(kept, dtype=np.int64))
+    assert res.kept_fraction == len(kept) / count and res.total == count
 
 
 def test_inductive_structure_identity_and_boundary_bound():

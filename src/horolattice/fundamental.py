@@ -40,8 +40,10 @@ point for sample batches; other signatures reach `_reduce_core` one
 sample at a time through `orbits.decompose`.  The fast path agrees with
 the scalar path and falls back to it sample by sample near the cusp,
 where the static candidate table is no longer provably complete.  Its
-sweep over the static table runs in fixed blocks of rows, so its memory
-does not grow with the batch size.
+sweep over the static table scores one candidate per class {C J^r} of
+the table, J the quarter turn, since F is invariant under h -> h J; it
+runs in fixed blocks of rows, so its memory does not grow with the
+batch size.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from typing import Optional
 import numpy as np
 
 from .core import IntegerMatrix, SpecialLinearMatrix, _int_adjugate
-from .errors import BudgetExceededError, PrecisionError
+from .errors import PrecisionError, _naming_sample
 from .lattices import DEFAULT_BUDGET, LatticeDescriptor, _ext_gcd, enumerate_ball, lll_reduce
 
 __all__ = [
@@ -546,10 +548,60 @@ def _static_candidates_2x2() -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
+def _rotation_classes(table: np.ndarray) -> np.ndarray:
+    """Table indices of C J^r (columns r = 0..3) for each class {C J^r} of the table.
+
+    J = [[0, -1], [1, 0]].  The table is closed under C -> C J, and its
+    classes partition it; each row starts at the class's first entry.
+    """
+    J = np.array([[0, -1], [1, 0]], dtype=table.dtype)
+    index = {C.tobytes(): k for k, C in enumerate(table)}
+    classes, seen = [], set()
+    for k, C in enumerate(table):
+        if k in seen:
+            continue
+        orbit = [k]
+        for _ in range(3):
+            C = C @ J
+            orbit.append(index[C.tobytes()])
+        seen.update(orbit)
+        classes.append(orbit)
+    return np.array(classes, dtype=np.intp)
+
+
 _C_STATIC = _static_candidates_2x2()
-_C_STATIC_F = _C_STATIC.astype(float)
+#: _C_CLASSES[c, r] is the table index of C_c J^r, C_c the class's first entry.
+_C_CLASSES = _rotation_classes(_C_STATIC)
+_CLASS_OF = np.empty(len(_C_STATIC), dtype=np.intp)
+_CLASS_OF[_C_CLASSES] = np.arange(len(_C_CLASSES))[:, None]
+#: Takes the class-major (c, r) order of the rotations to table order.
+_TABLE_ORDER = np.empty(len(_C_STATIC), dtype=np.intp)
+_TABLE_ORDER[_C_CLASSES.ravel()] = np.arange(len(_C_STATIC))
+#: Rows 0 and 1 of the class representatives C_c, flattened over (c, l).
+_REP_ROW0 = _C_STATIC[_C_CLASSES[:, 0], 0, :].astype(float).ravel()
+_REP_ROW1 = _C_STATIC[_C_CLASSES[:, 0], 1, :].astype(float).ravel()
 #: Rows per block of the static-candidate sweep; bounds its memory.
 _SWEEP_CHUNK = 8192
+
+
+def _rotations(h: np.ndarray) -> np.ndarray:
+    """h J^r for r = 0..3 on a new axis before the matrix axes, zeros as +0.0.
+
+    For h = [[a, b], [c, d]], h J = [[b, -a], [d, -c]] and h J^2 = -h:
+    sign flips and column swaps, so every rotation is exact.
+    """
+    a, b, c, d = h[..., 0, 0], h[..., 0, 1], h[..., 1, 0], h[..., 1, 1]
+    rot = np.stack([a, b, c, d, b, -a, d, -c, -a, -b, -c, -d, -b, a, -d, c], axis=-1)
+    return rot.reshape(h.shape[:-2] + (4, 2, 2)) + 0.0
+
+
+def _lex_first(keys: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Per row, the first candidate (along axis 1) with the smallest key tuple."""
+    sentinel = np.iinfo(np.int64).max
+    for j in range(keys.shape[2]):
+        key = np.where(cand, keys[:, :, j], sentinel)
+        cand &= key == key.min(axis=1)[:, None]
+    return cand.argmax(axis=1)
 
 
 def _sweep_static(Bc: np.ndarray):
@@ -557,25 +609,46 @@ def _sweep_static(Bc: np.ndarray):
 
     Returns (reps, pick): the chosen products and their table indices,
     with the scalar path's tie-break (F within TIE_TOL of the minimum,
-    then the smallest lexicographic key).  Every table entry lies in
-    {-2, ..., 2}, so each product b_ij C_jl is exact and each entry of
-    b C is one rounding of an exact sum: the result does not depend on
-    how the matrix product is evaluated.
+    then the smallest lexicographic key, then the first table index).
+    F(h) = |h|_F / sqrt(2) does not change under h -> h J, so the 36
+    entries fall into 9 classes {C J^r} of equal F, and one
+    representative per class is scored.  Every table entry lies in
+    {-2, ..., 2}, so each product b_ij C_jl is exact and each nonzero
+    entry of b C is one rounding of an exact sum, however the product is
+    evaluated.  Only the sign of a zero can depend on the evaluation, so
+    every zero is returned as +0.0.  A class's F adds its four squares
+    in row-major order.  Where one class lies within TIE_TOL of the
+    minimum (almost every row of a random orbit), the lexicographic
+    tie-break runs over its four rotations; rows where several classes
+    tie run it over all the rotations of the tied classes.
     """
-    H = np.matmul(Bc[:, None], _C_STATIC_F)
-    A = (H * H).sum(axis=(2, 3))
-    F = np.sqrt(A / 2.0)  # |h^{-1}|_F = |h|_F for d = 2
-    cand = F <= (F.min(axis=1)[:, None] + TIE_TOL)
-    keys = np.rint(H / LEX_GRID).astype(np.int64)
-    sentinel = np.iinfo(np.int64).max
-    for (i, j) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        key = np.where(cand, keys[:, :, i, j], sentinel)
-        cand &= key == key.min(axis=1)[:, None]
-    pick = cand.argmax(axis=1)
-    return H[np.arange(Bc.shape[0]), pick], pick
+    n = Bc.shape[0]
+    # H[n, i, c, l] = (b_n C_c)[i, l] for the class representatives C_c
+    H = (Bc[:, :, 0, None] * _REP_ROW0 + Bc[:, :, 1, None] * _REP_ROW1).reshape(n, 2, -1, 2)
+    Q = H * H
+    F = np.sqrt((((Q[:, 0, :, 0] + Q[:, 0, :, 1]) + Q[:, 1, :, 0]) + Q[:, 1, :, 1]) / 2.0)
+    best = F.argmin(axis=1)
+    rows = np.arange(n)
+    tied = F <= (F[rows, best] + TIE_TOL)[:, None]
+    # the four rotations of a nonzero h have distinct keys, so their order is immaterial
+    rot = _rotations(H[rows, :, best, :])
+    keys = np.rint(rot / LEX_GRID).astype(np.int64).reshape(n, 4, 4)
+    r = _lex_first(keys, np.ones((n, 4), dtype=bool))
+    reps = rot[rows, r]
+    pick = _C_CLASSES[best, r]
+    several = np.nonzero(tied.sum(axis=1) > 1)[0]
+    if several.size:
+        # every rotation of every class, in table order
+        allrot = _rotations(H[several].transpose(0, 2, 1, 3)).reshape(-1, 36, 2, 2)[:, _TABLE_ORDER]
+        keys = np.rint(allrot / LEX_GRID).astype(np.int64).reshape(-1, 36, 4)
+        pick[several] = _lex_first(keys, tied[several][:, _CLASS_OF])
+        reps[several] = allrot[np.arange(several.size), pick[several]]
+    return reps, pick
 
 
-def reduce_batch_2x2(P: np.ndarray, budget: int = DEFAULT_BUDGET, max_iter: int = 200):
+def reduce_batch_2x2(
+    P: np.ndarray, budget: int = DEFAULT_BUDGET, max_iter: int = 200, t: Optional[float] = None
+):
     """Reduce a batch of 2x2 unimodular matrices.
 
     Returns (reps (N,2,2) float, gammas (N,2,2) int64) matching the
@@ -585,7 +658,8 @@ def reduce_batch_2x2(P: np.ndarray, budget: int = DEFAULT_BUDGET, max_iter: int 
     flat in N and each row's arithmetic does not depend on the block.
     Samples for which the static candidate table is not provably
     complete (lambda_1 below _BATCH_LAMBDA1_MIN) or the vectorized
-    Lagrange loop did not converge are re-run through the scalar path.
+    Lagrange loop did not converge are re-run through the scalar path;
+    a failure there names the sample and the flow time t, if given.
     """
     P = np.asarray(P, dtype=float)
     N = P.shape[0]
@@ -645,7 +719,8 @@ def reduce_batch_2x2(P: np.ndarray, budget: int = DEFAULT_BUDGET, max_iter: int 
 
     if fallback.any():
         for i in np.nonzero(fallback)[0]:
-            rep_arr, Ui, _, _, _ = _reduce_core(P[i], budget)
+            with _naming_sample("decompose", i, t):
+                rep_arr, Ui, _, _, _ = _reduce_core(P[i], budget)
             reps[i] = rep_arr
             gammas[i] = np.array(Ui.inv().rows, dtype=np.int64)
     return reps, gammas

@@ -20,7 +20,7 @@ import platform
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -74,10 +74,6 @@ _STATISTICAL_KINDS = {"orbit", "fourier", "concentration", "gamma-orbit", "siege
 #: 0.35 % at 5.75 and 4 % at 6, with DeterminantError and PrecisionError.
 #: Other signatures are uncapped (their reduction is not certified).
 PRECISION_CAPS = {(1, 1): 25.0, (1, 2): 16.0, (2, 1): 5.0}
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 @dataclass
@@ -262,10 +258,25 @@ def _log_value_fit(pts: list) -> tuple:
 
 
 def _write_csv(path: str, header: Sequence[str], rows) -> str:
+    """Write header and rows as comma-separated lines; returns path.
+
+    A float cell (any `float`, numpy's float64 included) is printed as
+    `%.17g`, 17 significant digits, so it reads back as the same double;
+    every other cell as `%s`, its `str`.  Each row is written with one
+    `%` format, built once per tuple of cell types.
+    """
+    formats = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row) + "\n")
+            row = tuple(row)
+            types = tuple(map(type, row))
+            fmt = formats.get(types)
+            if fmt is None:
+                fmt = formats[types] = (
+                    ",".join("%.17g" if issubclass(tp, float) else "%s" for tp in types) + "\n"
+                )
+            fh.write(fmt % row)
     return path
 
 
@@ -379,17 +390,16 @@ def _run_reduce(cfg: ExperimentConfig) -> RunReport:
     return report
 
 
-def _orbit_rows(nu) -> list:
-    rows = []
-    mn = nu.us.shape[1] * nu.us.shape[2]
-    d = nu.dim
-    for i in range(nu.size):
-        row = tuple(float(x) for x in nu.us[i].ravel())
-        row += tuple(int(x) for x in nu.gammas[i].ravel())
-        row += tuple(float(x) for x in nu.coords[i])
-        row += (float(nu.heights[i]),)
-        rows.append(row)
-    return rows
+def _orbit_rows(nu) -> Iterator[tuple]:
+    """Rows (u..., gamma..., sigma..., height_after) of an orbit cloud, as Python scalars."""
+    n = nu.size
+    cols = (
+        nu.us.reshape(n, -1).astype(float, copy=False).T.tolist()
+        + nu.gammas.reshape(n, -1).astype(np.int64, copy=False).T.tolist()
+        + nu.coords.reshape(n, -1).astype(float, copy=False).T.tolist()
+        + [nu.heights.astype(float, copy=False).tolist()]
+    )
+    return zip(*cols)
 
 
 def _orbit_header(sig: SplittingSignature) -> list:

@@ -27,7 +27,6 @@ stage, the sample (or the base point) and t.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -43,7 +42,13 @@ from .core import (
     diagonal_flow_vector,
     torus_act,
 )
-from .errors import BudgetExceededError, DeterminantError, EmptyLocalizationError, PrecisionError
+from .errors import (
+    DeterminantError,
+    EmptyLocalizationError,
+    PrecisionError,
+    _failure_site,
+    _naming_sample,
+)
 from .fundamental import _reduce_core, reduce_batch_2x2, reduce_matrix, x_distance
 from .lattices import DEFAULT_BUDGET, LatticeDescriptor, _ext_gcd, shortest_vector
 
@@ -251,32 +256,6 @@ class EmpiricalTorusMeasure:
         )
 
 
-def _failure_site(stage: str, i: Optional[int], t: float) -> str:
-    """Where a failure happened: the stage, sample i (the base point if None) and t."""
-    what = "the base point" if i is None else f"sample {i}"
-    return f"{stage} of {what} at t = {t:g}"
-
-
-@contextmanager
-def _naming_sample(stage: str, i: Optional[int], t: float):
-    """Re-raise a typed failure as its own class, naming stage, sample i and t.
-
-    i = None names the base point instead of a sample.  The original
-    traceback is kept, so the innermost failing frame stays visible; a
-    budget failure keeps its `partial` and `nodes`.
-    """
-    try:
-        yield
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(
-            f"{_failure_site(stage, i, t)}: {exc}", partial=exc.partial, nodes=exc.nodes
-        ).with_traceback(exc.__traceback__) from None
-    except (PrecisionError, DeterminantError) as exc:
-        raise type(exc)(f"{_failure_site(stage, i, t)}: {exc}").with_traceback(
-            exc.__traceback__
-        ) from None
-
-
 def _bulk_decompose_2x2(x_rep: SpecialLinearMatrix, us: np.ndarray, t: float, budget: int):
     """Vectorized decomposition for sig (1,1): returns (reps, gammas)."""
     X = x_rep.entries
@@ -289,7 +268,7 @@ def _bulk_decompose_2x2(x_rep: SpecialLinearMatrix, us: np.ndarray, t: float, bu
     P[:, 0, 1] = et * (X[0, 1] + u * X[1, 1])
     P[:, 1, 0] = emt * X[1, 0]
     P[:, 1, 1] = emt * X[1, 1]
-    reps, gammas = reduce_batch_2x2(P, budget)
+    reps, gammas = reduce_batch_2x2(P, budget, t=t)
     # verify the defining identity and integrality in bulk
     gf = gammas.astype(float)
     recon = np.abs(P - reps @ gf).max(axis=(1, 2))

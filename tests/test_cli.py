@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,3 +81,62 @@ def test_reduce_result_is_a_report_field():
     assert harness.RunReport(config={}, checks=[]).result is None
     report = harness.run(harness.ExperimentConfig.from_json({"kind": "reduce", "g0": [[2, 1], [1, 1]]}))
     assert report.result["gamma"] and report.result["certified"]
+
+
+def reference_write_csv(path, header, rows):
+    """The per-cell CSV writer the cached row formats replaced."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{float(x):.17g}" if isinstance(x, float) else str(x) for x in row) + "\n")
+    return path
+
+
+def reference_orbit_rows(nu):
+    """The per-cell orbit rows the column conversion replaced."""
+    rows = []
+    for i in range(nu.size):
+        row = tuple(float(x) for x in nu.us[i].ravel())
+        row += tuple(int(x) for x in nu.gammas[i].ravel())
+        row += tuple(float(x) for x in nu.coords[i])
+        row += (float(nu.heights[i]),)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"m": 1, "n": 1, "t": 4.0, "samples": 3000, "b0": [math.sqrt(2) - 1, math.sqrt(3) - 1]},
+        {"m": 1, "n": 2, "t": 2.0, "samples": 150, "b0": ["1/3", "2/3", "1/5"]},
+        {"m": 1, "n": 1, "t_grid": [2.0, 6.0], "samples": 1000, "b0": ["1/3", "2/3"]},
+    ],
+    ids=["float-fiber-11", "rational-fiber-12", "t-grid"],
+)
+def test_orbit_csv_matches_per_cell_reference(config, tmp_path, monkeypatch):
+    def csv_files(out):
+        report = harness.run(harness.ExperimentConfig.from_json({"kind": "orbit", "out": str(out), **config}))
+        paths = [p for p in report.artifacts if p.endswith(".csv")]
+        assert len(paths) == len(config.get("t_grid", [0]))
+        return {Path(p).name: Path(p).read_bytes() for p in paths}
+
+    got = csv_files(tmp_path / "new")
+    monkeypatch.setattr(harness, "_write_csv", reference_write_csv)
+    monkeypatch.setattr(harness, "_orbit_rows", reference_orbit_rows)
+    assert got == csv_files(tmp_path / "reference")
+
+
+def test_write_csv_matches_per_cell_reference_on_every_cell_type(tmp_path):
+    from fractions import Fraction
+
+    cells = (
+        -0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, 1e300, np.float64(2 / 3), np.int64(-3),
+        np.float32(0.1), np.bool_(False), True, 7, Fraction(1, 3), "a%s,b",
+    )
+    rows = [cells, tuple(reversed(cells)), [1.5, 2]]
+    # one column changes type from row to row
+    rows += [(x, 1) for x in (0.25, 3, np.int64(4), np.float64(0.5), "x", Fraction(5, 2), 0.25)]
+    header = ["c"] * len(cells)
+    got = harness._write_csv(str(tmp_path / "new.csv"), header, rows)
+    ref = reference_write_csv(str(tmp_path / "ref.csv"), header, rows)
+    assert Path(got).read_bytes() == Path(ref).read_bytes()

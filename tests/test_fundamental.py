@@ -300,6 +300,84 @@ def test_batch_agrees_with_scalar(monkeypatch):
             assert np.abs(r.rep.entries - reps[i]).max() < 1e-9
 
 
+def _sweep_all_36(Bc):
+    """The 36-candidate static sweep the rotation classes replaced, kept as the reference."""
+    H = np.matmul(Bc[:, None], fundamental._C_STATIC.astype(float))
+    A = (H * H).sum(axis=(2, 3))
+    F = np.sqrt(A / 2.0)
+    cand = F <= (F.min(axis=1)[:, None] + fundamental.TIE_TOL)
+    keys = np.rint(H / fundamental.LEX_GRID).astype(np.int64)
+    sentinel = np.iinfo(np.int64).max
+    for (i, j) in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        key = np.where(cand, keys[:, :, i, j], sentinel)
+        cand &= key == key.min(axis=1)[:, None]
+    pick = cand.argmax(axis=1)
+    return H[np.arange(Bc.shape[0]), pick], pick
+
+
+def _assert_sweep_matches_reference(Bc):
+    reps, pick = fundamental._sweep_static(Bc)
+    ref_reps, ref_pick = _sweep_all_36(Bc)
+    assert reps.tobytes() == ref_reps.tobytes()
+    assert np.array_equal(pick, ref_pick)
+
+
+def test_static_table_splits_into_rotation_classes():
+    table = fundamental._C_STATIC
+    classes = fundamental._C_CLASSES
+    assert classes.shape == (9, 4)
+    assert sorted(classes.ravel().tolist()) == list(range(len(table)))
+    J = np.array([[0, -1], [1, 0]])
+    for row in classes:
+        for r in range(4):
+            assert np.array_equal(table[row[r]], table[row[0]] @ np.linalg.matrix_power(J, r))
+
+
+@pytest.mark.parametrize("s", [4.0, 8.0, 12.0])
+def test_sweep_matches_36_candidate_reference_on_reduced_batches(s, monkeypatch):
+    # the blocks reduce_batch_2x2 hands to the sweep after its Lagrange loop
+    us = np.random.default_rng(int(s)).uniform(-0.5, 0.5, 20_000)
+    P = _flow_orbit(s, us)
+    blocks = []
+    real_sweep = fundamental._sweep_static
+
+    def spy(Bc):
+        blocks.append(Bc.copy())
+        return real_sweep(Bc)
+
+    monkeypatch.setattr(fundamental, "_sweep_static", spy)
+    reduce_batch_2x2(P)
+    assert sum(len(b) for b in blocks) == len(P)
+    _assert_sweep_matches_reference(np.concatenate(blocks))
+
+
+def test_sweep_matches_36_candidate_reference_on_ties_and_signed_zeros():
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    c = math.sqrt(math.sqrt(3.0) / 2.0)
+    hexagonal = np.array([[1.0, 0.5], [0.0, math.sqrt(3.0) / 2.0]]) / c
+    th = 0.3
+    rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+    mats = [np.eye(2), -np.eye(2), J, -J, rot, rot @ J, hexagonal, hexagonal @ J, -hexagonal]
+    # entries of -0.0, where a product of the rows can come out as -0.0
+    mats += [
+        np.array([[-1.0, -0.0], [-0.0, -1.0]]),
+        np.array([[-0.0, -1.0], [1.0, -0.0]]),
+        np.array([[1.0, -0.0], [0.0, 1.0]]),
+        np.array([[-0.0, 1.0], [-1.0, 0.0]]),
+    ]
+    Bc = np.array(mats)
+    # the hexagonal lattice ties several classes, so that path runs too
+    H = np.matmul(hexagonal[None, None], fundamental._C_STATIC.astype(float))[0]
+    F = np.sqrt((H * H).sum(axis=(1, 2)) / 2.0)
+    tied = fundamental._CLASS_OF[F <= F.min() + fundamental.TIE_TOL]
+    assert len(set(tied.tolist())) > 1
+    _assert_sweep_matches_reference(Bc)
+    for b in Bc:
+        _assert_sweep_matches_reference(b[None])
+    reps, _ = fundamental._sweep_static(Bc)
+    assert not np.signbit(reps[reps == 0]).any()
+
+
 def test_primitive_walk_fits_a_budget_the_full_walk_exceeds(monkeypatch):
     # lambda_1 = 10 e^{-8} ~ 3.4e-3, below the batch threshold; the full
     # walk visits ~178k nodes (all but a few are multiples k v_1), the

@@ -19,7 +19,7 @@ from horolattice.errors import (
     EmptyLocalizationError,
     PrecisionError,
 )
-from horolattice.fundamental import reduce_matrix
+from horolattice.fundamental import reduce_batch_2x2, reduce_matrix
 from horolattice.harness import decay_fit
 from horolattice.lattices import DEFAULT_BUDGET, LatticeDescriptor, shortest_vector
 from horolattice.orbits import (
@@ -231,6 +231,20 @@ def test_bulk_base_point_error_names_the_base_point_and_t():
         orbit_pushforward(y0, 4.0, V, 20, seed=0, budget=1)
     assert str(info.value).startswith("reduce of the base point at t = 4: ")
     assert "sample" not in str(info.value)
+
+
+def test_bulk_fallback_error_names_the_sample_and_t():
+    # budget 11 reduces the base point; sample 769 sits deep in the cusp,
+    # takes the batch's scalar fallback and runs out there
+    y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(2)), TorusPoint.from_values([0.1, 0.2]))
+    with pytest.raises(BudgetExceededError) as info:
+        orbit_pushforward(y0, 10.0, V, 2000, seed=0, budget=11)
+    assert str(info.value) == "decompose of sample 769 at t = 10: enumeration node budget exceeded"
+    assert info.value.nodes == 12 and info.value.partial is None
+    assert traceback.extract_tb(info.value.__traceback__)[-1].filename.endswith("lattices.py")
+    # the same batch reduced outside a flow names the sample alone
+    with pytest.raises(BudgetExceededError, match=r"^decompose of sample 0: shortest-vector"):
+        reduce_batch_2x2(np.array([[[1e3, 0.0], [0.0, 1e-3]]]), budget=3)
 
 
 def _per_sample_orbit(y0, t, sig, count, seed, budget=DEFAULT_BUDGET):

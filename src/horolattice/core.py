@@ -37,7 +37,6 @@ __all__ = [
     "TorusPoint",
     "AffineLatticePoint",
     "matrix_norm",
-    "operator_norm",
     "diagonal_flow",
     "horo_embed",
     "affine_apply",
@@ -370,11 +369,6 @@ class AffineLatticePoint:
 def matrix_norm(g: SpecialLinearMatrix) -> float:
     """Max absolute entry over g and g^{-1}; symmetric under inversion."""
     return float(max(np.abs(g.entries).max(), np.abs(g.inverse).max()))
-
-
-def operator_norm(g: SpecialLinearMatrix) -> float:
-    """Operator norm for the sup norm on R^d: max absolute row sum."""
-    return float(np.abs(g.entries).sum(axis=1).max())
 
 
 def integer_operator_norm(g: IntegerMatrix) -> int:

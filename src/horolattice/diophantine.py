@@ -35,8 +35,6 @@ __all__ = [
     "WeylInstance",
     "zeta",
     "dirichlet_cap",
-    "common_denominator",
-    "diophantine_type_check",
     "ZetaPropertyReport",
     "zeta_property_suite",
     "weyl_count",
@@ -129,30 +127,6 @@ def zeta(b, T: float) -> int:
     if point.is_rational:
         return _zeta_rational(point.coords, T)
     return _zeta_float(point.as_floats(), float(T))
-
-
-def common_denominator(b) -> int:
-    """Smallest q with q b integral; rejects floating input."""
-    point = _as_point(b)
-    if not point.is_rational:
-        raise RationalityError("common denominator needs exact rational coordinates")
-    return point.denominator()
-
-
-def diophantine_type_check(b, M: float, c: float, q_max: int) -> bool:
-    """Finite-range witness that |b - p/q| > c q^{-M} for all q <= q_max.
-
-    Checks ||q b||_Z > c q^{1-M} (sup norm over coordinates, nearest
-    integer vector p).  A True result is evidence, not a proof.
-    """
-    if M < 1 or c <= 0 or q_max < 1:
-        raise ValueError("need M >= 1, c > 0, q_max >= 1")
-    point = _as_point(b)
-    vec = point.as_floats()
-    qs = np.arange(1, q_max + 1, dtype=float)
-    x = np.outer(qs, vec) % 1.0
-    dist = np.max(np.minimum(x, 1.0 - x), axis=1)
-    return bool(np.all(dist > c * qs ** (1.0 - M)))
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ class BudgetExceededError(RuntimeError):
 
 
 class PrecisionError(RuntimeError):
-    """Floating precision exhausted (integrality residual too large)."""
+    """Floating precision exhausted (a residual of the factorization certificate too large)."""
 
 
 class EmptyLocalizationError(RuntimeError):

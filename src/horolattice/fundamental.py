@@ -19,8 +19,12 @@ almost every lattice vector in the ball is a multiple k v_1 of the
 short vector, and none of those costs budget.
 
 The unimodular transform is accumulated in exact integer arithmetic
-throughout, so the returned gamma is exact by construction and the
-float residual check is a genuine consistency certificate.
+throughout, so the returned gamma is exact by construction.  Every
+decomposition P = xi gamma, whether by `reduce_matrix` or by the
+`orbits` entry points, ends in one factorization certificate,
+`factorization_residuals`: xi gamma reproduces P to RESIDUAL_TOL times
+max(1, max|xi|), and xi^{-1} P is gamma to RESIDUAL_TOL.
+`certify_factorization` raises a PrecisionError on a row that fails it.
 
 For d = 3 every matrix takes the scalar path `_reduce_core`: LLL on
 the primal and on the dual basis (the one with the smaller F seeds the
@@ -55,13 +59,15 @@ from typing import Optional
 import numpy as np
 
 from .core import IntegerMatrix, SpecialLinearMatrix, _int_adjugate
-from .errors import PrecisionError, _naming_sample
+from .errors import PrecisionError, _failure_site, _naming_sample
 from .lattices import DEFAULT_BUDGET, LatticeDescriptor, _ext_gcd, enumerate_ball, lll_reduce
 
 __all__ = [
     "F_value",
     "ReducedRepresentative",
     "reduce_matrix",
+    "factorization_residuals",
+    "certify_factorization",
     "iota",
     "candidate_bases",
     "matrix_distance",
@@ -75,7 +81,7 @@ TIE_TOL = 1e-9
 LEX_GRID = 1e-12
 #: Additive safety margin on enumeration Frobenius bounds.
 BOUND_MARGIN = 1e-6
-#: Integrality residual threshold for rep^{-1} g.
+#: Tolerance of the factorization certificate (`factorization_residuals`).
 RESIDUAL_TOL = 1e-6
 
 #: Batch fast path falls back to the scalar path below this lambda_1.
@@ -433,13 +439,61 @@ def _reduce_core(arr: np.ndarray, budget: int = DEFAULT_BUDGET):
         return best_B, best_U, _f_of_array(best_B), certificate, True
 
 
+def _reconstruction_tol(reps: np.ndarray) -> np.ndarray:
+    return RESIDUAL_TOL * np.maximum(1.0, np.abs(reps).max(axis=(1, 2)))
+
+
+def factorization_residuals(P: np.ndarray, reps: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """The factorization certificate of P = xi gamma for each row of a batch.
+
+    P, reps (the xi) and gammas are (N, d, d) stacks.  Returns an (N, 2)
+    array: the reconstruction residual max|P - xi gamma| over its
+    tolerance RESIDUAL_TOL * max(1, max|xi|), and the integrality
+    residual max|xi^{-1} P - gamma| over RESIDUAL_TOL.  A row is
+    certified when both are at most 1.  The rounding error of xi gamma
+    grows with the entries of xi; xi^{-1} P is compared with integers,
+    so its tolerance is flat.  For d = 2, xi^{-1} is the adjugate over
+    the determinant; other d use `np.linalg.inv`, which moves only the
+    last bits of the integrality residual.
+    """
+    gf = gammas.astype(float)
+    if reps.shape[1] == 2:
+        a, b, c, e = reps[:, 0, 0], reps[:, 0, 1], reps[:, 1, 0], reps[:, 1, 1]
+        inv = np.stack([e, -b, -c, a], axis=-1).reshape(-1, 2, 2) / (a * e - b * c)[:, None, None]
+    else:
+        inv = np.linalg.inv(reps)
+    ratios = np.empty((reps.shape[0], 2))
+    ratios[:, 0] = np.abs(P - reps @ gf).max(axis=(1, 2)) / _reconstruction_tol(reps)
+    ratios[:, 1] = np.abs(inv @ P - gf).max(axis=(1, 2)) / RESIDUAL_TOL
+    return ratios
+
+
+def certify_factorization(P, reps, gammas, stage: Optional[str], t: Optional[float]) -> None:
+    """Raise PrecisionError unless every row passes `factorization_residuals`.
+
+    Reconstruction is checked before integrality, a NaN residual fails,
+    and the message gives the worst failing row's residual and its
+    tolerance.  With a stage, the message names that row as a sample of
+    the stage at flow time t; a caller that certifies one matrix passes
+    None and is named by its own caller.
+    """
+    ratios = factorization_residuals(P, reps, gammas)
+    ratios[np.isnan(ratios)] = np.inf
+    for k, kind in enumerate(("reconstruction", "integrality")):
+        i = int(ratios[:, k].argmax())
+        if ratios[i, k] > 1.0:
+            tol = _reconstruction_tol(reps[i : i + 1])[0] if k == 0 else RESIDUAL_TOL
+            what = f"{kind} residual {ratios[i, k] * tol:.3g} exceeds {tol:.3g}"
+            raise PrecisionError(what if stage is None else f"{_failure_site(stage, i, t)}: {what}")
+
+
 def reduce_matrix(g, budget: int = DEFAULT_BUDGET) -> ReducedRepresentative:
     """Reduce g to the F-minimal representative of its coset.
 
     Idempotent: if g is already a previous output, the identical array
-    comes back with gamma = identity.  The integrality residual of
-    rep^{-1} g against the exact gamma is verified (hard error above
-    RESIDUAL_TOL: precision exhausted, never silently degraded).
+    comes back with gamma = identity.  g = rep gamma must pass the
+    factorization certificate (`certify_factorization`); a failure is a
+    PrecisionError, never a silently degraded result.
     """
     if isinstance(g, SpecialLinearMatrix):
         arr = np.array(g.entries, dtype=float)
@@ -450,17 +504,7 @@ def reduce_matrix(g, budget: int = DEFAULT_BUDGET) -> ReducedRepresentative:
         rep_arr = arr  # bit-exact idempotence
     gamma = U.inv().require_unimodular()
     rep = SpecialLinearMatrix.from_entries(rep_arr)
-    residual_mat = rep.inverse @ arr
-    residual = float(np.abs(residual_mat - gamma.to_array()).max())
-    # The residual scales like eps * |rep^{-1}| * |g|, so the threshold
-    # carries the representative's norm; a flat cut would reject
-    # legitimate large-entry inputs whose gamma is still exact.
-    scale = max(1.0, float(np.abs(rep.entries).max()), float(np.abs(rep.inverse).max()))
-    if residual > RESIDUAL_TOL * scale:
-        raise PrecisionError(
-            f"integrality residual {residual:.3g} exceeds {RESIDUAL_TOL:g} * {scale:.3g}; "
-            "flow time or entry scale too large for double precision"
-        )
+    certify_factorization(arr[None], rep.entries[None], gamma.to_array()[None], None, None)
     return ReducedRepresentative(rep, gamma, fvalue, certificate, certified)
 
 

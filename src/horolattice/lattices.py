@@ -41,9 +41,9 @@ __all__ = [
     "shortest_vector",
     "successive_minima",
     "height",
-    "in_K",
     "dual_basis",
     "siegel_transform",
+    "siegel_average_2x2",
 ]
 
 DEFAULT_BUDGET = 10_000_000
@@ -524,13 +524,6 @@ def height(L: LatticeDescriptor, budget: int = DEFAULT_BUDGET) -> float:
     return 1.0 / length
 
 
-def in_K(L: LatticeDescriptor, eps: float, budget: int = DEFAULT_BUDGET) -> bool:
-    """Whether the lattice lies in the compact part {ht <= 1/eps}."""
-    if not (0 < eps <= 1):
-        raise ValueError("eps must lie in (0, 1]")
-    return height(L, budget) <= 1.0 / eps
-
-
 def dual_basis(L: LatticeDescriptor) -> LatticeDescriptor:
     """The dual lattice, with basis (g^{-1})^T."""
     return LatticeDescriptor(SpecialLinearMatrix.from_entries(L.basis.inverse.T))
@@ -552,3 +545,27 @@ def siegel_transform(
         v = B @ np.array(c, dtype=float)
         total += f(v) + f(-v)
     return total
+
+
+def siegel_average_2x2(xis, radius: float, budget: int = DEFAULT_BUDGET, oracle_stride: int = 0) -> np.ndarray:
+    """Per-sample Siegel transforms of the Euclidean-ball indicator, d = 2.
+
+    xis is an (N, 2, 2) stack of bases.  For radius below 1 only integer
+    multiples of the shortest vector fit in the ball (two independent
+    vectors would force covolume below 1), so the count is
+    2 floor(radius / lambda_1) per sample.  With oracle_stride > 0 every
+    stride-th sample is cross-checked against `siegel_transform`.
+    """
+    if radius >= 1.0:
+        raise ValueError("closed form requires radius < 1")
+    lam1 = np.minimum(np.linalg.norm(xis[:, :, 0], axis=1), np.linalg.norm(xis[:, :, 1], axis=1))
+    counts = 2.0 * np.floor(radius / lam1)
+    if oracle_stride:
+        f = RadialStepFunction([(radius, 1.0)], norm="euclidean")
+        for i in range(0, len(xis), oracle_stride):
+            exact = siegel_transform(f, LatticeDescriptor.from_matrix(xis[i]), budget)
+            if abs(exact - counts[i]) > 1e-9:
+                raise AssertionError(
+                    f"closed-form Siegel count disagrees with enumeration at sample {i}"
+                )
+    return counts

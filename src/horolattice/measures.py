@@ -43,7 +43,6 @@ __all__ = [
     "FourierSpectrum",
     "fourier_coefficient",
     "fourier_spectrum",
-    "large_coefficient_set",
     "ball_mass",
     "max_concentration",
     "FlatteningInstance",
@@ -162,16 +161,6 @@ def fourier_spectrum(nu: EmpiricalTorusMeasure, max_freq: int) -> FourierSpectru
             if c.real != 0.0 and c.imag != 0.0:
                 mirrored[neg] = c.conjugate()
     return FourierSpectrum(nu.dim, coeffs, nu.size)
-
-
-def large_coefficient_set(spec: FourierSpectrum, R: int, eta: float):
-    """Nonzero frequencies in the sup ball of radius R with |coeff| >= eta."""
-    out = []
-    for m, c in spec.coeffs.items():
-        if any(m) and max(abs(x) for x in m) <= R and abs(c) >= eta:
-            out.append(m)
-    out.sort()
-    return out
 
 
 def _circular_sup_distance(coords: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -3,8 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from horolattice import core
 from horolattice.core import (
@@ -19,7 +17,6 @@ from horolattice.core import (
     matrix_from_json,
     matrix_norm,
     matrix_to_json,
-    operator_norm,
     torus_act,
     torus_from_json,
     torus_to_json,
@@ -67,28 +64,6 @@ def test_matrix_norm_submultiplicative_with_dimension_constant():
         for _ in range(50):
             g1, g2 = random_sl(rng, d), random_sl(rng, d)
             assert matrix_norm(g1 @ g2) <= d * matrix_norm(g1) * matrix_norm(g2) * (1 + 1e-12)
-
-
-def test_operator_norm_values():
-    assert operator_norm(SpecialLinearMatrix.from_entries(np.eye(2))) == 1.0
-    assert operator_norm(SpecialLinearMatrix.from_entries(np.diag([3.0, 1 / 3]))) == 3.0
-
-
-@given(st.integers(0, 10**6))
-@settings(max_examples=50, deadline=None)
-def test_operator_norm_dominates_vectors(seed):
-    rng = np.random.default_rng(seed)
-    g = random_sl(rng)
-    v = rng.uniform(-1, 1, 2)
-    assert np.abs(g.apply(v)).max() <= operator_norm(g) * np.abs(v).max() * (1 + 1e-12)
-
-
-def test_operator_norm_vs_matrix_norm():
-    rng = np.random.default_rng(2)
-    for d in (2, 3):
-        for _ in range(30):
-            g = random_sl(rng, d)
-            assert operator_norm(g) <= d * matrix_norm(g) * (1 + 1e-12)
 
 
 def test_diagonal_flow_identity_at_zero():

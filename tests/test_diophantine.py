@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from horolattice.core import IntegerMatrix, TorusPoint
 from horolattice.diophantine import (
     WeylInstance,
-    common_denominator,
-    diophantine_type_check,
     dirichlet_cap,
     weyl_bound,
     weyl_count,
@@ -84,19 +82,6 @@ def test_dirichlet_cap_monotone_and_small_T():
     assert dirichlet_cap(0.5, 2) == 1
     caps = [dirichlet_cap(10.0**k, 2) for k in range(1, 9)]
     assert all(caps[i] <= caps[i + 1] for i in range(len(caps) - 1))
-
-
-def test_common_denominator():
-    assert common_denominator(TorusPoint.from_values(["1/3", "2/3"])) == 3
-    assert common_denominator(TorusPoint.from_values([0, 0])) == 1
-    assert common_denominator(TorusPoint.from_values(["1/4", "1/6"])) == 12
-    with pytest.raises(RationalityError):
-        common_denominator(TorusPoint.from_values([0.5]))
-
-
-def test_diophantine_type_check():
-    assert not diophantine_type_check(TorusPoint.from_values([0.5]), 2.0, 0.4, 10)
-    assert diophantine_type_check(GOLDEN, 2.0, 0.2, 100_000)
 
 
 def test_type_implies_zeta_growth():

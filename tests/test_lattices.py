@@ -14,7 +14,6 @@ from horolattice.lattices import (
     dual_basis,
     enumerate_ball,
     height,
-    in_K,
     lll_reduce,
     shortest_vector,
     siegel_transform,
@@ -123,9 +122,6 @@ def test_height_examples_and_in_K():
     t = 0.7
     L = LatticeDescriptor.from_matrix(np.diag([math.exp(t), math.exp(-t)]))
     assert height(L) == pytest.approx(math.exp(t))
-    assert in_K(LatticeDescriptor.from_matrix(np.eye(2)), 1.0)
-    assert in_K(LatticeDescriptor.from_matrix(np.eye(2)), 0.9)
-    assert not in_K(LatticeDescriptor.from_matrix(np.diag([4.0, 0.25])), 0.5)
 
 
 @given(st.integers(0, 10**6))
@@ -134,14 +130,6 @@ def test_height_at_least_one(seed):
     rng = np.random.default_rng(seed)
     L = LatticeDescriptor.from_matrix(random_basis(rng, 2))
     assert height(L) >= 1.0 - 1e-9
-
-
-def test_in_K_height_consistency():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        L = LatticeDescriptor.from_matrix(random_basis(rng, 2))
-        eps = rng.uniform(0.05, 1.0)
-        assert in_K(L, eps) == (height(L) <= 1.0 / eps)
 
 
 def test_dual_basis():

@@ -14,7 +14,6 @@ from horolattice.measures import (
     flatten_weights,
     fourier_coefficient,
     fourier_spectrum,
-    large_coefficient_set,
     max_concentration,
 )
 from horolattice import measures
@@ -105,20 +104,6 @@ def test_fourier_spectrum_box_guard():
     nu = uniform_cloud(10)
     with pytest.raises(ValueError):
         fourier_spectrum(nu, 10_000)
-
-
-def test_large_coefficient_set():
-    nu = dirac([0.0, 0.0])
-    spec = fourier_spectrum(nu, 2)
-    got = large_coefficient_set(spec, 2, 0.5)
-    assert len(got) == 24  # all of the 5x5 box minus the origin
-    cloud = uniform_cloud(50_000, seed=4)
-    assert large_coefficient_set(fourier_spectrum(cloud, 2), 2, 0.5) == []
-    g = grid_measure(2)
-    got = large_coefficient_set(fourier_spectrum(g, 3), 3, 0.5)
-    assert sorted(got) == sorted(
-        [(-2, -2), (-2, 0), (-2, 2), (0, -2), (0, 2), (2, -2), (2, 0), (2, 2)]
-    )
 
 
 def test_ball_mass():

@@ -36,6 +36,7 @@ from .core import (
     SpecialLinearMatrix,
     SplittingSignature,
     TorusPoint,
+    _mod1,
     matrix_norm,
 )
 from .diophantine import WeylInstance, dirichlet_cap, weyl_bound, weyl_count, zeta, zeta_property_suite
@@ -334,7 +335,7 @@ def criterion_cocycle(budget=DEFAULT_BUDGET, cache=None, count: int = 100_000) -
     # not the orbit's reduced base point, and act on the unreduced fiber
     _, gammas2 = decompose_batch(y0.linear, nu.us, 12.0, _SIG2, budget)
     bvec = y0.torus.as_floats()
-    sigma2 = (gammas2.astype(float) @ bvec) % 1.0
+    sigma2 = _mod1(gammas2.astype(float) @ bvec)
     gap = np.abs(sigma2 - nu.coords)
     gap = np.minimum(gap, 1.0 - gap).max(axis=1)
     dets = gammas2[:, 0, 0] * gammas2[:, 1, 1] - gammas2[:, 0, 1] * gammas2[:, 1, 0]

@@ -55,6 +55,17 @@ DET_TOL = 1e-9
 DET_RENORM_TOL = 1e-12
 
 
+def _mod1(x):
+    """x mod 1 in [0, 1), elementwise, for an array of floats.
+
+    x % 1.0 rounds up to 1.0 for a tiny negative x (1 - 1e-17 is 1.0 in
+    double precision); that point is 0 on the torus.  Every other value
+    is x % 1.0 bit for bit.
+    """
+    r = np.mod(x, 1.0)
+    return np.where(r == 1.0, 0.0, r)
+
+
 def _det_tolerance(scale: float, dim: int) -> float:
     # Float determinant evaluation of a matrix with entries of size s
     # carries absolute noise ~ eps * s^d, so the acceptance threshold
@@ -171,6 +182,20 @@ class SpecialLinearMatrix:
 
     def __repr__(self):
         return f"SpecialLinearMatrix({self.entries.tolist()!r})"
+
+
+def _renormalized(stack: np.ndarray) -> np.ndarray:
+    """The entries `SpecialLinearMatrix.from_entries` keeps, for each matrix of a stack.
+
+    The same determinant and the same rescaling of the first column, row
+    by row; the checks stay with `from_entries`, so a row it rejects comes
+    back rescaled or not, but is never used.
+    """
+    dets = np.linalg.det(stack)
+    out = np.array(stack, dtype=float)
+    drift = np.abs(dets - 1.0) > DET_RENORM_TOL
+    out[drift, :, 0] /= dets[drift, None]
+    return out
 
 
 def _int_adjugate(rows: Sequence[Sequence[int]]) -> tuple:
@@ -328,7 +353,7 @@ class TorusPoint:
         if all(rational_flags):
             coords = tuple(c % 1 for c in parsed)
         else:
-            coords = tuple(c % 1.0 for c in parsed)
+            coords = tuple(_mod1(np.array(parsed)).tolist())
         return cls(coords)
 
     @property
@@ -424,7 +449,7 @@ def torus_act(gamma: IntegerMatrix, b: TorusPoint) -> TorusPoint:
             tuple(Fraction(sum(g * n for g, n in zip(row, nums)) % q, q) for row in gamma.rows)
         )
     vec = gamma.to_array() @ b.as_floats()
-    return TorusPoint(tuple(float(x % 1.0) for x in vec))
+    return TorusPoint(tuple(_mod1(vec).tolist()))
 
 
 # -- JSON-friendly serialization -------------------------------------------

@@ -26,22 +26,30 @@ decomposition P = xi gamma, whether by `reduce_matrix` or by the
 max(1, max|xi|), and xi^{-1} P is gamma to RESIDUAL_TOL.
 `certify_factorization` raises a PrecisionError on a row that fails it.
 
-For d = 3 every matrix takes the scalar path `_reduce_core`: LLL on
-the primal and on the dual basis (the one with the smaller F seeds the
-search), certified successive minima of both sides, then the candidate
-walks of `_candidates_3d` on both sides, repeated until no candidate
-lowers F, and the lexicographic tie-break.  A dual candidate C has
+For d = 3 a matrix is reduced in two steps.  The seed: LLL on the
+primal and on the dual basis, and the one with the smaller F seeds the
+search.  The search (`_search`): certified successive minima of both
+sides, then the candidate walks of `_candidates_3d` on both sides,
+repeated until no candidate lowers F, and the lexicographic tie-break;
+each round scores its candidates as one stack.  A dual candidate C has
 det C = 1, so its primal transform C^{-T} is the integer cofactor matrix
 of C.  Floating point enters only through LLL's Gram-Schmidt, the QR of
 the enumerations and the F-values; each is computed by the same numpy
 operations whatever the surrounding bookkeeping, so outputs are
 reproducible bit for bit.
 
+The choice between a single matrix and a stack follows the input.  A
+single matrix (`reduce_matrix`, the d = 2 fallback) runs `_reduce_core`
+with the scalar `lll_reduce`.  A stack of samples of any d other than 2
+(`orbits.decompose_batch`) runs `_reduce_stack`: every LLL of the seed
+and of the successive minima once over the whole stack, through
+`lattices.lll_reduce_batch`, with each row's bits those of `lll_reduce`,
+and then the search sample by sample.
+
 A vectorized fast path `reduce_batch_2x2` reduces a whole batch of
 d = 2 matrices.  Its one caller is the signature (1, 1) branch of
 `orbits.decompose_batch`, the package's single decomposition entry
-point for sample batches; other signatures reach `_reduce_core` one
-sample at a time through `orbits.decompose`.  The fast path agrees with
+point for sample batches.  The fast path agrees with
 the scalar path and falls back to it sample by sample near the cusp,
 where the static candidate table is no longer provably complete.  Its
 sweep over the static table scores one candidate per class {C J^r} of
@@ -58,9 +66,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import IntegerMatrix, SpecialLinearMatrix, _int_adjugate
+from .core import IntegerMatrix, SpecialLinearMatrix, _int_adjugate, _renormalized
 from .errors import PrecisionError, _failure_site, _naming_sample
-from .lattices import DEFAULT_BUDGET, LatticeDescriptor, _ext_gcd, enumerate_ball, lll_reduce
+from .lattices import DEFAULT_BUDGET, LatticeDescriptor, _ext_gcd, enumerate_ball, lll_reduce, lll_reduce_batch
 
 __all__ = [
     "F_value",
@@ -89,23 +97,32 @@ _BATCH_LAMBDA1_MIN = 0.015
 
 
 def _inv_unimodular(h: np.ndarray) -> np.ndarray:
-    # Python floats are cheaper than numpy scalars and round each product
-    # and difference identically.
-    d = h.shape[0]
+    """h^{-1} of a unimodular h, or of each matrix of a stack (N, d, d).
+
+    For d <= 3 the adjugate over the determinant, in the same operations
+    for a single matrix (on Python floats, cheaper than numpy scalars) and
+    for a stack (on arrays of its entries), so both round alike.
+    """
+    d = h.shape[-1]
+    rows = h.tolist() if h.ndim == 2 else h.transpose(1, 2, 0)
     if d == 2:
-        (a, b), (c, e) = h.tolist()
+        (a, b), (c, e) = rows
         det = a * e - b * c
-        return np.array([[e, -b], [-c, a]]) / det
-    if d == 3:
-        (a, b, c), (p, q, r), (x, y, z) = h.tolist()
+        adj = [[e, -b], [-c, a]]
+    elif d == 3:
+        (a, b, c), (p, q, r), (x, y, z) = rows
         adj = [
             [q * z - r * y, c * y - b * z, b * r - c * q],
             [r * x - p * z, a * z - c * x, c * p - a * r],
             [p * y - q * x, b * x - a * y, a * q - b * p],
         ]
         det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+    else:
+        return np.linalg.inv(h)
+    if h.ndim == 2:
         return np.array(adj) / det
-    return np.linalg.inv(h)
+    # each inverse C-contiguous, as a single one is
+    return np.stack([x for row in adj for x in row], axis=-1).reshape(-1, d, d) / det[:, None, None]
 
 
 def _f_of_array(h: np.ndarray) -> float:
@@ -113,6 +130,18 @@ def _f_of_array(h: np.ndarray) -> float:
     hinv = _inv_unimodular(h)
     b = float((hinv * hinv).sum())
     return math.sqrt(a * b / (a + b))
+
+
+def _f_of_stack(hs: np.ndarray) -> np.ndarray:
+    """`_f_of_array` of each matrix of a stack (N, d, d), bit for bit.
+
+    Each matrix's sum runs over its entries in memory order, as the sum of
+    one matrix of the same layout does.
+    """
+    a = (hs * hs).sum(axis=(1, 2))
+    hinv = _inv_unimodular(hs)
+    b = (hinv * hinv).sum(axis=(1, 2))
+    return np.sqrt(a * b / (a + b))
 
 
 def F_value(g) -> float:
@@ -140,11 +169,15 @@ class ReducedRepresentative:
     certified: bool = True
 
 
-def _minima_sq_of(B: np.ndarray, budget: int) -> list:
-    """Squared Euclidean successive minima of the lattice spanned by B's columns."""
+def _minima_sq_of(B: np.ndarray, budget: int, reduced: Optional[tuple] = None) -> list:
+    """Squared Euclidean successive minima of the lattice spanned by B's columns.
+
+    `reduced`, if given, is `lll_reduce` of the validated basis
+    `SpecialLinearMatrix.from_entries(B).entries`, computed ahead for a stack.
+    """
     from .lattices import successive_minima
 
-    L = LatticeDescriptor(SpecialLinearMatrix.from_entries(B))
+    L = LatticeDescriptor(SpecialLinearMatrix.from_entries(B), _reduced=reduced)
     return [x * x for x in successive_minima(L, budget)]
 
 
@@ -372,23 +405,79 @@ def _reduce_core(arr: np.ndarray, budget: int = DEFAULT_BUDGET):
     arr = np.asarray(arr, dtype=float)
     d = arr.shape[0]
     B0, U0_rows = lll_reduce(arr)
-    U0 = IntegerMatrix.from_rows(U0_rows)
-    best_B, best_U = B0, U0
+    best_B, best_U = B0, IntegerMatrix.from_rows(U0_rows)
     if d == 3:
-        dual_arr = _inv_unimodular(arr).T
-        Bd, Ud_rows = lll_reduce(dual_arr)
-        Ud = IntegerMatrix.from_rows(Ud_rows)
+        Bd, Ud_rows = lll_reduce(_inv_unimodular(arr).T)
         seed_B = _inv_unimodular(Bd).T
-        seed_U = Ud.inv().transpose()
         if _f_of_array(seed_B) < _f_of_array(best_B):
-            best_B, best_U = seed_B, seed_U
+            best_B, best_U = seed_B, IntegerMatrix.from_rows(Ud_rows).inv().transpose()
     if d not in (2, 3):
-        rep = best_B
-        return rep, best_U, _f_of_array(rep), 0.0, False
+        return best_B, best_U, _f_of_array(best_B), 0.0, False
+    return _search(best_B, best_U, budget)
 
+
+def _reduce_stack(P: np.ndarray, budget: int, t: Optional[float]):
+    """`_reduce_core` of each matrix of a stack P (N, d, d), its LLL batched.
+
+    Every LLL of the scalar path runs once over the whole stack, through
+    `lll_reduce_batch`, which gives each row the bits of `lll_reduce`: on
+    P, on its duals, and on both sides of the chosen seed bases, whose
+    reductions reach `_minima_sq_of` ready-made.  A dual seed is the same
+    transposed view as on the scalar path, since an F-value sums in memory
+    order.  An LLL failure names the lowest failing sample and t.
+
+    Returns an iterator over the samples in order, yielding each one's
+    (rep_array, U IntegerMatrix).  The exact candidate search of sample i
+    runs when the caller asks for sample i, so its failure surfaces there.
+    """
+    d = P.shape[-1]
+    B0, U0 = lll_reduce_batch(P, stage="decompose", t=t)
+    seed_B, dual_wins = B0, np.zeros(P.shape[0], dtype=bool)
+    if d == 3:
+        Bd, Ud = lll_reduce_batch(_inv_unimodular(P).transpose(0, 2, 1), stage="decompose", t=t)
+        seed_B = _inv_unimodular(Bd).transpose(0, 2, 1)
+        dual_wins = _f_of_stack(seed_B) < _f_of_stack(B0)
+    if d in (2, 3):
+        chosen = np.where(dual_wins[:, None, None], seed_B, B0)
+        prim = lll_reduce_batch(_renormalized(chosen), stage="decompose", t=t)
+        dual = lll_reduce_batch(
+            _renormalized(_inv_unimodular(chosen).transpose(0, 2, 1)), stage="decompose", t=t
+        )
+
+    def reduce_sample(i):
+        if dual_wins[i]:
+            best_B, best_U = seed_B[i], IntegerMatrix.from_rows(Ud[i].tolist()).inv().transpose()
+        else:
+            best_B, best_U = B0[i], IntegerMatrix.from_rows(U0[i].tolist())
+        if d not in (2, 3):
+            return best_B, best_U
+        reduced = ((prim[0][i], prim[1][i].tolist()), (dual[0][i], dual[1][i].tolist()))
+        return _search(best_B, best_U, budget, reduced)[:2]
+
+    return map(reduce_sample, range(P.shape[0]))
+
+
+def _score(best_B: np.ndarray, cs: list):
+    """best_B @ C and its F-value for every candidate C of cs, as one stack each.
+
+    Bit for bit the products best_B @ C and `_f_of_array` of each.
+    """
+    d = best_B.shape[0]
+    hs = best_B @ np.array(cs, dtype=float).reshape(-1, d, d)
+    return hs, _f_of_stack(hs)
+
+
+def _search(best_B: np.ndarray, best_U: IntegerMatrix, budget: int, reduced: tuple = (None, None)):
+    """`_reduce_core`'s exact candidate search from its seed basis, for d in {2, 3}.
+
+    Runs until no candidate lowers F, then breaks ties lexicographically.
+    `reduced` may carry the LLL reductions of the primal and the dual
+    lattice of the seed, for `_minima_sq_of`.
+    """
+    d = best_B.shape[0]
     # Successive minima are coset data; compute once per side.
-    prim_min_sq = _minima_sq_of(best_B, budget)
-    dual_min_sq = _minima_sq_of(_inv_unimodular(best_B).T, budget)
+    prim_min_sq = _minima_sq_of(best_B, budget, reduced[0])
+    dual_min_sq = _minima_sq_of(_inv_unimodular(best_B).T, budget, reduced[1])
 
     certificate = 0.0
     while True:
@@ -415,13 +504,11 @@ def _reduce_core(arr: np.ndarray, budget: int = DEFAULT_BUDGET):
             seen.add(rows)
             unique_cs.append(rows)
 
+        hs, fs = _score(best_B, unique_cs)
         entries = [(f_best, None, best_B)]  # identity candidate, bit-exact
+        entries += zip(fs.tolist(), unique_cs, hs)
         improved = None
-        for rows in unique_cs:
-            C = np.array(rows, dtype=float)
-            h = best_B @ C
-            f_h = _f_of_array(h)
-            entries.append((f_h, rows, h))
+        for f_h, rows, h in entries[1:]:
             if f_h < f_best - 1e-12 and (improved is None or f_h < improved[0]):
                 improved = (f_h, rows, h)
         if improved is not None:

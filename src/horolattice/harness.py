@@ -73,7 +73,7 @@ _STATISTICAL_KINDS = {"orbit", "fourier", "concentration", "gamma-orbit", "siege
 #: against the static candidate table), the bulk path returns no wrong
 #: gamma at t = 12 and 12.5 (20,000 samples, seeds 0-2), while 6 of
 #: 60,000 are wrong at t = 14, and no residual check fires there.  The
-#: scalar d = 3 path: (1, 2) runs clean at t = 8 and 8.5; (2, 1) runs
+#: d = 3 path: (1, 2) runs clean at t = 8 and 8.5; (2, 1) runs
 #: clean at t = 5 (20,000 samples), while 1 in 20,000 samples fails at
 #: t = 5.5, 0.35 % at 5.75 and 4 % at 6.  Other signatures are uncapped
 #: (their reduction is not certified).

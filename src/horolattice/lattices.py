@@ -29,13 +29,14 @@ from typing import Iterator, Literal, Optional, Sequence
 import numpy as np
 
 from .core import SpecialLinearMatrix
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, PrecisionError, _failure_site
 
 __all__ = [
     "DEFAULT_BUDGET",
     "LatticeDescriptor",
     "RadialStepFunction",
     "lll_reduce",
+    "lll_reduce_batch",
     "enumerate_ball",
     "constrained_shortest",
     "shortest_vector",
@@ -115,6 +116,104 @@ def lll_reduce(basis: np.ndarray, delta: float = _LLL_DELTA, max_rounds: int = 1
     return B, U
 
 
+def lll_reduce_batch(
+    bases: np.ndarray,
+    delta: float = _LLL_DELTA,
+    max_rounds: int = 10_000,
+    stage: str = "LLL",
+    t: Optional[float] = None,
+):
+    """`lll_reduce` of every basis of a stack (N, d, d), all rows at once.
+
+    Returns (B, U): the reduced bases and the unimodular transforms as an
+    (N, d, d) int64 stack.  Each row takes the steps `lll_reduce` takes on
+    it, and every number is computed by the same operation: the
+    Gram-Schmidt dot products by the same BLAS dot (a stacked (1, d) @ (d, 1)
+    matmul calls it once per row), rounding half to even, the squared mu of
+    the Lovasz test by the same libm pow, and the basis updates elementwise.
+    So B and U equal `lll_reduce`'s bit for bit, row by row.  One step moves
+    every row still reducing: k, the valid Gram-Schmidt rows and the round
+    count are kept per row.
+
+    For a single matrix `lll_reduce` is faster; this pays off on stacks.
+    A failure names the lowest failing row as a sample of `stage` at flow
+    time t: the round budget (BudgetExceededError), and a size-reduction
+    step that is not finite or would take U beyond int64, which
+    `lll_reduce` carries in Python ints (PrecisionError).
+    """
+    B = np.array(bases, dtype=float)
+    n, d = B.shape[0], B.shape[-1]
+    U = np.zeros(B.shape, dtype=np.int64)
+    U[:, range(d), range(d)] = 1
+    Q = np.zeros_like(B)
+    mu = np.zeros(B.shape)
+    norms2 = np.zeros((n, d))
+    valid = np.zeros(n, dtype=np.intp)  # per row: Gram-Schmidt rows < valid match B
+    k = np.ones(n, dtype=np.intp)
+
+    def dots(x, y):
+        return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+    def gram_schmidt(rows, upto):
+        for j in range(d):
+            sel = rows[(valid[rows] <= j) & (j <= upto)]
+            if not sel.size:
+                continue
+            bj = B[sel, :, j]
+            v = bj.copy()
+            for i in range(j):
+                qi = Q[sel, :, i]
+                n2 = norms2[sel, i]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    m = np.where(n2 == 0, 0.0, dots(bj, qi) / n2)
+                mu[sel, j, i] = m
+                v -= m[:, None] * qi
+            Q[sel, :, j] = v
+            norms2[sel, j] = dots(v, v)
+        valid[rows] = np.maximum(valid[rows], upto + 1)
+
+    def fail(error, rows, what):
+        raise error(f"{_failure_site(stage, int(rows.min()), t)}: {what}")
+
+    rounds = 0
+    while True:
+        live = np.nonzero(k < d)[0]
+        if not live.size:
+            return B, U
+        rounds += 1
+        if rounds > max_rounds:
+            fail(BudgetExceededError, live, "LLL failed to converge within the round budget")
+        kk = k[live]
+        gram_schmidt(live, kk)
+        for s in range(1, d):
+            rows, kr, ir = live[kk >= s], kk[kk >= s], kk[kk >= s] - s
+            r = np.rint(mu[rows, kr, ir])
+            step = r != 0
+            if not step.any():
+                continue
+            rows, kr, ir, r = rows[step], kr[step], ir[step], r[step]
+            if not np.all(np.isfinite(r)):
+                fail(PrecisionError, rows[~np.isfinite(r)], "LLL size-reduction step is not finite")
+            reach = np.abs(r) * np.abs(U[rows, :, ir]).max(axis=1) + np.abs(U[rows, :, kr]).max(axis=1)
+            if not np.all(reach < 2.0**62):
+                fail(PrecisionError, rows[reach >= 2.0**62], "LLL transform leaves int64")
+            B[rows, :, kr] -= r[:, None] * B[rows, :, ir]
+            U[rows, :, kr] -= r.astype(np.int64)[:, None] * U[rows, :, ir]
+            valid[rows] = kr
+            gram_schmidt(rows, kr)
+        # Python's float pow is the libm pow that `lll_reduce`'s numpy scalar ** 2 calls
+        musq = np.array([x**2 for x in mu[live, kk, kk - 1].tolist()])
+        lovasz = norms2[live, kk] >= (delta - musq) * norms2[live, kk - 1]
+        k[live[lovasz]] += 1
+        rows, kr = live[~lovasz], kk[~lovasz]
+        for M in (B, U):
+            tmp = M[rows, :, kr - 1]
+            M[rows, :, kr - 1] = M[rows, :, kr]
+            M[rows, :, kr] = -tmp
+        valid[rows] = kr - 1
+        k[rows] = np.maximum(kr - 1, 1)
+
+
 def _qr_positive(B: np.ndarray) -> np.ndarray:
     # mode "r" returns the R of the same factorization without forming Q
     R = np.linalg.qr(B, mode="r")
@@ -159,7 +258,8 @@ def constrained_shortest(
     B = np.asarray(B, dtype=float)
     d = B.shape[0]
     k = span_exclude
-    R = _qr_positive(B)
+    # Python floats round like numpy scalars and cost less in the walk
+    R = _qr_positive(B).tolist()
 
     best_c = None
     best2 = math.inf
@@ -185,8 +285,8 @@ def constrained_shortest(
     def enter(i: int):
         s = 0.0
         for j in range(i + 1, d):
-            s += R[i, j] * c[j]
-        mu = -s / R[i, i]
+            s += R[i][j] * c[j]
+        mu = -s / R[i][i]
         centers[i] = mu
         w = _ZigZag(mu)
         walks[i] = w
@@ -209,7 +309,7 @@ def constrained_shortest(
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError("shortest-vector search budget exceeded", nodes=nodes)
-        y = dist[i + 1] + (R[i, i] * (c[i] - centers[i])) ** 2
+        y = dist[i + 1] + (R[i][i] * (c[i] - centers[i])) ** 2
         if y <= bound:
             if i == 0:
                 if y < best2:

@@ -16,14 +16,16 @@ sample would bias the measure.
 
 `decompose_batch` is the one decomposition entry point for a batch of
 samples, whatever the signature.  For m = n = 1 (the hot loop of every
-scaling experiment) it runs the vectorized `_bulk_decompose_2x2`; every
-other signature runs the scalar `decompose` once per sample.  Its
-callers (`orbit_pushforward`, `gamma_orbit`) do the rest on whole
+scaling experiment) it runs the vectorized `_bulk_decompose_2x2`.  Every
+other signature runs the LLL of all samples as one stack
+(`fundamental._reduce_stack`), then the exact candidate search and the
+certificate sample by sample, with the bits of the scalar `decompose`.
+Its callers (`orbit_pushforward`, `gamma_orbit`) do the rest on whole
 arrays: the fiber and the regularity gate have one formula for every
 signature, and only the heights branch on d.  Both paths end in the
 one factorization certificate, `fundamental.certify_factorization`:
-the bulk path on the whole batch, `decompose` on its one sample.  A
-failure names the stage, the sample (or the base point) and t.
+the bulk path on the whole batch, the other path on each sample in
+turn.  A failure names the stage, the sample (or the base point) and t.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .core import (
     SpecialLinearMatrix,
     SplittingSignature,
     TorusPoint,
+    _mod1,
     diagonal_flow_vector,
     torus_act,
 )
@@ -50,8 +53,16 @@ from .errors import (
     PrecisionError,
     _naming_sample,
 )
-from .fundamental import RESIDUAL_TOL, _reduce_core, certify_factorization, reduce_batch_2x2, reduce_matrix, x_distance
-from .lattices import DEFAULT_BUDGET, LatticeDescriptor, _ext_gcd, shortest_vector
+from .fundamental import (
+    RESIDUAL_TOL,
+    _reduce_core,
+    _reduce_stack,
+    certify_factorization,
+    reduce_batch_2x2,
+    reduce_matrix,
+    x_distance,
+)
+from .lattices import DEFAULT_BUDGET, LatticeDescriptor, _ext_gcd, lll_reduce_batch, shortest_vector
 
 __all__ = [
     "NeighborhoodV",
@@ -122,33 +133,47 @@ def sample_V(V: NeighborhoodV, count: int, seed: int) -> np.ndarray:
     return out
 
 
-def decompose(x_rep: SpecialLinearMatrix, u, s: float, sig: SplittingSignature, budget: int = DEFAULT_BUDGET):
-    """Factor a_s phi(u) x_rep = xi . gamma; returns (xi, gamma).
-
-    gamma is exact by construction (the unimodular transform is
-    accumulated in integers), and P = xi gamma must pass the
-    factorization certificate (`fundamental.certify_factorization`), as
-    a batch of one.  P has det 1 by construction, so a basis derived
-    from it can drift from det 1 only by rounding: a determinant failure
-    in the reduction is a `PrecisionError`, like a failed certificate.
-    """
-    ub = np.atleast_2d(np.asarray(u, dtype=float))
-    if ub.shape != (sig.m, sig.n):
-        raise ValueError(f"u has shape {ub.shape}, expected ({sig.m},{sig.n})")
+def _flowed(x_rep: SpecialLinearMatrix, us: np.ndarray, s: float, sig: SplittingSignature) -> np.ndarray:
+    """P = a_s phi(u) x_rep for each u of a stack us (N, m, n), as a stack (N, d, d)."""
     d = sig.d
     if x_rep.dim != d:
         raise ValueError("signature and representative dimensions differ")
-    H = np.eye(d)
-    H[: sig.m, sig.m :] = ub
-    P = diagonal_flow_vector(s, sig)[:, None] * (H @ x_rep.entries)
+    H = np.broadcast_to(np.eye(d), (us.shape[0], d, d)).copy()
+    H[:, : sig.m, sig.m :] = us
+    return diagonal_flow_vector(s, sig)[:, None] * (H @ x_rep.entries)
+
+
+def _certified(P: np.ndarray, reduce):
+    """(xi, gamma) from reduce() = (rep_array, U) with P @ U tracking rep, certified.
+
+    P has det 1 by construction, so a basis derived from it can drift
+    from det 1 only by rounding: a determinant failure in the reduction is
+    a `PrecisionError`, like a failed certificate.
+    """
     try:
-        rep_arr, U, _, _, _ = _reduce_core(P, budget)
+        rep_arr, U = reduce()
         xi = SpecialLinearMatrix.from_entries(rep_arr)
     except DeterminantError as exc:
         raise PrecisionError(str(exc)) from exc
     gamma = U.inv().require_unimodular()
     certify_factorization(P[None], xi.entries[None], gamma.to_array()[None], None, None)
     return xi, gamma
+
+
+def decompose(x_rep: SpecialLinearMatrix, u, s: float, sig: SplittingSignature, budget: int = DEFAULT_BUDGET):
+    """Factor a_s phi(u) x_rep = xi . gamma; returns (xi, gamma).
+
+    gamma is exact by construction (the unimodular transform is
+    accumulated in integers), and P = xi gamma must pass the
+    factorization certificate (`fundamental.certify_factorization`), as
+    a batch of one.  A determinant drift of the reduced basis is a
+    `PrecisionError` too.
+    """
+    ub = np.atleast_2d(np.asarray(u, dtype=float))
+    if ub.shape != (sig.m, sig.n):
+        raise ValueError(f"u has shape {ub.shape}, expected ({sig.m},{sig.n})")
+    P = _flowed(x_rep, ub[None], s, sig)[0]
+    return _certified(P, lambda: _reduce_core(P, budget)[:2])
 
 
 def sigma(y: AffineLatticePoint, budget: int = DEFAULT_BUDGET) -> TorusPoint:
@@ -266,19 +291,23 @@ def decompose_batch(
 ):
     """Factor a_t phi(u) x_rep = xi . gamma for every row u of us.
 
-    Returns (xis (N, d, d) float, gammas (N, d, d) int64).  Signature
-    (1, 1) runs the vectorized `_bulk_decompose_2x2`; every other
-    signature runs `decompose` once per sample.  A failure names the
-    sample and t.
+    Returns (xis (N, d, d) float, gammas (N, d, d) int64), bit for bit
+    what `decompose` gives each sample.  Signature (1, 1) runs the
+    vectorized `_bulk_decompose_2x2`.  Every other signature runs the LLL
+    of all samples as one stack (`fundamental._reduce_stack`), then the
+    exact candidate search and the certificate sample by sample, in
+    order.  A failure names the sample and t; an LLL failure of any
+    sample comes before the first search.
     """
     if sig.d == 2:
         return _bulk_decompose_2x2(x_rep, us, t, budget)
-    count, d = us.shape[0], sig.d
-    xis = np.empty((count, d, d))
-    gammas = np.empty((count, d, d), dtype=np.int64)
-    for i in range(count):
+    P = _flowed(x_rep, us, t, sig)
+    reductions = _reduce_stack(P, budget, t)
+    xis = np.empty(P.shape)
+    gammas = np.empty(P.shape, dtype=np.int64)
+    for i in range(P.shape[0]):
         with _naming_sample("decompose", i, t):
-            xi, gamma = decompose(x_rep, us[i], t, sig, budget)
+            xi, gamma = _certified(P[i], lambda: next(reductions))
         xis[i] = xi.entries
         gammas[i] = gamma.to_int64()
     return xis, gammas
@@ -291,7 +320,8 @@ def _heights(xis: np.ndarray, t: float, budget: int) -> np.ndarray:
     Frobenius-minimal basis has both coefficients in {-1, 0, 1}
     (coefficient bounds via lambda_1 lambda_2 <= 2/sqrt(3)), so four
     candidates certify the minimum.  Otherwise a certified search per
-    basis, whose failure names the sample and t.
+    basis, from the LLL of all bases as one stack; a failure names the
+    sample and t.
     """
     if xis.shape[1] == 2:
         c1 = xis[:, :, 0]
@@ -299,10 +329,11 @@ def _heights(xis: np.ndarray, t: float, budget: int) -> np.ndarray:
         cands = np.stack([c1, c2, c1 + c2, c1 - c2], axis=1)
         sup = np.abs(cands).max(axis=2)
         return 1.0 / sup.min(axis=1)
+    B, U = lll_reduce_batch(xis, stage="height", t=t)
     heights = np.empty(xis.shape[0])
     for i, xi in enumerate(xis):
         # xi passed decompose's checks, so it needs no second validation
-        lattice = LatticeDescriptor(SpecialLinearMatrix(xi))
+        lattice = LatticeDescriptor(SpecialLinearMatrix(xi), _reduced=(B[i], U[i].tolist()))
         with _naming_sample("height", i, t):
             heights[i] = 1.0 / shortest_vector(lattice, "sup", budget)[1]
     return heights
@@ -354,7 +385,7 @@ def orbit_pushforward(
         nums, coords = _rational_fiber(gammas, [int(c * q) for c in b_start.coords], q)
     else:
         nums = None
-        coords = (gammas.astype(float) @ b_start.as_floats()) % 1.0
+        coords = _mod1(gammas.astype(float) @ b_start.as_floats())
     weights = np.full(count, 1.0 / count)
     weights[-1] = 1.0 - weights[:-1].sum()
     return EmpiricalTorusMeasure(

@@ -281,3 +281,15 @@ def test_serialization_round_trip():
     assert torus_from_json(torus_to_json(b)).coords == b.coords
     f = TorusPoint.from_values([0.125, 0.7])
     assert torus_from_json(torus_to_json(f)).coords == f.coords
+
+
+def test_renormalized_stack_keeps_the_entries_from_entries_keeps():
+    rng = np.random.default_rng(12)
+    stack = np.array([random_sl(rng, 3, 2.0).entries for _ in range(40)])
+    # no drift, drift below the renormalization threshold, and drift above it
+    stack[::3, :, 0] *= 1.0 + 1e-10
+    stack[1::3, :, 0] *= 1.0 + 1e-13
+    out = core._renormalized(stack)
+    for row, basis in zip(out, stack):
+        assert row.tobytes() == SpecialLinearMatrix.from_entries(basis).entries.tobytes()
+    assert not np.array_equal(out[0], stack[0]) and np.array_equal(out[1], stack[1])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from horolattice import fundamental
-from horolattice.core import IntegerMatrix, SpecialLinearMatrix
+from horolattice.core import IntegerMatrix, SpecialLinearMatrix, SplittingSignature, diagonal_flow_vector
 from horolattice.errors import BudgetExceededError
 from horolattice.fundamental import (
     F_value,
@@ -16,7 +16,7 @@ from horolattice.fundamental import (
     x_distance,
     _lex_key,
 )
-from horolattice.lattices import LatticeDescriptor, enumerate_ball, successive_minima
+from horolattice.lattices import DEFAULT_BUDGET, LatticeDescriptor, enumerate_ball, lll_reduce, successive_minima
 
 
 def sl2z_box(X):
@@ -413,3 +413,43 @@ def test_distances():
     assert x_distance(reduce_matrix(moved).rep, reduce_matrix(np.eye(2)).rep, 0.5) == pytest.approx(
         0.01, abs=1e-9
     )
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def test_stacked_scoring_matches_per_candidate_bytes():
+    # the search scores each round's candidates as one stack; the
+    # per-candidate products and F-values are the reference
+    rng = np.random.default_rng(31)
+    scored = 0
+    bases = [lll_reduce(P)[0] for P in _flow_orbit(6.0, rng.uniform(-0.5, 0.5, 10))]
+    for m, n, t in ((1, 2, 4.0), (2, 1, 3.0), (1, 2, 8.0)):
+        sig = SplittingSignature(m, n)
+        for _ in range(10):
+            H = np.eye(3)
+            H[:m, m:] = rng.uniform(-0.5, 0.5, (m, n))
+            P = diagonal_flow_vector(t, sig)[:, None] * H
+            dual_seed = fundamental._inv_unimodular(lll_reduce(fundamental._inv_unimodular(P).T)[0]).T
+            bases += [lll_reduce(P)[0], dual_seed]  # C order, and the scalar path's transposed view
+    for B in bases:
+        d = B.shape[0]
+        minima = [x * x for x in successive_minima(LatticeDescriptor.from_matrix(B))]
+        boundsq = 2.0 * fundamental._f_of_array(B) ** 2 + 1.0
+        if d == 2:
+            cs = fundamental._candidates_2d(B, boundsq, minima[0], DEFAULT_BUDGET)
+        else:
+            cs = fundamental._candidates_3d(B, boundsq, minima, DEFAULT_BUDGET)
+        hs, fs = fundamental._score(B, cs)
+        assert hs.shape == (len(cs), d, d)
+        for C, h, f in zip(cs, hs, fs):
+            ref = B @ np.array(C, dtype=float)
+            assert h.tobytes() == ref.tobytes()
+            assert _bits(f) == _bits(fundamental._f_of_array(ref))
+        scored += len(cs)
+    assert scored > 1000
+    # the seed choice scores a stack of transposed views the same way
+    seeds = fundamental._inv_unimodular(np.array(bases[10::2])).transpose(0, 2, 1)
+    assert _bits(fundamental._f_of_stack(seeds)) == _bits([fundamental._f_of_array(s) for s in seeds])
+    assert fundamental._score(bases[0], [])[0].shape == (0, 2, 2)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horolattice.core import SplittingSignature, diagonal_flow_vector
-from horolattice.errors import BudgetExceededError
+from horolattice.errors import BudgetExceededError, PrecisionError
 from horolattice.lattices import (
     LatticeDescriptor,
     RadialStepFunction,
@@ -15,6 +15,7 @@ from horolattice.lattices import (
     enumerate_ball,
     height,
     lll_reduce,
+    lll_reduce_batch,
     shortest_vector,
     siegel_transform,
     successive_minima,
@@ -304,3 +305,45 @@ def test_lll_matches_full_recompute_bit_for_bit():
         assert B.tobytes() == B_ref.tobytes()
         reduced += U != [[1 if i == j else 0 for j in range(len(U))] for i in range(len(U))]
     assert reduced > len(bases) // 2  # most inputs do real reduction work
+
+
+def _flowed_stack(m, n, t, count, rng):
+    """a_t phi(u) for count uniform draws of u, as one stack."""
+    sig = SplittingSignature(m, n)
+    H = np.broadcast_to(np.eye(sig.d), (count, sig.d, sig.d)).copy()
+    H[:, :m, m:] = rng.uniform(-0.5, 0.5, (count, m, n))
+    return diagonal_flow_vector(t, sig)[:, None] * H
+
+
+def _assert_batch_matches_scalar(stack):
+    B, U = lll_reduce_batch(stack)
+    assert B.shape == stack.shape and U.dtype == np.int64
+    for i, basis in enumerate(stack):
+        B_ref, U_ref = lll_reduce(basis)
+        assert B[i].tobytes() == B_ref.tobytes(), i
+        assert U[i].tolist() == U_ref, i
+
+
+def test_lll_batch_matches_scalar_bit_for_bit():
+    # the scalar LLL is the reference, row by row
+    rng = np.random.default_rng(22)
+    flowed = list(_flowed_bases())
+    for d in (2, 3):
+        _assert_batch_matches_scalar(np.array([b for b in flowed if b.shape[0] == d]))
+    for d in (2, 3, 4):
+        for spread in (0.5, 2.0, 5.0):
+            _assert_batch_matches_scalar(np.array([random_basis(rng, d, spread) for _ in range(40)]))
+    _assert_batch_matches_scalar(random_basis(rng, 3, 2.0)[None])
+    # at the (1, 2) and (2, 1) caps, where the reduction takes the most rounds
+    _assert_batch_matches_scalar(_flowed_stack(1, 2, 8.0, 10_000, rng))
+    _assert_batch_matches_scalar(_flowed_stack(2, 1, 5.0, 10_000, rng))
+
+
+def test_lll_batch_precision_failures_name_the_lowest_failing_row():
+    # a transform entry beyond int64, which the scalar LLL carries in Python ints
+    huge = np.array([np.eye(2), [[1.0, 2.0**70], [0.0, 1.0]]])
+    assert lll_reduce(huge[1])[1][0][1] == -(2**70)
+    with pytest.raises(PrecisionError, match=r"^height of sample 1 at t = 2: LLL transform leaves int64"):
+        lll_reduce_batch(huge, stage="height", t=2.0)
+    with pytest.raises(PrecisionError, match=r"^LLL of sample 0: LLL size-reduction step is not finite"):
+        lll_reduce_batch(np.array([[[1.0, np.nan], [0.0, 1.0]]]))

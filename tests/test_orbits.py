@@ -1,3 +1,4 @@
+import functools
 import math
 import traceback
 
@@ -6,6 +7,7 @@ import pytest
 
 from horolattice.core import (
     AffineLatticePoint,
+    IntegerMatrix,
     SpecialLinearMatrix,
     SplittingSignature,
     TorusPoint,
@@ -19,13 +21,15 @@ from horolattice.errors import (
     EmptyLocalizationError,
     PrecisionError,
 )
+from horolattice import fundamental, orbits
 from horolattice.fundamental import reduce_batch_2x2, reduce_matrix
 from horolattice.harness import decay_fit
-from horolattice.lattices import DEFAULT_BUDGET, LatticeDescriptor, shortest_vector
+from horolattice.lattices import DEFAULT_BUDGET, LatticeDescriptor, lll_reduce, lll_reduce_batch, shortest_vector
 from horolattice.orbits import (
     EmpiricalTorusMeasure,
     NeighborhoodV,
     decompose,
+    decompose_batch,
     gamma_orbit,
     localized_measure,
     orbit_pushforward,
@@ -219,6 +223,35 @@ def test_scalar_path_errors_name_stage_sample_and_t():
         orbit_pushforward(y0, 6.5, V21, 20, seed=0)
 
 
+def _lll_converges(basis, max_rounds):
+    try:
+        lll_reduce(basis, max_rounds=max_rounds)
+    except BudgetExceededError:
+        return False
+    return True
+
+
+def test_batched_lll_errors_name_the_sample_and_t(monkeypatch):
+    sig = SplittingSignature(1, 2)
+    x = SpecialLinearMatrix.from_entries(np.eye(3))
+    us = sample_V(NeighborhoodV(sig), 20, seed=0)
+    # the round budget: the batch names the first sample whose scalar LLL runs out
+    P = orbits._flowed(x, us, 4.0, sig)
+    rounds = [next(r for r in range(1, 100) if _lll_converges(p, r)) for p in P]
+    budget = sorted(rounds)[len(rounds) // 2]
+    first = next(i for i, r in enumerate(rounds) if r > budget)
+    monkeypatch.setattr(fundamental, "lll_reduce_batch", functools.partial(lll_reduce_batch, max_rounds=budget))
+    with pytest.raises(BudgetExceededError) as info:
+        decompose_batch(x, us, 4.0, sig)
+    assert str(info.value) == f"decompose of sample {first} at t = 4: LLL failed to converge within the round budget"
+    monkeypatch.undo()
+    # a transform beyond int64 is a precision failure, never a wrapped integer
+    shear = np.eye(3)
+    shear[0, 1] = 2.0**70
+    with pytest.raises(PrecisionError, match=r"^decompose of sample 0 at t = 1: LLL transform leaves int64"):
+        decompose_batch(SpecialLinearMatrix.from_entries(shear), us, 1.0, sig)
+
+
 def test_bulk_residual_error_names_the_sample_and_t():
     y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(2)), TorusPoint.from_values(["0", "0"]))
     with pytest.raises(PrecisionError, match=r"^decompose of sample 14 at t = 25: reconstruction residual "):
@@ -277,24 +310,46 @@ def _per_sample_orbit(y0, t, sig, count, seed, budget=DEFAULT_BUDGET):
     return us, coords, nums, gammas, xis, heights
 
 
+def _off_identity():
+    """A fixed non-integral base matrix, its first column scaled to det 1."""
+    M = np.array([[1.3, 0.4, -0.2], [0.1, 0.9, 0.5], [-0.3, 0.2, 1.1]])
+    M[:, 0] /= np.linalg.det(M)
+    return M
+
+
+S12, S21 = SplittingSignature(1, 2), SplittingSignature(2, 1)
+
+
 @pytest.mark.parametrize(
-    "sig, b0",
+    "sig, b0, t, linear",
     [
-        (SplittingSignature(1, 2), [0.11, 0.5, 0.77]),
-        (SplittingSignature(2, 1), [0.11, 0.5, 0.77]),
-        (SplittingSignature(1, 2), ["1/3", "2/3", "1/5"]),
-        (SplittingSignature(2, 1), ["1/3", "2/3", "1/5"]),
+        (S12, [0.11, 0.5, 0.77], 3.0, None),
+        (S21, [0.11, 0.5, 0.77], 3.0, None),
+        (S12, ["1/3", "2/3", "1/5"], 3.0, None),
+        (S21, ["1/3", "2/3", "1/5"], 3.0, None),
         # q = 2 * 10^16 > 2^53: each coordinate is the correctly rounded n / q
-        (SplittingSignature(2, 1), ["0.41421356237309515", "0.7320508075688772", "0.1"]),
-        (SIG, [0.11, 0.5]),
-        (SIG, ["1/3", "2/3"]),
+        (S21, ["0.41421356237309515", "0.7320508075688772", "0.1"], 3.0, None),
+        # at the caps of PRECISION_CAPS, where the reductions work hardest
+        (S12, [0.11, 0.5, 0.77], 8.0, None),
+        (S21, ["1/3", "2/3", "1/5"], 5.0, None),
+        (S12, [0.11, 0.5, 0.77], 4.0, _off_identity()),
+        (S21, ["1/3", "2/3", "1/5"], 3.0, _off_identity()),
+        # d = 4 has no candidate search: the LLL seed is the representative
+        (SplittingSignature(2, 2), [0.11, 0.5, 0.77, 0.3], 1.0, None),
+        # (1, 1) at t = 8 sends samples through the batch reduction's scalar fallback
+        (SIG, [0.11, 0.5], 8.0, None),
+        (SIG, ["1/3", "2/3"], 8.0, None),
     ],
-    ids=["12-float", "21-float", "12-rational", "21-rational", "21-decimal-strings", "11-float", "11-rational"],
+    ids=[
+        "12-float", "21-float", "12-rational", "21-rational", "21-decimal-strings", "12-float-t8",
+        "21-rational-t5", "12-float-off-identity", "21-rational-off-identity", "22-float",
+        "11-float", "11-rational",
+    ],
 )
-def test_decompose_batch_matches_per_sample_reference(sig, b0):
-    y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(sig.d)), TorusPoint.from_values(b0))
-    # (1, 1) at t = 8 sends samples through the batch reduction's scalar fallback
-    t, count = (8.0, 400) if sig == SIG else (3.0, 60)
+def test_decompose_batch_matches_per_sample_reference(sig, b0, t, linear):
+    linear = np.eye(sig.d) if linear is None else linear
+    y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(linear), TorusPoint.from_values(b0))
+    count = 400 if sig == SIG else 60
     nu = orbit_pushforward(y0, t, NeighborhoodV(sig), count, seed=3)
     assert nu.size == count
     assert nu.heights.min() >= 1.0 - 1e-9
@@ -312,6 +367,41 @@ def test_decompose_batch_matches_per_sample_reference(sig, b0):
             assert a is None, name
         else:
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def test_stacked_lll_gives_the_scalar_minima(monkeypatch):
+    # the batch hands each sample's search the LLL of its validated bases;
+    # the minima from them are the scalar path's, bit for bit
+    real = fundamental._minima_sq_of
+    ready = []
+
+    def spy(B, budget, reduced=None):
+        got = real(B, budget, reduced)
+        assert np.array(got).tobytes() == np.array(real(B, budget)).tobytes()
+        ready.append(reduced is not None)
+        return got
+
+    monkeypatch.setattr(fundamental, "_minima_sq_of", spy)
+    b = TorusPoint.from_values([0.1, 0.2, 0.3])
+    for sig, t, linear in ((S12, 8.0, np.eye(3)), (S21, 5.0, np.eye(3)), (S12, 4.0, _off_identity())):
+        orbit_pushforward(AffineLatticePoint(SpecialLinearMatrix.from_entries(linear), b), t, NeighborhoodV(sig), 200, seed=4)
+    assert ready.count(True) == 3 * 2 * 200 and ready.count(False) == 3 * 2  # the base points
+
+
+def test_float_fibers_wrap_into_the_unit_interval():
+    # x % 1.0 is 1.0 for a tiny negative x; that point is 0 on the torus
+    assert TorusPoint.from_values([-1e-17]).coords == (0.0,)
+    assert TorusPoint.from_values([0.25, -0.25]).coords == (0.25, 0.75)
+    b = TorusPoint.from_values((0.1, 0.2, 0.3))
+    assert torus_act(IntegerMatrix.from_rows([[-7, 2, 1], [0, 1, 0], [0, 0, 1]]), b).coords == (0.0, 0.2, 0.3)
+    # this orbit raised "coordinates must be normalized into [0, 1)" at row 696
+    y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(3)), b)
+    nu = orbit_pushforward(y0, 2.0, NeighborhoodV(SplittingSignature(2, 1)), 1000, seed=2)
+    assert nu.coords.max() < 1.0
+    b_start = torus_act(reduce_matrix(y0.linear).gamma, b)
+    raw = (nu.gammas.astype(float) @ b_start.as_floats()) % 1.0
+    assert np.array_equal(nu.coords, np.where(raw == 1.0, 0.0, raw))
+    assert np.nonzero(raw == 1.0)[0].tolist() == [696]
 
 
 def test_orbit_sample_accessor():

@@ -149,13 +149,11 @@ class SpecialLinearMatrix:
         d = a.shape[0]
         if d < 2:
             raise DimensionMismatchError("dimension must be at least 2")
-        det = float(np.linalg.det(a))
         scale = float(np.abs(a).max())
+        a, det = _renormalized(a)
+        det = float(det)
         if abs(det - 1.0) > _det_tolerance(scale, d):
             raise DeterminantError(f"determinant {det!r} is not 1 within tolerance")
-        if abs(det - 1.0) > DET_RENORM_TOL:
-            a = a.copy()
-            a[:, 0] /= det
         a.setflags(write=False)
         return cls(a)
 
@@ -184,18 +182,21 @@ class SpecialLinearMatrix:
         return f"SpecialLinearMatrix({self.entries.tolist()!r})"
 
 
-def _renormalized(stack: np.ndarray) -> np.ndarray:
-    """The entries `SpecialLinearMatrix.from_entries` keeps, for each matrix of a stack.
+def _renormalized(a: np.ndarray):
+    """(entries, det) of a matrix, or of each matrix of a stack (N, d, d).
 
-    The same determinant and the same rescaling of the first column, row
-    by row; the checks stay with `from_entries`, so a row it rejects comes
-    back rescaled or not, but is never used.
+    det is the determinant; the entries are a copy of the matrix with its
+    first column divided by det where det drifts from 1 by more than
+    DET_RENORM_TOL (a division by 1.0 elsewhere, which is exact).  The one
+    renormalization rule: `SpecialLinearMatrix.from_entries` keeps these
+    entries, after checking the determinant.
     """
-    dets = np.linalg.det(stack)
-    out = np.array(stack, dtype=float)
-    drift = np.abs(dets - 1.0) > DET_RENORM_TOL
-    out[drift, :, 0] /= dets[drift, None]
-    return out
+    det = np.linalg.det(a)
+    out = np.array(a, dtype=float)
+    drift = abs(det - 1.0) > DET_RENORM_TOL
+    if drift.any():
+        out[..., 0] /= np.where(drift, det, 1.0)[..., None]
+    return out, det
 
 
 def _int_adjugate(rows: Sequence[Sequence[int]]) -> tuple:

@@ -40,11 +40,12 @@ reproducible bit for bit.
 
 The choice between a single matrix and a stack follows the input.  A
 single matrix (`reduce_matrix`, the d = 2 fallback) runs `_reduce_core`
-with the scalar `lll_reduce`.  A stack of samples of any d other than 2
-(`orbits.decompose_batch`) runs `_reduce_stack`: every LLL of the seed
-and of the successive minima once over the whole stack, through
-`lattices.lll_reduce_batch`, with each row's bits those of `lll_reduce`,
-and then the search sample by sample.
+with the scalar `lll_reduce`.  For a stack of samples of any d other
+than 2 (`orbits.decompose_batch`), `_search_starts` runs every LLL of
+the seed and of the successive minima once over the whole stack,
+through `lattices.lll_reduce_batch`, with each row's bits those of
+`lll_reduce`; then `_reduce_core` runs the search sample by sample from
+those starts.
 
 A vectorized fast path `reduce_batch_2x2` reduces a whole batch of
 d = 2 matrices.  Its one caller is the signature (1, 1) branch of
@@ -396,65 +397,60 @@ def _lex_key(h: np.ndarray):
     return tuple(map(round, (h.ravel() / LEX_GRID).tolist()))
 
 
-def _reduce_core(arr: np.ndarray, budget: int = DEFAULT_BUDGET):
+def _reduce_core(arr: np.ndarray, budget: int = DEFAULT_BUDGET, start: Optional[tuple] = None):
     """Reduce a raw unimodular array.
 
     Returns (rep_array, U IntegerMatrix with arr @ U tracking rep,
-    fvalue, certificate, certified).
+    fvalue, certificate, certified).  `start`, if given, is arr's item
+    of `_search_starts`: the seed, its LLL done ahead for a whole stack.
     """
-    arr = np.asarray(arr, dtype=float)
-    d = arr.shape[0]
-    B0, U0_rows = lll_reduce(arr)
-    best_B, best_U = B0, IntegerMatrix.from_rows(U0_rows)
-    if d == 3:
-        Bd, Ud_rows = lll_reduce(_inv_unimodular(arr).T)
-        seed_B = _inv_unimodular(Bd).T
-        if _f_of_array(seed_B) < _f_of_array(best_B):
-            best_B, best_U = seed_B, IntegerMatrix.from_rows(Ud_rows).inv().transpose()
-    if d not in (2, 3):
+    if start is None:
+        arr = np.asarray(arr, dtype=float)
+        B0, U0_rows = lll_reduce(arr)
+        start = (B0, IntegerMatrix.from_rows(U0_rows), (None, None))
+        if arr.shape[0] == 3:
+            Bd, Ud_rows = lll_reduce(_inv_unimodular(arr).T)
+            seed_B = _inv_unimodular(Bd).T
+            if _f_of_array(seed_B) < _f_of_array(B0):
+                start = (seed_B, IntegerMatrix.from_rows(Ud_rows).inv().transpose(), (None, None))
+    best_B, best_U, reduced = start
+    if best_B.shape[0] not in (2, 3):
         return best_B, best_U, _f_of_array(best_B), 0.0, False
-    return _search(best_B, best_U, budget)
+    return _search(best_B, best_U, budget, reduced)
 
 
-def _reduce_stack(P: np.ndarray, budget: int, t: Optional[float]):
-    """`_reduce_core` of each matrix of a stack P (N, d, d), its LLL batched.
+def _search_starts(P: np.ndarray, t: Optional[float]):
+    """The `start` of `_reduce_core` for each matrix of a stack P (N, d, d), d != 2.
 
     Every LLL of the scalar path runs once over the whole stack, through
     `lll_reduce_batch`, which gives each row the bits of `lll_reduce`: on
-    P, on its duals, and on both sides of the chosen seed bases, whose
-    reductions reach `_minima_sq_of` ready-made.  A dual seed is the same
-    transposed view as on the scalar path, since an F-value sums in memory
-    order.  An LLL failure names the lowest failing sample and t.
+    P and, for d = 3, on its duals and on both sides of the chosen seed
+    bases, whose reductions reach `_minima_sq_of` ready-made.  A dual
+    seed is the same transposed view as on the scalar path, since an
+    F-value sums in memory order.  An LLL failure names the lowest failing
+    sample and t.
 
     Returns an iterator over the samples in order, yielding each one's
-    (rep_array, U IntegerMatrix).  The exact candidate search of sample i
-    runs when the caller asks for sample i, so its failure surfaces there.
+    (seed basis, U IntegerMatrix, reductions).
     """
-    d = P.shape[-1]
     B0, U0 = lll_reduce_batch(P, stage="decompose", t=t)
-    seed_B, dual_wins = B0, np.zeros(P.shape[0], dtype=bool)
-    if d == 3:
-        Bd, Ud = lll_reduce_batch(_inv_unimodular(P).transpose(0, 2, 1), stage="decompose", t=t)
-        seed_B = _inv_unimodular(Bd).transpose(0, 2, 1)
-        dual_wins = _f_of_stack(seed_B) < _f_of_stack(B0)
-    if d in (2, 3):
-        chosen = np.where(dual_wins[:, None, None], seed_B, B0)
-        prim = lll_reduce_batch(_renormalized(chosen), stage="decompose", t=t)
-        dual = lll_reduce_batch(
-            _renormalized(_inv_unimodular(chosen).transpose(0, 2, 1)), stage="decompose", t=t
-        )
+    if P.shape[-1] != 3:
+        return ((B0[i], IntegerMatrix.from_rows(U0[i].tolist()), (None, None)) for i in range(P.shape[0]))
+    Bd, Ud = lll_reduce_batch(_inv_unimodular(P).transpose(0, 2, 1), stage="decompose", t=t)
+    seed_B = _inv_unimodular(Bd).transpose(0, 2, 1)
+    dual_wins = _f_of_stack(seed_B) < _f_of_stack(B0)
+    chosen = np.where(dual_wins[:, None, None], seed_B, B0)
+    prim = lll_reduce_batch(_renormalized(chosen)[0], stage="decompose", t=t)
+    dual = lll_reduce_batch(_renormalized(_inv_unimodular(chosen).transpose(0, 2, 1))[0], stage="decompose", t=t)
 
-    def reduce_sample(i):
+    def start(i):
         if dual_wins[i]:
             best_B, best_U = seed_B[i], IntegerMatrix.from_rows(Ud[i].tolist()).inv().transpose()
         else:
             best_B, best_U = B0[i], IntegerMatrix.from_rows(U0[i].tolist())
-        if d not in (2, 3):
-            return best_B, best_U
-        reduced = ((prim[0][i], prim[1][i].tolist()), (dual[0][i], dual[1][i].tolist()))
-        return _search(best_B, best_U, budget, reduced)[:2]
+        return best_B, best_U, ((prim[0][i], prim[1][i].tolist()), (dual[0][i], dual[1][i].tolist()))
 
-    return map(reduce_sample, range(P.shape[0]))
+    return map(start, range(P.shape[0]))
 
 
 def _score(best_B: np.ndarray, cs: list):
@@ -467,12 +463,12 @@ def _score(best_B: np.ndarray, cs: list):
     return hs, _f_of_stack(hs)
 
 
-def _search(best_B: np.ndarray, best_U: IntegerMatrix, budget: int, reduced: tuple = (None, None)):
+def _search(best_B: np.ndarray, best_U: IntegerMatrix, budget: int, reduced: tuple):
     """`_reduce_core`'s exact candidate search from its seed basis, for d in {2, 3}.
 
     Runs until no candidate lowers F, then breaks ties lexicographically.
-    `reduced` may carry the LLL reductions of the primal and the dual
-    lattice of the seed, for `_minima_sq_of`.
+    `reduced` holds the LLL reductions of the primal and the dual lattice
+    of the seed for `_minima_sq_of`, each None where it is not yet done.
     """
     d = best_B.shape[0]
     # Successive minima are coset data; compute once per side.

@@ -50,9 +50,10 @@ __all__ = [
 DEFAULT_BUDGET = 10_000_000
 
 _LLL_DELTA = 0.99
+_LLL_MAX_ROUNDS = 10_000
 
 
-def lll_reduce(basis: np.ndarray, delta: float = _LLL_DELTA, max_rounds: int = 10_000):
+def lll_reduce(basis: np.ndarray, delta: float = _LLL_DELTA, max_rounds: int = _LLL_MAX_ROUNDS):
     """Column LLL reduction with exact integer transform.
 
     Returns (B, U): B is the reduced float basis maintained incrementally
@@ -116,13 +117,7 @@ def lll_reduce(basis: np.ndarray, delta: float = _LLL_DELTA, max_rounds: int = 1
     return B, U
 
 
-def lll_reduce_batch(
-    bases: np.ndarray,
-    delta: float = _LLL_DELTA,
-    max_rounds: int = 10_000,
-    stage: str = "LLL",
-    t: Optional[float] = None,
-):
+def lll_reduce_batch(bases: np.ndarray, stage: str = "LLL", t: Optional[float] = None):
     """`lll_reduce` of every basis of a stack (N, d, d), all rows at once.
 
     Returns (B, U): the reduced bases and the unimodular transforms as an
@@ -137,9 +132,9 @@ def lll_reduce_batch(
 
     For a single matrix `lll_reduce` is faster; this pays off on stacks.
     A failure names the lowest failing row as a sample of `stage` at flow
-    time t: the round budget (BudgetExceededError), and a size-reduction
-    step that is not finite or would take U beyond int64, which
-    `lll_reduce` carries in Python ints (PrecisionError).
+    time t: the round budget `_LLL_MAX_ROUNDS` (BudgetExceededError), and
+    a size-reduction step that is not finite or would take U beyond int64,
+    which `lll_reduce` carries in Python ints (PrecisionError).
     """
     B = np.array(bases, dtype=float)
     n, d = B.shape[0], B.shape[-1]
@@ -181,7 +176,7 @@ def lll_reduce_batch(
         if not live.size:
             return B, U
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > _LLL_MAX_ROUNDS:
             fail(BudgetExceededError, live, "LLL failed to converge within the round budget")
         kk = k[live]
         gram_schmidt(live, kk)
@@ -203,7 +198,7 @@ def lll_reduce_batch(
             gram_schmidt(rows, kr)
         # Python's float pow is the libm pow that `lll_reduce`'s numpy scalar ** 2 calls
         musq = np.array([x**2 for x in mu[live, kk, kk - 1].tolist()])
-        lovasz = norms2[live, kk] >= (delta - musq) * norms2[live, kk - 1]
+        lovasz = norms2[live, kk] >= (_LLL_DELTA - musq) * norms2[live, kk - 1]
         k[live[lovasz]] += 1
         rows, kr = live[~lovasz], kk[~lovasz]
         for M in (B, U):

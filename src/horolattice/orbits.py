@@ -18,8 +18,9 @@ sample would bias the measure.
 samples, whatever the signature.  For m = n = 1 (the hot loop of every
 scaling experiment) it runs the vectorized `_bulk_decompose_2x2`.  Every
 other signature runs the LLL of all samples as one stack
-(`fundamental._reduce_stack`), then the exact candidate search and the
-certificate sample by sample, with the bits of the scalar `decompose`.
+(`fundamental._search_starts`), then `decompose` sample by sample from
+those starts: the exact candidate search and the certificate, with the
+bits of the scalar path.
 Its callers (`orbit_pushforward`, `gamma_orbit`) do the rest on whole
 arrays: the fiber and the regularity gate have one formula for every
 signature, and only the heights branch on d.  Both paths end in the
@@ -56,7 +57,7 @@ from .errors import (
 from .fundamental import (
     RESIDUAL_TOL,
     _reduce_core,
-    _reduce_stack,
+    _search_starts,
     certify_factorization,
     reduce_batch_2x2,
     reduce_matrix,
@@ -143,37 +144,37 @@ def _flowed(x_rep: SpecialLinearMatrix, us: np.ndarray, s: float, sig: Splitting
     return diagonal_flow_vector(s, sig)[:, None] * (H @ x_rep.entries)
 
 
-def _certified(P: np.ndarray, reduce):
-    """(xi, gamma) from reduce() = (rep_array, U) with P @ U tracking rep, certified.
+def decompose(
+    x_rep: SpecialLinearMatrix,
+    u,
+    s: float,
+    sig: SplittingSignature,
+    budget: int = DEFAULT_BUDGET,
+    start: Optional[tuple] = None,
+):
+    """Factor a_s phi(u) x_rep = xi . gamma; returns (xi, gamma).
 
-    P has det 1 by construction, so a basis derived from it can drift
-    from det 1 only by rounding: a determinant failure in the reduction is
-    a `PrecisionError`, like a failed certificate.
+    gamma is exact by construction (the unimodular transform is
+    accumulated in integers), and P = xi gamma must pass the
+    factorization certificate (`fundamental.certify_factorization`), as
+    a batch of one.  P has det 1 by construction, so a basis derived
+    from it can drift from det 1 only by rounding: a determinant failure
+    in the reduction is a `PrecisionError`, like a failed certificate.
+    `start`, if given, is this sample's item of
+    `fundamental._search_starts`, whose LLL ran ahead over a stack.
     """
+    ub = np.atleast_2d(np.asarray(u, dtype=float))
+    if ub.shape != (sig.m, sig.n):
+        raise ValueError(f"u has shape {ub.shape}, expected ({sig.m},{sig.n})")
+    P = _flowed(x_rep, ub[None], s, sig)[0]
     try:
-        rep_arr, U = reduce()
+        rep_arr, U, _, _, _ = _reduce_core(P, budget, start)
         xi = SpecialLinearMatrix.from_entries(rep_arr)
     except DeterminantError as exc:
         raise PrecisionError(str(exc)) from exc
     gamma = U.inv().require_unimodular()
     certify_factorization(P[None], xi.entries[None], gamma.to_array()[None], None, None)
     return xi, gamma
-
-
-def decompose(x_rep: SpecialLinearMatrix, u, s: float, sig: SplittingSignature, budget: int = DEFAULT_BUDGET):
-    """Factor a_s phi(u) x_rep = xi . gamma; returns (xi, gamma).
-
-    gamma is exact by construction (the unimodular transform is
-    accumulated in integers), and P = xi gamma must pass the
-    factorization certificate (`fundamental.certify_factorization`), as
-    a batch of one.  A determinant drift of the reduced basis is a
-    `PrecisionError` too.
-    """
-    ub = np.atleast_2d(np.asarray(u, dtype=float))
-    if ub.shape != (sig.m, sig.n):
-        raise ValueError(f"u has shape {ub.shape}, expected ({sig.m},{sig.n})")
-    P = _flowed(x_rep, ub[None], s, sig)[0]
-    return _certified(P, lambda: _reduce_core(P, budget)[:2])
 
 
 def sigma(y: AffineLatticePoint, budget: int = DEFAULT_BUDGET) -> TorusPoint:
@@ -294,20 +295,20 @@ def decompose_batch(
     Returns (xis (N, d, d) float, gammas (N, d, d) int64), bit for bit
     what `decompose` gives each sample.  Signature (1, 1) runs the
     vectorized `_bulk_decompose_2x2`.  Every other signature runs the LLL
-    of all samples as one stack (`fundamental._reduce_stack`), then the
-    exact candidate search and the certificate sample by sample, in
-    order.  A failure names the sample and t; an LLL failure of any
-    sample comes before the first search.
+    of all samples as one stack (`fundamental._search_starts`), then
+    `decompose` sample by sample from those starts, in order.  A failure
+    names the sample and t; an LLL failure of any sample comes before the
+    first search.
     """
     if sig.d == 2:
         return _bulk_decompose_2x2(x_rep, us, t, budget)
-    P = _flowed(x_rep, us, t, sig)
-    reductions = _reduce_stack(P, budget, t)
-    xis = np.empty(P.shape)
-    gammas = np.empty(P.shape, dtype=np.int64)
-    for i in range(P.shape[0]):
+    starts = _search_starts(_flowed(x_rep, us, t, sig), t)
+    count, d = us.shape[0], sig.d
+    xis = np.empty((count, d, d))
+    gammas = np.empty((count, d, d), dtype=np.int64)
+    for i in range(count):
         with _naming_sample("decompose", i, t):
-            xi, gamma = _certified(P[i], lambda: next(reductions))
+            xi, gamma = decompose(x_rep, us[i], t, sig, budget, next(starts))
         xis[i] = xi.entries
         gammas[i] = gamma.to_int64()
     return xis, gammas

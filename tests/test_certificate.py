@@ -125,8 +125,8 @@ def sheared(rep, delta, i, j):
 
 
 def corrupting(real_core, delta, i, j):
-    def core(arr, budget):
-        rep, *rest = real_core(arr, budget)
+    def core(arr, budget, start=None):
+        rep, *rest = real_core(arr, budget, start)
         return (sheared(rep, delta, i, j), *rest)
 
     return core

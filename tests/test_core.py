@@ -289,7 +289,7 @@ def test_renormalized_stack_keeps_the_entries_from_entries_keeps():
     # no drift, drift below the renormalization threshold, and drift above it
     stack[::3, :, 0] *= 1.0 + 1e-10
     stack[1::3, :, 0] *= 1.0 + 1e-13
-    out = core._renormalized(stack)
+    out, _ = core._renormalized(stack)
     for row, basis in zip(out, stack):
         assert row.tobytes() == SpecialLinearMatrix.from_entries(basis).entries.tobytes()
     assert not np.array_equal(out[0], stack[0]) and np.array_equal(out[1], stack[1])

@@ -1,4 +1,3 @@
-import functools
 import math
 import traceback
 
@@ -21,10 +20,10 @@ from horolattice.errors import (
     EmptyLocalizationError,
     PrecisionError,
 )
-from horolattice import fundamental, orbits
+from horolattice import fundamental, lattices, orbits
 from horolattice.fundamental import reduce_batch_2x2, reduce_matrix
 from horolattice.harness import decay_fit
-from horolattice.lattices import DEFAULT_BUDGET, LatticeDescriptor, lll_reduce, lll_reduce_batch, shortest_vector
+from horolattice.lattices import DEFAULT_BUDGET, LatticeDescriptor, lll_reduce, shortest_vector
 from horolattice.orbits import (
     EmpiricalTorusMeasure,
     NeighborhoodV,
@@ -240,7 +239,7 @@ def test_batched_lll_errors_name_the_sample_and_t(monkeypatch):
     rounds = [next(r for r in range(1, 100) if _lll_converges(p, r)) for p in P]
     budget = sorted(rounds)[len(rounds) // 2]
     first = next(i for i, r in enumerate(rounds) if r > budget)
-    monkeypatch.setattr(fundamental, "lll_reduce_batch", functools.partial(lll_reduce_batch, max_rounds=budget))
+    monkeypatch.setattr(lattices, "_LLL_MAX_ROUNDS", budget)
     with pytest.raises(BudgetExceededError) as info:
         decompose_batch(x, us, 4.0, sig)
     assert str(info.value) == f"decompose of sample {first} at t = 4: LLL failed to converge within the round budget"

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .errors import BudgetExceededError, ConfigError, DeterminantError, PrecisionError
+from .errors import BudgetExceededError, DeterminantError, PrecisionError
 from .harness import KINDS, ExperimentConfig, run
 
 
@@ -93,11 +93,11 @@ def main(argv=None) -> int:
     try:
         cfg = _build_config(args.kind, args)
         report = run(cfg)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     except DeterminantError as exc:
         print(f"determinant error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # ConfigError and every other bad input
+        print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (BudgetExceededError, PrecisionError) as exc:
         print(f"budget/precision error: {exc}", file=sys.stderr)

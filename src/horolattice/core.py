@@ -8,6 +8,13 @@ point) pairs that parametrize affine lattices.  The one-parameter
 diagonal flow and the expanding horospherical coordinate are provided
 as constructors.
 
+The integer primitives live here too, each written once for the whole
+package: the extended Euclidean step `_ext_gcd` and the Bezout
+coefficients `_bezout` of a vector, the cross product `_cross`, the
+adjugate `_int_adjugate` and determinant `_int_det`, and the one float
+inverse `_inv_unimodular`, which applies the adjugate's formula to
+floats.
+
 All values are immutable and freely shareable between threads.  Exact
 rational arithmetic is used wherever a downstream check must be
 bit-exact (integer matrices acting on rational torus points stay on the
@@ -73,31 +80,6 @@ def _det_tolerance(scale: float, dim: int) -> float:
     return max(DET_TOL, 64.0 * dim * _EPS * max(1.0, scale) ** dim)
 
 
-#: For each index of {0, 1, 2}, the other two in increasing order.
-_OTHER_TWO = ((1, 2), (0, 2), (0, 1))
-
-
-def _unimodular_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a (near-)unimodular matrix via the adjugate for d <= 3."""
-    d = a.shape[0]
-    det = float(np.linalg.det(a))
-    if d == 2:
-        adj = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
-        return adj / det
-    if d == 3:
-        # adj[i, j] is the signed minor without row j and column i; Python
-        # floats are cheaper than numpy scalars and round identically.
-        rows = a.tolist()
-        adj = np.empty((3, 3))
-        for i, (c0, c1) in enumerate(_OTHER_TWO):
-            for j, (r0, r1) in enumerate(_OTHER_TWO):
-                adj[i, j] = ((-1) ** (i + j)) * (
-                    rows[r0][c0] * rows[r1][c1] - rows[r0][c1] * rows[r1][c0]
-                )
-        return adj / det
-    return np.linalg.inv(a)
-
-
 @dataclass(frozen=True)
 class SplittingSignature:
     """Block sizes (m, n) of the diagonal flow diag(e^{nt} Id_m, e^{-mt} Id_n)."""
@@ -134,7 +116,7 @@ class SpecialLinearMatrix:
     @property
     def inverse(self) -> np.ndarray:
         if self._inverse is None:
-            inv = _unimodular_inverse(self.entries)
+            inv = _inv_unimodular(self.entries)
             inv.setflags(write=False)
             self._inverse = inv
         return self._inverse
@@ -199,11 +181,49 @@ def _renormalized(a: np.ndarray):
     return out, det
 
 
-def _int_adjugate(rows: Sequence[Sequence[int]]) -> tuple:
-    """Exact adjugate adj(C) = det(C) C^{-1} of an integer matrix, d <= 3.
+def _ext_gcd(a: int, b: int):
+    """(g, s, t) with a s + b t = g, g = +-gcd(a, b): the extended Euclidean algorithm."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
 
-    Closed form in Python ints, so nothing overflows; the cofactor
-    matrix of C is its transpose.
+
+def _bezout(xs: Sequence[int]) -> list:
+    """Integers c with sum x_i c_i = gcd(xs), for a nonempty sequence xs.
+
+    `_ext_gcd` folded from the left, with the sign fixed once at the end
+    (Cohen, A Course in Computational Algebraic Number Theory, 1.3); so
+    for a primitive xs the sum is 1.
+    """
+    g, c = xs[0], [1]
+    for x in xs[1:]:
+        g, u, v = _ext_gcd(g, x)
+        c = [u * ci for ci in c] + [v]
+    return [-ci for ci in c] if g < 0 else c
+
+
+def _cross(x: Sequence[int], y: Sequence[int]) -> tuple:
+    """The cross product x x y of two 3-vectors; det(x, y, z) = (x x y) . z."""
+    return (
+        x[1] * y[2] - x[2] * y[1],
+        x[2] * y[0] - x[0] * y[2],
+        x[0] * y[1] - x[1] * y[0],
+    )
+
+
+def _int_adjugate(rows: Sequence[Sequence[int]]) -> tuple:
+    """Exact adjugate adj(C) = det(C) C^{-1} of an integer matrix.
+
+    Closed form for d <= 3, in Python ints, so nothing overflows; the
+    same formula serves Python floats and arrays of entries
+    (`_inv_unimodular`).  Beyond, adj[j][i] is the signed minor without
+    row i and column j.  The cofactor matrix of C is the transpose.
     """
     d = len(rows)
     if d == 1:
@@ -211,20 +231,35 @@ def _int_adjugate(rows: Sequence[Sequence[int]]) -> tuple:
     if d == 2:
         (a, b), (c, e) = rows
         return ((e, -b), (-c, a))
-    (a, b, c), (p, q, r), (x, y, z) = rows
-    return (
-        (q * z - r * y, c * y - b * z, b * r - c * q),
-        (r * x - p * z, a * z - c * x, c * p - a * r),
-        (p * y - q * x, b * x - a * y, a * q - b * p),
+    if d == 3:
+        (a, b, c), (p, q, r), (x, y, z) = rows
+        return (
+            (q * z - r * y, c * y - b * z, b * r - c * q),
+            (r * x - p * z, a * z - c * x, c * p - a * r),
+            (p * y - q * x, b * x - a * y, a * q - b * p),
+        )
+    return tuple(
+        tuple(
+            (-1) ** (i + j) * _int_det([row[:j] + row[j + 1 :] for row in rows[:i] + rows[i + 1 :]])
+            for i in range(d)
+        )
+        for j in range(d)
     )
+
+
+def _first_row_det(rows, adj):
+    """det by the first-row expansion sum_k rows[0][k] adj[k][0], left to right."""
+    det = rows[0][0] * adj[0][0]
+    for k in range(1, len(rows)):
+        det = det + rows[0][k] * adj[k][0]
+    return det
 
 
 def _int_det(rows: Sequence[Sequence[int]]) -> int:
     """Exact integer determinant: closed form for d <= 3, else cofactor expansion."""
     d = len(rows)
     if d <= 3:
-        adj = _int_adjugate(rows)
-        return sum(rows[0][k] * adj[k][0] for k in range(d))
+        return _first_row_det(rows, _int_adjugate(rows))
     total = 0
     for j in range(d):
         if rows[0][j] == 0:
@@ -232,6 +267,27 @@ def _int_det(rows: Sequence[Sequence[int]]) -> int:
         minor = [[row[k] for k in range(d) if k != j] for row in rows[1:]]
         total += ((-1) ** j) * rows[0][j] * _int_det(minor)
     return total
+
+
+def _inv_unimodular(h: np.ndarray) -> np.ndarray:
+    """h^{-1} of a unimodular h, or of each matrix of a stack (N, d, d).
+
+    For d <= 3, `_int_adjugate` over `_first_row_det`, in the same
+    operations for a single matrix (on Python floats, cheaper than numpy
+    scalars) and for a stack (on arrays of its entries), so both round
+    alike; np.linalg.inv beyond.  The one float inverse: every reduction,
+    and so every decomposition, is computed with it.
+    """
+    d = h.shape[-1]
+    if d > 3:
+        return np.linalg.inv(h)
+    rows = h.tolist() if h.ndim == 2 else h.transpose(1, 2, 0)
+    adj = _int_adjugate(rows)
+    det = _first_row_det(rows, adj)
+    if h.ndim == 2:
+        return np.array(adj) / det
+    # each inverse C-contiguous, as a single one is
+    return np.stack([x for row in adj for x in row], axis=-1).reshape(-1, d, d) / det[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -285,23 +341,10 @@ class IntegerMatrix:
 
     def inv(self) -> "IntegerMatrix":
         """Exact inverse; only valid for determinant +-1 matrices."""
-        d = self.dim
         det = self.det()
         if det not in (1, -1):
             raise DeterminantError("only determinant +-1 integer matrices invert exactly")
-        if d <= 3:
-            adj = _int_adjugate(self.rows)
-        else:
-            adj = [[0] * d for _ in range(d)]
-            for i in range(d):
-                for j in range(d):
-                    minor = [
-                        [self.rows[r][c] for c in range(d) if c != j]
-                        for r in range(d)
-                        if r != i
-                    ]
-                    adj[j][i] = ((-1) ** (i + j)) * _int_det(minor)
-        return IntegerMatrix(tuple(tuple(x * det for x in row) for row in adj))
+        return IntegerMatrix(tuple(tuple(x * det for x in row) for row in _int_adjugate(self.rows)))
 
     def to_array(self) -> np.ndarray:
         return np.array(self.rows, dtype=float)
@@ -403,14 +446,11 @@ def integer_operator_norm(g: IntegerMatrix) -> int:
 
 def diagonal_flow(t: float, sig: SplittingSignature) -> SpecialLinearMatrix:
     """diag(e^{nt} Id_m, e^{-mt} Id_n); rejects |t| d > 600 (overflow)."""
-    if abs(t) * sig.d > 600.0:
-        raise FlowRangeError(f"flow time {t} overflows double precision for d={sig.d}")
-    diag = [math.exp(sig.n * t)] * sig.m + [math.exp(-sig.m * t)] * sig.n
-    return SpecialLinearMatrix.from_entries(np.diag(diag))
+    return SpecialLinearMatrix.from_entries(np.diag(diagonal_flow_vector(t, sig)))
 
 
 def diagonal_flow_vector(t: float, sig: SplittingSignature) -> np.ndarray:
-    """The diagonal of `diagonal_flow` as a plain vector."""
+    """The diagonal of `diagonal_flow` as a plain vector; rejects |t| d > 600 (overflow)."""
     if abs(t) * sig.d > 600.0:
         raise FlowRangeError(f"flow time {t} overflows double precision for d={sig.d}")
     return np.array([math.exp(sig.n * t)] * sig.m + [math.exp(-sig.m * t)] * sig.n)

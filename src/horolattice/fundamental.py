@@ -67,9 +67,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import IntegerMatrix, SpecialLinearMatrix, _int_adjugate, _renormalized
+from .core import IntegerMatrix, SpecialLinearMatrix, _bezout, _cross, _int_adjugate, _inv_unimodular, _renormalized
 from .errors import PrecisionError, _failure_site, _naming_sample
-from .lattices import DEFAULT_BUDGET, LatticeDescriptor, _ext_gcd, enumerate_ball, lll_reduce, lll_reduce_batch
+from .lattices import DEFAULT_BUDGET, LatticeDescriptor, enumerate_ball, lll_reduce, lll_reduce_batch
 
 __all__ = [
     "F_value",
@@ -97,35 +97,6 @@ RESIDUAL_TOL = 1e-6
 _BATCH_LAMBDA1_MIN = 0.015
 
 
-def _inv_unimodular(h: np.ndarray) -> np.ndarray:
-    """h^{-1} of a unimodular h, or of each matrix of a stack (N, d, d).
-
-    For d <= 3 the adjugate over the determinant, in the same operations
-    for a single matrix (on Python floats, cheaper than numpy scalars) and
-    for a stack (on arrays of its entries), so both round alike.
-    """
-    d = h.shape[-1]
-    rows = h.tolist() if h.ndim == 2 else h.transpose(1, 2, 0)
-    if d == 2:
-        (a, b), (c, e) = rows
-        det = a * e - b * c
-        adj = [[e, -b], [-c, a]]
-    elif d == 3:
-        (a, b, c), (p, q, r), (x, y, z) = rows
-        adj = [
-            [q * z - r * y, c * y - b * z, b * r - c * q],
-            [r * x - p * z, a * z - c * x, c * p - a * r],
-            [p * y - q * x, b * x - a * y, a * q - b * p],
-        ]
-        det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
-    else:
-        return np.linalg.inv(h)
-    if h.ndim == 2:
-        return np.array(adj) / det
-    # each inverse C-contiguous, as a single one is
-    return np.stack([x for row in adj for x in row], axis=-1).reshape(-1, d, d) / det[:, None, None]
-
-
 def _f_of_array(h: np.ndarray) -> float:
     a = float((h * h).sum())
     hinv = _inv_unimodular(h)
@@ -147,11 +118,7 @@ def _f_of_stack(hs: np.ndarray) -> np.ndarray:
 
 def F_value(g) -> float:
     """F(g) from the Frobenius masses of g and g^{-1}; symmetric in g <-> g^{-1}."""
-    if isinstance(g, SpecialLinearMatrix):
-        a = float((g.entries * g.entries).sum())
-        b = float((g.inverse * g.inverse).sum())
-        return math.sqrt(a * b / (a + b))
-    return _f_of_array(np.asarray(g, dtype=float))
+    return _f_of_array(g.entries if isinstance(g, SpecialLinearMatrix) else np.asarray(g, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -190,13 +157,6 @@ def _pm(vectors):
     return out
 
 
-def _gcd_all(xs) -> int:
-    g = 0
-    for x in xs:
-        g = math.gcd(g, abs(x))
-    return g
-
-
 def _candidates_2d(B: np.ndarray, boundsq: float, lam1sq: float, budget: int):
     """All integer C with det C = +1 and |B C|_F <= sqrt(boundsq), for d = 2."""
     G = B.T @ B
@@ -211,9 +171,7 @@ def _candidates_2d(B: np.ndarray, boundsq: float, lam1sq: float, budget: int):
         if room2 < lam1sq * (1 - 1e-9):
             continue
         # particular solution of a*y - b*x = 1 -> second column (x0, y0)
-        g, u, v = _ext_gcd(a, b)
-        if g < 0:
-            u, v = -u, -v
+        u, v = _bezout((a, b))
         x0, y0 = -v, u
         # quadratic in the shift k: q(c2_0 + k c1) <= room2
         q0 = G[0, 0] * x0 * x0 + 2 * G[0, 1] * x0 * y0 + G[1, 1] * y0 * y0
@@ -300,21 +258,10 @@ def _candidates_3d(B: np.ndarray, boundsq: float, minima_sq: list, budget: int):
             if q1 + q2 + q3_low > boundsq * (1 + 1e-9):
                 continue
             b = coeffs[i2]
-            n = (
-                a[1] * b[2] - a[2] * b[1],
-                a[2] * b[0] - a[0] * b[2],
-                a[0] * b[1] - a[1] * b[0],
-            )
-            if n == (0, 0, 0) or _gcd_all(n) != 1:
+            n = _cross(a, b)
+            if math.gcd(*n) != 1:
                 continue
-            g1, p, q = _ext_gcd(n[0], n[1])
-            g2, r, s = _ext_gcd(g1, n[2])
-            if g2 == -1:
-                r, s = -r, -s
-                g2 = 1
-            if g2 != 1:
-                continue
-            c30 = (r * p, r * q, s)
+            c30 = _bezout(n)
             room3 = boundsq - q1 - q2
             A3 = q1
             B3 = q2
@@ -535,16 +482,12 @@ def factorization_residuals(P: np.ndarray, reps: np.ndarray, gammas: np.ndarray)
     residual max|xi^{-1} P - gamma| over RESIDUAL_TOL.  A row is
     certified when both are at most 1.  The rounding error of xi gamma
     grows with the entries of xi; xi^{-1} P is compared with integers,
-    so its tolerance is flat.  For d = 2, xi^{-1} is the adjugate over
-    the determinant; other d use `np.linalg.inv`, which moves only the
-    last bits of the integrality residual.
+    so its tolerance is flat.  For d = 2, xi^{-1} is `_inv_unimodular`;
+    other d use `np.linalg.inv`, which moves only the last bits of the
+    integrality residual.
     """
     gf = gammas.astype(float)
-    if reps.shape[1] == 2:
-        a, b, c, e = reps[:, 0, 0], reps[:, 0, 1], reps[:, 1, 0], reps[:, 1, 1]
-        inv = np.stack([e, -b, -c, a], axis=-1).reshape(-1, 2, 2) / (a * e - b * c)[:, None, None]
-    else:
-        inv = np.linalg.inv(reps)
+    inv = _inv_unimodular(reps) if reps.shape[1] == 2 else np.linalg.inv(reps)
     ratios = np.empty((reps.shape[0], 2))
     ratios[:, 0] = np.abs(P - reps @ gf).max(axis=(1, 2)) / _reconstruction_tol(reps)
     ratios[:, 1] = np.abs(inv @ P - gf).max(axis=(1, 2)) / RESIDUAL_TOL

@@ -44,6 +44,7 @@ from .core import (
     SpecialLinearMatrix,
     SplittingSignature,
     TorusPoint,
+    _bezout,
     _mod1,
     diagonal_flow_vector,
     torus_act,
@@ -63,7 +64,7 @@ from .fundamental import (
     reduce_matrix,
     x_distance,
 )
-from .lattices import DEFAULT_BUDGET, LatticeDescriptor, _ext_gcd, lll_reduce_batch, shortest_vector
+from .lattices import DEFAULT_BUDGET, LatticeDescriptor, lll_reduce_batch, shortest_vector
 
 __all__ = [
     "NeighborhoodV",
@@ -418,11 +419,9 @@ def _det1_box_table(K: int) -> np.ndarray:
     mats = []
     for a in range(-K, K + 1):
         for b in range(-K, K + 1):
-            if math.gcd(abs(a), abs(b)) != 1:
+            if math.gcd(a, b) != 1:
                 continue
-            g, u, v = _ext_gcd(a, b)
-            if g < 0:
-                u, v = -u, -v
+            u, v = _bezout((a, b))
             x0, y0 = -v, u  # a*y0 - b*x0 = 1
             # family (x0 + k a, y0 + k b) within the box
             lo, hi = -10**9, 10**9

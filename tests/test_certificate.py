@@ -19,7 +19,7 @@ from horolattice.core import (
     SpecialLinearMatrix,
     SplittingSignature,
     TorusPoint,
-    _unimodular_inverse,
+    _int_adjugate,
     diagonal_flow_vector,
 )
 from horolattice.errors import PrecisionError
@@ -29,9 +29,14 @@ from horolattice.orbits import NeighborhoodV, decompose, orbit_pushforward
 TOL = 1e-6
 
 
+def former_inverse(xi):
+    """The inverse the former rules used: the adjugate over np.linalg.det."""
+    return np.array(_int_adjugate(xi.tolist())) / float(np.linalg.det(xi))
+
+
 def former_decompose_rule(P, xi, gamma):
     """Whether `orbits.decompose` accepted (P, xi, gamma)."""
-    xi_inv = _unimodular_inverse(xi)
+    xi_inv = former_inverse(xi)
     scale = max(1.0, np.abs(xi).max(), np.abs(xi_inv).max())
     return not np.abs(P - xi @ gamma).max() > TOL * scale and not np.abs(xi_inv @ P - gamma).max() > TOL
 
@@ -46,7 +51,7 @@ def former_bulk_rule(P, xi, gamma):
 
 def former_reduce_rule(P, xi, gamma):
     """Whether `reduce_matrix` accepted (P, xi, gamma): integrality only, scaled."""
-    xi_inv = _unimodular_inverse(xi)
+    xi_inv = former_inverse(xi)
     scale = max(1.0, np.abs(xi).max(), np.abs(xi_inv).max())
     return not np.abs(xi_inv @ P - gamma).max() > TOL * scale
 

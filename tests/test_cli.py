@@ -50,6 +50,23 @@ def test_flow_cap_edge(m, n, t_max, capsys):
     assert capsys.readouterr().err.startswith("configuration error:")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["orbit", "--m", "2", "--n", "2", "--t", "200"], "overflows double precision"),
+        (["orbit", "--t", "1", "--samples", "100", "--b0", "1/3"], "torus part 1"),
+        (["orbit", "--t", "1", "--samples", "100", "--b0", "abc,1"], "Invalid literal for Fraction"),
+        (["siegel", "--t", "1", "--samples", "100", "--radius", "2"], "radius < 1"),
+        (["concentration", "--t", "1", "--samples", "100", "--rho", "0.7"], "rho must lie in"),
+    ],
+)
+def test_bad_input_exits_2_with_one_line(argv, message, capsys):
+    # exit 1 is kept for a failed invariant; a ValueError of any kind is bad input
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err and err.count("\n") == 1
+
+
 def test_fourier_fiber_denominator_over_phase_cap_exits_2(capsys):
     # decimal strings give a fiber denominator of 10^16
     assert cli.main(["fourier", "--t", "1", "--samples", "100", "--b0", "0.4142135623730951,0.7320508075688772"]) == 2

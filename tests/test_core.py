@@ -226,14 +226,20 @@ def test_dual_candidate_cofactors_match_inverse_transpose():
 
 
 def np_delete_unimodular_inverse(a):
-    """Reference: the adjugate with each minor taken by np.delete."""
-    det = float(np.linalg.det(a))
+    """Reference: the adjugate with each minor taken by np.delete, over the first-row expansion.
+
+    An odd cofactor is the one difference m01 m10 - m00 m11, so a zero
+    cofactor is +0.0, as in the closed form.
+    """
     adj = np.empty((3, 3))
     for i in range(3):
         for j in range(3):
-            minor = np.delete(np.delete(a, j, axis=0), i, axis=1)
-            adj[i, j] = ((-1) ** (i + j)) * (minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0])
-    return adj / det
+            m = np.delete(np.delete(a, j, axis=0), i, axis=1)
+            if (i + j) % 2:
+                adj[i, j] = m[0, 1] * m[1, 0] - m[0, 0] * m[1, 1]
+            else:
+                adj[i, j] = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return adj / (a[0, 0] * adj[0, 0] + a[0, 1] * adj[1, 0] + a[0, 2] * adj[2, 0])
 
 
 def test_unimodular_inverse_matches_np_delete_minors_bit_for_bit():
@@ -241,7 +247,7 @@ def test_unimodular_inverse_matches_np_delete_minors_bit_for_bit():
     cases = [random_sl(rng, 3, scale=s).entries for s in (0.5, 3.0, 9.0) for _ in range(30)]
     cases += [np.eye(3), np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])]
     for a in cases:
-        got = core._unimodular_inverse(np.array(a))
+        got = core._inv_unimodular(np.array(a))
         want = np_delete_unimodular_inverse(np.array(a))
         assert got.tobytes() == want.tobytes()  # signed zeros included
 
@@ -250,7 +256,7 @@ def test_special_linear_inverse_is_computed_on_first_use():
     g = SpecialLinearMatrix.from_entries([[2.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     inv = g.inverse
     assert inv is g.inverse and not inv.flags.writeable
-    assert inv.tobytes() == core._unimodular_inverse(g.entries).tobytes()
+    assert inv.tobytes() == core._inv_unimodular(g.entries).tobytes()
 
 
 def test_rational_torus_act_matches_fraction_sums():

@@ -26,26 +26,32 @@ decomposition P = xi gamma, whether by `reduce_matrix` or by the
 max(1, max|xi|), and xi^{-1} P is gamma to RESIDUAL_TOL.
 `certify_factorization` raises a PrecisionError on a row that fails it.
 
-For d = 3 a matrix is reduced in two steps.  The seed: LLL on the
-primal and on the dual basis, and the one with the smaller F seeds the
-search.  The search (`_search`): certified successive minima of both
-sides, then the candidate walks of `_candidates_3d` on both sides,
-repeated until no candidate lowers F, and the lexicographic tie-break;
-each round scores its candidates as one stack.  A dual candidate C has
-det C = 1, so its primal transform C^{-T} is the integer cofactor matrix
-of C.  Floating point enters only through LLL's Gram-Schmidt, the QR of
-the enumerations and the F-values; each is computed by the same numpy
+For d = 3 a matrix, or a stack of them, is reduced by one pipeline; a
+single matrix is a stack of one.
+1. The seed: LLL on the primal and on the dual basis, and the one with
+   the smaller F seeds the rest.  `_search_starts` runs every LLL once
+   over the whole stack, through `lattices.lll_reduce_batch`, with each
+   row's bits those of `lll_reduce`.
+2. The class sweep of `sweep`: one round of `_search` after another
+   with a static table of 4,632 transforms as its candidates, swept over
+   blocks of rows at once.
+3. Its certificate, per row, that the table holds every transform the
+   search could pick; then the sweep's gamma is `_search`'s.  The
+   argument is in the `sweep` module docstring.
+4. A row that fails the certificate runs `_search` from its seed: the
+   certified successive minima of both sides, then the candidate walks
+   of `_candidates_3d` on both sides, repeated until no candidate lowers
+   F, and the lexicographic tie-break; each round scores its candidates
+   as one stack.  A dual candidate C has det C = 1, so its primal
+   transform C^{-T} is the integer cofactor matrix of C.
+Floating point enters only through LLL's Gram-Schmidt, the QR of the
+enumerations and the F-values; each is computed by the same numpy
 operations whatever the surrounding bookkeeping, so outputs are
-reproducible bit for bit.
-
-The choice between a single matrix and a stack follows the input.  A
-single matrix (`reduce_matrix`, the d = 2 fallback) runs `_reduce_core`
-with the scalar `lll_reduce`.  For a stack of samples of any d other
-than 2 (`orbits.decompose_batch`), `_search_starts` runs every LLL of
-the seed and of the successive minima once over the whole stack,
-through `lattices.lll_reduce_batch`, with each row's bits those of
-`lll_reduce`; then `_reduce_core` runs the search sample by sample from
-those starts.
+reproducible bit for bit.  Every sample still passes through
+`_reduce_core` once: its `start` carries the sweep's certified result,
+or the seed for `_search`.  A single d = 2 matrix (`reduce_matrix`, the
+d = 2 fallback) runs `_search` from the scalar `lll_reduce`; d > 3 stops
+at the LLL seed, uncertified.
 
 A vectorized fast path `reduce_batch_2x2` reduces a whole batch of
 d = 2 matrices.  Its one caller is the signature (1, 1) branch of
@@ -61,13 +67,22 @@ batch size.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import IntegerMatrix, SpecialLinearMatrix, _bezout, _cross, _int_adjugate, _inv_unimodular, _renormalized
+from .core import (
+    IntegerMatrix,
+    SpecialLinearMatrix,
+    _bezout,
+    _cross,
+    _int_adjugate,
+    _inv_unimodular,
+    _renormalized,
+)
 from .errors import PrecisionError, _failure_site, _naming_sample
 from .lattices import DEFAULT_BUDGET, LatticeDescriptor, enumerate_ball, lll_reduce, lll_reduce_batch
 
@@ -126,8 +141,9 @@ class ReducedRepresentative:
     """Result of reducing g to its F-minimal coset representative.
 
     rep * gamma reproduces the input; `certificate` is the Frobenius
-    enumeration bound inside which minimality was verified, and
-    `certified` records whether the exhaustive search ran (d <= 3).
+    bound inside which minimality was verified, and `certified` records
+    whether it was (d <= 3), by the class sweep's certificate or by the
+    exhaustive search.
     """
 
     rep: SpecialLinearMatrix
@@ -330,13 +346,13 @@ def _candidates_3d(B: np.ndarray, boundsq: float, minima_sq: list, budget: int):
     return out
 
 
-def _side_bound_sq(fmax: float, other_lower_sq: float) -> float:
-    """Frobenius^2 cap for one side given a mass lower bound on the other."""
-    cap = 2.0 * fmax * fmax
+def _side_bound_sq(fmax, other_lower_sq):
+    """Frobenius^2 cap for one side given a mass lower bound on the other; floats or arrays."""
     fsq = fmax * fmax
-    if other_lower_sq > fsq:
-        cap = min(cap, fsq * other_lower_sq / (other_lower_sq - fsq))
-    root = math.sqrt(cap) + BOUND_MARGIN
+    excess = np.subtract(other_lower_sq, fsq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cap = np.minimum(2.0 * fsq, np.where(excess > 0, fsq * other_lower_sq / excess, np.inf))
+    root = np.sqrt(cap) + BOUND_MARGIN
     return root * root
 
 
@@ -349,55 +365,76 @@ def _reduce_core(arr: np.ndarray, budget: int = DEFAULT_BUDGET, start: Optional[
 
     Returns (rep_array, U IntegerMatrix with arr @ U tracking rep,
     fvalue, certificate, certified).  `start`, if given, is arr's item
-    of `_search_starts`: the seed, its LLL done ahead for a whole stack.
+    of `_search_starts`, computed ahead for a whole stack; for d = 3 a
+    single matrix is a stack of one.  A start that carries a
+    certificate is the class sweep's certified result and is returned
+    as it is; any other runs `_search` from its seed.
     """
     if start is None:
         arr = np.asarray(arr, dtype=float)
-        B0, U0_rows = lll_reduce(arr)
-        start = (B0, IntegerMatrix.from_rows(U0_rows), (None, None))
         if arr.shape[0] == 3:
-            Bd, Ud_rows = lll_reduce(_inv_unimodular(arr).T)
-            seed_B = _inv_unimodular(Bd).T
-            if _f_of_array(seed_B) < _f_of_array(B0):
-                start = (seed_B, IntegerMatrix.from_rows(Ud_rows).inv().transpose(), (None, None))
-    best_B, best_U, reduced = start
+            start = next(_search_starts(arr[None], None, None))
+        else:
+            B0, U0_rows = lll_reduce(arr)
+            start = (B0, IntegerMatrix.from_rows(U0_rows), (None, None), None)
+    best_B, best_U, reduced, certificate = start
+    if certificate is not None:
+        return best_B, best_U, _f_of_array(best_B), certificate, True
     if best_B.shape[0] not in (2, 3):
         return best_B, best_U, _f_of_array(best_B), 0.0, False
     return _search(best_B, best_U, budget, reduced)
 
 
-def _search_starts(P: np.ndarray, t: Optional[float]):
+def _search_starts(P: np.ndarray, t: Optional[float], stage: Optional[str] = "decompose"):
     """The `start` of `_reduce_core` for each matrix of a stack P (N, d, d), d != 2.
 
-    Every LLL of the scalar path runs once over the whole stack, through
-    `lll_reduce_batch`, which gives each row the bits of `lll_reduce`: on
-    P and, for d = 3, on its duals and on both sides of the chosen seed
-    bases, whose reductions reach `_minima_sq_of` ready-made.  A dual
-    seed is the same transposed view as on the scalar path, since an
-    F-value sums in memory order.  An LLL failure names the lowest failing
-    sample and t.
+    Every LLL runs once over the whole stack, through `lll_reduce_batch`,
+    which gives each row the bits of `lll_reduce`: on P and, for d = 3,
+    on its duals and on both sides of the chosen seed bases.  A dual
+    seed is the transposed view the scalar path would take, since an
+    F-value sums in memory order.  An LLL failure names the lowest
+    failing row as a sample of `stage` at t (no site if stage is None).
 
-    Returns an iterator over the samples in order, yielding each one's
-    (seed basis, U IntegerMatrix, reductions).
+    For d = 3 the seeds then go through the class sweep and its
+    certificate (`sweep`) in blocks of `sweep.ROWS` rows, each block when
+    the iterator reaches it, so their memory does not grow with N.  A certified row's start is
+    (rep, U, None, certificate); any other row's is (seed basis, U,
+    reductions, None), the reductions reaching `_minima_sq_of`
+    ready-made.  Returns an iterator over the samples in order.
     """
-    B0, U0 = lll_reduce_batch(P, stage="decompose", t=t)
+    B0, U0 = lll_reduce_batch(P, stage=stage, t=t)
     if P.shape[-1] != 3:
-        return ((B0[i], IntegerMatrix.from_rows(U0[i].tolist()), (None, None)) for i in range(P.shape[0]))
-    Bd, Ud = lll_reduce_batch(_inv_unimodular(P).transpose(0, 2, 1), stage="decompose", t=t)
+        return ((B0[i], IntegerMatrix.from_rows(U0[i].tolist()), (None, None), None) for i in range(P.shape[0]))
+    Bd, Ud = lll_reduce_batch(_inv_unimodular(P).transpose(0, 2, 1), stage=stage, t=t)
     seed_B = _inv_unimodular(Bd).transpose(0, 2, 1)
     dual_wins = _f_of_stack(seed_B) < _f_of_stack(B0)
     chosen = np.where(dual_wins[:, None, None], seed_B, B0)
-    prim = lll_reduce_batch(_renormalized(chosen)[0], stage="decompose", t=t)
-    dual = lll_reduce_batch(_renormalized(_inv_unimodular(chosen).transpose(0, 2, 1))[0], stage="decompose", t=t)
+    prim = lll_reduce_batch(_renormalized(chosen)[0], stage=stage, t=t)
+    dual = lll_reduce_batch(_renormalized(_inv_unimodular(chosen).transpose(0, 2, 1))[0], stage=stage, t=t)
 
-    def start(i):
-        if dual_wins[i]:
-            best_B, best_U = seed_B[i], IntegerMatrix.from_rows(Ud[i].tolist()).inv().transpose()
-        else:
-            best_B, best_U = B0[i], IntegerMatrix.from_rows(U0[i].tolist())
-        return best_B, best_U, ((prim[0][i], prim[1][i].tolist()), (dual[0][i], dual[1][i].tolist()))
+    from . import sweep  # imported on first use: a d = 2 run never compiles it
 
-    return map(start, range(P.shape[0]))
+    def block(lo):
+        rows = slice(lo, lo + sweep.ROWS)
+        h, C, pick = sweep._sweep_3x3(chosen[rows])
+        certified, certificate = sweep._sweep_certified(h, C, prim[1][rows], dual[1][rows])
+        # a pick of the identity keeps h's own bits, as in `_search`
+        stays = (pick == np.eye(3, dtype=pick.dtype)).all(axis=(1, 2))
+        reps = np.where(stays[:, None, None], h, np.matmul(h, pick.astype(float)))
+        unmoved = stays & (C == np.eye(3, dtype=C.dtype)).all(axis=(1, 2))
+        for k, i in enumerate(range(lo, lo + h.shape[0])):
+            if dual_wins[i]:
+                best_B, best_U = seed_B[i], IntegerMatrix.from_rows(Ud[i].tolist()).inv().transpose()
+            else:
+                best_B, best_U = B0[i], IntegerMatrix.from_rows(U0[i].tolist())
+            if not certified[k]:
+                yield best_B, best_U, ((prim[0][i], prim[1][i].tolist()), (dual[0][i], dual[1][i].tolist())), None
+                continue
+            # a seed that the sweep leaves as it is stays its own array, as in `_search`
+            rep = best_B if unmoved[k] else reps[k]
+            yield rep, best_U @ IntegerMatrix.from_rows((C[k] @ pick[k]).tolist()), None, float(certificate[k])
+
+    return itertools.chain.from_iterable(block(lo) for lo in range(0, P.shape[0], sweep.ROWS))
 
 
 def _score(best_B: np.ndarray, cs: list):
@@ -426,14 +463,14 @@ def _search(best_B: np.ndarray, best_U: IntegerMatrix, budget: int, reduced: tup
     while True:
         f_best = _f_of_array(best_B)
         f_max = f_best + TIE_TOL
-        prim_boundsq = _side_bound_sq(f_max, sum(dual_min_sq))
+        prim_boundsq = float(_side_bound_sq(f_max, sum(dual_min_sq)))
         certificate = math.sqrt(prim_boundsq)
         if d == 2:
             # |h^{-1}|_F = |h|_F for d = 2, so the primal side sees everything.
             cand_cs = _candidates_2d(best_B, prim_boundsq, prim_min_sq[0], budget)
         else:
             cand_cs = _candidates_3d(best_B, prim_boundsq, prim_min_sq, budget)
-            dual_boundsq = _side_bound_sq(f_max, sum(prim_min_sq))
+            dual_boundsq = float(_side_bound_sq(f_max, sum(prim_min_sq)))
             dual_B = _inv_unimodular(best_B).T
             # a dual candidate C has det C = +1, so C^{-T} is its cofactor matrix
             for rows in _candidates_3d(dual_B, dual_boundsq, dual_min_sq, budget):
@@ -482,12 +519,10 @@ def factorization_residuals(P: np.ndarray, reps: np.ndarray, gammas: np.ndarray)
     residual max|xi^{-1} P - gamma| over RESIDUAL_TOL.  A row is
     certified when both are at most 1.  The rounding error of xi gamma
     grows with the entries of xi; xi^{-1} P is compared with integers,
-    so its tolerance is flat.  For d = 2, xi^{-1} is `_inv_unimodular`;
-    other d use `np.linalg.inv`, which moves only the last bits of the
-    integrality residual.
+    so its tolerance is flat.  xi^{-1} is `_inv_unimodular`.
     """
     gf = gammas.astype(float)
-    inv = _inv_unimodular(reps) if reps.shape[1] == 2 else np.linalg.inv(reps)
+    inv = _inv_unimodular(reps)
     ratios = np.empty((reps.shape[0], 2))
     ratios[:, 0] = np.abs(P - reps @ gf).max(axis=(1, 2)) / _reconstruction_tol(reps)
     ratios[:, 1] = np.abs(inv @ P - gf).max(axis=(1, 2)) / RESIDUAL_TOL

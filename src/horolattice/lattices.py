@@ -117,7 +117,7 @@ def lll_reduce(basis: np.ndarray, delta: float = _LLL_DELTA, max_rounds: int = _
     return B, U
 
 
-def lll_reduce_batch(bases: np.ndarray, stage: str = "LLL", t: Optional[float] = None):
+def lll_reduce_batch(bases: np.ndarray, stage: Optional[str] = "LLL", t: Optional[float] = None):
     """`lll_reduce` of every basis of a stack (N, d, d), all rows at once.
 
     Returns (B, U): the reduced bases and the unimodular transforms as an
@@ -132,7 +132,8 @@ def lll_reduce_batch(bases: np.ndarray, stage: str = "LLL", t: Optional[float] =
 
     For a single matrix `lll_reduce` is faster; this pays off on stacks.
     A failure names the lowest failing row as a sample of `stage` at flow
-    time t: the round budget `_LLL_MAX_ROUNDS` (BudgetExceededError), and
+    time t (stage None names no site, for a stack of one that its caller
+    names): the round budget `_LLL_MAX_ROUNDS` (BudgetExceededError), and
     a size-reduction step that is not finite or would take U beyond int64,
     which `lll_reduce` carries in Python ints (PrecisionError).
     """
@@ -168,7 +169,7 @@ def lll_reduce_batch(bases: np.ndarray, stage: str = "LLL", t: Optional[float] =
         valid[rows] = np.maximum(valid[rows], upto + 1)
 
     def fail(error, rows, what):
-        raise error(f"{_failure_site(stage, int(rows.min()), t)}: {what}")
+        raise error(what if stage is None else f"{_failure_site(stage, int(rows.min()), t)}: {what}")
 
     rounds = 0
     while True:

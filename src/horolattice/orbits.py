@@ -17,10 +17,12 @@ sample would bias the measure.
 `decompose_batch` is the one decomposition entry point for a batch of
 samples, whatever the signature.  For m = n = 1 (the hot loop of every
 scaling experiment) it runs the vectorized `_bulk_decompose_2x2`.  Every
-other signature runs the LLL of all samples as one stack
+other signature runs the LLL of all samples as one stack and, for d = 3,
+the class sweep and its per-row certificate
 (`fundamental._search_starts`), then `decompose` sample by sample from
-those starts: the exact candidate search and the certificate, with the
-bits of the scalar path.
+those starts: the sweep's certified result, or the exact candidate
+search where the certificate fails, with the bits of a single sample's
+reduction.
 Its callers (`orbit_pushforward`, `gamma_orbit`) do the rest on whole
 arrays: the fiber and the regularity gate have one formula for every
 signature, and only the heights branch on d.  Both paths end in the
@@ -45,6 +47,7 @@ from .core import (
     SplittingSignature,
     TorusPoint,
     _bezout,
+    _inv_unimodular,
     _mod1,
     diagonal_flow_vector,
     torus_act,
@@ -162,7 +165,8 @@ def decompose(
     from it can drift from det 1 only by rounding: a determinant failure
     in the reduction is a `PrecisionError`, like a failed certificate.
     `start`, if given, is this sample's item of
-    `fundamental._search_starts`, whose LLL ran ahead over a stack.
+    `fundamental._search_starts`, computed ahead over a stack: the class
+    sweep's certified result or the seed of the search.
     """
     ub = np.atleast_2d(np.asarray(u, dtype=float))
     if ub.shape != (sig.m, sig.n):
@@ -296,10 +300,10 @@ def decompose_batch(
     Returns (xis (N, d, d) float, gammas (N, d, d) int64), bit for bit
     what `decompose` gives each sample.  Signature (1, 1) runs the
     vectorized `_bulk_decompose_2x2`.  Every other signature runs the LLL
-    of all samples as one stack (`fundamental._search_starts`), then
-    `decompose` sample by sample from those starts, in order.  A failure
-    names the sample and t; an LLL failure of any sample comes before the
-    first search.
+    of all samples as one stack and, for d = 3, the class sweep
+    (`fundamental._search_starts`), then `decompose` sample by sample
+    from those starts, in order.  A failure names the sample and t; an
+    LLL failure of any sample comes before the first search.
     """
     if sig.d == 2:
         return _bulk_decompose_2x2(x_rep, us, t, budget)
@@ -600,7 +604,7 @@ def gamma_orbit(
     m0norm = float(np.abs(m0f).max())
     xis, gammas = decompose_batch(x_rep, us, s, sig, budget)
     # the matrix norm max(|xi|, |xi^{-1}|) and w = (xi^T)^{-1} m0, batched
-    mnorm = np.maximum(np.abs(xis).max(axis=(1, 2)), np.abs(np.linalg.inv(xis)).max(axis=(1, 2)))
+    mnorm = np.maximum(np.abs(xis).max(axis=(1, 2)), np.abs(_inv_unimodular(xis)).max(axis=(1, 2)))
     rhs = np.broadcast_to(m0f[:, None], (count, sig.d, 1))
     w = np.linalg.solve(xis.transpose(0, 2, 1), rhs)[:, :, 0]
     keep = (mnorm < 1.0 / eps) & (np.abs(w[:, : sig.m]).max(axis=1) > eps * eps * m0norm)

@@ -1,9 +1,14 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from horolattice import fundamental
+from horolattice import fundamental, sweep
 from horolattice.core import IntegerMatrix, SpecialLinearMatrix, SplittingSignature, diagonal_flow_vector
 from horolattice.errors import BudgetExceededError
 from horolattice.fundamental import (
@@ -453,3 +458,53 @@ def test_stacked_scoring_matches_per_candidate_bytes():
     seeds = fundamental._inv_unimodular(np.array(bases[10::2])).transpose(0, 2, 1)
     assert _bits(fundamental._f_of_stack(seeds)) == _bits([fundamental._f_of_array(s) for s in seeds])
     assert fundamental._score(bases[0], [])[0].shape == (0, 2, 2)
+
+
+def test_ternary_table_holds_every_class_of_24_closed_under_inverse_transpose():
+    table = sweep._ternary_classes()
+    variants = table.variants.astype(np.int64)
+    assert variants.shape == (193, 24, 3, 3)
+    members = variants.reshape(-1, 3, 3)
+    assert len({C.tobytes() for C in members}) == 4632
+    adj, det = sweep._adjugates(members)
+    assert np.all(det == 1)
+    cofactors = adj.transpose(0, 2, 1)  # C^{-T}
+    assert {C.tobytes() for C in cofactors} == {C.tobytes() for C in members}
+    assert np.all((np.abs(members) <= 1).all(axis=(1, 2)) | (np.abs(cofactors) <= 1).all(axis=(1, 2)))
+    # every ternary matrix of det 1, enumerated apart from the table, is in it
+    ternary = np.array(list(itertools.product((-1, 0, 1), repeat=9))).reshape(-1, 3, 3)
+    unit = ternary[np.rint(np.linalg.det(ternary)) == 1]
+    assert len(unit) == 3480 and {C.tobytes() for C in unit} <= {C.tobytes() for C in members}
+    # each class is its first member times the 24 signed permutations of det 1
+    signed = sweep._adjugates(variants[:, :1].repeat(24, axis=1).reshape(-1, 3, 3))[0] @ members
+    signed = signed.reshape(193, 24, 3, 3)
+    assert np.all(signed == signed[:1])
+    assert np.all((np.abs(signed[0]) == 1).sum(axis=1) == 1) and np.all(np.rint(np.linalg.det(signed[0])) == 1)
+    assert (variants[table.identity] == np.eye(3, dtype=np.int64)).all(axis=(1, 2)).sum() == 1
+
+
+def test_importing_the_package_imports_no_sweep_and_builds_no_table():
+    code = (
+        "import sys, horolattice, horolattice.cli, horolattice.acceptance\n"
+        "print('horolattice.sweep' in sys.modules)\n"
+        "from horolattice import sweep\n"
+        "print(sweep._ternary_classes.cache_info().currsize, sweep._coefficient_box.cache_info().currsize)"
+    )
+    src = str(Path(fundamental.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "0", "0"]
+
+
+def test_certificate_refuses_a_cusp_basis_with_near_ties_outside_the_table():
+    # at diag(1e-4, 100, 100) shearing a long column by twice the short one
+    # moves F by about 1e-10, inside TIE_TOL, and that shear is not ternary
+    h = np.diag([1e-4, 100.0, 100.0])
+    shear = np.eye(3, dtype=np.int64)
+    shear[0, 1] = 2
+    assert fundamental._f_of_array(h @ shear) - fundamental._f_of_array(h) <= fundamental.TIE_TOL
+    table = {C.tobytes() for C in sweep._ternary_classes().variants.astype(np.int64).reshape(-1, 3, 3)}
+    assert shear.tobytes() not in table
+    start = next(fundamental._search_starts(h[None], None, None))
+    assert start[3] is None  # left to the search

@@ -20,7 +20,7 @@ from horolattice.errors import (
     EmptyLocalizationError,
     PrecisionError,
 )
-from horolattice import fundamental, lattices, orbits
+from horolattice import fundamental, lattices, orbits, sweep
 from horolattice.fundamental import reduce_batch_2x2, reduce_matrix
 from horolattice.harness import decay_fit
 from horolattice.lattices import DEFAULT_BUDGET, LatticeDescriptor, lll_reduce, shortest_vector
@@ -189,29 +189,24 @@ def test_orbit_rational_fiber_denominator_over_cap(sig):
 
 def test_scalar_path_errors_name_stage_sample_and_t():
     sig = SplittingSignature(1, 2)
-    y0 = AffineLatticePoint(
-        SpecialLinearMatrix.from_entries(np.eye(3)), TorusPoint.from_values(["1/3", "2/3", "1/5"])
-    )
-    # budget = 1 already fails on the base point, which is no sample
+    b = TorusPoint.from_values(["1/3", "2/3", "1/5"])
+    y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(3)), b)
+    # the class sweep certifies the base point and most samples without a
+    # search; the first sample that runs `_search` fails a budget of 1
+    P = orbits._flowed(y0.linear, sample_V(NeighborhoodV(sig), 20, seed=0), 4.0, sig)
+    first = next(i for i, start in enumerate(fundamental._search_starts(P, 4.0)) if start[3] is None)
     with pytest.raises(BudgetExceededError) as info:
         orbit_pushforward(y0, 4.0, NeighborhoodV(sig), 20, seed=0, budget=1)
-    assert str(info.value).startswith("reduce of the base point at t = 4: ")
-    assert "sample" not in str(info.value)
-
-    def reduces(budget):
-        try:
-            reduce_matrix(np.eye(3), budget)
-        except BudgetExceededError:
-            return False
-        return True
-
-    budget = next(b for b in range(1, 200) if reduces(b))
-    with pytest.raises(BudgetExceededError) as info:
-        orbit_pushforward(y0, 4.0, NeighborhoodV(sig), 20, seed=0, budget=budget)
-    assert str(info.value).startswith("decompose of sample 0 at t = 4: ")
-    assert info.value.nodes == budget + 1 and info.value.partial is None
+    assert str(info.value).startswith(f"decompose of sample {first} at t = 4: ")
+    assert info.value.nodes == 2 and info.value.partial is None
     # the traceback still ends in the enumeration that ran out
     assert traceback.extract_tb(info.value.__traceback__)[-1].filename.endswith("lattices.py")
+    # a base point that runs `_search` fails there, and is no sample
+    searched = AffineLatticePoint(SpecialLinearMatrix.from_entries(P[first]), b)
+    with pytest.raises(BudgetExceededError) as info:
+        orbit_pushforward(searched, 4.0, NeighborhoodV(sig), 20, seed=0, budget=1)
+    assert str(info.value).startswith("reduce of the base point at t = 4: ")
+    assert "sample" not in str(info.value)
 
     # beyond the (2, 1) cap, seed 2 fails on the integrality check of sample 0
     V21 = NeighborhoodV(SplittingSignature(2, 1))
@@ -369,8 +364,9 @@ def test_decompose_batch_matches_per_sample_reference(sig, b0, t, linear):
 
 
 def test_stacked_lll_gives_the_scalar_minima(monkeypatch):
-    # the batch hands each sample's search the LLL of its validated bases;
-    # the minima from them are the scalar path's, bit for bit
+    # the batch hands each search of a row that the class sweep does not
+    # certify the LLL of its validated bases; the minima from them are the
+    # scalar path's, bit for bit
     real = fundamental._minima_sq_of
     ready = []
 
@@ -380,11 +376,77 @@ def test_stacked_lll_gives_the_scalar_minima(monkeypatch):
         ready.append(reduced is not None)
         return got
 
+    real_search = fundamental._search
+    searched = []
+
+    def counting(*args):
+        searched.append(args[0])
+        return real_search(*args)
+
     monkeypatch.setattr(fundamental, "_minima_sq_of", spy)
+    monkeypatch.setattr(fundamental, "_search", counting)
     b = TorusPoint.from_values([0.1, 0.2, 0.3])
     for sig, t, linear in ((S12, 8.0, np.eye(3)), (S21, 5.0, np.eye(3)), (S12, 4.0, _off_identity())):
         orbit_pushforward(AffineLatticePoint(SpecialLinearMatrix.from_entries(linear), b), t, NeighborhoodV(sig), 200, seed=4)
-    assert ready.count(True) == 3 * 2 * 200 and ready.count(False) == 3 * 2  # the base points
+    # a base point is a stack of one, so every search gets its reductions ready-made
+    assert len(searched) > 0 and ready.count(True) == 2 * len(searched) and ready.count(False) == 0
+
+
+def test_class_sweep_gives_the_search_gamma_from_the_same_seed(monkeypatch):
+    # the scalar search is the oracle: the same seeds, with every certificate refused
+    kinds = {"certified": 0, "searched": 0}
+    for sig, t, linear in (
+        (S12, 4.0, np.eye(3)),
+        (S12, 8.0, np.eye(3)),
+        (S21, 2.0, np.eye(3)),
+        (S21, 5.0, np.eye(3)),
+        (S12, 4.0, _off_identity()),
+    ):
+        P = orbits._flowed(reduce_matrix(linear).rep, sample_V(NeighborhoodV(sig), 300, seed=5), t, sig)
+        starts = list(fundamental._search_starts(P, t))
+        with monkeypatch.context() as m:
+            m.setattr(sweep, "_sweep_certified", lambda h, *_: (np.zeros(len(h), dtype=bool), None))
+            seeds = list(fundamental._search_starts(P, t))
+        reps, gammas = [], []
+        for p, start, seed in zip(P, starts, seeds):
+            rep, U, *_ = fundamental._reduce_core(p, DEFAULT_BUDGET, start)
+            ref, U_ref, *_ = fundamental._reduce_core(p, DEFAULT_BUDGET, seed)
+            assert U == U_ref
+            assert np.abs(rep - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
+            kinds["certified" if start[3] is not None else "searched"] += 1
+            reps.append(rep)
+            gammas.append(U.inv().to_int64())
+        fundamental.certify_factorization(P, np.array(reps), np.array(gammas), "decompose", t)
+    assert min(kinds.values()) > 0, kinds
+
+
+def test_certified_rows_hold_every_near_minimal_transform_in_the_table(monkeypatch):
+    # the claim of the certificate, checked by the exact search's own enumeration
+    table = {C.tobytes() for C in sweep._ternary_classes().variants.astype(np.int64).reshape(-1, 3, 3)}
+    real = sweep._sweep_certified
+    bases = []
+
+    def recording(h, *rest):
+        certified, certificate = real(h, *rest)
+        bases.extend(h[certified])
+        return certified, certificate
+
+    monkeypatch.setattr(sweep, "_sweep_certified", recording)
+    for sig, t in ((S12, 8.0), (S21, 5.0)):
+        P = orbits._flowed(reduce_matrix(np.eye(3)).rep, sample_V(NeighborhoodV(sig), 150, seed=6), t, sig)
+        list(fundamental._search_starts(P, t))
+    assert len(bases) > 200
+    for h in bases:
+        f_max = fundamental._f_of_array(h) + fundamental.TIE_TOL
+        dual = fundamental._inv_unimodular(h).T
+        prim_min = fundamental._minima_sq_of(h, DEFAULT_BUDGET)
+        dual_min = fundamental._minima_sq_of(dual, DEFAULT_BUDGET)
+        cands = fundamental._candidates_3d(h, fundamental._side_bound_sq(f_max, sum(dual_min)), prim_min, DEFAULT_BUDGET)
+        dual_cands = fundamental._candidates_3d(dual, fundamental._side_bound_sq(f_max, sum(prim_min)), dual_min, DEFAULT_BUDGET)
+        cands += [np.array(rows).T for rows in (sweep._adjugates(np.array(dual_cands))[0] if dual_cands else [])]
+        for C in np.array(cands, dtype=np.int64):
+            if fundamental._f_of_array(h @ C) <= f_max:
+                assert C.tobytes() in table
 
 
 def test_float_fibers_wrap_into_the_unit_interval():

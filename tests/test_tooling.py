@@ -11,8 +11,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import horolattice
 from horolattice import fundamental, orbits
+from horolattice.core import AffineLatticePoint, SpecialLinearMatrix, SplittingSignature, TorusPoint
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -37,3 +40,25 @@ def test_every_public_name_resolves():
         module = importlib.import_module(f"horolattice.{name}")
         for public in getattr(module, "__all__", ()):
             assert hasattr(module, public), f"horolattice.{name}.__all__ names missing {public!r}"
+
+
+def test_every_d3_sample_passes_through_decompose_and_reduce_core(monkeypatch):
+    # the benchmark counts these calls where orbits and fundamental bind
+    # them: y0 is reduced once, then every sample once through decompose
+    calls = {"decompose": 0, "reduce_core": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    core = counted("reduce_core", fundamental._reduce_core)
+    monkeypatch.setattr(orbits, "decompose", counted("decompose", orbits.decompose))
+    monkeypatch.setattr(orbits, "_reduce_core", core)
+    monkeypatch.setattr(fundamental, "_reduce_core", core)
+    y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(3)), TorusPoint.from_values(["1/3", "2/3", "1/5"]))
+    n = 40
+    orbits.orbit_pushforward(y0, 4.0, orbits.NeighborhoodV(SplittingSignature(1, 2)), n, seed=0)
+    assert calls == {"decompose": n, "reduce_core": n + 1}

@@ -40,7 +40,7 @@ from .core import (
     matrix_norm,
 )
 from .diophantine import WeylInstance, dirichlet_cap, weyl_bound, weyl_count, zeta, zeta_property_suite
-from .fundamental import _lex_key, reduce_matrix
+from .fundamental import _lex_first, _lex_key, reduce_matrix
 from .harness import CheckResult, RunReport, decay_fit, loglog_fit
 from .lattices import DEFAULT_BUDGET, LatticeDescriptor, height, siegel_average_2x2
 from .measures import FlatteningInstance, _verify_flattening, flatten_weights, fourier_coefficient
@@ -241,7 +241,7 @@ def criterion_reduction_oracle(budget=DEFAULT_BUDGET, cache=None, n_cases: int =
             oracle_bad += 1
         elif fmin <= r.fvalue + 1e-9:
             ties = np.nonzero(F <= fmin + 1e-9)[0]
-            pick = min(ties, key=lambda i: _lex_key(H[i]))
+            pick = ties[_lex_first(_lex_key(H[ties]), [0])[0]]
             if np.abs(H[pick] - r.rep.entries).max() > 1e-8:
                 oracle_bad += 1
         scale = max(1.0, matrix_norm(r.rep))

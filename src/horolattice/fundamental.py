@@ -26,43 +26,41 @@ decomposition P = xi gamma, whether by `reduce_matrix` or by the
 max(1, max|xi|), and xi^{-1} P is gamma to RESIDUAL_TOL.
 `certify_factorization` raises a PrecisionError on a row that fails it.
 
-For d = 3 a matrix, or a stack of them, is reduced by one pipeline; a
-single matrix is a stack of one.
-1. The seed: LLL on the primal and on the dual basis, and the one with
-   the smaller F seeds the rest.  `_search_starts` runs every LLL once
-   over the whole stack, through `lattices.lll_reduce_batch`, with each
-   row's bits those of `lll_reduce`.
-2. The class sweep of `sweep`: one round of `_search` after another
-   with a static table of 4,632 transforms as its candidates, swept over
-   blocks of rows at once.
-3. Its certificate, per row, that the table holds every transform the
-   search could pick; then the sweep's gamma is `_search`'s.  The
-   argument is in the `sweep` module docstring.
-4. A row that fails the certificate runs `_search` from its seed: the
-   certified successive minima of both sides, then the candidate walks
-   of `_candidates_3d` on both sides, repeated until no candidate lowers
-   F, and the lexicographic tie-break; each round scores its candidates
-   as one stack.  A dual candidate C has det C = 1, so its primal
-   transform C^{-T} is the integer cofactor matrix of C.
-Floating point enters only through LLL's Gram-Schmidt, the QR of the
-enumerations and the F-values; each is computed by the same numpy
-operations whatever the surrounding bookkeeping, so outputs are
-reproducible bit for bit.  Every sample still passes through
-`_reduce_core` once: its `start` carries the sweep's certified result,
-or the seed for `_search`.  A single d = 2 matrix (`reduce_matrix`, the
-d = 2 fallback) runs `_search` from the scalar `lll_reduce`; d > 3 stops
-at the LLL seed, uncertified.
+Every d >= 2 is reduced by one protocol over a stack of matrices; a
+single matrix is a stack of one (`_search_starts`, `_reduce_core`).
+1. The seed: for d = 2 the vectorized Lagrange loop; for d = 3, LLL on
+   the primal and on the dual basis (`lattices.lll_reduce_batch`, each
+   row with the bits of `lll_reduce`), the one with the smaller F.
+2. The class sweep: `_search`'s rounds with a static table as the
+   candidates.  For d = 2 `_sweep_static`, one round over 36 transforms;
+   for d = 3 `sweep`, round after round over 4,632 ternary ones.
+3. The certificate, per row, that the table holds every C within
+   `_search`'s Frobenius bound; then the sweep's gamma is `_search`'s.
+4. A row that fails it runs `_search` from its seed: the certified
+   successive minima of both sides, then the candidate walks of
+   `_candidates_2d`, or of `_candidates_3d` on both sides, until no
+   candidate lowers F, and the lexicographic tie-break.  A dual
+   candidate C has det C = 1, so its primal transform C^{-T} is the
+   integer cofactor matrix of C.
+d > 3 stops at the LLL seed, uncertified.  Each float step is the same
+numpy operation whatever the surrounding bookkeeping, so a row gets the
+same bits in any stack.  Each d = 3 sample passes through `_reduce_core`
+with its start; `reduce_batch_2x2` keeps certified d = 2 rows in arrays.
 
-A vectorized fast path `reduce_batch_2x2` reduces a whole batch of
-d = 2 matrices.  Its one caller is the signature (1, 1) branch of
-`orbits.decompose_batch`, the package's single decomposition entry
-point for sample batches.  The fast path agrees with
-the scalar path and falls back to it sample by sample near the cusp,
-where the static candidate table is no longer provably complete.  Its
-sweep over the static table scores one candidate per class {C J^r} of
-the table, J the quarter turn, since F is invariant under h -> h J; it
-runs in fixed blocks of rows, so its memory does not grow with the
-batch size.
+The d = 2 certificate (`_sweep_certified_2x2`).  B = (b1, b2) is the
+seed, mu = <b1, b2> / |b1|^2 and |b2*|^2 = |b2|^2 - mu <b1, b2>.  F(h)^2
+= |h|_F^2 / 2 for d = 2, so each C with F(B C) <= F + TIE_TOL, F the
+sweep's pick, has |B C|_F^2 <= bound = (sqrt 2 (F + TIE_TOL) +
+BOUND_MARGIN)^2, and each column (x, y) of C is primitive with
+|x b1 + y b2|^2 <= room = bound - lambda_1^2.  A Gauss-reduced basis
+(|b1| <= |b2|, |mu| <= 1/2) attains both successive minima (Nguyen and
+Stehle, ACM TALG 2009), so lambda_1 = |b1|.  As
+|x b1 + y b2|^2 = |b1|^2 (x + mu y)^2 + y^2 |b2*|^2, room < 4 |b2*|^2
+forces |y| <= 1, and |mu| + sqrt((room - |b2*|^2) / |b1|^2) < 3 forces
+|x| <= 2 (x = +-1 if y = 0).  Both columns are then among the table's
+{(+-1, 0), (a, +-1) : |a| <= 2}, and so is C.  Margins of 1e-9 relative
+cover the rounding.  Gauss reduction is checked on the seed as computed,
+so a row that the loop's round cap stopped early fails unless reduced.
 """
 
 from __future__ import annotations
@@ -83,8 +81,8 @@ from .core import (
     _inv_unimodular,
     _renormalized,
 )
-from .errors import PrecisionError, _failure_site, _naming_sample
-from .lattices import DEFAULT_BUDGET, LatticeDescriptor, enumerate_ball, lll_reduce, lll_reduce_batch
+from .errors import DeterminantError, PrecisionError, _failure_site, _naming_sample
+from .lattices import DEFAULT_BUDGET, LatticeDescriptor, enumerate_ball, lll_reduce_batch
 
 __all__ = [
     "F_value",
@@ -101,15 +99,12 @@ __all__ = [
 
 #: Candidates with F within this of the minimum count as ties.
 TIE_TOL = 1e-9
-#: Rounding grid for the lexicographic tie-break.
+#: Rounding grid of the lexicographic tie-break key (`_lex_key`).
 LEX_GRID = 1e-12
 #: Additive safety margin on enumeration Frobenius bounds.
 BOUND_MARGIN = 1e-6
 #: Tolerance of the factorization certificate (`factorization_residuals`).
 RESIDUAL_TOL = 1e-6
-
-#: Batch fast path falls back to the scalar path below this lambda_1.
-_BATCH_LAMBDA1_MIN = 0.015
 
 
 def _f_of_array(h: np.ndarray) -> float:
@@ -153,6 +148,17 @@ class ReducedRepresentative:
     certified: bool = True
 
 
+def _reduced_matrix(B: np.ndarray) -> SpecialLinearMatrix:
+    """A basis derived from a det-1 input, as a SpecialLinearMatrix.
+
+    Its det drifts by rounding only: a failed check is a PrecisionError.
+    """
+    try:
+        return SpecialLinearMatrix.from_entries(B)
+    except DeterminantError as exc:
+        raise PrecisionError(str(exc)) from exc
+
+
 def _minima_sq_of(B: np.ndarray, budget: int, reduced: Optional[tuple] = None) -> list:
     """Squared Euclidean successive minima of the lattice spanned by B's columns.
 
@@ -161,7 +167,7 @@ def _minima_sq_of(B: np.ndarray, budget: int, reduced: Optional[tuple] = None) -
     """
     from .lattices import successive_minima
 
-    L = LatticeDescriptor(SpecialLinearMatrix.from_entries(B), _reduced=reduced)
+    L = LatticeDescriptor(_reduced_matrix(B), _reduced=reduced)
     return [x * x for x in successive_minima(L, budget)]
 
 
@@ -315,34 +321,8 @@ def _candidates_3d(B: np.ndarray, boundsq: float, minima_sq: list, budget: int):
                     )
                     # det(a, b, c3) = n . c3 = +1; the four sign variants
                     # (+a,+b), (-a,-b) share c3, (+a,-b), (-a,+b) take -c3
-                    out.append(
-                        (
-                            (a[0], b[0], c3[0]),
-                            (a[1], b[1], c3[1]),
-                            (a[2], b[2], c3[2]),
-                        )
-                    )
-                    out.append(
-                        (
-                            (-a[0], -b[0], c3[0]),
-                            (-a[1], -b[1], c3[1]),
-                            (-a[2], -b[2], c3[2]),
-                        )
-                    )
-                    out.append(
-                        (
-                            (a[0], -b[0], -c3[0]),
-                            (a[1], -b[1], -c3[1]),
-                            (a[2], -b[2], -c3[2]),
-                        )
-                    )
-                    out.append(
-                        (
-                            (-a[0], b[0], -c3[0]),
-                            (-a[1], b[1], -c3[1]),
-                            (-a[2], b[2], -c3[2]),
-                        )
-                    )
+                    for sa, sb in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
+                        out.append(tuple((sa * a[r], sb * b[r], sa * sb * c3[r]) for r in range(3)))
     return out
 
 
@@ -356,8 +336,29 @@ def _side_bound_sq(fmax, other_lower_sq):
     return root * root
 
 
-def _lex_key(h: np.ndarray):
-    return tuple(map(round, (h.ravel() / LEX_GRID).tolist()))
+def _lex_key(h: np.ndarray) -> np.ndarray:
+    """The tie-break key of a matrix, or of each of a stack: (..., d * d).
+
+    The entries in row-major order, rounded to LEX_GRID, as floats (int64
+    would overflow once an entry passes 9.2e6).
+    """
+    return np.rint(h.reshape(h.shape[:-2] + (h.shape[-2] * h.shape[-1],)) / LEX_GRID)
+
+
+def _lex_first(keys: np.ndarray, starts) -> np.ndarray:
+    """The tie-break: per group of rows of keys (M, K), its first lexicographically least row.
+
+    Group g is the rows from starts[g] up to the next start, none empty;
+    a NaN key keeps every row of its group.
+    """
+    starts = np.asarray(starts, dtype=np.intp)
+    owner = np.repeat(np.arange(starts.size), np.diff(starts, append=keys.shape[0]))
+    least = np.ones(keys.shape[0], dtype=bool)
+    for key in keys.T:
+        key = np.where(least, key, np.inf)
+        least &= ~(key > np.minimum.reduceat(key, starts)[owner])
+    first = np.flatnonzero(least)
+    return first[np.searchsorted(owner[first], np.arange(starts.size))]
 
 
 def _reduce_core(arr: np.ndarray, budget: int = DEFAULT_BUDGET, start: Optional[tuple] = None):
@@ -365,46 +366,56 @@ def _reduce_core(arr: np.ndarray, budget: int = DEFAULT_BUDGET, start: Optional[
 
     Returns (rep_array, U IntegerMatrix with arr @ U tracking rep,
     fvalue, certificate, certified).  `start`, if given, is arr's item
-    of `_search_starts`, computed ahead for a whole stack; for d = 3 a
-    single matrix is a stack of one.  A start that carries a
+    of `_search_starts`, computed ahead for a whole stack; without it
+    the matrix is reduced as a stack of one.  A start that carries a
     certificate is the class sweep's certified result and is returned
     as it is; any other runs `_search` from its seed.
     """
     if start is None:
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape[0] == 3:
-            start = next(_search_starts(arr[None], None, None))
-        else:
-            B0, U0_rows = lll_reduce(arr)
-            start = (B0, IntegerMatrix.from_rows(U0_rows), (None, None), None)
+        start = next(_search_starts(np.asarray(arr, dtype=float)[None], None, None))
     best_B, best_U, reduced, certificate = start
     if certificate is not None:
         return best_B, best_U, _f_of_array(best_B), certificate, True
-    if best_B.shape[0] not in (2, 3):
+    if best_B.shape[0] > 3:
         return best_B, best_U, _f_of_array(best_B), 0.0, False
     return _search(best_B, best_U, budget, reduced)
 
 
-def _search_starts(P: np.ndarray, t: Optional[float], stage: Optional[str] = "decompose"):
-    """The `start` of `_reduce_core` for each matrix of a stack P (N, d, d), d != 2.
+def _seed_start(B: np.ndarray, U: np.ndarray) -> tuple:
+    """The `start` that runs `_search` from seed B, U its int64 transform, with no LLL done."""
+    return B, IntegerMatrix.from_rows(U.tolist()), (None, None), None
 
-    Every LLL runs once over the whole stack, through `lll_reduce_batch`,
+
+def _search_starts(P: np.ndarray, t: Optional[float], stage: Optional[str] = "decompose"):
+    """The `start` of `_reduce_core` for each matrix of a stack P (N, d, d).
+
+    A certified row's start is (rep, U, None, certificate), the class
+    sweep's result; any other row's is (seed basis, U, reductions, None),
+    the reductions (None where not yet done) reaching `_minima_sq_of`
+    ready-made.  Returns an iterator over the samples in order.
+
+    For d = 2 the whole stack goes through `_reduce_stack_2x2`.  Otherwise
+    every LLL runs once over the whole stack, through `lll_reduce_batch`,
     which gives each row the bits of `lll_reduce`: on P and, for d = 3,
     on its duals and on both sides of the chosen seed bases.  A dual
     seed is the transposed view the scalar path would take, since an
     F-value sums in memory order.  An LLL failure names the lowest
     failing row as a sample of `stage` at t (no site if stage is None).
-
     For d = 3 the seeds then go through the class sweep and its
     certificate (`sweep`) in blocks of `sweep.ROWS` rows, each block when
-    the iterator reaches it, so their memory does not grow with N.  A certified row's start is
-    (rep, U, None, certificate); any other row's is (seed basis, U,
-    reductions, None), the reductions reaching `_minima_sq_of`
-    ready-made.  Returns an iterator over the samples in order.
+    the iterator reaches it, so their memory does not grow with N.
     """
+    if P.shape[-1] == 2:
+        B, U, reps, moves, certified, certificate = _reduce_stack_2x2(P)
+        return (
+            (reps[i], IntegerMatrix.from_rows(moves[i].tolist()), None, float(certificate[i]))
+            if certified[i]
+            else _seed_start(B[i], U[i])
+            for i in range(P.shape[0])
+        )
     B0, U0 = lll_reduce_batch(P, stage=stage, t=t)
     if P.shape[-1] != 3:
-        return ((B0[i], IntegerMatrix.from_rows(U0[i].tolist()), (None, None), None) for i in range(P.shape[0]))
+        return (_seed_start(B0[i], U0[i]) for i in range(P.shape[0]))
     Bd, Ud = lll_reduce_batch(_inv_unimodular(P).transpose(0, 2, 1), stage=stage, t=t)
     seed_B = _inv_unimodular(Bd).transpose(0, 2, 1)
     dual_wins = _f_of_stack(seed_B) < _f_of_stack(B0)
@@ -485,24 +496,16 @@ def _search(best_B: np.ndarray, best_U: IntegerMatrix, budget: int, reduced: tup
             unique_cs.append(rows)
 
         hs, fs = _score(best_B, unique_cs)
-        entries = [(f_best, None, best_B)]  # identity candidate, bit-exact
-        entries += zip(fs.tolist(), unique_cs, hs)
-        improved = None
-        for f_h, rows, h in entries[1:]:
-            if f_h < f_best - 1e-12 and (improved is None or f_h < improved[0]):
-                improved = (f_h, rows, h)
-        if improved is not None:
-            _, rows, h = improved
-            best_B = h
-            best_U = best_U @ IntegerMatrix.from_rows(rows)
+        if unique_cs and fs.min() < f_best - 1e-12:
+            j = int(fs.argmin())  # the first of the lowest
+            best_B, best_U = hs[j], best_U @ IntegerMatrix.from_rows(unique_cs[j])
             continue
-
-        f_min = min(e[0] for e in entries)
-        ties = [e for e in entries if e[0] <= f_min + TIE_TOL]
-        f_pick, rows_pick, h_pick = min(ties, key=lambda e: _lex_key(e[2]))
-        if rows_pick is not None:
-            best_B = h_pick
-            best_U = best_U @ IntegerMatrix.from_rows(rows_pick)
+        # the tie-break, the identity first as best_B itself, bit-exact
+        hs, fs = np.concatenate([best_B[None], hs]), np.concatenate([[f_best], fs])
+        ties = np.flatnonzero(fs <= fs.min() + TIE_TOL)
+        k = ties[_lex_first(_lex_key(hs[ties]), [0])[0]]
+        if k:
+            best_B, best_U = hs[k], best_U @ IntegerMatrix.from_rows(unique_cs[k - 1])
         return best_B, best_U, _f_of_array(best_B), certificate, True
 
 
@@ -552,19 +555,22 @@ def reduce_matrix(g, budget: int = DEFAULT_BUDGET) -> ReducedRepresentative:
     """Reduce g to the F-minimal representative of its coset.
 
     Idempotent: if g is already a previous output, the identical array
-    comes back with gamma = identity.  g = rep gamma must pass the
-    factorization certificate (`certify_factorization`); a failure is a
-    PrecisionError, never a silently degraded result.
+    comes back with gamma = identity.  A g without det 1 is a
+    DeterminantError.  g = rep gamma must pass the factorization
+    certificate (`certify_factorization`); a failure, or any other
+    precision loss in the reduction, is a PrecisionError, never a
+    silently degraded result.
     """
     if isinstance(g, SpecialLinearMatrix):
         arr = np.array(g.entries, dtype=float)
     else:
         arr = np.array(g, dtype=float)
+        SpecialLinearMatrix.from_entries(arr)  # a bad input is a DeterminantError
     rep_arr, U, fvalue, certificate, certified = _reduce_core(arr, budget)
     if all(U.rows[i][j] == (1 if i == j else 0) for i in range(U.dim) for j in range(U.dim)):
         rep_arr = arr  # bit-exact idempotence
     gamma = U.inv().require_unimodular()
-    rep = SpecialLinearMatrix.from_entries(rep_arr)
+    rep = _reduced_matrix(rep_arr)
     certify_factorization(arr[None], rep.entries[None], gamma.to_array()[None], None, None)
     return ReducedRepresentative(rep, gamma, fvalue, certificate, certified)
 
@@ -605,7 +611,7 @@ def candidate_bases(L: LatticeDescriptor, frobenius_bound: float, budget: int = 
         h = B @ np.array(rows, dtype=float)
         if float((h * h).sum()) <= boundsq * (1 + 1e-12):
             out.append(h)
-    out.sort(key=_lex_key)
+    out.sort(key=lambda h: _lex_key(h).tolist())
     return [SpecialLinearMatrix.from_entries(h) for h in out]
 
 
@@ -638,7 +644,7 @@ def x_distance(rep_x, rep_z, max_distance: float = 1.0, budget: int = DEFAULT_BU
     return best
 
 
-# -- vectorized d = 2 fast path ---------------------------------------------
+# -- the d = 2 seed, sweep and certificate ----------------------------------
 
 def _static_candidates_2x2() -> np.ndarray:
     cols = [(1, 0), (-1, 0)]
@@ -677,16 +683,13 @@ def _rotation_classes(table: np.ndarray) -> np.ndarray:
 _C_STATIC = _static_candidates_2x2()
 #: _C_CLASSES[c, r] is the table index of C_c J^r, C_c the class's first entry.
 _C_CLASSES = _rotation_classes(_C_STATIC)
-_CLASS_OF = np.empty(len(_C_STATIC), dtype=np.intp)
-_CLASS_OF[_C_CLASSES] = np.arange(len(_C_CLASSES))[:, None]
-#: Takes the class-major (c, r) order of the rotations to table order.
-_TABLE_ORDER = np.empty(len(_C_STATIC), dtype=np.intp)
-_TABLE_ORDER[_C_CLASSES.ravel()] = np.arange(len(_C_STATIC))
 #: Rows 0 and 1 of the class representatives C_c, flattened over (c, l).
 _REP_ROW0 = _C_STATIC[_C_CLASSES[:, 0], 0, :].astype(float).ravel()
 _REP_ROW1 = _C_STATIC[_C_CLASSES[:, 0], 1, :].astype(float).ravel()
 #: Rows per block of the static-candidate sweep; bounds its memory.
 _SWEEP_CHUNK = 8192
+#: Round cap of the d = 2 Lagrange loop (`_lagrange_2x2`).
+_LAGRANGE_ROUNDS = 200
 
 
 def _rotations(h: np.ndarray) -> np.ndarray:
@@ -700,21 +703,14 @@ def _rotations(h: np.ndarray) -> np.ndarray:
     return rot.reshape(h.shape[:-2] + (4, 2, 2)) + 0.0
 
 
-def _lex_first(keys: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """Per row, the first candidate (along axis 1) with the smallest key tuple."""
-    sentinel = np.iinfo(np.int64).max
-    for j in range(keys.shape[2]):
-        key = np.where(cand, keys[:, :, j], sentinel)
-        cand &= key == key.min(axis=1)[:, None]
-    return cand.argmax(axis=1)
-
-
 def _sweep_static(Bc: np.ndarray):
     """F-minimal element of {b C : C in the static table} for each row b.
 
     Returns (reps, pick): the chosen products and their table indices,
-    with the scalar path's tie-break (F within TIE_TOL of the minimum,
-    then the smallest lexicographic key, then the first table index).
+    with `_search`'s tie-break: F within TIE_TOL of the minimum, then
+    `_lex_first`, whose order among the candidates is immaterial, since
+    b C and b C' differ by a lattice vector of length at least lambda_1
+    in a column where C and C' differ.
     F(h) = |h|_F / sqrt(2) does not change under h -> h J, so the 36
     entries fall into 9 classes {C J^r} of equal F, and one
     representative per class is scored.  Every table entry lies in
@@ -722,59 +718,34 @@ def _sweep_static(Bc: np.ndarray):
     entry of b C is one rounding of an exact sum, however the product is
     evaluated.  Only the sign of a zero can depend on the evaluation, so
     every zero is returned as +0.0.  A class's F adds its four squares
-    in row-major order.  Where one class lies within TIE_TOL of the
-    minimum (almost every row of a random orbit), the lexicographic
-    tie-break runs over its four rotations; rows where several classes
-    tie run it over all the rotations of the tied classes.
+    in row-major order.  The tie-break runs over the four rotations of
+    each class within TIE_TOL of the minimum, one class on almost every
+    row of a random orbit.
     """
     n = Bc.shape[0]
     # H[n, i, c, l] = (b_n C_c)[i, l] for the class representatives C_c
     H = (Bc[:, :, 0, None] * _REP_ROW0 + Bc[:, :, 1, None] * _REP_ROW1).reshape(n, 2, -1, 2)
     Q = H * H
     F = np.sqrt((((Q[:, 0, :, 0] + Q[:, 0, :, 1]) + Q[:, 1, :, 0]) + Q[:, 1, :, 1]) / 2.0)
-    best = F.argmin(axis=1)
-    rows = np.arange(n)
-    tied = F <= (F[rows, best] + TIE_TOL)[:, None]
-    # the four rotations of a nonzero h have distinct keys, so their order is immaterial
-    rot = _rotations(H[rows, :, best, :])
-    keys = np.rint(rot / LEX_GRID).astype(np.int64).reshape(n, 4, 4)
-    r = _lex_first(keys, np.ones((n, 4), dtype=bool))
-    reps = rot[rows, r]
-    pick = _C_CLASSES[best, r]
-    several = np.nonzero(tied.sum(axis=1) > 1)[0]
-    if several.size:
-        # every rotation of every class, in table order
-        allrot = _rotations(H[several].transpose(0, 2, 1, 3)).reshape(-1, 36, 2, 2)[:, _TABLE_ORDER]
-        keys = np.rint(allrot / LEX_GRID).astype(np.int64).reshape(-1, 36, 4)
-        pick[several] = _lex_first(keys, tied[several][:, _CLASS_OF])
-        reps[several] = allrot[np.arange(several.size), pick[several]]
-    return reps, pick
+    # a row with a NaN ties every class, so that each row has candidates
+    tied_row, tied_class = np.nonzero(~(F > (F.min(axis=1) + TIE_TOL)[:, None]))
+    # rows of the rotations of each tied class; distinct transforms give distinct keys
+    rot = _rotations(H[tied_row, :, tied_class, :]).reshape(-1, 2, 2)
+    first = _lex_first(_lex_key(rot), 4 * np.searchsorted(tied_row, np.arange(n)))
+    return rot[first], _C_CLASSES[tied_class[first // 4], first % 4]
 
 
-def reduce_batch_2x2(
-    P: np.ndarray, budget: int = DEFAULT_BUDGET, max_iter: int = 200, t: Optional[float] = None
-):
-    """Reduce a batch of 2x2 unimodular matrices.
+def _lagrange_2x2(P: np.ndarray):
+    """Lagrange reduction of each basis of a stack P (N, 2, 2): (B = P U, U int64).
 
-    Returns (reps (N,2,2) float, gammas (N,2,2) int64) matching the
-    scalar `reduce_matrix` output (same minimizer, same tie-break).
-    After a vectorized Lagrange loop, the static candidate table is
-    swept in blocks of _SWEEP_CHUNK rows, so the sweep's memory stays
-    flat in N and each row's arithmetic does not depend on the block.
-    Samples for which the static candidate table is not provably
-    complete (lambda_1 below _BATCH_LAMBDA1_MIN) or the vectorized
-    Lagrange loop did not converge are re-run through the scalar path;
-    a failure there names the sample and the flow time t, if given.
+    A pass swaps the columns, with a sign, where the second is shorter,
+    then shears the second by the rounded mu.  A row stops after a pass
+    that does neither, or after _LAGRANGE_ROUNDS passes.
     """
-    P = np.asarray(P, dtype=float)
-    N = P.shape[0]
     B = P.copy()
-    U = np.zeros((N, 2, 2), dtype=np.int64)
-    U[:, 0, 0] = 1
-    U[:, 1, 1] = 1
-    active = np.ones(N, dtype=bool)
-    converged = np.zeros(N, dtype=bool)
-    for _ in range(max_iter):
+    U = np.broadcast_to(np.eye(2, dtype=np.int64), B.shape).copy()
+    active = np.ones(P.shape[0], dtype=bool)
+    for _ in range(_LAGRANGE_ROUNDS):
         if not active.any():
             break
         idx = np.nonzero(active)[0]
@@ -800,32 +771,57 @@ def reduce_batch_2x2(
             kk = k[shear]
             B[hidx, :, 1] -= kk[:, None] * B[hidx, :, 0]
             U[hidx, :, 1] -= kk.astype(np.int64)[:, None] * U[hidx, :, 0]
-        done = ~(swap | shear)
-        converged[idx[done]] = True
-        active[idx[done]] = False
+        active[idx[~(swap | shear)]] = False
+    return B, U
 
-    lam1sq = np.minimum(
-        B[:, 0, 0] ** 2 + B[:, 1, 0] ** 2, B[:, 0, 1] ** 2 + B[:, 1, 1] ** 2
-    )
-    fallback = (~converged) | (lam1sq < _BATCH_LAMBDA1_MIN**2)
 
+def _sweep_certified_2x2(B: np.ndarray, reps: np.ndarray):
+    """Per seed of B, whether the table holds every C `_search` could pick; reps are the sweep's.
+
+    The argument is in the module docstring.  Returns (certified, sqrt(bound)).
+    """
+    b00, b01, b10, b11 = B.reshape(-1, 4).T.copy()
+    n1, n2, dot = b00 * b00 + b10 * b10, b01 * b01 + b11 * b11, b00 * b01 + b10 * b11
+    mu = dot / n1
+    perp = (n2 - dot * mu) * (1 - 1e-9)
+    # sqrt 2 (F + TIE_TOL) + BOUND_MARGIN, as F = |rep|_F / sqrt 2
+    root = np.sqrt((reps * reps).sum(axis=(1, 2))) + (math.sqrt(2.0) * TIE_TOL + BOUND_MARGIN)
+    room = (root * root - n1 * (1 - 1e-9)) * (1 + 1e-9)
+    reach = (np.abs(mu) + np.sqrt(np.maximum(room - perp, 0.0) / n1)) * (1 + 1e-9)
+    return (n1 <= n2) & (np.abs(mu) <= 0.5) & (room < 4.0 * perp) & (reach < 3.0), root
+
+
+def _reduce_stack_2x2(P: np.ndarray):
+    """Seeds B = P U, picks reps = B C, moves = U C and the certificate of a stack P (N, 2, 2).
+
+    The sweep runs in blocks of _SWEEP_CHUNK rows, so its memory stays
+    flat in N.
+    """
+    B, U = _lagrange_2x2(P)
     reps = np.empty_like(B)
-    pick = np.empty(N, dtype=np.intp)
-    for start in range(0, N, _SWEEP_CHUNK):
-        rows = slice(start, start + _SWEEP_CHUNK)
+    pick = np.empty(P.shape[0], dtype=np.intp)
+    for lo in range(0, P.shape[0], _SWEEP_CHUNK):
+        rows = slice(lo, lo + _SWEEP_CHUNK)
         reps[rows], pick[rows] = _sweep_static(B[rows])
+    certified, certificate = _sweep_certified_2x2(B, reps)
+    return B, U, reps, U @ _C_STATIC[pick], certified, certificate
 
-    U_total = U @ _C_STATIC[pick]
-    gammas = np.empty_like(U_total)
-    gammas[:, 0, 0] = U_total[:, 1, 1]
-    gammas[:, 0, 1] = -U_total[:, 0, 1]
-    gammas[:, 1, 0] = -U_total[:, 1, 0]
-    gammas[:, 1, 1] = U_total[:, 0, 0]
 
-    if fallback.any():
-        for i in np.nonzero(fallback)[0]:
-            with _naming_sample("decompose", i, t):
-                rep_arr, Ui, _, _, _ = _reduce_core(P[i], budget)
-            reps[i] = rep_arr
-            gammas[i] = np.array(Ui.inv().rows, dtype=np.int64)
+def reduce_batch_2x2(P: np.ndarray, budget: int = DEFAULT_BUDGET, t: Optional[float] = None):
+    """Reduce a batch of 2x2 unimodular matrices: (reps (N, 2, 2) float, gammas (N, 2, 2) int64).
+
+    Row for row `_reduce_core`'s bits, with no Python object per certified
+    row; a row that fails the certificate runs `_reduce_core` from its
+    seed, and a failure there names the sample and the flow time t.
+    """
+    P = np.asarray(P, dtype=float)
+    B, U, reps, moves, certified, _ = _reduce_stack_2x2(P)
+    # gamma is the inverse of the det-1 transform, its adjugate; in C order,
+    # since a caller's float products with it round by its layout
+    gammas = np.ascontiguousarray(np.moveaxis(np.array(_int_adjugate(moves.transpose(1, 2, 0))), -1, 0))
+    for i in np.flatnonzero(~certified):
+        with _naming_sample("decompose", i, t):
+            rep_arr, Ui, *_ = _reduce_core(P[i], budget, _seed_start(B[i], U[i]))
+        reps[i] = rep_arr
+        gammas[i] = Ui.inv().to_int64()
     return reps, gammas

@@ -53,13 +53,15 @@ _LLL_DELTA = 0.99
 _LLL_MAX_ROUNDS = 10_000
 
 
-def lll_reduce(basis: np.ndarray, delta: float = _LLL_DELTA, max_rounds: int = _LLL_MAX_ROUNDS):
+def lll_reduce(basis: np.ndarray):
     """Column LLL reduction with exact integer transform.
 
     Returns (B, U): B is the reduced float basis maintained incrementally
     (the numerically stable way to get it) and U is the exact unimodular
     transform as nested Python ints with det +1, so B tracks basis @ U.
-    Swaps are swap-with-sign to keep the determinant +1 throughout.
+    Swaps are swap-with-sign to keep the determinant +1 throughout.  The
+    Lovasz parameter is _LLL_DELTA; a run past _LLL_MAX_ROUNDS rounds is
+    a BudgetExceededError.  `lll_reduce_batch` reads the same two.
 
     Gram-Schmidt rows are computed lazily: row j of (Q, mu, norms2)
     reads only columns <= j of B and rows < j of itself, so a change to
@@ -93,7 +95,7 @@ def lll_reduce(basis: np.ndarray, delta: float = _LLL_DELTA, max_rounds: int = _
     k = 1
     while k < d:
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > _LLL_MAX_ROUNDS:
             raise BudgetExceededError("LLL failed to converge within the round budget")
         gram_schmidt(k)
         for i in range(k - 1, -1, -1):
@@ -104,7 +106,7 @@ def lll_reduce(basis: np.ndarray, delta: float = _LLL_DELTA, max_rounds: int = _
                     U[row][k] -= r * U[row][i]
                 valid = k
                 gram_schmidt(k)
-        if norms2[k] >= (delta - mu[k, k - 1] ** 2) * norms2[k - 1]:
+        if norms2[k] >= (_LLL_DELTA - mu[k, k - 1] ** 2) * norms2[k - 1]:
             k += 1
         else:
             tmp = B[:, k - 1].copy()

@@ -15,20 +15,19 @@ scheduled.  Per-sample failures abort the run; silently dropping a
 sample would bias the measure.
 
 `decompose_batch` is the one decomposition entry point for a batch of
-samples, whatever the signature.  For m = n = 1 (the hot loop of every
-scaling experiment) it runs the vectorized `_bulk_decompose_2x2`.  Every
-other signature runs the LLL of all samples as one stack and, for d = 3,
-the class sweep and its per-row certificate
-(`fundamental._search_starts`), then `decompose` sample by sample from
-those starts: the sweep's certified result, or the exact candidate
-search where the certificate fails, with the bits of a single sample's
-reduction.
+samples, whatever the signature.  Every signature is reduced by
+`fundamental`'s one protocol (seed, class sweep, per-row certificate,
+exact search where the certificate fails), and a sample's reduction
+has the same bits in a batch as alone.  For m = n = 1 (the hot loop of
+every scaling experiment) `_bulk_decompose_2x2` keeps the certified
+samples in arrays (`fundamental.reduce_batch_2x2`) and checks the
+factorization certificate on the whole batch at once.  Every other
+signature takes its starts from `fundamental._search_starts` and runs
+`decompose` sample by sample.
 Its callers (`orbit_pushforward`, `gamma_orbit`) do the rest on whole
 arrays: the fiber and the regularity gate have one formula for every
-signature, and only the heights branch on d.  Both paths end in the
-one factorization certificate, `fundamental.certify_factorization`:
-the bulk path on the whole batch, the other path on each sample in
-turn.  A failure names the stage, the sample (or the base point) and t.
+signature, and only the heights branch on d.  A failure names the
+stage, the sample (or the base point) and t.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from .core import (
     torus_act,
 )
 from .errors import (
-    DeterminantError,
     EmptyLocalizationError,
     PrecisionError,
     _naming_sample,
@@ -61,6 +59,7 @@ from .errors import (
 from .fundamental import (
     RESIDUAL_TOL,
     _reduce_core,
+    _reduced_matrix,
     _search_starts,
     certify_factorization,
     reduce_batch_2x2,
@@ -161,10 +160,9 @@ def decompose(
     gamma is exact by construction (the unimodular transform is
     accumulated in integers), and P = xi gamma must pass the
     factorization certificate (`fundamental.certify_factorization`), as
-    a batch of one.  P has det 1 by construction, so a basis derived
-    from it can drift from det 1 only by rounding: a determinant failure
-    in the reduction is a `PrecisionError`, like a failed certificate.
-    `start`, if given, is this sample's item of
+    a batch of one.  P has det 1 by construction, so a determinant drift
+    of a reduced basis is precision loss: a `PrecisionError`, like a
+    failed certificate.  `start`, if given, is this sample's item of
     `fundamental._search_starts`, computed ahead over a stack: the class
     sweep's certified result or the seed of the search.
     """
@@ -172,11 +170,8 @@ def decompose(
     if ub.shape != (sig.m, sig.n):
         raise ValueError(f"u has shape {ub.shape}, expected ({sig.m},{sig.n})")
     P = _flowed(x_rep, ub[None], s, sig)[0]
-    try:
-        rep_arr, U, _, _, _ = _reduce_core(P, budget, start)
-        xi = SpecialLinearMatrix.from_entries(rep_arr)
-    except DeterminantError as exc:
-        raise PrecisionError(str(exc)) from exc
+    rep_arr, U, _, _, _ = _reduce_core(P, budget, start)
+    xi = _reduced_matrix(rep_arr)
     gamma = U.inv().require_unimodular()
     certify_factorization(P[None], xi.entries[None], gamma.to_array()[None], None, None)
     return xi, gamma
@@ -297,14 +292,18 @@ def decompose_batch(
 ):
     """Factor a_t phi(u) x_rep = xi . gamma for every row u of us.
 
-    Returns (xis (N, d, d) float, gammas (N, d, d) int64), bit for bit
-    what `decompose` gives each sample.  Signature (1, 1) runs the
-    vectorized `_bulk_decompose_2x2`.  Every other signature runs the LLL
-    of all samples as one stack and, for d = 3, the class sweep
-    (`fundamental._search_starts`), then `decompose` sample by sample
-    from those starts, in order.  A failure names the sample and t; an
-    LLL failure of any sample comes before the first search.
+    Returns (xis (N, d, d) float, gammas (N, d, d) int64).  Signature
+    (1, 1) runs `_bulk_decompose_2x2`.  Every other signature runs the
+    seeds, the class sweep and its certificate of all samples as one
+    stack (`fundamental._search_starts`), then `decompose` sample by
+    sample from those starts, in order, bit for bit what `decompose`
+    gives each sample alone.  A failure names the sample and t; an LLL
+    failure of any sample comes before the first search.
     """
+    # The benchmark (perfbench/layers.py) traces `_bulk_decompose_2x2` and
+    # counts one `decompose` and one `_reduce_core` call per d = 3 sample
+    # where this module binds them, so the branch and the per-sample loop
+    # stay until it counts the stack instead.
     if sig.d == 2:
         return _bulk_decompose_2x2(x_rep, us, t, budget)
     starts = _search_starts(_flowed(x_rep, us, t, sig), t)

@@ -7,7 +7,7 @@ in 193 classes {C S}, S the 24 signed permutation matrices of det 1,
 under which F is invariant.  Each round scores one member of every
 class, then every member of the classes near the lowest F exactly as
 `fundamental._search` scores its candidates, and moves to the lowest F
-or breaks the ties by `fundamental._lex_key`: one round of `_search`
+or breaks the ties by `fundamental._lex_first`: one round of `_search`
 with T as its candidates.  So where T holds every C with
 F(h C) <= F(h) + TIE_TOL, h the sweep's last basis, the sweep returns
 `_search`'s gamma.
@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import _first_row_det, _int_adjugate, _int_det, _inv_unimodular
-from .fundamental import LEX_GRID, TIE_TOL, _f_of_stack, _side_bound_sq
+from .fundamental import TIE_TOL, _f_of_stack, _lex_first, _lex_key, _side_bound_sq
 
 #: Rows per block of the sweep and its certificate; bounds their memory.
 ROWS = 32
@@ -186,7 +186,7 @@ def _sweep_3x3(seeds: np.ndarray):
     candidate.  A row moves, by a matmul as in `_search`, to the lowest F
     more than 1e-12 below F(h), the first in table order among equals, and
     sweeps again; otherwise it breaks the ties within TIE_TOL of the
-    lowest F by `_lex_key`, h itself among them.
+    lowest F by `_lex_first`, h itself among them.
     """
     table = _ternary_classes()
     width = table.variants.shape[1]
@@ -214,11 +214,7 @@ def _sweep_3x3(seeds: np.ndarray):
         at = np.flatnonzero(better == lowest[owner])
         moved = at[np.searchsorted(owner[at], np.flatnonzero(moves))]
         ties = np.flatnonzero(~moves[owner] & (fs <= np.minimum.reduceat(fs, starts)[owner] + TIE_TOL))
-        keys = np.rint(hs.reshape(-1, 9)[ties] / LEX_GRID)
-        ties = ties[np.lexsort((*keys.T[::-1], owner[ties]))]
-        first = np.ones(ties.size, dtype=bool)
-        first[1:] = owner[ties][1:] != owner[ties][:-1]
-        chosen = ties[first]
+        chosen = ties[_lex_first(_lex_key(hs[ties]), np.flatnonzero(np.diff(owner[ties], prepend=-1)))]
         pick[live[owner[chosen]]] = table.variants[cls[chosen // width], chosen % width]
         live = live[owner[moved]]
         step = table.variants[cls[moved // width], moved % width]

@@ -10,7 +10,7 @@ import pytest
 
 from horolattice import fundamental, sweep
 from horolattice.core import IntegerMatrix, SpecialLinearMatrix, SplittingSignature, diagonal_flow_vector
-from horolattice.errors import BudgetExceededError
+from horolattice.errors import BudgetExceededError, DeterminantError, PrecisionError
 from horolattice.fundamental import (
     F_value,
     candidate_bases,
@@ -19,6 +19,7 @@ from horolattice.fundamental import (
     reduce_batch_2x2,
     reduce_matrix,
     x_distance,
+    _lex_first,
     _lex_key,
 )
 from horolattice.lattices import DEFAULT_BUDGET, LatticeDescriptor, enumerate_ball, lll_reduce, successive_minima
@@ -72,7 +73,7 @@ def brute_reduce_2d(g, box=BOX20):
     F = np.sqrt((H * H).sum(axis=(1, 2)) / 2.0)
     fmin = float(F.min())
     ties = np.nonzero(F <= fmin + 1e-9)[0]
-    pick = min(ties, key=lambda i: _lex_key(H[i]))
+    pick = ties[_lex_first(_lex_key(H[ties]), [0])[0]]
     return H[pick], fmin
 
 
@@ -214,6 +215,30 @@ def test_reduce_d3_never_worse_than_word_box():
         assert r.fvalue <= fb + 1e-9
 
 
+def test_precision_loss_in_the_reduction_is_a_precision_error():
+    # deep-cusp d = 3 inputs that all have det 1: the reduced bases drift from
+    # det 1 by rounding only, which is precision loss, never a bad input
+    rng = np.random.default_rng(1)
+    eps = 1e-6
+    failed = 0
+    for _ in range(60):
+        R = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
+        if np.linalg.det(R) < 0:
+            R[:, 0] = -R[:, 0]
+        R /= np.cbrt(np.linalg.det(R))
+        P = np.diag([eps, eps**-0.5, eps**-0.5]) @ R
+        SpecialLinearMatrix.from_entries(P)
+        try:
+            reduce_matrix(P)
+        except PrecisionError:
+            failed += 1
+    assert failed > 0
+    # a matrix without det 1 is a bad input, whatever its dimension
+    for d in (2, 3):
+        with pytest.raises(DeterminantError):
+            reduce_matrix(2.0 * np.eye(d))
+
+
 def test_reduce_coset_preservation():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -274,35 +299,56 @@ def _flow_orbit(s, us):
     return P
 
 
+def _certified_2x2(monkeypatch, P):
+    """reduce_batch_2x2(P), with the seeds B, the certified mask and the certificate it saw."""
+    real = fundamental._sweep_certified_2x2
+    seen = []
+
+    def recording(B, reps):
+        certified, certificate = real(B, reps)
+        seen.append((B.copy(), certified, certificate))
+        return certified, certificate
+
+    with monkeypatch.context() as m:
+        m.setattr(fundamental, "_sweep_certified_2x2", recording)
+        reps, gammas = reduce_batch_2x2(P)
+    (B, certified, certificate), = seen
+    return reps, gammas, B, certified, certificate
+
+
 def test_batch_agrees_with_scalar(monkeypatch):
+    # every row, bit for bit: a single matrix is a stack of one
     rng = np.random.default_rng(9)
+    # u = p / q gives lambda_1 = q e^{-8} at s = 8: the certificate refuses
+    # q <= 10, below the former batch threshold of 0.015 it accepts q = 30, 40
+    near = np.array([0.3, 0.25, 1 / 3, -0.2, 2 / 7, -0.125, 7 / 30, 11 / 40, -13 / 30, 9 / 40])
     cases = [(4.0, rng.uniform(-0.5, 0.5, 200)), (9.0, rng.uniform(-0.5, 0.5, 200))]
-    # u at fractions of small denominator puts lambda_1 below the batch
-    # threshold at s = 8, so those samples take the scalar fallback
-    near = np.array([0.3, 0.25, 1 / 3, -0.2, 2 / 7, -0.125])
-    cases.append((8.0, np.concatenate([rng.uniform(-0.5, 0.5, 194), near])))
-    real_core = fundamental._reduce_core
+    cases.append((8.0, np.concatenate([rng.uniform(-0.5, 0.5, 190), near])))
+    kinds = {"certified, lambda_1 < 0.015": 0, "searched": 0}
     for s, us in cases:
         P = _flow_orbit(s, us)
-        fell_back = []
-
-        def spy(arr, budget):
-            fell_back.append(next(i for i in range(len(P)) if np.array_equal(P[i], arr)))
-            return real_core(arr, budget)
-
-        monkeypatch.setattr(fundamental, "_reduce_core", spy)
-        reps, gammas = reduce_batch_2x2(P)
-        monkeypatch.setattr(fundamental, "_reduce_core", real_core)
-        if s == 8.0:
-            assert set(fell_back) >= set(range(194, 200))
-        for i in fell_back:
+        reps, gammas, B, certified, _ = _certified_2x2(monkeypatch, P)
+        lam1 = np.sqrt(np.minimum((B[:, :, 0] ** 2).sum(axis=1), (B[:, :, 1] ** 2).sum(axis=1)))
+        kinds["certified, lambda_1 < 0.015"] += int((certified & (lam1 < 0.015)).sum())
+        kinds["searched"] += int((~certified).sum())
+        for i in range(len(P)):
             r = reduce_matrix(P[i])
-            assert np.array_equal(np.array(r.gamma.rows, dtype=np.int64), gammas[i])
-            assert np.array_equal(r.rep.entries, reps[i])
-        for i in range(0, 200, 10):
-            r = reduce_matrix(P[i])
-            assert np.array_equal(np.array(r.gamma.rows, dtype=np.int64), gammas[i])
-            assert np.abs(r.rep.entries - reps[i]).max() < 1e-9
+            assert np.array_equal(r.gamma.to_int64(), gammas[i])
+            assert r.rep.entries.tobytes() == reps[i].tobytes()
+    assert min(kinds.values()) > 0, kinds
+
+
+@pytest.mark.parametrize("s", [4.0, 8.0, 10.0, 12.0])
+def test_certified_2x2_rows_hold_every_near_minimal_transform_in_the_table(s, monkeypatch):
+    # the claim of the d = 2 certificate, checked by the exact search's own enumeration
+    table = {C.tobytes() for C in fundamental._C_STATIC}
+    us = np.random.default_rng(int(s)).uniform(-0.5, 0.5, 300)
+    _, _, B, certified, certificate = _certified_2x2(monkeypatch, _flow_orbit(s, us))
+    assert certified.sum() > 200
+    for b, bound in zip(B[certified], certificate[certified]):
+        lam1sq = fundamental._minima_sq_of(b, DEFAULT_BUDGET)[0]
+        for rows in fundamental._candidates_2d(b, bound * bound, lam1sq, DEFAULT_BUDGET):
+            assert np.array(rows, dtype=np.int64).tobytes() in table
 
 
 def _sweep_all_36(Bc):
@@ -371,11 +417,11 @@ def test_sweep_matches_36_candidate_reference_on_ties_and_signed_zeros():
         np.array([[-0.0, 1.0], [-1.0, 0.0]]),
     ]
     Bc = np.array(mats)
-    # the hexagonal lattice ties several classes, so that path runs too
+    # the hexagonal lattice ties several classes
     H = np.matmul(hexagonal[None, None], fundamental._C_STATIC.astype(float))[0]
     F = np.sqrt((H * H).sum(axis=(1, 2)) / 2.0)
-    tied = fundamental._CLASS_OF[F <= F.min() + fundamental.TIE_TOL]
-    assert len(set(tied.tolist())) > 1
+    tied = np.flatnonzero(F <= F.min() + fundamental.TIE_TOL)
+    assert np.isin(fundamental._C_CLASSES, tied).any(axis=1).sum() > 1
     _assert_sweep_matches_reference(Bc)
     for b in Bc:
         _assert_sweep_matches_reference(b[None])
@@ -383,13 +429,19 @@ def test_sweep_matches_36_candidate_reference_on_ties_and_signed_zeros():
     assert not np.signbit(reps[reps == 0]).any()
 
 
+def test_tie_break_keys_hold_entries_past_int64():
+    # at LEX_GRID = 1e-12 an entry past 9.2e6 overflows an int64 key; the
+    # rotations of h are h, hJ, -h and -hJ, and -h has the least first entry
+    h = np.array([[1e8, -1.0], [1.0, 0.0]])
+    assert _lex_first(_lex_key(fundamental._rotations(h)), [0])[0] == 2
+
+
 def test_primitive_walk_fits_a_budget_the_full_walk_exceeds(monkeypatch):
-    # lambda_1 = 10 e^{-8} ~ 3.4e-3, below the batch threshold; the full
-    # walk visits ~178k nodes (all but a few are multiples k v_1), the
-    # primitive walk 33
+    # lambda_1 = 10 e^{-8} ~ 3.4e-3, too deep for the certificate, so the
+    # search runs; the full walk visits ~178k nodes (all but a few are
+    # multiples k v_1), the primitive walk 33
     (g,) = _flow_orbit(8.0, [0.3])
-    L = LatticeDescriptor.from_matrix(g)
-    assert successive_minima(L)[0] < fundamental._BATCH_LAMBDA1_MIN
+    assert next(fundamental._search_starts(g[None], 8.0))[3] is None
     budget = 10_000
     calls = []
     real_enum = fundamental.enumerate_ball

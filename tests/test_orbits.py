@@ -217,11 +217,13 @@ def test_scalar_path_errors_name_stage_sample_and_t():
         orbit_pushforward(y0, 6.5, V21, 20, seed=0)
 
 
-def _lll_converges(basis, max_rounds):
-    try:
-        lll_reduce(basis, max_rounds=max_rounds)
-    except BudgetExceededError:
-        return False
+def _lll_converges(basis, max_rounds, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(lattices, "_LLL_MAX_ROUNDS", max_rounds)
+        try:
+            lll_reduce(basis)
+        except BudgetExceededError:
+            return False
     return True
 
 
@@ -231,7 +233,7 @@ def test_batched_lll_errors_name_the_sample_and_t(monkeypatch):
     us = sample_V(NeighborhoodV(sig), 20, seed=0)
     # the round budget: the batch names the first sample whose scalar LLL runs out
     P = orbits._flowed(x, us, 4.0, sig)
-    rounds = [next(r for r in range(1, 100) if _lll_converges(p, r)) for p in P]
+    rounds = [next(r for r in range(1, 100) if _lll_converges(p, r, monkeypatch)) for p in P]
     budget = sorted(rounds)[len(rounds) // 2]
     first = next(i for i, r in enumerate(rounds) if r > budget)
     monkeypatch.setattr(lattices, "_LLL_MAX_ROUNDS", budget)
@@ -253,7 +255,10 @@ def test_bulk_residual_error_names_the_sample_and_t():
 
 
 def test_bulk_base_point_error_names_the_base_point_and_t():
-    y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(2)), TorusPoint.from_values(["0", "0"]))
+    # a base point deep in the cusp, which the certificate leaves to the search
+    x = np.diag([1e3, 1e-3])
+    assert next(fundamental._search_starts(x[None], None, None))[3] is None
+    y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(x), TorusPoint.from_values(["0", "0"]))
     with pytest.raises(BudgetExceededError) as info:
         orbit_pushforward(y0, 4.0, V, 20, seed=0, budget=1)
     assert str(info.value).startswith("reduce of the base point at t = 4: ")
@@ -261,12 +266,14 @@ def test_bulk_base_point_error_names_the_base_point_and_t():
 
 
 def test_bulk_fallback_error_names_the_sample_and_t():
-    # budget 11 reduces the base point; sample 769 sits deep in the cusp,
-    # takes the batch's scalar fallback and runs out there
+    # the certificate reduces the base point; the first sample it leaves to
+    # the search sits deep in the cusp and runs out of a budget of 11 there
     y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(2)), TorusPoint.from_values([0.1, 0.2]))
+    P = orbits._flowed(reduce_matrix(np.eye(2)).rep, sample_V(V, 20_000, seed=0), 10.0, SIG)
+    first = next(i for i, start in enumerate(fundamental._search_starts(P, 10.0)) if start[3] is None)
     with pytest.raises(BudgetExceededError) as info:
-        orbit_pushforward(y0, 10.0, V, 2000, seed=0, budget=11)
-    assert str(info.value) == "decompose of sample 769 at t = 10: enumeration node budget exceeded"
+        orbit_pushforward(y0, 10.0, V, 20_000, seed=0, budget=11)
+    assert str(info.value) == f"decompose of sample {first} at t = 10: enumeration node budget exceeded"
     assert info.value.nodes == 12 and info.value.partial is None
     assert traceback.extract_tb(info.value.__traceback__)[-1].filename.endswith("lattices.py")
     # the same batch reduced outside a flow names the sample alone

@@ -43,7 +43,7 @@ from .diophantine import WeylInstance, dirichlet_cap, weyl_bound, weyl_count, ze
 from .fundamental import _lex_first, _lex_key, reduce_matrix
 from .harness import CheckResult, RunReport, decay_fit, loglog_fit
 from .lattices import DEFAULT_BUDGET, LatticeDescriptor, height, siegel_average_2x2
-from .measures import FlatteningInstance, _verify_flattening, flatten_weights, fourier_coefficient
+from .measures import FlatteningInstance, _verify_flattening, flatten_weights, fourier_coefficient, fourier_spectrum
 from .orbits import (
     NeighborhoodV,
     _det1_box_table,
@@ -448,13 +448,8 @@ def criterion_gamma_orbit(budget=DEFAULT_BUDGET, cache=None, count: int = 100_00
 
 
 def _max_nontrivial_coeff(nu, max_freq: int = 4) -> float:
-    best = 0.0
-    for m1 in range(-max_freq, max_freq + 1):
-        for m2 in range(0, max_freq + 1):
-            if (m1, m2) == (0, 0) or (m2 == 0 and m1 < 0):
-                continue  # conjugate symmetry covers the rest
-            best = max(best, abs(fourier_coefficient(nu, (m1, m2))))
-    return best
+    spec = fourier_spectrum(nu, max_freq)
+    return max(abs(c) for m, c in spec.coeffs.items() if any(m))
 
 
 def criterion_fourier_decay(budget=DEFAULT_BUDGET, cache=None, count: int = 100_000) -> List[CheckResult]:

@@ -1,19 +1,26 @@
 """Fourier and concentration analysis of empirical torus measures.
 
-Fourier coefficients of rational sample clouds are evaluated with exact
-phases: the dot products m . b are reduced mod 1 in integer arithmetic
-over the common denominator before any complex exponential is formed,
-so grid identities (coefficient exactly 1 on the dual grid) survive to
-the last bit of the weight sum.  `fourier_spectrum` computes one
-coefficient per pair +-m and gets the other from it exactly.  The
-phase tables have one entry per residue mod q, so denominators above
-`MAX_PHASE_DENOMINATOR` are refused with a `PrecisionError`.
+Fourier coefficients are separable: e(-m . x) is the product over the
+axes of e(-m_a x_a).  A float cloud builds one phase row per axis and
+frequency |k| <= M (the row of -k is its exact conjugate) and multiplies
+rows, instead of forming one exponential per sample and frequency.  A
+rational cloud merges equal points, each with the correctly rounded sum
+of its weights, and reduces m . b mod 1 in integer arithmetic over the
+common denominator before reading a root of unity off a table, so grid
+identities (coefficient exactly 1 on the dual grid) hold to the last
+bit.  Sums run over fixed blocks of samples in a fixed order, never
+through BLAS.  `fourier_spectrum` computes the half box and conjugates
+the rest; `fourier_coefficient` evaluates one entry of the same grid and
+so gives the same bits.  The root table has one entry per residue mod q,
+so denominators above `MAX_PHASE_DENOMINATOR` are refused with a
+`PrecisionError`.
 
 `max_concentration` finds the heaviest closed sup ball of radius rho
 among a fixed candidate set without comparing every centre with every
 sample: upper bounds from a cell grid order the centres, and exact
-masses are computed only until no centre left can reach the best.  It
-returns the centre and the mass of the full scan bit for bit.
+masses (`math.fsum` of the weights in the ball) are computed only until
+no centre left can reach the best.  It returns the centre and the mass
+of the full scan with those masses, whatever the BLAS thread count.
 
 `flatten_weights` is the constructive search for the weight-flattening
 decomposition: given a nonnegatively weighted family with one large
@@ -52,13 +59,19 @@ __all__ = [
 ]
 
 #: Largest denominator q of a rational cloud whose Fourier coefficients
-#: are evaluated with exact phases.  The phase histogram, the roots of
-#: unity and the negation permutation take 32 bytes per residue mod q,
-#: 128 MiB at this cap; q = 2 * 10^16 (decimal-string fibers) would need
-#: hundreds of PiB.
+#: are evaluated with exact phases.  The table of q-th roots of unity
+#: takes 16 bytes per residue mod q, 64 MiB at this cap; q = 2 * 10^16
+#: (decimal-string fibers) would need hundreds of PiB.
 MAX_PHASE_DENOMINATOR = 1 << 22
 
 _MAX_BOX = 10_000_000
+# Fourier sums: samples (or merged rational points) per block, whose
+# partial sums are added in block order, and frequencies of the last axis
+# evaluated together, and the bit at which a coordinate is split so that
+# k x mod 1 is exact in its high part
+_FOURIER_BLOCK = 1024
+_FREQ_CHUNK = 256
+_PHASE_BITS = 28
 # max_concentration: the size of the bounding grid (a few dozen cells per
 # sample; finer grids are mostly empty), the entries of one batch's
 # distance array, and a gap beyond twice the 1e-15 tie tolerance plus
@@ -74,34 +87,153 @@ def _phase_denominator(nu: EmpiricalTorusMeasure) -> int:
     if q > MAX_PHASE_DENOMINATOR:
         raise PrecisionError(
             f"fiber denominator q = {q} exceeds MAX_PHASE_DENOMINATOR = {MAX_PHASE_DENOMINATOR}: "
-            "the exact-phase tables hold one entry per residue mod q"
+            "the exact-phase table holds one root of unity per residue mod q"
         )
     return q
 
 
-def _phase_histogram(nu: EmpiricalTorusMeasure, mv: np.ndarray) -> np.ndarray:
-    """Weight of each exact phase m . b mod 1 of a rational cloud, in units of 1/q."""
-    q = nu.denominator
-    phases = (nu.numerators @ mv) % q
-    return np.bincount(phases.astype(np.intp), weights=nu.weights, minlength=q)
+def _roots_of_unity(q: int) -> tuple:
+    """Real and imaginary parts of e(-j/q), j = 0..q-1, from centred residues."""
+    j = np.arange(q)
+    angle = 2.0 * np.pi * (np.where(2 * j > q, j - q, j) / q)
+    return np.cos(angle), -np.sin(angle)
 
 
-def _roots_of_unity(q: int) -> np.ndarray:
-    return np.exp(-2j * np.pi * np.arange(q) / q)
+def _merged_points(nu: EmpiricalTorusMeasure, q: int) -> tuple:
+    """The distinct numerator rows mod q, each with the correctly rounded sum of its weights."""
+    nums = nu.numerators % q
+    order = np.lexsort(nums.T[::-1])
+    nums = nums[order]
+    starts = np.flatnonzero(np.any(nums[1:] != nums[:-1], axis=1)) + 1
+    weights = np.array([math.fsum(g) for g in np.split(nu.weights[order], starts)])
+    return nums[np.concatenate([[0], starts])], weights
+
+
+def _phase_row(hi: np.ndarray, lo: np.ndarray, k: int) -> tuple:
+    """Real and imaginary parts of e(-k x) for x = hi 2^-_PHASE_BITS + lo and k >= 0.
+
+    k hi mod 2^_PHASE_BITS is exact and k lo is below k 2^-_PHASE_BITS, so
+    k x mod 1 keeps the accuracy of a number below 1 for large k too; it
+    is centred in [-1/2, 1/2] before the angle is formed.
+    """
+    turns = (k % (1 << _PHASE_BITS) * hi) % (1 << _PHASE_BITS) / float(1 << _PHASE_BITS) + k * lo
+    angle = 2.0 * np.pi * (turns - np.rint(turns))
+    return np.cos(angle), -np.sin(angle)
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """Complex product of (re, im) pairs of real arrays; im None means zero."""
+    (ar, ai), (br, bi) = a, b
+    re, im = ar * br, ar * bi
+    if ai is not None:
+        re -= ai * bi
+        im += ai * br
+    return re, im
+
+
+def _fourier_grid(nu: EmpiricalTorusMeasure, rows) -> tuple:
+    """Real and imaginary parts of sum_n w_n e(-m . x_n) for m in rows[0] x ... x rows[-1].
+
+    The frequencies of each axis are given as a list of ints.  Float
+    clouds multiply per-axis phase rows (`_phase_row`); rational clouds
+    merge equal points and read each exact phase m . U mod q off one table
+    of roots of unity.  Samples run in blocks of _FOURIER_BLOCK: a block's
+    terms for one frequency are a contiguous row summed by `np.sum`, and
+    the block sums are added in block order.  So the rounding of an entry
+    depends only on the cloud and its frequency, never on the other
+    frequencies of the grid, on BLAS, or on the last axis's chunking.
+    """
+    shape = tuple(len(r) for r in rows)
+    re, im = np.zeros(shape), np.zeros(shape)
+    prefixes = list(itertools.product(*(range(n) for n in shape[:-1])))
+    if nu.is_rational:
+        q = _phase_denominator(nu)
+        points, weights = _merged_points(nu, q)
+        points = np.ascontiguousarray(points.T)
+        roots = _roots_of_unity(q)
+        rows = [[k % q for k in r] for r in rows]
+    else:
+        x = np.ascontiguousarray(nu.coords.T)
+        hi = np.floor(x * float(1 << _PHASE_BITS))
+        lo = x - hi / float(1 << _PHASE_BITS)
+        hi = hi.astype(np.int64)
+        weights = nu.weights
+    for start in range(0, weights.size, _FOURIER_BLOCK):
+        block = slice(start, start + _FOURIER_BLOCK)
+        if nu.is_rational:
+            terms = _rational_terms(points[:, block], weights[block], rows, prefixes, roots, q)
+        else:
+            terms = _float_terms(hi[:, block], lo[:, block], weights[block], rows, prefixes)
+        for key, (tr, ti) in terms:
+            re[key] += tr.sum(axis=1)
+            im[key] += ti.sum(axis=1)
+    return re, im
+
+
+def _float_terms(hi, lo, w, rows, prefixes):
+    """Per (grid prefix, last-axis chunk): the terms w_n e(-m . x_n), one row per frequency.
+
+    Coordinate x[a, n] is hi[a, n] 2^-_PHASE_BITS + lo[a, n].  The rows of
+    the leading axes are kept for the block, those of the last axis for
+    one chunk.
+    """
+
+    def row(cache, axis, k):
+        # row -k is the exact conjugate of row k
+        if abs(k) not in cache:
+            cache[abs(k)] = _phase_row(hi[axis], lo[axis], abs(k))
+        c, s = cache[abs(k)]
+        return (c, -s) if k < 0 else (c, s)
+
+    lead = [{} for _ in rows[:-1]]
+    last = rows[-1]
+    for c in range(0, len(last), _FREQ_CHUNK):
+        chunk = {}
+        tables = [row(chunk, len(rows) - 1, k) for k in last[c : c + _FREQ_CHUNK]]
+        table = (np.stack([t[0] for t in tables]), np.stack([t[1] for t in tables]))
+        for prefix in prefixes:
+            acc = (w, None)
+            for axis, i in enumerate(prefix):
+                acc = _times(acc, row(lead[axis], axis, rows[axis][i]))
+            yield prefix + (slice(c, c + _FREQ_CHUNK),), _times(acc, table)
+
+
+def _rational_terms(u, w, rows, prefixes, roots, q):
+    """As `_float_terms` for merged points with numerators u[a, n] mod q and weights w."""
+    last = np.asarray(rows[-1], dtype=np.int64)
+    for c in range(0, last.size, _FREQ_CHUNK):
+        lead = np.multiply.outer(last[c : c + _FREQ_CHUNK], u[-1])
+        for prefix in prefixes:
+            phase = lead + sum((rows[axis][i] * u[axis] for axis, i in enumerate(prefix)), 0)
+            phase %= q
+            yield prefix + (slice(c, c + _FREQ_CHUNK),), (w * roots[0][phase], w * roots[1][phase])
+
+
+def _positive(m) -> bool:
+    """m is nonzero and its first nonzero entry is positive: the half box computed directly."""
+    for k in m:
+        if k:
+            return k > 0
+    return False
 
 
 def fourier_coefficient(nu: EmpiricalTorusMeasure, m) -> complex:
-    """sum_i w_i exp(-2 pi i m . b_i); exact phases for rational clouds."""
+    """sum_i w_i exp(-2 pi i m . b_i); exact phases for rational clouds.
+
+    The zero mode is 1.  A frequency whose first nonzero entry is negative
+    gives the conjugate of its negation.  The rest is one entry of
+    `_fourier_grid`, so the value equals `fourier_spectrum`'s bit for bit.
+    """
     mv = np.asarray(m, dtype=np.int64)
     if mv.shape != (nu.dim,):
         raise ValueError(f"frequency shape {mv.shape} does not match dimension {nu.dim}")
-    if not mv.any():
+    key = tuple(int(k) for k in mv)
+    if not any(key):
         return complex(1.0, 0.0)
-    if nu.is_rational:
-        q = _phase_denominator(nu)
-        return complex(_phase_histogram(nu, mv) @ _roots_of_unity(q))
-    angles = -2.0 * np.pi * (nu.coords @ mv.astype(float))
-    return complex(np.sum(nu.weights * np.exp(1j * angles)))
+    if not _positive(key):
+        return fourier_coefficient(nu, [-k for k in key]).conjugate()
+    re, im = _fourier_grid(nu, [[k] for k in key])
+    return complex(re.flat[0], im.flat[0])
 
 
 @dataclass
@@ -124,42 +256,35 @@ class FourierSpectrum:
 def fourier_spectrum(nu: EmpiricalTorusMeasure, max_freq: int) -> FourierSpectrum:
     """All coefficients with sup norm of the frequency at most max_freq.
 
-    One computation serves each pair +-m, and every entry equals
-    `fourier_coefficient(nu, m)` bit for bit.  For a float cloud the
-    angles of -m are exactly the negated angles of m, and the libm sine
-    is odd and cosine even, so c(-m) = conj c(m); when a part of c(m) is
-    exactly zero its sign could differ, and c(-m) is computed directly.
-    For a rational cloud the phase histogram of -m is that of m permuted
-    by j -> -j mod q, summed in the same order, and is dotted with the
-    same roots of unity.  Keys run in lexicographic order.
+    Every entry equals `fourier_coefficient(nu, m)` bit for bit.  One
+    `_fourier_grid` call evaluates the half box: first entry in 0..M, the
+    others in -M..M.  A float cloud evaluates M + 1 phase rows per axis
+    and block of samples, not one exponential per sample and frequency;
+    a rational cloud reads its merged points' phases off the roots of
+    unity.  The other half is c(-m) = conj c(m), exact because phase row
+    -k is the conjugate of row k.  Keys run in lexicographic order.
     """
     if max_freq < 0:
         raise ValueError("max_freq must be nonnegative")
     side = 2 * max_freq + 1
     if side**nu.dim > _MAX_BOX:
         raise ValueError("frequency box too large")
-    if nu.is_rational:
-        q = _phase_denominator(nu)
-        roots = _roots_of_unity(q)
-        negate = -np.arange(q) % q
+    span = list(range(-max_freq, max_freq + 1))
+    re, im = _fourier_grid(nu, [span[max_freq:]] + [span] * (nu.dim - 1))
+    offset = (0,) + (max_freq,) * (nu.dim - 1)
+
+    def entry(m) -> complex:
+        i = tuple(k + o for k, o in zip(m, offset))
+        return complex(re[i], im[i])
+
     coeffs: Dict[tuple, complex] = {}
-    mirrored: Dict[tuple, complex] = {}
-    for m in itertools.product(range(-max_freq, max_freq + 1), repeat=nu.dim):
-        if m in mirrored:
-            coeffs[m] = mirrored.pop(m)
-            continue
-        neg = tuple(-k for k in m)
+    for m in itertools.product(span, repeat=nu.dim):
         if not any(m):
-            coeffs[m] = fourier_coefficient(nu, m)
-        elif nu.is_rational:
-            acc = _phase_histogram(nu, np.asarray(m, dtype=np.int64))
-            coeffs[m] = complex(acc @ roots)
-            mirrored[neg] = complex(acc[negate] @ roots)
+            coeffs[m] = complex(1.0, 0.0)
+        elif _positive(m):
+            coeffs[m] = entry(m)
         else:
-            c = fourier_coefficient(nu, m)
-            coeffs[m] = c
-            if c.real != 0.0 and c.imag != 0.0:
-                mirrored[neg] = c.conjugate()
+            coeffs[m] = entry(tuple(-k for k in m)).conjugate()
     return FourierSpectrum(nu.dim, coeffs, nu.size)
 
 
@@ -227,30 +352,27 @@ def max_concentration(nu: EmpiricalTorusMeasure, rho: float):
     Returns (TorusPoint, mass) with a deterministic lexicographic pick
     among tied centers: scanning the centres in order, a mass more than
     1e-15 above the best replaces it, and one within 1e-15 of it only
-    moves the pick to a lexicographically smaller centre.
+    moves the pick to a lexicographically smaller centre.  The mass of a
+    centre is `math.fsum` of the weights in its closed ball, correctly
+    rounded, so it depends neither on the order of the samples nor on
+    the BLAS build or its thread count.
 
-    Bound and verify, with the result of the full scan bit for bit.
+    Bound and verify, with the pick and the mass of that full scan.
     Every centre gets an upper bound on its mass (`_ball_mass_bounds`).
-    Masses are computed in descending order of bound, in batches, until
-    every centre left is bounded below the largest mass so far by more
-    than `spread`; these are approximate, within `error` of the scan's.
-    The contenders, within `spread` of the largest, then get the scan's
-    exact masses, and the tie rule is replayed over them in their
+    Approximate masses, BLAS products within `error` of the exact ones,
+    are computed in descending order of bound, in batches, until every
+    centre left is bounded below the largest of them by more than
+    `spread`.  The contenders, within `spread` of the largest, then get
+    their exact masses, and the tie rule is replayed over them in their
     original order.  That is the scan's pick.  Walking down from the
-    largest mass M in steps of at most _TIE_GAP reaches a level
+    largest exact mass M in steps of at most _TIE_GAP reaches a level
     L >= M - (n - 1) _TIE_GAP below which no contender lies within
     _TIE_GAP, and `spread` puts every other centre below L - _TIE_GAP
     too.  So no centre has a mass in [L - _TIE_GAP, L): the first centre
     at or above L replaces whatever came before it, and no centre below
-    L can replace or tie anything after.
-
-    The scan's mass is the BLAS product `(dist <= rho) @ weights` over a
-    block of _MAX_BOX // N centres, and its rounding depends on the shape
-    of that call and on the row's slot in it.  So an exact mass is taken
-    from a product of the same shape with the centre in its own slot and
-    every other row zero.  The rows are one zeroed buffer of which only
-    the contenders' rows are ever written, so the rest costs neither
-    time to fill nor resident memory.
+    L can replace or tie anything after.  Which centres become
+    contenders may follow the BLAS rounding, but every set with this
+    property gives the same pick.
     """
     if not (0 < rho < 0.5):
         raise ValueError("rho must lie in (0, 1/2)")
@@ -265,11 +387,11 @@ def max_concentration(nu: EmpiricalTorusMeasure, rho: float):
     bounds = _ball_mass_bounds(nu, centers, rho)
     order = np.argsort(-bounds, kind="stable")
     approx = np.full(n, -np.inf)
-    exact = np.empty(n)
-    # two sums of the same nonnegative weights in different orders differ
-    # by at most `error`; `spread` covers two of those and a tie chain
-    # through every centre
-    error = 2.0 * nu.size * np.finfo(float).eps
+    # an approximate mass adds at most N nonnegative weights of total
+    # about 1 in some order, within (N - 1) eps / 2 of the real sum, and
+    # the exact mass is within eps / 2 of it; `spread` covers two of
+    # those and a tie chain through every centre
+    error = nu.size * np.finfo(float).eps
     spread = 2.0 * error + 2.0 * n * _TIE_GAP
     batch = max(1, _BATCH_ENTRIES // (nu.size * nu.dim))
     columns = np.ascontiguousarray(nu.coords.T)
@@ -279,24 +401,17 @@ def max_concentration(nu: EmpiricalTorusMeasure, rho: float):
         approx[idx] = _inside(centers[idx], columns, rho) @ nu.weights
         done += idx.size
     contenders = np.nonzero(approx >= approx.max() - spread)[0]
-    chunk = max(1, _MAX_BOX // max(nu.size, 1))
-    slots = np.zeros((min(chunk, n), nu.size))
-    for start in np.unique(contenders // chunk) * chunk:
-        block = contenders[(contenders >= start) & (contenders < start + chunk)]
-        for first in range(0, block.size, batch):
-            part = block[first : first + batch]
-            slots[part - start] = _inside(centers[part], columns, rho)
-            exact[part] = (slots[: min(chunk, n - start)] @ nu.weights)[part - start]
-            slots[part - start] = 0.0
     best_mass = -1.0
     best_center = None
-    for i in contenders:
-        mass = float(exact[i])
-        if mass > best_mass + 1e-15:
-            best_mass = mass
-            best_center = tuple(float(x) for x in centers[i])
-        elif abs(mass - best_mass) <= 1e-15 and tuple(centers[i]) < best_center:
-            best_center = tuple(float(x) for x in centers[i])
+    for first in range(0, contenders.size, batch):
+        part = contenders[first : first + batch]
+        for i, inside in zip(part, _inside(centers[part], columns, rho)):
+            mass = math.fsum(nu.weights[inside])
+            if mass > best_mass + 1e-15:
+                best_mass = mass
+                best_center = tuple(float(x) for x in centers[i])
+            elif abs(mass - best_mass) <= 1e-15 and tuple(centers[i]) < best_center:
+                best_center = tuple(float(x) for x in centers[i])
     return TorusPoint.from_values(list(best_center)), best_mass
 
 

@@ -1,9 +1,16 @@
 import cmath
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
+from horolattice.core import AffineLatticePoint, SpecialLinearMatrix, SplittingSignature, TorusPoint
 from horolattice.errors import PrecisionError
 from horolattice.measures import (
     MAX_PHASE_DENOMINATOR,
@@ -17,7 +24,7 @@ from horolattice.measures import (
     max_concentration,
 )
 from horolattice import measures
-from horolattice.orbits import EmpiricalTorusMeasure
+from horolattice.orbits import EmpiricalTorusMeasure, NeighborhoodV, orbit_pushforward
 
 
 def dirac(point, d=2):
@@ -154,7 +161,7 @@ def test_max_concentration_uniform():
 
 
 def full_scan_max_concentration(nu, rho):
-    """Reference: the full scan, every centre against every sample, in blocks of 10^7 // N."""
+    """Reference: the full scan, every centre against every sample, masses by fsum."""
     steps = int(math.ceil(2.0 / rho))
     axes = [np.arange(steps) * (rho / 2.0) for _ in range(nu.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -167,9 +174,8 @@ def full_scan_max_concentration(nu, rho):
         block = centers[start : start + chunk]
         diff = np.abs(block[:, None, :] - nu.coords[None, :, :])
         dist = np.minimum(diff, 1.0 - diff).max(axis=2)
-        masses = (dist <= rho) @ nu.weights
         for j in range(block.shape[0]):
-            mass = float(masses[j])
+            mass = math.fsum(nu.weights[dist[j] <= rho])
             if mass > best_mass + 1e-15:
                 best_mass = mass
                 best_center = tuple(float(x) for x in block[j])
@@ -242,6 +248,129 @@ def test_fourier_spectrum_matches_fourier_coefficient_bit_for_bit():
         got = np.array([spec.coeffs[m] for m in keys])
         want = np.array([fourier_coefficient(nu, m) for m in keys])
         assert got.tobytes() == want.tobytes()
+
+
+def test_spectrum_bits_do_not_depend_on_the_chunks_of_the_last_axis():
+    # 2 * 300 + 1 frequencies span three chunks of the last axis, and
+    # 1500 samples two blocks
+    rng = np.random.default_rng(23)
+    w = rng.random(1500)
+    q11 = rng.integers(0, 11, (1500, 1))
+    clouds = [
+        EmpiricalTorusMeasure(coords=rng.random((1500, 1)), weights=w / w.sum()),
+        EmpiricalTorusMeasure(coords=q11 / 11.0, weights=w / w.sum(), numerators=q11, denominator=11),
+    ]
+    assert 2 * 300 + 1 > 2 * measures._FREQ_CHUNK and 1500 > measures._FOURIER_BLOCK
+    for nu in clouds:
+        spec = fourier_spectrum(nu, 300)
+        got = np.array([spec[(k,)] for k in range(-300, 301)])
+        want = np.array([fourier_coefficient(nu, (k,)) for k in range(-300, 301)])
+        assert got.tobytes() == want.tobytes()
+
+
+def _oracle_coefficient(coords, weights, m):
+    """sum_n w_n e(-m . x_n) at 120 bits; the doubles and m . x_n are exact there."""
+    with mpmath.workprec(120):
+        return mpmath.fsum(
+            mpmath.mpf(float(w)) * mpmath.expjpi(-2 * mpmath.fsum(k * mpmath.mpf(float(c)) for k, c in zip(m, x)))
+            for x, w in zip(coords, weights)
+        )
+
+
+def _rational_oracle(nums, q, weights, m):
+    """sum_n w_n e(-(m . U_n mod q) / q) at 120 bits, one root per residue."""
+    with mpmath.workprec(120):
+        mass = [mpmath.mpf(0)] * q
+        for u, w in zip(nums.tolist(), weights):
+            r = sum(k * x for k, x in zip(m, u)) % q
+            mass[r] += mpmath.mpf(float(w))
+        return mpmath.fsum(mass[r] * mpmath.expjpi(mpmath.mpf(-2 * r) / q) for r in range(q))
+
+
+def _oracle_clouds():
+    rng = np.random.default_rng(21)
+    w2 = rng.random(300)
+    w3 = rng.random(80)
+    q7 = rng.integers(0, 7, (500, 2))
+    w7 = rng.random(500)
+    return [
+        ("d2-float", EmpiricalTorusMeasure(coords=rng.random((300, 2)), weights=w2 / w2.sum()), 8),
+        ("d3-float", EmpiricalTorusMeasure(coords=rng.random((80, 3)), weights=w3 / w3.sum()), 2),
+        ("q7", EmpiricalTorusMeasure(coords=q7 / 7.0, weights=w7 / w7.sum(), numerators=q7, denominator=7), 4),
+    ]
+
+
+@pytest.mark.parametrize(
+    "nu,max_freq", [pytest.param(nu, f, id=name) for name, nu, f in _oracle_clouds()]
+)
+def test_fourier_spectrum_matches_a_120_bit_oracle(nu, max_freq):
+    spec = fourier_spectrum(nu, max_freq)
+    for m in itertools.product(range(-max_freq, max_freq + 1), repeat=nu.dim):
+        if nu.is_rational:
+            want = _rational_oracle(nu.numerators, nu.denominator, nu.weights, m)
+        elif not any(m) or m > tuple(-k for k in m):
+            want = _oracle_coefficient(nu.coords, nu.weights, m)
+        else:
+            continue  # the oracle of -m checks conj c(m) below
+        for key, value in ((m, want), (tuple(-k for k in m), mpmath.conj(want))):
+            assert abs(mpmath.mpc(spec[key]) - value) <= 1e-14, key
+
+
+def test_single_coefficients_at_large_frequencies_match_a_120_bit_oracle():
+    # the phase k x mod 1 is formed exactly in its high part, so the error
+    # does not grow with |m|; the direct angle 2 pi m . x loses |m| eps
+    rng = np.random.default_rng(22)
+    w = rng.random(64)
+    nu = EmpiricalTorusMeasure(coords=rng.random((64, 2)), weights=w / w.sum())
+    for m in ((10**6, -3), (-987_654, 123_457), (2**30 + 1, 5), (0, 3 * 10**5)):
+        want = _oracle_coefficient(nu.coords, nu.weights, m)
+        assert abs(mpmath.mpc(fourier_coefficient(nu, m)) - want) <= 1e-14, m
+
+
+def test_on_grid_coefficient_of_a_rational_orbit_is_exactly_one():
+    # the 8 merged points carry correctly rounded weight sums and phase 0,
+    # so only their own sum is rounded, not 10^5 additions of 1e-5
+    y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(2)), TorusPoint.from_values(["1/3", "2/3"]))
+    nu = orbit_pushforward(y0, 3.0, NeighborhoodV(SplittingSignature(1, 1)), 100_000, 2026)
+    assert nu.is_rational and nu.denominator == 3
+    assert fourier_coefficient(nu, (3, 0)) == 1.0
+    assert fourier_spectrum(nu, 3)[(0, -3)] == 1.0
+
+
+_BLAS_PROBE = """
+import numpy as np
+from horolattice import measures
+from horolattice.orbits import EmpiricalTorusMeasure
+rng = np.random.default_rng(17)
+coords = rng.random((20000, 2))
+w = rng.random(20000)
+w /= w.sum()
+w[-1] = 1.0 - w[:-1].sum()
+nu = EmpiricalTorusMeasure(coords=coords, weights=w)
+q5 = rng.integers(0, 5, (20000, 2))
+rational = EmpiricalTorusMeasure(coords=q5 / 5.0, weights=w, numerators=q5, denominator=5)
+for cloud in (nu, rational):
+    spec = measures.fourier_spectrum(cloud, 6)
+    print(np.array([spec.coeffs[m] for m in sorted(spec.coeffs)]).tobytes().hex())
+centre, mass = measures.max_concentration(nu, 0.05)
+print(centre.as_floats().tobytes().hex(), np.float64(mass).tobytes().hex())
+"""
+
+
+def test_spectrum_and_concentration_bits_do_not_depend_on_the_blas_thread_count():
+    # with gemv masses this cloud's concentration mass moved by one ulp
+    # between one and two OpenBLAS threads
+    src = str(Path(measures.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", _BLAS_PROBE], capture_output=True, text=True, timeout=300, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].split()) == 4
+    assert outputs[0] == outputs[1]
 
 
 def two_point_cloud(q):

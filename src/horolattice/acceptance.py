@@ -1,9 +1,12 @@
 """The acceptance suite: every verification criterion, one function each.
 
 Each criterion function returns a list of CheckResult and holds its own
-parameters, seeds and tolerances; the CLI runner (`run_acceptance`)
-runs them by suite.  The pytest suite does not call them.  All runs are
-deterministic (fixed seeds recorded in the results).
+parameters, seeds and tolerances.  `run_acceptance` runs a suite,
+printing each check's line as it finishes and yielding the check: it is
+the `acceptance` kind's runner, and `harness.run` writes its report.  The
+tier-1 suite runs criteria 03-13 at reduced size through their size
+arguments (tests/test_acceptance.py).  All runs are deterministic (fixed
+seeds recorded in the results).
 
 Two checks are implemented twice, as stated and in a corrected or
 restricted form, because the stated form is provably or robustly
@@ -23,10 +26,9 @@ analysis lives next to the code:
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List
 
 import numpy as np
 
@@ -41,9 +43,9 @@ from .core import (
 )
 from .diophantine import WeylInstance, dirichlet_cap, weyl_bound, weyl_count, zeta, zeta_property_suite
 from .fundamental import _lex_first, _lex_key, reduce_matrix
-from .harness import CheckResult, RunReport, decay_fit, loglog_fit
+from .harness import CheckResult, decay_fit, loglog_fit
 from .lattices import DEFAULT_BUDGET, LatticeDescriptor, height, siegel_average_2x2
-from .measures import FlatteningInstance, _verify_flattening, flatten_weights, fourier_coefficient, fourier_spectrum
+from .measures import FlatteningInstance, _verify_flattening, flatten_weights, fourier_spectrum
 from .orbits import (
     NeighborhoodV,
     _det1_box_table,
@@ -364,13 +366,9 @@ def criterion_xq_invariance(budget=DEFAULT_BUDGET, cache=None, count: int = 10_0
     y0 = _rational_y0()
     nu = orbit_pushforward(y0, 7.0, _V2, count, _SEED, budget)
     on_grid = nu.is_rational and nu.denominator == 3
-    coeffs_ok = True
-    worst = 0.0
-    for m in ((3, 0), (0, 3), (3, 3), (6, 3), (-3, 3)):
-        c = fourier_coefficient(nu, m)
-        worst = max(worst, abs(c - 1.0))
-        if abs(c - 1.0) > 1e-12:
-            coeffs_ok = False
+    spec = fourier_spectrum(nu, 6)
+    worst = max(abs(spec[m] - 1.0) for m in ((3, 0), (0, 3), (3, 3), (6, 3), (-3, 3)))
+    coeffs_ok = worst <= 1e-12
     elapsed = time.time() - t0
     return [
         CheckResult(
@@ -469,15 +467,16 @@ def criterion_fourier_decay(budget=DEFAULT_BUDGET, cache=None, count: int = 100_
         if series[i + 1][1] >= series[i][1]:
             decreasing = False
     above = [(t, v) for t, v in series if v >= floor]
-    slope, _, resid = decay_fit(above)
+    # the fit needs four points above the floor; with fewer the check fails
+    slope, _, resid = decay_fit(above) if len(above) >= 4 else (None, None, None)
     # control: rational fiber keeps its dual-grid coefficients pinned at 1
     y0q = _rational_y0()
     control_ok = True
     control = {}
     for t in (3.0, 6.0, 9.0):
-        nuq = cache.get_orbit("rat", y0q, t, count, budget)
-        on = abs(fourier_coefficient(nuq, (3, 0)) - 1.0)
-        off = abs(fourier_coefficient(nuq, (1, 0)))
+        spec = fourier_spectrum(cache.get_orbit("rat", y0q, t, count, budget), 3)
+        on = abs(spec[3, 0] - 1.0)
+        off = abs(spec[1, 0])
         control[t] = {"on_grid_error": on, "off_grid": off}
         if on > 1e-12:
             control_ok = False
@@ -487,7 +486,7 @@ def criterion_fourier_decay(budget=DEFAULT_BUDGET, cache=None, count: int = 100_
     return [
         CheckResult(
             "09-fourier-decay",
-            decreasing and slope < -0.1 and resid < 0.5 and elapsed < 600.0,
+            slope is not None and decreasing and slope < -0.1 and resid < 0.5 and elapsed < 600.0,
             details={
                 "series": series,
                 "noise_floor": floor,
@@ -657,26 +656,14 @@ SUITES = {
 }
 
 
-def run_acceptance(suite: str = "all", out: Optional[str] = None, budget: int = DEFAULT_BUDGET) -> RunReport:
-    """Run the named suite, print one line per check, return the report."""
+def run_acceptance(suite: str = "all", budget: int = DEFAULT_BUDGET) -> Iterator[CheckResult]:
+    """Run the named suite; print each check's line as its criterion finishes, and yield the check."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     cache = _OrbitCache()
-    checks: List[CheckResult] = []
     for name in SUITES[suite]:
         start = time.time()
-        results = CRITERIA[name](budget=budget, cache=cache)
-        for res in results:
+        for res in CRITERIA[name](budget=budget, cache=cache):
             res.details.setdefault("seconds", time.time() - start)
-            checks.append(res)
             print(res.line(), flush=True)
-    report = RunReport(config={"kind": "acceptance", "suite": suite}, checks=checks)
-    if out is not None:
-        import os
-
-        os.makedirs(out, exist_ok=True)
-        path = os.path.join(out, "acceptance.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, indent=2)
-        report.artifacts.append(path)
-    return report
+            yield res

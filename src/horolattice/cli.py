@@ -1,17 +1,23 @@
 """Command-line entry point.
 
-One subcommand per experiment kind; every flag can also come from a
-JSON config file, and per the interface contract the file overrides
-flags when both are given.  Exit status: 0 all checks passed, 1 an
-invariant failed, 2 configuration/budget/precision trouble.
+One subcommand per kind of `harness.KINDS`.  A flag named after an
+`ExperimentConfig` field sets that field (`--d` sets m = d - 1, n = 1
+unless they are given); every field can also come from a JSON config
+file, which overrides flags when both are given.  `harness.run` does the
+rest; the CLI then prints one line per check (the acceptance suite
+prints its own as each finishes) and the `reduce` result.  Exit status:
+0 all checks passed, 1 an invariant failed, 2 configuration/budget/
+precision trouble.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
+from .acceptance import SUITES
 from .errors import BudgetExceededError, DeterminantError, PrecisionError
 from .harness import KINDS, ExperimentConfig, run
 
@@ -38,43 +44,23 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", type=str, default=None, help="JSON config path (overrides flags)")
 
 
-def _build_config(kind: str, args: argparse.Namespace) -> ExperimentConfig:
-    cfg = {"kind": kind}
-    if args.d is not None:
-        cfg["m"] = args.d - 1
-        cfg["n"] = 1
-    for key in (
-        "m",
-        "n",
-        "t",
-        "samples",
-        "seed",
-        "epsilon",
-        "rho",
-        "T",
-        "alpha",
-        "x0",
-        "radius",
-        "out",
-        "budget",
-    ):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    if args.max_freq is not None:
-        cfg["max_freq"] = args.max_freq
-    if args.t_grid is not None:
-        cfg["t_grid"] = tuple(float(x) for x in args.t_grid.split(","))
-    if args.b0 is not None:
-        cfg["b0"] = tuple(args.b0.split(","))
-    if args.g0 is not None:
-        cfg["g0"] = json.loads(args.g0)
-    if getattr(args, "suite", None) is not None:
-        cfg["suite"] = args.suite
+#: parsers of the field flags that arrive as strings; argparse types the others
+_PARSE = {
+    "t_grid": lambda s: tuple(float(x) for x in s.split(",")),
+    "b0": lambda s: tuple(s.split(",")),
+    "g0": json.loads,
+}
+
+
+def _build_config(args: argparse.Namespace) -> ExperimentConfig:
+    cfg = {"m": args.d - 1, "n": 1} if args.d is not None else {}
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for key, val in vars(args).items():
+        if key in fields and val is not None:
+            cfg[key] = _PARSE[key](val) if key in _PARSE else val
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        cfg.update(file_cfg)  # the config file wins
+            cfg.update(json.load(fh))  # the config file wins
     return ExperimentConfig.from_json(cfg)
 
 
@@ -88,10 +74,10 @@ def main(argv=None) -> int:
         p = sub.add_parser(kind)
         _add_common(p)
         if kind == "acceptance":
-            p.add_argument("--suite", type=str, default="all", choices=("all", "exact", "scaling"))
+            p.add_argument("--suite", type=str, default="all", choices=tuple(SUITES))
     args = parser.parse_args(argv)
     try:
-        cfg = _build_config(args.kind, args)
+        cfg = _build_config(args)
         report = run(cfg)
     except DeterminantError as exc:
         print(f"determinant error: {exc}", file=sys.stderr)
@@ -102,8 +88,8 @@ def main(argv=None) -> int:
     except (BudgetExceededError, PrecisionError) as exc:
         print(f"budget/precision error: {exc}", file=sys.stderr)
         return 2
-    for check in report.checks:
-        if cfg.kind != "acceptance":  # acceptance already printed its lines
+    if cfg.kind != "acceptance":  # acceptance prints each line as it finishes
+        for check in report.checks:
             print(check.line())
     if report.result is not None:
         print(json.dumps(report.result, indent=2))

@@ -1,8 +1,11 @@
-"""Experiment configuration, deterministic runners, and report plumbing.
+"""Experiment configuration, the runner registry, and the one report path.
 
 Every experiment is described by an `ExperimentConfig` (JSON round-trip,
-schema-versioned, rationals as "p/q" strings) and produces a `RunReport`
-plus flat CSV/JSON artifacts.  The same (config, seed) always produces
+schema-versioned, rationals as "p/q" strings).  `run` looks its kind up
+in the registry: the runner, acceptance included, only yields
+`CheckResult`s and `Table`s, and `run` alone builds the `RunReport`,
+times the run and writes every artifact (the tables in the order they
+arrive, then `report.json`).  The same (config, seed) always produces
 byte-identical CSV: all randomness flows through the chunked streams in
 `orbits.sample_V`, floats are printed at 17 significant digits, and rows
 are emitted in a fixed order.
@@ -16,10 +19,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import platform
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -27,7 +30,6 @@ import numpy as np
 from . import __version__
 from .core import (
     AffineLatticePoint,
-    IntegerMatrix,
     SpecialLinearMatrix,
     SplittingSignature,
     TorusPoint,
@@ -38,10 +40,10 @@ from .core import (
 )
 from .diophantine import WeylInstance, dirichlet_cap, weyl_bound, weyl_count, zeta
 from .errors import ConfigError
-from .fundamental import ReducedRepresentative, factorization_residuals, reduce_matrix
+from .fundamental import factorization_residuals, reduce_matrix
 from .lattices import DEFAULT_BUDGET, LatticeDescriptor, RadialStepFunction, siegel_average_2x2, siegel_transform
 from .measures import fourier_spectrum, max_concentration
-from .orbits import NeighborhoodV, gamma_orbit, localized_measure, orbit_pushforward
+from .orbits import NeighborhoodV, gamma_orbit, orbit_pushforward
 
 __all__ = [
     "ExperimentConfig",
@@ -49,21 +51,10 @@ __all__ = [
     "RunReport",
     "decay_fit",
     "loglog_fit",
+    "Table",
     "run",
     "KINDS",
 ]
-
-KINDS = (
-    "zeta",
-    "weyl",
-    "reduce",
-    "orbit",
-    "fourier",
-    "concentration",
-    "gamma-orbit",
-    "siegel",
-    "acceptance",
-)
 
 _STATISTICAL_KINDS = {"orbit", "fourier", "concentration", "gamma-orbit", "siegel"}
 
@@ -284,87 +275,104 @@ def _write_csv(path: str, header: Sequence[str], rows) -> str:
     return path
 
 
-def _out_path(cfg: ExperimentConfig, name: str) -> Optional[str]:
-    if cfg.out is None:
-        return None
-    import os
+@dataclass
+class Table:
+    """One artifact of a run: a CSV `header` and its `rows`, or a JSON payload in `rows` when `header` is None."""
 
-    os.makedirs(cfg.out, exist_ok=True)
-    return os.path.join(cfg.out, name)
+    name: str
+    header: Optional[Sequence[str]]
+    rows: object
+
+
+def _write_artifact(out: str, table: Table) -> str:
+    """Write `table` into directory `out` (made if missing); returns its path."""
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, table.name)
+    if table.header is not None:
+        return _write_csv(path, table.header, table.rows)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(table.rows, fh, indent=2)
+    return path
 
 
 # -- experiment runners ------------------------------------------------------
+#
+# A runner yields the CheckResults and Tables of one experiment, in order,
+# and writes no file: `run` files the checks and writes each table as it
+# arrives, so a t-grid run holds one orbit at a time.
 
 
-def _run_zeta(cfg: ExperimentConfig) -> RunReport:
+def _times(cfg: ExperimentConfig) -> tuple:
+    times = cfg.times()
+    if not times:
+        raise ConfigError(f"{cfg.kind} experiment needs --t or --t-grid")
+    return times
+
+
+def _orbits(cfg: ExperimentConfig, times) -> Iterator[tuple]:
+    """(t, orbit pushforward of cfg.y0() at t) for each flow time, built one after another."""
+    V = NeighborhoodV(cfg.sig)
+    y0 = cfg.y0()
+    for t in times:
+        yield t, orbit_pushforward(y0, t, V, cfg.samples, cfg.seed, cfg.budget)
+
+
+def _run_zeta(cfg: ExperimentConfig) -> Iterator:
     b = torus_from_json(list(cfg.b0)) if cfg.b0 else TorusPoint.from_values([0.5])
     Ts = cfg.times() or (cfg.T,)
     rows = []
-    checks = []
-    values = []
     for T in Ts:
         z = zeta(b, T)
-        values.append(z)
         rows.append(tuple(torus_to_json(b)) + (float(T), z))
         cap = dirichlet_cap(T, b.dim)
-        checks.append(
-            CheckResult(
-                f"zeta-dirichlet-cap[T={T:g}]",
-                z <= cap,
-                details={"zeta": z, "cap": cap},
-            )
+        yield CheckResult(
+            f"zeta-dirichlet-cap[T={T:g}]",
+            z <= cap,
+            details={"zeta": z, "cap": cap},
         )
-    checks.append(
-        CheckResult(
-            "zeta-monotone-in-T",
-            all(values[i] <= values[i + 1] for i in range(len(values) - 1))
-            if sorted(Ts) == list(Ts)
-            else True,
-            details={"values": values},
-        )
+    values = [row[-1] for row in rows]
+    yield CheckResult(
+        "zeta-monotone-in-T",
+        sorted(Ts) != list(Ts) or all(a <= b for a, b in zip(values, values[1:])),
+        details={"values": values},
     )
-    report = RunReport(config=cfg.to_json(), checks=checks)
-    path = _out_path(cfg, "zeta.csv")
-    if path:
-        header = [f"b{i+1}" for i in range(b.dim)] + ["T", "zeta"]
-        report.artifacts.append(_write_csv(path, header, rows))
-    return report
+    header = [f"b{i+1}" for i in range(b.dim)] + ["T", "zeta"]
+    yield Table("zeta.csv", header, rows)
 
 
-def _run_weyl(cfg: ExperimentConfig) -> RunReport:
+def _run_weyl(cfg: ExperimentConfig) -> Iterator:
     if cfg.alpha is None:
         raise ConfigError("weyl experiment needs --alpha")
-    Ts = [int(T) for T in (cfg.times() or (cfg.T,))]
     rows = []
     ratios = []
-    for T in Ts:
+    for T in [int(T) for T in (cfg.times() or (cfg.T,))]:
         w = WeylInstance(cfg.alpha, T, cfg.x0, cfg.rho)
         count = weyl_count(w)
         bound = weyl_bound(w)
         rows.append((float(cfg.alpha), T, float(cfg.rho), count, float(bound)))
         ratios.append(count / T / bound)
     cw = max(ratios)
-    checks = [
-        CheckResult(
-            "weyl-count-bounded",
-            cw <= 20.0,
-            details={"fitted_C_W": cw, "ratios": ratios},
-        )
-    ]
-    report = RunReport(config=cfg.to_json(), checks=checks)
-    path = _out_path(cfg, "weyl.csv")
-    if path:
-        report.artifacts.append(
-            _write_csv(path, ["alpha", "T", "rho", "count", "bound"], rows)
-        )
-    return report
+    yield CheckResult(
+        "weyl-count-bounded",
+        cw <= 20.0,
+        details={"fitted_C_W": cw, "ratios": ratios},
+    )
+    yield Table("weyl.csv", ["alpha", "T", "rho", "count", "bound"], rows)
 
 
-def _run_reduce(cfg: ExperimentConfig) -> RunReport:
+def _run_reduce(cfg: ExperimentConfig) -> Iterator:
+    """The check, then the reduction itself as the JSON table `reduce.json` (the report's `result`)."""
     if cfg.g0 is None:
         raise ConfigError("reduce experiment needs --g0")
     g = matrix_from_json(cfg.g0)
     r = reduce_matrix(g, cfg.budget)
+    # the worst residual of the factorization certificate, as a fraction of its tolerance
+    ratio = float(factorization_residuals(g.entries[None], r.rep.entries[None], r.gamma.to_array()[None]).max())
+    yield CheckResult(
+        "reduce-coset-preserved",
+        ratio <= 1.0,
+        details={"fvalue": r.fvalue, "certificate": r.certificate, "residual_ratio": ratio},
+    )
     payload = {
         "rep": matrix_to_json(r.rep),
         "gamma": [list(row) for row in r.gamma.rows],
@@ -372,22 +380,7 @@ def _run_reduce(cfg: ExperimentConfig) -> RunReport:
         "certificate": r.certificate,
         "certified": r.certified,
     }
-    # the worst residual of the factorization certificate, as a fraction of its tolerance
-    ratio = float(factorization_residuals(g.entries[None], r.rep.entries[None], r.gamma.to_array()[None]).max())
-    checks = [
-        CheckResult(
-            "reduce-coset-preserved",
-            ratio <= 1.0,
-            details={"fvalue": r.fvalue, "certificate": r.certificate, "residual_ratio": ratio},
-        )
-    ]
-    report = RunReport(config=cfg.to_json(), checks=checks, result=payload)
-    path = _out_path(cfg, "reduce.json")
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-        report.artifacts.append(path)
-    return report
+    yield Table("reduce.json", None, payload)
 
 
 def _orbit_rows(nu) -> Iterator[tuple]:
@@ -399,7 +392,7 @@ def _orbit_rows(nu) -> Iterator[tuple]:
         + nu.coords.reshape(n, -1).astype(float, copy=False).T.tolist()
         + [nu.heights.astype(float, copy=False).tolist()]
     )
-    return zip(*cols)
+    yield from zip(*cols)
 
 
 def _orbit_header(sig: SplittingSignature) -> list:
@@ -410,168 +403,111 @@ def _orbit_header(sig: SplittingSignature) -> list:
     return head
 
 
-def _run_orbit(cfg: ExperimentConfig) -> RunReport:
-    times = cfg.times()
-    if not times:
-        raise ConfigError("orbit experiment needs --t or --t-grid")
-    V = NeighborhoodV(cfg.sig)
-    y0 = cfg.y0()
-    checks = []
-    report = RunReport(config=cfg.to_json(), checks=checks)
-    for t in times:
-        nu = orbit_pushforward(y0, t, V, cfg.samples, cfg.seed, cfg.budget)
-        checks.append(
-            CheckResult(
-                f"orbit-weights-normalized[t={t:g}]",
-                abs(float(nu.weights.sum()) - 1.0) <= 1e-12,
-                details={"samples": nu.size, "rational": nu.is_rational},
-            )
+def _run_orbit(cfg: ExperimentConfig) -> Iterator:
+    for t, nu in _orbits(cfg, _times(cfg)):
+        yield CheckResult(
+            f"orbit-weights-normalized[t={t:g}]",
+            abs(float(nu.weights.sum()) - 1.0) <= 1e-12,
+            details={"samples": nu.size, "rational": nu.is_rational},
         )
-        path = _out_path(cfg, f"orbit_t{t:g}.csv")
-        if path:
-            report.artifacts.append(_write_csv(path, _orbit_header(cfg.sig), _orbit_rows(nu)))
-    return report
+        yield Table(f"orbit_t{t:g}.csv", _orbit_header(cfg.sig), _orbit_rows(nu))
 
 
-def _run_fourier(cfg: ExperimentConfig) -> RunReport:
-    times = cfg.times()
-    if not times:
-        raise ConfigError("fourier experiment needs --t or --t-grid")
-    V = NeighborhoodV(cfg.sig)
-    y0 = cfg.y0()
-    checks = []
-    report = RunReport(config=cfg.to_json(), checks=checks)
+def _run_fourier(cfg: ExperimentConfig) -> Iterator:
     series = []
-    for t in times:
-        nu = orbit_pushforward(y0, t, V, cfg.samples, cfg.seed, cfg.budget)
+    for t, nu in _orbits(cfg, _times(cfg)):
         spec = fourier_spectrum(nu, cfg.max_freq)
         zero = spec[(0,) * nu.dim]
         nonzero = max(
             abs(c) for m, c in spec.coeffs.items() if any(m)
         )
         series.append((t, nonzero))
-        checks.append(
-            CheckResult(
-                f"fourier-zero-mode[t={t:g}]",
-                abs(zero - 1.0) <= 1e-12,
-                details={"max_nontrivial": nonzero, "noise_floor": spec.noise_floor},
-            )
+        yield CheckResult(
+            f"fourier-zero-mode[t={t:g}]",
+            abs(zero - 1.0) <= 1e-12,
+            details={"max_nontrivial": nonzero, "noise_floor": spec.noise_floor},
         )
-        path = _out_path(cfg, f"fourier_t{t:g}.csv")
-        if path:
-            rows = [
-                tuple(m) + (c.real, c.imag, abs(c))
-                for m, c in sorted(spec.coeffs.items())
-            ]
-            header = [f"m{i+1}" for i in range(nu.dim)] + ["re", "im", "abs"]
-            report.artifacts.append(_write_csv(path, header, rows))
-    if len(series) >= 4:
-        floor = 5.0 / math.sqrt(cfg.samples)
-        fitted = [(t, v) for t, v in series if v >= floor]
-        if len(fitted) >= 4:
-            slope, intercept, resid = decay_fit(fitted)
-            checks.append(
-                CheckResult(
-                    "fourier-decay-fit",
-                    slope < 0,
-                    details={"slope": slope, "residual": resid, "points_used": len(fitted)},
-                )
-            )
-    return report
+        rows = [
+            tuple(m) + (c.real, c.imag, abs(c))
+            for m, c in sorted(spec.coeffs.items())
+        ]
+        header = [f"m{i+1}" for i in range(nu.dim)] + ["re", "im", "abs"]
+        yield Table(f"fourier_t{t:g}.csv", header, rows)
+    floor = 5.0 / math.sqrt(cfg.samples)
+    fitted = [(t, v) for t, v in series if v >= floor]
+    if len(fitted) >= 4:
+        slope, _, resid = decay_fit(fitted)
+        yield CheckResult(
+            "fourier-decay-fit",
+            slope < 0,
+            details={"slope": slope, "residual": resid, "points_used": len(fitted)},
+        )
 
 
-def _run_concentration(cfg: ExperimentConfig) -> RunReport:
-    times = cfg.times()
-    if not times:
-        raise ConfigError("concentration experiment needs --t or --t-grid")
-    V = NeighborhoodV(cfg.sig)
-    y0 = cfg.y0()
-    checks = []
+def _run_concentration(cfg: ExperimentConfig) -> Iterator:
     rows = []
-    report = RunReport(config=cfg.to_json(), checks=checks)
-    for t in times:
-        nu = orbit_pushforward(y0, t, V, cfg.samples, cfg.seed, cfg.budget)
+    for t, nu in _orbits(cfg, _times(cfg)):
         p, mass = max_concentration(nu, cfg.rho)
         rows.append(tuple(float(c) for c in p.as_floats()) + (float(cfg.rho), float(mass)))
-        checks.append(
-            CheckResult(
-                f"concentration[t={t:g}]",
-                mass <= 1.0 + 1e-12,
-                details={"mass": mass},
-            )
+        yield CheckResult(
+            f"concentration[t={t:g}]",
+            mass <= 1.0 + 1e-12,
+            details={"mass": mass},
         )
-    path = _out_path(cfg, "concentration.csv")
-    if path:
-        d = cfg.m + cfg.n
-        header = [f"p{i+1}" for i in range(d)] + ["rho", "mass"]
-        report.artifacts.append(_write_csv(path, header, rows))
-    return report
+    header = [f"p{i+1}" for i in range(cfg.sig.d)] + ["rho", "mass"]
+    yield Table("concentration.csv", header, rows)
 
 
-def _run_gamma_orbit(cfg: ExperimentConfig) -> RunReport:
-    times = cfg.times()
-    if not times:
-        raise ConfigError("gamma-orbit experiment needs --t or --t-grid")
+def _run_gamma_orbit(cfg: ExperimentConfig) -> Iterator:
+    times = _times(cfg)
     V = NeighborhoodV(cfg.sig)
-    g = matrix_from_json(cfg.g0) if cfg.g0 is not None else SpecialLinearMatrix.from_entries(np.eye(cfg.sig.d))
-    x_rep = reduce_matrix(g, cfg.budget).rep
+    x_rep = reduce_matrix(cfg.y0().linear, cfg.budget).rep
     m0 = (1,) + (0,) * (cfg.sig.d - 1)
-    checks = []
     rows = []
-    report = RunReport(config=cfg.to_json(), checks=checks)
     for s in times:
         res = gamma_orbit(x_rep, m0, s, V, cfg.samples, cfg.seed, cfg.epsilon, cfg.budget)
         _, masses = res.bin_masses()
         max_bin = float(masses.max()) if masses.size else 0.0
         radius = float(np.abs(res.vectors).max()) if res.vectors.size else 0.0
         rows.append((float(s), float(res.kept_fraction), radius, max_bin))
-        checks.append(
-            CheckResult(
-                f"gamma-orbit[s={s:g}]",
-                res.kept_fraction > 0,
-                details={
-                    "kept_fraction": res.kept_fraction,
-                    "max_bin_mass": max_bin,
-                    "emitted_radius": radius,
-                },
-            )
+        yield CheckResult(
+            f"gamma-orbit[s={s:g}]",
+            res.kept_fraction > 0,
+            details={
+                "kept_fraction": res.kept_fraction,
+                "max_bin_mass": max_bin,
+                "emitted_radius": radius,
+            },
         )
-    path = _out_path(cfg, "gamma_orbit.csv")
-    if path:
-        report.artifacts.append(
-            _write_csv(path, ["s", "kept_fraction", "emitted_radius", "max_bin_mass"], rows)
-        )
-    return report
+    yield Table(
+        "gamma_orbit.csv", ["s", "kept_fraction", "emitted_radius", "max_bin_mass"], rows
+    )
 
 
-def _run_siegel(cfg: ExperimentConfig) -> RunReport:
-    times = cfg.times() or (8.0,)
-    V = NeighborhoodV(cfg.sig)
-    y0 = cfg.y0()
+def _run_siegel(cfg: ExperimentConfig) -> Iterator:
     f = RadialStepFunction([(cfg.radius, 1.0)], norm="euclidean")
-    checks = []
-    report = RunReport(config=cfg.to_json(), checks=checks)
     target = math.pi * cfg.radius**2 if cfg.sig.d == 2 else None
-    for t in times:
-        nu = orbit_pushforward(y0, t, V, cfg.samples, cfg.seed, cfg.budget)
-        values = siegel_average_2x2(nu.xis, cfg.radius, cfg.budget) if cfg.sig.d == 2 else np.array(
-            [
-                siegel_transform(f, LatticeDescriptor.from_matrix(nu.xis[i]), cfg.budget)
-                for i in range(nu.size)
-            ]
-        )
+    for t, nu in _orbits(cfg, cfg.times() or (8.0,)):
+        if cfg.sig.d == 2:
+            values = siegel_average_2x2(nu.xis, cfg.radius, cfg.budget)
+        else:
+            values = np.array(
+                [siegel_transform(f, LatticeDescriptor.from_matrix(xi), cfg.budget) for xi in nu.xis]
+            )
         avg = float(values @ nu.weights)
         details = {"average": avg}
         passed = True
         if target is not None:
             details["integral"] = target
             passed = abs(avg - target) <= 0.1 * target
-        checks.append(CheckResult(f"siegel-average[t={t:g}]", passed, details=details))
-        path = _out_path(cfg, f"siegel_t{t:g}.csv")
-        if path:
-            rows = [(i, float(values[i])) for i in range(len(values))]
-            report.artifacts.append(_write_csv(path, ["sample", "value"], rows))
-    return report
+        yield CheckResult(f"siegel-average[t={t:g}]", passed, details=details)
+        yield Table(f"siegel_t{t:g}.csv", ["sample", "value"], enumerate(values.tolist()))
+
+
+def _run_acceptance(cfg: ExperimentConfig) -> Iterator:
+    from .acceptance import run_acceptance  # imported late: acceptance imports this module
+
+    return run_acceptance(cfg.suite, cfg.budget)
 
 
 _RUNNERS = {
@@ -583,23 +519,32 @@ _RUNNERS = {
     "concentration": _run_concentration,
     "gamma-orbit": _run_gamma_orbit,
     "siegel": _run_siegel,
+    "acceptance": _run_acceptance,
 }
+
+KINDS = tuple(_RUNNERS)
 
 
 def run(cfg: ExperimentConfig) -> RunReport:
-    """Execute one experiment; returns the report with artifacts written."""
+    """Execute one experiment: the one place that builds its report and writes its artifacts.
+
+    Checks are filed in the order the runner yields them.  With `cfg.out`,
+    each table is written there as it arrives, and `report.json` last; a
+    JSON table is also the report's `result`.  `wall_time` covers the
+    tables but not `report.json`.
+    """
     cfg.validate()
     start = time.time()
-    if cfg.kind == "acceptance":
-        from .acceptance import run_acceptance
-
-        report = run_acceptance(suite=cfg.suite, out=cfg.out, budget=cfg.budget)
-    else:
-        report = _RUNNERS[cfg.kind](cfg)
+    report = RunReport(config=cfg.to_json(), checks=[])
+    for item in _RUNNERS[cfg.kind](cfg):
+        if isinstance(item, CheckResult):
+            report.checks.append(item)
+            continue
+        if item.header is None:
+            report.result = item.rows
+        if cfg.out is not None:
+            report.artifacts.append(_write_artifact(cfg.out, item))
     report.wall_time = time.time() - start
     if cfg.out is not None:
-        path = _out_path(cfg, "report.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, indent=2)
-        report.artifacts.append(path)
+        report.artifacts.append(_write_artifact(cfg.out, Table("report.json", None, report.to_json())))
     return report

@@ -433,12 +433,10 @@ class RadialStepFunction:
 
 @dataclass
 class LatticeDescriptor:
-    """A unimodular lattice with write-once reduction and minima caches."""
+    """A unimodular lattice with a write-once LLL reduction (given, or made on first use)."""
 
     basis: SpecialLinearMatrix
     _reduced: Optional[tuple] = field(default=None, repr=False)
-    _minima: Optional[list] = field(default=None, repr=False)
-    _shortest: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_matrix(cls, entries) -> "LatticeDescriptor":
@@ -472,8 +470,6 @@ def shortest_vector(
     Returns (coefficients in the original basis, length).  Tie-break is
     deterministic: smallest (length, coefficient tuple).
     """
-    if norm in L._shortest:
-        return L._shortest[norm]
     B, U = L.reduced()
     d = L.dim
     if norm == "euclidean":
@@ -499,9 +495,7 @@ def shortest_vector(
                 if best is None or cand < best:
                     best = cand
         length, c = best
-    result = (_map_coeff(U, c), length)
-    L._shortest[norm] = result
-    return result
+    return _map_coeff(U, c), length
 
 
 def _complete_to_unimodular(tail: Sequence[int]) -> list:
@@ -548,8 +542,6 @@ def successive_minima(L: LatticeDescriptor, budget: int = DEFAULT_BUDGET) -> lis
     so far by a coordinate change putting them first (for d <= 3 greedy
     realizers always extend to a basis, so the completion exists).
     """
-    if L._minima is not None:
-        return list(L._minima)
     B, _ = L.reduced()
     d = L.dim
     cur = B.copy()
@@ -570,8 +562,7 @@ def successive_minima(L: LatticeDescriptor, budget: int = DEFAULT_BUDGET) -> lis
                 else:
                     T[i][jj] = comp[i - j][jj - j]
         cur = cur @ np.array(T, dtype=float)
-    L._minima = minima
-    return list(minima)
+    return minima
 
 
 def height(L: LatticeDescriptor, budget: int = DEFAULT_BUDGET) -> float:

@@ -288,17 +288,16 @@ def fourier_spectrum(nu: EmpiricalTorusMeasure, max_freq: int) -> FourierSpectru
     return FourierSpectrum(nu.dim, coeffs, nu.size)
 
 
-def _circular_sup_distance(coords: np.ndarray, p: np.ndarray) -> np.ndarray:
-    diff = np.abs(coords - p)
-    return np.max(np.minimum(diff, 1.0 - diff), axis=1)
-
-
 def ball_mass(nu: EmpiricalTorusMeasure, p, rho: float) -> float:
-    """Weight within wrap-around sup distance rho of p."""
+    """Weight within wrap-around sup distance rho of p, as `max_concentration` takes it.
+
+    `math.fsum` of the weights in the closed ball of `_inside`, so at the
+    centre `max_concentration` returns, this is its mass exactly.
+    """
     if not (0 < rho < 0.5):
         raise ValueError("rho must lie in (0, 1/2)")
     pv = p.as_floats() if isinstance(p, TorusPoint) else np.asarray(p, dtype=float) % 1.0
-    return float(nu.weights[_circular_sup_distance(nu.coords, pv) <= rho].sum())
+    return math.fsum(nu.weights[_inside(pv[None], nu.coords.T, rho)[0]])
 
 
 def _ball_mass_bounds(nu: EmpiricalTorusMeasure, centers: np.ndarray, rho: float) -> np.ndarray:

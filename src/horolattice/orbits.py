@@ -33,7 +33,7 @@ stage, the sample (or the base point) and t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -253,17 +253,7 @@ class EmpiricalTorusMeasure:
     def reweighted(
         self, new_weights: np.ndarray, localization_mass: Optional[float] = None
     ) -> "EmpiricalTorusMeasure":
-        return EmpiricalTorusMeasure(
-            coords=self.coords,
-            weights=new_weights,
-            numerators=self.numerators,
-            denominator=self.denominator,
-            us=self.us,
-            gammas=self.gammas,
-            xis=self.xis,
-            heights=self.heights,
-            localization_mass=localization_mass,
-        )
+        return replace(self, weights=new_weights, localization_mass=localization_mass)
 
 
 def _bulk_decompose_2x2(x_rep: SpecialLinearMatrix, us: np.ndarray, t: float, budget: int):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from pathlib import Path
 
@@ -158,3 +159,19 @@ def test_write_csv_matches_per_cell_reference_on_every_cell_type(tmp_path):
     got = harness._write_csv(str(tmp_path / "new.csv"), header, rows)
     ref = reference_write_csv(str(tmp_path / "ref.csv"), header, rows)
     assert Path(got).read_bytes() == Path(ref).read_bytes()
+
+
+def test_every_field_flag_reaches_the_config(tmp_path):
+    argv = [
+        "zeta", "--d", "3", "--n", "2", "--t", "2", "--t-grid", "2,5", "--samples", "500", "--seed", "3",
+        "--b0", "1/3", "--g0", "[[1, 0], [0, 1]]", "--epsilon", "0.2", "--rho", "0.1", "--max-freq", "2",
+        "--T", "50", "--alpha", "0.5", "--x0", "0.1", "--radius", "0.2", "--budget", "1000", "--out", str(tmp_path),
+    ]
+    assert cli.main(argv) == 0
+    config = json.loads((tmp_path / "report.json").read_text())["config"]
+    assert config == {
+        "kind": "zeta", "m": 2, "n": 2, "t": 2.0, "t_grid": [2.0, 5.0], "samples": 500, "seed": 3, "b0": ["1/3"],
+        "g0": [[1, 0], [0, 1]], "epsilon": 0.2, "rho": 0.1, "max_freq": 2, "T": 50.0, "alpha": 0.5, "x0": 0.1,
+        "radius": 0.2, "out": str(tmp_path), "budget": 1000, "suite": "all", "schema": 1,
+    }
+    assert {f.name for f in dataclasses.fields(harness.ExperimentConfig)} == set(config)

@@ -151,9 +151,6 @@ class SpecialLinearMatrix:
     def __matmul__(self, other: "SpecialLinearMatrix") -> "SpecialLinearMatrix":
         return self.compose(other)
 
-    def apply(self, v) -> np.ndarray:
-        return self.entries @ np.asarray(v, dtype=float)
-
     def transpose(self) -> "SpecialLinearMatrix":
         return SpecialLinearMatrix.from_entries(self.entries.T)
 

@@ -118,15 +118,17 @@ class ExperimentConfig:
             raise ConfigError(f"unsupported config schema {self.schema}")
         if self.m < 1 or self.n < 1:
             raise ConfigError("m and n must be positive")
-        cap = PRECISION_CAPS.get((self.m, self.n))
-        for t in self.times():
-            if cap is not None and self.n * abs(t) > cap:
-                raise ConfigError(
-                    f"flow time {t} exceeds the certified precision cap n*t <= {cap} "
-                    f"for signature ({self.m},{self.n})"
-                )
-        if self.kind in _STATISTICAL_KINDS and self.samples < 100:
-            raise ConfigError("statistical experiments need at least 100 samples")
+        if self.kind in _STATISTICAL_KINDS:
+            # zeta and weyl read cfg.times() as horizons T, not flow times
+            cap = PRECISION_CAPS.get((self.m, self.n))
+            for t in self.times():
+                if cap is not None and self.n * abs(t) > cap:
+                    raise ConfigError(
+                        f"flow time {t} exceeds the certified precision cap n*t <= {cap} "
+                        f"for signature ({self.m},{self.n})"
+                    )
+            if self.samples < 100:
+                raise ConfigError("statistical experiments need at least 100 samples")
         if self.budget < 1:
             raise ConfigError("budget must be positive")
         return self

@@ -243,7 +243,6 @@ def constrained_shortest(
     B: np.ndarray,
     span_exclude: int = 0,
     budget: int = DEFAULT_BUDGET,
-    seed_sq: Optional[float] = None,
 ):
     """Shortest vector outside the span of the first `span_exclude` columns.
 
@@ -266,9 +265,6 @@ def constrained_shortest(
         if n2 < best2:
             best2 = n2
             best_c = tuple(1 if i == j else 0 for i in range(d))
-    if seed_sq is not None and seed_sq < best2:
-        best2 = seed_sq
-        best_c = None
     bound = best2 * (1.0 + 1e-12)
 
     c = [0] * d
@@ -322,8 +318,6 @@ def constrained_shortest(
         else:
             i += 1
             if i == d:
-                if best_c is None:
-                    raise BudgetExceededError("no vector found within the seed radius")
                 return best_c, best2, nodes
             advance(i)
 

@@ -358,20 +358,17 @@ def max_concentration(nu: EmpiricalTorusMeasure, rho: float):
 
     Bound and verify, with the pick and the mass of that full scan.
     Every centre gets an upper bound on its mass (`_ball_mass_bounds`).
-    Approximate masses, BLAS products within `error` of the exact ones,
-    are computed in descending order of bound, in batches, until every
-    centre left is bounded below the largest of them by more than
-    `spread`.  The contenders, within `spread` of the largest, then get
-    their exact masses, and the tie rule is replayed over them in their
-    original order.  That is the scan's pick.  Walking down from the
-    largest exact mass M in steps of at most _TIE_GAP reaches a level
-    L >= M - (n - 1) _TIE_GAP below which no contender lies within
-    _TIE_GAP, and `spread` puts every other centre below L - _TIE_GAP
-    too.  So no centre has a mass in [L - _TIE_GAP, L): the first centre
-    at or above L replaces whatever came before it, and no centre below
-    L can replace or tie anything after.  Which centres become
-    contenders may follow the BLAS rounding, but every set with this
-    property gives the same pick.
+    Exact masses are computed in descending order of bound, in batches,
+    until every centre left is bounded below the largest mass M by more
+    than `spread` = 2 n _TIE_GAP.  The tie rule is then replayed over the
+    contenders, the centres with masses within `spread` of M, in their
+    original order.  Walking down from M in steps of at most _TIE_GAP
+    reaches a level L >= M - (n - 1) _TIE_GAP below which no contender
+    lies within _TIE_GAP, and every other centre lies below
+    M - spread < L - _TIE_GAP.  So no centre has a mass in
+    [L - _TIE_GAP, L): the first centre at or above L replaces whatever
+    came before it, and no centre below L can replace or tie anything
+    after.
     """
     if not (0 < rho < 0.5):
         raise ValueError("rho must lie in (0, 1/2)")
@@ -385,41 +382,30 @@ def max_concentration(nu: EmpiricalTorusMeasure, rho: float):
     n = centers.shape[0]
     bounds = _ball_mass_bounds(nu, centers, rho)
     order = np.argsort(-bounds, kind="stable")
-    approx = np.full(n, -np.inf)
-    # an approximate mass adds at most N nonnegative weights of total
-    # about 1 in some order, within (N - 1) eps / 2 of the real sum, and
-    # the exact mass is within eps / 2 of it; `spread` covers two of
-    # those and a tie chain through every centre
-    error = nu.size * np.finfo(float).eps
-    spread = 2.0 * error + 2.0 * n * _TIE_GAP
+    masses = np.full(n, -np.inf)
+    spread = 2.0 * n * _TIE_GAP
     batch = max(1, _BATCH_ENTRIES // (nu.size * nu.dim))
     columns = np.ascontiguousarray(nu.coords.T)
     done = 0
-    while done < n and bounds[order[done]] >= approx.max() - spread:
+    while done < n and bounds[order[done]] >= masses.max() - spread:
         idx = order[done : done + batch]
-        approx[idx] = _inside(centers[idx], columns, rho) @ nu.weights
+        for i, inside in zip(idx, _inside(centers[idx], columns, rho)):
+            masses[i] = math.fsum(nu.weights[inside])
         done += idx.size
-    contenders = np.nonzero(approx >= approx.max() - spread)[0]
     best_mass = -1.0
     best_center = None
-    for first in range(0, contenders.size, batch):
-        part = contenders[first : first + batch]
-        for i, inside in zip(part, _inside(centers[part], columns, rho)):
-            mass = math.fsum(nu.weights[inside])
-            if mass > best_mass + 1e-15:
-                best_mass = mass
-                best_center = tuple(float(x) for x in centers[i])
-            elif abs(mass - best_mass) <= 1e-15 and tuple(centers[i]) < best_center:
-                best_center = tuple(float(x) for x in centers[i])
+    for i in np.nonzero(masses >= masses.max() - spread)[0]:
+        mass = float(masses[i])
+        if mass > best_mass + 1e-15:
+            best_mass = mass
+            best_center = tuple(float(x) for x in centers[i])
+        elif abs(mass - best_mass) <= 1e-15 and tuple(centers[i]) < best_center:
+            best_center = tuple(float(x) for x in centers[i])
     return TorusPoint.from_values(list(best_center)), best_mass
 
 
 class FlatteningSearchError(RuntimeError):
     """The randomized search exhausted its retries (|J| > 20 only)."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
 
 
 @dataclass
@@ -482,11 +468,7 @@ def _verify_flattening(inst: FlatteningInstance, cols) -> Optional[FlatteningRes
     return None
 
 
-def flatten_weights(
-    inst: FlatteningInstance,
-    seed: int = 0,
-    max_retries: int = 10_000,
-) -> FlatteningResult:
+def flatten_weights(inst: FlatteningInstance, seed: int = 0) -> FlatteningResult:
     """Find a half-size column set flattening the weighted average.
 
     Search: pick the phase sector maximizing the sector sum over a
@@ -531,21 +513,18 @@ def flatten_weights(
     rest = [j for j in range(nJ) if j not in set(j0)]
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
-    for _ in range(max_retries):
+    for _ in range(10_000):
         mask = rng.integers(0, 2, size=len(j0)).astype(bool)
         cols = tuple(sorted(rest + [j for j, keep in zip(j0, mask) if keep]))
         res = _verify_flattening(inst, cols)
         if res is not None:
             return res
     if nJ <= 20:
-        best = None
         for bits in range(1 << len(j0)):
             subset = [j0[i] for i in range(len(j0)) if bits >> i & 1]
             cols = tuple(sorted(rest + subset))
             res = _verify_flattening(inst, cols)
             if res is not None:
                 return res
-        raise FlatteningSearchError(
-            "exhaustive flattening sweep failed; hypotheses violated upstream", best
-        )
-    raise FlatteningSearchError("randomized flattening search exhausted", None)
+        raise FlatteningSearchError("exhaustive flattening sweep failed; hypotheses violated upstream")
+    raise FlatteningSearchError("randomized flattening search exhausted")

@@ -32,6 +32,7 @@ stage, the sample (or the base point) and t.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -99,10 +100,6 @@ class NeighborhoodV:
     def __post_init__(self):
         if not self.half_width > 0:
             raise ValueError("half width must be positive")
-
-    @property
-    def volume(self) -> float:
-        return (2.0 * self.half_width) ** (self.sig.m * self.sig.n)
 
 
 @dataclass(frozen=True)
@@ -401,14 +398,9 @@ def _bump(s: np.ndarray) -> np.ndarray:
     return 1.0 - (3.0 * x * x - 2.0 * x * x * x)
 
 
-_DET1_TABLES: dict = {}
-
-
+@functools.cache
 def _det1_box_table(K: int) -> np.ndarray:
     """All integer 2x2 matrices with det +1 and entries bounded by K."""
-    key = int(K)
-    if key in _DET1_TABLES:
-        return _DET1_TABLES[key]
     mats = []
     for a in range(-K, K + 1):
         for b in range(-K, K + 1):
@@ -434,9 +426,7 @@ def _det1_box_table(K: int) -> np.ndarray:
                 continue
             for k in range(lo, hi + 1):
                 mats.append(((a, x0 + k * a), (b, y0 + k * b)))
-    table = np.array(mats, dtype=float)
-    _DET1_TABLES[key] = table
-    return table
+    return np.array(mats, dtype=float)
 
 
 _LOC_K_MAX = 24

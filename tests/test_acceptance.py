@@ -38,11 +38,38 @@ def test_smoke_covers_every_sized_criterion():
 
 @pytest.mark.parametrize("name, size, checks", SMOKE, ids=[name for name, _, _ in SMOKE])
 def test_criterion_runs_at_reduced_size(name, size, checks):
-    results = acceptance.CRITERIA[name](cache=acceptance._OrbitCache(), **size)
+    results = acceptance.CRITERIA[name][0](cache=acceptance._OrbitCache(), **size)
     assert [r.name for r in results] == checks
     for r in results:
         assert type(r) is CheckResult and isinstance(r.passed, bool)
         json.dumps(r.details, allow_nan=False)
+
+
+@pytest.mark.parametrize("name, size", [(name, size) for name, size, _ in SMOKE], ids=[name for name, _, _ in SMOKE])
+def test_criterion_is_a_pure_function_of_its_arguments(name, size):
+    # no criterion reads the clock: timing is the suite runner's
+    criterion = acceptance.CRITERIA[name][0]
+    assert criterion(**size) == criterion(**size)
+
+
+def test_runner_fails_a_check_whose_criterion_reaches_its_limit(monkeypatch, capsys):
+    def stub(budget, cache):
+        return [CheckResult("a", True), CheckResult("b", False, expected_failure=True)]
+
+    monkeypatch.setitem(acceptance.SUITES, "scaling", ("03-effective-weyl", "10-cusp-mass"))
+    monkeypatch.setitem(acceptance.CRITERIA, "03-effective-weyl", (stub, 0.0))
+    monkeypatch.setitem(acceptance.CRITERIA, "10-cusp-mass", (stub, None))
+    checks = list(acceptance.run_acceptance("scaling"))
+    assert [(c.name, c.passed, c.ok) for c in checks] == [
+        ("a", False, False),
+        ("b", False, True),
+        ("a", True, True),
+        ("b", False, True),
+    ]
+    assert all(c.details["seconds"] >= 0.0 for c in checks)
+    assert capsys.readouterr().out.splitlines() == [
+        "a: FAIL", "b: FAIL (expected; see notes)", "a: PASS", "b: FAIL (expected; see notes)",
+    ]
 
 
 def test_fourier_decay_with_too_few_points_above_the_floor_is_a_failed_check():

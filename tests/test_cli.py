@@ -52,6 +52,65 @@ def test_flow_cap_edge(m, n, t_max, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, config, checks, headers",
+    [
+        # zeta and weyl read the grid as horizons T, so the flow-time cap does not apply
+        (
+            ["zeta", "--b0", "0.3,0.7", "--t-grid", "10,100,1000"],
+            None,
+            ["zeta-dirichlet-cap[T=10]", "zeta-dirichlet-cap[T=100]", "zeta-dirichlet-cap[T=1000]", "zeta-monotone-in-T"],
+            {"zeta.csv": "b1,b2,T,zeta"},
+        ),
+        (
+            ["weyl", "--alpha", "0.6180339887", "--t-grid", "1000,10000"],
+            None,
+            ["weyl-count-bounded"],
+            {"weyl.csv": "alpha,T,rho,count,bound"},
+        ),
+        (["weyl", "--alpha", "0.6180339887", "--T", "1000"], None, ["weyl-count-bounded"], {"weyl.csv": "alpha,T,rho,count,bound"}),
+        (
+            ["fourier", "--t-grid", "1,2", "--samples", "500", "--b0", "1/3,2/3"],
+            None,
+            ["fourier-zero-mode[t=1]", "fourier-zero-mode[t=2]"],
+            {"fourier_t1.csv": "m1,m2,re,im,abs", "fourier_t2.csv": "m1,m2,re,im,abs"},
+        ),
+        # a float fiber (only a config file carries one) decays enough for the fit
+        (
+            ["fourier", "--samples", "500"],
+            {"b0": [math.sqrt(2) - 1, math.sqrt(3) - 1], "t_grid": [0.5, 1, 1.5, 2]},
+            [f"fourier-zero-mode[t={t}]" for t in ("0.5", "1", "1.5", "2")] + ["fourier-decay-fit"],
+            {f"fourier_t{t}.csv": "m1,m2,re,im,abs" for t in ("0.5", "1", "1.5", "2")},
+        ),
+        (["concentration", "--t", "2", "--samples", "500"], None, ["concentration[t=2]"], {"concentration.csv": "p1,p2,rho,mass"}),
+        (
+            ["gamma-orbit", "--t-grid", "2,3", "--samples", "500"],
+            None,
+            ["gamma-orbit[s=2]", "gamma-orbit[s=3]"],
+            {"gamma_orbit.csv": "s,kept_fraction,emitted_radius,max_bin_mass"},
+        ),
+        (
+            ["siegel", "--m", "1", "--n", "2", "--t", "1", "--samples", "100", "--radius", "0.5"],
+            None,
+            ["siegel-average[t=1]"],
+            {"siegel_t1.csv": "sample,value"},
+        ),
+    ],
+    ids=["zeta-T-grid", "weyl-T-grid", "weyl", "fourier", "fourier-decay-fit", "concentration", "gamma-orbit", "siegel-d3"],
+)
+def test_kind_runs_to_its_artifacts(argv, config, checks, headers, tmp_path):
+    out = tmp_path / "out"
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "config.json")]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [c["name"] for c in report["checks"]] == checks
+    assert [Path(p).name for p in report["artifacts"]] == list(headers)
+    for name, header in headers.items():
+        assert (out / name).read_text().split("\n", 1)[0] == header
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["orbit", "--m", "2", "--n", "2", "--t", "200"], "overflows double precision"),

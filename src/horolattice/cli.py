@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 One subcommand per kind of `harness.KINDS`.  A flag named after an
-`ExperimentConfig` field sets that field (`--d` sets m = d - 1, n = 1
-unless they are given); every field can also come from a JSON config
-file, which overrides flags when both are given.  `harness.run` does the
+`ExperimentConfig` field sets that field, and no field has a second
+flag; every field can also come from a JSON config file, which
+overrides flags when both are given.  `harness.run` does the
 rest; the CLI then prints one line per check (the acceptance suite
 prints its own as each finishes) and the `reduce` result.  Exit status:
 0 all checks passed, 1 an invariant failed, 2 configuration/budget/
@@ -23,11 +23,10 @@ from .harness import KINDS, ExperimentConfig, run
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--d", type=int, default=None, help="dimension (sets m=d-1, n=1 unless given)")
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--t", type=float, default=None)
-    p.add_argument("--t-grid", type=str, default=None, help="comma-separated flow times")
+    p.add_argument("--t-grid", type=str, default=None, help="comma-separated flow times (horizons T for zeta and weyl)")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--b0", type=str, default=None, help='comma-separated coords, rationals as "p/q"')
@@ -35,7 +34,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--max-freq", type=int, default=None)
-    p.add_argument("--T", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--x0", type=float, default=None)
     p.add_argument("--radius", type=float, default=None)
@@ -53,7 +51,7 @@ _PARSE = {
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = {"m": args.d - 1, "n": 1} if args.d is not None else {}
+    cfg = {}
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for key, val in vars(args).items():
         if key in fields and val is not None:

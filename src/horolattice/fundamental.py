@@ -26,8 +26,8 @@ decomposition P = xi gamma, whether by `reduce_matrix` or by the
 max(1, max|xi|), and xi^{-1} P is gamma to RESIDUAL_TOL.
 `certify_factorization` raises a PrecisionError on a row that fails it.
 
-Every d >= 2 is reduced by one protocol over a stack of matrices; a
-single matrix is a stack of one (`_search_starts`, `_reduce_core`).
+Every d in {2, 3} is reduced by one protocol over a stack of matrices;
+a single matrix is a stack of one (`_search_starts`, `_reduce_core`).
 1. The seed: for d = 2 the vectorized Lagrange loop; for d = 3, LLL on
    the primal and on the dual basis (`lattices.lll_reduce_batch`, each
    row with the bits of `lll_reduce`), the one with the smaller F.
@@ -42,10 +42,11 @@ single matrix is a stack of one (`_search_starts`, `_reduce_core`).
    candidate lowers F, and the lexicographic tie-break.  A dual
    candidate C has det C = 1, so its primal transform C^{-T} is the
    integer cofactor matrix of C.
-d > 3 stops at the LLL seed, uncertified.  Each float step is the same
-numpy operation whatever the surrounding bookkeeping, so a row gets the
-same bits in any stack.  Each d = 3 sample passes through `_reduce_core`
-with its start; `reduce_batch_2x2` keeps certified d = 2 rows in arrays.
+A larger d has no certified reduction and is refused.  Each float step
+is the same numpy operation whatever the surrounding bookkeeping, so a
+row gets the same bits in any stack.  Each d = 3 sample passes through
+`_reduce_core` with its start; `reduce_batch_2x2` keeps certified d = 2
+rows in arrays.
 
 The d = 2 certificate (`_sweep_certified_2x2`).  B = (b1, b2) is the
 seed, mu = <b1, b2> / |b1|^2 and |b2*|^2 = |b2|^2 - mu <b1, b2>.  F(h)^2
@@ -136,16 +137,14 @@ class ReducedRepresentative:
     """Result of reducing g to its F-minimal coset representative.
 
     rep * gamma reproduces the input; `certificate` is the Frobenius
-    bound inside which minimality was verified, and `certified` records
-    whether it was (d <= 3), by the class sweep's certificate or by the
-    exhaustive search.
+    bound inside which minimality was verified, by the class sweep's
+    certificate or by the exhaustive search.
     """
 
     rep: SpecialLinearMatrix
     gamma: IntegerMatrix
     fvalue: float
     certificate: float
-    certified: bool = True
 
 
 def _reduced_matrix(B: np.ndarray) -> SpecialLinearMatrix:
@@ -365,7 +364,7 @@ def _reduce_core(arr: np.ndarray, budget: int = DEFAULT_BUDGET, start: Optional[
     """Reduce a raw unimodular array.
 
     Returns (rep_array, U IntegerMatrix with arr @ U tracking rep,
-    fvalue, certificate, certified).  `start`, if given, is arr's item
+    fvalue, certificate).  `start`, if given, is arr's item
     of `_search_starts`, computed ahead for a whole stack; without it
     the matrix is reduced as a stack of one.  A start that carries a
     certificate is the class sweep's certified result and is returned
@@ -375,9 +374,7 @@ def _reduce_core(arr: np.ndarray, budget: int = DEFAULT_BUDGET, start: Optional[
         start = next(_search_starts(np.asarray(arr, dtype=float)[None], None, None))
     best_B, best_U, reduced, certificate = start
     if certificate is not None:
-        return best_B, best_U, _f_of_array(best_B), certificate, True
-    if best_B.shape[0] > 3:
-        return best_B, best_U, _f_of_array(best_B), 0.0, False
+        return best_B, best_U, _f_of_array(best_B), certificate
     return _search(best_B, best_U, budget, reduced)
 
 
@@ -392,12 +389,14 @@ def _search_starts(P: np.ndarray, t: Optional[float], stage: Optional[str] = "de
     A certified row's start is (rep, U, None, certificate), the class
     sweep's result; any other row's is (seed basis, U, reductions, None),
     the reductions (None where not yet done) reaching `_minima_sq_of`
-    ready-made.  Returns an iterator over the samples in order.
+    ready-made.  Returns an iterator over the samples in order.  Only
+    d in {2, 3} is reduced with a certificate, so a larger d is a
+    ValueError, raised before any work.
 
-    For d = 2 the whole stack goes through `_reduce_stack_2x2`.  Otherwise
-    every LLL runs once over the whole stack, through `lll_reduce_batch`,
-    which gives each row the bits of `lll_reduce`: on P and, for d = 3,
-    on its duals and on both sides of the chosen seed bases.  A dual
+    For d = 2 the whole stack goes through `_reduce_stack_2x2`.  For
+    d = 3 every LLL runs once over the whole stack, through
+    `lll_reduce_batch`, which gives each row the bits of `lll_reduce`:
+    on P, on its duals and on both sides of the chosen seed bases.  A dual
     seed is the transposed view the scalar path would take, since an
     F-value sums in memory order.  An LLL failure names the lowest
     failing row as a sample of `stage` at t (no site if stage is None).
@@ -405,6 +404,8 @@ def _search_starts(P: np.ndarray, t: Optional[float], stage: Optional[str] = "de
     certificate (`sweep`) in blocks of `sweep.ROWS` rows, each block when
     the iterator reaches it, so their memory does not grow with N.
     """
+    if P.shape[-1] > 3:
+        raise ValueError(f"reduction is certified for d in {{2, 3}} only, not d = {P.shape[-1]}")
     if P.shape[-1] == 2:
         B, U, reps, moves, certified, certificate = _reduce_stack_2x2(P)
         return (
@@ -414,8 +415,6 @@ def _search_starts(P: np.ndarray, t: Optional[float], stage: Optional[str] = "de
             for i in range(P.shape[0])
         )
     B0, U0 = lll_reduce_batch(P, stage=stage, t=t)
-    if P.shape[-1] != 3:
-        return (_seed_start(B0[i], U0[i]) for i in range(P.shape[0]))
     Bd, Ud = lll_reduce_batch(_inv_unimodular(P).transpose(0, 2, 1), stage=stage, t=t)
     seed_B = _inv_unimodular(Bd).transpose(0, 2, 1)
     dual_wins = _f_of_stack(seed_B) < _f_of_stack(B0)
@@ -506,7 +505,7 @@ def _search(best_B: np.ndarray, best_U: IntegerMatrix, budget: int, reduced: tup
         k = ties[_lex_first(_lex_key(hs[ties]), [0])[0]]
         if k:
             best_B, best_U = hs[k], best_U @ IntegerMatrix.from_rows(unique_cs[k - 1])
-        return best_B, best_U, _f_of_array(best_B), certificate, True
+        return best_B, best_U, _f_of_array(best_B), certificate
 
 
 def _reconstruction_tol(reps: np.ndarray) -> np.ndarray:
@@ -566,13 +565,13 @@ def reduce_matrix(g, budget: int = DEFAULT_BUDGET) -> ReducedRepresentative:
     else:
         arr = np.array(g, dtype=float)
         SpecialLinearMatrix.from_entries(arr)  # a bad input is a DeterminantError
-    rep_arr, U, fvalue, certificate, certified = _reduce_core(arr, budget)
+    rep_arr, U, fvalue, certificate = _reduce_core(arr, budget)
     if all(U.rows[i][j] == (1 if i == j else 0) for i in range(U.dim) for j in range(U.dim)):
         rep_arr = arr  # bit-exact idempotence
     gamma = U.inv().require_unimodular()
     rep = _reduced_matrix(rep_arr)
     certify_factorization(arr[None], rep.entries[None], gamma.to_array()[None], None, None)
-    return ReducedRepresentative(rep, gamma, fvalue, certificate, certified)
+    return ReducedRepresentative(rep, gamma, fvalue, certificate)
 
 
 def iota(g, budget: int = DEFAULT_BUDGET) -> SpecialLinearMatrix:

@@ -10,8 +10,12 @@ byte-identical CSV: all randomness flows through the chunked streams in
 `orbits.sample_V`, floats are printed at 17 significant digits, and rows
 are emitted in a fixed order.
 
-Statistical checks never claim decay below the CLT floor 5/sqrt(N);
-fits drop points under the floor and report it.
+Each statistic that a kind and an acceptance criterion both report is
+defined once here: the off-grid Fourier maximum and its decay fit, the
+Gamma-orbit summary, the Siegel average check and the effective Weyl
+constant, over the one least-squares fit `decay_fit`.  Decay is never
+claimed below `FourierSpectrum.noise_floor`, the CLT floor; the fit
+drops points under it and reports how many it used.
 """
 
 from __future__ import annotations
@@ -41,16 +45,15 @@ from .core import (
 from .diophantine import WeylInstance, dirichlet_cap, weyl_bound, weyl_count, zeta
 from .errors import ConfigError
 from .fundamental import factorization_residuals, reduce_matrix
-from .lattices import DEFAULT_BUDGET, LatticeDescriptor, RadialStepFunction, siegel_average_2x2, siegel_transform
+from .lattices import DEFAULT_BUDGET, siegel_values
 from .measures import fourier_spectrum, max_concentration
-from .orbits import NeighborhoodV, gamma_orbit, orbit_pushforward
+from .orbits import GammaOrbitResult, NeighborhoodV, gamma_orbit, orbit_pushforward
 
 __all__ = [
     "ExperimentConfig",
     "CheckResult",
     "RunReport",
     "decay_fit",
-    "loglog_fit",
     "Table",
     "run",
     "KINDS",
@@ -66,8 +69,8 @@ _STATISTICAL_KINDS = {"orbit", "fourier", "concentration", "gamma-orbit", "siege
 #: 60,000 are wrong at t = 14, and no residual check fires there.  The
 #: d = 3 path: (1, 2) runs clean at t = 8 and 8.5; (2, 1) runs
 #: clean at t = 5 (20,000 samples), while 1 in 20,000 samples fails at
-#: t = 5.5, 0.35 % at 5.75 and 4 % at 6.  Other signatures are uncapped
-#: (their reduction is not certified).
+#: t = 5.5, 0.35 % at 5.75 and 4 % at 6.  `validate` refuses a flowing
+#: kind of any other signature: d > 3 has no certified reduction.
 PRECISION_CAPS = {(1, 1): 12.0, (1, 2): 16.0, (2, 1): 5.0}
 
 
@@ -91,7 +94,6 @@ class ExperimentConfig:
     epsilon: float = 0.1
     rho: float = 0.05
     max_freq: int = 4
-    T: float = 100.0
     alpha: Optional[float] = None
     x0: float = 0.3
     radius: float = 0.3
@@ -105,11 +107,12 @@ class ExperimentConfig:
         return SplittingSignature(self.m, self.n)
 
     def times(self) -> tuple:
+        """`t_grid`, else (`t`,): flow times, or horizons T for zeta and weyl; a ConfigError without either."""
         if self.t_grid:
             return tuple(float(x) for x in self.t_grid)
-        if self.t is not None:
-            return (float(self.t),)
-        return ()
+        if self.t is None:
+            raise ConfigError(f"{self.kind} experiment needs --t or --t-grid")
+        return (float(self.t),)
 
     def validate(self) -> "ExperimentConfig":
         if self.kind not in KINDS:
@@ -121,8 +124,10 @@ class ExperimentConfig:
         if self.kind in _STATISTICAL_KINDS:
             # zeta and weyl read cfg.times() as horizons T, not flow times
             cap = PRECISION_CAPS.get((self.m, self.n))
+            if cap is None:
+                raise ConfigError(f"signature ({self.m},{self.n}) has no certified reduction (d > 3)")
             for t in self.times():
-                if cap is not None and self.n * abs(t) > cap:
+                if self.n * abs(t) > cap:
                     raise ConfigError(
                         f"flow time {t} exceeds the certified precision cap n*t <= {cap} "
                         f"for signature ({self.m},{self.n})"
@@ -218,40 +223,96 @@ class RunReport:
 
 
 def decay_fit(series: Sequence[tuple]) -> tuple:
-    """OLS of log(value) against the raw predictor.
+    """OLS of log(value) against the predictor.
 
     Returns (slope, intercept, residual); residual is the RMS of the
-    log-scale fit errors.  Values must be positive and at least four
-    points are required.
+    log-scale fit errors.  Values must be positive, the predictor not
+    constant, and at least three points are required.  A power-law
+    exponent is the fit against log x: its caller passes `math.log(x)`.
     """
     pts = [(float(x), float(v)) for x, v in series]
-    if len(pts) < 4:
-        raise ValueError("need at least four points")
+    if len(pts) < 3:
+        raise ValueError("need at least three points")
     if any(v <= 0 for _, v in pts):
         raise ValueError("values must be positive")
     if np.ptp([x for x, _ in pts]) == 0:
         raise ValueError("degenerate series: constant predictor")
-    return _log_value_fit(pts)
-
-
-def loglog_fit(series: Sequence[tuple]) -> tuple:
-    """decay_fit with the predictor on a log scale (power-law exponents)."""
-    pts = [(math.log(float(x)), float(v)) for x, v in series]
-    if len(pts) < 4:
-        # power-law fits in the suite sometimes have three points; fit
-        # them directly, with the same conventions but no checks
-        return _log_value_fit(pts)
-    return decay_fit(pts)
-
-
-def _log_value_fit(pts: list) -> tuple:
-    """(slope, intercept, RMS residual) of the least-squares line log v ~ x."""
     xs = np.array([x for x, _ in pts])
     ys = np.log(np.array([v for _, v in pts]))
     A = np.vstack([xs, np.ones(len(xs))]).T
     sol, *_ = np.linalg.lstsq(A, ys, rcond=None)
     resid = float(np.sqrt(np.mean((A @ sol - ys) ** 2)))
     return float(sol[0]), float(sol[1]), resid
+
+
+# -- statistics shared by the kinds and the acceptance criteria --------------
+
+
+def off_grid_max(nu, max_freq: int) -> tuple:
+    """(spectrum of nu on the box |m| <= max_freq, max |c(m)| over its m != 0 off the dual grid).
+
+    A cloud of denominator q > 1 has c(m) = 1 wherever m = 0 mod q, so
+    those m are left out.  A cloud of denominator 1 is the fixed point 0,
+    which does not equidistribute: every coefficient is 1.
+    """
+    spec = fourier_spectrum(nu, max_freq)
+    q = nu.denominator or 1
+    off_grid = max(abs(c) for m, c in spec.coeffs.items() if any(m) and (q == 1 or any(k % q for k in m)))
+    return spec, off_grid
+
+
+def fourier_decay_fit(series: Sequence[tuple], floor: float) -> tuple:
+    """`decay_fit` of a series (t, off-grid max) over its points at or above the noise floor.
+
+    Returns (slope, residual, points used); slope and residual are None
+    when fewer than four points are left.
+    """
+    above = [(t, v) for t, v in series if v >= floor]
+    slope, _, resid = decay_fit(above) if len(above) >= 4 else (None, None, None)
+    return slope, resid, len(above)
+
+
+def gamma_orbit_summary(res: GammaOrbitResult) -> dict:
+    """The kept fraction, the largest relative bin mass and the sup radius of what a Gamma-orbit emitted."""
+    _, masses = res.bin_masses()
+    return {
+        "kept_fraction": res.kept_fraction,
+        "max_bin_mass": float(masses.max()) if masses.size else 0.0,
+        "emitted_radius": float(np.abs(res.vectors).max()) if res.vectors.size else 0.0,
+    }
+
+
+def siegel_check(name: str, nu, radius: float, budget: int, oracle_stride: int = 0) -> tuple:
+    """(check, per-sample values) of the Siegel average of nu's bases for the ball of the radius.
+
+    For d = 2 the check holds the average within 10 % of the integral
+    pi r^2; for other d it reports the average.  `oracle_stride` is
+    `siegel_values`'.
+    """
+    values = siegel_values(nu.xis, radius, budget, oracle_stride)
+    avg = float(values @ nu.weights)
+    details = {"average": avg}
+    passed = True
+    if nu.dim == 2:
+        target = math.pi * radius**2
+        details.update(integral=target, relative_error=abs(avg / target - 1.0))
+        passed = abs(avg - target) <= 0.1 * target
+    return CheckResult(name, passed, details=details), values
+
+
+def effective_weyl(instances) -> tuple:
+    """(rows, ratios, C_W, passed) over WeylInstances.
+
+    Each instance gives a row (alpha, T, rho, count, bound) and a ratio
+    count / T / bound; C_W is the largest ratio, and it passes at most 20.
+    """
+    rows, ratios = [], []
+    for w in instances:
+        count, bound = weyl_count(w), weyl_bound(w)
+        rows.append((float(w.alpha), w.T, float(w.rho), count, float(bound)))
+        ratios.append(count / w.T / bound)
+    cw = max(ratios)
+    return rows, ratios, cw, cw <= 20.0
 
 
 def _write_csv(path: str, header: Sequence[str], rows) -> str:
@@ -304,24 +365,17 @@ def _write_artifact(out: str, table: Table) -> str:
 # arrives, so a t-grid run holds one orbit at a time.
 
 
-def _times(cfg: ExperimentConfig) -> tuple:
-    times = cfg.times()
-    if not times:
-        raise ConfigError(f"{cfg.kind} experiment needs --t or --t-grid")
-    return times
-
-
-def _orbits(cfg: ExperimentConfig, times) -> Iterator[tuple]:
+def _orbits(cfg: ExperimentConfig) -> Iterator[tuple]:
     """(t, orbit pushforward of cfg.y0() at t) for each flow time, built one after another."""
     V = NeighborhoodV(cfg.sig)
     y0 = cfg.y0()
-    for t in times:
+    for t in cfg.times():
         yield t, orbit_pushforward(y0, t, V, cfg.samples, cfg.seed, cfg.budget)
 
 
 def _run_zeta(cfg: ExperimentConfig) -> Iterator:
     b = torus_from_json(list(cfg.b0)) if cfg.b0 else TorusPoint.from_values([0.5])
-    Ts = cfg.times() or (cfg.T,)
+    Ts = cfg.times()
     rows = []
     for T in Ts:
         z = zeta(b, T)
@@ -345,20 +399,9 @@ def _run_zeta(cfg: ExperimentConfig) -> Iterator:
 def _run_weyl(cfg: ExperimentConfig) -> Iterator:
     if cfg.alpha is None:
         raise ConfigError("weyl experiment needs --alpha")
-    rows = []
-    ratios = []
-    for T in [int(T) for T in (cfg.times() or (cfg.T,))]:
-        w = WeylInstance(cfg.alpha, T, cfg.x0, cfg.rho)
-        count = weyl_count(w)
-        bound = weyl_bound(w)
-        rows.append((float(cfg.alpha), T, float(cfg.rho), count, float(bound)))
-        ratios.append(count / T / bound)
-    cw = max(ratios)
-    yield CheckResult(
-        "weyl-count-bounded",
-        cw <= 20.0,
-        details={"fitted_C_W": cw, "ratios": ratios},
-    )
+    instances = (WeylInstance(cfg.alpha, int(T), cfg.x0, cfg.rho) for T in cfg.times())
+    rows, ratios, cw, passed = effective_weyl(instances)
+    yield CheckResult("weyl-count-bounded", passed, details={"fitted_C_W": cw, "ratios": ratios})
     yield Table("weyl.csv", ["alpha", "T", "rho", "count", "bound"], rows)
 
 
@@ -380,7 +423,6 @@ def _run_reduce(cfg: ExperimentConfig) -> Iterator:
         "gamma": [list(row) for row in r.gamma.rows],
         "fvalue": r.fvalue,
         "certificate": r.certificate,
-        "certified": r.certified,
     }
     yield Table("reduce.json", None, payload)
 
@@ -406,7 +448,7 @@ def _orbit_header(sig: SplittingSignature) -> list:
 
 
 def _run_orbit(cfg: ExperimentConfig) -> Iterator:
-    for t, nu in _orbits(cfg, _times(cfg)):
+    for t, nu in _orbits(cfg):
         yield CheckResult(
             f"orbit-weights-normalized[t={t:g}]",
             abs(float(nu.weights.sum()) - 1.0) <= 1e-12,
@@ -417,17 +459,13 @@ def _run_orbit(cfg: ExperimentConfig) -> Iterator:
 
 def _run_fourier(cfg: ExperimentConfig) -> Iterator:
     series = []
-    for t, nu in _orbits(cfg, _times(cfg)):
-        spec = fourier_spectrum(nu, cfg.max_freq)
-        zero = spec[(0,) * nu.dim]
-        nonzero = max(
-            abs(c) for m, c in spec.coeffs.items() if any(m)
-        )
-        series.append((t, nonzero))
+    for t, nu in _orbits(cfg):
+        spec, off_grid = off_grid_max(nu, cfg.max_freq)
+        series.append((t, off_grid))
         yield CheckResult(
             f"fourier-zero-mode[t={t:g}]",
-            abs(zero - 1.0) <= 1e-12,
-            details={"max_nontrivial": nonzero, "noise_floor": spec.noise_floor},
+            abs(spec[(0,) * nu.dim] - 1.0) <= 1e-12,
+            details={"max_nontrivial": off_grid, "noise_floor": spec.noise_floor},
         )
         rows = [
             tuple(m) + (c.real, c.imag, abs(c))
@@ -435,20 +473,18 @@ def _run_fourier(cfg: ExperimentConfig) -> Iterator:
         ]
         header = [f"m{i+1}" for i in range(nu.dim)] + ["re", "im", "abs"]
         yield Table(f"fourier_t{t:g}.csv", header, rows)
-    floor = 5.0 / math.sqrt(cfg.samples)
-    fitted = [(t, v) for t, v in series if v >= floor]
-    if len(fitted) >= 4:
-        slope, _, resid = decay_fit(fitted)
+    slope, resid, used = fourier_decay_fit(series, spec.noise_floor)
+    if slope is not None:
         yield CheckResult(
             "fourier-decay-fit",
             slope < 0,
-            details={"slope": slope, "residual": resid, "points_used": len(fitted)},
+            details={"slope": slope, "residual": resid, "points_used": used},
         )
 
 
 def _run_concentration(cfg: ExperimentConfig) -> Iterator:
     rows = []
-    for t, nu in _orbits(cfg, _times(cfg)):
+    for t, nu in _orbits(cfg):
         p, mass = max_concentration(nu, cfg.rho)
         rows.append(tuple(float(c) for c in p.as_floats()) + (float(cfg.rho), float(mass)))
         yield CheckResult(
@@ -461,48 +497,23 @@ def _run_concentration(cfg: ExperimentConfig) -> Iterator:
 
 
 def _run_gamma_orbit(cfg: ExperimentConfig) -> Iterator:
-    times = _times(cfg)
     V = NeighborhoodV(cfg.sig)
     x_rep = reduce_matrix(cfg.y0().linear, cfg.budget).rep
     m0 = (1,) + (0,) * (cfg.sig.d - 1)
     rows = []
-    for s in times:
-        res = gamma_orbit(x_rep, m0, s, V, cfg.samples, cfg.seed, cfg.epsilon, cfg.budget)
-        _, masses = res.bin_masses()
-        max_bin = float(masses.max()) if masses.size else 0.0
-        radius = float(np.abs(res.vectors).max()) if res.vectors.size else 0.0
-        rows.append((float(s), float(res.kept_fraction), radius, max_bin))
-        yield CheckResult(
-            f"gamma-orbit[s={s:g}]",
-            res.kept_fraction > 0,
-            details={
-                "kept_fraction": res.kept_fraction,
-                "max_bin_mass": max_bin,
-                "emitted_radius": radius,
-            },
-        )
+    for s in cfg.times():
+        summary = gamma_orbit_summary(gamma_orbit(x_rep, m0, s, V, cfg.samples, cfg.seed, cfg.epsilon, cfg.budget))
+        rows.append((float(s), summary["kept_fraction"], summary["emitted_radius"], summary["max_bin_mass"]))
+        yield CheckResult(f"gamma-orbit[s={s:g}]", summary["kept_fraction"] > 0, details=summary)
     yield Table(
         "gamma_orbit.csv", ["s", "kept_fraction", "emitted_radius", "max_bin_mass"], rows
     )
 
 
 def _run_siegel(cfg: ExperimentConfig) -> Iterator:
-    f = RadialStepFunction([(cfg.radius, 1.0)], norm="euclidean")
-    target = math.pi * cfg.radius**2 if cfg.sig.d == 2 else None
-    for t, nu in _orbits(cfg, cfg.times() or (8.0,)):
-        if cfg.sig.d == 2:
-            values = siegel_average_2x2(nu.xis, cfg.radius, cfg.budget)
-        else:
-            values = np.array(
-                [siegel_transform(f, LatticeDescriptor.from_matrix(xi), cfg.budget) for xi in nu.xis]
-            )
-        avg = float(values @ nu.weights)
-        details = {"average": avg}
-        passed = True
-        if target is not None:
-            details["integral"] = target
-            passed = abs(avg - target) <= 0.1 * target
-        yield CheckResult(f"siegel-average[t={t:g}]", passed, details=details)
+    for t, nu in _orbits(cfg):
+        check, values = siegel_check(f"siegel-average[t={t:g}]", nu, cfg.radius, cfg.budget)
+        yield check
         yield Table(f"siegel_t{t:g}.csv", ["sample", "value"], enumerate(values.tolist()))
 
 

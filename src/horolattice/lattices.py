@@ -44,7 +44,7 @@ __all__ = [
     "height",
     "dual_basis",
     "siegel_transform",
-    "siegel_average_2x2",
+    "siegel_values",
 ]
 
 DEFAULT_BUDGET = 10_000_000
@@ -454,41 +454,24 @@ def _map_coeff(U, c):
     return tuple(sum(U[i][j] * c[j] for j in range(d)) for i in range(d))
 
 
-def shortest_vector(
-    L: LatticeDescriptor,
-    norm: Literal["sup", "euclidean"] = "sup",
-    budget: int = DEFAULT_BUDGET,
-):
-    """Certified shortest nonzero vector in the given norm.
+def shortest_vector(L: LatticeDescriptor, budget: int = DEFAULT_BUDGET):
+    """Certified shortest nonzero vector in the sup norm.
 
     Returns (coefficients in the original basis, length).  Tie-break is
-    deterministic: smallest (length, coefficient tuple).
+    deterministic: smallest (length, coefficient tuple).  The Euclidean
+    first minimum is `successive_minima(L)[0]`.
     """
     B, U = L.reduced()
     d = L.dim
-    if norm == "euclidean":
-        c, l2, _ = constrained_shortest(B, 0, budget)
-        best = (math.sqrt(l2), c)
-        # resolve +-/tie determinism among equal-length vectors
-        for cc in enumerate_ball(B, best[0] * (1 + 1e-12), budget):
-            v = B @ np.array(cc, dtype=float)
-            ln = float(np.linalg.norm(v))
-            for cand in ((ln, cc), (ln, tuple(-x for x in cc))):
-                if abs(cand[0] - best[0]) <= 1e-12 * max(1.0, best[0]) and cand[1] < best[1]:
-                    best = cand
-                elif cand[0] < best[0] - 1e-12 * max(1.0, best[0]):
-                    best = cand
-        length, c = best
-    else:
-        s0 = float(min(np.abs(B[:, j]).max() for j in range(d)))
-        best = None
-        for cc in enumerate_ball(B, math.sqrt(d) * s0 * (1 + 1e-12), budget):
-            v = B @ np.array(cc, dtype=float)
-            ln = float(np.abs(v).max())
-            for cand in ((ln, cc), (ln, tuple(-x for x in cc))):
-                if best is None or cand < best:
-                    best = cand
-        length, c = best
+    s0 = float(min(np.abs(B[:, j]).max() for j in range(d)))
+    best = None
+    for cc in enumerate_ball(B, math.sqrt(d) * s0 * (1 + 1e-12), budget):
+        v = B @ np.array(cc, dtype=float)
+        ln = float(np.abs(v).max())
+        for cand in ((ln, cc), (ln, tuple(-x for x in cc))):
+            if best is None or cand < best:
+                best = cand
+    length, c = best
     return _map_coeff(U, c), length
 
 
@@ -561,7 +544,7 @@ def successive_minima(L: LatticeDescriptor, budget: int = DEFAULT_BUDGET) -> lis
 
 def height(L: LatticeDescriptor, budget: int = DEFAULT_BUDGET) -> float:
     """1 / (sup-norm length of the shortest nonzero vector); always >= 1."""
-    _, length = shortest_vector(L, "sup", budget)
+    _, length = shortest_vector(L, budget)
     return 1.0 / length
 
 
@@ -588,21 +571,24 @@ def siegel_transform(
     return total
 
 
-def siegel_average_2x2(xis, radius: float, budget: int = DEFAULT_BUDGET, oracle_stride: int = 0) -> np.ndarray:
-    """Per-sample Siegel transforms of the Euclidean-ball indicator, d = 2.
+def siegel_values(xis, radius: float, budget: int = DEFAULT_BUDGET, oracle_stride: int = 0) -> np.ndarray:
+    """Per-sample Siegel transforms of the indicator of the Euclidean ball of the radius.
 
-    xis is an (N, 2, 2) stack of bases.  For radius below 1 only integer
-    multiples of the shortest vector fit in the ball (two independent
-    vectors would force covolume below 1), so the count is
-    2 floor(radius / lambda_1) per sample.  With oracle_stride > 0 every
-    stride-th sample is cross-checked against `siegel_transform`.
+    xis is an (N, d, d) stack of bases.  For d = 2 a closed form: for
+    radius below 1 only integer multiples of the shortest vector fit in
+    the ball (two independent vectors would force covolume below 1), so
+    the count is 2 floor(radius / lambda_1) per sample, and with
+    oracle_stride > 0 every stride-th sample is cross-checked against
+    `siegel_transform`.  Otherwise `siegel_transform` of each basis.
     """
+    f = RadialStepFunction([(radius, 1.0)], norm="euclidean")
+    if xis.shape[1] != 2:
+        return np.array([siegel_transform(f, LatticeDescriptor.from_matrix(xi), budget) for xi in xis])
     if radius >= 1.0:
         raise ValueError("closed form requires radius < 1")
     lam1 = np.minimum(np.linalg.norm(xis[:, :, 0], axis=1), np.linalg.norm(xis[:, :, 1], axis=1))
     counts = 2.0 * np.floor(radius / lam1)
     if oracle_stride:
-        f = RadialStepFunction([(radius, 1.0)], norm="euclidean")
         for i in range(0, len(xis), oracle_stride):
             exact = siegel_transform(f, LatticeDescriptor.from_matrix(xis[i]), budget)
             if abs(exact - counts[i]) > 1e-9:

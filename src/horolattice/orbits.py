@@ -15,10 +15,10 @@ scheduled.  Per-sample failures abort the run; silently dropping a
 sample would bias the measure.
 
 `decompose_batch` is the one decomposition entry point for a batch of
-samples, whatever the signature.  Every signature is reduced by
-`fundamental`'s one protocol (seed, class sweep, per-row certificate,
-exact search where the certificate fails), and a sample's reduction
-has the same bits in a batch as alone.  For m = n = 1 (the hot loop of
+samples, whatever the signature.  Every signature with d <= 3 is
+reduced by `fundamental`'s one protocol (seed, class sweep, per-row
+certificate, exact search where the certificate fails), and a sample's
+reduction has the same bits in a batch as alone; a larger d is refused.  For m = n = 1 (the hot loop of
 every scaling experiment) `_bulk_decompose_2x2` keeps the certified
 samples in arrays (`fundamental.reduce_batch_2x2`) and checks the
 factorization certificate on the whole batch at once.  Every other
@@ -167,7 +167,7 @@ def decompose(
     if ub.shape != (sig.m, sig.n):
         raise ValueError(f"u has shape {ub.shape}, expected ({sig.m},{sig.n})")
     P = _flowed(x_rep, ub[None], s, sig)[0]
-    rep_arr, U, _, _, _ = _reduce_core(P, budget, start)
+    rep_arr, U, _, _ = _reduce_core(P, budget, start)
     xi = _reduced_matrix(rep_arr)
     gamma = U.inv().require_unimodular()
     certify_factorization(P[None], xi.entries[None], gamma.to_array()[None], None, None)
@@ -327,7 +327,7 @@ def _heights(xis: np.ndarray, t: float, budget: int) -> np.ndarray:
         # xi passed decompose's checks, so it needs no second validation
         lattice = LatticeDescriptor(SpecialLinearMatrix(xi), _reduced=(B[i], U[i].tolist()))
         with _naming_sample("height", i, t):
-            heights[i] = 1.0 / shortest_vector(lattice, "sup", budget)[1]
+            heights[i] = 1.0 / shortest_vector(lattice, budget)[1]
     return heights
 
 

@@ -1,6 +1,7 @@
 """The acceptance criteria at reduced size, and the acceptance kind's report."""
 
 import json
+import types
 
 import pytest
 
@@ -70,6 +71,35 @@ def test_runner_fails_a_check_whose_criterion_reaches_its_limit(monkeypatch, cap
     assert capsys.readouterr().out.splitlines() == [
         "a: FAIL", "b: FAIL (expected; see notes)", "a: PASS", "b: FAIL (expected; see notes)",
     ]
+
+
+def test_criterion_time_does_not_depend_on_suite_order(monkeypatch, capsys):
+    # a fake clock: a criterion's own work takes 1 s, and building an orbit 7 s
+    clock = [0.0]
+    monkeypatch.setattr(acceptance, "time", types.SimpleNamespace(time=lambda: clock[0]))
+
+    def build(y0, t, V, count, seed, budget):
+        clock[0] += 7.0
+        return ("orbit", t)
+
+    monkeypatch.setattr(acceptance, "orbit_pushforward", build)
+
+    def reading(name, times):
+        def criterion(budget, cache):
+            clock[0] += 1.0
+            return [CheckResult(name, all(cache.get_orbit("irr", None, t, 10, budget) == ("orbit", t) for t in times))]
+
+        return criterion
+
+    monkeypatch.setitem(acceptance.CRITERIA, "10-cusp-mass", (reading("a", (8.0,)), 5.0))
+    monkeypatch.setitem(acceptance.CRITERIA, "11-ball-mass", (reading("b", (8.0, 9.0, 8.0)), 20.0))
+    for order in (("10-cusp-mass", "11-ball-mass"), ("11-ball-mass", "10-cusp-mass")):
+        monkeypatch.setitem(acceptance.SUITES, "scaling", order)
+        # each is charged for every orbit it reads, once, whoever built it:
+        # 1 + 7 s against a's limit of 5 s, and 1 + 2 * 7 s against b's 20 s
+        seconds = {c.name: (c.details["seconds"], c.passed) for c in acceptance.run_acceptance("scaling")}
+        assert seconds == {"a": (8.0, False), "b": (15.0, True)}
+    capsys.readouterr()
 
 
 def test_fourier_decay_with_too_few_points_above_the_floor_is_a_failed_check():

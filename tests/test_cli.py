@@ -67,7 +67,7 @@ def test_flow_cap_edge(m, n, t_max, capsys):
             ["weyl-count-bounded"],
             {"weyl.csv": "alpha,T,rho,count,bound"},
         ),
-        (["weyl", "--alpha", "0.6180339887", "--T", "1000"], None, ["weyl-count-bounded"], {"weyl.csv": "alpha,T,rho,count,bound"}),
+        (["weyl", "--alpha", "0.6180339887", "--t", "1000"], None, ["weyl-count-bounded"], {"weyl.csv": "alpha,T,rho,count,bound"}),
         (
             ["fourier", "--t-grid", "1,2", "--samples", "500", "--b0", "1/3,2/3"],
             None,
@@ -113,7 +113,7 @@ def test_kind_runs_to_its_artifacts(argv, config, checks, headers, tmp_path):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["orbit", "--m", "2", "--n", "2", "--t", "200"], "overflows double precision"),
+        (["orbit", "--m", "2", "--n", "2", "--t", "2", "--samples", "200"], "signature (2,2) has no certified reduction"),
         (["orbit", "--t", "1", "--samples", "100", "--b0", "1/3"], "torus part 1"),
         (["orbit", "--t", "1", "--samples", "100", "--b0", "abc,1"], "Invalid literal for Fraction"),
         (["siegel", "--t", "1", "--samples", "100", "--radius", "2"], "radius < 1"),
@@ -125,6 +125,20 @@ def test_bad_input_exits_2_with_one_line(argv, message, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and message in err and err.count("\n") == 1
+
+
+def test_fourier_decay_skips_the_dual_grid_of_a_rational_fiber(capsys):
+    argv = ["fourier", "--t-grid", "1,2,3,4", "--b0", "1/3,2/3"]
+    # c(m) = 1 on m = 0 mod 3; off that grid, at N = 500, only two maxima
+    # reach the floor 5/sqrt(N), so no fit is made
+    assert cli.main(argv + ["--samples", "500"]) == 0
+    assert "fourier-decay-fit" not in capsys.readouterr().out
+    assert cli.main(argv + ["--samples", "100000"]) == 0
+    assert "fourier-decay-fit: PASS" in capsys.readouterr().out.splitlines()
+    # the default b0 = 0 is the fixed point 0, which does not equidistribute:
+    # every coefficient is 1, and the fit reads slope 0 and fails
+    assert cli.main(["fourier", "--t-grid", "1,2,3,4", "--samples", "500"]) == 1
+    assert "fourier-decay-fit: FAIL" in capsys.readouterr().out.splitlines()
 
 
 def test_fourier_fiber_denominator_over_phase_cap_exits_2(capsys):
@@ -144,21 +158,25 @@ def reference_log_fit(pts):
 
 
 def test_fits_share_one_least_squares_body():
+    # power-law fits pass log x, so they keep the bits of the log-log fit they replaced
     rng = np.random.default_rng(5)
     for n in (3, 4, 7):
         series = [(float(x), float(v)) for x, v in zip(np.sort(rng.uniform(1, 9, n)), rng.uniform(0.1, 2, n))]
-        assert harness.loglog_fit(series) == reference_log_fit([(math.log(x), v) for x, v in series])
-        if n >= 4:
-            assert harness.decay_fit(series) == reference_log_fit(series)
+        logs = [(math.log(x), v) for x, v in series]
+        assert harness.decay_fit(logs) == reference_log_fit(logs)
+        assert harness.decay_fit(series) == reference_log_fit(series)
+    assert not hasattr(harness, "loglog_fit")
     with pytest.raises(ValueError, match="constant predictor"):
-        harness.decay_fit([(2.0, 1.0)] * 4)
+        harness.decay_fit([(2.0, 1.0)] * 3)
+    with pytest.raises(ValueError, match="at least three points"):
+        harness.decay_fit([(1.0, 1.0), (2.0, 0.5)])
 
 
 def test_reduce_result_is_a_report_field():
     assert "result" in {f.name for f in dataclasses.fields(harness.RunReport)}
     assert harness.RunReport(config={}, checks=[]).result is None
     report = harness.run(harness.ExperimentConfig.from_json({"kind": "reduce", "g0": [[2, 1], [1, 1]]}))
-    assert report.result["gamma"] and report.result["certified"]
+    assert report.result["gamma"] and report.result["certificate"] > 0
 
 
 def reference_write_csv(path, header, rows):
@@ -222,15 +240,19 @@ def test_write_csv_matches_per_cell_reference_on_every_cell_type(tmp_path):
 
 def test_every_field_flag_reaches_the_config(tmp_path):
     argv = [
-        "zeta", "--d", "3", "--n", "2", "--t", "2", "--t-grid", "2,5", "--samples", "500", "--seed", "3",
+        "zeta", "--m", "2", "--n", "2", "--t", "2", "--t-grid", "2,5", "--samples", "500", "--seed", "3",
         "--b0", "1/3", "--g0", "[[1, 0], [0, 1]]", "--epsilon", "0.2", "--rho", "0.1", "--max-freq", "2",
-        "--T", "50", "--alpha", "0.5", "--x0", "0.1", "--radius", "0.2", "--budget", "1000", "--out", str(tmp_path),
+        "--alpha", "0.5", "--x0", "0.1", "--radius", "0.2", "--budget", "1000", "--out", str(tmp_path),
     ]
     assert cli.main(argv) == 0
     config = json.loads((tmp_path / "report.json").read_text())["config"]
     assert config == {
         "kind": "zeta", "m": 2, "n": 2, "t": 2.0, "t_grid": [2.0, 5.0], "samples": 500, "seed": 3, "b0": ["1/3"],
-        "g0": [[1, 0], [0, 1]], "epsilon": 0.2, "rho": 0.1, "max_freq": 2, "T": 50.0, "alpha": 0.5, "x0": 0.1,
+        "g0": [[1, 0], [0, 1]], "epsilon": 0.2, "rho": 0.1, "max_freq": 2, "alpha": 0.5, "x0": 0.1,
         "radius": 0.2, "out": str(tmp_path), "budget": 1000, "suite": "all", "schema": 1,
     }
     assert {f.name for f in dataclasses.fields(harness.ExperimentConfig)} == set(config)
+    # no field has a second flag: --d (m = d - 1, n = 1) and --T (the horizon of zeta and weyl) are gone
+    for alias in (["--d", "3"], ["--T", "50"]):
+        with pytest.raises(SystemExit):
+            cli.main(["zeta", "--t", "10"] + alias)

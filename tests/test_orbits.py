@@ -303,7 +303,7 @@ def _per_sample_orbit(y0, t, sig, count, seed, budget=DEFAULT_BUDGET):
         coords[i] = point.as_floats()
         gammas[i] = gamma.to_int64()
         xis[i] = xi.entries
-        heights[i] = 1.0 / shortest_vector(LatticeDescriptor(xi), "sup", budget)[1]
+        heights[i] = 1.0 / shortest_vector(LatticeDescriptor(xi), budget)[1]
         if rational:
             nums[i] = [int(c * q) for c in point.coords]
     if rational:
@@ -335,15 +335,13 @@ S12, S21 = SplittingSignature(1, 2), SplittingSignature(2, 1)
         (S21, ["1/3", "2/3", "1/5"], 5.0, None),
         (S12, [0.11, 0.5, 0.77], 4.0, _off_identity()),
         (S21, ["1/3", "2/3", "1/5"], 3.0, _off_identity()),
-        # d = 4 has no candidate search: the LLL seed is the representative
-        (SplittingSignature(2, 2), [0.11, 0.5, 0.77, 0.3], 1.0, None),
         # (1, 1) at t = 8 sends samples through the batch reduction's scalar fallback
         (SIG, [0.11, 0.5], 8.0, None),
         (SIG, ["1/3", "2/3"], 8.0, None),
     ],
     ids=[
         "12-float", "21-float", "12-rational", "21-rational", "21-decimal-strings", "12-float-t8",
-        "21-rational-t5", "12-float-off-identity", "21-rational-off-identity", "22-float",
+        "21-rational-t5", "12-float-off-identity", "21-rational-off-identity",
         "11-float", "11-rational",
     ],
 )
@@ -368,6 +366,19 @@ def test_decompose_batch_matches_per_sample_reference(sig, b0, t, linear):
             assert a is None, name
         else:
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("sig", [SplittingSignature(2, 2), SplittingSignature(1, 3)], ids=["22", "13"])
+def test_decompose_batch_refuses_d_above_3(sig):
+    # d = 4 has no certified reduction: its LLL seeds, once returned as
+    # representatives, lay outside the fundamental domain for about 18 % of samples
+    eye = SpecialLinearMatrix.from_entries(np.eye(4))
+    with pytest.raises(ValueError, match=r"certified for d in \{2, 3\} only, not d = 4"):
+        decompose_batch(eye, sample_V(NeighborhoodV(sig), 60, 3), 1.0, sig)
+    with pytest.raises(ValueError, match=r"certified for d in \{2, 3\} only"):
+        orbit_pushforward(AffineLatticePoint(eye, TorusPoint.from_values([0.11, 0.5, 0.77, 0.3])), 1.0, NeighborhoodV(sig), 60, seed=3)
+    with pytest.raises(ValueError, match=r"certified for d in \{2, 3\} only"):
+        reduce_matrix(np.eye(4))
 
 
 def test_stacked_lll_gives_the_scalar_minima(monkeypatch):

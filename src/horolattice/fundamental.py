@@ -740,38 +740,50 @@ def _lagrange_2x2(P: np.ndarray):
     A pass swaps the columns, with a sign, where the second is shorter,
     then shears the second by the rounded mu.  A row stops after a pass
     that does neither, or after _LAGRANGE_ROUNDS passes.
+    The passes run on eight coordinate arrays, the entries of B and U in
+    row-major order, and apply a swap or a shear through `np.where`, so
+    an entry it does not touch keeps its bits and its sign of zero.  A
+    pass leaves a stopped row as it is, so stopped rows stay in the
+    arrays until they are half of them; then they are written back to B
+    and U, once, and the arrays shrink to the rows still moving.
     """
-    B = P.copy()
-    U = np.broadcast_to(np.eye(2, dtype=np.int64), B.shape).copy()
-    active = np.ones(P.shape[0], dtype=bool)
+    N = P.shape[0]
+    B = np.empty((4, N))
+    U = np.empty((4, N), dtype=np.int64)
+    b = [P[:, i, j].copy() for i in (0, 1) for j in (0, 1)]
+    u = [np.full(N, int(i == j), dtype=np.int64) for i in (0, 1) for j in (0, 1)]
+    rows = np.arange(N)
     for _ in range(_LAGRANGE_ROUNDS):
-        if not active.any():
-            break
-        idx = np.nonzero(active)[0]
-        Ba = B[idx]
-        n1 = Ba[:, 0, 0] ** 2 + Ba[:, 1, 0] ** 2
-        n2 = Ba[:, 0, 1] ** 2 + Ba[:, 1, 1] ** 2
+        n1 = b[0] ** 2 + b[2] ** 2
+        n2 = b[1] ** 2 + b[3] ** 2
         swap = n2 < n1
         if swap.any():
-            sidx = idx[swap]
-            c0 = B[sidx, :, 0].copy()
-            B[sidx, :, 0] = B[sidx, :, 1]
-            B[sidx, :, 1] = -c0
-            u0 = U[sidx, :, 0].copy()
-            U[sidx, :, 0] = U[sidx, :, 1]
-            U[sidx, :, 1] = -u0
-            Ba = B[idx]
-            n1 = Ba[:, 0, 0] ** 2 + Ba[:, 1, 0] ** 2
-        dot = Ba[:, 0, 0] * Ba[:, 0, 1] + Ba[:, 1, 0] * Ba[:, 1, 1]
-        k = np.rint(dot / n1)
+            # columns (c0, c1) -> (c1, -c0)
+            for a in (b, u):
+                for i in (0, 2):
+                    a[i], a[i + 1] = np.where(swap, a[i + 1], a[i]), np.where(swap, -a[i], a[i + 1])
+            n1 = np.where(swap, n2, n1)
+        k = np.rint((b[0] * b[1] + b[2] * b[3]) / n1)
         shear = k != 0
         if shear.any():
-            hidx = idx[shear]
-            kk = k[shear]
-            B[hidx, :, 1] -= kk[:, None] * B[hidx, :, 0]
-            U[hidx, :, 1] -= kk.astype(np.int64)[:, None] * U[hidx, :, 0]
-        active[idx[~(swap | shear)]] = False
-    return B, U
+            kk = k.astype(np.int64)
+            for i in (0, 2):
+                b[i + 1] = np.where(shear, b[i + 1] - k * b[i], b[i + 1])
+                u[i + 1] = u[i + 1] - kk * u[i]
+        moving = swap | shear
+        live = np.count_nonzero(moving)
+        if live == 0:
+            break
+        if 2 * live < rows.size:
+            stopped = ~moving
+            B[:, rows[stopped]] = [a[stopped] for a in b]
+            U[:, rows[stopped]] = [a[stopped] for a in u]
+            rows = rows[moving]
+            b = [a[moving] for a in b]
+            u = [a[moving] for a in u]
+    B[:, rows] = b
+    U[:, rows] = u
+    return np.ascontiguousarray(B.T).reshape(N, 2, 2), np.ascontiguousarray(U.T).reshape(N, 2, 2)
 
 
 def _sweep_certified_2x2(B: np.ndarray, reps: np.ndarray):

@@ -134,6 +134,9 @@ class ExperimentConfig:
                     )
             if self.samples < 100:
                 raise ConfigError("statistical experiments need at least 100 samples")
+        if self.kind == "fourier" and self.max_freq < 1:
+            # the box |m| <= max_freq must hold a frequency m != 0
+            raise ConfigError(f"fourier needs --max-freq >= 1, got {self.max_freq}")
         if self.budget < 1:
             raise ConfigError("budget must be positive")
         return self

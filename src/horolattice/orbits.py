@@ -430,7 +430,9 @@ def _det1_box_table(K: int) -> np.ndarray:
 
 
 _LOC_K_MAX = 24
-_LOC_CHUNK = 1024
+#: Candidate products (sample, C) per localization block: 2^14 products
+#: make each block array 512 KiB, so a block's arrays stay in L2 cache.
+_LOC_BLOCK = 1 << 14
 
 
 def _proxy_distances_2x2(
@@ -451,13 +453,20 @@ def _proxy_distances_2x2(
     `certify_below`" through the capped box (the box minimum is an upper
     bound) or fall back to the scalar search.
 
-    Each bucket runs in blocks of _LOC_CHUNK samples, so memory stays
-    flat in N.  The rounding of every step is fixed, and a test pins the
-    distances bit for bit: xi C is the explicit sum
+    A bucket runs in blocks of max(1, _LOC_BLOCK // k) samples, k the
+    size of its box table, so that every block holds about _LOC_BLOCK
+    candidate products whatever the box.  The time goes to memory
+    traffic, not arithmetic, so a block's arrays are sized to stay in
+    cache, and memory stays flat in N and in the box size; a fixed
+    number of samples per block would take k times the memory, hundreds
+    of MB per array in the capped bucket.  After the product with
+    z^{-1} a block runs in place.  The rounding of every step is fixed,
+    so a test pins the distances bit for bit: xi C is the explicit sum
     xi[:, 0] C[0] + xi[:, 1] C[1] with each product rounded before the
     add (a matmul would fuse them into an FMA); the product with z^{-1}
-    is one BLAS call over the rows of a block; the squared Frobenius
-    norm adds the four entries in row-major order.
+    is one BLAS call over the rows of a block; 1 is subtracted on the
+    diagonal only; the squared Frobenius norm adds the four entries in
+    row-major order.
     """
     za = z_rep.entries
     z_frob = math.sqrt(float((za * za).sum()))
@@ -474,7 +483,6 @@ def _proxy_distances_2x2(
     idx_alive = np.nonzero(alive)[0]
     Ks = np.ceil(S * colmax[alive] * 1.0001).astype(np.int64)
     zinv = z_rep.inverse
-    eye = np.eye(2)
     capped = Ks > _LOC_K_MAX
     Ks_eff = np.minimum(Ks, _LOC_K_MAX)
     for K in np.unique(Ks_eff):
@@ -483,15 +491,21 @@ def _proxy_distances_2x2(
         T0 = table[:, 0, :].reshape(-1)
         T1 = table[:, 1, :].reshape(-1)
         bucket = idx_alive[Ks_eff == K]
-        for start in range(0, bucket.size, _LOC_CHUNK):
-            rows = bucket[start : start + _LOC_CHUNK]
+        step = max(1, _LOC_BLOCK // k)
+        for start in range(0, bucket.size, step):
+            rows = bucket[start : start + step]
             X = xis[rows]
             # H[n, i, c, l] = (xi_n C_c)[i, l], laid out so that each
             # elementwise step runs along the long (c, l) axis
-            H = X[:, :, 0, None] * T0 + X[:, :, 1, None] * T1
-            D = (H.reshape(-1, 2) @ zinv).reshape(-1, 2, k, 2) - eye[None, :, None, :]
-            Q = D * D
-            dsq = ((Q[:, 0, :, 0] + Q[:, 0, :, 1]) + Q[:, 1, :, 0]) + Q[:, 1, :, 1]
+            H = X[:, :, 0, None] * T0
+            H += X[:, :, 1, None] * T1
+            D = (H.reshape(-1, 2) @ zinv).reshape(-1, 2, k, 2)
+            D[:, 0, :, 0] -= 1.0
+            D[:, 1, :, 1] -= 1.0
+            np.multiply(D, D, out=D)
+            dsq = D[:, 0, :, 0] + D[:, 0, :, 1]
+            dsq += D[:, 1, :, 0]
+            dsq += D[:, 1, :, 1]
             dists[rows] = np.sqrt(dsq.min(axis=1))
     # capped samples: the box minimum is only an upper bound; keep it
     # when it certifies the bump plateau, otherwise resolve exactly

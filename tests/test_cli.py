@@ -118,6 +118,7 @@ def test_kind_runs_to_its_artifacts(argv, config, checks, headers, tmp_path):
         (["orbit", "--t", "1", "--samples", "100", "--b0", "abc,1"], "Invalid literal for Fraction"),
         (["siegel", "--t", "1", "--samples", "100", "--radius", "2"], "radius < 1"),
         (["concentration", "--t", "1", "--samples", "100", "--rho", "0.7"], "rho must lie in"),
+        (["fourier", "--t", "1", "--samples", "100", "--max-freq", "0"], "fourier needs --max-freq >= 1"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, message, capsys):

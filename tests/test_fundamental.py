@@ -429,6 +429,95 @@ def test_sweep_matches_36_candidate_reference_on_ties_and_signed_zeros():
     assert not np.signbit(reps[reps == 0]).any()
 
 
+def _lagrange_2x2_reference(P):
+    """The d = 2 Lagrange loop that gathered and scattered B[idx] on every pass, kept as the reference."""
+    B = P.copy()
+    U = np.broadcast_to(np.eye(2, dtype=np.int64), B.shape).copy()
+    active = np.ones(P.shape[0], dtype=bool)
+    for _ in range(fundamental._LAGRANGE_ROUNDS):
+        if not active.any():
+            break
+        idx = np.nonzero(active)[0]
+        Ba = B[idx]
+        n1 = Ba[:, 0, 0] ** 2 + Ba[:, 1, 0] ** 2
+        n2 = Ba[:, 0, 1] ** 2 + Ba[:, 1, 1] ** 2
+        swap = n2 < n1
+        if swap.any():
+            sidx = idx[swap]
+            c0 = B[sidx, :, 0].copy()
+            B[sidx, :, 0] = B[sidx, :, 1]
+            B[sidx, :, 1] = -c0
+            u0 = U[sidx, :, 0].copy()
+            U[sidx, :, 0] = U[sidx, :, 1]
+            U[sidx, :, 1] = -u0
+            Ba = B[idx]
+            n1 = Ba[:, 0, 0] ** 2 + Ba[:, 1, 0] ** 2
+        dot = Ba[:, 0, 0] * Ba[:, 0, 1] + Ba[:, 1, 0] * Ba[:, 1, 1]
+        k = np.rint(dot / n1)
+        shear = k != 0
+        if shear.any():
+            hidx = idx[shear]
+            kk = k[shear]
+            B[hidx, :, 1] -= kk[:, None] * B[hidx, :, 0]
+            U[hidx, :, 1] -= kk.astype(np.int64)[:, None] * U[hidx, :, 0]
+        active[idx[~(swap | shear)]] = False
+    return B, U
+
+
+def _assert_lagrange_matches_reference(P):
+    with np.errstate(invalid="ignore"):
+        B, U = fundamental._lagrange_2x2(P)
+        ref_B, ref_U = _lagrange_2x2_reference(P)
+    assert B.dtype == ref_B.dtype and U.dtype == ref_U.dtype
+    assert B.tobytes() == ref_B.tobytes()
+    assert U.tobytes() == ref_U.tobytes()
+
+
+_LAGRANGE_EDGE_ROWS = [
+    # already reduced
+    np.eye(2),
+    np.array([[0.0, -1.0], [1.0, 0.0]]),
+    np.array([[1.0, 0.5], [0.0, 1.0]]),
+    # a swap and nothing else
+    np.diag([2.0, 0.5]),
+    np.array([[3.0, 0.0], [0.0, -1.0 / 3.0]]),
+    # entries of -0.0, in rows that stop, swap and shear
+    np.array([[-0.0, 1.0], [-1.0, -0.0]]),
+    np.array([[1.0, -0.0], [0.0, 1.0]]),
+    np.array([[2.0, -0.0], [-0.0, 0.5]]),
+    np.array([[1.0, 2.6], [-0.0, 1.0]]),
+    # a NaN row, which shears on every pass until the cap
+    np.array([[np.nan, 1.0], [0.0, 1.0]]),
+]
+
+
+@pytest.mark.parametrize("s", [0.0, 4.0, 8.0, 12.0])
+def test_lagrange_matches_the_gather_scatter_reference(s):
+    us = np.random.default_rng(int(s)).uniform(-0.5, 0.5, 20_000)
+    _assert_lagrange_matches_reference(_flow_orbit(s, us))
+
+
+def test_lagrange_matches_the_reference_on_edge_rows():
+    P = np.array(_LAGRANGE_EDGE_ROWS)
+    _assert_lagrange_matches_reference(P)
+    for p in P:
+        _assert_lagrange_matches_reference(p[None])
+    _assert_lagrange_matches_reference(P[:0])
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_lagrange_matches_the_reference_at_the_round_cap(rounds, monkeypatch):
+    us = np.random.default_rng(8).uniform(-0.5, 0.5, 2000)
+    P = np.concatenate([_flow_orbit(8.0, us), np.array(_LAGRANGE_EDGE_ROWS)])
+    with np.errstate(invalid="ignore"):
+        uncapped, _ = fundamental._lagrange_2x2(P)
+        monkeypatch.setattr(fundamental, "_LAGRANGE_ROUNDS", rounds)
+        capped, _ = fundamental._lagrange_2x2(P)
+    # rows the cap stops before they are reduced
+    assert (capped != uncapped).any(axis=(1, 2)).sum() > 1000
+    _assert_lagrange_matches_reference(P)
+
+
 def test_tie_break_keys_hold_entries_past_int64():
     # at LEX_GRID = 1e-12 an entry past 9.2e6 overflows an int64 key; the
     # rotations of h are h, hJ, -h and -hJ, and -h has the least first entry

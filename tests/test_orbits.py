@@ -592,6 +592,52 @@ def test_proxy_distances_match_einsum_form_bit_for_bit():
     assert capped_total > 0  # the _LOC_K_MAX cap was exercised
 
 
+def test_proxy_distances_run_in_blocks_of_bounded_memory(monkeypatch):
+    # diag(4, 1/4) under shears: every row needs a box of side 29 > _LOC_K_MAX,
+    # and the capped box certifies a distance <= certify_below, so no row runs x_distance
+    import tracemalloc
+
+    from horolattice.orbits import _proxy_distances_2x2
+
+    shear = np.broadcast_to(np.eye(2), (1000, 2, 2)).copy()
+    shear[:, 0, 1] = np.linspace(-0.5, 0.5, 1000)
+    xis = np.diag([4.0, 0.25]) @ shear
+    z = SpecialLinearMatrix.from_entries(np.eye(2))
+    monkeypatch.setattr(orbits, "x_distance", None)
+    tracemalloc.start()
+    try:
+        dists = _proxy_distances_2x2(xis, z, 4.0, certify_below=4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert np.all(dists <= 4.0)
+    monkeypatch.setattr(orbits, "_LOC_BLOCK", 1)
+    assert _proxy_distances_2x2(xis, z, 4.0, certify_below=4.0).tobytes() == dists.tobytes()
+    # 10^7 products put every row into one block, which costs about 0.4 MB per row
+    monkeypatch.setattr(orbits, "_LOC_BLOCK", 10**7)
+    assert _proxy_distances_2x2(xis[::10], z, 4.0, certify_below=4.0).tobytes() == dists[::10].tobytes()
+
+
+def test_distances_within_a_smaller_reach_equal_those_of_a_larger_one():
+    # the d2-measures localization cloud: one call at the largest radius
+    # gives the distances of every smaller one
+    from horolattice.orbits import _proxy_distances_2x2
+
+    y0 = AffineLatticePoint(
+        SpecialLinearMatrix.from_entries(np.eye(2)),
+        TorusPoint.from_values([math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0]),
+    )
+    nu = orbit_pushforward(y0, 8.0, V, 2000, seed=0)
+    z = reduce_matrix(np.array([[1.1, 0.3], [0.2, (1.0 + 0.3 * 0.2) / 1.1]])).rep
+    small = _proxy_distances_2x2(nu.xis, z, 5 * 0.05, certify_below=0.05)
+    large = _proxy_distances_2x2(nu.xis, z, 5 * 0.1, certify_below=0.1)
+    within = small <= 0.25
+    assert within.sum() > 20
+    assert np.array_equal(within, large <= 0.25)
+    assert small[within].tobytes() == large[within].tobytes()
+
+
 def test_localization_mass_is_a_constructor_field():
     y0 = AffineLatticePoint(
         SpecialLinearMatrix.from_entries(np.eye(2)), TorusPoint.from_values([0.3, 0.4])

@@ -29,6 +29,7 @@ analysis lives next to the code:
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -41,6 +42,7 @@ from .core import (
     SpecialLinearMatrix,
     SplittingSignature,
     TorusPoint,
+    _bezout,
     _mod1,
     matrix_norm,
 )
@@ -59,7 +61,6 @@ from .lattices import DEFAULT_BUDGET, LatticeDescriptor, height
 from .measures import FlatteningInstance, _verify_flattening, flatten_weights, fourier_spectrum
 from .orbits import (
     NeighborhoodV,
-    _det1_box_table,
     decompose_batch,
     gamma_orbit,
     localized_measure,
@@ -211,6 +212,22 @@ def criterion_effective_weyl(budget=DEFAULT_BUDGET, cache=None) -> List[CheckRes
 
 
 # -- criterion 4: reduction vs brute force -----------------------------------
+
+
+@functools.cache
+def _det1_box_table(K: int) -> np.ndarray:
+    """All integer 2x2 matrices with det +1 and entries bounded by K."""
+    mats = []
+    for a in range(-K, K + 1):
+        for b in range(-K, K + 1):
+            if math.gcd(a, b) == 1:
+                u, v = _bezout((a, b))  # a u + b v = 1; the second columns are (-v, u) + k (a, b)
+                mats += [
+                    ((a, k * a - v), (b, k * b + u))
+                    for k in range(-2 * K - 1, 2 * K + 2)
+                    if abs(k * a - v) <= K and abs(k * b + u) <= K
+                ]
+    return np.array(mats, dtype=float)
 
 
 def criterion_reduction_oracle(budget=DEFAULT_BUDGET, cache=None, n_cases: int = 500) -> List[CheckResult]:

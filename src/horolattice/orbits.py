@@ -377,7 +377,7 @@ def orbit_pushforward(
         nums, coords = _rational_fiber(gammas, [int(c * q) for c in b_start.coords], q)
     else:
         nums = None
-        coords = _mod1(gammas.astype(float) @ b_start.as_floats())
+        coords = _mod1(gammas.astype(float, order="C") @ b_start.as_floats())
     weights = np.full(count, 1.0 / count)
     weights[-1] = 1.0 - weights[:-1].sum()
     return EmpiricalTorusMeasure(
@@ -399,120 +399,109 @@ def _bump(s: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _det1_box_table(K: int) -> np.ndarray:
-    """All integer 2x2 matrices with det +1 and entries bounded by K."""
-    mats = []
-    for a in range(-K, K + 1):
-        for b in range(-K, K + 1):
-            if math.gcd(a, b) != 1:
-                continue
-            u, v = _bezout((a, b))
-            x0, y0 = -v, u  # a*y0 - b*x0 = 1
-            # family (x0 + k a, y0 + k b) within the box
-            lo, hi = -10**9, 10**9
-            ok = True
-            for w0, w in ((x0, a), (y0, b)):
-                if w == 0:
-                    if abs(w0) > K:
-                        ok = False
-                else:
-                    l0 = (-K - w0) / w
-                    h0 = (K - w0) / w
-                    if l0 > h0:
-                        l0, h0 = h0, l0
-                    lo = max(lo, math.ceil(l0 - 1e-9))
-                    hi = min(hi, math.floor(h0 + 1e-9))
-            if not ok:
-                continue
-            for k in range(lo, hi + 1):
-                mats.append(((a, x0 + k * a), (b, y0 + k * b)))
-    return np.array(mats, dtype=float)
+def _bezout_table(P: int) -> np.ndarray:
+    """[p + P, r + P] holds (x, y) with p x + r y = 1 if gcd(p, r) = 1, else (0, 0)."""
+    span = range(-P, P + 1)
+    return np.array(
+        [[_bezout((p, r)) if math.gcd(p, r) == 1 else (0, 0) for r in span] for p in span], dtype=np.int64
+    )
 
 
-_LOC_K_MAX = 24
-#: Candidate products (sample, C) per localization block: 2^14 products
-#: make each block array 512 KiB, so a block's arrays stay in L2 cache.
-_LOC_BLOCK = 1 << 14
+def _ragged(counts: np.ndarray):
+    """(owner, position) of every item when owner i holds counts[i] items, in order."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
 
 
-def _proxy_distances_2x2(
-    xis: np.ndarray,
-    z_rep: SpecialLinearMatrix,
-    reach: float,
-    certify_below: float = 0.0,
-    budget: int = DEFAULT_BUDGET,
-) -> np.ndarray:
-    """Proxy distances min_{gamma'} |xi gamma' z^{-1} - Id|_F, vectorized.
+#: First columns per localization block: at 2^12 a block peaks near 3 MB
+#: at reach 4 (2.3 candidates per first column); 2^10-2^16 timed alike.
+_LOC_BLOCK = 1 << 12
 
-    Exact wherever the distance is at most `reach`; larger values may be
-    overestimates (their bump weight is zero anyway).  Any coset element
-    within `reach` of z has Frobenius norm at most S = |z|_F (1 + reach),
-    so its coefficient matrix w.r.t. the reduced xi lies in the integer
-    box of side S * lambda_2(xi); samples are bucketed by that box size.
-    Samples needing a box beyond _LOC_K_MAX either certify "at most
-    `certify_below`" through the capped box (the box minimum is an upper
-    bound) or fall back to the scalar search.
 
-    A bucket runs in blocks of max(1, _LOC_BLOCK // k) samples, k the
-    size of its box table, so that every block holds about _LOC_BLOCK
-    candidate products whatever the box.  The time goes to memory
-    traffic, not arithmetic, so a block's arrays are sized to stay in
-    cache, and memory stays flat in N and in the box size; a fixed
-    number of samples per block would take k times the memory, hundreds
-    of MB per array in the capped bucket.  After the product with
-    z^{-1} a block runs in place.  The rounding of every step is fixed,
-    so a test pins the distances bit for bit: xi C is the explicit sum
-    xi[:, 0] C[0] + xi[:, 1] C[1] with each product rounded before the
-    add (a matmul would fuse them into an FMA); the product with z^{-1}
-    is one BLAS call over the rows of a block; 1 is subtracted on the
-    diagonal only; the squared Frobenius norm adds the four entries in
-    row-major order.
+def _proxy_distances_2x2(xis: np.ndarray, z_rep: SpecialLinearMatrix, reach: float) -> np.ndarray:
+    """Proxy distances min_C |xi C z^{-1} - Id|_F over C in SL_2(Z), vectorized.
+
+    Exact wherever the distance is at most `reach` = rho; beyond it, a
+    larger value, or +inf when no C comes within reach.  With
+    M = xi C z^{-1} - Id, xi c_j - z_j = M z_j, so |M|_F <= rho puts each
+    column c_j of C in the coefficient window
+
+        |c_ij - (xi^{-1} z_j)_i| <= |row_i xi^{-1}|_2 rho |z_j|_2,
+
+    xi^{-1} = adj xi.  The windows are widened to
+    |row_i adj xi| |z_j| (rho + 1e-9) 1.0001: 1e-9 covers det xi's drift
+    from 1, the factor the rounding of the windows and of the distance.
+    Rows with |xi|_F > S = |z|_F (1 + rho) + 1e-9 are dropped first (xi is
+    Frobenius-minimal in its coset and |xi C|_F <= S within reach), so a
+    live row has |row_i adj xi| <= |xi|_F <= S and bounded windows.  Each
+    primitive first column (p, r) in its window meets the second columns
+    of det +1 on the line (q0, s0) + k (p, r) through a Bezout solution,
+    cut to the second window.  Rows run in blocks of about _LOC_BLOCK
+    first columns, so memory stays flat in N and in the reach.
+
+    The rounding of every step is fixed, so a test pins the distances
+    bit for bit: xi C is the explicit sum xi[:, 0] C[0] + xi[:, 1] C[1]
+    with each product rounded before the add (a matmul would fuse them
+    into an FMA); the product with z^{-1} is one BLAS call over the rows
+    of a block; 1 is subtracted on the diagonal only; the squared
+    Frobenius norm adds the four entries in row-major order.
     """
     za = z_rep.entries
-    z_frob = math.sqrt(float((za * za).sum()))
-    S = z_frob * (1.0 + reach) + 1e-9
-    N = xis.shape[0]
-    dists = np.full(N, np.inf)
-    frob = np.sqrt((xis * xis).sum(axis=(1, 2)))
-    colmax = np.maximum(
-        np.linalg.norm(xis[:, :, 0], axis=1), np.linalg.norm(xis[:, :, 1], axis=1)
-    )
-    # Frobenius minimality of the reduced representative: no coset
-    # element can be closer than (frob - S) allows
-    alive = frob <= S
-    idx_alive = np.nonzero(alive)[0]
-    Ks = np.ceil(S * colmax[alive] * 1.0001).astype(np.int64)
-    zinv = z_rep.inverse
-    capped = Ks > _LOC_K_MAX
-    Ks_eff = np.minimum(Ks, _LOC_K_MAX)
-    for K in np.unique(Ks_eff):
-        table = _det1_box_table(int(K))
-        k = table.shape[0]
-        T0 = table[:, 0, :].reshape(-1)
-        T1 = table[:, 1, :].reshape(-1)
-        bucket = idx_alive[Ks_eff == K]
-        step = max(1, _LOC_BLOCK // k)
-        for start in range(0, bucket.size, step):
-            rows = bucket[start : start + step]
-            X = xis[rows]
-            # H[n, i, c, l] = (xi_n C_c)[i, l], laid out so that each
-            # elementwise step runs along the long (c, l) axis
-            H = X[:, :, 0, None] * T0
-            H += X[:, :, 1, None] * T1
-            D = (H.reshape(-1, 2) @ zinv).reshape(-1, 2, k, 2)
-            D[:, 0, :, 0] -= 1.0
-            D[:, 1, :, 1] -= 1.0
-            np.multiply(D, D, out=D)
-            dsq = D[:, 0, :, 0] + D[:, 0, :, 1]
-            dsq += D[:, 1, :, 0]
-            dsq += D[:, 1, :, 1]
-            dists[rows] = np.sqrt(dsq.min(axis=1))
-    # capped samples: the box minimum is only an upper bound; keep it
-    # when it certifies the bump plateau, otherwise resolve exactly
-    for i, row in zip(np.nonzero(capped)[0], idx_alive[capped]):
-        if dists[row] <= certify_below:
+    S = math.sqrt(float((za * za).sum())) * (1.0 + reach) + 1e-9
+    dists = np.full(xis.shape[0], np.inf)
+    live = np.nonzero(np.sqrt((xis * xis).sum(axis=(1, 2))) <= S)[0]
+    X = xis[live]
+    adj = np.stack([X[:, 1, 1], -X[:, 0, 1], -X[:, 1, 0], X[:, 0, 0]], axis=1).reshape(-1, 2, 2)
+    # window [i, j] bounds entry i of column j
+    half = np.sqrt((adj * adj).sum(axis=2))[:, :, None] * np.sqrt((za * za).sum(axis=0))
+    half *= (reach + 1e-9) * 1.0001
+    centre = adj @ za
+    lo = np.ceil(centre - half).astype(np.int64)
+    hi = np.floor(centre + half).astype(np.int64)
+    n0 = np.maximum(hi[:, 0, 0] - lo[:, 0, 0] + 1, 0) * np.maximum(hi[:, 1, 0] - lo[:, 1, 0] + 1, 0)
+    keep = (n0 > 0) & np.all(hi[:, :, 1] >= lo[:, :, 1], axis=1)
+    live, X, lo, hi, n0 = live[keep], X[keep], lo[keep], hi[keep], n0[keep]
+    ends = np.cumsum(n0)
+    start = 0
+    while start < live.size:
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - n0[start] + _LOC_BLOCK, "right")))
+        own, pos = _ragged(n0[start:stop])
+        own += start
+        width = hi[own, 1, 0] - lo[own, 1, 0] + 1
+        p, r = lo[own, 0, 0] + pos // width, lo[own, 1, 0] + pos % width
+        P = 1 << int(max(np.abs(p).max(), np.abs(r).max())).bit_length()
+        x, y = np.moveaxis(_bezout_table(P)[p + P, r + P], 1, 0)
+        prim = p * x + r * y == 1
+        own, p, r, q0, s0 = own[prim], p[prim], r[prim], -y[prim], x[prim]
+        # p s - r q = 1 on (q, s) = (q0, s0) + k (p, r); k is in the second
+        # window strictly between the bounds below: half-integers over p or
+        # r, never integers, so their floor and ceil are exact; where p or
+        # r is 0, they are -inf and +inf or cut every k
+        with np.errstate(divide="ignore"):
+            bq = (lo[own, 0, 1] - 0.5 - q0) / p, (hi[own, 0, 1] + 0.5 - q0) / p
+            bs = (lo[own, 1, 1] - 0.5 - s0) / r, (hi[own, 1, 1] + 0.5 - s0) / r
+        left = np.floor(np.maximum(np.minimum(*bq), np.minimum(*bs)))
+        right = np.ceil(np.minimum(np.maximum(*bq), np.maximum(*bs)))
+        c, pos = _ragged(np.maximum(right - left - 1.0, 0.0).astype(np.int64))
+        start = stop
+        if c.size == 0:
             continue
-        dists[row] = x_distance(xis[row], z_rep, max_distance=reach * 1.5, budget=budget)
+        k = left[c].astype(np.int64) + 1 + pos
+        own, p, r = own[c], p[c], r[c]
+        C = np.stack([p, q0[c] + k * p, r, s0[c] + k * r], axis=1).astype(float).reshape(-1, 2, 2)
+        Xc = X[own]
+        H = Xc[:, :, 0, None] * C[:, None, 0, :]
+        H += Xc[:, :, 1, None] * C[:, None, 1, :]
+        D = (H.reshape(-1, 2) @ z_rep.inverse).reshape(-1, 2, 2)
+        D[:, 0, 0] -= 1.0
+        D[:, 1, 1] -= 1.0
+        np.multiply(D, D, out=D)
+        dsq = D[:, 0, 0] + D[:, 0, 1]
+        dsq += D[:, 1, 0]
+        dsq += D[:, 1, 1]
+        # candidates come grouped by row, rows in order
+        first = np.flatnonzero(np.diff(own, prepend=-1))
+        dists[live[own[first]]] = np.sqrt(np.minimum.reduceat(dsq, first))
     return dists
 
 
@@ -524,8 +513,10 @@ def localized_measure(
 ) -> EmpiricalTorusMeasure:
     """Reweight by a bump in the base-point distance to z, renormalized.
 
-    The raw (pre-normalization) bump mass is the returned measure's
-    `localization_mass`.
+    The bump is 1 up to distance r and 0 from the reach 5r on.  The
+    distances are exact within reach; beyond it, a larger value or +inf,
+    which the bump weighs 0 either way.  The raw (pre-normalization)
+    bump mass is the returned measure's `localization_mass`.
     """
     if not r > 0:
         raise ValueError("radius must be positive")
@@ -533,23 +524,13 @@ def localized_measure(
         raise ValueError("orbit measure carries no base-point metadata")
     reach = 5.0 * r
     if orbit.dim == 2:
-        dists = _proxy_distances_2x2(orbit.xis, z_rep, reach, certify_below=r, budget=budget)
+        dists = _proxy_distances_2x2(orbit.xis, z_rep, reach)
     else:
-        dists = np.array(
-            [
-                x_distance(orbit.xis[i], z_rep, max_distance=reach * 1.5, budget=budget)
-                for i in range(orbit.size)
-            ]
-        )
-    finite = np.isfinite(dists)
-    omega = np.zeros(orbit.size)
-    omega[finite] = _bump(dists[finite] / r)
-    raw = orbit.weights * omega
+        dists = np.array([x_distance(xi, z_rep, max_distance=reach * 1.5, budget=budget) for xi in orbit.xis])
+    raw = orbit.weights * _bump(dists / r)  # the bump of +inf is 0
     total = float(raw.sum())
     if total < 10.0 / orbit.size:
-        raise EmptyLocalizationError(
-            f"localized mass {total:.3g} below the 10/{orbit.size} floor"
-        )
+        raise EmptyLocalizationError(f"localized mass {total:.3g} below the 10/{orbit.size} floor")
     return orbit.reweighted(raw / total, localization_mass=total)
 
 

@@ -109,6 +109,16 @@ def test_fourier_decay_with_too_few_points_above_the_floor_is_a_failed_check():
     assert not decay.passed and not decay.ok
 
 
+def test_ball_mass_localization_masses_are_pinned_at_smoke_size():
+    # the three localization masses of criterion 11 at 5,000 samples, bit for bit
+    masses = acceptance.criterion_ball_mass(count=5000)[0].details["masses"]
+    assert {r: m.hex() for r, m in masses.items()} == {
+        "0.1": "0x1.0710168487c98p-4",
+        "0.07": "0x1.7b789f560e53cp-6",
+        "0.05": "0x1.1eac88b1afccdp-7",
+    }
+
+
 def test_acceptance_kind_writes_only_its_report(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(acceptance.SUITES, "scaling", ("03-effective-weyl",))
     cfg = harness.ExperimentConfig(kind="acceptance", suite="scaling", out=str(tmp_path)).validate()

@@ -177,6 +177,23 @@ def test_orbit_rational_fiber_exact_at_large_denominator(b0, q, sig, count):
         assert coords == [(n / q) % 1.0 for n in expected]
 
 
+def test_float_fiber_does_not_depend_on_the_memory_layout_of_gammas(monkeypatch):
+    y0 = AffineLatticePoint(
+        SpecialLinearMatrix.from_entries(np.eye(2)), TorusPoint.from_values([0.3, 0.4])
+    )
+    want = orbit_pushforward(y0, 4.0, V, 5000, seed=0).coords
+    decompose = orbits.decompose_batch
+
+    def fortran_gammas(*args):
+        xis, gammas = decompose(*args)
+        return xis, np.asfortranarray(gammas)
+
+    monkeypatch.setattr(orbits, "decompose_batch", fortran_gammas)
+    got = orbit_pushforward(y0, 4.0, V, 5000, seed=0)
+    assert not got.gammas.flags.c_contiguous
+    assert got.coords.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("sig", [SIG, SplittingSignature(2, 1)])
 def test_orbit_rational_fiber_denominator_over_cap(sig):
     over = AffineLatticePoint(
@@ -539,40 +556,27 @@ def test_localized_measure_matches_ball_fraction():
     assert inner - 1e-12 <= loc.localization_mass <= outer + 1e-12
 
 
-def einsum_proxy_distances_2x2(xis, z_rep, reach, certify_below=0.0):
-    """Reference: _proxy_distances_2x2 with one einsum and one stacked matmul per box size."""
-    from horolattice.fundamental import x_distance
-    from horolattice.orbits import _LOC_K_MAX, _det1_box_table
+def einsum_proxy_distances_2x2(xis, z_rep, reach):
+    """Oracle: the minimum over every det-1 C in the box of side
+    ceil(S colmax(xi) 1.0001), with one einsum and one stacked matmul per
+    box size; also returns the largest box side used."""
+    from horolattice.acceptance import _det1_box_table
 
     za = z_rep.entries
-    z_frob = math.sqrt(float((za * za).sum()))
-    S = z_frob * (1.0 + reach) + 1e-9
-    N = xis.shape[0]
-    dists = np.full(N, np.inf)
+    S = math.sqrt(float((za * za).sum())) * (1.0 + reach) + 1e-9
+    dists = np.full(xis.shape[0], np.inf)
     frob = np.sqrt((xis * xis).sum(axis=(1, 2)))
     colmax = np.maximum(
         np.linalg.norm(xis[:, :, 0], axis=1), np.linalg.norm(xis[:, :, 1], axis=1)
     )
-    alive = frob <= S
-    idx_alive = np.nonzero(alive)[0]
-    Ks = np.ceil(S * colmax[alive] * 1.0001).astype(np.int64)
-    zinv = z_rep.inverse
-    eye = np.eye(2)
-    capped = Ks > _LOC_K_MAX
-    Ks_eff = np.minimum(Ks, _LOC_K_MAX)
-    for K in np.unique(Ks_eff):
-        table = _det1_box_table(int(K))
-        sel = Ks_eff == K
-        rows = idx_alive[sel]
-        H = np.einsum("nij,kjl->nkil", xis[rows], table)
-        D = H @ zinv - eye
-        dsq = (D * D).sum(axis=(2, 3))
-        dists[rows] = np.sqrt(dsq.min(axis=1))
-    for i, row in zip(np.nonzero(capped)[0], idx_alive[capped]):
-        if dists[row] <= certify_below:
-            continue
-        dists[row] = x_distance(xis[row], z_rep, max_distance=reach * 1.5)
-    return dists, int(capped.sum())
+    idx_alive = np.nonzero(frob <= S)[0]
+    Ks = np.ceil(S * colmax[idx_alive] * 1.0001).astype(np.int64)
+    for K in np.unique(Ks):
+        rows = idx_alive[Ks == K]
+        H = np.einsum("nij,kjl->nkil", xis[rows], _det1_box_table(int(K)))
+        D = H @ z_rep.inverse - np.eye(2)
+        dists[rows] = np.sqrt((D * D).sum(axis=(2, 3)).min(axis=1))
+    return dists, int(Ks.max())
 
 
 def test_proxy_distances_match_einsum_form_bit_for_bit():
@@ -583,18 +587,20 @@ def test_proxy_distances_match_einsum_form_bit_for_bit():
     )
     nu = orbit_pushforward(y0, 6.0, V, 1200, seed=5)
     z = reduce_matrix(np.array([[1.1, 0.3], [0.2, (1 + 0.06) / 1.1]])).rep
-    capped_total = 0
     for r in (0.05, 0.12, 0.6):
-        want, capped = einsum_proxy_distances_2x2(nu.xis, z, 5 * r, certify_below=r)
-        got = _proxy_distances_2x2(nu.xis, z, 5 * r, certify_below=r)
-        assert got.tobytes() == want.tobytes()
-        capped_total += capped
-    assert capped_total > 0  # the _LOC_K_MAX cap was exercised
+        reach = 5 * r
+        want, side = einsum_proxy_distances_2x2(nu.xis, z, reach)
+        got = _proxy_distances_2x2(nu.xis, z, reach)
+        within = want <= reach
+        assert within.sum() > 20
+        assert np.array_equal(got <= reach, within)
+        assert got[within].tobytes() == want[within].tobytes()
+    assert side > 24  # r = 0.6 needs boxes of side above 24
 
 
 def test_proxy_distances_run_in_blocks_of_bounded_memory(monkeypatch):
-    # diag(4, 1/4) under shears: every row needs a box of side 29 > _LOC_K_MAX,
-    # and the capped box certifies a distance <= certify_below, so no row runs x_distance
+    # diag(4, 1/4) under shears at reach 4: about 280 first columns and
+    # 650 candidates per row, 1,000 rows
     import tracemalloc
 
     from horolattice.orbits import _proxy_distances_2x2
@@ -603,20 +609,19 @@ def test_proxy_distances_run_in_blocks_of_bounded_memory(monkeypatch):
     shear[:, 0, 1] = np.linspace(-0.5, 0.5, 1000)
     xis = np.diag([4.0, 0.25]) @ shear
     z = SpecialLinearMatrix.from_entries(np.eye(2))
-    monkeypatch.setattr(orbits, "x_distance", None)
     tracemalloc.start()
     try:
-        dists = _proxy_distances_2x2(xis, z, 4.0, certify_below=4.0)
+        dists = _proxy_distances_2x2(xis, z, 4.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert np.all(dists <= 4.0)
     monkeypatch.setattr(orbits, "_LOC_BLOCK", 1)
-    assert _proxy_distances_2x2(xis, z, 4.0, certify_below=4.0).tobytes() == dists.tobytes()
-    # 10^7 products put every row into one block, which costs about 0.4 MB per row
+    assert _proxy_distances_2x2(xis, z, 4.0).tobytes() == dists.tobytes()
+    # 10^7 first columns put every row into one block
     monkeypatch.setattr(orbits, "_LOC_BLOCK", 10**7)
-    assert _proxy_distances_2x2(xis[::10], z, 4.0, certify_below=4.0).tobytes() == dists[::10].tobytes()
+    assert _proxy_distances_2x2(xis[::10], z, 4.0).tobytes() == dists[::10].tobytes()
 
 
 def test_distances_within_a_smaller_reach_equal_those_of_a_larger_one():
@@ -630,8 +635,8 @@ def test_distances_within_a_smaller_reach_equal_those_of_a_larger_one():
     )
     nu = orbit_pushforward(y0, 8.0, V, 2000, seed=0)
     z = reduce_matrix(np.array([[1.1, 0.3], [0.2, (1.0 + 0.3 * 0.2) / 1.1]])).rep
-    small = _proxy_distances_2x2(nu.xis, z, 5 * 0.05, certify_below=0.05)
-    large = _proxy_distances_2x2(nu.xis, z, 5 * 0.1, certify_below=0.1)
+    small = _proxy_distances_2x2(nu.xis, z, 5 * 0.05)
+    large = _proxy_distances_2x2(nu.xis, z, 5 * 0.1)
     within = small <= 0.25
     assert within.sum() > 20
     assert np.array_equal(within, large <= 0.25)

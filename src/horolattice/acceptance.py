@@ -486,6 +486,9 @@ def criterion_fourier_decay(budget=DEFAULT_BUDGET, cache=None, count: int = 100_
             control_ok = False
     offs = [control[t]["off_grid"] for t in (3.0, 6.0, 9.0)]
     control_ok = control_ok and (offs[-1] < offs[0] or offs[-1] < floor)
+    # the limit is uniform on the 8 nonzero points of (Z/3)^2, where c(1, 0) = -1/8
+    limit = 1.0 / 8.0
+    control_ok = control_ok and abs(offs[-1] - limit) <= floor
     return [
         CheckResult(
             "09-fourier-decay",
@@ -501,7 +504,7 @@ def criterion_fourier_decay(budget=DEFAULT_BUDGET, cache=None, count: int = 100_
         CheckResult(
             "09-fourier-decay-control[q=3]",
             control_ok,
-            details={str(t): v for t, v in control.items()},
+            details={**{str(t): v for t, v in control.items()}, "limit": limit},
         ),
     ]
 

@@ -29,8 +29,8 @@ max(1, max|xi|), and xi^{-1} P is gamma to RESIDUAL_TOL.
 Every d in {2, 3} is reduced by one protocol over a stack of matrices;
 a single matrix is a stack of one (`_search_starts`, `_reduce_core`).
 1. The seed: for d = 2 the vectorized Lagrange loop; for d = 3, LLL on
-   the primal and on the dual basis (`lattices.lll_reduce_batch`, each
-   row with the bits of `lll_reduce`), the one with the smaller F.
+   the primal and on the dual basis (`lattices.lll_reduce_batch`, which
+   gives a row the same bits in any stack), the one with the smaller F.
 2. The class sweep: `_search`'s rounds with a static table as the
    candidates.  For d = 2 `_sweep_static`, one round over 36 transforms;
    for d = 3 `sweep`, round after round over 4,632 ternary ones.
@@ -161,12 +161,13 @@ def _reduced_matrix(B: np.ndarray) -> SpecialLinearMatrix:
 def _minima_sq_of(B: np.ndarray, budget: int, reduced: Optional[tuple] = None) -> list:
     """Squared Euclidean successive minima of the lattice spanned by B's columns.
 
-    `reduced`, if given, is `lll_reduce` of the validated basis
-    `SpecialLinearMatrix.from_entries(B).entries`, computed ahead for a stack.
+    `reduced`, if given, is the LLL reduction of the validated basis
+    `SpecialLinearMatrix.from_entries(B).entries`, computed ahead as a row
+    of a stack; without it the basis is reduced alone.
     """
     from .lattices import successive_minima
 
-    L = LatticeDescriptor(_reduced_matrix(B), _reduced=reduced)
+    L = LatticeDescriptor(_reduced_matrix(B), reduced)
     return [x * x for x in successive_minima(L, budget)]
 
 
@@ -395,10 +396,10 @@ def _search_starts(P: np.ndarray, t: Optional[float], stage: Optional[str] = "de
 
     For d = 2 the whole stack goes through `_reduce_stack_2x2`.  For
     d = 3 every LLL runs once over the whole stack, through
-    `lll_reduce_batch`, which gives each row the bits of `lll_reduce`:
-    on P, on its duals and on both sides of the chosen seed bases.  A dual
-    seed is the transposed view the scalar path would take, since an
-    F-value sums in memory order.  An LLL failure names the lowest
+    `lll_reduce_batch`, which gives a row the bits it gets alone: on P,
+    on its duals and on both sides of the chosen seed bases.  A dual
+    seed stays a transposed view, since an F-value sums in memory order
+    and the digests carry those bits.  An LLL failure names the lowest
     failing row as a sample of `stage` at t (no site if stage is None).
     For d = 3 the seeds then go through the class sweep and its
     certificate (`sweep`) in blocks of `sweep.ROWS` rows, each block when
@@ -588,7 +589,7 @@ def candidate_bases(L: LatticeDescriptor, frobenius_bound: float, budget: int = 
     """
     if not math.isfinite(frobenius_bound):
         raise ValueError("bound must be finite")
-    B, U_rows = L.reduced()
+    B, _ = L.reduction
     d = L.dim
     boundsq = frobenius_bound * frobenius_bound
     from .lattices import successive_minima

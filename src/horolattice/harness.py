@@ -45,7 +45,7 @@ from .core import (
 from .diophantine import WeylInstance, dirichlet_cap, weyl_bound, weyl_count, zeta
 from .errors import ConfigError
 from .fundamental import factorization_residuals, reduce_matrix
-from .lattices import DEFAULT_BUDGET, siegel_values
+from .lattices import DEFAULT_BUDGET, LatticeDescriptor, RadialStepFunction, siegel_transform, siegel_values
 from .measures import fourier_spectrum, max_concentration
 from .orbits import GammaOrbitResult, NeighborhoodV, gamma_orbit, orbit_pushforward
 
@@ -289,10 +289,12 @@ def siegel_check(name: str, nu, radius: float, budget: int, oracle_stride: int =
     """(check, per-sample values) of the Siegel average of nu's bases for the ball of the radius.
 
     For d = 2 the check holds the average within 10 % of the integral
-    pi r^2; for other d it reports the average.  `oracle_stride` is
-    `siegel_values`'.
+    pi r^2; for other d it reports the average.  With oracle_stride > 0,
+    every stride-th sample is recounted by enumeration
+    (`siegel_transform`, over one stacked LLL): a disagreement fails the
+    check, and its details name the first disagreeing sample.
     """
-    values = siegel_values(nu.xis, radius, budget, oracle_stride)
+    values = siegel_values(nu.xis, radius, budget)
     avg = float(values @ nu.weights)
     details = {"average": avg}
     passed = True
@@ -300,6 +302,13 @@ def siegel_check(name: str, nu, radius: float, budget: int, oracle_stride: int =
         target = math.pi * radius**2
         details.update(integral=target, relative_error=abs(avg / target - 1.0))
         passed = abs(avg - target) <= 0.1 * target
+    if oracle_stride:
+        f = RadialStepFunction([(radius, 1.0)], norm="euclidean")
+        recounted = LatticeDescriptor.of_stack(nu.xis[::oracle_stride], stage=None)
+        exact = np.array([siegel_transform(f, L, budget) for L in recounted])
+        wrong = np.flatnonzero(np.abs(exact - values[::oracle_stride]) > 1e-9) * oracle_stride
+        details.update(oracle_samples=len(exact), oracle_first_disagreement=int(wrong[0]) if wrong.size else None)
+        passed = passed and not wrong.size
     return CheckResult(name, passed, details=details), values
 
 

@@ -54,90 +54,34 @@ _LLL_MAX_ROUNDS = 10_000
 
 
 def lll_reduce(basis: np.ndarray):
-    """Column LLL reduction with exact integer transform.
-
-    Returns (B, U): B is the reduced float basis maintained incrementally
-    (the numerically stable way to get it) and U is the exact unimodular
-    transform as nested Python ints with det +1, so B tracks basis @ U.
-    Swaps are swap-with-sign to keep the determinant +1 throughout.  The
-    Lovasz parameter is _LLL_DELTA; a run past _LLL_MAX_ROUNDS rounds is
-    a BudgetExceededError.  `lll_reduce_batch` reads the same two.
-
-    Gram-Schmidt rows are computed lazily: row j of (Q, mu, norms2)
-    reads only columns <= j of B and rows < j of itself, so a change to
-    column k (a size reduction of k, or a swap of k - 1 and k, which
-    touches k - 1) invalidates rows >= that column only, and a row is
-    recomputed when the loop next reads it.  Each row is then the value
-    a full recompute of the current basis gives, by the same operations
-    in the same order, so the result equals the full-recompute
-    algorithm bit for bit while most rows are never recomputed.
-    """
-    B = np.array(basis, dtype=float)
-    d = B.shape[0]
-    U = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    Q = np.zeros_like(B)
-    mu = np.zeros((d, d))
-    norms2 = np.zeros(d)
-    valid = 0  # rows < valid match the current B
-
-    def gram_schmidt(upto: int):
-        nonlocal valid
-        for j in range(valid, upto + 1):
-            v = B[:, j].copy()
-            for i in range(j):
-                mu[j, i] = 0.0 if norms2[i] == 0 else float(B[:, j] @ Q[:, i]) / norms2[i]
-                v -= mu[j, i] * Q[:, i]
-            Q[:, j] = v
-            norms2[j] = float(v @ v)
-        valid = max(valid, upto + 1)
-
-    rounds = 0
-    k = 1
-    while k < d:
-        rounds += 1
-        if rounds > _LLL_MAX_ROUNDS:
-            raise BudgetExceededError("LLL failed to converge within the round budget")
-        gram_schmidt(k)
-        for i in range(k - 1, -1, -1):
-            r = round(mu[k, i])
-            if r != 0:
-                B[:, k] -= r * B[:, i]
-                for row in range(d):
-                    U[row][k] -= r * U[row][i]
-                valid = k
-                gram_schmidt(k)
-        if norms2[k] >= (_LLL_DELTA - mu[k, k - 1] ** 2) * norms2[k - 1]:
-            k += 1
-        else:
-            tmp = B[:, k - 1].copy()
-            B[:, k - 1] = B[:, k]
-            B[:, k] = -tmp
-            for row in range(d):
-                U[row][k - 1], U[row][k] = U[row][k], -U[row][k - 1]
-            valid = k - 1
-            k = max(k - 1, 1)
-    return B, U
+    """`lll_reduce_batch` of one basis, U as nested Python ints; `perfbench` counts its calls."""
+    B, U = lll_reduce_batch(np.asarray(basis, dtype=float)[None], stage=None)
+    return B[0], U[0].tolist()
 
 
 def lll_reduce_batch(bases: np.ndarray, stage: Optional[str] = "LLL", t: Optional[float] = None):
-    """`lll_reduce` of every basis of a stack (N, d, d), all rows at once.
+    """Column LLL of every basis of a stack (N, d, d), all rows at once.
 
-    Returns (B, U): the reduced bases and the unimodular transforms as an
-    (N, d, d) int64 stack.  Each row takes the steps `lll_reduce` takes on
-    it, and every number is computed by the same operation: the
-    Gram-Schmidt dot products by the same BLAS dot (a stacked (1, d) @ (d, 1)
-    matmul calls it once per row), rounding half to even, the squared mu of
-    the Lovasz test by the same libm pow, and the basis updates elementwise.
-    So B and U equal `lll_reduce`'s bit for bit, row by row.  One step moves
-    every row still reducing: k, the valid Gram-Schmidt rows and the round
-    count are kept per row.
+    Returns (B, U): the reduced bases, updated in place (the numerically
+    stable way), and the transforms as an (N, d, d) int64 stack, so B
+    tracks bases @ U; a swap negates one column to keep det U = +1.  The
+    Lovasz parameter is _LLL_DELTA.  k, the valid Gram-Schmidt rows and
+    the rounds are kept per row, and no number of a row depends on
+    another, so a row gets the same bits in any stack.
 
-    For a single matrix `lll_reduce` is faster; this pays off on stacks.
+    Gram-Schmidt rows are computed lazily: row j reads only columns <= j
+    of B and rows < j, so a change to column k (a size reduction of k,
+    or a swap of k - 1 and k) invalidates rows >= that column only.  Each
+    row is then what a full recompute gives, by the same operations in
+    the same order (BLAS dot, which a stacked (1, d) @ (d, 1) matmul
+    calls once per row, and rounding half to even): the result equals
+    the full-recompute algorithm bit for bit.
+
     A failure names the lowest failing row as a sample of `stage` at flow
     time t (stage None names no site, for a stack of one that its caller
-    names): the round budget `_LLL_MAX_ROUNDS` (BudgetExceededError), and
-    a size-reduction step that is not finite or would take U beyond int64,
-    which `lll_reduce` carries in Python ints (PrecisionError).
+    names): more than _LLL_MAX_ROUNDS rounds (BudgetExceededError), and
+    a size-reduction step that is not finite or would take U beyond int64
+    (PrecisionError).
     """
     B = np.array(bases, dtype=float)
     n, d = B.shape[0], B.shape[-1]
@@ -199,7 +143,8 @@ def lll_reduce_batch(bases: np.ndarray, stage: Optional[str] = "LLL", t: Optiona
             U[rows, :, kr] -= r.astype(np.int64)[:, None] * U[rows, :, ir]
             valid[rows] = kr
             gram_schmidt(rows, kr)
-        # Python's float pow is the libm pow that `lll_reduce`'s numpy scalar ** 2 calls
+        # the full-recompute algorithm squares mu as a numpy scalar, `** 2`, which
+        # calls libm pow; Python's float pow is that pow, and the digests carry its bits
         musq = np.array([x**2 for x in mu[live, kk, kk - 1].tolist()])
         lovasz = norms2[live, kk] >= (_LLL_DELTA - musq) * norms2[live, kk - 1]
         k[live[lovasz]] += 1
@@ -425,12 +370,16 @@ class RadialStepFunction:
         return 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatticeDescriptor:
-    """A unimodular lattice with a write-once LLL reduction (given, or made on first use)."""
+    """A unimodular lattice and its LLL reduction (B, U): given, or made by `lll_reduce` at construction."""
 
     basis: SpecialLinearMatrix
-    _reduced: Optional[tuple] = field(default=None, repr=False)
+    reduction: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.reduction is None:
+            object.__setattr__(self, "reduction", lll_reduce(self.basis.entries))
 
     @classmethod
     def from_matrix(cls, entries) -> "LatticeDescriptor":
@@ -438,14 +387,22 @@ class LatticeDescriptor:
             return cls(entries)
         return cls(SpecialLinearMatrix.from_entries(entries))
 
+    @classmethod
+    def of_stack(cls, bases: np.ndarray, stage: Optional[str] = "LLL", t: Optional[float] = None) -> Iterator:
+        """The descriptor of each det-1 basis of a stack (N, d, d), from one `lll_reduce_batch`.
+
+        Rows are taken as they are, with no second validation.  The
+        descriptors are yielded one at a time, so memory holds the stack's
+        arrays and no list of them; an LLL failure names the lowest
+        failing row as a sample of `stage` at t.
+        """
+        B, U = lll_reduce_batch(bases, stage=stage, t=t)
+        for i, basis in enumerate(bases):
+            yield cls(SpecialLinearMatrix(basis), (B[i], U[i].tolist()))
+
     @property
     def dim(self) -> int:
         return self.basis.dim
-
-    def reduced(self):
-        if self._reduced is None:
-            self._reduced = lll_reduce(self.basis.entries)
-        return self._reduced
 
 
 def _map_coeff(U, c):
@@ -461,7 +418,7 @@ def shortest_vector(L: LatticeDescriptor, budget: int = DEFAULT_BUDGET):
     deterministic: smallest (length, coefficient tuple).  The Euclidean
     first minimum is `successive_minima(L)[0]`.
     """
-    B, U = L.reduced()
+    B, U = L.reduction
     d = L.dim
     s0 = float(min(np.abs(B[:, j]).max() for j in range(d)))
     best = None
@@ -519,7 +476,7 @@ def successive_minima(L: LatticeDescriptor, budget: int = DEFAULT_BUDGET) -> lis
     so far by a coordinate change putting them first (for d <= 3 greedy
     realizers always extend to a basis, so the completion exists).
     """
-    B, _ = L.reduced()
+    B, _ = L.reduction
     d = L.dim
     cur = B.copy()
     minima = []
@@ -559,7 +516,7 @@ def siegel_transform(
     budget: int = DEFAULT_BUDGET,
 ) -> float:
     """Sum of f over the nonzero lattice points, by exhaustive enumeration."""
-    B, _ = L.reduced()
+    B, _ = L.reduction
     d = L.dim
     reach = f.support_radius
     if f.norm == "sup":
@@ -571,28 +528,19 @@ def siegel_transform(
     return total
 
 
-def siegel_values(xis, radius: float, budget: int = DEFAULT_BUDGET, oracle_stride: int = 0) -> np.ndarray:
+def siegel_values(xis, radius: float, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Per-sample Siegel transforms of the indicator of the Euclidean ball of the radius.
 
-    xis is an (N, d, d) stack of bases.  For d = 2 a closed form: for
-    radius below 1 only integer multiples of the shortest vector fit in
-    the ball (two independent vectors would force covolume below 1), so
-    the count is 2 floor(radius / lambda_1) per sample, and with
-    oracle_stride > 0 every stride-th sample is cross-checked against
-    `siegel_transform`.  Otherwise `siegel_transform` of each basis.
+    xis is an (N, d, d) stack of det-1 bases.  For d = 2 a closed form:
+    for radius below 1 only integer multiples of the shortest vector fit
+    in the ball (two independent vectors would force covolume below 1),
+    so the count is 2 floor(radius / lambda_1) per sample.  Otherwise
+    `siegel_transform` of each basis, from one stacked LLL.
     """
-    f = RadialStepFunction([(radius, 1.0)], norm="euclidean")
     if xis.shape[1] != 2:
-        return np.array([siegel_transform(f, LatticeDescriptor.from_matrix(xi), budget) for xi in xis])
+        f = RadialStepFunction([(radius, 1.0)], norm="euclidean")
+        return np.array([siegel_transform(f, L, budget) for L in LatticeDescriptor.of_stack(xis, stage="siegel")])
     if radius >= 1.0:
         raise ValueError("closed form requires radius < 1")
     lam1 = np.minimum(np.linalg.norm(xis[:, :, 0], axis=1), np.linalg.norm(xis[:, :, 1], axis=1))
-    counts = 2.0 * np.floor(radius / lam1)
-    if oracle_stride:
-        for i in range(0, len(xis), oracle_stride):
-            exact = siegel_transform(f, LatticeDescriptor.from_matrix(xis[i]), budget)
-            if abs(exact - counts[i]) > 1e-9:
-                raise AssertionError(
-                    f"closed-form Siegel count disagrees with enumeration at sample {i}"
-                )
-    return counts
+    return 2.0 * np.floor(radius / lam1)

@@ -67,7 +67,7 @@ from .fundamental import (
     reduce_matrix,
     x_distance,
 )
-from .lattices import DEFAULT_BUDGET, LatticeDescriptor, lll_reduce_batch, shortest_vector
+from .lattices import DEFAULT_BUDGET, LatticeDescriptor, shortest_vector
 
 __all__ = [
     "NeighborhoodV",
@@ -321,11 +321,9 @@ def _heights(xis: np.ndarray, t: float, budget: int) -> np.ndarray:
         cands = np.stack([c1, c2, c1 + c2, c1 - c2], axis=1)
         sup = np.abs(cands).max(axis=2)
         return 1.0 / sup.min(axis=1)
-    B, U = lll_reduce_batch(xis, stage="height", t=t)
     heights = np.empty(xis.shape[0])
-    for i, xi in enumerate(xis):
-        # xi passed decompose's checks, so it needs no second validation
-        lattice = LatticeDescriptor(SpecialLinearMatrix(xi), _reduced=(B[i], U[i].tolist()))
+    # each xi passed decompose's checks, so it needs no second validation
+    for i, lattice in enumerate(LatticeDescriptor.of_stack(xis, stage="height", t=t)):
         with _naming_sample("height", i, t):
             heights[i] = 1.0 / shortest_vector(lattice, budget)[1]
     return heights

@@ -1,11 +1,12 @@
 """The acceptance criteria at reduced size, and the acceptance kind's report."""
 
+import functools
 import json
 import types
 
 import pytest
 
-from horolattice import acceptance, cli, harness
+from horolattice import acceptance, cli, harness, lattices
 from horolattice.harness import CheckResult
 
 # criterion, size arguments, and the names of the checks it returns; 01
@@ -130,3 +131,33 @@ def test_acceptance_kind_writes_only_its_report(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == "03-effective-weyl: PASS\n"
     assert cli.main(["acceptance", "--suite", "scaling"]) == 0
     assert capsys.readouterr().out == "03-effective-weyl: PASS\n"  # printed once
+
+
+def test_a_siegel_oracle_disagreement_is_a_failed_check(tmp_path, monkeypatch, capsys):
+    # an enumeration that disagrees with the closed form fails criterion
+    # 13 and names the first disagreeing sample; the CLI exits 1, with no traceback
+    real = lattices.siegel_transform
+
+    def shifted(*args, **kwargs):
+        return real(*args, **kwargs) + 2.0
+
+    monkeypatch.setattr(lattices, "siegel_transform", shifted)
+    monkeypatch.setattr(harness, "siegel_transform", shifted)
+    (check,) = acceptance.criterion_siegel(count=2000)
+    assert check.name == "13-siegel-consistency" and not check.passed
+    assert check.details["oracle_first_disagreement"] == 0
+    monkeypatch.setitem(acceptance.SUITES, "scaling", ("13-siegel",))
+    monkeypatch.setitem(acceptance.CRITERIA, "13-siegel", (functools.partial(acceptance.criterion_siegel, count=2000), None))
+    assert cli.main(["acceptance", "--suite", "scaling", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out == "13-siegel-consistency: FAIL\n"
+
+
+@pytest.mark.parametrize("offs, passed", [((0.3, 0.2, 0.13), True), ((0.0, 0.0, 0.0), False)])
+def test_fourier_control_holds_the_exact_q3_limit(monkeypatch, offs, passed):
+    # the q = 3 limit is uniform on the 8 nonzero points of (Z/3)^2, so
+    # |c(1, 0)| tends to 1/8; a control that decays to 0 misses it
+    spectra = iter([{(3, 0): 1.0, (1, 0): off} for off in offs])
+    monkeypatch.setattr(acceptance, "fourier_spectrum", lambda nu, max_freq: next(spectra))
+    decay, control = acceptance.criterion_fourier_decay(count=2000)
+    assert decay.details["noise_floor"] < 0.125 and control.details["limit"] == 0.125
+    assert control.passed is passed

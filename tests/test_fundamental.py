@@ -578,7 +578,7 @@ def test_stacked_scoring_matches_per_candidate_bytes():
             H[:m, m:] = rng.uniform(-0.5, 0.5, (m, n))
             P = diagonal_flow_vector(t, sig)[:, None] * H
             dual_seed = fundamental._inv_unimodular(lll_reduce(fundamental._inv_unimodular(P).T)[0]).T
-            bases += [lll_reduce(P)[0], dual_seed]  # C order, and the scalar path's transposed view
+            bases += [lll_reduce(P)[0], dual_seed]  # C order, and the dual seed's transposed view
     for B in bases:
         d = B.shape[0]
         minima = [x * x for x in successive_minima(LatticeDescriptor.from_matrix(B))]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horolattice.core import SplittingSignature, _bezout, _cross, _int_det, diagonal_flow_vector
+from horolattice.core import SpecialLinearMatrix, SplittingSignature, _bezout, _cross, _int_det, diagonal_flow_vector
 from horolattice.errors import BudgetExceededError, PrecisionError
 from horolattice.lattices import (
     LatticeDescriptor,
@@ -316,34 +317,49 @@ def _flowed_stack(m, n, t, count, rng):
     return diagonal_flow_vector(t, sig)[:, None] * H
 
 
-def _assert_batch_matches_scalar(stack):
+def _assert_batch_matches_reference(stack):
     B, U = lll_reduce_batch(stack)
     assert B.shape == stack.shape and U.dtype == np.int64
     for i, basis in enumerate(stack):
-        B_ref, U_ref = lll_reduce(basis)
+        B_ref, U_ref = full_recompute_lll(basis)
         assert B[i].tobytes() == B_ref.tobytes(), i
         assert U[i].tolist() == U_ref, i
 
 
-def test_lll_batch_matches_scalar_bit_for_bit():
-    # the scalar LLL is the reference, row by row
+def test_lll_batch_matches_full_recompute_bit_for_bit():
+    # the full-recompute LLL is the reference, row by row
     rng = np.random.default_rng(22)
     flowed = list(_flowed_bases())
     for d in (2, 3):
-        _assert_batch_matches_scalar(np.array([b for b in flowed if b.shape[0] == d]))
+        _assert_batch_matches_reference(np.array([b for b in flowed if b.shape[0] == d]))
     for d in (2, 3, 4):
         for spread in (0.5, 2.0, 5.0):
-            _assert_batch_matches_scalar(np.array([random_basis(rng, d, spread) for _ in range(40)]))
-    _assert_batch_matches_scalar(random_basis(rng, 3, 2.0)[None])
+            _assert_batch_matches_reference(np.array([random_basis(rng, d, spread) for _ in range(40)]))
+    _assert_batch_matches_reference(random_basis(rng, 3, 2.0)[None])
     # at the (1, 2) and (2, 1) caps, where the reduction takes the most rounds
-    _assert_batch_matches_scalar(_flowed_stack(1, 2, 8.0, 10_000, rng))
-    _assert_batch_matches_scalar(_flowed_stack(2, 1, 5.0, 10_000, rng))
+    _assert_batch_matches_reference(_flowed_stack(1, 2, 8.0, 10_000, rng))
+    _assert_batch_matches_reference(_flowed_stack(2, 1, 5.0, 10_000, rng))
+
+
+def test_descriptors_are_frozen_and_a_stack_gives_each_its_lone_reduction():
+    rng = np.random.default_rng(23)
+    stack = np.array([random_basis(rng, 3, spread=2.0) for _ in range(12)])
+    lone = LatticeDescriptor(SpecialLinearMatrix(stack[0]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lone.reduction = None
+    descriptors = LatticeDescriptor.of_stack(stack)
+    assert iter(descriptors) is descriptors  # yielded one at a time, not a list
+    for basis, L in zip(stack, descriptors):
+        B, U = LatticeDescriptor(SpecialLinearMatrix(basis)).reduction
+        assert L.basis.entries.tobytes() == basis.tobytes()  # taken as it is
+        assert L.reduction[0].tobytes() == B.tobytes() and L.reduction[1] == U
 
 
 def test_lll_batch_precision_failures_name_the_lowest_failing_row():
-    # a transform entry beyond int64, which the scalar LLL carries in Python ints
+    # a transform entry beyond int64, for a stack of one as for any stack
     huge = np.array([np.eye(2), [[1.0, 2.0**70], [0.0, 1.0]]])
-    assert lll_reduce(huge[1])[1][0][1] == -(2**70)
+    with pytest.raises(PrecisionError, match=r"^LLL transform leaves int64"):
+        lll_reduce(huge[1])
     with pytest.raises(PrecisionError, match=r"^height of sample 1 at t = 2: LLL transform leaves int64"):
         lll_reduce_batch(huge, stage="height", t=2.0)
     with pytest.raises(PrecisionError, match=r"^LLL of sample 0: LLL size-reduction step is not finite"):

@@ -248,7 +248,7 @@ def test_batched_lll_errors_name_the_sample_and_t(monkeypatch):
     sig = SplittingSignature(1, 2)
     x = SpecialLinearMatrix.from_entries(np.eye(3))
     us = sample_V(NeighborhoodV(sig), 20, seed=0)
-    # the round budget: the batch names the first sample whose scalar LLL runs out
+    # the round budget: the batch names the first sample whose LLL alone runs out
     P = orbits._flowed(x, us, 4.0, sig)
     rounds = [next(r for r in range(1, 100) if _lll_converges(p, r, monkeypatch)) for p in P]
     budget = sorted(rounds)[len(rounds) // 2]
@@ -400,8 +400,8 @@ def test_decompose_batch_refuses_d_above_3(sig):
 
 def test_stacked_lll_gives_the_scalar_minima(monkeypatch):
     # the batch hands each search of a row that the class sweep does not
-    # certify the LLL of its validated bases; the minima from them are the
-    # scalar path's, bit for bit
+    # certify the LLL of its validated bases; the minima from them are
+    # those of the bases reduced alone, bit for bit
     real = fundamental._minima_sq_of
     ready = []
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import horolattice
-from horolattice import fundamental, orbits
+from horolattice import fundamental, lattices, orbits
 from horolattice.core import AffineLatticePoint, SpecialLinearMatrix, SplittingSignature, TorusPoint
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -62,3 +62,34 @@ def test_every_d3_sample_passes_through_decompose_and_reduce_core(monkeypatch):
     n = 40
     orbits.orbit_pushforward(y0, 4.0, orbits.NeighborhoodV(SplittingSignature(1, 2)), n, seed=0)
     assert calls == {"decompose": n, "reduce_core": n + 1}
+
+
+def test_single_lattice_reductions_are_counted_by_lll_reduce(monkeypatch):
+    # the benchmark counts `lattices.lll_reduce` calls as single-lattice
+    # reductions: a lone descriptor makes one, a stack makes one batch
+    # call and none of them, and a d = 3 orbit reduces only in stacks
+    calls = {"lll_reduce": 0, "lll_reduce_batch": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    batch = counted("lll_reduce_batch", lattices.lll_reduce_batch)
+    monkeypatch.setattr(lattices, "lll_reduce", counted("lll_reduce", lattices.lll_reduce))
+    monkeypatch.setattr(lattices, "lll_reduce_batch", batch)
+    monkeypatch.setattr(fundamental, "lll_reduce_batch", batch)
+    lattices.LatticeDescriptor.from_matrix(np.array([[2.0, 3.0], [1.0, 2.0]]))
+    assert calls == {"lll_reduce": 1, "lll_reduce_batch": 1}
+
+    calls.update(lll_reduce=0, lll_reduce_batch=0)
+    stack = np.broadcast_to(np.array([[1.0, 5.0, 2.0], [0.0, 1.0, 3.0], [0.0, 0.0, 1.0]]), (7, 3, 3))
+    assert len(list(lattices.LatticeDescriptor.of_stack(stack))) == 7
+    assert calls == {"lll_reduce": 0, "lll_reduce_batch": 1}
+
+    calls.update(lll_reduce=0, lll_reduce_batch=0)
+    y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(3)), TorusPoint.from_values(["1/3", "2/3", "1/5"]))
+    orbits.orbit_pushforward(y0, 4.0, orbits.NeighborhoodV(SplittingSignature(1, 2)), 40, seed=0)
+    assert calls["lll_reduce"] == 0 and calls["lll_reduce_batch"] > 0

@@ -44,6 +44,7 @@ from .core import (
     TorusPoint,
     _bezout,
     _mod1,
+    _renormalized,
     matrix_norm,
 )
 from .diophantine import WeylInstance, dirichlet_cap, zeta, zeta_property_suite
@@ -305,7 +306,7 @@ def criterion_iota_height(budget=DEFAULT_BUDGET, cache=None, per_dim: int = 500)
     rng = np.random.default_rng(_SEED + 5)
     results = []
     for d in (2, 3):
-        hts = []
+        gs = []
         norms = []
         for _ in range(per_dim):
             q, _ = np.linalg.qr(rng.normal(size=(d, d)))
@@ -323,10 +324,10 @@ def criterion_iota_height(budget=DEFAULT_BUDGET, cache=None, per_dim: int = 500)
                 S = np.eye(3)
                 S[0, 1], S[0, 2], S[1, 2] = rng.uniform(-1, 1, 3)
             g = q @ D @ S
-            r = reduce_matrix(g, budget)
-            hts.append(height(LatticeDescriptor.from_matrix(g), budget))
-            norms.append(matrix_norm(r.rep))
-        hts = np.array(hts)
+            gs.append(g)
+            norms.append(matrix_norm(reduce_matrix(g, budget).rep))
+        stack = LatticeDescriptor.of_stack(_renormalized(np.array(gs))[0], stage="height")
+        hts = np.array([height(L, budget) for L in stack])
         norms = np.array(norms)
         fitted_C = float((norms / hts ** (d - 1)).max())
         mask = hts > 1.3

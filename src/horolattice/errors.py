@@ -31,15 +31,10 @@ class RationalityError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An exhaustive enumeration hit its node budget.
+    """An exhaustive enumeration hit its node budget; `nodes` is the count it reached."""
 
-    The partial best found so far, if any, is attached so callers can
-    report it; it is never silently returned as the answer.
-    """
-
-    def __init__(self, message: str, partial=None, nodes: int = 0):
+    def __init__(self, message: str, nodes: int = 0):
         super().__init__(message)
-        self.partial = partial
         self.nodes = nodes
 
 
@@ -70,14 +65,14 @@ def _naming_sample(stage: str, i: Optional[int], t: Optional[float]):
 
     i = None names the base point instead of a sample.  The original
     traceback is kept, so the innermost failing frame stays visible; a
-    budget failure keeps its `partial` and `nodes`.
+    budget failure keeps its `nodes`.
     """
     try:
         yield
     except BudgetExceededError as exc:
-        raise BudgetExceededError(
-            f"{_failure_site(stage, i, t)}: {exc}", partial=exc.partial, nodes=exc.nodes
-        ).with_traceback(exc.__traceback__) from None
+        raise BudgetExceededError(f"{_failure_site(stage, i, t)}: {exc}", nodes=exc.nodes).with_traceback(
+            exc.__traceback__
+        ) from None
     except (PrecisionError, DeterminantError) as exc:
         raise type(exc)(f"{_failure_site(stage, i, t)}: {exc}").with_traceback(
             exc.__traceback__

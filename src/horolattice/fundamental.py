@@ -365,7 +365,7 @@ def _reduce_core(arr: np.ndarray, budget: int = DEFAULT_BUDGET, start: Optional[
     """Reduce a raw unimodular array.
 
     Returns (rep_array, U IntegerMatrix with arr @ U tracking rep,
-    fvalue, certificate).  `start`, if given, is arr's item
+    certificate).  `start`, if given, is arr's item
     of `_search_starts`, computed ahead for a whole stack; without it
     the matrix is reduced as a stack of one.  A start that carries a
     certificate is the class sweep's certified result and is returned
@@ -375,7 +375,7 @@ def _reduce_core(arr: np.ndarray, budget: int = DEFAULT_BUDGET, start: Optional[
         start = next(_search_starts(np.asarray(arr, dtype=float)[None], None, None))
     best_B, best_U, reduced, certificate = start
     if certificate is not None:
-        return best_B, best_U, _f_of_array(best_B), certificate
+        return best_B, best_U, certificate
     return _search(best_B, best_U, budget, reduced)
 
 
@@ -506,7 +506,7 @@ def _search(best_B: np.ndarray, best_U: IntegerMatrix, budget: int, reduced: tup
         k = ties[_lex_first(_lex_key(hs[ties]), [0])[0]]
         if k:
             best_B, best_U = hs[k], best_U @ IntegerMatrix.from_rows(unique_cs[k - 1])
-        return best_B, best_U, _f_of_array(best_B), certificate
+        return best_B, best_U, certificate
 
 
 def _reconstruction_tol(reps: np.ndarray) -> np.ndarray:
@@ -566,10 +566,11 @@ def reduce_matrix(g, budget: int = DEFAULT_BUDGET) -> ReducedRepresentative:
     else:
         arr = np.array(g, dtype=float)
         SpecialLinearMatrix.from_entries(arr)  # a bad input is a DeterminantError
-    rep_arr, U, fvalue, certificate = _reduce_core(arr, budget)
+    rep_arr, U, certificate = _reduce_core(arr, budget)
+    fvalue = _f_of_array(rep_arr)
     if all(U.rows[i][j] == (1 if i == j else 0) for i in range(U.dim) for j in range(U.dim)):
         rep_arr = arr  # bit-exact idempotence
-    gamma = U.inv().require_unimodular()
+    gamma = U.inv()
     rep = _reduced_matrix(rep_arr)
     certify_factorization(arr[None], rep.entries[None], gamma.to_array()[None], None, None)
     return ReducedRepresentative(rep, gamma, fvalue, certificate)
@@ -833,7 +834,7 @@ def reduce_batch_2x2(P: np.ndarray, budget: int = DEFAULT_BUDGET, t: Optional[fl
     gammas = np.ascontiguousarray(np.moveaxis(np.array(_int_adjugate(moves.transpose(1, 2, 0))), -1, 0))
     for i in np.flatnonzero(~certified):
         with _naming_sample("decompose", i, t):
-            rep_arr, Ui, *_ = _reduce_core(P[i], budget, _seed_start(B[i], U[i]))
+            rep_arr, Ui, _ = _reduce_core(P[i], budget, _seed_start(B[i], U[i]))
         reps[i] = rep_arr
         gammas[i] = Ui.inv().to_int64()
     return reps, gammas

@@ -1,8 +1,8 @@
 """Lattice geometry of unimodular lattices g Z^d.
 
 Shortest vectors, successive minima, duals, the height (inverse sup-norm
-first minimum), cusp membership, and the Siegel transform of compactly
-supported radial step functions.
+first minimum), and the Siegel transform of the indicator of a Euclidean
+ball, which counts the nonzero lattice points in the ball.
 
 Two enumeration engines drive everything exhaustive here:
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Literal, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .errors import BudgetExceededError, PrecisionError, _failure_site
 __all__ = [
     "DEFAULT_BUDGET",
     "LatticeDescriptor",
-    "RadialStepFunction",
     "lll_reduce",
     "lll_reduce_batch",
     "enumerate_ball",
@@ -337,39 +336,6 @@ def enumerate_ball(
     yield from walk(d - 1, 0.0)
 
 
-@dataclass
-class RadialStepFunction:
-    """A compactly supported radial step function.
-
-    `breaks` is a sorted list of (radius, value) pairs; the function
-    takes the value of the first break whose radius is >= ||v||, and 0
-    beyond the largest radius.  The indicator of the closed ball of
-    radius R is the single pair (R, 1.0).
-    """
-
-    breaks: Sequence[tuple]
-    norm: Literal["sup", "euclidean"] = "euclidean"
-
-    def __post_init__(self):
-        radii = [r for r, _ in self.breaks]
-        if not radii or any(r <= 0 for r in radii):
-            raise ValueError("breaks need positive radii")
-        if sorted(radii) != radii:
-            raise ValueError("breaks must be sorted by radius")
-
-    @property
-    def support_radius(self) -> float:
-        return float(self.breaks[-1][0])
-
-    def __call__(self, v) -> float:
-        vec = np.asarray(v, dtype=float)
-        r = float(np.abs(vec).max()) if self.norm == "sup" else float(np.linalg.norm(vec))
-        for radius, value in self.breaks:
-            if r <= radius + 1e-12:
-                return float(value)
-        return 0.0
-
-
 @dataclass(frozen=True)
 class LatticeDescriptor:
     """A unimodular lattice and its LLL reduction (B, U): given, or made by `lll_reduce` at construction."""
@@ -510,22 +476,14 @@ def dual_basis(L: LatticeDescriptor) -> LatticeDescriptor:
     return LatticeDescriptor(SpecialLinearMatrix.from_entries(L.basis.inverse.T))
 
 
-def siegel_transform(
-    f: RadialStepFunction,
-    L: LatticeDescriptor,
-    budget: int = DEFAULT_BUDGET,
-) -> float:
-    """Sum of f over the nonzero lattice points, by exhaustive enumeration."""
+def siegel_transform(L: LatticeDescriptor, radius: float, budget: int = DEFAULT_BUDGET) -> float:
+    """The Siegel transform of the indicator of the Euclidean ball of the radius.
+
+    The number of nonzero lattice vectors in the ball, by exhaustive
+    enumeration: twice the number of ± pairs `enumerate_ball` yields.
+    """
     B, _ = L.reduction
-    d = L.dim
-    reach = f.support_radius
-    if f.norm == "sup":
-        reach *= math.sqrt(d)
-    total = 0.0
-    for c in enumerate_ball(B, reach * (1 + 1e-12), budget):
-        v = B @ np.array(c, dtype=float)
-        total += f(v) + f(-v)
-    return total
+    return 2.0 * sum(1 for _ in enumerate_ball(B, radius * (1 + 1e-12), budget))
 
 
 def siegel_values(xis, radius: float, budget: int = DEFAULT_BUDGET) -> np.ndarray:
@@ -538,8 +496,7 @@ def siegel_values(xis, radius: float, budget: int = DEFAULT_BUDGET) -> np.ndarra
     `siegel_transform` of each basis, from one stacked LLL.
     """
     if xis.shape[1] != 2:
-        f = RadialStepFunction([(radius, 1.0)], norm="euclidean")
-        return np.array([siegel_transform(f, L, budget) for L in LatticeDescriptor.of_stack(xis, stage="siegel")])
+        return np.array([siegel_transform(L, radius, budget) for L in LatticeDescriptor.of_stack(xis, stage="siegel")])
     if radius >= 1.0:
         raise ValueError("closed form requires radius < 1")
     lam1 = np.minimum(np.linalg.norm(xis[:, :, 0], axis=1), np.linalg.norm(xis[:, :, 1], axis=1))

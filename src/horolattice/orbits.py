@@ -17,13 +17,15 @@ sample would bias the measure.
 `decompose_batch` is the one decomposition entry point for a batch of
 samples, whatever the signature.  Every signature with d <= 3 is
 reduced by `fundamental`'s one protocol (seed, class sweep, per-row
-certificate, exact search where the certificate fails), and a sample's
-reduction has the same bits in a batch as alone; a larger d is refused.  For m = n = 1 (the hot loop of
-every scaling experiment) `_bulk_decompose_2x2` keeps the certified
-samples in arrays (`fundamental.reduce_batch_2x2`) and checks the
-factorization certificate on the whole batch at once.  Every other
-signature takes its starts from `fundamental._search_starts` and runs
-`decompose` sample by sample.
+certificate, exact search where the certificate fails), and the
+reduction of a matrix P has the same bits in a batch as alone; a larger
+d is refused.  For m = n = 1 (the hot loop of every scaling experiment)
+`_bulk_decompose_2x2` builds P by an entrywise formula that `decompose`
+does not share, so the two P, and then xi, can differ in the last bit;
+it keeps the certified samples in arrays (`fundamental.reduce_batch_2x2`)
+and checks the factorization certificate on the whole batch at once.
+Every other signature takes its starts from `fundamental._search_starts`
+and runs `decompose` sample by sample.
 Its callers (`orbit_pushforward`, `gamma_orbit`) do the rest on whole
 arrays: the fiber and the regularity gate have one formula for every
 signature, and only the heights branch on d.  A failure names the
@@ -167,9 +169,9 @@ def decompose(
     if ub.shape != (sig.m, sig.n):
         raise ValueError(f"u has shape {ub.shape}, expected ({sig.m},{sig.n})")
     P = _flowed(x_rep, ub[None], s, sig)[0]
-    rep_arr, U, _, _ = _reduce_core(P, budget, start)
+    rep_arr, U, _ = _reduce_core(P, budget, start)
     xi = _reduced_matrix(rep_arr)
-    gamma = U.inv().require_unimodular()
+    gamma = U.inv()
     certify_factorization(P[None], xi.entries[None], gamma.to_array()[None], None, None)
     return xi, gamma
 

@@ -7,11 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horolattice.core import SpecialLinearMatrix, SplittingSignature, _bezout, _cross, _int_det, diagonal_flow_vector
+from horolattice.core import (
+    AffineLatticePoint,
+    SpecialLinearMatrix,
+    SplittingSignature,
+    TorusPoint,
+    _bezout,
+    _cross,
+    _int_det,
+    diagonal_flow_vector,
+)
 from horolattice.errors import BudgetExceededError, PrecisionError
 from horolattice.lattices import (
     LatticeDescriptor,
-    RadialStepFunction,
     _complete_to_unimodular,
     constrained_shortest,
     dual_basis,
@@ -21,8 +29,10 @@ from horolattice.lattices import (
     lll_reduce_batch,
     shortest_vector,
     siegel_transform,
+    siegel_values,
     successive_minima,
 )
+from horolattice.orbits import NeighborhoodV, orbit_pushforward
 
 
 def random_basis(rng, d=2, spread=2.0):
@@ -160,12 +170,33 @@ def test_dual_pairing_integral_and_mahler():
 
 
 def test_siegel_transform_examples():
+    # ball counts on Z^2: the 4 unit vectors, then (+-1, +-1), then (+-2, 0) and (0, +-2)
     Z2 = LatticeDescriptor.from_matrix(np.eye(2))
-    assert siegel_transform(RadialStepFunction([(0.1, 1.0)], norm="sup"), Z2) == 0.0
-    assert siegel_transform(RadialStepFunction([(1.0, 1.0)], norm="sup"), Z2) == 8.0
-    # two-level step: 8 points at radius 1, 16 more at radius 2 (sup)
-    f = RadialStepFunction([(1.0, 2.0), (2.0, 1.0)], norm="sup")
-    assert siegel_transform(f, Z2) == 8 * 2.0 + 16 * 1.0
+    assert [siegel_transform(Z2, r) for r in (0.1, 1.0, 1.5, 2.0)] == [0.0, 4.0, 8.0, 12.0]
+
+
+def brute_force_ball_count(x, radius):
+    """Integer c != 0 with |x c| <= radius, over the box |c_i| <= radius |row_i of x^{-1}| that holds them all."""
+    reach = np.floor(radius * np.linalg.norm(np.linalg.inv(x), axis=1)).astype(int)
+    grids = np.meshgrid(*[np.arange(-k, k + 1) for k in reach], indexing="ij")
+    cs = np.stack([g.ravel() for g in grids])
+    return int(np.count_nonzero(np.linalg.norm(x @ cs, axis=0) <= radius)) - 1  # c = 0
+
+
+@pytest.mark.parametrize(
+    "sig, t, radii",
+    [((1, 1), 4.0, (0.3, 0.7, 0.95)), ((1, 1), 8.0, (0.3, 0.95)), ((1, 2), 2.0, (0.5, 1.5, 1.9)), ((2, 1), 3.0, (0.7, 1.9))],
+    ids=["d2-t4", "d2-t8", "d3-12-t2", "d3-21-t3"],
+)
+def test_siegel_values_match_a_brute_force_count(sig, t, radii):
+    # d = 2 takes the closed form, d = 3 the enumeration; the oracle counts a box
+    sig = SplittingSignature(*sig)
+    y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(sig.d)), TorusPoint.from_values([0.1] * sig.d))
+    xis = orbit_pushforward(y0, t, NeighborhoodV(sig), 40, seed=0).xis
+    for r in radii:
+        values = siegel_values(xis, r)
+        assert values.tolist() == [brute_force_ball_count(x, r) for x in xis]
+        assert values.any()
 
 
 def test_enumeration_budget_error():
@@ -224,16 +255,6 @@ def test_constrained_shortest_excludes_span():
     assert c[0] == 0 and c[1] != 0
     c, l2, _ = constrained_shortest(B, 2)
     assert math.sqrt(l2) == pytest.approx(3.0)
-
-
-def test_radial_step_function_validation():
-    with pytest.raises(ValueError):
-        RadialStepFunction([])
-    with pytest.raises(ValueError):
-        RadialStepFunction([(2.0, 1.0), (1.0, 1.0)])
-    f = RadialStepFunction([(1.0, 3.0)], norm="euclidean")
-    assert f([0.5, 0.5]) == 3.0
-    assert f([2.0, 0.0]) == 0.0
 
 
 def full_recompute_lll(basis, delta=0.99, max_rounds=10_000):

@@ -1,11 +1,13 @@
 """Names that other code binds at import must exist.
 
 `perfbench/layers.py` names the functions it wraps, and its tracer
-rebinds them in every module that imported them.  A refactor that
-drops or renames one of them should fail here, not crash the benchmark
-at import.  Likewise every name in a module's `__all__` must resolve.
+rebinds them in every module that imported them; `perfbench/workloads.py`
+calls the program through its modules.  A refactor that drops or renames
+one of them should fail here, not crash the benchmark.  Likewise every
+name in a module's `__all__` must resolve.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -14,10 +16,11 @@ from pathlib import Path
 import numpy as np
 
 import horolattice
-from horolattice import fundamental, lattices, orbits
+from horolattice import fundamental, harness, lattices, measures, orbits
 from horolattice.core import AffineLatticePoint, SpecialLinearMatrix, SplittingSignature, TorusPoint
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+LAYERS = PERFBENCH / "layers.py"
 
 
 def test_benchmark_traced_functions_stay_bound():
@@ -30,6 +33,25 @@ def test_benchmark_traced_functions_stay_bound():
     # the tracer wraps the reductions where orbits calls them, too
     assert orbits._reduce_core is fundamental._reduce_core
     assert orbits.reduce_batch_2x2 is fundamental.reduce_batch_2x2
+
+
+def test_benchmark_workloads_import_and_name_only_existing_program_attributes(monkeypatch):
+    # workloads.py reads fundamental.DEFAULT_BUDGET at import, as a dataclass
+    # default; every other attribute it names is read only when a workload runs
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("checks", "workloads"):
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)  # an ImportError or AttributeError here names the missing name
+    homes = {"fundamental": fundamental, "harness": harness, "measures": measures, "orbits": orbits}
+    named = {
+        (node.value.id, node.attr)
+        for node in ast.walk(ast.parse((PERFBENCH / "workloads.py").read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in homes
+    }
+    assert ("fundamental", "DEFAULT_BUDGET") in named
+    assert sorted(f"{home}.{attr}" for home, attr in named if not hasattr(homes[home], attr)) == []
 
 
 def test_every_public_name_resolves():

@@ -58,7 +58,7 @@ from .harness import (
     off_grid_max,
     siegel_check,
 )
-from .lattices import DEFAULT_BUDGET, LatticeDescriptor, height
+from .lattices import DEFAULT_BUDGET, LatticeDescriptor, height, stack_heights
 from .measures import FlatteningInstance, _verify_flattening, flatten_weights, fourier_spectrum
 from .orbits import (
     NeighborhoodV,
@@ -326,8 +326,7 @@ def criterion_iota_height(budget=DEFAULT_BUDGET, cache=None, per_dim: int = 500)
             g = q @ D @ S
             gs.append(g)
             norms.append(matrix_norm(reduce_matrix(g, budget).rep))
-        stack = LatticeDescriptor.of_stack(_renormalized(np.array(gs))[0], stage="height")
-        hts = np.array([height(L, budget) for L in stack])
+        hts = stack_heights(_renormalized(np.array(gs))[0], budget)
         norms = np.array(norms)
         fitted_C = float((norms / hts ** (d - 1)).max())
         mask = hts > 1.3

@@ -69,6 +69,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -100,8 +101,10 @@ __all__ = [
 
 #: Candidates with F within this of the minimum count as ties.
 TIE_TOL = 1e-9
-#: Rounding grid of the lexicographic tie-break key (`_lex_key`).
-LEX_GRID = 1e-12
+#: Rounding grid of the lexicographic tie-break key (`_lex_key`).  Coarse
+#: enough that the rounding noise of a product g gamma0 (about 1e-12 on
+#: entries near 1e3) does not pick the winner among tied candidates.
+LEX_GRID = 1e-9
 #: Additive safety margin on enumeration Frobenius bounds.
 BOUND_MARGIN = 1e-6
 #: Tolerance of the factorization certificate (`factorization_residuals`).
@@ -340,7 +343,7 @@ def _lex_key(h: np.ndarray) -> np.ndarray:
     """The tie-break key of a matrix, or of each of a stack: (..., d * d).
 
     The entries in row-major order, rounded to LEX_GRID, as floats (int64
-    would overflow once an entry passes 9.2e6).
+    would overflow once an entry passes 9.2e9).
     """
     return np.rint(h.reshape(h.shape[:-2] + (h.shape[-2] * h.shape[-1],)) / LEX_GRID)
 
@@ -551,15 +554,34 @@ def certify_factorization(P, reps, gammas, stage: Optional[str], t: Optional[flo
             raise PrecisionError(what if stage is None else f"{_failure_site(stage, i, t)}: {what}")
 
 
+def _exact_product(arr: np.ndarray, U: IntegerMatrix) -> np.ndarray:
+    """arr @ U with each entry rounded once from its exact value (a float is an exact dyadic)."""
+    A = [[Fraction(x) for x in row] for row in arr.tolist()]
+    d = len(A)
+    return np.array([[float(sum(A[i][k] * U.rows[k][j] for k in range(d))) for j in range(d)] for i in range(d)])
+
+
+def _certified(arr: np.ndarray, rep_arr: np.ndarray, U: IntegerMatrix):
+    """(rep, gamma = U^{-1}) after `certify_factorization` of arr = rep gamma, a batch of one."""
+    gamma = U.inv()
+    rep = _reduced_matrix(rep_arr)
+    certify_factorization(arr[None], rep.entries[None], gamma.to_array()[None], None, None)
+    return rep, gamma
+
+
 def reduce_matrix(g, budget: int = DEFAULT_BUDGET) -> ReducedRepresentative:
     """Reduce g to the F-minimal representative of its coset.
 
     Idempotent: if g is already a previous output, the identical array
     comes back with gamma = identity.  A g without det 1 is a
     DeterminantError.  g = rep gamma must pass the factorization
-    certificate (`certify_factorization`); a failure, or any other
-    precision loss in the reduction, is a PrecisionError, never a
-    silently degraded result.
+    certificate (`certify_factorization`).  The float steps of a
+    reduction lose about eps |g| |U|, so where the certificate fails,
+    xi* = g U is rounded once from its exact value and reduced again:
+    the representative is that reduction's, and U becomes U U2.  A
+    failure then, or any other precision loss in the reduction, is a
+    PrecisionError, never a silently degraded result.  A certified
+    reduction is returned as it is, with its bits.
     """
     if isinstance(g, SpecialLinearMatrix):
         arr = np.array(g.entries, dtype=float)
@@ -570,9 +592,13 @@ def reduce_matrix(g, budget: int = DEFAULT_BUDGET) -> ReducedRepresentative:
     fvalue = _f_of_array(rep_arr)
     if all(U.rows[i][j] == (1 if i == j else 0) for i in range(U.dim) for j in range(U.dim)):
         rep_arr = arr  # bit-exact idempotence
-    gamma = U.inv()
-    rep = _reduced_matrix(rep_arr)
-    certify_factorization(arr[None], rep.entries[None], gamma.to_array()[None], None, None)
+    try:
+        rep, gamma = _certified(arr, rep_arr, U)
+    except PrecisionError:
+        rep_arr, U2, certificate = _reduce_core(_exact_product(arr, U), budget)
+        fvalue = _f_of_array(rep_arr)
+        U = U @ U2
+        rep, gamma = _certified(arr, rep_arr, U)
     return ReducedRepresentative(rep, gamma, fvalue, certificate)
 
 

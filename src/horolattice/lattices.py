@@ -1,8 +1,9 @@
 """Lattice geometry of unimodular lattices g Z^d.
 
 Shortest vectors, successive minima, duals, the height (inverse sup-norm
-first minimum), and the Siegel transform of the indicator of a Euclidean
-ball, which counts the nonzero lattice points in the ball.
+first minimum) of one lattice or of a stack, and the Siegel transform of
+the indicator of a Euclidean ball, which counts the nonzero lattice
+points in the ball.
 
 Two enumeration engines drive everything exhaustive here:
 
@@ -16,20 +17,24 @@ Two enumeration engines drive everything exhaustive here:
   point (Siegel transforms, candidate bases, sup-norm certification).
 
 Budgets are hard errors, never silent truncation.  Sup-norm questions
-are certified by enumerating the Euclidean ball of radius sqrt(d) times
-the best sup length, since ||v||_inf <= ||v||_2 <= sqrt(d) ||v||_inf.
+are certified by the Euclidean ball of radius sqrt(d) times the best sup
+length, since ||v||_inf <= ||v||_2 <= sqrt(d) ||v||_inf: `shortest_vector`
+enumerates it, and `stack_heights` certifies per row that a fixed
+coefficient box holds it, so a certified row of a stack needs no walk.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import SpecialLinearMatrix, _bezout, _cross
-from .errors import BudgetExceededError, PrecisionError, _failure_site
+from .core import SpecialLinearMatrix, _bezout, _cross, _inv_unimodular
+from .errors import BudgetExceededError, PrecisionError, _failure_site, _naming_sample
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -41,6 +46,7 @@ __all__ = [
     "shortest_vector",
     "successive_minima",
     "height",
+    "stack_heights",
     "dual_basis",
     "siegel_transform",
     "siegel_values",
@@ -380,9 +386,13 @@ def _map_coeff(U, c):
 def shortest_vector(L: LatticeDescriptor, budget: int = DEFAULT_BUDGET):
     """Certified shortest nonzero vector in the sup norm.
 
-    Returns (coefficients in the original basis, length).  Tie-break is
-    deterministic: smallest (length, coefficient tuple).  The Euclidean
-    first minimum is `successive_minima(L)[0]`.
+    Returns (coefficients in the original basis, length).  Every vector
+    of the Euclidean ball of radius sqrt(d) s0 around 0, s0 the least
+    column sup-norm of the LLL basis B, is enumerated, and its sup-norm
+    is that of B @ c.  Tie-break is deterministic: smallest (length,
+    coefficient tuple).  A stack's lengths come from `stack_heights`
+    with these bits.  The Euclidean first minimum is
+    `successive_minima(L)[0]`.
     """
     B, U = L.reduction
     d = L.dim
@@ -466,9 +476,78 @@ def successive_minima(L: LatticeDescriptor, budget: int = DEFAULT_BUDGET) -> lis
 
 
 def height(L: LatticeDescriptor, budget: int = DEFAULT_BUDGET) -> float:
-    """1 / (sup-norm length of the shortest nonzero vector); always >= 1."""
+    """1 / (sup-norm length of the shortest nonzero vector); always >= 1.
+
+    For one lattice, by `shortest_vector`; `stack_heights` gives each
+    lattice of a stack the same bits.
+    """
     _, length = shortest_vector(L, budget)
     return 1.0 / length
+
+
+#: Half-width of the coefficient box that `stack_heights` scans.
+_BOX = 2
+#: Rows per block of `stack_heights`' box scan; bounds its memory.
+_HEIGHT_ROWS = 256
+
+
+@functools.cache
+def _height_box(d: int, reach: int) -> np.ndarray:
+    """The nonzero c with |c_i| <= reach, one per {c, -c} pair (last nonzero entry positive), (K, d)."""
+    box = [c for c in itertools.product(range(-reach, reach + 1), repeat=d) if any(c)]
+    return np.array([c for c in box if next(x for x in reversed(c) if x) > 0], dtype=float)
+
+
+def _box_lengths(B: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The least sup-norm over box vectors B c with |B c|_2 <= r (1 + 1e-9), per row of B (N, d, d).
+
+    The Gram matrix B^T B prefilters the box, so only kept vectors are
+    formed.  Each is a stacked (d, d) @ (d, 1) matmul, the product
+    `shortest_vector` takes as B @ c: the products by entries of c are
+    exact, so only the order of the additions can move a bit, and a
+    gemm of B with the whole box, or an explicit sum, may add in
+    another order on another BLAS.
+    """
+    box = _height_box(B.shape[-1], _BOX)
+    outer = (box[:, :, None] * box[:, None, :]).reshape(box.shape[0], -1)
+    gram = np.matmul(B.transpose(0, 2, 1), B).reshape(B.shape[0], -1)
+    # einsum, not a BLAS product, which would start BLAS threads for a few microseconds of work
+    rows, k = np.nonzero(np.einsum("ni,ki->nk", gram, outer) <= (r * r * (1 + 1e-9))[:, None])
+    sup = np.abs(np.matmul(B[rows], box[k][:, :, None])).max(axis=(1, 2))
+    first = np.flatnonzero(np.diff(rows, prepend=-1))
+    return np.minimum.reduceat(sup, first)
+
+
+def stack_heights(bases: np.ndarray, budget: int = DEFAULT_BUDGET, t: Optional[float] = None) -> np.ndarray:
+    """`height` of each det-1 basis of a stack (N, d, d), bit for bit, from one `lll_reduce_batch`.
+
+    Per row, with B its LLL basis, s0 the least column sup-norm of B and
+    r = sqrt(d) s0, `shortest_vector` enumerates the ball |B c|_2 <= r.
+    Each c in it has |c_i| <= r |row_i B^{-1}|_2 (Fincke-Pohst), so
+    where every such span is below _BOX + 1 (1e-9 relative covers the
+    rounding) the ball lies in the box |c_i| <= _BOX, and the row's
+    length is the least sup-norm over the box vectors in the ball
+    (`_box_lengths`): the sup-shortest vector is among them, and every
+    other vector there has a sup-norm at least its own.  A row that
+    fails the certificate runs `shortest_vector`, so only such rows
+    spend budget.  A failure names the sample as a stage "height" at t
+    (an LLL failure the lowest failing row).
+    """
+    B, U = lll_reduce_batch(bases, stage="height", t=t)
+    d = B.shape[-1]
+    r = math.sqrt(d) * np.abs(B).max(axis=1).min(axis=1)
+    spans = r[:, None] * np.sqrt((_inv_unimodular(B) ** 2).sum(axis=2))
+    certified = np.all(spans * (1 + 1e-9) < _BOX + 1, axis=1)
+    lengths = np.empty(B.shape[0])
+    scan = np.flatnonzero(certified)
+    for lo in range(0, scan.size, _HEIGHT_ROWS):
+        rows = scan[lo : lo + _HEIGHT_ROWS]
+        lengths[rows] = _box_lengths(B[rows], r[rows])
+    for i in np.flatnonzero(~certified):
+        with _naming_sample("height", int(i), t):
+            L = LatticeDescriptor(SpecialLinearMatrix(bases[i]), (B[i], U[i].tolist()))
+            lengths[i] = shortest_vector(L, budget)[1]
+    return 1.0 / lengths
 
 
 def dual_basis(L: LatticeDescriptor) -> LatticeDescriptor:

@@ -19,17 +19,18 @@ samples, whatever the signature.  Every signature with d <= 3 is
 reduced by `fundamental`'s one protocol (seed, class sweep, per-row
 certificate, exact search where the certificate fails), and the
 reduction of a matrix P has the same bits in a batch as alone; a larger
-d is refused.  For m = n = 1 (the hot loop of every scaling experiment)
-`_bulk_decompose_2x2` builds P by an entrywise formula that `decompose`
-does not share, so the two P, and then xi, can differ in the last bit;
-it keeps the certified samples in arrays (`fundamental.reduce_batch_2x2`)
-and checks the factorization certificate on the whole batch at once.
-Every other signature takes its starts from `fundamental._search_starts`
-and runs `decompose` sample by sample.
+d is refused.  Every path builds P by `_flowed`, so a batch and a lone
+`decompose` of a sample reduce the same bits.  For m = n = 1 (the hot
+loop of every scaling experiment) `_bulk_decompose_2x2` keeps the
+certified samples in arrays (`fundamental.reduce_batch_2x2`) and checks
+the factorization certificate on the whole batch at once.  Every other
+signature takes its starts from `fundamental._search_starts` and runs
+`decompose` sample by sample.
 Its callers (`orbit_pushforward`, `gamma_orbit`) do the rest on whole
 arrays: the fiber and the regularity gate have one formula for every
-signature, and only the heights branch on d.  A failure names the
-stage, the sample (or the base point) and t.
+signature, and only the heights branch on d (a closed form for d = 2,
+`lattices.stack_heights` for d = 3).  A failure names the stage, the
+sample (or the base point) and t.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from .fundamental import (
     reduce_matrix,
     x_distance,
 )
-from .lattices import DEFAULT_BUDGET, LatticeDescriptor, shortest_vector
+from .lattices import DEFAULT_BUDGET, stack_heights
 
 __all__ = [
     "NeighborhoodV",
@@ -137,13 +138,36 @@ def sample_V(V: NeighborhoodV, count: int, seed: int) -> np.ndarray:
 
 
 def _flowed(x_rep: SpecialLinearMatrix, us: np.ndarray, s: float, sig: SplittingSignature) -> np.ndarray:
-    """P = a_s phi(u) x_rep for each u of a stack us (N, m, n), as a stack (N, d, d)."""
-    d = sig.d
+    """P = a_s phi(u) x_rep for each u of a stack us (N, m, n), as a stack (N, d, d).
+
+    Entrywise, with X = x_rep and a = a_s: entry (i, j) of the top m rows
+    is a_i (X_ij + u_i0 X_mj + ... + u_i,n-1 X_d-1,j), added left to
+    right, and of the bottom n rows a_i X_ij.  For m = n = 1 that is
+    e^t (X_0j + u X_1j) and e^{-t} X_1j.  Both branches below take
+    exactly these operations, so a row has the same bits in any stack.
+    """
+    m, d = sig.m, sig.d
     if x_rep.dim != d:
         raise ValueError("signature and representative dimensions differ")
-    H = np.broadcast_to(np.eye(d), (us.shape[0], d, d)).copy()
-    H[:, : sig.m, sig.m :] = us
-    return diagonal_flow_vector(s, sig)[:, None] * (H @ x_rep.entries)
+    X = x_rep.entries
+    a = diagonal_flow_vector(s, sig)
+    P = np.empty((us.shape[0], d, d))
+    P[:, m:] = a[m:, None] * X[m:]
+    if us.shape[0] == 1:
+        # one sample (`decompose`): whole rows, in fewer numpy calls
+        top = X[:m] + us[:, :, 0, None] * X[m]
+        for k in range(1, sig.n):
+            top += us[:, :, k, None] * X[m + k]
+        P[:, :m] = a[:m, None] * top
+        return P
+    # a stack: one entry at a time, as numpy runs rows of length d several times slower
+    for i in range(m):
+        for j in range(d):
+            entry = X[i, j] + us[:, i, 0] * X[m, j]
+            for k in range(1, sig.n):
+                entry += us[:, i, k] * X[m + k, j]
+            P[:, i, j] = a[i] * entry
+    return P
 
 
 def decompose(
@@ -255,18 +279,9 @@ class EmpiricalTorusMeasure:
         return replace(self, weights=new_weights, localization_mass=localization_mass)
 
 
-def _bulk_decompose_2x2(x_rep: SpecialLinearMatrix, us: np.ndarray, t: float, budget: int):
+def _bulk_decompose_2x2(x_rep: SpecialLinearMatrix, us: np.ndarray, t: float, sig: SplittingSignature, budget: int):
     """Vectorized decomposition for sig (1,1): returns (reps, gammas)."""
-    X = x_rep.entries
-    et = math.exp(t)
-    emt = math.exp(-t)
-    u = us[:, 0, 0]
-    N = us.shape[0]
-    P = np.empty((N, 2, 2))
-    P[:, 0, 0] = et * (X[0, 0] + u * X[1, 0])
-    P[:, 0, 1] = et * (X[0, 1] + u * X[1, 1])
-    P[:, 1, 0] = emt * X[1, 0]
-    P[:, 1, 1] = emt * X[1, 1]
+    P = _flowed(x_rep, us, t, sig)
     reps, gammas = reduce_batch_2x2(P, budget, t=t)
     certify_factorization(P, reps, gammas, "decompose", t)
     return reps, gammas
@@ -294,7 +309,7 @@ def decompose_batch(
     # where this module binds them, so the branch and the per-sample loop
     # stay until it counts the stack instead.
     if sig.d == 2:
-        return _bulk_decompose_2x2(x_rep, us, t, budget)
+        return _bulk_decompose_2x2(x_rep, us, t, sig, budget)
     starts = _search_starts(_flowed(x_rep, us, t, sig), t)
     count, d = us.shape[0], sig.d
     xis = np.empty((count, d, d))
@@ -313,9 +328,11 @@ def _heights(xis: np.ndarray, t: float, budget: int) -> np.ndarray:
     For d = 2 a closed form: the sup-shortest vector of a
     Frobenius-minimal basis has both coefficients in {-1, 0, 1}
     (coefficient bounds via lambda_1 lambda_2 <= 2/sqrt(3)), so four
-    candidates certify the minimum.  Otherwise a certified search per
-    basis, from the LLL of all bases as one stack; a failure names the
-    sample and t.
+    candidates certify the minimum.  Otherwise `lattices.stack_heights`:
+    one LLL of the stack and a certified coefficient-box scan per row,
+    bit for bit `shortest_vector`'s lengths; a row the box does not
+    certify runs `shortest_vector`, and a failure names the sample and t.
+    Each xi passed decompose's checks, so it needs no second validation.
     """
     if xis.shape[1] == 2:
         c1 = xis[:, :, 0]
@@ -323,12 +340,7 @@ def _heights(xis: np.ndarray, t: float, budget: int) -> np.ndarray:
         cands = np.stack([c1, c2, c1 + c2, c1 - c2], axis=1)
         sup = np.abs(cands).max(axis=2)
         return 1.0 / sup.min(axis=1)
-    heights = np.empty(xis.shape[0])
-    # each xi passed decompose's checks, so it needs no second validation
-    for i, lattice in enumerate(LatticeDescriptor.of_stack(xis, stage="height", t=t)):
-        with _naming_sample("height", i, t):
-            heights[i] = 1.0 / shortest_vector(lattice, budget)[1]
-    return heights
+    return stack_heights(xis, budget, t)
 
 
 def _rational_fiber(gammas: np.ndarray, num0: list, q: int):

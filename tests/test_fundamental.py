@@ -164,6 +164,37 @@ def test_reduce_gamma_invariance_exact():
             assert np.abs(r2.rep.entries - r.rep.entries).max() <= 1e-8 * scale
 
 
+# Cases 86 and 334 of criterion 04 (its RNG at _SEED + 4): g and the gamma0 whose
+# product g gamma0 broke gamma- and rep-invariance (86) or the certificate (334)
+_CRITERION_04_CASES = {
+    "case-86": (
+        [["0x1.7203938addd32p+8", "0x0.0p+0"], ["-0x1.60b6a1bdf8450p-10", "0x1.623c3ae77c933p-9"]],
+        ((-5, 3), (-2, 1)),
+    ),
+    "case-334": (
+        [["0x1.63fddab7c31adp+8", "0x1.19e04ef26212ap+9"], ["0x1.a1a54750cfcd4p+5", "0x1.4ab49734216e5p+6"]],
+        ((-2, -5), (-3, -8)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CRITERION_04_CASES))
+def test_reduction_is_invariant_on_criterion_04_cases(case):
+    # 86: the candidates g gamma0 C tie in F within TIE_TOL, and entry (0, 1) is 0
+    # for g but 9.1e-13 for the rounded product, which a 1e-12 tie-break grid saw.
+    # 334: |P| ~ 6e3 and |gamma| ~ 5e3, so the float steps lose more than the
+    # certificate allows; the exact recompute of xi* = P U corrects the row.
+    rows, gamma0 = _CRITERION_04_CASES[case]
+    g = np.array([[float.fromhex(x) for x in row] for row in rows])
+    gam0 = IntegerMatrix.from_rows(gamma0)
+    r = reduce_matrix(g)
+    P = g @ gam0.to_array()
+    r2 = reduce_matrix(P)
+    assert r2.gamma.rows == (r.gamma @ gam0).rows
+    assert np.abs(r2.rep.entries - r.rep.entries).max() <= 1e-8 * max(1.0, np.abs(r.rep.entries).max())
+    assert (fundamental.factorization_residuals(P[None], r2.rep.entries[None], r2.gamma.to_array()[None]) <= 1.0).all()
+
+
 def test_reduce_matches_brute_force_random():
     rng = np.random.default_rng(3)
     for _ in range(40):
@@ -519,9 +550,9 @@ def test_lagrange_matches_the_reference_at_the_round_cap(rounds, monkeypatch):
 
 
 def test_tie_break_keys_hold_entries_past_int64():
-    # at LEX_GRID = 1e-12 an entry past 9.2e6 overflows an int64 key; the
+    # at LEX_GRID = 1e-9 an entry past 9.2e9 overflows an int64 key; the
     # rotations of h are h, hJ, -h and -hJ, and -h has the least first entry
-    h = np.array([[1e8, -1.0], [1.0, 0.0]])
+    h = np.array([[1e11, -1.0], [1.0, 0.0]])
     assert _lex_first(_lex_key(fundamental._rotations(h)), [0])[0] == 2
 
 

@@ -15,9 +15,11 @@ from horolattice.core import (
     _bezout,
     _cross,
     _int_det,
+    _renormalized,
     diagonal_flow_vector,
 )
 from horolattice.errors import BudgetExceededError, PrecisionError
+from horolattice import lattices
 from horolattice.lattices import (
     LatticeDescriptor,
     _complete_to_unimodular,
@@ -30,9 +32,10 @@ from horolattice.lattices import (
     shortest_vector,
     siegel_transform,
     siegel_values,
+    stack_heights,
     successive_minima,
 )
-from horolattice.orbits import NeighborhoodV, orbit_pushforward
+from horolattice.orbits import NeighborhoodV, decompose_batch, orbit_pushforward, sample_V
 
 
 def random_basis(rng, d=2, spread=2.0):
@@ -143,6 +146,65 @@ def test_height_at_least_one(seed):
     rng = np.random.default_rng(seed)
     L = LatticeDescriptor.from_matrix(random_basis(rng, 2))
     assert height(L) >= 1.0 - 1e-9
+
+
+def _height_stack(name):
+    """(stack, t) for the tests below: a decomposed orbit, or lattices like criterion 05's."""
+    if name.startswith("orbit"):
+        (m, n), t = {"orbit-12-t8": ((1, 2), 8.0), "orbit-21-t5": ((2, 1), 5.0)}[name]
+        sig = SplittingSignature(m, n)
+        us = sample_V(NeighborhoodV(sig), 300, seed=7)
+        return decompose_batch(SpecialLinearMatrix.from_entries(np.eye(3)), us, t, sig)[0], t
+    # q diag(e^{-tau}, ...) S with tau up to criterion 05's 3.4 (d = 2) and 1.7 (d = 3), renormalized as it does
+    d, spread = {"renormalized-d2": (2, 3.4), "renormalized-d3": (3, 1.7)}[name]
+    rng = np.random.default_rng(24)
+    return _renormalized(np.array([random_basis(rng, d, spread) for _ in range(300)]))[0], None
+
+
+def _lone_heights(stack):
+    return np.array([height(L) for L in LatticeDescriptor.of_stack(stack)])
+
+
+def test_height_box_holds_one_vector_per_sign_pair():
+    for d, size in ((2, 12), (3, 62)):
+        box = lattices._height_box(d, 2)
+        assert box.shape == (size, d) and np.abs(box).max() == 2
+        pairs = {tuple(c) for c in box} | {tuple(-c) for c in box}
+        assert len(pairs) == 2 * size and len(pairs) == 5**d - 1
+
+
+@pytest.mark.parametrize("name", ["orbit-12-t8", "orbit-21-t5", "renormalized-d2", "renormalized-d3"])
+def test_stack_heights_equal_the_lone_heights_bit_for_bit(name):
+    stack, t = _height_stack(name)
+    heights = stack_heights(stack, t=t)
+    assert heights.tobytes() == _lone_heights(stack).tobytes()
+    assert heights.min() >= 1.0 - 1e-9
+    # every row of these stacks is certified by the box: none spends enumeration budget
+    assert stack_heights(stack, budget=0, t=t).tobytes() == heights.tobytes()
+
+
+def test_stack_heights_fall_back_to_the_walk_on_uncertified_rows(monkeypatch):
+    # with a box of reach 1 the certificate needs every span below 2; samples
+    # 357 and 1,213 of this (2, 1) orbit have a span of 2.15 and 2.04 (about 1 row
+    # in 1,500 reaches 2), so the two windows around them hold rows of both kinds
+    sig = SplittingSignature(2, 1)
+    us = sample_V(NeighborhoodV(sig), 1240, seed=7)
+    us = np.concatenate([us[340:380], us[1200:1240]])
+    stack = decompose_batch(SpecialLinearMatrix.from_entries(np.eye(3)), us, 5.0, sig)[0]
+    monkeypatch.setattr(lattices, "_BOX", 1)
+    real = lattices.shortest_vector
+    walked = []
+
+    def spy(L, budget):
+        walked.append(int(np.flatnonzero((stack == L.basis.entries).all(axis=(1, 2)))[0]))
+        return real(L, budget)
+
+    monkeypatch.setattr(lattices, "shortest_vector", spy)
+    heights = stack_heights(stack, t=5.0)
+    assert walked == [357 - 340, 1213 - 1200 + 40]
+    assert heights.tobytes() == _lone_heights(stack).tobytes()
+    with pytest.raises(BudgetExceededError, match=rf"^height of sample {walked[0]} at t = 5: enumeration node budget exceeded"):
+        stack_heights(stack, budget=1, t=5.0)
 
 
 def test_dual_basis():

@@ -338,6 +338,16 @@ def _off_identity():
 S12, S21 = SplittingSignature(1, 2), SplittingSignature(2, 1)
 
 
+@pytest.mark.parametrize("sig", [SIG, S12, S21], ids=["11", "12", "21"])
+def test_flowed_gives_a_row_the_same_bits_in_a_stack_as_alone(sig):
+    # a stack and `decompose`'s stack of one take different branches of the entrywise formula
+    linear = _off_identity() if sig.d == 3 else np.array([[1.1, 0.3], [0.2, 1.06 / 1.1]])
+    x = reduce_matrix(linear).rep
+    us = sample_V(NeighborhoodV(sig), 300, seed=9)
+    P = orbits._flowed(x, us, 4.0, sig)
+    assert b"".join(orbits._flowed(x, u[None], 4.0, sig).tobytes() for u in us) == P.tobytes()
+
+
 @pytest.mark.parametrize(
     "sig, b0, t, linear",
     [
@@ -355,11 +365,12 @@ S12, S21 = SplittingSignature(1, 2), SplittingSignature(2, 1)
         # (1, 1) at t = 8 sends samples through the batch reduction's scalar fallback
         (SIG, [0.11, 0.5], 8.0, None),
         (SIG, ["1/3", "2/3"], 8.0, None),
+        (SIG, [0.11, 0.5], 4.0, np.array([[1.1, 0.3], [0.2, 1.06 / 1.1]])),
     ],
     ids=[
         "12-float", "21-float", "12-rational", "21-rational", "21-decimal-strings", "12-float-t8",
         "21-rational-t5", "12-float-off-identity", "21-rational-off-identity",
-        "11-float", "11-rational",
+        "11-float", "11-rational", "11-float-off-identity",
     ],
 )
 def test_decompose_batch_matches_per_sample_reference(sig, b0, t, linear):
@@ -372,10 +383,11 @@ def test_decompose_batch_matches_per_sample_reference(sig, b0, t, linear):
     assert nu.sample(0).gamma.det() == 1
     ref = _per_sample_orbit(y0, t, sig, count, seed=3)
     if sig == SIG:
-        # the vectorized reduction agrees with the scalar one: the same gamma, xi up to rounding
+        # the vectorized reduction agrees with the scalar one bit for bit (both build P
+        # by `_flowed`); the d = 2 heights are a closed form, not the reference's walk
         _, _, _, gammas, xis, _ = ref
         assert np.array_equal(nu.gammas, gammas)
-        assert np.abs(nu.xis - xis).max() <= 1e-9
+        assert nu.xis.tobytes() == xis.tobytes()
         return
     got = (nu.us, nu.coords, nu.numerators, nu.gammas, nu.xis, nu.heights)
     for name, a, b in zip(("us", "coords", "numerators", "gammas", "xis", "heights"), got, ref):

@@ -58,7 +58,7 @@ from .harness import (
     off_grid_max,
     siegel_check,
 )
-from .lattices import DEFAULT_BUDGET, LatticeDescriptor, height, stack_heights
+from .lattices import DEFAULT_BUDGET, stack_heights
 from .measures import FlatteningInstance, _verify_flattening, flatten_weights, fourier_spectrum
 from .orbits import (
     NeighborhoodV,
@@ -409,7 +409,7 @@ def criterion_xq_invariance(budget=DEFAULT_BUDGET, cache=None, count: int = 10_0
 def criterion_gamma_orbit(budget=DEFAULT_BUDGET, cache=None, count: int = 100_000) -> List[CheckResult]:
     x_rep = reduce_matrix(np.eye(2), budget).rep
     eps = 0.1
-    ht_x = height(LatticeDescriptor(x_rep), budget)
+    ht_x = float(stack_heights(x_rep.entries[None], budget)[0])
     data = {}
     for s in (2.0, 3.0, 4.0, 5.0):
         data[s] = gamma_orbit_summary(gamma_orbit(x_rep, (1, 0), s, _V2, count, _SEED, eps, budget))

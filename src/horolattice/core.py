@@ -46,7 +46,6 @@ __all__ = [
     "matrix_norm",
     "diagonal_flow",
     "horo_embed",
-    "affine_apply",
     "torus_act",
     "matrix_to_json",
     "matrix_from_json",
@@ -462,17 +461,6 @@ def horo_embed(block, sig: SplittingSignature) -> SpecialLinearMatrix:
     out = np.eye(d)
     out[: sig.m, sig.m :] = a
     return SpecialLinearMatrix.from_entries(out)
-
-
-def affine_apply(g: SpecialLinearMatrix, y: AffineLatticePoint) -> AffineLatticePoint:
-    """Left action on the linear part; the torus coordinate is untouched.
-
-    The fiber coordinate only changes under reduction to the fundamental
-    domain; for the induced integer action on the fiber use `torus_act`.
-    """
-    if g.dim != y.dim:
-        raise DimensionMismatchError("dimension mismatch in affine action")
-    return AffineLatticePoint(g.compose(y.linear), y.torus)
 
 
 def torus_act(gamma: IntegerMatrix, b: TorusPoint) -> TorusPoint:

@@ -84,10 +84,9 @@ from .core import (
     _renormalized,
 )
 from .errors import DeterminantError, PrecisionError, _failure_site, _naming_sample
-from .lattices import DEFAULT_BUDGET, LatticeDescriptor, enumerate_ball, lll_reduce_batch
+from .lattices import DEFAULT_BUDGET, enumerate_ball, lll_reduce, lll_reduce_batch, successive_minima
 
 __all__ = [
-    "F_value",
     "ReducedRepresentative",
     "reduce_matrix",
     "factorization_residuals",
@@ -130,11 +129,6 @@ def _f_of_stack(hs: np.ndarray) -> np.ndarray:
     return np.sqrt(a * b / (a + b))
 
 
-def F_value(g) -> float:
-    """F(g) from the Frobenius masses of g and g^{-1}; symmetric in g <-> g^{-1}."""
-    return _f_of_array(g.entries if isinstance(g, SpecialLinearMatrix) else np.asarray(g, dtype=float))
-
-
 @dataclass(frozen=True)
 class ReducedRepresentative:
     """Result of reducing g to its F-minimal coset representative.
@@ -161,17 +155,17 @@ def _reduced_matrix(B: np.ndarray) -> SpecialLinearMatrix:
         raise PrecisionError(str(exc)) from exc
 
 
-def _minima_sq_of(B: np.ndarray, budget: int, reduced: Optional[tuple] = None) -> list:
+def _minima_sq_of(B: np.ndarray, budget: int, reduced: Optional[np.ndarray] = None) -> list:
     """Squared Euclidean successive minima of the lattice spanned by B's columns.
 
-    `reduced`, if given, is the LLL reduction of the validated basis
+    `reduced`, if given, is the LLL basis of the validated basis
     `SpecialLinearMatrix.from_entries(B).entries`, computed ahead as a row
     of a stack; without it the basis is reduced alone.
     """
-    from .lattices import successive_minima
-
-    L = LatticeDescriptor(_reduced_matrix(B), reduced)
-    return [x * x for x in successive_minima(L, budget)]
+    basis = _reduced_matrix(B).entries
+    if reduced is None:
+        reduced = lll_reduce(basis)[0]
+    return [x * x for x in successive_minima(reduced, budget)]
 
 
 def _pm(vectors):
@@ -372,7 +366,8 @@ def _reduce_core(arr: np.ndarray, budget: int = DEFAULT_BUDGET, start: Optional[
     of `_search_starts`, computed ahead for a whole stack; without it
     the matrix is reduced as a stack of one.  A start that carries a
     certificate is the class sweep's certified result and is returned
-    as it is; any other runs `_search` from its seed.
+    as it is; any other runs `_search` from its seed, with the seed's
+    primal and dual LLL bases (prim_B, dual_B) when the start has them.
     """
     if start is None:
         start = next(_search_starts(np.asarray(arr, dtype=float)[None], None, None))
@@ -391,11 +386,12 @@ def _search_starts(P: np.ndarray, t: Optional[float], stage: Optional[str] = "de
     """The `start` of `_reduce_core` for each matrix of a stack P (N, d, d).
 
     A certified row's start is (rep, U, None, certificate), the class
-    sweep's result; any other row's is (seed basis, U, reductions, None),
-    the reductions (None where not yet done) reaching `_minima_sq_of`
-    ready-made.  Returns an iterator over the samples in order.  Only
-    d in {2, 3} is reduced with a certificate, so a larger d is a
-    ValueError, raised before any work.
+    sweep's result; any other row's is (seed basis, U, (prim_B, dual_B),
+    None), the LLL bases of the seed's primal and dual lattices (each
+    None where not yet done) reaching `_minima_sq_of` ready-made.
+    Returns an iterator over the samples in order.  Only d in {2, 3} is
+    reduced with a certificate, so a larger d is a ValueError, raised
+    before any work.
 
     For d = 2 the whole stack goes through `_reduce_stack_2x2`.  For
     d = 3 every LLL runs once over the whole stack, through
@@ -442,7 +438,7 @@ def _search_starts(P: np.ndarray, t: Optional[float], stage: Optional[str] = "de
             else:
                 best_B, best_U = B0[i], IntegerMatrix.from_rows(U0[i].tolist())
             if not certified[k]:
-                yield best_B, best_U, ((prim[0][i], prim[1][i].tolist()), (dual[0][i], dual[1][i].tolist())), None
+                yield best_B, best_U, (prim[0][i], dual[0][i]), None
                 continue
             # a seed that the sweep leaves as it is stays its own array, as in `_search`
             rep = best_B if unmoved[k] else reps[k]
@@ -465,8 +461,9 @@ def _search(best_B: np.ndarray, best_U: IntegerMatrix, budget: int, reduced: tup
     """`_reduce_core`'s exact candidate search from its seed basis, for d in {2, 3}.
 
     Runs until no candidate lowers F, then breaks ties lexicographically.
-    `reduced` holds the LLL reductions of the primal and the dual lattice
-    of the seed for `_minima_sq_of`, each None where it is not yet done.
+    `reduced` holds the LLL bases (prim_B, dual_B) of the primal and the
+    dual lattice of the seed for `_minima_sq_of`, each None where it is
+    not yet done.
     """
     d = best_B.shape[0]
     # Successive minima are coset data; compute once per side.
@@ -607,8 +604,8 @@ def iota(g, budget: int = DEFAULT_BUDGET) -> SpecialLinearMatrix:
     return reduce_matrix(g, budget).rep
 
 
-def candidate_bases(L: LatticeDescriptor, frobenius_bound: float, budget: int = DEFAULT_BUDGET):
-    """All determinant-1 matrices with columns in the lattice and |.|_F <= bound.
+def candidate_bases(B: np.ndarray, frobenius_bound: float, budget: int = DEFAULT_BUDGET):
+    """All determinant-1 matrices with columns in the lattice of LLL basis B and |.|_F <= bound.
 
     Complete within the bound; sorted deterministically.  Any
     unimodular matrix has Frobenius norm at least sqrt(d), so small
@@ -616,12 +613,9 @@ def candidate_bases(L: LatticeDescriptor, frobenius_bound: float, budget: int = 
     """
     if not math.isfinite(frobenius_bound):
         raise ValueError("bound must be finite")
-    B, _ = L.reduction
-    d = L.dim
+    d = B.shape[0]
     boundsq = frobenius_bound * frobenius_bound
-    from .lattices import successive_minima
-
-    minima_sq = [x * x for x in successive_minima(L, budget)]
+    minima_sq = [x * x for x in successive_minima(B, budget)]
     if sum(minima_sq) > boundsq * (1 + 1e-12):
         return []
     if d == 2:
@@ -662,9 +656,9 @@ def x_distance(rep_x, rep_z, max_distance: float = 1.0, budget: int = DEFAULT_BU
     za = rep_z.entries if isinstance(rep_z, SpecialLinearMatrix) else np.asarray(rep_z, dtype=float)
     z_frob = math.sqrt(float((za * za).sum()))
     bound = z_frob * (1.0 + max_distance) + BOUND_MARGIN
-    L = LatticeDescriptor(SpecialLinearMatrix.from_entries(xa))
+    B, _ = lll_reduce(SpecialLinearMatrix.from_entries(xa).entries)
     best = matrix_distance(xa, za)
-    for h in candidate_bases(L, bound, budget):
+    for h in candidate_bases(B, bound, budget):
         dist = matrix_distance(h.entries, za)
         if dist < best:
             best = dist

@@ -45,7 +45,7 @@ from .core import (
 from .diophantine import WeylInstance, dirichlet_cap, weyl_bound, weyl_count, zeta
 from .errors import ConfigError
 from .fundamental import factorization_residuals, reduce_matrix
-from .lattices import DEFAULT_BUDGET, LatticeDescriptor, siegel_transform, siegel_values
+from .lattices import DEFAULT_BUDGET, lll_reduce_batch, siegel_transform, siegel_values
 from .measures import fourier_spectrum, max_concentration
 from .orbits import GammaOrbitResult, NeighborhoodV, gamma_orbit, orbit_pushforward
 
@@ -303,8 +303,8 @@ def siegel_check(name: str, nu, radius: float, budget: int, oracle_stride: int =
         details.update(integral=target, relative_error=abs(avg / target - 1.0))
         passed = abs(avg - target) <= 0.1 * target
     if oracle_stride:
-        recounted = LatticeDescriptor.of_stack(nu.xis[::oracle_stride], stage=None)
-        exact = np.array([siegel_transform(L, radius, budget) for L in recounted])
+        recounted, _ = lll_reduce_batch(nu.xis[::oracle_stride], stage=None)
+        exact = np.array([siegel_transform(B, radius, budget) for B in recounted])
         wrong = np.flatnonzero(np.abs(exact - values[::oracle_stride]) > 1e-9) * oracle_stride
         details.update(oracle_samples=len(exact), oracle_first_disagreement=int(wrong[0]) if wrong.size else None)
         passed = passed and not wrong.size

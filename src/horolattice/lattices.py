@@ -1,9 +1,11 @@
 """Lattice geometry of unimodular lattices g Z^d.
 
-Shortest vectors, successive minima, duals, the height (inverse sup-norm
-first minimum) of one lattice or of a stack, and the Siegel transform of
-the indicator of a Euclidean ball, which counts the nonzero lattice
-points in the ball.
+Every quantity here is a function of an LLL-reduced basis B, passed as
+a bare (d, d) array (`lll_reduce`, or a row of `lll_reduce_batch`):
+the sup-norm shortest vector, the Euclidean successive minima and the
+Siegel transform of the indicator of a Euclidean ball, which counts the
+nonzero lattice points in the ball.  The height (inverse sup-norm first
+minimum) is taken for a whole stack of det-1 bases (`stack_heights`).
 
 Two enumeration engines drive everything exhaustive here:
 
@@ -28,26 +30,22 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import SpecialLinearMatrix, _bezout, _cross, _inv_unimodular
+from .core import _bezout, _cross, _inv_unimodular
 from .errors import BudgetExceededError, PrecisionError, _failure_site, _naming_sample
 
 __all__ = [
     "DEFAULT_BUDGET",
-    "LatticeDescriptor",
     "lll_reduce",
     "lll_reduce_batch",
     "enumerate_ball",
     "constrained_shortest",
     "shortest_vector",
     "successive_minima",
-    "height",
     "stack_heights",
-    "dual_basis",
     "siegel_transform",
     "siegel_values",
 ]
@@ -342,60 +340,25 @@ def enumerate_ball(
     yield from walk(d - 1, 0.0)
 
 
-@dataclass(frozen=True)
-class LatticeDescriptor:
-    """A unimodular lattice and its LLL reduction (B, U): given, or made by `lll_reduce` at construction."""
-
-    basis: SpecialLinearMatrix
-    reduction: Optional[tuple] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.reduction is None:
-            object.__setattr__(self, "reduction", lll_reduce(self.basis.entries))
-
-    @classmethod
-    def from_matrix(cls, entries) -> "LatticeDescriptor":
-        if isinstance(entries, SpecialLinearMatrix):
-            return cls(entries)
-        return cls(SpecialLinearMatrix.from_entries(entries))
-
-    @classmethod
-    def of_stack(cls, bases: np.ndarray, stage: Optional[str] = "LLL", t: Optional[float] = None) -> Iterator:
-        """The descriptor of each det-1 basis of a stack (N, d, d), from one `lll_reduce_batch`.
-
-        Rows are taken as they are, with no second validation.  The
-        descriptors are yielded one at a time, so memory holds the stack's
-        arrays and no list of them; an LLL failure names the lowest
-        failing row as a sample of `stage` at t.
-        """
-        B, U = lll_reduce_batch(bases, stage=stage, t=t)
-        for i, basis in enumerate(bases):
-            yield cls(SpecialLinearMatrix(basis), (B[i], U[i].tolist()))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-
 def _map_coeff(U, c):
     """Original-basis coefficients of the reduced-coordinate vector c."""
     d = len(c)
     return tuple(sum(U[i][j] * c[j] for j in range(d)) for i in range(d))
 
 
-def shortest_vector(L: LatticeDescriptor, budget: int = DEFAULT_BUDGET):
-    """Certified shortest nonzero vector in the sup norm.
+def shortest_vector(B: np.ndarray, U, budget: int = DEFAULT_BUDGET):
+    """Certified shortest nonzero vector in the sup norm of the lattice of LLL basis B.
 
-    Returns (coefficients in the original basis, length).  Every vector
+    U is B's LLL transform, so the original basis is B U^{-1}.  Returns
+    (coefficients in the original basis, length).  Every vector
     of the Euclidean ball of radius sqrt(d) s0 around 0, s0 the least
     column sup-norm of the LLL basis B, is enumerated, and its sup-norm
     is that of B @ c.  Tie-break is deterministic: smallest (length,
     coefficient tuple).  A stack's lengths come from `stack_heights`
     with these bits.  The Euclidean first minimum is
-    `successive_minima(L)[0]`.
+    `successive_minima(B)[0]`.
     """
-    B, U = L.reduction
-    d = L.dim
+    d = B.shape[0]
     s0 = float(min(np.abs(B[:, j]).max() for j in range(d)))
     best = None
     for cc in enumerate_ball(B, math.sqrt(d) * s0 * (1 + 1e-12), budget):
@@ -445,15 +408,14 @@ def _complete_to_unimodular(tail: Sequence[int]) -> list:
     return [[t[0], v2[0], v3[0]], [t[1], v2[1], v3[1]], [t[2], v2[2], v3[2]]]
 
 
-def successive_minima(L: LatticeDescriptor, budget: int = DEFAULT_BUDGET) -> list:
-    """Euclidean successive minima [lambda_1, ..., lambda_d], certified.
+def successive_minima(B: np.ndarray, budget: int = DEFAULT_BUDGET) -> list:
+    """Euclidean successive minima [lambda_1, ..., lambda_d] of the lattice of LLL basis B, certified.
 
     Greedy: the j-th search excludes the span of the j-1 vectors found
     so far by a coordinate change putting them first (for d <= 3 greedy
     realizers always extend to a basis, so the completion exists).
     """
-    B, _ = L.reduction
-    d = L.dim
+    d = B.shape[0]
     cur = B.copy()
     minima = []
     for j in range(d):
@@ -473,16 +435,6 @@ def successive_minima(L: LatticeDescriptor, budget: int = DEFAULT_BUDGET) -> lis
                     T[i][jj] = comp[i - j][jj - j]
         cur = cur @ np.array(T, dtype=float)
     return minima
-
-
-def height(L: LatticeDescriptor, budget: int = DEFAULT_BUDGET) -> float:
-    """1 / (sup-norm length of the shortest nonzero vector); always >= 1.
-
-    For one lattice, by `shortest_vector`; `stack_heights` gives each
-    lattice of a stack the same bits.
-    """
-    _, length = shortest_vector(L, budget)
-    return 1.0 / length
 
 
 #: Half-width of the coefficient box that `stack_heights` scans.
@@ -519,7 +471,10 @@ def _box_lengths(B: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def stack_heights(bases: np.ndarray, budget: int = DEFAULT_BUDGET, t: Optional[float] = None) -> np.ndarray:
-    """`height` of each det-1 basis of a stack (N, d, d), bit for bit, from one `lll_reduce_batch`.
+    """The height 1 / (sup-norm first minimum) of each det-1 basis of a stack (N, d, d).
+
+    One `lll_reduce_batch` reduces the stack, and each row's length is
+    bit for bit the length `shortest_vector` gives its LLL basis.
 
     Per row, with B its LLL basis, s0 the least column sup-norm of B and
     r = sqrt(d) s0, `shortest_vector` enumerates the ball |B c|_2 <= r.
@@ -545,38 +500,30 @@ def stack_heights(bases: np.ndarray, budget: int = DEFAULT_BUDGET, t: Optional[f
         lengths[rows] = _box_lengths(B[rows], r[rows])
     for i in np.flatnonzero(~certified):
         with _naming_sample("height", int(i), t):
-            L = LatticeDescriptor(SpecialLinearMatrix(bases[i]), (B[i], U[i].tolist()))
-            lengths[i] = shortest_vector(L, budget)[1]
+            lengths[i] = shortest_vector(B[i], U[i], budget)[1]
     return 1.0 / lengths
 
 
-def dual_basis(L: LatticeDescriptor) -> LatticeDescriptor:
-    """The dual lattice, with basis (g^{-1})^T."""
-    return LatticeDescriptor(SpecialLinearMatrix.from_entries(L.basis.inverse.T))
-
-
-def siegel_transform(L: LatticeDescriptor, radius: float, budget: int = DEFAULT_BUDGET) -> float:
-    """The Siegel transform of the indicator of the Euclidean ball of the radius.
+def siegel_transform(B: np.ndarray, radius: float, budget: int = DEFAULT_BUDGET) -> float:
+    """The Siegel transform of the indicator of the Euclidean ball of the radius, for LLL basis B.
 
     The number of nonzero lattice vectors in the ball, by exhaustive
     enumeration: twice the number of ± pairs `enumerate_ball` yields.
     """
-    B, _ = L.reduction
     return 2.0 * sum(1 for _ in enumerate_ball(B, radius * (1 + 1e-12), budget))
 
 
 def siegel_values(xis, radius: float, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Per-sample Siegel transforms of the indicator of the Euclidean ball of the radius.
 
-    xis is an (N, d, d) stack of det-1 bases.  For d = 2 a closed form:
-    for radius below 1 only integer multiples of the shortest vector fit
-    in the ball (two independent vectors would force covolume below 1),
-    so the count is 2 floor(radius / lambda_1) per sample.  Otherwise
-    `siegel_transform` of each basis, from one stacked LLL.
+    xis is an (N, d, d) stack of det-1 bases.  For d = 2 and a radius
+    below 1 a closed form: only integer multiples of the shortest vector
+    fit in the ball (two independent vectors would force covolume below
+    1), so the count is 2 floor(radius / lambda_1) per sample.
+    Otherwise `siegel_transform` of each basis, from one stacked LLL.
     """
-    if xis.shape[1] != 2:
-        return np.array([siegel_transform(L, radius, budget) for L in LatticeDescriptor.of_stack(xis, stage="siegel")])
-    if radius >= 1.0:
-        raise ValueError("closed form requires radius < 1")
+    if xis.shape[1] != 2 or radius >= 1.0:
+        B, _ = lll_reduce_batch(xis, stage="siegel")
+        return np.array([siegel_transform(b, radius, budget) for b in B])
     lam1 = np.minimum(np.linalg.norm(xis[:, :, 0], axis=1), np.linalg.norm(xis[:, :, 1], axis=1))
     return 2.0 * np.floor(radius / lam1)

@@ -38,14 +38,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .core import (
     AffineLatticePoint,
-    IntegerMatrix,
     SpecialLinearMatrix,
     SplittingSignature,
     TorusPoint,
@@ -74,7 +72,6 @@ from .lattices import DEFAULT_BUDGET, stack_heights
 
 __all__ = [
     "NeighborhoodV",
-    "OrbitSample",
     "EmpiricalTorusMeasure",
     "sample_V",
     "decompose",
@@ -103,17 +100,6 @@ class NeighborhoodV:
     def __post_init__(self):
         if not self.half_width > 0:
             raise ValueError("half width must be positive")
-
-
-@dataclass(frozen=True)
-class OrbitSample:
-    """One decomposed point of an expanding translate."""
-
-    u: np.ndarray
-    xi: SpecialLinearMatrix
-    gamma: IntegerMatrix
-    sigma_point: TorusPoint
-    height_after: float
 
 
 def sample_V(V: NeighborhoodV, count: int, seed: int) -> np.ndarray:
@@ -214,9 +200,9 @@ class EmpiricalTorusMeasure:
     exactly rational, `numerators`/`denominator` carry the same points
     as integers over a common denominator.  Per-sample metadata (the
     horospherical coordinate, the integer cocycle value, the reduced
-    matrix, the height) lives in parallel arrays; `sample(i)` wraps row
-    i as an OrbitSample.  `localization_mass` is the raw bump mass of a
-    measure made by `localized_measure`, and None otherwise.
+    matrix, the height) lives in parallel arrays.  `localization_mass`
+    is the raw bump mass of a measure made by `localized_measure`, and
+    None otherwise.
     """
 
     coords: np.ndarray
@@ -253,25 +239,6 @@ class EmpiricalTorusMeasure:
     @property
     def is_rational(self) -> bool:
         return self.numerators is not None
-
-    def point(self, i: int) -> TorusPoint:
-        if self.is_rational:
-            q = self.denominator
-            return TorusPoint.from_values(
-                [Fraction(int(x), q) for x in self.numerators[i]]
-            )
-        return TorusPoint.from_values([float(x) for x in self.coords[i]])
-
-    def sample(self, i: int) -> OrbitSample:
-        if self.us is None or self.gammas is None or self.xis is None:
-            raise ValueError("this measure carries no orbit metadata")
-        return OrbitSample(
-            u=self.us[i].copy(),
-            xi=SpecialLinearMatrix.from_entries(self.xis[i]),
-            gamma=IntegerMatrix.from_rows(self.gammas[i].tolist()),
-            sigma_point=self.point(i),
-            height_after=float(self.heights[i]),
-        )
 
     def reweighted(
         self, new_weights: np.ndarray, localization_mass: Optional[float] = None

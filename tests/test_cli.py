@@ -116,7 +116,7 @@ def test_kind_runs_to_its_artifacts(argv, config, checks, headers, tmp_path):
         (["orbit", "--m", "2", "--n", "2", "--t", "2", "--samples", "200"], "signature (2,2) has no certified reduction"),
         (["orbit", "--t", "1", "--samples", "100", "--b0", "1/3"], "torus part 1"),
         (["orbit", "--t", "1", "--samples", "100", "--b0", "abc,1"], "Invalid literal for Fraction"),
-        (["siegel", "--t", "1", "--samples", "100", "--radius", "2"], "radius < 1"),
+        (["orbit", "--m", "1", "--n", "2", "--t", "9", "--samples", "100"], "exceeds the certified precision cap"),
         (["concentration", "--t", "1", "--samples", "100", "--rho", "0.7"], "rho must lie in"),
         (["fourier", "--t", "1", "--samples", "100", "--max-freq", "0"], "fourier needs --max-freq >= 1"),
     ],

@@ -6,12 +6,10 @@ import pytest
 
 from horolattice import core
 from horolattice.core import (
-    AffineLatticePoint,
     IntegerMatrix,
     SpecialLinearMatrix,
     SplittingSignature,
     TorusPoint,
-    affine_apply,
     diagonal_flow,
     horo_embed,
     matrix_from_json,
@@ -97,16 +95,6 @@ def test_horo_conjugation_by_flow():
     lhs = diagonal_flow(t, sig).entries @ horo_embed(A, sig).entries @ diagonal_flow(-t, sig).entries
     rhs = horo_embed(math.exp(sig.d * t) * A, sig).entries
     assert np.allclose(lhs, rhs, atol=1e-9)
-
-
-def test_affine_apply_identity():
-    y = AffineLatticePoint(
-        SpecialLinearMatrix.from_entries(np.diag([2.0, 0.5])),
-        TorusPoint.from_values(["1/3", "2/3"]),
-    )
-    y2 = affine_apply(SpecialLinearMatrix.from_entries(np.eye(2)), y)
-    assert np.allclose(y2.linear.entries, y.linear.entries)
-    assert y2.torus.coords == y.torus.coords
 
 
 def test_torus_act_exact_shear():

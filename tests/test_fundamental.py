@@ -12,17 +12,17 @@ from horolattice import fundamental, sweep
 from horolattice.core import IntegerMatrix, SpecialLinearMatrix, SplittingSignature, diagonal_flow_vector
 from horolattice.errors import BudgetExceededError, DeterminantError, PrecisionError
 from horolattice.fundamental import (
-    F_value,
     candidate_bases,
     iota,
     matrix_distance,
     reduce_batch_2x2,
     reduce_matrix,
     x_distance,
+    _f_of_array,
     _lex_first,
     _lex_key,
 )
-from horolattice.lattices import DEFAULT_BUDGET, LatticeDescriptor, enumerate_ball, lll_reduce, successive_minima
+from horolattice.lattices import DEFAULT_BUDGET, enumerate_ball, lll_reduce
 
 
 def sl2z_box(X):
@@ -93,15 +93,15 @@ def random_word(rng, budget=4.0):
 
 
 def test_F_value_identity():
-    assert F_value(np.eye(2)) == pytest.approx(1.0)
-    assert F_value(np.eye(3)) == pytest.approx(math.sqrt(1.5))
+    assert _f_of_array(np.eye(2)) == pytest.approx(1.0)
+    assert _f_of_array(np.eye(3)) == pytest.approx(math.sqrt(1.5))
 
 
 def test_F_value_inverse_symmetry():
     rng = np.random.default_rng(0)
     for _ in range(20):
         g = SpecialLinearMatrix.from_entries(random_word(rng))
-        assert F_value(g) == pytest.approx(F_value(g.inv()), rel=1e-12)
+        assert _f_of_array(g.entries) == pytest.approx(_f_of_array(g.inv().entries), rel=1e-12)
 
 
 def test_reduce_integer_input_gives_signed_permutation():
@@ -285,9 +285,8 @@ def test_reduce_certificate_holds():
     for _ in range(10):
         g = random_word(rng)
         r = reduce_matrix(g)
-        L = LatticeDescriptor(r.rep)
-        for h in candidate_bases(L, r.certificate):
-            assert F_value(h) >= r.fvalue - 1e-9
+        for h in candidate_bases(lll_reduce(r.rep.entries)[0], r.certificate):
+            assert _f_of_array(h.entries) >= r.fvalue - 1e-9
 
 
 def test_iota_well_defined():
@@ -305,7 +304,7 @@ def test_iota_well_defined():
 
 
 def test_candidate_bases_unit_lattice():
-    L = LatticeDescriptor.from_matrix(np.eye(2))
+    L = lll_reduce(np.eye(2))[0]
     cands = candidate_bases(L, 1.5)
     mats = sorted(tuple(np.rint(h.entries).astype(int).ravel()) for h in cands)
     assert mats == sorted(
@@ -316,7 +315,7 @@ def test_candidate_bases_unit_lattice():
 
 def test_candidate_bases_monotone():
     rng = np.random.default_rng(8)
-    L = LatticeDescriptor.from_matrix(random_word(rng, budget=1.0))
+    L = lll_reduce(SpecialLinearMatrix.from_entries(random_word(rng, budget=1.0)).entries)[0]
     small = {tuple(np.round(h.entries, 9).ravel()) for h in candidate_bases(L, 2.0)}
     large = {tuple(np.round(h.entries, 9).ravel()) for h in candidate_bases(L, 3.0)}
     assert small <= large
@@ -612,7 +611,7 @@ def test_stacked_scoring_matches_per_candidate_bytes():
             bases += [lll_reduce(P)[0], dual_seed]  # C order, and the dual seed's transposed view
     for B in bases:
         d = B.shape[0]
-        minima = [x * x for x in successive_minima(LatticeDescriptor.from_matrix(B))]
+        minima = fundamental._minima_sq_of(B, DEFAULT_BUDGET)
         boundsq = 2.0 * fundamental._f_of_array(B) ** 2 + 1.0
         if d == 2:
             cs = fundamental._candidates_2d(B, boundsq, minima[0], DEFAULT_BUDGET)

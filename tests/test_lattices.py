@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -15,18 +14,17 @@ from horolattice.core import (
     _bezout,
     _cross,
     _int_det,
+    _inv_unimodular,
     _renormalized,
     diagonal_flow_vector,
 )
 from horolattice.errors import BudgetExceededError, PrecisionError
 from horolattice import lattices
 from horolattice.lattices import (
-    LatticeDescriptor,
+    DEFAULT_BUDGET,
     _complete_to_unimodular,
     constrained_shortest,
-    dual_basis,
     enumerate_ball,
-    height,
     lll_reduce,
     lll_reduce_batch,
     shortest_vector,
@@ -62,12 +60,15 @@ def brute_shortest(B, norm, box=50):
     return float(lens.min())
 
 
+def reduced(B):
+    """The LLL basis of B, as the package's routines take it."""
+    return lll_reduce(B)[0]
+
+
 def test_shortest_vector_examples():
-    Z2 = LatticeDescriptor.from_matrix(np.eye(2))
-    coeff, length = shortest_vector(Z2)
+    coeff, length = shortest_vector(*lll_reduce(np.eye(2)))
     assert length == pytest.approx(1.0)
-    L = LatticeDescriptor.from_matrix(np.diag([math.e, 1 / math.e]))
-    coeff, length = shortest_vector(L)
+    coeff, length = shortest_vector(*lll_reduce(np.diag([math.e, 1 / math.e])))
     assert length == pytest.approx(1 / math.e)
     assert tuple(abs(c) for c in coeff) == (0, 1)
 
@@ -77,32 +78,27 @@ def test_shortest_vector_matches_brute_force():
     rng = np.random.default_rng(7)
     for _ in range(25):
         B = random_basis(rng, 2)
-        L = LatticeDescriptor.from_matrix(B)
-        assert shortest_vector(L)[1] == pytest.approx(brute_shortest(B, "sup"), rel=1e-9)
-        assert successive_minima(L)[0] == pytest.approx(brute_shortest(B, "euclidean"), rel=1e-9)
+        assert shortest_vector(*lll_reduce(B))[1] == pytest.approx(brute_shortest(B, "sup"), rel=1e-9)
+        assert successive_minima(reduced(B))[0] == pytest.approx(brute_shortest(B, "euclidean"), rel=1e-9)
 
 
 def test_shortest_vector_matches_brute_force_d3():
     rng = np.random.default_rng(8)
     for _ in range(8):
         B = random_basis(rng, 3, spread=1.0)
-        L = LatticeDescriptor.from_matrix(B)
-        assert successive_minima(L)[0] == pytest.approx(brute_shortest(B, "euclidean", box=8), rel=1e-9)
+        assert successive_minima(reduced(B))[0] == pytest.approx(brute_shortest(B, "euclidean", box=8), rel=1e-9)
 
 
 def test_successive_minima_examples():
-    assert successive_minima(LatticeDescriptor.from_matrix(np.eye(3))) == pytest.approx([1, 1, 1])
-    assert successive_minima(LatticeDescriptor.from_matrix(np.diag([2.0, 0.5]))) == pytest.approx(
-        [0.5, 2.0]
-    )
+    assert successive_minima(reduced(np.eye(3))) == pytest.approx([1, 1, 1])
+    assert successive_minima(reduced(np.diag([2.0, 0.5]))) == pytest.approx([0.5, 2.0])
 
 
 def test_successive_minima_nondecreasing_and_minkowski_window():
     rng = np.random.default_rng(9)
     for d in (2, 3):
         for _ in range(40):
-            L = LatticeDescriptor.from_matrix(random_basis(rng, d, spread=1.5))
-            minima = successive_minima(L)
+            minima = successive_minima(reduced(random_basis(rng, d, spread=1.5)))
             assert all(minima[i] <= minima[i + 1] + 1e-12 for i in range(d - 1))
             prod = float(np.prod(minima))
             assert 0.1 <= prod <= 10.0
@@ -112,8 +108,7 @@ def test_successive_minima_against_full_ball_oracle():
     rng = np.random.default_rng(10)
     for _ in range(10):
         B = random_basis(rng, 3, spread=0.8)
-        L = LatticeDescriptor.from_matrix(B)
-        minima = successive_minima(L)
+        minima = successive_minima(reduced(B))
         # oracle: full ball enumeration plus greedy rank filtering
         Bred, _ = lll_reduce(B)
         radius = max(np.linalg.norm(Bred[:, j]) for j in range(3))
@@ -134,18 +129,16 @@ def test_successive_minima_against_full_ball_oracle():
 
 
 def test_height_examples_and_in_K():
-    assert height(LatticeDescriptor.from_matrix(np.eye(3))) == pytest.approx(1.0)
+    assert stack_heights(np.eye(3)[None])[0] == pytest.approx(1.0)
     t = 0.7
-    L = LatticeDescriptor.from_matrix(np.diag([math.exp(t), math.exp(-t)]))
-    assert height(L) == pytest.approx(math.exp(t))
+    assert stack_heights(np.diag([math.exp(t), math.exp(-t)])[None])[0] == pytest.approx(math.exp(t))
 
 
 @given(st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
 def test_height_at_least_one(seed):
     rng = np.random.default_rng(seed)
-    L = LatticeDescriptor.from_matrix(random_basis(rng, 2))
-    assert height(L) >= 1.0 - 1e-9
+    assert stack_heights(random_basis(rng, 2)[None])[0] >= 1.0 - 1e-9
 
 
 def _height_stack(name):
@@ -162,7 +155,8 @@ def _height_stack(name):
 
 
 def _lone_heights(stack):
-    return np.array([height(L) for L in LatticeDescriptor.of_stack(stack)])
+    """1 / `shortest_vector` of each basis, reduced alone."""
+    return np.array([1.0 / shortest_vector(*lll_reduce(basis), DEFAULT_BUDGET)[1] for basis in stack])
 
 
 def test_height_box_holds_one_vector_per_sign_pair():
@@ -193,11 +187,12 @@ def test_stack_heights_fall_back_to_the_walk_on_uncertified_rows(monkeypatch):
     stack = decompose_batch(SpecialLinearMatrix.from_entries(np.eye(3)), us, 5.0, sig)[0]
     monkeypatch.setattr(lattices, "_BOX", 1)
     real = lattices.shortest_vector
+    reduced_stack = lll_reduce_batch(stack)[0]
     walked = []
 
-    def spy(L, budget):
-        walked.append(int(np.flatnonzero((stack == L.basis.entries).all(axis=(1, 2)))[0]))
-        return real(L, budget)
+    def spy(B, U, budget):
+        walked.append(int(np.flatnonzero((reduced_stack == B).all(axis=(1, 2)))[0]))
+        return real(B, U, budget)
 
     monkeypatch.setattr(lattices, "shortest_vector", spy)
     heights = stack_heights(stack, t=5.0)
@@ -207,25 +202,18 @@ def test_stack_heights_fall_back_to_the_walk_on_uncertified_rows(monkeypatch):
         stack_heights(stack, budget=1, t=5.0)
 
 
-def test_dual_basis():
-    Z = LatticeDescriptor.from_matrix(np.eye(2))
-    assert np.allclose(dual_basis(Z).basis.entries, np.eye(2))
-    L = LatticeDescriptor.from_matrix(np.diag([2.0, 0.5]))
-    assert np.allclose(dual_basis(L).basis.entries, np.diag([0.5, 2.0]))
-
-
 def test_dual_pairing_integral_and_mahler():
     rng = np.random.default_rng(12)
     worst_mahler = 0.0
     for _ in range(60):
         d = int(rng.integers(2, 4))
         B = random_basis(rng, d, spread=1.2)
-        L = LatticeDescriptor.from_matrix(B)
-        D = dual_basis(L)
-        pair = D.basis.entries.T @ L.basis.entries
+        # the dual basis (B^{-1})^T, as `fundamental._search` takes it
+        D = _inv_unimodular(B).T
+        pair = D.T @ B
         assert np.abs(pair - np.rint(pair)).max() < 1e-9
-        lam1 = successive_minima(L)[0]
-        lamd_dual = successive_minima(D)[-1]
+        lam1 = successive_minima(reduced(B))[0]
+        lamd_dual = successive_minima(reduced(D))[-1]
         worst_mahler = max(worst_mahler, lam1 * lamd_dual)
     # Mahler-type bound: fitted constant stays modest in d <= 3
     assert worst_mahler <= 6.0
@@ -233,7 +221,7 @@ def test_dual_pairing_integral_and_mahler():
 
 def test_siegel_transform_examples():
     # ball counts on Z^2: the 4 unit vectors, then (+-1, +-1), then (+-2, 0) and (0, +-2)
-    Z2 = LatticeDescriptor.from_matrix(np.eye(2))
+    Z2 = reduced(np.eye(2))
     assert [siegel_transform(Z2, r) for r in (0.1, 1.0, 1.5, 2.0)] == [0.0, 4.0, 8.0, 12.0]
 
 
@@ -247,11 +235,11 @@ def brute_force_ball_count(x, radius):
 
 @pytest.mark.parametrize(
     "sig, t, radii",
-    [((1, 1), 4.0, (0.3, 0.7, 0.95)), ((1, 1), 8.0, (0.3, 0.95)), ((1, 2), 2.0, (0.5, 1.5, 1.9)), ((2, 1), 3.0, (0.7, 1.9))],
+    [((1, 1), 4.0, (0.3, 0.7, 0.95, 1.5)), ((1, 1), 8.0, (0.3, 0.95, 1.5)), ((1, 2), 2.0, (0.5, 1.5, 1.9)), ((2, 1), 3.0, (0.7, 1.9))],
     ids=["d2-t4", "d2-t8", "d3-12-t2", "d3-21-t3"],
 )
 def test_siegel_values_match_a_brute_force_count(sig, t, radii):
-    # d = 2 takes the closed form, d = 3 the enumeration; the oracle counts a box
+    # d = 2 below radius 1 takes the closed form, every other case the enumeration; the oracle counts a box
     sig = SplittingSignature(*sig)
     y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(sig.d)), TorusPoint.from_values([0.1] * sig.d))
     xis = orbit_pushforward(y0, t, NeighborhoodV(sig), 40, seed=0).xis
@@ -262,9 +250,8 @@ def test_siegel_values_match_a_brute_force_count(sig, t, radii):
 
 
 def test_enumeration_budget_error():
-    L = LatticeDescriptor.from_matrix(np.eye(2))
     with pytest.raises(BudgetExceededError):
-        list(enumerate_ball(L.basis.entries, 100.0, budget=50))
+        list(enumerate_ball(np.eye(2), 100.0, budget=50))
 
 
 def test_enumerate_ball_complete():
@@ -422,20 +409,6 @@ def test_lll_batch_matches_full_recompute_bit_for_bit():
     # at the (1, 2) and (2, 1) caps, where the reduction takes the most rounds
     _assert_batch_matches_reference(_flowed_stack(1, 2, 8.0, 10_000, rng))
     _assert_batch_matches_reference(_flowed_stack(2, 1, 5.0, 10_000, rng))
-
-
-def test_descriptors_are_frozen_and_a_stack_gives_each_its_lone_reduction():
-    rng = np.random.default_rng(23)
-    stack = np.array([random_basis(rng, 3, spread=2.0) for _ in range(12)])
-    lone = LatticeDescriptor(SpecialLinearMatrix(stack[0]))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        lone.reduction = None
-    descriptors = LatticeDescriptor.of_stack(stack)
-    assert iter(descriptors) is descriptors  # yielded one at a time, not a list
-    for basis, L in zip(stack, descriptors):
-        B, U = LatticeDescriptor(SpecialLinearMatrix(basis)).reduction
-        assert L.basis.entries.tobytes() == basis.tobytes()  # taken as it is
-        assert L.reduction[0].tobytes() == B.tobytes() and L.reduction[1] == U
 
 
 def test_lll_batch_precision_failures_name_the_lowest_failing_row():

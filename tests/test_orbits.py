@@ -1,3 +1,4 @@
+import hashlib
 import math
 import traceback
 
@@ -10,7 +11,6 @@ from horolattice.core import (
     SpecialLinearMatrix,
     SplittingSignature,
     TorusPoint,
-    affine_apply,
     diagonal_flow,
     horo_embed,
     torus_act,
@@ -23,7 +23,7 @@ from horolattice.errors import (
 from horolattice import fundamental, lattices, orbits, sweep
 from horolattice.fundamental import reduce_batch_2x2, reduce_matrix
 from horolattice.harness import decay_fit
-from horolattice.lattices import DEFAULT_BUDGET, LatticeDescriptor, lll_reduce, shortest_vector
+from horolattice.lattices import DEFAULT_BUDGET, lll_reduce, shortest_vector
 from horolattice.orbits import (
     EmpiricalTorusMeasure,
     NeighborhoodV,
@@ -80,9 +80,7 @@ def test_decompose_matches_brute_force_shear():
     box = sl2z_box(60)  # the optimum here is tiny; 60 covers it many times over
     H = np.einsum("ij,kjl->kil", P, box)
     fmin = float(np.sqrt((H * H).sum(axis=(1, 2)) / 2.0).min())
-    from horolattice.fundamental import F_value
-
-    assert F_value(xi) <= fmin + 1e-9
+    assert fundamental._f_of_array(xi.entries) <= fmin + 1e-9
 
 
 def test_decompose_reconstruction_random():
@@ -134,7 +132,7 @@ def test_orbit_siggam_cocycle_independent_path():
     nu = orbit_pushforward(y0, t, V, 300, seed=5)
     for i in range(0, 300, 23):
         mover = diagonal_flow(t, SIG).compose(horo_embed(nu.us[i], SIG))
-        direct = sigma(affine_apply(mover, y0)).as_floats()
+        direct = sigma(AffineLatticePoint(mover.compose(y0.linear), y0.torus)).as_floats()
         gap = np.abs(direct - nu.coords[i])
         assert np.minimum(gap, 1 - gap).max() < 1e-8
 
@@ -320,7 +318,7 @@ def _per_sample_orbit(y0, t, sig, count, seed, budget=DEFAULT_BUDGET):
         coords[i] = point.as_floats()
         gammas[i] = gamma.to_int64()
         xis[i] = xi.entries
-        heights[i] = 1.0 / shortest_vector(LatticeDescriptor(xi), budget)[1]
+        heights[i] = 1.0 / shortest_vector(*lll_reduce(xi.entries), budget)[1]
         if rational:
             nums[i] = [int(c * q) for c in point.coords]
     if rational:
@@ -380,7 +378,7 @@ def test_decompose_batch_matches_per_sample_reference(sig, b0, t, linear):
     nu = orbit_pushforward(y0, t, NeighborhoodV(sig), count, seed=3)
     assert nu.size == count
     assert nu.heights.min() >= 1.0 - 1e-9
-    assert nu.sample(0).gamma.det() == 1
+    assert IntegerMatrix.from_rows(nu.gammas[0].tolist()).det() == 1
     ref = _per_sample_orbit(y0, t, sig, count, seed=3)
     if sig == SIG:
         # the vectorized reduction agrees with the scalar one bit for bit (both build P
@@ -517,10 +515,8 @@ def test_orbit_sample_accessor():
         SpecialLinearMatrix.from_entries(np.eye(2)), TorusPoint.from_values(["1/3", "2/3"])
     )
     nu = orbit_pushforward(y0, 3.0, V, 500, seed=2)
-    s = nu.sample(7)
-    assert s.height_after == pytest.approx(nu.heights[7])
-    assert s.sigma_point.is_rational
-    recon = s.xi.entries @ s.gamma.to_array()
+    assert nu.is_rational and nu.heights[7] >= 1.0 - 1e-9
+    recon = nu.xis[7] @ nu.gammas[7]
     P = (
         diagonal_flow(3.0, SIG).entries
         @ horo_embed(nu.us[7], SIG).entries
@@ -566,6 +562,21 @@ def test_localized_measure_matches_ball_fraction():
     inner = float(nu.weights[dists <= r].sum())
     outer = float(nu.weights[dists <= 5 * r].sum())
     assert inner - 1e-12 <= loc.localization_mass <= outer + 1e-12
+
+
+def test_localized_measure_d3_runs_the_candidate_distance():
+    # d != 2 takes `fundamental.x_distance` per sample (a `candidate_bases`
+    # enumeration).  The box V is narrow so that the 20 samples crowd round
+    # sample 7 and clear the 10/N mass floor; r is small so that each
+    # near sample's enumeration stays cheap.  The weights' bytes are pinned.
+    sig = SplittingSignature(1, 2)
+    y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(3)), TorusPoint.from_values([0.1, 0.2, 0.3]))
+    nu = orbit_pushforward(y0, 0.5, NeighborhoodV(sig, 0.002), 20, seed=0)
+    loc = localized_measure(nu, SpecialLinearMatrix.from_entries(nu.xis[7]), 0.005)
+    assert loc.weights[7] == loc.weights.max()
+    assert hashlib.sha256(loc.weights.tobytes()).hexdigest() == (
+        "3b025e179b16ad4ce6f61acc31ad5d30f72957c85d02e9f6154f44ce59cad6fd"
+    )
 
 
 def einsum_proxy_distances_2x2(xis, z_rep, reach):
@@ -740,18 +751,10 @@ def test_inductive_structure_identity_and_boundary_bound():
         s = t - dt
         mover = diagonal_flow(s, SIG).compose(horo_embed([[u0]], SIG))
         for A in (-0.31, 0.07, 0.44):
-            inner = affine_apply(
-                diagonal_flow(t - s, SIG).compose(horo_embed([[A]], SIG)), y0
-            )
-            lhs = sigma(affine_apply(mover, inner))
-            rhs = sigma(
-                affine_apply(
-                    diagonal_flow(t, SIG).compose(
-                        horo_embed([[A + math.exp(-SIG.d * dt) * u0]], SIG)
-                    ),
-                    y0,
-                )
-            )
+            inner = diagonal_flow(t - s, SIG).compose(horo_embed([[A]], SIG)).compose(y0.linear)
+            lhs = sigma(AffineLatticePoint(mover.compose(inner), y0.torus))
+            outer = diagonal_flow(t, SIG).compose(horo_embed([[A + math.exp(-SIG.d * dt) * u0]], SIG))
+            rhs = sigma(AffineLatticePoint(outer.compose(y0.linear), y0.torus))
             gap = np.abs(lhs.as_floats() - rhs.as_floats())
             assert np.minimum(gap, 1 - gap).max() < 1e-8
 

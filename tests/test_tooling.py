@@ -88,8 +88,9 @@ def test_every_d3_sample_passes_through_decompose_and_reduce_core(monkeypatch):
 
 def test_single_lattice_reductions_are_counted_by_lll_reduce(monkeypatch):
     # the benchmark counts `lattices.lll_reduce` calls as single-lattice
-    # reductions: a lone descriptor makes one, a stack makes one batch
-    # call and none of them, and a d = 3 orbit reduces only in stacks
+    # reductions, wherever a module binds it: minima of a basis with no
+    # reduction ready make one, a Siegel stack makes one batch call and
+    # none of them, and a d = 3 orbit reduces only in stacks
     calls = {"lll_reduce": 0, "lll_reduce_batch": 0}
 
     def counted(name, fn):
@@ -99,16 +100,17 @@ def test_single_lattice_reductions_are_counted_by_lll_reduce(monkeypatch):
 
         return wrapper
 
+    single = counted("lll_reduce", lattices.lll_reduce)
     batch = counted("lll_reduce_batch", lattices.lll_reduce_batch)
-    monkeypatch.setattr(lattices, "lll_reduce", counted("lll_reduce", lattices.lll_reduce))
-    monkeypatch.setattr(lattices, "lll_reduce_batch", batch)
-    monkeypatch.setattr(fundamental, "lll_reduce_batch", batch)
-    lattices.LatticeDescriptor.from_matrix(np.array([[2.0, 3.0], [1.0, 2.0]]))
+    for module in (lattices, fundamental):
+        monkeypatch.setattr(module, "lll_reduce", single)
+        monkeypatch.setattr(module, "lll_reduce_batch", batch)
+    fundamental._minima_sq_of(np.array([[2.0, 3.0], [1.0, 2.0]]), lattices.DEFAULT_BUDGET)
     assert calls == {"lll_reduce": 1, "lll_reduce_batch": 1}
 
     calls.update(lll_reduce=0, lll_reduce_batch=0)
     stack = np.broadcast_to(np.array([[1.0, 5.0, 2.0], [0.0, 1.0, 3.0], [0.0, 0.0, 1.0]]), (7, 3, 3))
-    assert len(list(lattices.LatticeDescriptor.of_stack(stack))) == 7
+    assert lattices.siegel_values(stack, 1.5).shape == (7,)
     assert calls == {"lll_reduce": 0, "lll_reduce_batch": 1}
 
     calls.update(lll_reduce=0, lll_reduce_batch=0)

@@ -326,36 +326,38 @@ def effective_weyl(instances) -> tuple:
     return rows, ratios, cw, cw <= 20.0
 
 
-def _write_csv(path: str, header: Sequence[str], rows) -> str:
-    """Write header and rows as comma-separated lines; returns path.
+def _write_csv(path: str, header: Sequence[str], columns: Sequence) -> str:
+    """Write the header line and the rows of equal-length columns; returns path.
 
-    A float cell (any `float`, numpy's float64 included) is printed as
-    `%.17g`, 17 significant digits, so it reads back as the same double;
-    every other cell as `%s`, its `str`.  Each row is written with one
-    `%` format, built once per tuple of cell types.
+    A column is a sequence of cells: a 1-D numpy array or a list.  A float
+    cell (any `float`, numpy's float64 included) is printed as `%.17g`, so
+    it reads back as the same double; every other cell as its `str`.
+    `csvformat.lines` formats `csvformat.BLOCK_ROWS` rows at a time, with
+    numpy kernels for float64 and integer arrays, to the bytes of that rule.
     """
-    formats = {}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            row = tuple(row)
-            types = tuple(map(type, row))
-            fmt = formats.get(types)
-            if fmt is None:
-                fmt = formats[types] = (
-                    ",".join("%.17g" if issubclass(tp, float) else "%s" for tp in types) + "\n"
-                )
-            fh.write(fmt % row)
+    from . import csvformat  # imported on first use: a run that writes no CSV does not compile it
+
+    n = len(columns[0]) if columns else 0
+    if any(len(column) != n for column in columns):
+        raise ValueError(f"CSV columns differ in length: {[len(column) for column in columns]}")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        for start in range(0, n, csvformat.BLOCK_ROWS):
+            fh.write(csvformat.lines([column[start : start + csvformat.BLOCK_ROWS] for column in columns]))
     return path
 
 
 @dataclass
 class Table:
-    """One artifact of a run: a CSV `header` and its `rows`, or a JSON payload in `rows` when `header` is None."""
+    """One artifact of a run: a CSV `header` and its equal-length columns in `data`, or a JSON payload.
+
+    A table with `header` None is JSON, its payload in `data`; `run`
+    writes the others with `_write_csv`.
+    """
 
     name: str
     header: Optional[Sequence[str]]
-    rows: object
+    data: object
 
 
 def _write_artifact(out: str, table: Table) -> str:
@@ -363,9 +365,9 @@ def _write_artifact(out: str, table: Table) -> str:
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, table.name)
     if table.header is not None:
-        return _write_csv(path, table.header, table.rows)
+        return _write_csv(path, table.header, table.data)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(table.rows, fh, indent=2)
+        json.dump(table.data, fh, indent=2)
     return path
 
 
@@ -387,24 +389,24 @@ def _orbits(cfg: ExperimentConfig) -> Iterator[tuple]:
 def _run_zeta(cfg: ExperimentConfig) -> Iterator:
     b = torus_from_json(list(cfg.b0)) if cfg.b0 else TorusPoint.from_values([0.5])
     Ts = cfg.times()
-    rows = []
+    values = []
     for T in Ts:
         z = zeta(b, T)
-        rows.append(tuple(torus_to_json(b)) + (float(T), z))
+        values.append(z)
         cap = dirichlet_cap(T, b.dim)
         yield CheckResult(
             f"zeta-dirichlet-cap[T={T:g}]",
             z <= cap,
             details={"zeta": z, "cap": cap},
         )
-    values = [row[-1] for row in rows]
     yield CheckResult(
         "zeta-monotone-in-T",
         sorted(Ts) != list(Ts) or all(a <= b for a, b in zip(values, values[1:])),
         details={"values": values},
     )
     header = [f"b{i+1}" for i in range(b.dim)] + ["T", "zeta"]
-    yield Table("zeta.csv", header, rows)
+    columns = [[c] * len(Ts) for c in torus_to_json(b)] + [[float(T) for T in Ts], values]
+    yield Table("zeta.csv", header, columns)
 
 
 def _run_weyl(cfg: ExperimentConfig) -> Iterator:
@@ -413,7 +415,7 @@ def _run_weyl(cfg: ExperimentConfig) -> Iterator:
     instances = (WeylInstance(cfg.alpha, int(T), cfg.x0, cfg.rho) for T in cfg.times())
     rows, ratios, cw, passed = effective_weyl(instances)
     yield CheckResult("weyl-count-bounded", passed, details={"fitted_C_W": cw, "ratios": ratios})
-    yield Table("weyl.csv", ["alpha", "T", "rho", "count", "bound"], rows)
+    yield Table("weyl.csv", ["alpha", "T", "rho", "count", "bound"], list(zip(*rows)))
 
 
 def _run_reduce(cfg: ExperimentConfig) -> Iterator:
@@ -438,16 +440,15 @@ def _run_reduce(cfg: ExperimentConfig) -> Iterator:
     yield Table("reduce.json", None, payload)
 
 
-def _orbit_rows(nu) -> Iterator[tuple]:
-    """Rows (u..., gamma..., sigma..., height_after) of an orbit cloud, as Python scalars."""
+def _orbit_columns(nu) -> list:
+    """Columns (u..., gamma..., sigma..., height_after) of an orbit cloud: float64 and int64 arrays."""
     n = nu.size
-    cols = (
-        nu.us.reshape(n, -1).astype(float, copy=False).T.tolist()
-        + nu.gammas.reshape(n, -1).astype(np.int64, copy=False).T.tolist()
-        + nu.coords.reshape(n, -1).astype(float, copy=False).T.tolist()
-        + [nu.heights.astype(float, copy=False).tolist()]
-    )
-    yield from zip(*cols)
+    return [
+        *nu.us.reshape(n, -1).astype(float, copy=False).T,
+        *nu.gammas.reshape(n, -1).astype(np.int64, copy=False).T,
+        *nu.coords.reshape(n, -1).astype(float, copy=False).T,
+        nu.heights.astype(float, copy=False),
+    ]
 
 
 def _orbit_header(sig: SplittingSignature) -> list:
@@ -465,7 +466,7 @@ def _run_orbit(cfg: ExperimentConfig) -> Iterator:
             abs(float(nu.weights.sum()) - 1.0) <= 1e-12,
             details={"samples": nu.size, "rational": nu.is_rational},
         )
-        yield Table(f"orbit_t{t:g}.csv", _orbit_header(cfg.sig), _orbit_rows(nu))
+        yield Table(f"orbit_t{t:g}.csv", _orbit_header(cfg.sig), _orbit_columns(nu))
 
 
 def _run_fourier(cfg: ExperimentConfig) -> Iterator:
@@ -478,12 +479,10 @@ def _run_fourier(cfg: ExperimentConfig) -> Iterator:
             abs(spec[(0,) * nu.dim] - 1.0) <= 1e-12,
             details={"max_nontrivial": off_grid, "noise_floor": spec.noise_floor},
         )
-        rows = [
-            tuple(m) + (c.real, c.imag, abs(c))
-            for m, c in sorted(spec.coeffs.items())
-        ]
+        ms, cs = zip(*sorted(spec.coeffs.items()))
         header = [f"m{i+1}" for i in range(nu.dim)] + ["re", "im", "abs"]
-        yield Table(f"fourier_t{t:g}.csv", header, rows)
+        columns = list(zip(*ms)) + [[c.real for c in cs], [c.imag for c in cs], [abs(c) for c in cs]]
+        yield Table(f"fourier_t{t:g}.csv", header, columns)
     slope, resid, used = fourier_decay_fit(series, spec.noise_floor)
     if slope is not None:
         yield CheckResult(
@@ -504,7 +503,7 @@ def _run_concentration(cfg: ExperimentConfig) -> Iterator:
             details={"mass": mass},
         )
     header = [f"p{i+1}" for i in range(cfg.sig.d)] + ["rho", "mass"]
-    yield Table("concentration.csv", header, rows)
+    yield Table("concentration.csv", header, list(zip(*rows)))
 
 
 def _run_gamma_orbit(cfg: ExperimentConfig) -> Iterator:
@@ -516,16 +515,14 @@ def _run_gamma_orbit(cfg: ExperimentConfig) -> Iterator:
         summary = gamma_orbit_summary(gamma_orbit(x_rep, m0, s, V, cfg.samples, cfg.seed, cfg.epsilon, cfg.budget))
         rows.append((float(s), summary["kept_fraction"], summary["emitted_radius"], summary["max_bin_mass"]))
         yield CheckResult(f"gamma-orbit[s={s:g}]", summary["kept_fraction"] > 0, details=summary)
-    yield Table(
-        "gamma_orbit.csv", ["s", "kept_fraction", "emitted_radius", "max_bin_mass"], rows
-    )
+    yield Table("gamma_orbit.csv", ["s", "kept_fraction", "emitted_radius", "max_bin_mass"], list(zip(*rows)))
 
 
 def _run_siegel(cfg: ExperimentConfig) -> Iterator:
     for t, nu in _orbits(cfg):
         check, values = siegel_check(f"siegel-average[t={t:g}]", nu, cfg.radius, cfg.budget)
         yield check
-        yield Table(f"siegel_t{t:g}.csv", ["sample", "value"], enumerate(values.tolist()))
+        yield Table(f"siegel_t{t:g}.csv", ["sample", "value"], [np.arange(len(values)), values])
 
 
 def _run_acceptance(cfg: ExperimentConfig) -> Iterator:
@@ -565,7 +562,7 @@ def run(cfg: ExperimentConfig) -> RunReport:
             report.checks.append(item)
             continue
         if item.header is None:
-            report.result = item.rows
+            report.result = item.data
         if cfg.out is not None:
             report.artifacts.append(_write_artifact(cfg.out, item))
     report.wall_time = time.time() - start

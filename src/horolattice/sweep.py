@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from typing import NamedTuple
 
 import numpy as np

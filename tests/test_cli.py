@@ -1,12 +1,16 @@
 import dataclasses
 import json
 import math
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from horolattice import cli, harness
+from horolattice import cli, csvformat, harness
 from horolattice.core import IntegerMatrix
 
 
@@ -180,17 +184,17 @@ def test_reduce_result_is_a_report_field():
     assert report.result["gamma"] and report.result["certificate"] > 0
 
 
-def reference_write_csv(path, header, rows):
-    """The per-cell CSV writer the cached row formats replaced."""
+def reference_write_csv(path, header, columns):
+    """The per-cell CSV writer that the block kernels replaced, over the rows of the columns."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
+        for row in zip(*columns):
             fh.write(",".join(f"{float(x):.17g}" if isinstance(x, float) else str(x) for x in row) + "\n")
     return path
 
 
-def reference_orbit_rows(nu):
-    """The per-cell orbit rows the column conversion replaced."""
+def reference_orbit_columns(nu):
+    """The orbit columns as lists of Python scalars, one cell at a time."""
     rows = []
     for i in range(nu.size):
         row = tuple(float(x) for x in nu.us[i].ravel())
@@ -198,45 +202,118 @@ def reference_orbit_rows(nu):
         row += tuple(float(x) for x in nu.coords[i])
         row += (float(nu.heights[i]),)
         rows.append(row)
-    return rows
+    return [list(column) for column in zip(*rows)]
+
+
+def run_csv_files(config, out):
+    """{name: bytes} of the CSV artifacts of one run of the config into directory out."""
+    report = harness.run(harness.ExperimentConfig.from_json({"out": str(out), **config}))
+    return {Path(p).name: Path(p).read_bytes() for p in report.artifacts if p.endswith(".csv")}
 
 
 @pytest.mark.parametrize(
     "config",
     [
-        {"m": 1, "n": 1, "t": 4.0, "samples": 3000, "b0": [math.sqrt(2) - 1, math.sqrt(3) - 1]},
-        {"m": 1, "n": 2, "t": 2.0, "samples": 150, "b0": ["1/3", "2/3", "1/5"]},
-        {"m": 1, "n": 1, "t_grid": [2.0, 6.0], "samples": 1000, "b0": ["1/3", "2/3"]},
+        {"kind": "orbit", "t": 4.0, "samples": 5000, "b0": [math.sqrt(2) - 1, math.sqrt(3) - 1]},
+        {"kind": "orbit", "m": 1, "n": 2, "t": 2.0, "samples": 150, "b0": ["1/3", "2/3", "1/5"]},
+        {"kind": "orbit", "t_grid": [2.0, 6.0], "samples": 1000, "b0": ["1/3", "2/3"]},
+        {"kind": "zeta", "t_grid": [10, 50, 200], "b0": [math.sqrt(2) - 1]},
+        {"kind": "zeta", "t_grid": [10, 50], "b0": ["1/3"]},
+        {"kind": "weyl", "t_grid": [100, 1000], "alpha": math.sqrt(2) - 1},
+        {"kind": "fourier", "t_grid": [1.0, 2.0, 3.0, 4.0], "samples": 500, "max_freq": 2, "b0": [0.1, 0.2]},
+        {"kind": "concentration", "t_grid": [1.0, 2.0], "samples": 300, "rho": 0.1, "b0": ["1/3", "1/2"]},
+        {"kind": "gamma-orbit", "t_grid": [1.0, 2.0], "samples": 300},
+        {"kind": "siegel", "t": 4.0, "samples": 1000, "radius": 0.3},
+        {"kind": "siegel", "t": 4.0, "samples": 200, "radius": 1.5},
     ],
-    ids=["float-fiber-11", "rational-fiber-12", "t-grid"],
+    ids=[
+        "float-fiber-11", "rational-fiber-12", "t-grid", "zeta", "zeta-rational", "weyl",
+        "fourier", "concentration", "gamma-orbit", "siegel-closed-form", "siegel-enumerated",
+    ],
 )
 def test_orbit_csv_matches_per_cell_reference(config, tmp_path, monkeypatch):
-    def csv_files(out):
-        report = harness.run(harness.ExperimentConfig.from_json({"kind": "orbit", "out": str(out), **config}))
-        paths = [p for p in report.artifacts if p.endswith(".csv")]
-        assert len(paths) == len(config.get("t_grid", [0]))
-        return {Path(p).name: Path(p).read_bytes() for p in paths}
-
-    got = csv_files(tmp_path / "new")
+    # every CSV kind; the 5000-row orbit spans two blocks of the writer, and
+    # siegel's closed form gives a float64 column, its enumeration an int64 one
+    got = run_csv_files(config, tmp_path / "new")
+    one_per_t = config["kind"] in ("orbit", "fourier", "siegel")
+    assert len(got) == (len(config.get("t_grid", [0])) if one_per_t else 1)
     monkeypatch.setattr(harness, "_write_csv", reference_write_csv)
-    monkeypatch.setattr(harness, "_orbit_rows", reference_orbit_rows)
-    assert got == csv_files(tmp_path / "reference")
+    monkeypatch.setattr(harness, "_orbit_columns", reference_orbit_columns)
+    assert got == run_csv_files(config, tmp_path / "reference")
 
 
 def test_write_csv_matches_per_cell_reference_on_every_cell_type(tmp_path):
-    from fractions import Fraction
-
     cells = (
         -0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, 1e300, np.float64(2 / 3), np.int64(-3),
         np.float32(0.1), np.bool_(False), True, 7, Fraction(1, 3), "a%s,b",
     )
-    rows = [cells, tuple(reversed(cells)), [1.5, 2]]
-    # one column changes type from row to row
-    rows += [(x, 1) for x in (0.25, 3, np.int64(4), np.float64(0.5), "x", Fraction(5, 2), 0.25)]
-    header = ["c"] * len(cells)
-    got = harness._write_csv(str(tmp_path / "new.csv"), header, rows)
-    ref = reference_write_csv(str(tmp_path / "ref.csv"), header, rows)
-    assert Path(got).read_bytes() == Path(ref).read_bytes()
+    floats = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, 1e300, 2 / 3, -1e-5, 123456.75])
+    singles = np.array([0.1, 2 / 3, -1e-5, 3e38, 1e-45, -0.0, math.nan, math.inf, 7.0, 123456.75], dtype=np.float32)
+    long = np.random.default_rng(0).standard_normal(10_000) * 10.0 ** np.arange(-8, 17).repeat(400)
+    tables = [
+        # each cell type in a column, as in the two rows (cells, reversed cells)
+        [[c, r] for c, r in zip(cells, reversed(cells))],
+        [[1.5], [2]],
+        # one column changes type from row to row
+        [[0.25, 3, np.int64(4), np.float64(0.5), "x", Fraction(5, 2), 0.25], [1] * 7],
+        # the kernels' columns next to the per-cell ones: float32 and bool arrays
+        [floats, np.arange(-5, 5), np.arange(10, dtype=np.int32), singles, floats > 0],
+        [np.array([2**63 - 1, -(2**63), 0]), np.array([-1, 10**18, -(10**17)])],
+        # more rows than one block: long runs split into several
+        [long, np.arange(10_000) * 7919 - 10**7, long.astype(np.float32)],
+        [np.array([]), np.array([], dtype=np.int64)],
+    ]
+    for i, columns in enumerate(tables):
+        header = [f"c{j}" for j in range(len(columns))]
+        got = harness._write_csv(str(tmp_path / f"new{i}.csv"), header, columns)
+        ref = reference_write_csv(str(tmp_path / f"ref{i}.csv"), header, columns)
+        assert Path(got).read_bytes() == Path(ref).read_bytes(), i
+    with pytest.raises(ValueError, match="differ in length"):
+        harness._write_csv(str(tmp_path / "ragged.csv"), ["a", "b"], [[1.5], [2, 3]])
+
+
+def kernel_cells(column):
+    """The cells of a one-column table (a numpy array), as the block writer prints them."""
+    return csvformat.lines([column]).decode().split("\n")[:-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats() | st.floats(1e-7, 1e18) | st.floats(-1e18, -1e-7), min_size=1, max_size=40))
+def test_float_kernel_prints_every_double_as_printf(values):
+    assert kernel_cells(np.array(values, dtype=np.float64)) == ["%.17g" % v for v in values]
+
+
+def test_float_kernel_prints_the_edges_as_printf():
+    edges = []
+    for k in range(-8, 19):
+        p = float(f"1e{k}")
+        edges += [np.nextafter(p, 0), p, np.nextafter(p, math.inf)]
+    # the fixed/exponent switches at 1e-4 and 1e17 are among the powers above
+    edges += [9.9999999999999991e-05, 0.0001, 99999999999999984.0, 1e17]
+    # dyadic half-way ties: 18 significant digits ending in 5, so the 17th
+    # rounds to even, down (...312|5) and up (...937|5)
+    ties = [(2**17 + 1) / 2**17, (2**17 + 3) / 2**17, (2**18 - 1) / 2**18, 9 + 2**-17]
+    for tie in ties:
+        digits = Decimal(tie).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, tie
+    # the doubles just below each 10^(17-s), s = 0..22, the ones nearest to
+    # carrying into the next exponent: scaled by 10^s each stays a whole 8
+    # or more below 1e17, so 17-digit rounding never reaches 10^17
+    below = []
+    for s in range(23):
+        x = float(Fraction(10) ** (17 - s))
+        below.append(x if Fraction(x) < Fraction(10) ** (17 - s) else float(np.nextafter(x, 0)))
+        assert Fraction(10) ** 17 - Fraction(below[-1]) * 10**s >= 8
+    subnormals = [5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308]
+    special = [0.0, -0.0, math.nan, math.inf, -math.inf]
+    values = edges + ties + below + subnormals
+    values = values + [-v for v in values] + special
+    assert kernel_cells(np.array(values)) == ["%.17g" % v for v in values]
+
+
+def test_int_kernel_prints_as_str():
+    values = [2**63 - 1, -(2**63 - 1), -(2**63), 0, -1, 9, 10, -10**18, 10**18 - 1]
+    assert kernel_cells(np.array(values, dtype=np.int64)) == [str(v) for v in values]
 
 
 def test_every_field_flag_reaches_the_config(tmp_path):

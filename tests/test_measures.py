@@ -15,7 +15,6 @@ from horolattice.errors import PrecisionError
 from horolattice.measures import (
     MAX_PHASE_DENOMINATOR,
     FlatteningInstance,
-    FlatteningSearchError,
     _verify_flattening,
     ball_mass,
     flatten_weights,

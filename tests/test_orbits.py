@@ -22,7 +22,6 @@ from horolattice.errors import (
 )
 from horolattice import fundamental, lattices, orbits, sweep
 from horolattice.fundamental import reduce_batch_2x2, reduce_matrix
-from horolattice.harness import decay_fit
 from horolattice.lattices import DEFAULT_BUDGET, lll_reduce, shortest_vector
 from horolattice.orbits import (
     EmpiricalTorusMeasure,

@@ -4,7 +4,8 @@
 rebinds them in every module that imported them; `perfbench/workloads.py`
 calls the program through its modules.  A refactor that drops or renames
 one of them should fail here, not crash the benchmark.  Likewise every
-name in a module's `__all__` must resolve.
+name in a module's `__all__` must resolve, and every name that `src/` or
+`tests/` imports must be read.
 """
 
 import ast
@@ -117,3 +118,44 @@ def test_single_lattice_reductions_are_counted_by_lll_reduce(monkeypatch):
     y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(3)), TorusPoint.from_values(["1/3", "2/3", "1/5"]))
     orbits.orbit_pushforward(y0, 4.0, orbits.NeighborhoodV(SplittingSignature(1, 2)), 40, seed=0)
     assert calls["lll_reduce"] == 0 and calls["lll_reduce_batch"] > 0
+
+
+def unread_imports(source: str) -> list:
+    """(line, name) of each name an import binds that the module never reads.
+
+    A name counts as read where it is loaded, attribute roots included,
+    where a quoted annotation names it, or where `__all__` lists it.
+    """
+    tree = ast.parse(source)
+    bound, read, quoted = [], set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, alias.asname or alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, alias.asname or alias.name) for alias in node.names]
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            quoted.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            quoted.append(node.returns)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(e.value for e in node.value.elts)
+    for note in quoted:
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            read.update(n.id for n in ast.walk(ast.parse(note.value, mode="eval")) if isinstance(n, ast.Name))
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def test_every_imported_name_is_read():
+    root = Path(__file__).resolve().parents[1]
+    files = sorted([*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")])
+    unread = [
+        f"{path.relative_to(root)}:{line} {name}"
+        for path in files
+        for line, name in unread_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert unread == []
+    # the check sees unread imports, and reads attribute roots and quoted annotations
+    source = "import os\nimport math\nfrom typing import Union, List\nx = math.pi\ndef f(a: 'List[int]'): pass\n"
+    assert unread_imports(source) == [(1, "os"), (3, "Union")]

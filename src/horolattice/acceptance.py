@@ -540,7 +540,7 @@ def criterion_ball_mass(budget=DEFAULT_BUDGET, cache=None, count: int = 100_000)
     radii = (0.1, 0.07, 0.05)
     masses = []
     for r in radii:
-        loc = localized_measure(nu, z, r, budget)
+        loc = localized_measure(nu, z, r)
         masses.append(loc.localization_mass)
     slope, _, resid = decay_fit([(math.log(r), m) for r, m in zip(radii, masses)])
     return [

@@ -62,10 +62,17 @@ forces |y| <= 1, and |mu| + sqrt((room - |b2*|^2) / |b1|^2) < 3 forces
 {(+-1, 0), (a, +-1) : |a| <= 2}, and so is C.  Margins of 1e-9 relative
 cover the rounding.  Gauss reduction is checked on the seed as computed,
 so a row that the loop's round cap stopped early fails unless reduced.
+
+The proxy distance from a reduced xi to a base point z,
+min over C in SL_d(Z) of |xi C z^{-1} - Id|_F, is defined here once for
+d in {2, 3}: `_proxy_distances` over a stack, `x_distance` for one pair.
+Within reach each column of C lies in an integer coefficient window, so
+the candidates are the det +1 matrices of the windows, scored in blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -80,6 +87,7 @@ from .core import (
     _bezout,
     _cross,
     _int_adjugate,
+    _int_det,
     _inv_unimodular,
     _renormalized,
 )
@@ -92,8 +100,6 @@ __all__ = [
     "factorization_residuals",
     "certify_factorization",
     "iota",
-    "candidate_bases",
-    "matrix_distance",
     "x_distance",
     "reduce_batch_2x2",
 ]
@@ -604,65 +610,163 @@ def iota(g, budget: int = DEFAULT_BUDGET) -> SpecialLinearMatrix:
     return reduce_matrix(g, budget).rep
 
 
-def candidate_bases(B: np.ndarray, frobenius_bound: float, budget: int = DEFAULT_BUDGET):
-    """All determinant-1 matrices with columns in the lattice of LLL basis B and |.|_F <= bound.
+# -- the proxy distance to a base point z ------------------------------------
 
-    Complete within the bound; sorted deterministically.  Any
-    unimodular matrix has Frobenius norm at least sqrt(d), so small
-    bounds legitimately return the empty list.
+@functools.cache
+def _bezout_table(P: int) -> np.ndarray:
+    """[p + P, r + P] holds (x, y) with p x + r y = 1 if gcd(p, r) = 1, else (0, 0)."""
+    span = range(-P, P + 1)
+    return np.array(
+        [[_bezout((p, r)) if math.gcd(p, r) == 1 else (0, 0) for r in span] for p in span], dtype=np.int64
+    )
+
+
+def _ragged(counts: np.ndarray):
+    """(owner, position) of every item when owner i holds counts[i] items, in order."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+
+
+#: Items per block of `_proxy_distances`: first columns at d = 2, where a
+#: block peaks near 3 MB at reach 4 (2.3 candidates per first column) and
+#: 2^10-2^16 timed alike; candidates at d = 3.
+_LOC_BLOCK = 1 << 12
+
+
+def _line_candidates_2x2(own, pos, lo, hi):
+    """(owner, C) of every det +1 C of rows own whose columns lie in their windows [lo, hi], d = 2.
+
+    Item pos of a row is a first column (p, r) of its window; a primitive
+    one meets the second columns of det +1 on the line (q0, s0) + k (p, r)
+    through a Bezout solution, cut to the second window.
     """
-    if not math.isfinite(frobenius_bound):
-        raise ValueError("bound must be finite")
-    d = B.shape[0]
-    boundsq = frobenius_bound * frobenius_bound
-    minima_sq = [x * x for x in successive_minima(B, budget)]
-    if sum(minima_sq) > boundsq * (1 + 1e-12):
-        return []
+    width = hi[own, 1, 0] - lo[own, 1, 0] + 1
+    p, r = lo[own, 0, 0] + pos // width, lo[own, 1, 0] + pos % width
+    P = 1 << int(max(np.abs(p).max(), np.abs(r).max())).bit_length()
+    x, y = np.moveaxis(_bezout_table(P)[p + P, r + P], 1, 0)
+    prim = p * x + r * y == 1
+    own, p, r, q0, s0 = own[prim], p[prim], r[prim], -y[prim], x[prim]
+    # p s - r q = 1 on (q, s) = (q0, s0) + k (p, r); k is in the second
+    # window strictly between the bounds below: half-integers over p or
+    # r, never integers, so their floor and ceil are exact; where p or
+    # r is 0, they are -inf and +inf or cut every k
+    with np.errstate(divide="ignore"):
+        bq = (lo[own, 0, 1] - 0.5 - q0) / p, (hi[own, 0, 1] + 0.5 - q0) / p
+        bs = (lo[own, 1, 1] - 0.5 - s0) / r, (hi[own, 1, 1] + 0.5 - s0) / r
+    left = np.floor(np.maximum(np.minimum(*bq), np.minimum(*bs)))
+    right = np.ceil(np.minimum(np.maximum(*bq), np.maximum(*bs)))
+    c, pos = _ragged(np.maximum(right - left - 1.0, 0.0).astype(np.int64))
+    k = left[c].astype(np.int64) + 1 + pos
+    p, r = p[c], r[c]
+    return own[c], np.stack([p, q0[c] + k * p, r, s0[c] + k * r], axis=1).reshape(-1, 2, 2)
+
+
+def _box_candidates_3x3(own, pos, lo, hi):
+    """(owner, C) of every det +1 C of rows own whose columns lie in their windows [lo, hi], d = 3.
+
+    Item pos of a row is a point of the product of its three column
+    windows, its nine entries the digits of pos; det C is exact in int64.
+    """
+    base = lo.reshape(-1, 9)[own]
+    width = (hi - lo + 1).reshape(-1, 9)[own]
+    C = np.empty_like(base)
+    for k in range(9):
+        pos, C[:, k] = np.divmod(pos, width[:, k])
+    C = (C + base).reshape(-1, 3, 3)
+    unimodular = _int_det(C.transpose(1, 2, 0)) == 1
+    return own[unimodular], C[unimodular]
+
+
+def _proxy_distances(xis: np.ndarray, z_rep: SpecialLinearMatrix, reach: float) -> np.ndarray:
+    """Proxy distances min_C |xi C z^{-1} - Id|_F over C in SL_d(Z), d in {2, 3}, vectorized.
+
+    xis is a stack (N, d, d) of reduced representatives.  Exact wherever
+    the distance is at most `reach` = rho; beyond it, a larger value, or
+    +inf when no C comes within reach.  With M = xi C z^{-1} - Id,
+    xi c_j - z_j = M z_j, so |M|_F <= rho puts each column c_j of C in
+    the coefficient window
+
+        |c_ij - (xi^{-1} z_j)_i| <= |row_i xi^{-1}|_2 rho |z_j|_2,
+
+    xi^{-1} = adj xi.  The windows are widened to
+    |row_i adj xi| |z_j| (rho + 1e-9) 1.0001: 1e-9 covers det xi's drift
+    from 1, the factor the rounding of the windows and of the distance.
+    Within reach |xi C|_F <= S = |z|_F (1 + rho) + 1e-9, so rows are
+    dropped first where no C can reach: at d = 2 where |xi|_F > S, as xi
+    is Frobenius-minimal in its coset (F = |.|_F / sqrt 2); at d = 3
+    where F(xi) > S, as xi is F-minimal and F(xi C) <= |xi C|_F, with
+    1e-9 relative for TIE_TOL and the rounding.  The candidates
+    (`_line_candidates_2x2`, `_box_candidates_3x3`) run in blocks of rows
+    of about _LOC_BLOCK items, so memory stays flat in N.
+
+    The rounding of every step is fixed, so a test pins the distances
+    bit for bit: xi C is the explicit sum of xi[:, :, k] C[k] over k,
+    each product rounded before the add (a matmul would fuse them into
+    an FMA); the product with z^{-1} is one BLAS call over the rows of a
+    block; 1 is subtracted on the diagonal only; the squared Frobenius
+    norm adds the entries in row-major order.
+    """
+    za = z_rep.entries
+    d = za.shape[0]
+    if d not in (2, 3):
+        raise ValueError(f"the proxy distance is computed for d in {{2, 3}} only, not d = {d}")
+    S = math.sqrt(float((za * za).sum())) * (1.0 + reach) + 1e-9
+    dists = np.full(xis.shape[0], np.inf)
     if d == 2:
-        cs = _candidates_2d(B, boundsq, minima_sq[0], budget)
-    elif d == 3:
-        cs = _candidates_3d(B, boundsq, minima_sq, budget)
+        live = np.flatnonzero(np.sqrt((xis * xis).sum(axis=(1, 2))) <= S)
     else:
-        raise ValueError("candidate enumeration is certified for d in {2, 3} only")
-    ident = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-    rows_set = {ident}
-    rows_set.update(cs)
-    out = []
-    for rows in rows_set:
-        h = B @ np.array(rows, dtype=float)
-        if float((h * h).sum()) <= boundsq * (1 + 1e-12):
-            out.append(h)
-    out.sort(key=lambda h: _lex_key(h).tolist())
-    return [SpecialLinearMatrix.from_entries(h) for h in out]
+        live = np.flatnonzero(_f_of_stack(xis) <= S * (1 + 1e-9))
+    X = xis[live]
+    adj = np.moveaxis(np.array(_int_adjugate(X.transpose(1, 2, 0))), -1, 0)
+    # window [i, j] bounds entry i of column j
+    half = np.sqrt((adj * adj).sum(axis=2))[:, :, None] * np.sqrt((za * za).sum(axis=0))
+    half *= (reach + 1e-9) * 1.0001
+    centre = adj @ za
+    lo = np.ceil(centre - half).astype(np.int64)
+    hi = np.floor(centre + half).astype(np.int64)
+    # lattice points per column window; the items are first columns at d = 2, candidates at d = 3
+    sizes = np.maximum(hi - lo + 1, 0).prod(axis=1)
+    items = sizes[:, 0] if d == 2 else sizes.prod(axis=1)
+    keep = np.all(sizes > 0, axis=1)
+    live, X, lo, hi, items = live[keep], X[keep], lo[keep], hi[keep], items[keep]
+    candidates = _line_candidates_2x2 if d == 2 else _box_candidates_3x3
+    ends = np.cumsum(items)
+    start = 0
+    while start < live.size:
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - items[start] + _LOC_BLOCK, "right")))
+        own, pos = _ragged(items[start:stop])
+        own, C = candidates(own + start, pos, lo, hi)
+        start = stop
+        if own.size == 0:
+            continue
+        C = C.astype(float)
+        Xc = X[own]
+        H = Xc[:, :, 0, None] * C[:, None, 0, :]
+        for k in range(1, d):
+            H += Xc[:, :, k, None] * C[:, None, k, :]
+        D = (H.reshape(-1, d) @ z_rep.inverse).reshape(-1, d * d)
+        D[:, :: d + 1] -= 1.0
+        np.multiply(D, D, out=D)
+        dsq = D[:, 0] + D[:, 1]
+        for k in range(2, d * d):
+            dsq += D[:, k]
+        # candidates come grouped by row, rows in order
+        first = np.flatnonzero(np.diff(own, prepend=-1))
+        dists[live[own[first]]] = np.sqrt(np.minimum.reduceat(dsq, first))
+    return dists
 
 
-def matrix_distance(g, h) -> float:
-    """Proxy metric on the group: |g h^{-1} - Id|_F."""
-    ga = g.entries if isinstance(g, SpecialLinearMatrix) else np.asarray(g, dtype=float)
-    hi = h.inverse if isinstance(h, SpecialLinearMatrix) else _inv_unimodular(np.asarray(h, dtype=float))
-    d = ga.shape[0]
-    diff = ga @ hi - np.eye(d)
-    return float(np.sqrt((diff * diff).sum()))
+def x_distance(rep_x, rep_z, max_distance: float = 1.0) -> float:
+    """Proxy metric between cosets, d in {2, 3}: `_proxy_distances` of one pair.
 
-
-def x_distance(rep_x, rep_z, max_distance: float = 1.0, budget: int = DEFAULT_BUDGET) -> float:
-    """Proxy metric between cosets: min over candidates of matrix_distance.
-
-    Exact whenever the true distance is below `max_distance` (the
-    candidate bound is derived from it); values above `max_distance`
-    may be overestimates, which suffices for bump localization.
+    rep_x must be a reduced representative (`reduce_matrix`), as the
+    kernel's row prune assumes.  Exact wherever the distance is at most
+    `max_distance`; beyond it a larger value, or +inf where no C comes
+    within `max_distance`.
     """
     xa = rep_x.entries if isinstance(rep_x, SpecialLinearMatrix) else np.asarray(rep_x, dtype=float)
-    za = rep_z.entries if isinstance(rep_z, SpecialLinearMatrix) else np.asarray(rep_z, dtype=float)
-    z_frob = math.sqrt(float((za * za).sum()))
-    bound = z_frob * (1.0 + max_distance) + BOUND_MARGIN
-    B, _ = lll_reduce(SpecialLinearMatrix.from_entries(xa).entries)
-    best = matrix_distance(xa, za)
-    for h in candidate_bases(B, bound, budget):
-        dist = matrix_distance(h.entries, za)
-        if dist < best:
-            best = dist
-    return best
+    z = rep_z if isinstance(rep_z, SpecialLinearMatrix) else SpecialLinearMatrix.from_entries(rep_z)
+    return float(_proxy_distances(xa[None], z, max_distance)[0])
 
 
 # -- the d = 2 seed, sweep and certificate ----------------------------------

@@ -121,6 +121,13 @@ class ExperimentConfig:
             raise ConfigError(f"unsupported config schema {self.schema}")
         if self.m < 1 or self.n < 1:
             raise ConfigError("m and n must be positive")
+        if self.t is not None or self.t_grid:
+            # a NaN passes every cap check below, as it compares false
+            for t in self.times():
+                if not math.isfinite(t):
+                    raise ConfigError(f"time {t} is not finite")
+        if self.kind == "siegel" and not (math.isfinite(self.radius) and self.radius > 0):
+            raise ConfigError(f"siegel needs a finite positive --radius, got {self.radius}")
         if self.kind in _STATISTICAL_KINDS:
             # zeta and weyl read cfg.times() as horizons T, not flow times
             cap = PRECISION_CAPS.get((self.m, self.n))

@@ -16,7 +16,8 @@ Two enumeration engines drive everything exhaustive here:
   ~lambda_d^d nodes there.
 * `enumerate_ball`: fixed-radius Fincke-Pohst walk yielding every
   lattice vector in a Euclidean ball, used where the full list is the
-  point (Siegel transforms, candidate bases, sup-norm certification).
+  point (Siegel transforms, the reduction's candidate columns, sup-norm
+  certification).
 
 Budgets are hard errors, never silent truncation.  Sup-norm questions
 are certified by the Euclidean ball of radius sqrt(d) times the best sup
@@ -194,11 +195,11 @@ def constrained_shortest(
 ):
     """Shortest vector outside the span of the first `span_exclude` columns.
 
-    Returns (coefficient tuple, squared length, nodes visited).  With
-    span_exclude = 0 only the zero vector is excluded.  The walk is
-    Schnorr-Euchner: per-level zig-zag around the Babai center (so the
-    per-level cost sequence is nondecreasing and a failed value ends the
-    level), with the radius shrinking to every new best.
+    Returns (coefficient tuple, squared length).  With span_exclude = 0
+    only the zero vector is excluded.  The walk is Schnorr-Euchner:
+    per-level zig-zag around the Babai center (so the per-level cost
+    sequence is nondecreasing and a failed value ends the level), with
+    the radius shrinking to every new best.
     """
     B = np.asarray(B, dtype=float)
     d = B.shape[0]
@@ -266,7 +267,7 @@ def constrained_shortest(
         else:
             i += 1
             if i == d:
-                return best_c, best2, nodes
+                return best_c, best2
             advance(i)
 
 
@@ -340,23 +341,15 @@ def enumerate_ball(
     yield from walk(d - 1, 0.0)
 
 
-def _map_coeff(U, c):
-    """Original-basis coefficients of the reduced-coordinate vector c."""
-    d = len(c)
-    return tuple(sum(U[i][j] * c[j] for j in range(d)) for i in range(d))
-
-
-def shortest_vector(B: np.ndarray, U, budget: int = DEFAULT_BUDGET):
+def shortest_vector(B: np.ndarray, budget: int = DEFAULT_BUDGET):
     """Certified shortest nonzero vector in the sup norm of the lattice of LLL basis B.
 
-    U is B's LLL transform, so the original basis is B U^{-1}.  Returns
-    (coefficients in the original basis, length).  Every vector
-    of the Euclidean ball of radius sqrt(d) s0 around 0, s0 the least
-    column sup-norm of the LLL basis B, is enumerated, and its sup-norm
-    is that of B @ c.  Tie-break is deterministic: smallest (length,
-    coefficient tuple).  A stack's lengths come from `stack_heights`
-    with these bits.  The Euclidean first minimum is
-    `successive_minima(B)[0]`.
+    Returns (coefficients c with respect to B, length).  Every vector of
+    the Euclidean ball of radius sqrt(d) s0 around 0, s0 the least column
+    sup-norm of B, is enumerated, and its sup-norm is that of B @ c.
+    Tie-break is deterministic: smallest (length, coefficient tuple).  A
+    stack's lengths come from `stack_heights` with these bits.  The
+    Euclidean first minimum is `successive_minima(B)[0]`.
     """
     d = B.shape[0]
     s0 = float(min(np.abs(B[:, j]).max() for j in range(d)))
@@ -368,7 +361,7 @@ def shortest_vector(B: np.ndarray, U, budget: int = DEFAULT_BUDGET):
             if best is None or cand < best:
                 best = cand
     length, c = best
-    return _map_coeff(U, c), length
+    return c, length
 
 
 def _complete_to_unimodular(tail: Sequence[int]) -> list:
@@ -419,7 +412,7 @@ def successive_minima(B: np.ndarray, budget: int = DEFAULT_BUDGET) -> list:
     cur = B.copy()
     minima = []
     for j in range(d):
-        c, l2, _ = constrained_shortest(cur, j, budget)
+        c, l2 = constrained_shortest(cur, j, budget)
         minima.append(math.sqrt(l2))
         if j == d - 1:
             break
@@ -488,7 +481,7 @@ def stack_heights(bases: np.ndarray, budget: int = DEFAULT_BUDGET, t: Optional[f
     spend budget.  A failure names the sample as a stage "height" at t
     (an LLL failure the lowest failing row).
     """
-    B, U = lll_reduce_batch(bases, stage="height", t=t)
+    B, _ = lll_reduce_batch(bases, stage="height", t=t)
     d = B.shape[-1]
     r = math.sqrt(d) * np.abs(B).max(axis=1).min(axis=1)
     spans = r[:, None] * np.sqrt((_inv_unimodular(B) ** 2).sum(axis=2))
@@ -500,7 +493,7 @@ def stack_heights(bases: np.ndarray, budget: int = DEFAULT_BUDGET, t: Optional[f
         lengths[rows] = _box_lengths(B[rows], r[rows])
     for i in np.flatnonzero(~certified):
         with _naming_sample("height", int(i), t):
-            lengths[i] = shortest_vector(B[i], U[i], budget)[1]
+            lengths[i] = shortest_vector(B[i], budget)[1]
     return 1.0 / lengths
 
 

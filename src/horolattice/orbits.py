@@ -30,13 +30,12 @@ Its callers (`orbit_pushforward`, `gamma_orbit`) do the rest on whole
 arrays: the fiber and the regularity gate have one formula for every
 signature, and only the heights branch on d (a closed form for d = 2,
 `lattices.stack_heights` for d = 3).  A failure names the stage, the
-sample (or the base point) and t.
+sample (or the base point) and t.  `localized_measure` reweights an orbit
+by a bump in `fundamental._proxy_distances`, one kernel for d = 2 and 3.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -47,7 +46,6 @@ from .core import (
     SpecialLinearMatrix,
     SplittingSignature,
     TorusPoint,
-    _bezout,
     _inv_unimodular,
     _mod1,
     diagonal_flow_vector,
@@ -60,13 +58,13 @@ from .errors import (
 )
 from .fundamental import (
     RESIDUAL_TOL,
+    _proxy_distances,
     _reduce_core,
     _reduced_matrix,
     _search_starts,
     certify_factorization,
     reduce_batch_2x2,
     reduce_matrix,
-    x_distance,
 )
 from .lattices import DEFAULT_BUDGET, stack_heights
 
@@ -377,135 +375,21 @@ def _bump(s: np.ndarray) -> np.ndarray:
     return 1.0 - (3.0 * x * x - 2.0 * x * x * x)
 
 
-@functools.cache
-def _bezout_table(P: int) -> np.ndarray:
-    """[p + P, r + P] holds (x, y) with p x + r y = 1 if gcd(p, r) = 1, else (0, 0)."""
-    span = range(-P, P + 1)
-    return np.array(
-        [[_bezout((p, r)) if math.gcd(p, r) == 1 else (0, 0) for r in span] for p in span], dtype=np.int64
-    )
-
-
-def _ragged(counts: np.ndarray):
-    """(owner, position) of every item when owner i holds counts[i] items, in order."""
-    owner = np.repeat(np.arange(counts.size), counts)
-    return owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
-
-
-#: First columns per localization block: at 2^12 a block peaks near 3 MB
-#: at reach 4 (2.3 candidates per first column); 2^10-2^16 timed alike.
-_LOC_BLOCK = 1 << 12
-
-
-def _proxy_distances_2x2(xis: np.ndarray, z_rep: SpecialLinearMatrix, reach: float) -> np.ndarray:
-    """Proxy distances min_C |xi C z^{-1} - Id|_F over C in SL_2(Z), vectorized.
-
-    Exact wherever the distance is at most `reach` = rho; beyond it, a
-    larger value, or +inf when no C comes within reach.  With
-    M = xi C z^{-1} - Id, xi c_j - z_j = M z_j, so |M|_F <= rho puts each
-    column c_j of C in the coefficient window
-
-        |c_ij - (xi^{-1} z_j)_i| <= |row_i xi^{-1}|_2 rho |z_j|_2,
-
-    xi^{-1} = adj xi.  The windows are widened to
-    |row_i adj xi| |z_j| (rho + 1e-9) 1.0001: 1e-9 covers det xi's drift
-    from 1, the factor the rounding of the windows and of the distance.
-    Rows with |xi|_F > S = |z|_F (1 + rho) + 1e-9 are dropped first (xi is
-    Frobenius-minimal in its coset and |xi C|_F <= S within reach), so a
-    live row has |row_i adj xi| <= |xi|_F <= S and bounded windows.  Each
-    primitive first column (p, r) in its window meets the second columns
-    of det +1 on the line (q0, s0) + k (p, r) through a Bezout solution,
-    cut to the second window.  Rows run in blocks of about _LOC_BLOCK
-    first columns, so memory stays flat in N and in the reach.
-
-    The rounding of every step is fixed, so a test pins the distances
-    bit for bit: xi C is the explicit sum xi[:, 0] C[0] + xi[:, 1] C[1]
-    with each product rounded before the add (a matmul would fuse them
-    into an FMA); the product with z^{-1} is one BLAS call over the rows
-    of a block; 1 is subtracted on the diagonal only; the squared
-    Frobenius norm adds the four entries in row-major order.
-    """
-    za = z_rep.entries
-    S = math.sqrt(float((za * za).sum())) * (1.0 + reach) + 1e-9
-    dists = np.full(xis.shape[0], np.inf)
-    live = np.nonzero(np.sqrt((xis * xis).sum(axis=(1, 2))) <= S)[0]
-    X = xis[live]
-    adj = np.stack([X[:, 1, 1], -X[:, 0, 1], -X[:, 1, 0], X[:, 0, 0]], axis=1).reshape(-1, 2, 2)
-    # window [i, j] bounds entry i of column j
-    half = np.sqrt((adj * adj).sum(axis=2))[:, :, None] * np.sqrt((za * za).sum(axis=0))
-    half *= (reach + 1e-9) * 1.0001
-    centre = adj @ za
-    lo = np.ceil(centre - half).astype(np.int64)
-    hi = np.floor(centre + half).astype(np.int64)
-    n0 = np.maximum(hi[:, 0, 0] - lo[:, 0, 0] + 1, 0) * np.maximum(hi[:, 1, 0] - lo[:, 1, 0] + 1, 0)
-    keep = (n0 > 0) & np.all(hi[:, :, 1] >= lo[:, :, 1], axis=1)
-    live, X, lo, hi, n0 = live[keep], X[keep], lo[keep], hi[keep], n0[keep]
-    ends = np.cumsum(n0)
-    start = 0
-    while start < live.size:
-        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - n0[start] + _LOC_BLOCK, "right")))
-        own, pos = _ragged(n0[start:stop])
-        own += start
-        width = hi[own, 1, 0] - lo[own, 1, 0] + 1
-        p, r = lo[own, 0, 0] + pos // width, lo[own, 1, 0] + pos % width
-        P = 1 << int(max(np.abs(p).max(), np.abs(r).max())).bit_length()
-        x, y = np.moveaxis(_bezout_table(P)[p + P, r + P], 1, 0)
-        prim = p * x + r * y == 1
-        own, p, r, q0, s0 = own[prim], p[prim], r[prim], -y[prim], x[prim]
-        # p s - r q = 1 on (q, s) = (q0, s0) + k (p, r); k is in the second
-        # window strictly between the bounds below: half-integers over p or
-        # r, never integers, so their floor and ceil are exact; where p or
-        # r is 0, they are -inf and +inf or cut every k
-        with np.errstate(divide="ignore"):
-            bq = (lo[own, 0, 1] - 0.5 - q0) / p, (hi[own, 0, 1] + 0.5 - q0) / p
-            bs = (lo[own, 1, 1] - 0.5 - s0) / r, (hi[own, 1, 1] + 0.5 - s0) / r
-        left = np.floor(np.maximum(np.minimum(*bq), np.minimum(*bs)))
-        right = np.ceil(np.minimum(np.maximum(*bq), np.maximum(*bs)))
-        c, pos = _ragged(np.maximum(right - left - 1.0, 0.0).astype(np.int64))
-        start = stop
-        if c.size == 0:
-            continue
-        k = left[c].astype(np.int64) + 1 + pos
-        own, p, r = own[c], p[c], r[c]
-        C = np.stack([p, q0[c] + k * p, r, s0[c] + k * r], axis=1).astype(float).reshape(-1, 2, 2)
-        Xc = X[own]
-        H = Xc[:, :, 0, None] * C[:, None, 0, :]
-        H += Xc[:, :, 1, None] * C[:, None, 1, :]
-        D = (H.reshape(-1, 2) @ z_rep.inverse).reshape(-1, 2, 2)
-        D[:, 0, 0] -= 1.0
-        D[:, 1, 1] -= 1.0
-        np.multiply(D, D, out=D)
-        dsq = D[:, 0, 0] + D[:, 0, 1]
-        dsq += D[:, 1, 0]
-        dsq += D[:, 1, 1]
-        # candidates come grouped by row, rows in order
-        first = np.flatnonzero(np.diff(own, prepend=-1))
-        dists[live[own[first]]] = np.sqrt(np.minimum.reduceat(dsq, first))
-    return dists
-
-
-def localized_measure(
-    orbit: EmpiricalTorusMeasure,
-    z_rep: SpecialLinearMatrix,
-    r: float,
-    budget: int = DEFAULT_BUDGET,
-) -> EmpiricalTorusMeasure:
+def localized_measure(orbit: EmpiricalTorusMeasure, z_rep: SpecialLinearMatrix, r: float) -> EmpiricalTorusMeasure:
     """Reweight by a bump in the base-point distance to z, renormalized.
 
     The bump is 1 up to distance r and 0 from the reach 5r on.  The
-    distances are exact within reach; beyond it, a larger value or +inf,
-    which the bump weighs 0 either way.  The raw (pre-normalization)
-    bump mass is the returned measure's `localization_mass`.
+    distances are `fundamental._proxy_distances`, one kernel for d = 2
+    and 3: exact within reach at every d; beyond it, a larger value or
+    +inf, which the bump weighs 0 either way.  The raw
+    (pre-normalization) bump mass is the returned measure's
+    `localization_mass`.
     """
     if not r > 0:
         raise ValueError("radius must be positive")
     if orbit.xis is None:
         raise ValueError("orbit measure carries no base-point metadata")
-    reach = 5.0 * r
-    if orbit.dim == 2:
-        dists = _proxy_distances_2x2(orbit.xis, z_rep, reach)
-    else:
-        dists = np.array([x_distance(xi, z_rep, max_distance=reach * 1.5, budget=budget) for xi in orbit.xis])
+    dists = _proxy_distances(orbit.xis, z_rep, 5.0 * r)
     raw = orbit.weights * _bump(dists / r)  # the bump of +inf is 0
     total = float(raw.sum())
     if total < 10.0 / orbit.size:

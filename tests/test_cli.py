@@ -123,6 +123,15 @@ def test_kind_runs_to_its_artifacts(argv, config, checks, headers, tmp_path):
         (["orbit", "--m", "1", "--n", "2", "--t", "9", "--samples", "100"], "exceeds the certified precision cap"),
         (["concentration", "--t", "1", "--samples", "100", "--rho", "0.7"], "rho must lie in"),
         (["fourier", "--t", "1", "--samples", "100", "--max-freq", "0"], "fourier needs --max-freq >= 1"),
+        (["siegel", "--t", "2", "--samples", "100", "--radius", "0"], "siegel needs a finite positive --radius"),
+        (["siegel", "--t", "2", "--samples", "100", "--radius", "inf"], "siegel needs a finite positive --radius"),
+        (["siegel", "--t", "2", "--samples", "100", "--radius", "nan"], "siegel needs a finite positive --radius"),
+        (["siegel", "--t", "2", "--samples", "100", "--radius", "-0.5"], "siegel needs a finite positive --radius"),
+        (["siegel", "--m", "1", "--n", "2", "--t", "2", "--samples", "100", "--radius", "-0.5"], "siegel needs a finite positive --radius"),
+        (["zeta", "--t", "inf"], "time inf is not finite"),
+        (["weyl", "--t", "inf", "--alpha", "0.3"], "time inf is not finite"),
+        (["orbit", "--t", "nan", "--samples", "100"], "time nan is not finite"),
+        (["orbit", "--t-grid", "1,-inf", "--samples", "100"], "time -inf is not finite"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, message, capsys):

@@ -12,9 +12,7 @@ from horolattice import fundamental, sweep
 from horolattice.core import IntegerMatrix, SpecialLinearMatrix, SplittingSignature, diagonal_flow_vector
 from horolattice.errors import BudgetExceededError, DeterminantError, PrecisionError
 from horolattice.fundamental import (
-    candidate_bases,
     iota,
-    matrix_distance,
     reduce_batch_2x2,
     reduce_matrix,
     x_distance,
@@ -280,13 +278,27 @@ def test_reduce_coset_preservation():
         assert np.allclose(r.rep.entries @ r.gamma.to_array(), g, atol=1e-9 * max(1, np.abs(g).max()))
 
 
+def _candidate_set(B, bound):
+    """The det +1 C with |B C|_F <= bound, by the d = 2 search's own walk."""
+    lam1sq = fundamental._minima_sq_of(B, DEFAULT_BUDGET)[0]
+    return set(fundamental._candidates_2d(B, bound * bound, lam1sq, DEFAULT_BUDGET))
+
+
 def test_reduce_certificate_holds():
     rng = np.random.default_rng(6)
     for _ in range(10):
         g = random_word(rng)
         r = reduce_matrix(g)
-        for h in candidate_bases(lll_reduce(r.rep.entries)[0], r.certificate):
-            assert _f_of_array(h.entries) >= r.fvalue - 1e-9
+        B = lll_reduce(r.rep.entries)[0]
+        for C in _candidate_set(B, r.certificate):
+            assert _f_of_array(B @ np.array(C, dtype=float)) >= r.fvalue - 1e-9
+    # the unit lattice: the four rotations, and nothing below sqrt(d)
+    L = lll_reduce(np.eye(2))[0]
+    assert _candidate_set(L, 1.5) == {((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((0, -1), (1, 0)), ((0, 1), (-1, 0))}
+    assert _candidate_set(L, 1.2) == set()
+    # the walk is monotone in the bound
+    L = lll_reduce(SpecialLinearMatrix.from_entries(random_word(np.random.default_rng(8), budget=1.0)).entries)[0]
+    assert _candidate_set(L, 2.0) <= _candidate_set(L, 3.0)
 
 
 def test_iota_well_defined():
@@ -301,24 +313,6 @@ def test_iota_well_defined():
         a = iota(g)
         b = iota(g @ gam)
         assert np.abs(a.entries - b.entries).max() < 1e-8 * max(1.0, np.abs(a.entries).max())
-
-
-def test_candidate_bases_unit_lattice():
-    L = lll_reduce(np.eye(2))[0]
-    cands = candidate_bases(L, 1.5)
-    mats = sorted(tuple(np.rint(h.entries).astype(int).ravel()) for h in cands)
-    assert mats == sorted(
-        [(-1, 0, 0, -1), (0, -1, 1, 0), (0, 1, -1, 0), (1, 0, 0, 1)]
-    )
-    assert candidate_bases(L, 1.2) == []  # below sqrt(d) nothing is unimodular
-
-
-def test_candidate_bases_monotone():
-    rng = np.random.default_rng(8)
-    L = lll_reduce(SpecialLinearMatrix.from_entries(random_word(rng, budget=1.0)).entries)[0]
-    small = {tuple(np.round(h.entries, 9).ravel()) for h in candidate_bases(L, 2.0)}
-    large = {tuple(np.round(h.entries, 9).ravel()) for h in candidate_bases(L, 3.0)}
-    assert small <= large
 
 
 def _flow_orbit(s, us):
@@ -579,10 +573,21 @@ def test_primitive_walk_fits_a_budget_the_full_walk_exceeds(monkeypatch):
 
 
 def test_distances():
-    g = SpecialLinearMatrix.from_entries(np.eye(2))
-    assert matrix_distance(g, g) == pytest.approx(0.0)
+    g = reduce_matrix(np.eye(2)).rep
+    assert x_distance(g, g) == 0.0
     h = SpecialLinearMatrix.from_entries([[1.0, 0.01], [0.0, 1.0]])
-    assert matrix_distance(h, g) == pytest.approx(0.01)
+    assert x_distance(reduce_matrix(h).rep, g) == pytest.approx(0.01, abs=1e-12)
+    # +inf where no C comes within max_distance
+    assert x_distance(reduce_matrix(np.diag([4.0, 0.25])).rep, g, 0.5) == math.inf
+    # d = 3: only det +1 counts, though C = diag(2, 1, 1) would come closer
+    # (xi C = 2^(1/3) Id, at 0.45 from Id); the reached C is the identity
+    c = 2.0 ** (1 / 3)
+    assert x_distance(reduce_matrix(np.diag([c / 2, c, c])).rep, reduce_matrix(np.eye(3)).rep) == pytest.approx(
+        math.sqrt((c / 2 - 1) ** 2 + 2 * (c - 1) ** 2), rel=1e-12
+    )
+    # a row with F(xi) near |xi|_F, as in the cusp, is not pruned
+    z = reduce_matrix(np.diag([math.e, math.e, math.e**-2])).rep
+    assert x_distance(z, z, 0.1) == 0.0
     # coset distance sees through an integer shear
     shear = np.array([[1.0, 3.0], [0.0, 1.0]])
     moved = h.entries @ shear

@@ -66,11 +66,15 @@ def reduced(B):
 
 
 def test_shortest_vector_examples():
-    coeff, length = shortest_vector(*lll_reduce(np.eye(2)))
+    # the coefficients are those of the vector B @ c in the LLL basis B
+    B = reduced(np.eye(2))
+    coeff, length = shortest_vector(B)
     assert length == pytest.approx(1.0)
-    coeff, length = shortest_vector(*lll_reduce(np.diag([math.e, 1 / math.e])))
+    assert np.abs(B @ np.array(coeff, dtype=float)).max() == length
+    B = reduced(np.diag([math.e, 1 / math.e]))
+    coeff, length = shortest_vector(B)
     assert length == pytest.approx(1 / math.e)
-    assert tuple(abs(c) for c in coeff) == (0, 1)
+    assert np.abs(B @ np.array(coeff, dtype=float)).tolist() == [0.0, 1 / math.e]
 
 
 def test_shortest_vector_matches_brute_force():
@@ -78,7 +82,7 @@ def test_shortest_vector_matches_brute_force():
     rng = np.random.default_rng(7)
     for _ in range(25):
         B = random_basis(rng, 2)
-        assert shortest_vector(*lll_reduce(B))[1] == pytest.approx(brute_shortest(B, "sup"), rel=1e-9)
+        assert shortest_vector(reduced(B))[1] == pytest.approx(brute_shortest(B, "sup"), rel=1e-9)
         assert successive_minima(reduced(B))[0] == pytest.approx(brute_shortest(B, "euclidean"), rel=1e-9)
 
 
@@ -155,8 +159,14 @@ def _height_stack(name):
 
 
 def _lone_heights(stack):
-    """1 / `shortest_vector` of each basis, reduced alone."""
-    return np.array([1.0 / shortest_vector(*lll_reduce(basis), DEFAULT_BUDGET)[1] for basis in stack])
+    """1 / `shortest_vector` of each basis, reduced alone; each vector B @ c has the length returned."""
+    lengths = []
+    for basis in stack:
+        B = reduced(basis)
+        c, length = shortest_vector(B, DEFAULT_BUDGET)
+        assert np.abs(B @ np.array(c, dtype=float)).max() == length
+        lengths.append(length)
+    return 1.0 / np.array(lengths)
 
 
 def test_height_box_holds_one_vector_per_sign_pair():
@@ -190,9 +200,9 @@ def test_stack_heights_fall_back_to_the_walk_on_uncertified_rows(monkeypatch):
     reduced_stack = lll_reduce_batch(stack)[0]
     walked = []
 
-    def spy(B, U, budget):
+    def spy(B, budget):
         walked.append(int(np.flatnonzero((reduced_stack == B).all(axis=(1, 2)))[0]))
-        return real(B, U, budget)
+        return real(B, budget)
 
     monkeypatch.setattr(lattices, "shortest_vector", spy)
     heights = stack_heights(stack, t=5.0)
@@ -297,12 +307,12 @@ def test_enumerate_ball_primitive_is_filtered_full_walk(d, deep, radius):
 
 def test_constrained_shortest_excludes_span():
     B = np.diag([0.1, 1.0, 3.0])
-    c, l2, _ = constrained_shortest(B, 0)
+    c, l2 = constrained_shortest(B, 0)
     assert math.sqrt(l2) == pytest.approx(0.1)
-    c, l2, _ = constrained_shortest(B, 1)
+    c, l2 = constrained_shortest(B, 1)
     assert math.sqrt(l2) == pytest.approx(1.0)
     assert c[0] == 0 and c[1] != 0
-    c, l2, _ = constrained_shortest(B, 2)
+    c, l2 = constrained_shortest(B, 2)
     assert math.sqrt(l2) == pytest.approx(3.0)
 
 

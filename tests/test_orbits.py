@@ -21,7 +21,7 @@ from horolattice.errors import (
     PrecisionError,
 )
 from horolattice import fundamental, lattices, orbits, sweep
-from horolattice.fundamental import reduce_batch_2x2, reduce_matrix
+from horolattice.fundamental import _proxy_distances, reduce_batch_2x2, reduce_matrix, x_distance
 from horolattice.lattices import DEFAULT_BUDGET, lll_reduce, shortest_vector
 from horolattice.orbits import (
     EmpiricalTorusMeasure,
@@ -317,7 +317,7 @@ def _per_sample_orbit(y0, t, sig, count, seed, budget=DEFAULT_BUDGET):
         coords[i] = point.as_floats()
         gammas[i] = gamma.to_int64()
         xis[i] = xi.entries
-        heights[i] = 1.0 / shortest_vector(*lll_reduce(xi.entries), budget)[1]
+        heights[i] = 1.0 / shortest_vector(lll_reduce(xi.entries)[0], budget)[1]
         if rational:
             nums[i] = [int(c * q) for c in point.coords]
     if rational:
@@ -555,19 +555,18 @@ def test_localized_measure_matches_ball_fraction():
     z = reduce_matrix(gz).rep
     r = 0.12
     loc = localized_measure(nu, z, r)
-    from horolattice.orbits import _proxy_distances_2x2
-
-    dists = _proxy_distances_2x2(nu.xis, z, 5 * r)
+    dists = _proxy_distances(nu.xis, z, 5 * r)
     inner = float(nu.weights[dists <= r].sum())
     outer = float(nu.weights[dists <= 5 * r].sum())
     assert inner - 1e-12 <= loc.localization_mass <= outer + 1e-12
 
 
 def test_localized_measure_d3_runs_the_candidate_distance():
-    # d != 2 takes `fundamental.x_distance` per sample (a `candidate_bases`
-    # enumeration).  The box V is narrow so that the 20 samples crowd round
-    # sample 7 and clear the 10/N mass floor; r is small so that each
-    # near sample's enumeration stays cheap.  The weights' bytes are pinned.
+    # d = 3 takes the coefficient windows of `fundamental._proxy_distances`,
+    # as d = 2 does.  The box V is narrow so that the 20 samples crowd round
+    # sample 7 and clear the 10/N mass floor.  The weights' bytes are
+    # pinned: they are those of the per-sample candidate-basis distance
+    # this kernel replaced.
     sig = SplittingSignature(1, 2)
     y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(3)), TorusPoint.from_values([0.1, 0.2, 0.3]))
     nu = orbit_pushforward(y0, 0.5, NeighborhoodV(sig, 0.002), 20, seed=0)
@@ -602,8 +601,6 @@ def einsum_proxy_distances_2x2(xis, z_rep, reach):
 
 
 def test_proxy_distances_match_einsum_form_bit_for_bit():
-    from horolattice.orbits import _proxy_distances_2x2
-
     y0 = AffineLatticePoint(
         SpecialLinearMatrix.from_entries(np.eye(2)), TorusPoint.from_values([0.3, 0.4])
     )
@@ -612,7 +609,7 @@ def test_proxy_distances_match_einsum_form_bit_for_bit():
     for r in (0.05, 0.12, 0.6):
         reach = 5 * r
         want, side = einsum_proxy_distances_2x2(nu.xis, z, reach)
-        got = _proxy_distances_2x2(nu.xis, z, reach)
+        got = _proxy_distances(nu.xis, z, reach)
         within = want <= reach
         assert within.sum() > 20
         assert np.array_equal(got <= reach, within)
@@ -625,40 +622,103 @@ def test_proxy_distances_run_in_blocks_of_bounded_memory(monkeypatch):
     # 650 candidates per row, 1,000 rows
     import tracemalloc
 
-    from horolattice.orbits import _proxy_distances_2x2
-
     shear = np.broadcast_to(np.eye(2), (1000, 2, 2)).copy()
     shear[:, 0, 1] = np.linspace(-0.5, 0.5, 1000)
     xis = np.diag([4.0, 0.25]) @ shear
     z = SpecialLinearMatrix.from_entries(np.eye(2))
     tracemalloc.start()
     try:
-        dists = _proxy_distances_2x2(xis, z, 4.0)
+        dists = _proxy_distances(xis, z, 4.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert np.all(dists <= 4.0)
-    monkeypatch.setattr(orbits, "_LOC_BLOCK", 1)
-    assert _proxy_distances_2x2(xis, z, 4.0).tobytes() == dists.tobytes()
+    monkeypatch.setattr(fundamental, "_LOC_BLOCK", 1)
+    assert _proxy_distances(xis, z, 4.0).tobytes() == dists.tobytes()
     # 10^7 first columns put every row into one block
-    monkeypatch.setattr(orbits, "_LOC_BLOCK", 10**7)
-    assert _proxy_distances_2x2(xis[::10], z, 4.0).tobytes() == dists[::10].tobytes()
+    monkeypatch.setattr(fundamental, "_LOC_BLOCK", 10**7)
+    assert _proxy_distances(xis[::10], z, 4.0).tobytes() == dists[::10].tobytes()
+
+
+def _det1_box_3x3():
+    """Every integer 3x3 matrix with det +1 and entries in [-2, 2], (K, 3, 3)."""
+    v = np.array([(a, b, c) for a in range(-2, 3) for b in range(-2, 3) for c in range(-2, 3)], dtype=np.int64)
+    c1, c2 = np.repeat(v, len(v), axis=0), np.tile(v, (len(v), 1))
+    pair, k = np.nonzero(np.cross(c1, c2) @ v.T == 1)
+    return np.stack([c1[pair], c2[pair], v[k]], axis=2)
+
+
+def box_proxy_distances_3x3(xis, z_rep, box):
+    """Oracle: the minimum over every C of the box, scored one matrix at a time
+    (a stacked (3, 3) @ (3, 3) product with z^{-1}), the sum in row-major order."""
+    C = box.astype(float)
+    out = np.empty(xis.shape[0])
+    for i, X in enumerate(xis):
+        H = X[:, 0, None] * C[:, None, 0, :]
+        H += X[:, 1, None] * C[:, None, 1, :]
+        H += X[:, 2, None] * C[:, None, 2, :]
+        D = H @ z_rep.inverse - np.eye(3)
+        Q = (D * D).reshape(-1, 9)
+        dsq = Q[:, 0] + Q[:, 1]
+        for k in range(2, 9):
+            dsq += Q[:, k]
+        out[i] = math.sqrt(dsq.min())
+    return out
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 1)])
+def test_proxy_distances_d3_match_a_box_of_every_det1_matrix_bit_for_bit(m, n, monkeypatch):
+    box = _det1_box_3x3()
+    assert box.shape == (67704, 3, 3)
+    assert np.all(np.rint(np.linalg.det(box.astype(float))) == 1)
+    y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(3)), TorusPoint.from_values([0.0, 0.0, 0.0]))
+    nu = orbit_pushforward(y0, 0.3, NeighborhoodV(SplittingSignature(m, n)), 40, seed=1)
+    z = SpecialLinearMatrix.from_entries(nu.xis[7])
+    reach = 0.8
+    # the kernel's coefficient windows; the box is complete on the rows inside it
+    adj = fundamental._inv_unimodular(nu.xis)
+    half = np.sqrt((adj * adj).sum(axis=2))[:, :, None] * np.sqrt((z.entries**2).sum(axis=0)) * (reach + 1e-9) * 1.0001
+    centre = adj @ z.entries
+    inside = ((np.ceil(centre - half) >= -2) & (np.floor(centre + half) <= 2)).all(axis=(1, 2))
+    assert inside.sum() >= 35
+    xis = nu.xis[inside]
+    want = box_proxy_distances_3x3(xis, z, box)
+    got = _proxy_distances(xis, z, reach)
+    within = want <= reach
+    assert within.sum() >= 10 and not within.all()
+    # no candidate is missed, and the distances within reach have the oracle's bits
+    assert np.array_equal(got <= reach, within)
+    assert got[within].tobytes() == want[within].tobytes()
+    # one candidate per block and every row in one block give the same bits
+    for block in (1, 10**7):
+        monkeypatch.setattr(fundamental, "_LOC_BLOCK", block)
+        assert _proxy_distances(xis, z, reach).tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 1)])
+def test_x_distance_is_the_stacked_kernel_row(m, n):
+    sig = SplittingSignature(m, n)
+    y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(sig.d)), TorusPoint.from_values([0.0] * sig.d))
+    nu = orbit_pushforward(y0, 0.3, NeighborhoodV(sig), 200, seed=3)
+    z = SpecialLinearMatrix.from_entries(nu.xis[7])
+    stacked = _proxy_distances(nu.xis, z, 0.8)
+    lone = np.array([x_distance(xi, z, 0.8) for xi in nu.xis])
+    assert lone.tobytes() == stacked.tobytes()
+    assert np.count_nonzero(stacked <= 0.8) >= 10 and (stacked > 0.8).any()
 
 
 def test_distances_within_a_smaller_reach_equal_those_of_a_larger_one():
     # the d2-measures localization cloud: one call at the largest radius
     # gives the distances of every smaller one
-    from horolattice.orbits import _proxy_distances_2x2
-
     y0 = AffineLatticePoint(
         SpecialLinearMatrix.from_entries(np.eye(2)),
         TorusPoint.from_values([math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0]),
     )
     nu = orbit_pushforward(y0, 8.0, V, 2000, seed=0)
     z = reduce_matrix(np.array([[1.1, 0.3], [0.2, (1.0 + 0.3 * 0.2) / 1.1]])).rep
-    small = _proxy_distances_2x2(nu.xis, z, 5 * 0.05)
-    large = _proxy_distances_2x2(nu.xis, z, 5 * 0.1)
+    small = _proxy_distances(nu.xis, z, 5 * 0.05)
+    large = _proxy_distances(nu.xis, z, 5 * 0.1)
     within = small <= 0.25
     assert within.sum() > 20
     assert np.array_equal(within, large <= 0.25)

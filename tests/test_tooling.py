@@ -4,8 +4,9 @@
 rebinds them in every module that imported them; `perfbench/workloads.py`
 calls the program through its modules.  A refactor that drops or renames
 one of them should fail here, not crash the benchmark.  Likewise every
-name in a module's `__all__` must resolve, and every name that `src/` or
-`tests/` imports must be read.
+name in a module's `__all__` must resolve, every name that `src/` or
+`tests/` imports must be read, and every parameter of a function in
+`src/` must be read by its body.
 """
 
 import ast
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 import horolattice
-from horolattice import fundamental, harness, lattices, measures, orbits
+from horolattice import acceptance, fundamental, harness, lattices, measures, orbits
 from horolattice.core import AffineLatticePoint, SpecialLinearMatrix, SplittingSignature, TorusPoint
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -159,3 +160,38 @@ def test_every_imported_name_is_read():
     # the check sees unread imports, and reads attribute roots and quoted annotations
     source = "import os\nimport math\nfrom typing import Union, List\nx = math.pi\ndef f(a: 'List[int]'): pass\n"
     assert unread_imports(source) == [(1, "os"), (3, "Union")]
+
+
+def unread_parameters(source: str) -> list:
+    """(line, function, parameter) of each parameter that its function's body never reads.
+
+    A parameter counts as read where the body, nested functions included,
+    loads its name.
+    """
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(node.lineno, getattr(node, "name", "<lambda>"), p.arg) for p in params if p.arg not in read]
+    return out
+
+
+def test_every_parameter_is_read():
+    # the criterion protocol is the one exemption: `run_acceptance` passes every
+    # criterion `budget` and `cache` by keyword, whether it reads them or not
+    protocol = {(fn.__name__, name) for fn, _ in acceptance.CRITERIA.values() for name in ("budget", "cache")}
+    root = Path(__file__).resolve().parents[1]
+    unread = [
+        f"{path.relative_to(root)}:{line} {function}({name})"
+        for path in sorted((root / "src").rglob("*.py"))
+        for line, function, name in unread_parameters(path.read_text(encoding="utf-8"))
+        if not (path.name == "acceptance.py" and (function, name) in protocol)
+    ]
+    assert unread == []
+    # the check sees an unread parameter, and reads nested functions and lambdas
+    source = "def f(a, b, *c, d=1, **e):\n    g = lambda x, y: x + a\n    def h():\n        return d\n    return g, h, c\n"
+    assert unread_parameters(source) == [(1, "f", "b"), (1, "f", "e"), (2, "<lambda>", "y")]

@@ -32,8 +32,8 @@ a single matrix is a stack of one (`_search_starts`, `_reduce_core`).
    the primal and on the dual basis (`lattices.lll_reduce_batch`, which
    gives a row the same bits in any stack), the one with the smaller F.
 2. The class sweep: `_search`'s rounds with a static table as the
-   candidates.  For d = 2 `_sweep_static`, one round over 36 transforms;
-   for d = 3 `sweep`, round after round over 4,632 ternary ones.
+   candidates.  For d = 2 `_sweep_static`, one round over 36 transforms
+   past the identity screen; for d = 3 `sweep`, rounds over 4,632 ternary.
 3. The certificate, per row, that the table holds every C within
    `_search`'s Frobenius bound; then the sweep's gamma is `_search`'s.
 4. A row that fails it runs `_search` from its seed: the certified
@@ -62,6 +62,13 @@ forces |y| <= 1, and |mu| + sqrt((room - |b2*|^2) / |b1|^2) < 3 forces
 {(+-1, 0), (a, +-1) : |a| <= 2}, and so is C.  Margins of 1e-9 relative
 cover the rounding.  Gauss reduction is checked on the seed as computed,
 so a row that the loop's round cap stopped early fails unless reduced.
+
+The d = 2 identity screen (`_identity_alone`).  With n_i = |b_i|^2 and
+g = (min(n1, n2) - 2 |<b1, b2>|) / 2 > 0, each det-1 C outside the class
+{I, J, -I, -J} has F(B C)^2 >= F(B)^2 + g: a column x b1 + y b2 of B C
+has x, y != 0 and squared length >= n1 + n2 - 2 |<b1, b2>|, the other
+>= min(n1, n2).  Where sqrt(F(B)^2 + g) clears F(B) + TIE_TOL, the
+sweep ties that class alone, and the row skips the scoring of classes.
 
 The proxy distance from a reduced xi to a base point z,
 min over C in SL_d(Z) of |xi C z^{-1} - Id|_F, is defined here once for
@@ -515,8 +522,9 @@ def _search(best_B: np.ndarray, best_U: IntegerMatrix, budget: int, reduced: tup
         return best_B, best_U, certificate
 
 
-def _reconstruction_tol(reps: np.ndarray) -> np.ndarray:
-    return RESIDUAL_TOL * np.maximum(1.0, np.abs(reps).max(axis=(1, 2)))
+def _reconstruction_tol(rows: np.ndarray) -> np.ndarray:
+    """RESIDUAL_TOL * max(1, max|xi|) per xi, from the entries of a stack as rows (d * d, N)."""
+    return RESIDUAL_TOL * np.maximum(1.0, np.abs(rows).max(axis=0))
 
 
 def factorization_residuals(P: np.ndarray, reps: np.ndarray, gammas: np.ndarray) -> np.ndarray:
@@ -528,13 +536,23 @@ def factorization_residuals(P: np.ndarray, reps: np.ndarray, gammas: np.ndarray)
     residual max|xi^{-1} P - gamma| over RESIDUAL_TOL.  A row is
     certified when both are at most 1.  The rounding error of xi gamma
     grows with the entries of xi; xi^{-1} P is compared with integers,
-    so its tolerance is flat.  xi^{-1} is `_inv_unimodular`.
+    so its tolerance is flat.  xi^{-1} is `_inv_unimodular`.  At d = 2
+    the products are two-term sums on C-contiguous rows of entries, far
+    faster on an orbit; d = 3 keeps stacked matmuls, faster on one sample.
     """
-    gf = gammas.astype(float)
     inv = _inv_unimodular(reps)
+    if reps.shape[-1] == 3:
+        x, gf = reps.reshape(-1, 9).T, gammas.astype(float)
+        recon, integ = np.abs(P - reps @ gf).max(axis=(1, 2)), np.abs(inv @ P - gf).max(axis=(1, 2))
+    else:
+        x, v, p, g = (np.ascontiguousarray(a.reshape(-1, 4).T, dtype=float) for a in (reps, inv, P, gammas))
+        recon = integ = 0.0
+        for i, j in itertools.product((0, 1), (0, 1)):
+            recon = np.maximum(recon, np.abs(p[2 * i + j] - (x[2 * i] * g[j] + x[2 * i + 1] * g[2 + j])))
+            integ = np.maximum(integ, np.abs(v[2 * i] * p[j] + v[2 * i + 1] * p[2 + j] - g[2 * i + j]))
     ratios = np.empty((reps.shape[0], 2))
-    ratios[:, 0] = np.abs(P - reps @ gf).max(axis=(1, 2)) / _reconstruction_tol(reps)
-    ratios[:, 1] = np.abs(inv @ P - gf).max(axis=(1, 2)) / RESIDUAL_TOL
+    ratios[:, 0] = recon / _reconstruction_tol(x)
+    ratios[:, 1] = integ / RESIDUAL_TOL
     return ratios
 
 
@@ -552,7 +570,7 @@ def certify_factorization(P, reps, gammas, stage: Optional[str], t: Optional[flo
     for k, kind in enumerate(("reconstruction", "integrality")):
         i = int(ratios[:, k].argmax())
         if ratios[i, k] > 1.0:
-            tol = _reconstruction_tol(reps[i : i + 1])[0] if k == 0 else RESIDUAL_TOL
+            tol = _reconstruction_tol(reps[i].reshape(-1, 1))[0] if k == 0 else RESIDUAL_TOL
             what = f"{kind} residual {ratios[i, k] * tol:.3g} exceeds {tol:.3g}"
             raise PrecisionError(what if stage is None else f"{_failure_site(stage, i, t)}: {what}")
 
@@ -808,6 +826,7 @@ def _rotation_classes(table: np.ndarray) -> np.ndarray:
 _C_STATIC = _static_candidates_2x2()
 #: _C_CLASSES[c, r] is the table index of C_c J^r, C_c the class's first entry.
 _C_CLASSES = _rotation_classes(_C_STATIC)
+_IDENTITY_CLASS = int(np.flatnonzero((_C_STATIC[_C_CLASSES[:, 0]] == np.eye(2, dtype=np.int64)).all(axis=(1, 2)))[0])
 #: Rows 0 and 1 of the class representatives C_c, flattened over (c, l).
 _REP_ROW0 = _C_STATIC[_C_CLASSES[:, 0], 0, :].astype(float).ravel()
 _REP_ROW1 = _C_STATIC[_C_CLASSES[:, 0], 1, :].astype(float).ravel()
@@ -828,6 +847,14 @@ def _rotations(h: np.ndarray) -> np.ndarray:
     return rot.reshape(h.shape[:-2] + (4, 2, 2)) + 0.0
 
 
+def _identity_alone(Bc: np.ndarray) -> np.ndarray:
+    """Rows of Bc (N, 2, 2) the identity screen keeps, by relative margins of about 1e-12; no NaN or inf row."""
+    b00, b01, b10, b11 = (Bc[:, i, j] for i in (0, 1) for j in (0, 1))
+    fsq = (((b00 * b00 + b01 * b01) + b10 * b10) + b11 * b11) / 2.0  # the sweep's F^2 of class I, bit for bit
+    g = (np.minimum(b00 * b00 + b10 * b10, b01 * b01 + b11 * b11) - 2.0 * np.abs(b00 * b01 + b10 * b11)) / 2.0
+    return np.sqrt(fsq * (1.0 - 4e-12) + g) * (1.0 - 1e-12) > np.sqrt(fsq) + TIE_TOL
+
+
 def _sweep_static(Bc: np.ndarray):
     """F-minimal element of {b C : C in the static table} for each row b.
 
@@ -844,20 +871,26 @@ def _sweep_static(Bc: np.ndarray):
     evaluated.  Only the sign of a zero can depend on the evaluation, so
     every zero is returned as +0.0.  A class's F adds its four squares
     in row-major order.  The tie-break runs over the four rotations of
-    each class within TIE_TOL of the minimum, one class on almost every
-    row of a random orbit.
+    each class within TIE_TOL of the minimum: on a row of `_identity_alone`
+    (almost every row of an orbit) the rotations of b I = b, unscored.
     """
-    n = Bc.shape[0]
+    reps, pick = np.empty(Bc.shape), np.empty(Bc.shape[0], dtype=np.intp)
+    alone = _identity_alone(Bc)
+    rot = _rotations(Bc[alone]).reshape(-1, 2, 2)
+    first = _lex_first(_lex_key(rot), np.arange(0, rot.shape[0], 4))
+    reps[alone], pick[alone] = rot[first], _C_CLASSES[_IDENTITY_CLASS, first % 4]
+    Br = Bc[~alone]
     # H[n, i, c, l] = (b_n C_c)[i, l] for the class representatives C_c
-    H = (Bc[:, :, 0, None] * _REP_ROW0 + Bc[:, :, 1, None] * _REP_ROW1).reshape(n, 2, -1, 2)
+    H = (Br[:, :, 0, None] * _REP_ROW0 + Br[:, :, 1, None] * _REP_ROW1).reshape(len(Br), 2, len(_C_CLASSES), 2)
     Q = H * H
     F = np.sqrt((((Q[:, 0, :, 0] + Q[:, 0, :, 1]) + Q[:, 1, :, 0]) + Q[:, 1, :, 1]) / 2.0)
     # a row with a NaN ties every class, so that each row has candidates
     tied_row, tied_class = np.nonzero(~(F > (F.min(axis=1) + TIE_TOL)[:, None]))
     # rows of the rotations of each tied class; distinct transforms give distinct keys
     rot = _rotations(H[tied_row, :, tied_class, :]).reshape(-1, 2, 2)
-    first = _lex_first(_lex_key(rot), 4 * np.searchsorted(tied_row, np.arange(n)))
-    return rot[first], _C_CLASSES[tied_class[first // 4], first % 4]
+    first = _lex_first(_lex_key(rot), 4 * np.searchsorted(tied_row, np.arange(len(Br))))
+    reps[~alone], pick[~alone] = rot[first], _C_CLASSES[tied_class[first // 4], first % 4]
+    return reps, pick
 
 
 def _lagrange_2x2(P: np.ndarray):

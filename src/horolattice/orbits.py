@@ -293,18 +293,18 @@ def _heights(xis: np.ndarray, t: float, budget: int) -> np.ndarray:
     For d = 2 a closed form: the sup-shortest vector of a
     Frobenius-minimal basis has both coefficients in {-1, 0, 1}
     (coefficient bounds via lambda_1 lambda_2 <= 2/sqrt(3)), so four
-    candidates certify the minimum.  Otherwise `lattices.stack_heights`:
-    one LLL of the stack and a certified coefficient-box scan per row,
-    bit for bit `shortest_vector`'s lengths; a row the box does not
-    certify runs `shortest_vector`, and a failure names the sample and t.
-    Each xi passed decompose's checks, so it needs no second validation.
+    candidates certify the minimum, c1, c2, c1 + c2 and c1 - c2 for the
+    columns c1, c2, scored on 1-D arrays of entries.  Otherwise
+    `lattices.stack_heights`: one LLL of the stack and a certified
+    coefficient-box scan per row, bit for bit `shortest_vector`'s
+    lengths; a row the box does not certify runs `shortest_vector`, and
+    a failure names the sample and t.  Each xi passed decompose's
+    checks, so it needs no second validation.
     """
     if xis.shape[1] == 2:
-        c1 = xis[:, :, 0]
-        c2 = xis[:, :, 1]
-        cands = np.stack([c1, c2, c1 + c2, c1 - c2], axis=1)
-        sup = np.abs(cands).max(axis=2)
-        return 1.0 / sup.min(axis=1)
+        a, b, c, d = (xis[:, i, j] for i in (0, 1) for j in (0, 1))
+        sups = [np.maximum(np.abs(x), np.abs(y)) for x, y in ((a, c), (b, d), (a + b, c + d), (a - b, c - d))]
+        return 1.0 / np.minimum.reduce(sups)
     return stack_heights(xis, budget, t)
 
 

@@ -20,6 +20,7 @@ from horolattice.core import (
     SplittingSignature,
     TorusPoint,
     _int_adjugate,
+    _inv_unimodular,
     diagonal_flow_vector,
 )
 from horolattice.errors import PrecisionError
@@ -97,8 +98,8 @@ def perturbed(rng, triples):
     return out
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_certificate_rejects_whatever_a_former_rule_rejects(d):
+def former_rule_cases(d):
+    """The cases (P, xi, gamma, kind) the former rules are checked on: random and orbit triples, perturbed."""
     rng = np.random.default_rng(40 + d)
     triples = []
     for _ in range(200):
@@ -106,7 +107,12 @@ def test_certificate_rejects_whatever_a_former_rule_rejects(d):
         triples.append((xi @ gamma, xi, gamma))
     sig = SplittingSignature(1, 1) if d == 2 else SplittingSignature(1, 2)
     triples += orbit_triples(sig, 4.0 if d == 2 else 3.0, 200 if d == 2 else 40)
-    cases = perturbed(rng, triples)
+    return perturbed(rng, triples)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_certificate_rejects_whatever_a_former_rule_rejects(d):
+    cases = former_rule_cases(d)
     P, xis, gammas = (np.array([case[k] for case in cases]) for k in range(3))
     certified = factorization_residuals(P, xis, gammas).max(axis=1) <= 1.0
     kind = np.array([case[3] for case in cases])
@@ -120,6 +126,38 @@ def test_certificate_rejects_whatever_a_former_rule_rejects(d):
         assert (~accepted[kind == "noisy xi"]).sum() >= 50, rule.__name__
         missed = np.nonzero(~accepted & certified)[0]
         assert missed.size == 0, (rule.__name__, missed[:5])
+
+
+def stacked_residuals(P, reps, gammas):
+    """`factorization_residuals` as stacked matmuls, the form d = 2 had before its entrywise sums."""
+    gf = gammas.astype(float)
+    tol = TOL * np.maximum(1.0, np.abs(reps).max(axis=(1, 2)))
+    recon = np.abs(P - reps @ gf).max(axis=(1, 2)) / tol
+    return np.stack([recon, np.abs(_inv_unimodular(reps) @ P - gf).max(axis=(1, 2)) / TOL], axis=1)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_entrywise_certificate_gives_the_stacked_verdicts(d):
+    cases = former_rule_cases(d)
+    P, xis, gammas = (np.array([case[k] for case in cases]) for k in range(3))
+    ratios = factorization_residuals(P, xis, gammas)
+    reference = stacked_residuals(P, xis, gammas)
+    assert np.array_equal(ratios <= 1.0, reference <= 1.0)
+    if d == 3:  # d = 3 keeps the stacked form, bit for bit
+        assert ratios.tobytes() == reference.tobytes()
+    else:  # the sums round apart from a matmul's, by a few ulps of the products: here under 1e-6 of a tolerance
+        assert np.abs(ratios - reference).max() < 1e-5
+
+
+def test_certificate_fails_a_nan_row():
+    cases = former_rule_cases(2)[:30]
+    P, xis, gammas = (np.array([case[k] for case in cases[::3]]) for k in range(3))  # the exact triples
+    fundamental.certify_factorization(P, xis, gammas, "decompose", 4.0)
+    for i, j in ((3, (0, 0)), (7, (1, 1))):
+        bad = xis.copy()
+        bad[i][j] = np.nan
+        with pytest.raises(PrecisionError, match=rf"^decompose of sample {i} at t = 4: reconstruction residual nan "):
+            fundamental.certify_factorization(P, bad, gammas, "decompose", 4.0)
 
 
 def sheared(rep, delta, i, j):

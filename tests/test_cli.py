@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from horolattice import cli, csvformat, harness
 from horolattice.core import IntegerMatrix
+from horolattice.errors import ConfigError
 
 
 def test_reduce_passes_coset_check():
@@ -53,6 +54,17 @@ def test_flow_cap_edge(m, n, t_max, capsys):
     assert cli.main(base + ["--t", str(t_max)]) == 0
     assert cli.main(base + ["--t", str(t_max + 0.01)]) == 2
     assert capsys.readouterr().err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize("kind", ["zeta", "weyl"])
+def test_horizon_cap_edge(kind):
+    # validate alone: a weyl run at its cap takes 0.7 s and 414 MB, too much for tier-1
+    cap = harness.HORIZON_CAPS[kind]
+    for T in (1.0, cap):
+        harness.ExperimentConfig(kind=kind, t=T).validate()
+    for T in (math.nextafter(1.0, 0.0), math.nextafter(cap, math.inf)):
+        with pytest.raises(ConfigError, match=f"^{kind} horizon T = "):
+            harness.ExperimentConfig(kind=kind, t=T).validate()
 
 
 @pytest.mark.parametrize(
@@ -132,6 +144,14 @@ def test_kind_runs_to_its_artifacts(argv, config, checks, headers, tmp_path):
         (["weyl", "--t", "inf", "--alpha", "0.3"], "time inf is not finite"),
         (["orbit", "--t", "nan", "--samples", "100"], "time nan is not finite"),
         (["orbit", "--t-grid", "1,-inf", "--samples", "100"], "time -inf is not finite"),
+        (["weyl", "--t", "1e12", "--alpha", "0.3"], "weyl horizon T = 1e+12 lies outside [1, 1e+07]"),
+        (["weyl", "--t-grid", "100,0.5", "--alpha", "0.3"], "weyl horizon T = 0.5 lies outside"),
+        (["zeta", "--t", "1e300"], "zeta horizon T = 1e+300 lies outside [1, 1e+10]"),
+        (["zeta", "--t", "0"], "zeta horizon T = 0 lies outside"),
+        (["weyl", "--t", "10", "--alpha", "0.3", "--x0", "nan"], "alpha, x0 and rho must be finite, not 0.3, nan, 0.05"),
+        (["weyl", "--t", "10", "--alpha", "nan"], "alpha, x0 and rho must be finite, not nan, 0.3, 0.05"),
+        (["weyl", "--t", "10", "--alpha", "0.3", "--rho", "inf"], "alpha, x0 and rho must be finite, not 0.3, 0.3, inf"),
+        (["concentration", "--t", "1", "--samples", "100", "--rho", "nan"], "alpha, x0 and rho must be finite, not None, 0.3, nan"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, message, capsys):

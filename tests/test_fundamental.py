@@ -453,6 +453,96 @@ def test_sweep_matches_36_candidate_reference_on_ties_and_signed_zeros():
     assert not np.signbit(reps[reps == 0]).any()
 
 
+def _edge_basis(mu, eps):
+    """A det-1 basis (b1, b2) with <b1, b2> = mu |b1|^2 and |b1|^2 = |b2|^2 (1 - eps)."""
+    r = ((1 - eps) / (1 - mu * mu * (1 - eps))) ** 0.25
+    return np.array([[r, mu * r], [0.0, 1 / r]])
+
+
+def _screen_edge_rows():
+    """Rows at the edge of the identity screen: |mu| = 1/2 - 10^-k, |b1|^2 = |b2|^2 (1 - 10^-k), k = 1..16."""
+    rows = []
+    for k in range(1, 17):
+        e = 10.0**-k
+        for mu, eps in ((0.5 - e, 0.0), (0.5 - e, e), (0.25, e), (0.5, e)):
+            for sign in (1, -1):
+                b = _edge_basis(sign * mu, eps)
+                rows += [b, b[:, ::-1] * [1.0, -1.0]]  # and (b2, -b1)
+    c = math.sqrt(math.sqrt(3.0) / 2.0)
+    rows.append(np.array([[1.0, 0.5], [0.0, math.sqrt(3.0) / 2.0]]) / c)  # hexagonal
+    return np.array(rows)
+
+
+_NONFINITE_ROWS = np.array(
+    [
+        [[np.nan, 1.0], [0.0, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[1.0, -np.inf], [0.0, 1.0]],
+        [[np.inf, np.inf], [np.inf, np.inf]],
+        [[np.nan, np.nan], [np.nan, np.nan]],
+        [[1e200, 0.0], [0.0, 1e-200]],  # squares overflow to inf
+    ]
+)
+
+
+def test_identity_screen_matches_the_36_candidate_reference_at_its_edge():
+    Bc = _screen_edge_rows()
+    alone = fundamental._identity_alone(Bc)
+    # the rows straddle the edge: mu = 1/2 - 10^-k clears it for small k, mu = 1/2 never
+    assert 0 < alone.sum() < len(Bc)
+    assert not alone[-1]  # the hexagonal lattice ties several classes
+    _assert_sweep_matches_reference(Bc)
+    for b in Bc:
+        _assert_sweep_matches_reference(b[None])
+
+
+def _tie_edge_rows(count, seed):
+    """Bases b whose shear b [[1, -1], [0, 1]] lies TIE_TOL above F(b), to within a few hundred ulps of mu.
+
+    With n1 = |b1|^2 <= |b2|^2 and mu = <b1, b2> / n1 > 0 that shear
+    attains the screen's bound F^2 + g, g = n1 (1 - 2 mu) / 2.  Each
+    basis is turned by a random rotation, and half have columns (b2, -b1).
+    """
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(0.8, 1.2, count)
+    mu = np.full(count, 0.5)
+    for _ in range(3):  # mu = 1/2 - g / n1 with sqrt(F^2 + g) = F + TIE_TOL
+        fsq = (r * r * (1 + mu * mu) + 1 / (r * r)) / 2
+        mu = 0.5 - (2 * np.sqrt(fsq) * fundamental.TIE_TOL + fundamental.TIE_TOL**2) / (r * r)
+    mu += rng.integers(-200, 200, count) * 2.0**-54
+    th = rng.uniform(0, 2 * math.pi, count)
+    rot = np.stack([np.cos(th), -np.sin(th), np.sin(th), np.cos(th)], axis=1).reshape(-1, 2, 2)
+    b = np.stack([r, mu * r, np.zeros(count), 1 / r], axis=1).reshape(-1, 2, 2)
+    b = rot @ b
+    swap = rng.integers(0, 2, count).astype(bool)
+    b[swap] = b[swap][:, :, ::-1] * [1.0, -1.0]
+    return b
+
+
+def test_identity_screen_agrees_with_the_class_scoring_at_ties_and_on_nonfinite_rows(monkeypatch):
+    # the reference is the sweep with the screen off: the 36-candidate one
+    # picks entry 0 of a NaN row, where no candidate compares, and sums a
+    # class's squares in another order, which moves a tie at TIE_TOL by an
+    # ulp.  Without its margins the screen errs on some of these tie rows.
+    tie = _tie_edge_rows(20_000, 3)
+    Bc = np.concatenate([_NONFINITE_ROWS, tie, _NONFINITE_ROWS])
+    lone = np.concatenate([_NONFINITE_ROWS, tie[:50]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert not fundamental._identity_alone(_NONFINITE_ROWS).any()
+        screened = [fundamental._sweep_static(Bc)] + [fundamental._sweep_static(b[None]) for b in lone]
+        monkeypatch.setattr(fundamental, "_identity_alone", lambda Bc: np.zeros(len(Bc), dtype=bool))
+        scored = [fundamental._sweep_static(Bc)] + [fundamental._sweep_static(b[None]) for b in lone]
+    for (reps, pick), (ref_reps, ref_pick) in zip(screened, scored):
+        assert reps.tobytes() == ref_reps.tobytes()
+        assert np.array_equal(pick, ref_pick)
+
+
+def test_identity_screen_clears_almost_every_row_of_an_orbit():
+    us = np.random.default_rng(8).uniform(-0.5, 0.5, 20_000)
+    B, _ = fundamental._lagrange_2x2(_flow_orbit(8.0, us))
+    assert fundamental._identity_alone(B).mean() > 0.999
+
+
 def _lagrange_2x2_reference(P):
     """The d = 2 Lagrange loop that gathered and scattered B[idx] on every pass, kept as the reference."""
     B = P.copy()

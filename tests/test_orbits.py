@@ -493,6 +493,62 @@ def test_certified_rows_hold_every_near_minimal_transform_in_the_table(monkeypat
                 assert C.tobytes() in table
 
 
+#: The fiber (sqrt 2 - 1, sqrt 3 - 1), as floats: the benchmark's irrational fiber.
+Y0_IRRATIONAL = AffineLatticePoint(
+    SpecialLinearMatrix.from_entries(np.eye(2)), TorusPoint.from_values([math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0])
+)
+
+
+def stacked_heights_2x2(xis):
+    """The d = 2 heights as a stack of the four candidate vectors, the form the entrywise one replaced."""
+    c1, c2 = xis[:, :, 0], xis[:, :, 1]
+    cands = np.stack([c1, c2, c1 + c2, c1 - c2], axis=1)
+    return 1.0 / np.abs(cands).max(axis=2).min(axis=1)
+
+
+def test_d2_heights_equal_the_stacked_candidates_bit_for_bit():
+    xis = [orbit_pushforward(Y0_IRRATIONAL, t, V, 5000, seed=1).xis for t in (0.5, 4.0, 8.0, 12.0)]
+    # ties between candidates, and entries of -0.0
+    xis.append(np.array([np.eye(2), -np.eye(2), [[-0.0, -1.0], [1.0, -0.0]], [[1.0, 0.5], [0.0, 1.0]], [[1.0, -0.5], [-0.0, 1.0]]]))
+    xis = np.concatenate(xis)
+    heights = orbits._heights(xis, 0.0, DEFAULT_BUDGET)
+    assert heights.tobytes() == stacked_heights_2x2(xis).tobytes()
+
+
+@pytest.mark.parametrize(
+    "t, pins",
+    [
+        (
+            8.0,
+            {
+                "xis": "b68bc841d27cc9e98f698599272e6b2f0d9740abde0f4c2d3ac63897426c324b",
+                "gammas": "22519e6c2787cda84c4017cc9bb7ef4df649adfe0505e04a71fc00a66c9c7cec",
+                "heights": "f9befeaae4cec58a54021b06389ce2c62f488fe803d31766b536fbb5c3a6483e",
+                "coords": "c49fb17ca92d50dae592e06ea1db1648d92b777f885c66551e357caf96802930",
+            },
+        ),
+        (
+            4.0,
+            {
+                "xis": "dfe18b518c0fce9c7219545526e137b08b37cd6d72777b64dbbe726ab3334986",
+                "gammas": "111bee98d1e4c0eb6318f01c59356eb90340917cb45fb20947665a6bf3796d00",
+                "heights": "06e70df67a45c4187f7910078a1c094a0e6a3db0a9b1671bb3dd7eeb27bb6ce3",
+                "coords": "c6e8a524c4aab67504f57c14b27880fe452f45d63e47f18a7adc7976230d11af",
+            },
+        ),
+    ],
+)
+def test_the_11_orbit_keeps_its_bits(t, pins):
+    # the sha256 of each output array of a 20,000-sample (1,1) orbit from
+    # program seed 0, pinned before the sweep's identity screen and the
+    # entrywise certificate and heights; t = 8 is the cusp benchmark's input
+    nu = orbit_pushforward(Y0_IRRATIONAL, t, V, 20_000, seed=0)
+    for name, pin in pins.items():
+        array = getattr(nu, name)
+        assert array.flags.c_contiguous
+        assert hashlib.sha256(array.tobytes()).hexdigest() == pin, name
+
+
 def test_float_fibers_wrap_into_the_unit_interval():
     # x % 1.0 is 1.0 for a tiny negative x; that point is 0 on the torus
     assert TorusPoint.from_values([-1e-17]).coords == (0.0,)

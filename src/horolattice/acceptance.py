@@ -48,7 +48,7 @@ from .core import (
     matrix_norm,
 )
 from .diophantine import WeylInstance, dirichlet_cap, zeta, zeta_property_suite
-from .fundamental import _lex_first, _lex_key, reduce_matrix
+from .fundamental import TIE_TOL, _f_of_stack, _lex_first, _lex_key, _tied, reduce_matrix
 from .harness import (
     CheckResult,
     decay_fit,
@@ -267,12 +267,12 @@ def criterion_reduction_oracle(budget=DEFAULT_BUDGET, cache=None, n_cases: int =
         g = rand_g()
         r = reduce_matrix(g, budget)
         H = np.einsum("ij,kjl->kil", g, box)
-        F = np.sqrt((H * H).sum(axis=(1, 2)) / 2.0)
+        F = _f_of_stack(H)
         fmin = float(F.min())
-        if r.fvalue > fmin + 1e-9:
+        if r.fvalue > fmin + TIE_TOL:
             oracle_bad += 1
-        elif fmin <= r.fvalue + 1e-9:
-            ties = np.nonzero(F <= fmin + 1e-9)[0]
+        elif fmin <= r.fvalue + TIE_TOL:
+            ties = np.flatnonzero(_tied(F, fmin))
             pick = ties[_lex_first(_lex_key(H[ties]), [0])[0]]
             if np.abs(H[pick] - r.rep.entries).max() > 1e-8:
                 oracle_bad += 1

@@ -18,6 +18,16 @@ the ball walk visits primitive coefficient vectors only; near the cusp
 almost every lattice vector in the ball is a multiple k v_1 of the
 short vector, and none of those costs budget.
 
+One F and one tie rule decide every pick.  `_f_sq` adds F's squares in
+a fixed order, so a matrix scores alike in any memory layout.  At d = 2,
+where det h = 1 makes F^2 = |h|_F^2 / 2, it is ((h00^2 + h11^2) +
+(h01^2 + h10^2)) / 2, which gives h J, h^T, adj h and -h the bits of h:
+one score per rotation class is exact for its four members.  At d = 3 it
+is AB / (A + B), each sum in row-major order.  Candidates tie where F is
+within TIE_TOL of the least, or NaN (`_tied`), and the lexicographically
+least of them wins (`_lex_key`, `_lex_first`); a reduction moves only to
+an F lower by more than MOVE_MARGIN.
+
 The unimodular transform is accumulated in exact integer arithmetic
 throughout, so the returned gamma is exact by construction.  Every
 decomposition P = xi gamma, whether by `reduce_matrix` or by the
@@ -111,8 +121,10 @@ __all__ = [
     "reduce_batch_2x2",
 ]
 
-#: Candidates with F within this of the minimum count as ties.
+#: Candidates with F within this of the minimum count as ties (`_tied`).
 TIE_TOL = 1e-9
+#: A reduction moves only to an F lower than its basis's by more than this.
+MOVE_MARGIN = 1e-12
 #: Rounding grid of the lexicographic tie-break key (`_lex_key`).  Coarse
 #: enough that the rounding noise of a product g gamma0 (about 1e-12 on
 #: entries near 1e3) does not pick the winner among tied candidates.
@@ -123,23 +135,28 @@ BOUND_MARGIN = 1e-6
 RESIDUAL_TOL = 1e-6
 
 
-def _f_of_array(h: np.ndarray) -> float:
-    a = float((h * h).sum())
-    hinv = _inv_unimodular(h)
-    b = float((hinv * hinv).sum())
-    return math.sqrt(a * b / (a + b))
+def _f_sq(hs: np.ndarray) -> np.ndarray:
+    """F^2 of each matrix of a stack (..., 2, 2) or (N, 3, 3), or of one matrix: the one score of every pick.
+
+    Its sums run in the fixed orders of the module docstring, whatever the
+    layout; h^{-1} is `_inv_unimodular`'s.
+    """
+    q, d = hs * hs, hs.shape[-1]
+    if d == 2:
+        return ((q[..., 0, 0] + q[..., 1, 1]) + (q[..., 0, 1] + q[..., 1, 0])) / 2.0
+    hinv = _inv_unimodular(hs)
+    a, b = (sum(x[..., k // d, k % d] for k in range(d * d)) for x in (q, hinv * hinv))  # row-major
+    return a * b / (a + b)
 
 
 def _f_of_stack(hs: np.ndarray) -> np.ndarray:
-    """`_f_of_array` of each matrix of a stack (N, d, d), bit for bit.
+    """F of each matrix of a stack, or of one matrix: the square root of `_f_sq`."""
+    return np.sqrt(_f_sq(hs))
 
-    Each matrix's sum runs over its entries in memory order, as the sum of
-    one matrix of the same layout does.
-    """
-    a = (hs * hs).sum(axis=(1, 2))
-    hinv = _inv_unimodular(hs)
-    b = (hinv * hinv).sum(axis=(1, 2))
-    return np.sqrt(a * b / (a + b))
+
+def _tied(fs: np.ndarray, f_min) -> np.ndarray:
+    """The tie rule: F within TIE_TOL of the least F, where a NaN ties, so that each group keeps a candidate."""
+    return ~(fs > f_min + TIE_TOL)
 
 
 @dataclass(frozen=True)
@@ -409,10 +426,9 @@ def _search_starts(P: np.ndarray, t: Optional[float], stage: Optional[str] = "de
     For d = 2 the whole stack goes through `_reduce_stack_2x2`.  For
     d = 3 every LLL runs once over the whole stack, through
     `lll_reduce_batch`, which gives a row the bits it gets alone: on P,
-    on its duals and on both sides of the chosen seed bases.  A dual
-    seed stays a transposed view, since an F-value sums in memory order
-    and the digests carry those bits.  An LLL failure names the lowest
-    failing row as a sample of `stage` at t (no site if stage is None).
+    on its duals and on both sides of the chosen seed bases.  An LLL
+    failure names the lowest failing row as a sample of `stage` at t (no
+    site if stage is None).
     For d = 3 the seeds then go through the class sweep and its
     certificate (`sweep`) in blocks of `sweep.ROWS` rows, each block when
     the iterator reaches it, so their memory does not grow with N.
@@ -460,23 +476,13 @@ def _search_starts(P: np.ndarray, t: Optional[float], stage: Optional[str] = "de
     return itertools.chain.from_iterable(block(lo) for lo in range(0, P.shape[0], sweep.ROWS))
 
 
-def _score(best_B: np.ndarray, cs: list):
-    """best_B @ C and its F-value for every candidate C of cs, as one stack each.
-
-    Bit for bit the products best_B @ C and `_f_of_array` of each.
-    """
-    d = best_B.shape[0]
-    hs = best_B @ np.array(cs, dtype=float).reshape(-1, d, d)
-    return hs, _f_of_stack(hs)
-
-
 def _search(best_B: np.ndarray, best_U: IntegerMatrix, budget: int, reduced: tuple):
     """`_reduce_core`'s exact candidate search from its seed basis, for d in {2, 3}.
 
-    Runs until no candidate lowers F, then breaks ties lexicographically.
-    `reduced` holds the LLL bases (prim_B, dual_B) of the primal and the
-    dual lattice of the seed for `_minima_sq_of`, each None where it is
-    not yet done.
+    Runs until no candidate lowers F by more than MOVE_MARGIN, then breaks
+    the ties (`_tied`) lexicographically.  `reduced` holds the LLL bases
+    (prim_B, dual_B) of the primal and the dual lattice of the seed for
+    `_minima_sq_of`, each None where it is not yet done.
     """
     d = best_B.shape[0]
     # Successive minima are coset data; compute once per side.
@@ -485,7 +491,7 @@ def _search(best_B: np.ndarray, best_U: IntegerMatrix, budget: int, reduced: tup
 
     certificate = 0.0
     while True:
-        f_best = _f_of_array(best_B)
+        f_best = float(_f_of_stack(best_B))
         f_max = f_best + TIE_TOL
         prim_boundsq = float(_side_bound_sq(f_max, sum(dual_min_sq)))
         certificate = math.sqrt(prim_boundsq)
@@ -508,14 +514,15 @@ def _search(best_B: np.ndarray, best_U: IntegerMatrix, budget: int, reduced: tup
             seen.add(rows)
             unique_cs.append(rows)
 
-        hs, fs = _score(best_B, unique_cs)
-        if unique_cs and fs.min() < f_best - 1e-12:
+        hs = best_B @ np.array(unique_cs, dtype=float).reshape(-1, d, d)
+        fs = _f_of_stack(hs)
+        if unique_cs and fs.min() < f_best - MOVE_MARGIN:
             j = int(fs.argmin())  # the first of the lowest
             best_B, best_U = hs[j], best_U @ IntegerMatrix.from_rows(unique_cs[j])
             continue
         # the tie-break, the identity first as best_B itself, bit-exact
         hs, fs = np.concatenate([best_B[None], hs]), np.concatenate([[f_best], fs])
-        ties = np.flatnonzero(fs <= fs.min() + TIE_TOL)
+        ties = np.flatnonzero(_tied(fs, fs.min()))
         k = ties[_lex_first(_lex_key(hs[ties]), [0])[0]]
         if k:
             best_B, best_U = hs[k], best_U @ IntegerMatrix.from_rows(unique_cs[k - 1])
@@ -610,17 +617,15 @@ def reduce_matrix(g, budget: int = DEFAULT_BUDGET) -> ReducedRepresentative:
         arr = np.array(g, dtype=float)
         SpecialLinearMatrix.from_entries(arr)  # a bad input is a DeterminantError
     rep_arr, U, certificate = _reduce_core(arr, budget)
-    fvalue = _f_of_array(rep_arr)
     if all(U.rows[i][j] == (1 if i == j else 0) for i in range(U.dim) for j in range(U.dim)):
         rep_arr = arr  # bit-exact idempotence
     try:
         rep, gamma = _certified(arr, rep_arr, U)
     except PrecisionError:
         rep_arr, U2, certificate = _reduce_core(_exact_product(arr, U), budget)
-        fvalue = _f_of_array(rep_arr)
         U = U @ U2
         rep, gamma = _certified(arr, rep_arr, U)
-    return ReducedRepresentative(rep, gamma, fvalue, certificate)
+    return ReducedRepresentative(rep, gamma, float(_f_of_stack(rep_arr)), certificate)
 
 
 def iota(g, budget: int = DEFAULT_BUDGET) -> SpecialLinearMatrix:
@@ -712,10 +717,10 @@ def _proxy_distances(xis: np.ndarray, z_rep: SpecialLinearMatrix, reach: float) 
     Within reach |xi C|_F <= S = |z|_F (1 + rho) + 1e-9, so rows are
     dropped first where no C can reach: at d = 2 where |xi|_F > S, as xi
     is Frobenius-minimal in its coset (F = |.|_F / sqrt 2); at d = 3
-    where F(xi) > S, as xi is F-minimal and F(xi C) <= |xi C|_F, with
-    1e-9 relative for TIE_TOL and the rounding.  The candidates
-    (`_line_candidates_2x2`, `_box_candidates_3x3`) run in blocks of rows
-    of about _LOC_BLOCK items, so memory stays flat in N.
+    where F(xi) > S, as xi is F-minimal and F(xi C) <= |xi C|_F; both by
+    `_f_sq`, with 1e-9 relative for TIE_TOL and the rounding.  The
+    candidates (`_line_candidates_2x2`, `_box_candidates_3x3`) run in
+    blocks of rows of about _LOC_BLOCK items, so memory stays flat in N.
 
     The rounding of every step is fixed, so a test pins the distances
     bit for bit: xi C is the explicit sum of xi[:, :, k] C[k] over k,
@@ -730,10 +735,7 @@ def _proxy_distances(xis: np.ndarray, z_rep: SpecialLinearMatrix, reach: float) 
         raise ValueError(f"the proxy distance is computed for d in {{2, 3}} only, not d = {d}")
     S = math.sqrt(float((za * za).sum())) * (1.0 + reach) + 1e-9
     dists = np.full(xis.shape[0], np.inf)
-    if d == 2:
-        live = np.flatnonzero(np.sqrt((xis * xis).sum(axis=(1, 2))) <= S)
-    else:
-        live = np.flatnonzero(_f_of_stack(xis) <= S * (1 + 1e-9))
+    live = np.flatnonzero(np.sqrt(_f_sq(xis) * (2.0 if d == 2 else 1.0)) <= S * (1 + 1e-9))
     X = xis[live]
     adj = np.moveaxis(np.array(_int_adjugate(X.transpose(1, 2, 0))), -1, 0)
     # window [i, j] bounds entry i of column j
@@ -850,29 +852,28 @@ def _rotations(h: np.ndarray) -> np.ndarray:
 def _identity_alone(Bc: np.ndarray) -> np.ndarray:
     """Rows of Bc (N, 2, 2) the identity screen keeps, by relative margins of about 1e-12; no NaN or inf row."""
     b00, b01, b10, b11 = (Bc[:, i, j] for i in (0, 1) for j in (0, 1))
-    fsq = (((b00 * b00 + b01 * b01) + b10 * b10) + b11 * b11) / 2.0  # the sweep's F^2 of class I, bit for bit
+    fsq = _f_sq(Bc)  # the sweep's F^2 of class I, bit for bit
     g = (np.minimum(b00 * b00 + b10 * b10, b01 * b01 + b11 * b11) - 2.0 * np.abs(b00 * b01 + b10 * b11)) / 2.0
-    return np.sqrt(fsq * (1.0 - 4e-12) + g) * (1.0 - 1e-12) > np.sqrt(fsq) + TIE_TOL
+    # the lemma's lower bound on F outside the class does not tie F(B)
+    return ~_tied(np.sqrt(fsq * (1.0 - 4e-12) + g) * (1.0 - 1e-12), np.sqrt(fsq))
 
 
 def _sweep_static(Bc: np.ndarray):
     """F-minimal element of {b C : C in the static table} for each row b.
 
     Returns (reps, pick): the chosen products and their table indices,
-    with `_search`'s tie-break: F within TIE_TOL of the minimum, then
-    `_lex_first`, whose order among the candidates is immaterial, since
-    b C and b C' differ by a lattice vector of length at least lambda_1
-    in a column where C and C' differ.
-    F(h) = |h|_F / sqrt(2) does not change under h -> h J, so the 36
-    entries fall into 9 classes {C J^r} of equal F, and one
-    representative per class is scored.  Every table entry lies in
-    {-2, ..., 2}, so each product b_ij C_jl is exact and each nonzero
-    entry of b C is one rounding of an exact sum, however the product is
-    evaluated.  Only the sign of a zero can depend on the evaluation, so
-    every zero is returned as +0.0.  A class's F adds its four squares
-    in row-major order.  The tie-break runs over the four rotations of
-    each class within TIE_TOL of the minimum: on a row of `_identity_alone`
-    (almost every row of an orbit) the rotations of b I = b, unscored.
+    with `_search`'s tie-break: `_tied`, then `_lex_first`, whose order
+    among the candidates is immaterial, since b C and b C' differ by a
+    lattice vector of length at least lambda_1 in a column where C and C'
+    differ.  `_f_sq` gives h and h J the same bits, so the 36 entries
+    fall into 9 classes {C J^r} of equal F, and one representative per
+    class is scored.  Every table entry lies in {-2, ..., 2}, so each
+    product b_ij C_jl is exact and each nonzero entry of b C is one
+    rounding of an exact sum, however the product is evaluated.  Only
+    the sign of a zero can depend on the evaluation, so every zero is
+    returned as +0.0.  The tie-break runs over the four rotations of each
+    tied class: on a row of `_identity_alone` (almost every row of an
+    orbit) the rotations of b I = b, unscored.
     """
     reps, pick = np.empty(Bc.shape), np.empty(Bc.shape[0], dtype=np.intp)
     alone = _identity_alone(Bc)
@@ -882,10 +883,8 @@ def _sweep_static(Bc: np.ndarray):
     Br = Bc[~alone]
     # H[n, i, c, l] = (b_n C_c)[i, l] for the class representatives C_c
     H = (Br[:, :, 0, None] * _REP_ROW0 + Br[:, :, 1, None] * _REP_ROW1).reshape(len(Br), 2, len(_C_CLASSES), 2)
-    Q = H * H
-    F = np.sqrt((((Q[:, 0, :, 0] + Q[:, 0, :, 1]) + Q[:, 1, :, 0]) + Q[:, 1, :, 1]) / 2.0)
-    # a row with a NaN ties every class, so that each row has candidates
-    tied_row, tied_class = np.nonzero(~(F > (F.min(axis=1) + TIE_TOL)[:, None]))
+    F = _f_of_stack(H.transpose(0, 2, 1, 3))
+    tied_row, tied_class = np.nonzero(_tied(F, F.min(axis=1)[:, None]))
     # rows of the rotations of each tied class; distinct transforms give distinct keys
     rot = _rotations(H[tied_row, :, tied_class, :]).reshape(-1, 2, 2)
     first = _lex_first(_lex_key(rot), 4 * np.searchsorted(tied_row, np.arange(len(Br))))
@@ -955,7 +954,7 @@ def _sweep_certified_2x2(B: np.ndarray, reps: np.ndarray):
     mu = dot / n1
     perp = (n2 - dot * mu) * (1 - 1e-9)
     # sqrt 2 (F + TIE_TOL) + BOUND_MARGIN, as F = |rep|_F / sqrt 2
-    root = np.sqrt((reps * reps).sum(axis=(1, 2))) + (math.sqrt(2.0) * TIE_TOL + BOUND_MARGIN)
+    root = np.sqrt(2.0 * _f_sq(reps)) + (math.sqrt(2.0) * TIE_TOL + BOUND_MARGIN)
     room = (root * root - n1 * (1 - 1e-9)) * (1 + 1e-9)
     reach = (np.abs(mu) + np.sqrt(np.maximum(room - perp, 0.0) / n1)) * (1 + 1e-9)
     return (n1 <= n2) & (np.abs(mu) <= 0.5) & (room < 4.0 * perp) & (reach < 3.0), root

@@ -5,12 +5,12 @@ their LLL.  The sweep (`_sweep_3x3`) runs over a static table T: every C
 in SL_3(Z) with entries in {-1, 0, 1} or with C^{-T} so, 4,632 matrices
 in 193 classes {C S}, S the 24 signed permutation matrices of det 1,
 under which F is invariant.  Each round scores one member of every
-class, then every member of the classes near the lowest F exactly as
-`fundamental._search` scores its candidates, and moves to the lowest F
-or breaks the ties by `fundamental._lex_first`: one round of `_search`
-with T as its candidates.  So where T holds every C with
-F(h C) <= F(h) + TIE_TOL, h the sweep's last basis, the sweep returns
-`_search`'s gamma.
+class, then every member of the classes near the lowest F by the one F,
+`fundamental._f_of_stack`, and moves to the lowest F more than
+MOVE_MARGIN below the basis's or breaks the ties by the one tie rule
+(`_tied`, `_lex_first`): one round of `_search` with T as its
+candidates.  So where T holds every C with F(h C) <= F(h) + TIE_TOL, h
+the sweep's last basis, the sweep returns `_search`'s gamma.
 
 The certificate (`_sweep_certified`) proves that per row.  Such a C has
 |h C|_F^2 <= b_p or |h^{-T} C^{-T}|_F^2 <= b_d, the bounds of
@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import _first_row_det, _int_adjugate, _int_det, _inv_unimodular
-from .fundamental import TIE_TOL, _f_of_stack, _lex_first, _lex_key, _side_bound_sq
+from .fundamental import MOVE_MARGIN, TIE_TOL, _f_of_stack, _lex_first, _lex_key, _side_bound_sq, _tied
 
 #: Rows per block of the sweep and its certificate; bounds their memory.
 ROWS = 32
@@ -164,8 +164,8 @@ def _products(h: np.ndarray, cs: np.ndarray) -> np.ndarray:
 
     Every table entry lies in {-2, ..., 2}, so each product h_ij C_jl is
     exact, and the sum runs over j = 0, 1, 2 in turn, the order of numpy's
-    3 x 3 matmul: the values of `_score`'s products, up to the sign of a
-    zero, which neither an F-value nor a lexicographic key sees.
+    3 x 3 matmul: the values of `_search`'s products h @ C, up to the sign
+    of a zero, which neither an F-value nor a lexicographic key sees.
     """
     c = cs.astype(float)
     out = h[:, None, :, 0, None] * c[:, :, None, 0, :]
@@ -181,11 +181,11 @@ def _sweep_3x3(seeds: np.ndarray):
     last round, and pick the table entry that its tie-break chose.  A
     round first scores one member
     of every class (`_class_f`), then every member of the classes within
-    TIE_TOL of the lowest (and of h's own class) as `_search` scores a
-    candidate.  A row moves, by a matmul as in `_search`, to the lowest F
-    more than 1e-12 below F(h), the first in table order among equals, and
-    sweeps again; otherwise it breaks the ties within TIE_TOL of the
-    lowest F by `_lex_first`, h itself among them.
+    TIE_TOL of the lowest (and of h's own class) by `_f_of_stack`, as
+    `_search` scores a candidate.  A row moves, by a matmul as in
+    `_search`, to the lowest F more than MOVE_MARGIN below F(h), the first
+    in table order among equals, and sweeps again; otherwise it breaks the
+    ties (`_tied`) by `_lex_first`, h itself among them.
     """
     table = _ternary_classes()
     width = table.variants.shape[1]
@@ -207,12 +207,12 @@ def _sweep_3x3(seeds: np.ndarray):
         # scored entries in row order, each row's in table order
         owner = np.repeat(row, width)
         starts = np.searchsorted(owner, np.arange(live.size))
-        better = np.where(fs < f_h[owner] - 1e-12, fs, np.inf)
+        better = np.where(fs < f_h[owner] - MOVE_MARGIN, fs, np.inf)
         lowest = np.minimum.reduceat(better, starts)
         moves = np.isfinite(lowest)
         at = np.flatnonzero(better == lowest[owner])
         moved = at[np.searchsorted(owner[at], np.flatnonzero(moves))]
-        ties = np.flatnonzero(~moves[owner] & (fs <= np.minimum.reduceat(fs, starts)[owner] + TIE_TOL))
+        ties = np.flatnonzero(~moves[owner] & _tied(fs, np.minimum.reduceat(fs, starts)[owner]))
         chosen = ties[_lex_first(_lex_key(hs[ties]), np.flatnonzero(np.diff(owner[ties], prepend=-1)))]
         pick[live[owner[chosen]]] = table.variants[cls[chosen // width], chosen % width]
         live = live[owner[moved]]

@@ -16,9 +16,10 @@ from horolattice.fundamental import (
     reduce_batch_2x2,
     reduce_matrix,
     x_distance,
-    _f_of_array,
+    _f_of_stack,
     _lex_first,
     _lex_key,
+    _tied,
 )
 from horolattice.lattices import DEFAULT_BUDGET, enumerate_ball, lll_reduce
 
@@ -67,10 +68,11 @@ BOX20 = sl2z_box(20)
 
 
 def brute_reduce_2d(g, box=BOX20):
+    """The F-minimal g C over the box, scored and tie-broken by the shared rule."""
     H = np.einsum("ij,kjl->kil", g, box)
-    F = np.sqrt((H * H).sum(axis=(1, 2)) / 2.0)
+    F = _f_of_stack(H)
     fmin = float(F.min())
-    ties = np.nonzero(F <= fmin + 1e-9)[0]
+    ties = np.flatnonzero(_tied(F, fmin))
     pick = ties[_lex_first(_lex_key(H[ties]), [0])[0]]
     return H[pick], fmin
 
@@ -91,15 +93,15 @@ def random_word(rng, budget=4.0):
 
 
 def test_F_value_identity():
-    assert _f_of_array(np.eye(2)) == pytest.approx(1.0)
-    assert _f_of_array(np.eye(3)) == pytest.approx(math.sqrt(1.5))
+    assert _f_of_stack(np.eye(2)) == pytest.approx(1.0)
+    assert _f_of_stack(np.eye(3)) == pytest.approx(math.sqrt(1.5))
 
 
 def test_F_value_inverse_symmetry():
     rng = np.random.default_rng(0)
     for _ in range(20):
         g = SpecialLinearMatrix.from_entries(random_word(rng))
-        assert _f_of_array(g.entries) == pytest.approx(_f_of_array(g.inv().entries), rel=1e-12)
+        assert _f_of_stack(g.entries) == pytest.approx(_f_of_stack(g.inv().entries), rel=1e-12)
 
 
 def test_reduce_integer_input_gives_signed_permutation():
@@ -291,7 +293,7 @@ def test_reduce_certificate_holds():
         r = reduce_matrix(g)
         B = lll_reduce(r.rep.entries)[0]
         for C in _candidate_set(B, r.certificate):
-            assert _f_of_array(B @ np.array(C, dtype=float)) >= r.fvalue - 1e-9
+            assert _f_of_stack(B @ np.array(C, dtype=float)) >= r.fvalue - 1e-9
     # the unit lattice: the four rotations, and nothing below sqrt(d)
     L = lll_reduce(np.eye(2))[0]
     assert _candidate_set(L, 1.5) == {((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((0, -1), (1, 0)), ((0, 1), (-1, 0))}
@@ -376,23 +378,27 @@ def test_certified_2x2_rows_hold_every_near_minimal_transform_in_the_table(s, mo
 
 
 def _sweep_all_36(Bc):
-    """The 36-candidate static sweep the rotation classes replaced, kept as the reference."""
+    """The 36-candidate static sweep the rotation classes replaced, kept as the reference.
+
+    It scores all 36 products in table order by the shared rule, `_f_of_stack`
+    and `_tied`, and keeps the first with the least `_lex_key`, where a NaN
+    key compares as least, as in `_lex_first`.  Returns (reps, pick, least),
+    least the mask of the tied entries with the least key.
+    """
     H = np.matmul(Bc[:, None], fundamental._C_STATIC.astype(float))
-    A = (H * H).sum(axis=(2, 3))
-    F = np.sqrt(A / 2.0)
-    cand = F <= (F.min(axis=1)[:, None] + fundamental.TIE_TOL)
-    keys = np.rint(H / fundamental.LEX_GRID).astype(np.int64)
-    sentinel = np.iinfo(np.int64).max
-    for (i, j) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        key = np.where(cand, keys[:, :, i, j], sentinel)
-        cand &= key == key.min(axis=1)[:, None]
+    F = _f_of_stack(H)
+    cand = _tied(F, F.min(axis=1)[:, None])
+    keys = _lex_key(H)
+    for k in range(4):
+        key = np.where(cand, keys[:, :, k], np.inf)
+        cand &= ~(key > key.min(axis=1)[:, None])
     pick = cand.argmax(axis=1)
-    return H[np.arange(Bc.shape[0]), pick], pick
+    return H[np.arange(Bc.shape[0]), pick], pick, cand
 
 
 def _assert_sweep_matches_reference(Bc):
     reps, pick = fundamental._sweep_static(Bc)
-    ref_reps, ref_pick = _sweep_all_36(Bc)
+    ref_reps, ref_pick, _ = _sweep_all_36(Bc)
     assert reps.tobytes() == ref_reps.tobytes()
     assert np.array_equal(pick, ref_pick)
 
@@ -443,14 +449,29 @@ def test_sweep_matches_36_candidate_reference_on_ties_and_signed_zeros():
     Bc = np.array(mats)
     # the hexagonal lattice ties several classes
     H = np.matmul(hexagonal[None, None], fundamental._C_STATIC.astype(float))[0]
-    F = np.sqrt((H * H).sum(axis=(1, 2)) / 2.0)
-    tied = np.flatnonzero(F <= F.min() + fundamental.TIE_TOL)
+    F = _f_of_stack(H)
+    tied = np.flatnonzero(_tied(F, F.min()))
     assert np.isin(fundamental._C_CLASSES, tied).any(axis=1).sum() > 1
     _assert_sweep_matches_reference(Bc)
     for b in Bc:
         _assert_sweep_matches_reference(b[None])
     reps, _ = fundamental._sweep_static(Bc)
     assert not np.signbit(reps[reps == 0]).any()
+    # shears TIE_TOL above F, to a few hundred ulps: one F and one tie rule
+    # give the class sweep and the table-order reference the same tie sets
+    for seed in range(4):
+        _assert_sweep_matches_reference(_tie_edge_rows(20_000, seed))
+    # NaN and inf rows tie every entry.  On the overflow row, every F is inf
+    # and the keys of the second row all round to 0, so the lexicographic
+    # order cannot tell some entries apart, and the first of them depends on
+    # the order of the candidates: the sweep picks from its tie set (entry
+    # 23), the table-order reference entry 11.  That pick stays as it is
+    # until a relative LEX_GRID can tell such keys apart.
+    with np.errstate(invalid="ignore", over="ignore"):
+        _assert_sweep_matches_reference(_NONFINITE_ROWS[:-1])
+        _, pick = fundamental._sweep_static(_NONFINITE_ROWS[-1:])
+        _, _, least = _sweep_all_36(_NONFINITE_ROWS[-1:])
+    assert least[0, pick[0]] and least[0].sum() > 1
 
 
 def _edge_basis(mu, eps):
@@ -535,6 +556,57 @@ def test_identity_screen_agrees_with_the_class_scoring_at_ties_and_on_nonfinite_
     for (reps, pick), (ref_reps, ref_pick) in zip(screened, scored):
         assert reps.tobytes() == ref_reps.tobytes()
         assert np.array_equal(pick, ref_pick)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_search_agrees_with_the_sweep_at_tie_edges(seed):
+    # a certified row's gamma is `_search`'s: from the same seed both score by
+    # the one F and break ties by the one rule, also where a shear lies at
+    # TIE_TOL above F, to within a few hundred ulps
+    B = _tie_edge_rows(1000, seed)
+    reps, pick = fundamental._sweep_static(B)
+    eye = np.eye(2, dtype=np.int64)
+    for b, rep, C in zip(B, reps, fundamental._C_STATIC[pick]):
+        rep_arr, U, _ = fundamental._reduce_core(b, DEFAULT_BUDGET, fundamental._seed_start(b, eye))
+        assert rep_arr.tobytes() == rep.tobytes()
+        assert np.array_equal(U.to_int64(), C)
+
+
+def _sl3_stack(count, seed):
+    """Det-1 3 x 3 matrices of a stack, entries of both signs over a few orders of magnitude."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(count, 3, 3)) * np.exp(rng.uniform(-3, 3, (count, 1, 3)))
+    A[np.linalg.det(A) < 0, :, 0] *= -1
+    return A / np.cbrt(np.linalg.det(A))[:, None, None]
+
+
+def test_the_one_F_has_the_same_bits_in_every_layout_and_on_every_rotation(monkeypatch):
+    us = np.random.default_rng(41).uniform(-0.5, 0.5, 2000)
+    d2 = np.concatenate([_tie_edge_rows(2000, 5), fundamental._lagrange_2x2(_flow_orbit(8.0, us))[0]])
+    for hs in (d2, _sl3_stack(2000, 6)):
+        ref = _bits(fundamental._f_sq(hs))
+        assert hs.flags.c_contiguous
+        assert _bits(fundamental._f_sq(np.asfortranarray(hs))) == ref
+        assert _bits(fundamental._f_sq(np.ascontiguousarray(hs.transpose(0, 2, 1)).transpose(0, 2, 1))) == ref
+        assert _bits(fundamental._f_sq(np.ascontiguousarray(hs.T).T)) == ref
+        assert _bits([fundamental._f_sq(h) for h in hs[:200]]) == ref[: 200 * 8]
+        assert fundamental._f_sq(hs[:0]).shape == (0,)  # a round with no candidates
+    # d = 2: h J, h^T, adj h and -h, so one score per rotation class is exact
+    ref = _bits(fundamental._f_sq(d2))
+    a, b, c, d = (d2[:, i, j] for i in (0, 1) for j in (0, 1))
+    adj = np.stack([d, -b, -c, a], axis=1).reshape(-1, 2, 2)
+    for moved in (d2 @ np.array([[0.0, -1.0], [1.0, 0.0]]), d2.transpose(0, 2, 1), adj, -d2):
+        assert _bits(fundamental._f_sq(moved)) == ref
+    rot = fundamental._rotations(d2)
+    assert _bits(fundamental._f_sq(rot)) == _bits(np.repeat(fundamental._f_sq(d2)[:, None], 4, axis=1))
+    # the identity screen's F^2 is the scorer's, bit for bit, on the rows as given
+    real, seen = fundamental._f_sq, []
+    monkeypatch.setattr(fundamental, "_f_sq", lambda hs: seen.append((hs, real(hs))) or seen[-1][1])
+    for Bc in (d2, np.asfortranarray(d2)):
+        seen.clear()
+        fundamental._identity_alone(Bc)
+        ((scored, fsq),) = seen
+        assert scored is Bc and _bits(fsq) == ref
 
 
 def test_identity_screen_clears_almost_every_row_of_an_orbit():
@@ -692,7 +764,7 @@ def _bits(x):
 
 def test_stacked_scoring_matches_per_candidate_bytes():
     # the search scores each round's candidates as one stack; the
-    # per-candidate products and F-values are the reference
+    # per-candidate products and F-values, each matrix alone, are the reference
     rng = np.random.default_rng(31)
     scored = 0
     bases = [lll_reduce(P)[0] for P in _flow_orbit(6.0, rng.uniform(-0.5, 0.5, 10))]
@@ -707,23 +779,23 @@ def test_stacked_scoring_matches_per_candidate_bytes():
     for B in bases:
         d = B.shape[0]
         minima = fundamental._minima_sq_of(B, DEFAULT_BUDGET)
-        boundsq = 2.0 * fundamental._f_of_array(B) ** 2 + 1.0
+        boundsq = 2.0 * fundamental._f_sq(B) + 1.0
         if d == 2:
             cs = fundamental._candidates_2d(B, boundsq, minima[0], DEFAULT_BUDGET)
         else:
             cs = fundamental._candidates_3d(B, boundsq, minima, DEFAULT_BUDGET)
-        hs, fs = fundamental._score(B, cs)
-        assert hs.shape == (len(cs), d, d)
+        hs = B @ np.array(cs, dtype=float).reshape(-1, d, d)
+        fs = _f_of_stack(hs)
+        assert hs.shape == (len(cs), d, d) and fs.shape == (len(cs),)
         for C, h, f in zip(cs, hs, fs):
             ref = B @ np.array(C, dtype=float)
             assert h.tobytes() == ref.tobytes()
-            assert _bits(f) == _bits(fundamental._f_of_array(ref))
+            assert _bits(f) == _bits(_f_of_stack(ref))
         scored += len(cs)
     assert scored > 1000
     # the seed choice scores a stack of transposed views the same way
     seeds = fundamental._inv_unimodular(np.array(bases[10::2])).transpose(0, 2, 1)
-    assert _bits(fundamental._f_of_stack(seeds)) == _bits([fundamental._f_of_array(s) for s in seeds])
-    assert fundamental._score(bases[0], [])[0].shape == (0, 2, 2)
+    assert _bits(_f_of_stack(seeds)) == _bits([_f_of_stack(s) for s in seeds])
 
 
 def test_ternary_table_holds_every_class_of_24_closed_under_inverse_transpose():
@@ -769,7 +841,7 @@ def test_certificate_refuses_a_cusp_basis_with_near_ties_outside_the_table():
     h = np.diag([1e-4, 100.0, 100.0])
     shear = np.eye(3, dtype=np.int64)
     shear[0, 1] = 2
-    assert fundamental._f_of_array(h @ shear) - fundamental._f_of_array(h) <= fundamental.TIE_TOL
+    assert _f_of_stack(h @ shear) - _f_of_stack(h) <= fundamental.TIE_TOL
     table = {C.tobytes() for C in sweep._ternary_classes().variants.astype(np.int64).reshape(-1, 3, 3)}
     assert shear.tobytes() not in table
     start = next(fundamental._search_starts(h[None], None, None))

@@ -78,8 +78,8 @@ def test_decompose_matches_brute_force_shear():
 
     box = sl2z_box(60)  # the optimum here is tiny; 60 covers it many times over
     H = np.einsum("ij,kjl->kil", P, box)
-    fmin = float(np.sqrt((H * H).sum(axis=(1, 2)) / 2.0).min())
-    assert fundamental._f_of_array(xi.entries) <= fmin + 1e-9
+    fmin = float(fundamental._f_of_stack(H).min())
+    assert fundamental._f_of_stack(xi.entries) <= fmin + 1e-9
 
 
 def test_decompose_reconstruction_random():
@@ -481,7 +481,7 @@ def test_certified_rows_hold_every_near_minimal_transform_in_the_table(monkeypat
         list(fundamental._search_starts(P, t))
     assert len(bases) > 200
     for h in bases:
-        f_max = fundamental._f_of_array(h) + fundamental.TIE_TOL
+        f_max = fundamental._f_of_stack(h) + fundamental.TIE_TOL
         dual = fundamental._inv_unimodular(h).T
         prim_min = fundamental._minima_sq_of(h, DEFAULT_BUDGET)
         dual_min = fundamental._minima_sq_of(dual, DEFAULT_BUDGET)
@@ -489,7 +489,7 @@ def test_certified_rows_hold_every_near_minimal_transform_in_the_table(monkeypat
         dual_cands = fundamental._candidates_3d(dual, fundamental._side_bound_sq(f_max, sum(prim_min)), dual_min, DEFAULT_BUDGET)
         cands += [np.array(rows).T for rows in (sweep._adjugates(np.array(dual_cands))[0] if dual_cands else [])]
         for C in np.array(cands, dtype=np.int64):
-            if fundamental._f_of_array(h @ C) <= f_max:
+            if fundamental._f_of_stack(h @ C) <= f_max:
                 assert C.tobytes() in table
 
 

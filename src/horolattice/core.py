@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .errors import (
     DeterminantError,
     DimensionMismatchError,
     FlowRangeError,
+    PrecisionError,
     RationalityError,
 )
 
@@ -75,8 +76,12 @@ def _mod1(x):
 def _det_tolerance(scale: float, dim: int) -> float:
     # Float determinant evaluation of a matrix with entries of size s
     # carries absolute noise ~ eps * s^d, so the acceptance threshold
-    # must grow with the entry scale; at O(1) scale this is DET_TOL.
-    return max(DET_TOL, 64.0 * dim * _EPS * max(1.0, scale) ** dim)
+    # must grow with the entry scale; at O(1) scale this is DET_TOL.  Past
+    # the range of a double the determinant cannot be checked at all.
+    try:
+        return max(DET_TOL, 64.0 * dim * _EPS * max(1.0, scale) ** dim)
+    except OverflowError:
+        raise PrecisionError(f"entry scale {scale:.3g} is beyond the determinant check's range at d = {dim}") from None
 
 
 @dataclass(frozen=True)
@@ -347,9 +352,6 @@ class IntegerMatrix:
 
     def to_int64(self) -> np.ndarray:
         return np.array(self.rows, dtype=np.int64)
-
-
-Coordinate = Union[Fraction, float]
 
 
 @dataclass(frozen=True)

@@ -189,13 +189,24 @@ class WeylInstance:
             raise ValueError("T must be a positive integer")
 
 
+#: Values of k per block of `weyl_count`, so its memory does not grow with T.
+_WEYL_BLOCK = 1 << 16
+
+
 def weyl_count(w: WeylInstance) -> int:
-    """Exact count of 0 <= k < T with {k alpha} within rho of x0 (mod 1)."""
-    k = np.arange(w.T, dtype=float)
-    x = (k * w.alpha) % 1.0
-    diff = np.abs(x - (w.x0 % 1.0))
-    circ = np.minimum(diff, 1.0 - diff)
-    return int(np.count_nonzero(circ <= w.rho))
+    """Exact count of 0 <= k < T with {k alpha} within rho of x0 (mod 1).
+
+    k runs in blocks of _WEYL_BLOCK; each k is an exact float, so every
+    block rounds as a slice of the whole range would.
+    """
+    x0, count = w.x0 % 1.0, 0
+    for lo in range(0, w.T, _WEYL_BLOCK):
+        k = np.arange(lo, min(lo + _WEYL_BLOCK, w.T), dtype=float)
+        x = (k * w.alpha) % 1.0
+        diff = np.abs(x - x0)
+        circ = np.minimum(diff, 1.0 - diff)
+        count += int(np.count_nonzero(circ <= w.rho))
+    return count
 
 
 def weyl_bound(w: WeylInstance) -> float:

@@ -47,11 +47,17 @@ a single matrix is a stack of one (`_search_starts`, `_reduce_core`).
 3. The certificate, per row, that the table holds every C within
    `_search`'s Frobenius bound; then the sweep's gamma is `_search`'s.
 4. A row that fails it runs `_search` from its seed: the certified
-   successive minima of both sides, then the candidate walks of
+   successive minima of both sides, then the candidates of
    `_candidates_2d`, or of `_candidates_3d` on both sides, until no
-   candidate lowers F, and the lexicographic tie-break.  A dual
-   candidate C has det C = 1, so its primal transform C^{-T} is the
-   integer cofactor matrix of C.
+   candidate lowers F, and the lexicographic tie-break.  Each walks
+   once the ball of primitive coefficient vectors that holds every
+   column under the bound, takes the first column (at d = 3 the first
+   two) from it, and completes the basis by lookup in the same ball
+   (`_completions`): the c with cofactor . c = +-1, signed to det +1,
+   whose |B c|^2 fits the room left in the bound.  The cofactor is
+   (-b, a) after a first column (a, b), a x b after columns (a, b).  A
+   dual candidate C has det C = 1, so its primal transform C^{-T} is
+   the integer cofactor matrix of C.
 A larger d has no certified reduction and is refused.  Each float step
 is the same numpy operation whatever the surrounding bookkeeping, so a
 row gets the same bits in any stack.  Each d = 3 sample passes through
@@ -198,74 +204,66 @@ def _minima_sq_of(B: np.ndarray, budget: int, reduced: Optional[np.ndarray] = No
     return [x * x for x in successive_minima(reduced, budget)]
 
 
-def _pm(vectors):
-    out = []
-    for c in vectors:
-        out.append(c)
-        out.append(tuple(-x for x in c))
-    return out
+def _ball(B: np.ndarray, radius: float, budget: int):
+    """The primitive c with |B c| <= radius, one per +- pair, as int64 rows in ascending |B c|^2, and those |B c|^2."""
+    coeffs = np.array(list(enumerate_ball(B, radius, budget, primitive=True)), dtype=np.int64).reshape(-1, B.shape[0])
+    vecs = coeffs.astype(float) @ B.T
+    qs = (vecs * vecs).sum(axis=1)
+    order = np.argsort(qs, kind="stable")
+    return coeffs[order], qs[order]
+
+
+def _completions(coeffs: np.ndarray, qs: np.ndarray, cofactor, room: float) -> np.ndarray:
+    """The last columns that complete a basis to det +1, by lookup in `_ball`'s (coeffs, qs).
+
+    cofactor . c is the determinant of the basis that c completes: (-b, a)
+    after a first column (a, b), a x b after columns (a, b).  Returns the
+    c with cofactor . c = +-1, signed to +1, and |B c|^2 <= room.
+    """
+    k = int(np.searchsorted(qs, room, side="right"))
+    dets = coeffs[:k] @ np.array(cofactor, dtype=np.int64)
+    unit = np.abs(dets) == 1
+    return coeffs[:k][unit] * dets[unit, None]
 
 
 def _candidates_2d(B: np.ndarray, boundsq: float, lam1sq: float, budget: int):
-    """All integer C with det C = +1 and |B C|_F <= sqrt(boundsq), for d = 2."""
-    G = B.T @ B
+    """All integer C with det C = +1 and |B C|_F <= sqrt(boundsq), for d = 2.
+
+    Both columns lie in the ball of radius sqrt(boundsq - lambda_1^2);
+    each of its first columns is completed by `_completions`.
+    """
     room1 = boundsq - lam1sq
     if room1 <= 0:
         return []
-    cols = list(enumerate_ball(B, math.sqrt(room1), budget, primitive=True))
+    coeffs, qs = _ball(B, math.sqrt(room1), budget)
     out = []
-    for a, b in _pm(cols):
-        qc = G[0, 0] * a * a + 2 * G[0, 1] * a * b + G[1, 1] * b * b
-        room2 = boundsq - qc
-        if room2 < lam1sq * (1 - 1e-9):
-            continue
-        # particular solution of a*y - b*x = 1 -> second column (x0, y0)
-        u, v = _bezout((a, b))
-        x0, y0 = -v, u
-        # quadratic in the shift k: q(c2_0 + k c1) <= room2
-        q0 = G[0, 0] * x0 * x0 + 2 * G[0, 1] * x0 * y0 + G[1, 1] * y0 * y0
-        cross = G[0, 0] * a * x0 + G[0, 1] * (a * y0 + b * x0) + G[1, 1] * b * y0
-        disc = cross * cross - qc * (q0 - room2)
-        if disc < 0:
-            continue
-        root = math.sqrt(disc)
-        lo = math.ceil((-cross - root) / qc - 1e-12)
-        hi = math.floor((-cross + root) / qc + 1e-12)
-        for k in range(lo, hi + 1):
-            out.append(((a, x0 + k * a), (b, y0 + k * b)))
+    for (a, b), q in zip(coeffs.tolist(), qs.tolist()):
+        # the first column -(a, b) takes the second column -c
+        cs = _completions(coeffs, qs, (-b, a), boundsq - q).tolist()
+        out += [((a, x), (b, y)) for x, y in cs]
+        out += [((-a, -x), (-b, -y)) for x, y in cs]
     return out
 
 
 def _candidates_3d(B: np.ndarray, boundsq: float, minima_sq: list, budget: int):
     """All integer C with det C = +1 and |B C|_F <= sqrt(boundsq), for d = 3.
 
-    Ordered pairs of candidate columns are pruned by the fact that the
-    sorted column norms of any basis dominate the successive minima,
-    which pins down the cheapest admissible third column; the shifted
-    2D enumeration for that column is shared across the four sign
-    combinations of the first two (the determinant constraint only
-    flips the sign of its solution set).
+    Every column lies in the ball of radius sqrt(boundsq - lambda_1^2 -
+    lambda_2^2).  Ordered pairs of its columns are pruned by the fact that
+    the sorted column norms of any basis dominate the successive minima,
+    which pins down the cheapest admissible third column; a pair (a, b)
+    that survives is completed by `_completions`, with cofactor a x b.
+    The four sign combinations of (a, b) share that lookup: det(a, b, c)
+    only flips its sign with a or b.
     """
-    import bisect
-
     lam1, lam2, lam3 = minima_sq
     slack = boundsq - (lam1 + lam2 + lam3)
     if slack < -1e-9 * boundsq:
         return []  # any basis carries at least the full minima mass
     room1 = boundsq - lam1 - lam2
-    coeffs = list(
-        enumerate_ball(B, math.sqrt(max(room1, 0.0) + 1e-12), budget, primitive=True)
-    )
-    if not coeffs:
-        return []
-    carr = np.array(coeffs, dtype=float)
-    vecs = carr @ B.T
-    qs = (vecs * vecs).sum(axis=1)
-    order = np.argsort(qs, kind="stable")
-    coeffs = [coeffs[i] for i in order]
-    vecs = vecs[order]
-    qs = qs[order]
+    coeffs, qs = _ball(B, math.sqrt(max(room1, 0.0) + 1e-12), budget)
     qlist = qs.tolist()
+    cols = coeffs.tolist()
 
     def feasible(q: float) -> bool:
         # a column of a qualifying basis must sit in one of the minima
@@ -276,20 +274,15 @@ def _candidates_3d(B: np.ndarray, boundsq: float, minima_sq: list, budget: int):
         return False
 
     usable = [feasible(q) for q in qlist]
-    firsts = [
-        i for i in range(len(coeffs)) if qlist[i] <= room1 * (1 + 1e-12) and usable[i]
-    ]
+    firsts = [i for i in range(len(cols)) if qlist[i] <= room1 * (1 + 1e-12) and usable[i]]
     out = []
     for i1 in firsts:
         q1 = qlist[i1]
-        a = coeffs[i1]
-        va = vecs[i1]
+        a = cols[i1]
         room2 = boundsq - q1 - lam1
         # domination: if q1 is small the partner must reach lambda_2
-        start = 0
-        if q1 < lam2 * (1 - 1e-9):
-            start = bisect.bisect_left(qlist, lam2 * (1 - 1e-9))
-        for i2 in range(start, len(coeffs)):
+        start = int(np.searchsorted(qs, lam2 * (1 - 1e-9))) if q1 < lam2 * (1 - 1e-9) else 0
+        for i2 in range(start, len(cols)):
             q2 = qlist[i2]
             if q2 > room2 * (1 + 1e-12):
                 break
@@ -306,50 +299,14 @@ def _candidates_3d(B: np.ndarray, boundsq: float, minima_sq: list, budget: int):
                 q3_low = lam1
             if q1 + q2 + q3_low > boundsq * (1 + 1e-9):
                 continue
-            b = coeffs[i2]
+            b = cols[i2]
             n = _cross(a, b)
             if math.gcd(*n) != 1:
                 continue
-            c30 = _bezout(n)
-            room3 = boundsq - q1 - q2
-            A3 = q1
-            B3 = q2
-            vb = vecs[i2]
-            v0 = B @ np.array(c30, dtype=float)
-            C3 = float(va @ vb)
-            u0 = float(v0 @ va)
-            w0 = float(v0 @ vb)
-            q30 = float(v0 @ v0)
-            aa = C3 * C3 - A3 * B3
-            bb = C3 * u0 - A3 * w0
-            cc = u0 * u0 - A3 * (q30 - room3)
-            if aa >= 0:
-                continue  # parallel columns; already excluded by n != 0
-            disc_t = bb * bb - aa * cc
-            if disc_t < 0:
-                continue
-            root_t = math.sqrt(disc_t)
-            t_lo = math.ceil((-bb + root_t) / aa - 1e-12)
-            t_hi = math.floor((-bb - root_t) / aa + 1e-12)
-            for t in range(t_lo, t_hi + 1):
-                b2 = C3 * t + u0
-                c2c = B3 * t * t + 2 * w0 * t + q30 - room3
-                disc_s = b2 * b2 - A3 * c2c
-                if disc_s < 0:
-                    continue
-                root_s = math.sqrt(disc_s)
-                s_lo = math.ceil((-b2 - root_s) / A3 - 1e-12)
-                s_hi = math.floor((-b2 + root_s) / A3 + 1e-12)
-                for s1 in range(s_lo, s_hi + 1):
-                    c3 = (
-                        c30[0] + s1 * a[0] + t * b[0],
-                        c30[1] + s1 * a[1] + t * b[1],
-                        c30[2] + s1 * a[2] + t * b[2],
-                    )
-                    # det(a, b, c3) = n . c3 = +1; the four sign variants
-                    # (+a,+b), (-a,-b) share c3, (+a,-b), (-a,+b) take -c3
-                    for sa, sb in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
-                        out.append(tuple((sa * a[r], sb * b[r], sa * sb * c3[r]) for r in range(3)))
+            for c in _completions(coeffs, qs, n, boundsq - q1 - q2).tolist():
+                # (+a, +b) and (-a, -b) take c, (+a, -b) and (-a, +b) take -c
+                for sa, sb in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
+                    out.append(tuple((sa * a[r], sb * b[r], sa * sb * c[r]) for r in range(3)))
     return out
 
 

@@ -73,8 +73,35 @@ _STATISTICAL_KINDS = {"orbit", "fourier", "concentration", "gamma-orbit", "siege
 #: kind of any other signature: d > 3 has no certified reduction.
 PRECISION_CAPS = {(1, 1): 12.0, (1, 2): 16.0, (2, 1): 5.0}
 
-#: Largest horizon T >= 1 of zeta and weyl: at the cap a CLI run took 0.7 s, 414 MB (weyl) and 0.3 s (zeta, d <= 3).
+#: Largest horizon T >= 1 of zeta and weyl.  weyl counts in blocks, so its
+#: memory is flat and its time, linear in T, is the limit: at the cap a CLI
+#: run took 0.4 s and 35 MB (weyl) and 0.3 s (zeta, d <= 3) on a 2-core VM.
 HORIZON_CAPS = {"zeta": 1e10, "weyl": 1e7}
+
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number(v) -> bool:
+    return _integer(v) or isinstance(v, float)
+
+
+def _list_of(v, item) -> bool:
+    return isinstance(v, (list, tuple)) and all(item(x) for x in v)
+
+
+#: What each field of a config may hold, as JSON gives it, and how a refusal says so.
+_FIELD_TYPES = {
+    **dict.fromkeys(("kind", "suite"), (lambda v: isinstance(v, str), "a string")),
+    **dict.fromkeys(("m", "n", "samples", "seed", "max_freq", "budget", "schema"), (_integer, "an integer")),
+    **dict.fromkeys(("epsilon", "rho", "x0", "radius"), (_number, "a number")),
+    **dict.fromkeys(("t", "alpha"), (lambda v: v is None or _number(v), "a number or null")),
+    "out": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "t_grid": (lambda v: _list_of(v, _number), "a list of numbers"),
+    "b0": (lambda v: _list_of(v, lambda x: isinstance(x, str) or _number(x)), 'a list of numbers or "p/q" strings'),
+    "g0": (lambda v: v is None or _list_of(v, lambda row: _list_of(row, _number)), "null or a list of rows of numbers"),
+}
 
 
 @dataclass
@@ -167,6 +194,10 @@ class ExperimentConfig:
         extra = set(data) - known
         if extra:
             raise ConfigError(f"unknown config fields: {sorted(extra)}")
+        for name, value in data.items():
+            holds, what = _FIELD_TYPES[name]
+            if not holds(value):
+                raise ConfigError(f"config field {name!r} must be {what}, not {value!r}")
         kwargs = dict(data)
         if "t_grid" in kwargs:
             kwargs["t_grid"] = tuple(kwargs["t_grid"])

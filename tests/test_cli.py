@@ -58,7 +58,7 @@ def test_flow_cap_edge(m, n, t_max, capsys):
 
 @pytest.mark.parametrize("kind", ["zeta", "weyl"])
 def test_horizon_cap_edge(kind):
-    # validate alone: a weyl run at its cap takes 0.7 s and 414 MB, too much for tier-1
+    # validate alone: test_diophantine counts at the weyl cap
     cap = harness.HORIZON_CAPS[kind]
     for T in (1.0, cap):
         harness.ExperimentConfig(kind=kind, t=T).validate()
@@ -152,13 +152,34 @@ def test_kind_runs_to_its_artifacts(argv, config, checks, headers, tmp_path):
         (["weyl", "--t", "10", "--alpha", "nan"], "alpha, x0 and rho must be finite, not nan, 0.3, 0.05"),
         (["weyl", "--t", "10", "--alpha", "0.3", "--rho", "inf"], "alpha, x0 and rho must be finite, not 0.3, 0.3, inf"),
         (["concentration", "--t", "1", "--samples", "100", "--rho", "nan"], "alpha, x0 and rho must be finite, not None, 0.3, nan"),
+        (["reduce", "--g0", "[[1e160, 0], [0, 1e-160]]"], "entry scale 1e+160 is beyond the determinant check's range"),
+        (["reduce", "--g0", "[[1e200, 0], [0, 1e-200]]"], "entry scale 1e+200 is beyond the determinant check's range"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, message, capsys):
-    # exit 1 is kept for a failed invariant; a ValueError of any kind is bad input
+    # exit 1 is kept for a failed invariant; a ValueError of any kind is bad
+    # input, and entries whose determinant a double cannot check are lost precision
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and message in err and err.count("\n") == 1
+    prefix = "budget/precision error:" if message.startswith("entry scale") else "configuration error:"
+    assert err.startswith(prefix) and message in err and err.count("\n") == 1
+
+
+_MISTYPED = {
+    "kind": 5, "m": "1", "n": 1.5, "t": "1", "t_grid": 3, "samples": "many", "seed": True, "b0": [[1], 0],
+    "g0": [[1, 0], 1], "epsilon": "0.1", "rho": [0.05], "max_freq": 2.0, "alpha": "0.3", "x0": None,
+    "radius": {}, "out": 5, "budget": 1e6, "suite": ["all"], "schema": "1",
+}
+
+
+@pytest.mark.parametrize("field", sorted(_MISTYPED))
+def test_mistyped_config_field_exits_2_with_one_line(field, tmp_path, capsys):
+    assert set(_MISTYPED) == {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"kind": "orbit", "t": 1, "samples": 100, field: _MISTYPED[field]}))
+    assert cli.main(["orbit", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: config field {field!r} must be ") and err.count("\n") == 1
 
 
 def test_fourier_decay_skips_the_dual_grid_of_a_rational_fiber(capsys):

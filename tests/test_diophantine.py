@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horolattice import diophantine
 from horolattice.core import IntegerMatrix, TorusPoint
 from horolattice.diophantine import (
     WeylInstance,
@@ -139,6 +141,28 @@ def test_weyl_count_oracle_loop():
         if min(diff, 1 - diff) <= w.rho:
             count += 1
     assert weyl_count(w) == count
+
+
+def _weyl_count_one_array(w):
+    # the count as one expression over the whole range of k
+    k = np.arange(w.T, dtype=float)
+    diff = np.abs((k * w.alpha) % 1.0 - (w.x0 % 1.0))
+    return int(np.count_nonzero(np.minimum(diff, 1.0 - diff) <= w.rho))
+
+
+def test_weyl_count_in_blocks_matches_one_array_and_keeps_memory_flat():
+    block = diophantine._WEYL_BLOCK
+    for T in (1, block - 1, block, block + 1, 3 * block - 1, 3 * block + 7):
+        for alpha, x0, rho in ((GOLDEN, 0.3, 0.07), (math.sqrt(2) - 1, 0.95, 0.1), (0.5, 0.5, 0.1)):
+            w = WeylInstance(alpha, T, x0, rho)
+            assert weyl_count(w) == _weyl_count_one_array(w)
+    tracemalloc.start()
+    try:
+        weyl_count(WeylInstance(GOLDEN, 10**7, 0.3, 0.05))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_weyl_bound_properties():

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import os
@@ -8,8 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from horolattice import fundamental, sweep
-from horolattice.core import IntegerMatrix, SpecialLinearMatrix, SplittingSignature, diagonal_flow_vector
+from horolattice import fundamental, orbits, sweep
+from horolattice.core import (
+    AffineLatticePoint,
+    IntegerMatrix,
+    SpecialLinearMatrix,
+    SplittingSignature,
+    TorusPoint,
+    _bezout,
+    _cross,
+    _int_det,
+    diagonal_flow_vector,
+)
 from horolattice.errors import BudgetExceededError, DeterminantError, PrecisionError
 from horolattice.fundamental import (
     iota,
@@ -268,6 +279,14 @@ def test_precision_loss_in_the_reduction_is_a_precision_error():
     for d in (2, 3):
         with pytest.raises(DeterminantError):
             reduce_matrix(2.0 * np.eye(d))
+
+
+@pytest.mark.parametrize("g", [np.diag([1e160, 1e-160]), np.diag([1e-200, 1e200]), np.diag([1e103, 1e-103, 1.0])])
+def test_entries_past_the_determinant_check_are_a_precision_error(g):
+    # the check's tolerance grows as scale^d, which leaves the doubles here;
+    # the input has det 1, so it is not refused as a bad determinant
+    with pytest.raises(PrecisionError, match=r"entry scale 1e\+\d+ is beyond the determinant check's range"):
+        reduce_matrix(g)
 
 
 def test_reduce_coset_preservation():
@@ -762,11 +781,9 @@ def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-def test_stacked_scoring_matches_per_candidate_bytes():
-    # the search scores each round's candidates as one stack; the
-    # per-candidate products and F-values, each matrix alone, are the reference
+def _scoring_bases():
+    """LLL bases of flowed lattices: ten at d = 2, then at d = 3 a primal seed and a dual seed by turns."""
     rng = np.random.default_rng(31)
-    scored = 0
     bases = [lll_reduce(P)[0] for P in _flow_orbit(6.0, rng.uniform(-0.5, 0.5, 10))]
     for m, n, t in ((1, 2, 4.0), (2, 1, 3.0), (1, 2, 8.0)):
         sig = SplittingSignature(m, n)
@@ -776,6 +793,14 @@ def test_stacked_scoring_matches_per_candidate_bytes():
             P = diagonal_flow_vector(t, sig)[:, None] * H
             dual_seed = fundamental._inv_unimodular(lll_reduce(fundamental._inv_unimodular(P).T)[0]).T
             bases += [lll_reduce(P)[0], dual_seed]  # C order, and the dual seed's transposed view
+    return bases
+
+
+def test_stacked_scoring_matches_per_candidate_bytes():
+    # the search scores each round's candidates as one stack; the
+    # per-candidate products and F-values, each matrix alone, are the reference
+    scored = 0
+    bases = _scoring_bases()
     for B in bases:
         d = B.shape[0]
         minima = fundamental._minima_sq_of(B, DEFAULT_BUDGET)
@@ -796,6 +821,151 @@ def test_stacked_scoring_matches_per_candidate_bytes():
     # the seed choice scores a stack of transposed views the same way
     seeds = fundamental._inv_unimodular(np.array(bases[10::2])).transpose(0, 2, 1)
     assert _bits(_f_of_stack(seeds)) == _bits([_f_of_stack(s) for s in seeds])
+
+
+# -- the candidate bases of the search, against the two-walk reference ------
+
+def _bezout_line_reference(B, boundsq, lam1sq, budget):
+    """The d = 2 candidates by a second walk: each second column on its Bezout line, cut by a quadratic in k."""
+    G = B.T @ B
+    room1 = boundsq - lam1sq
+    if room1 <= 0:
+        return []
+    cols = list(enumerate_ball(B, math.sqrt(room1), budget, primitive=True))
+    out = []
+    for a, b in [c for v in cols for c in (v, tuple(-x for x in v))]:
+        qc = G[0, 0] * a * a + 2 * G[0, 1] * a * b + G[1, 1] * b * b
+        room2 = boundsq - qc
+        if room2 < lam1sq * (1 - 1e-9):
+            continue
+        # a particular solution of a y - b x = 1, then the shifts (x0, y0) + k (a, b) with q <= room2
+        u, v = _bezout((a, b))
+        x0, y0 = -v, u
+        q0 = G[0, 0] * x0 * x0 + 2 * G[0, 1] * x0 * y0 + G[1, 1] * y0 * y0
+        cross = G[0, 0] * a * x0 + G[0, 1] * (a * y0 + b * x0) + G[1, 1] * b * y0
+        disc = cross * cross - qc * (q0 - room2)
+        if disc < 0:
+            continue
+        root = math.sqrt(disc)
+        lo = math.ceil((-cross - root) / qc - 1e-12)
+        hi = math.floor((-cross + root) / qc + 1e-12)
+        out += [((a, x0 + k * a), (b, y0 + k * b)) for k in range(lo, hi + 1)]
+    return out
+
+
+def _bezout_plane_reference(B, boundsq, minima_sq, budget):
+    """The d = 3 candidates by a second walk: each third column on its Bezout plane, by a double quadratic in (t, s)."""
+    lam1, lam2, lam3 = minima_sq
+    slack = boundsq - (lam1 + lam2 + lam3)
+    if slack < -1e-9 * boundsq:
+        return []
+    room1 = boundsq - lam1 - lam2
+    coeffs = list(enumerate_ball(B, math.sqrt(max(room1, 0.0) + 1e-12), budget, primitive=True))
+    if not coeffs:
+        return []
+    vecs = np.array(coeffs, dtype=float) @ B.T
+    qs = (vecs * vecs).sum(axis=1)
+    order = np.argsort(qs, kind="stable")
+    coeffs, vecs, qlist = [coeffs[i] for i in order], vecs[order], qs[order].tolist()
+
+    def feasible(q):
+        return any(lam * (1 - 1e-9) <= q <= (lam + slack) * (1 + 1e-9) + 1e-12 for lam in (lam1, lam2, lam3))
+
+    usable = [feasible(q) for q in qlist]
+    out = []
+    for i1 in range(len(coeffs)):
+        q1, a, va = qlist[i1], coeffs[i1], vecs[i1]
+        if not (q1 <= room1 * (1 + 1e-12) and usable[i1]):
+            continue
+        room2 = boundsq - q1 - lam1
+        start = bisect.bisect_left(qlist, lam2 * (1 - 1e-9)) if q1 < lam2 * (1 - 1e-9) else 0
+        for i2 in range(start, len(coeffs)):
+            q2 = qlist[i2]
+            if q2 > room2 * (1 + 1e-12):
+                break
+            if not usable[i2]:
+                continue
+            hi, lo = max(q1, q2), min(q1, q2)
+            if hi < lam2 * (1 - 1e-9):
+                continue
+            q3_low = lam3 if hi < lam3 * (1 - 1e-9) else lam2 if lo < lam2 * (1 - 1e-9) else lam1
+            if q1 + q2 + q3_low > boundsq * (1 + 1e-9):
+                continue
+            b, vb = coeffs[i2], vecs[i2]
+            n = _cross(a, b)
+            if math.gcd(*n) != 1:
+                continue
+            # c3 = c30 + s a + t b with n . c30 = 1, and |B c3|^2 <= room3 as a quadratic in (s, t)
+            c30 = _bezout(n)
+            room3 = boundsq - q1 - q2
+            v0 = B @ np.array(c30, dtype=float)
+            C3, u0, w0, q30 = float(va @ vb), float(v0 @ va), float(v0 @ vb), float(v0 @ v0)
+            aa, bb, cc = C3 * C3 - q1 * q2, C3 * u0 - q1 * w0, u0 * u0 - q1 * (q30 - room3)
+            disc_t = bb * bb - aa * cc
+            if aa >= 0 or disc_t < 0:
+                continue
+            root_t = math.sqrt(disc_t)
+            for t in range(math.ceil((-bb + root_t) / aa - 1e-12), math.floor((-bb - root_t) / aa + 1e-12) + 1):
+                b2 = C3 * t + u0
+                disc_s = b2 * b2 - q1 * (q2 * t * t + 2 * w0 * t + q30 - room3)
+                if disc_s < 0:
+                    continue
+                root_s = math.sqrt(disc_s)
+                for s1 in range(math.ceil((-b2 - root_s) / q1 - 1e-12), math.floor((-b2 + root_s) / q1 + 1e-12) + 1):
+                    c3 = [c30[r] + s1 * a[r] + t * b[r] for r in range(3)]
+                    for sa, sb in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
+                        out.append(tuple((sa * a[r], sb * b[r], sa * sb * c3[r]) for r in range(3)))
+    return out
+
+
+def _assert_candidates_match_the_reference(calls):
+    """Each (B, boundsq, minima, budget) gives the reference's set, with no repeat, each C integral of det +1."""
+    total = 0
+    for B, boundsq, minima, budget in calls:
+        search, reference = (
+            (fundamental._candidates_2d, _bezout_line_reference)
+            if B.shape[0] == 2
+            else (fundamental._candidates_3d, _bezout_plane_reference)
+        )
+        got, want = search(B, boundsq, minima, budget), reference(B, boundsq, minima, budget)
+        assert len(set(got)) == len(got) and set(got) == set(want)
+        assert all(type(x) is int for C in got for row in C for x in row)
+        assert all(_int_det(C) == 1 for C in got)
+        total += len(got)
+    return total
+
+
+def _recorded_search_calls(monkeypatch, m, n, t, count):
+    """The arguments of every `_candidates_2d` and `_candidates_3d` call of an orbit from the identity."""
+    calls = []
+    for name in ("_candidates_2d", "_candidates_3d"):
+        def recording(B, boundsq, minima, budget, real=getattr(fundamental, name)):
+            calls.append((np.array(B), boundsq, minima, budget))
+            return real(B, boundsq, minima, budget)
+
+        monkeypatch.setattr(fundamental, name, recording)
+    d = m + n
+    y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(d)), TorusPoint.from_values([0.0] * d))
+    orbits.orbit_pushforward(y0, t, orbits.NeighborhoodV(SplittingSignature(m, n)), count, seed=0)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("m, n, t, count", [(1, 2, 8.0, 300), (2, 1, 5.0, 300), (1, 1, 12.0, 100_000)])
+def test_search_candidates_match_the_bezout_walks_on_recorded_orbit_calls(m, n, t, count, monkeypatch):
+    calls = _recorded_search_calls(monkeypatch, m, n, t, count)
+    assert len(calls) >= (4 if m + n == 2 else 30)
+    assert _assert_candidates_match_the_reference(calls) > 0
+
+
+def test_search_candidates_match_the_bezout_walks_on_the_scoring_bases():
+    calls = []
+    for B in _scoring_bases():
+        minima = fundamental._minima_sq_of(B, DEFAULT_BUDGET)
+        two_f_sq = 2.0 * fundamental._f_sq(B)
+        for boundsq in (two_f_sq + 1.0, (math.sqrt(two_f_sq) + 1e-6) ** 2):
+            calls.append((B, boundsq, minima[0] if B.shape[0] == 2 else minima, DEFAULT_BUDGET))
+    assert _assert_candidates_match_the_reference(calls) > 1000
 
 
 def test_ternary_table_holds_every_class_of_24_closed_under_inverse_transpose():

@@ -5,8 +5,9 @@ rebinds them in every module that imported them; `perfbench/workloads.py`
 calls the program through its modules.  A refactor that drops or renames
 one of them should fail here, not crash the benchmark.  Likewise every
 name in a module's `__all__` must resolve, every name that `src/` or
-`tests/` imports must be read, and every parameter of a function in
-`src/` must be read by its body.
+`tests/` imports must be read, every parameter of a function in `src/`
+must be read by its body, and every name a module of `src/` assigns at
+top level must be read in `src/` or imported by the benchmark.
 """
 
 import ast
@@ -160,6 +161,54 @@ def test_every_imported_name_is_read():
     # the check sees unread imports, and reads attribute roots and quoted annotations
     source = "import os\nimport math\nfrom typing import Union, List\nx = math.pi\ndef f(a: 'List[int]'): pass\n"
     assert unread_imports(source) == [(1, "os"), (3, "Union")]
+
+
+def module_assignments(source: str) -> list:
+    """(line, name) of each name that a top-level assignment of the module binds, dunders aside."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            out += [(node.lineno, name) for name in names if not (name.startswith("__") and name.endswith("__"))]
+    return out
+
+
+def names_imported(source: str) -> set:
+    """Each name that the module imports by name (`from ... import name`)."""
+    return {alias.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def names_read(source: str) -> set:
+    """Each name that the module loads, reads as an attribute, or imports by name."""
+    read = names_imported(source)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_every_module_level_name_is_read():
+    # a margin, a table or a cap that no code reads any more must go: each
+    # name that a module of src/ assigns at top level is read in src/, or is
+    # imported by the benchmark (which reads, say, the residual tolerances)
+    root = Path(__file__).resolve().parents[1]
+    sources = {path: path.read_text(encoding="utf-8") for path in sorted((root / "src").rglob("*.py"))}
+    read = set().union(*map(names_read, sources.values()))
+    read |= set().union(*(names_imported(path.read_text(encoding="utf-8")) for path in PERFBENCH.rglob("*.py")))
+    unread = [
+        f"{path.relative_to(root)}:{line} {name}"
+        for path, source in sources.items()
+        for line, name in module_assignments(source)
+        if name not in read
+    ]
+    assert unread == []
+    # the check sees an unread top-level name, and reads attributes and imported names
+    source = "A = 1\nB, (C, D) = 2, (3, 4)\nE: int = 5\n__all__ = []\nprint(x.B, C)\nfrom m import D\n"
+    assert module_assignments(source) == [(1, "A"), (2, "B"), (2, "C"), (2, "D"), (3, "E")]
+    assert sorted({name for _, name in module_assignments(source)} - names_read(source)) == ["A", "E"]
 
 
 def unread_parameters(source: str) -> list:

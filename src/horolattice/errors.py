@@ -6,11 +6,15 @@ budget or smaller instance), and exhausted floating precision (shrink the
 flow time; there is no silent degradation anywhere in the package).
 `_naming_sample` re-raises a failure under a message that says where it
 happened: the stage, the sample (or the base point) and the flow time.
+A stage names row i of the stack it is given; within `_naming_rows`
+that row is sample first + i, so a block of an orbit names its samples
+by their index in the orbit.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Optional
 
 
@@ -50,12 +54,27 @@ class ConfigError(ValueError):
     """Experiment configuration violates a documented cap or schema."""
 
 
+#: The orbit index of row 0 of the stack being reduced (`_naming_rows`).
+_FIRST_ROW: ContextVar = ContextVar("first_row", default=0)
+
+
+@contextmanager
+def _naming_rows(first: int):
+    """Within it, a failure site names row i of a stack as sample first + i."""
+    token = _FIRST_ROW.set(first)
+    try:
+        yield
+    finally:
+        _FIRST_ROW.reset(token)
+
+
 def _failure_site(stage: str, i: Optional[int], t: Optional[float]) -> str:
     """Where a failure happened: the stage, sample i (the base point if None) and t.
 
+    i is a row of the stack a stage is given, offset by `_naming_rows`.
     t = None leaves the flow time out, for a batch reduced outside a flow.
     """
-    what = "the base point" if i is None else f"sample {i}"
+    what = "the base point" if i is None else f"sample {_FIRST_ROW.get() + i}"
     return f"{stage} of {what}" if t is None else f"{stage} of {what} at t = {t:g}"
 
 

@@ -109,6 +109,7 @@ from .core import (
     SpecialLinearMatrix,
     _bezout,
     _cross,
+    _first_row_det,
     _int_adjugate,
     _int_det,
     _inv_unimodular,
@@ -500,16 +501,21 @@ def factorization_residuals(P: np.ndarray, reps: np.ndarray, gammas: np.ndarray)
     residual max|xi^{-1} P - gamma| over RESIDUAL_TOL.  A row is
     certified when both are at most 1.  The rounding error of xi gamma
     grows with the entries of xi; xi^{-1} P is compared with integers,
-    so its tolerance is flat.  xi^{-1} is `_inv_unimodular`.  At d = 2
-    the products are two-term sums on C-contiguous rows of entries, far
-    faster on an orbit; d = 3 keeps stacked matmuls, faster on one sample.
+    so its tolerance is flat.  xi^{-1} is `_inv_unimodular`'s adjugate
+    over determinant.  At d = 2 it and the products are taken on
+    C-contiguous rows of entries, far faster on an orbit; d = 3 keeps
+    stacked matmuls, faster on one sample.
     """
-    inv = _inv_unimodular(reps)
     if reps.shape[-1] == 3:
         x, gf = reps.reshape(-1, 9).T, gammas.astype(float)
-        recon, integ = np.abs(P - reps @ gf).max(axis=(1, 2)), np.abs(inv @ P - gf).max(axis=(1, 2))
+        recon = np.abs(P - reps @ gf).max(axis=(1, 2))
+        integ = np.abs(_inv_unimodular(reps) @ P - gf).max(axis=(1, 2))
     else:
-        x, v, p, g = (np.ascontiguousarray(a.reshape(-1, 4).T, dtype=float) for a in (reps, inv, P, gammas))
+        x, p, g = (np.ascontiguousarray(a.reshape(-1, 4).T, dtype=float) for a in (reps, P, gammas))
+        rows = ((x[0], x[1]), (x[2], x[3]))
+        adj = _int_adjugate(rows)
+        det = _first_row_det(rows, adj)
+        v = [a / det for row in adj for a in row]
         recon = integ = 0.0
         for i, j in itertools.product((0, 1), (0, 1)):
             recon = np.maximum(recon, np.abs(p[2 * i + j] - (x[2 * i] * g[j] + x[2 * i + 1] * g[2 + j])))
@@ -789,8 +795,6 @@ _IDENTITY_CLASS = int(np.flatnonzero((_C_STATIC[_C_CLASSES[:, 0]] == np.eye(2, d
 #: Rows 0 and 1 of the class representatives C_c, flattened over (c, l).
 _REP_ROW0 = _C_STATIC[_C_CLASSES[:, 0], 0, :].astype(float).ravel()
 _REP_ROW1 = _C_STATIC[_C_CLASSES[:, 0], 1, :].astype(float).ravel()
-#: Rows per block of the static-candidate sweep; bounds its memory.
-_SWEEP_CHUNK = 8192
 #: Round cap of the d = 2 Lagrange loop (`_lagrange_2x2`).
 _LAGRANGE_ROUNDS = 200
 
@@ -857,22 +861,19 @@ def _lagrange_2x2(P: np.ndarray):
     that does neither, or after _LAGRANGE_ROUNDS passes.
     The passes run on eight coordinate arrays, the entries of B and U in
     row-major order, and apply a swap or a shear through `np.where`, so
-    an entry it does not touch keeps its bits and its sign of zero.  A
-    pass leaves a stopped row as it is, so stopped rows stay in the
-    arrays until they are half of them; then they are written back to B
-    and U, once, and the arrays shrink to the rows still moving.
+    an entry it does not touch keeps its bits and its sign of zero.  Each
+    pass runs on the whole stack until no row moves: a pass leaves a
+    stopped row as it is, so a row keeps the bits it stopped with.
     """
     N = P.shape[0]
-    B = np.empty((4, N))
-    U = np.empty((4, N), dtype=np.int64)
     b = [P[:, i, j].copy() for i in (0, 1) for j in (0, 1)]
     u = [np.full(N, int(i == j), dtype=np.int64) for i in (0, 1) for j in (0, 1)]
-    rows = np.arange(N)
     for _ in range(_LAGRANGE_ROUNDS):
         n1 = b[0] ** 2 + b[2] ** 2
         n2 = b[1] ** 2 + b[3] ** 2
         swap = n2 < n1
-        if swap.any():
+        swapped = swap.any()
+        if swapped:
             # columns (c0, c1) -> (c1, -c0)
             for a in (b, u):
                 for i in (0, 2):
@@ -880,25 +881,15 @@ def _lagrange_2x2(P: np.ndarray):
             n1 = np.where(swap, n2, n1)
         k = np.rint((b[0] * b[1] + b[2] * b[3]) / n1)
         shear = k != 0
-        if shear.any():
+        sheared = shear.any()
+        if sheared:
             kk = k.astype(np.int64)
             for i in (0, 2):
                 b[i + 1] = np.where(shear, b[i + 1] - k * b[i], b[i + 1])
                 u[i + 1] = u[i + 1] - kk * u[i]
-        moving = swap | shear
-        live = np.count_nonzero(moving)
-        if live == 0:
+        if not (swapped or sheared):
             break
-        if 2 * live < rows.size:
-            stopped = ~moving
-            B[:, rows[stopped]] = [a[stopped] for a in b]
-            U[:, rows[stopped]] = [a[stopped] for a in u]
-            rows = rows[moving]
-            b = [a[moving] for a in b]
-            u = [a[moving] for a in u]
-    B[:, rows] = b
-    U[:, rows] = u
-    return np.ascontiguousarray(B.T).reshape(N, 2, 2), np.ascontiguousarray(U.T).reshape(N, 2, 2)
+    return np.stack(b, axis=1).reshape(N, 2, 2), np.stack(u, axis=1).reshape(N, 2, 2)
 
 
 def _sweep_certified_2x2(B: np.ndarray, reps: np.ndarray):
@@ -907,28 +898,26 @@ def _sweep_certified_2x2(B: np.ndarray, reps: np.ndarray):
     The argument is in the module docstring.  Returns (certified, sqrt(bound)).
     """
     b00, b01, b10, b11 = B.reshape(-1, 4).T.copy()
-    n1, n2, dot = b00 * b00 + b10 * b10, b01 * b01 + b11 * b11, b00 * b01 + b10 * b11
-    mu = dot / n1
-    perp = (n2 - dot * mu) * (1 - 1e-9)
-    # sqrt 2 (F + TIE_TOL) + BOUND_MARGIN, as F = |rep|_F / sqrt 2
-    root = np.sqrt(2.0 * _f_sq(reps)) + (math.sqrt(2.0) * TIE_TOL + BOUND_MARGIN)
-    room = (root * root - n1 * (1 - 1e-9)) * (1 + 1e-9)
-    reach = (np.abs(mu) + np.sqrt(np.maximum(room - perp, 0.0) / n1)) * (1 + 1e-9)
+    # a row past the doubles' range overflows to inf or NaN here, and fails
+    # a comparison below: it is left to `_search`, without a warning
+    with np.errstate(all="ignore"):
+        n1, n2, dot = b00 * b00 + b10 * b10, b01 * b01 + b11 * b11, b00 * b01 + b10 * b11
+        mu = dot / n1
+        perp = (n2 - dot * mu) * (1 - 1e-9)
+        # sqrt 2 (F + TIE_TOL) + BOUND_MARGIN, as F = |rep|_F / sqrt 2
+        root = np.sqrt(2.0 * _f_sq(reps)) + (math.sqrt(2.0) * TIE_TOL + BOUND_MARGIN)
+        room = (root * root - n1 * (1 - 1e-9)) * (1 + 1e-9)
+        reach = (np.abs(mu) + np.sqrt(np.maximum(room - perp, 0.0) / n1)) * (1 + 1e-9)
     return (n1 <= n2) & (np.abs(mu) <= 0.5) & (room < 4.0 * perp) & (reach < 3.0), root
 
 
 def _reduce_stack_2x2(P: np.ndarray):
     """Seeds B = P U, picks reps = B C, moves = U C and the certificate of a stack P (N, 2, 2).
 
-    The sweep runs in blocks of _SWEEP_CHUNK rows, so its memory stays
-    flat in N.
+    Every stage runs on the whole stack, so its memory grows with N.
     """
     B, U = _lagrange_2x2(P)
-    reps = np.empty_like(B)
-    pick = np.empty(P.shape[0], dtype=np.intp)
-    for lo in range(0, P.shape[0], _SWEEP_CHUNK):
-        rows = slice(lo, lo + _SWEEP_CHUNK)
-        reps[rows], pick[rows] = _sweep_static(B[rows])
+    reps, pick = _sweep_static(B)
     certified, certificate = _sweep_certified_2x2(B, reps)
     return B, U, reps, U @ _C_STATIC[pick], certified, certificate
 
@@ -939,6 +928,8 @@ def reduce_batch_2x2(P: np.ndarray, budget: int = DEFAULT_BUDGET, t: Optional[fl
     Row for row `_reduce_core`'s bits, with no Python object per certified
     row; a row that fails the certificate runs `_reduce_core` from its
     seed, and a failure there names the sample and the flow time t.
+    Every stage runs on the whole batch, so memory grows with it: the
+    orbits pass it blocks of `orbits._BLOCK` rows.
     """
     P = np.asarray(P, dtype=float)
     B, U, reps, moves, certified, _ = _reduce_stack_2x2(P)

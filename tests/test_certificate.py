@@ -136,6 +136,16 @@ def stacked_residuals(P, reps, gammas):
     return np.stack([recon, np.abs(_inv_unimodular(reps) @ P - gf).max(axis=(1, 2)) / TOL], axis=1)
 
 
+def stacked_inverse_residuals(P, reps, gammas):
+    """The d = 2 entrywise certificate with xi^{-1} from `_inv_unimodular`'s stack, as before it was taken on entry rows."""
+    x, v, p, g = (np.ascontiguousarray(a.reshape(-1, 4).T, dtype=float) for a in (reps, _inv_unimodular(reps), P, gammas))
+    recon = integ = 0.0
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        recon = np.maximum(recon, np.abs(p[2 * i + j] - (x[2 * i] * g[j] + x[2 * i + 1] * g[2 + j])))
+        integ = np.maximum(integ, np.abs(v[2 * i] * p[j] + v[2 * i + 1] * p[2 + j] - g[2 * i + j]))
+    return np.stack([recon / (TOL * np.maximum(1.0, np.abs(x).max(axis=0))), integ / TOL], axis=1)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_entrywise_certificate_gives_the_stacked_verdicts(d):
     cases = former_rule_cases(d)
@@ -147,6 +157,8 @@ def test_entrywise_certificate_gives_the_stacked_verdicts(d):
         assert ratios.tobytes() == reference.tobytes()
     else:  # the sums round apart from a matmul's, by a few ulps of the products: here under 1e-6 of a tolerance
         assert np.abs(ratios - reference).max() < 1e-5
+        # the inverse on entry rows is `_inv_unimodular`'s, entry for entry
+        assert ratios.tobytes() == stacked_inverse_residuals(P, xis, gammas).tobytes()
 
 
 def test_certificate_fails_a_nan_row():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -154,14 +155,20 @@ def test_kind_runs_to_its_artifacts(argv, config, checks, headers, tmp_path):
         (["concentration", "--t", "1", "--samples", "100", "--rho", "nan"], "alpha, x0 and rho must be finite, not None, 0.3, nan"),
         (["reduce", "--g0", "[[1e160, 0], [0, 1e-160]]"], "entry scale 1e+160 is beyond the determinant check's range"),
         (["reduce", "--g0", "[[1e200, 0], [0, 1e-200]]"], "entry scale 1e+200 is beyond the determinant check's range"),
+        # det 1 within a finite tolerance, so the search runs, and runs out
+        (["reduce", "--g0", "[[1e100, 0], [0, 1e-100]]"], "shortest-vector search budget exceeded"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, message, capsys):
     # exit 1 is kept for a failed invariant; a ValueError of any kind is bad
-    # input, and entries whose determinant a double cannot check are lost precision
-    assert cli.main(argv) == 2
+    # input, and a matrix too large to reduce is a budget or precision error;
+    # a warning would print a second stderr line outside the test runner
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == 2
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
-    prefix = "budget/precision error:" if message.startswith("entry scale") else "configuration error:"
+    prefix = "budget/precision error:" if argv[0] == "reduce" else "configuration error:"
     assert err.startswith(prefix) and message in err and err.count("\n") == 1
 
 

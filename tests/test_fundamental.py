@@ -435,7 +435,7 @@ def test_static_table_splits_into_rotation_classes():
 
 @pytest.mark.parametrize("s", [4.0, 8.0, 12.0])
 def test_sweep_matches_36_candidate_reference_on_reduced_batches(s, monkeypatch):
-    # the blocks reduce_batch_2x2 hands to the sweep after its Lagrange loop
+    # the seeds reduce_batch_2x2 hands to the sweep after its Lagrange loop
     us = np.random.default_rng(int(s)).uniform(-0.5, 0.5, 20_000)
     P = _flow_orbit(s, us)
     blocks = []

@@ -179,13 +179,13 @@ def test_float_fiber_does_not_depend_on_the_memory_layout_of_gammas(monkeypatch)
         SpecialLinearMatrix.from_entries(np.eye(2)), TorusPoint.from_values([0.3, 0.4])
     )
     want = orbit_pushforward(y0, 4.0, V, 5000, seed=0).coords
-    decompose = orbits.decompose_batch
+    blocks = orbits._decomposed_blocks
 
     def fortran_gammas(*args):
-        xis, gammas = decompose(*args)
-        return xis, np.asfortranarray(gammas)
+        for rows, xis, gammas in blocks(*args):
+            yield rows, xis, np.asfortranarray(gammas)
 
-    monkeypatch.setattr(orbits, "decompose_batch", fortran_gammas)
+    monkeypatch.setattr(orbits, "_decomposed_blocks", fortran_gammas)
     got = orbit_pushforward(y0, 4.0, V, 5000, seed=0)
     assert not got.gammas.flags.c_contiguous
     assert got.coords.tobytes() == want.tobytes()
@@ -293,6 +293,106 @@ def test_bulk_fallback_error_names_the_sample_and_t():
     # the same batch reduced outside a flow names the sample alone
     with pytest.raises(BudgetExceededError, match=r"^decompose of sample 0: shortest-vector"):
         reduce_batch_2x2(np.array([[[1e3, 0.0], [0.0, 1e-3]]]), budget=3)
+
+
+def test_failures_in_later_blocks_name_the_sample_by_its_index_in_the_orbit(monkeypatch):
+    # d = 2, the search: sample 17898 of this orbit is row 898 of its block of 1,000
+    y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(2)), TorusPoint.from_values([0.1, 0.2]))
+    P = orbits._flowed(reduce_matrix(np.eye(2)).rep, sample_V(V, 20_000, seed=0), 10.0, SIG)
+    first = next(i for i, start in enumerate(fundamental._search_starts(P, 10.0)) if start[3] is None)
+    monkeypatch.setattr(orbits, "_BLOCK", 1000)
+    assert first % 1000 > 0
+    with pytest.raises(BudgetExceededError) as info:
+        orbit_pushforward(y0, 10.0, V, 20_000, seed=0, budget=11)
+    assert str(info.value) == f"decompose of sample {first} at t = 10: enumeration node budget exceeded"
+    assert info.value.nodes == 12
+
+    # d = 2, the certificate: two blocks of samples that pass, then one that
+    # fails; it names its worst failing row, and no earlier block fails
+    us = sample_V(V, 100, seed=0)
+    P = orbits._flowed(reduce_matrix(np.eye(2)).rep, us, 25.0, SIG)
+    ratios = fundamental.factorization_residuals(P, *reduce_batch_2x2(P, t=25.0))
+    passing = np.flatnonzero(ratios.max(axis=1) <= 1.0)[:16]
+    failing = np.flatnonzero(ratios[:, 0] > 1.0)[:8]
+    assert passing.size == 16 and failing.size == 8
+    worst = 16 + int(ratios[failing, 0].argmax())
+    assert worst != 16 + ratios[failing, 0].size - 1
+    monkeypatch.setattr(orbits, "_BLOCK", 8)
+    with pytest.raises(PrecisionError, match=rf"^decompose of sample {worst} at t = 25: reconstruction residual "):
+        decompose_batch(SpecialLinearMatrix.from_entries(np.eye(2)), us[np.concatenate([passing, failing])], 25.0, SIG)
+
+    # d = 3, LLL: at one round below the most any sample's LLL takes, only that sample runs out
+    sig, x = S12, SpecialLinearMatrix.from_entries(np.eye(3))
+    us = sample_V(NeighborhoodV(sig), 20, seed=0)
+    rounds = [next(r for r in range(1, 100) if _lll_converges(p, r, monkeypatch)) for p in orbits._flowed(x, us, 4.0, sig)]
+    first = int(np.argmax(rounds))
+    monkeypatch.setattr(orbits, "_BLOCK", 4)
+    monkeypatch.setattr(lattices, "_LLL_MAX_ROUNDS", max(rounds) - 1)
+    assert first >= 4 and rounds.count(max(rounds)) == 1
+    with pytest.raises(BudgetExceededError) as info:
+        decompose_batch(x, us, 4.0, sig)
+    assert str(info.value) == f"decompose of sample {first} at t = 4: LLL failed to converge within the round budget"
+    monkeypatch.undo()
+
+    # d = 3, the determinant of a reduced basis (as in the scalar-path test), in the second block of 2
+    monkeypatch.setattr(orbits, "_BLOCK", 2)
+    y0 = AffineLatticePoint(x, TorusPoint.from_values(["1/3", "2/3", "1/5"]))
+    with pytest.raises(PrecisionError, match=r"^decompose of sample 3 at t = 6.5: determinant"):
+        orbit_pushforward(y0, 6.5, NeighborhoodV(S21), 20, seed=0)
+
+
+def _orbit_arrays(nu):
+    return {name: getattr(nu, name) for name in ("xis", "gammas", "heights", "coords", "numerators")}
+
+
+@pytest.mark.parametrize(
+    "sig, t, b0, count, blocks",
+    [
+        (SIG, 4.0, [0.3, 0.4], 10_000, (1000, 4097)),
+        (SIG, 12.0, [0.3, 0.4], 10_000, (1000, 4097)),
+        (SIG, 4.0, ["1/3", "2/3"], 10_000, (1000, 4097)),
+        (SIG, 12.0, ["1/3", "2/3"], 10_000, (1000, 4097)),
+        (SplittingSignature(1, 2), 4.0, [0.11, 0.5, 0.77], 300, (64,)),
+    ],
+    ids=["11-float-t4", "11-float-t12", "11-rational-t4", "11-rational-t12", "12-float-t4"],
+)
+def test_a_row_has_the_same_bits_in_any_block(sig, t, b0, count, blocks, monkeypatch):
+    y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(sig.d)), TorusPoint.from_values(b0))
+    monkeypatch.setattr(orbits, "_BLOCK", count)
+    whole = orbit_pushforward(y0, t, NeighborhoodV(sig), count, seed=7)
+    want = _orbit_arrays(whole)
+    for block in blocks:
+        monkeypatch.setattr(orbits, "_BLOCK", block)
+        got = _orbit_arrays(orbit_pushforward(y0, t, NeighborhoodV(sig), count, seed=7))
+        for name, array in want.items():
+            if array is None:
+                assert got[name] is None, name
+            else:
+                assert got[name].dtype == array.dtype and got[name].shape == array.shape, name
+                assert got[name].tobytes() == array.tobytes(), name
+        # decompose_batch is the concatenation of its blocks, each decomposed alone
+        args = (reduce_matrix(y0.linear).rep, whole.us, t, sig)
+        xis, gammas = decompose_batch(*args)
+        parts = [decompose_batch(args[0], whole.us[lo : lo + block], t, sig) for lo in range(0, count, block)]
+        assert xis.tobytes() == np.concatenate([p[0] for p in parts]).tobytes() == whole.xis.tobytes()
+        assert gammas.tobytes() == np.concatenate([p[1] for p in parts]).tobytes() == whole.gammas.tobytes()
+
+
+def test_decompose_batch_memory_beyond_its_outputs_is_flat_in_n():
+    import tracemalloc
+
+    x = reduce_matrix(np.eye(2)).rep
+    extra = []
+    for count in (50_000, 200_000):
+        us = sample_V(V, count, seed=0)
+        tracemalloc.start()
+        try:
+            xis, gammas = decompose_batch(x, us, 4.0, SIG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - xis.nbytes - gammas.nbytes)
+    assert abs(extra[1] - extra[0]) <= 2 * 2**20, extra
 
 
 def _per_sample_orbit(y0, t, sig, count, seed, budget=DEFAULT_BUDGET):

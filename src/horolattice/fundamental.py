@@ -85,6 +85,14 @@ g = (min(n1, n2) - 2 |<b1, b2>|) / 2 > 0, each det-1 C outside the class
 has x, y != 0 and squared length >= n1 + n2 - 2 |<b1, b2>|, the other
 >= min(n1, n2).  Where sqrt(F(B)^2 + g) clears F(B) + TIE_TOL, the
 sweep ties that class alone, and the row skips the scoring of classes.
+Its tie-break then picks among B J^r, r = 0..3, in closed form
+(`_least_rotation`).  With K = rint(b00 / LEX_GRID) and L = rint(b01 /
+LEX_GRID), the keys of B's first row, the first keys of B J^r are K, L,
+-K and -L exactly, since the division and rint are odd.  Where |K| !=
+|L| one of them is strictly least, and the lexicographic order reads no
+other key: r = 0 (b00 < 0) or 2 (b00 > 0) if |K| > |L|, else r = 1 (b01
+< 0) or 3 (b01 > 0).  A row where |K| = |L| is scored like any other,
+and the scoring ties its class alone, so `_lex_first` breaks the tie.
 
 The proxy distance from a reduced xi to a base point z,
 min over C in SL_d(Z) of |xi C z^{-1} - Id|_F, is defined here once for
@@ -385,8 +393,8 @@ def _search_starts(P: np.ndarray, t: Optional[float], stage: Optional[str] = "de
     d = 3 every LLL runs once over the whole stack, through
     `lll_reduce_batch`, which gives a row the bits it gets alone: on P,
     on its duals and on both sides of the chosen seed bases.  An LLL
-    failure names the lowest failing row as a sample of `stage` at t (no
-    site if stage is None).
+    failure, or a non-finite d = 2 row, names the lowest failing row as
+    a sample of `stage` at t (no site if stage is None).
     For d = 3 the seeds then go through the class sweep and its
     certificate (`sweep`) in blocks of `sweep.ROWS` rows, each block when
     the iterator reaches it, so their memory does not grow with N.
@@ -394,7 +402,7 @@ def _search_starts(P: np.ndarray, t: Optional[float], stage: Optional[str] = "de
     if P.shape[-1] > 3:
         raise ValueError(f"reduction is certified for d in {{2, 3}} only, not d = {P.shape[-1]}")
     if P.shape[-1] == 2:
-        B, U, reps, moves, certified, certificate = _reduce_stack_2x2(P)
+        B, U, reps, moves, certified, certificate = _reduce_stack_2x2(P, stage, t)
         return (
             (reps[i], IntegerMatrix.from_rows(moves[i].tolist()), None, float(certificate[i]))
             if certified[i]
@@ -819,6 +827,28 @@ def _identity_alone(Bc: np.ndarray) -> np.ndarray:
     return ~_tied(np.sqrt(fsq * (1.0 - 4e-12) + g) * (1.0 - 1e-12), np.sqrt(fsq))
 
 
+def _least_rotation(h: np.ndarray):
+    """The tie-break's least h J^r of each row of h (N, 2, 2), where the first keys decide: (rots, r, decided).
+
+    The closed form of the module docstring's identity screen: decided
+    where |rint(h00 / LEX_GRID)| != |rint(h01 / LEX_GRID)|, and elsewhere
+    r and rots are not the tie-break's.  rots are the sign flips and
+    column swaps of `_rotations`, zeros as +0.0.
+    """
+    a, b, c, d = (h[:, i, j] for i in (0, 1) for j in (0, 1))
+    ka, kb = np.abs(np.rint(a / LEX_GRID)), np.abs(np.rint(b / LEX_GRID))
+    by_a = ka > kb
+    # the deciding column (x, z) is (a, c) or (b, d), the other (y, w)
+    x, z = np.where(by_a, a, b), np.where(by_a, c, d)
+    y, w = np.where(by_a, b, a), np.where(by_a, d, c)
+    # signed so that x turns negative, and the other column so that det stays
+    neg = x < 0
+    s0 = np.where(neg, 1.0, -1.0)
+    s1 = np.where(by_a, s0, -s0)
+    rots = np.stack([x * s0, y * s1, z * s0, w * s1], axis=-1).reshape(h.shape) + 0.0
+    return rots, np.where(by_a, 0, 1) + np.where(neg, 0, 2), ka != kb
+
+
 def _sweep_static(Bc: np.ndarray):
     """F-minimal element of {b C : C in the static table} for each row b.
 
@@ -833,15 +863,15 @@ def _sweep_static(Bc: np.ndarray):
     rounding of an exact sum, however the product is evaluated.  Only
     the sign of a zero can depend on the evaluation, so every zero is
     returned as +0.0.  The tie-break runs over the four rotations of each
-    tied class: on a row of `_identity_alone` (almost every row of an
-    orbit) the rotations of b I = b, unscored.
+    tied class.  On a row of `_identity_alone` (almost every row of an
+    orbit) that class is b's own, and where its first keys decide, the
+    least rotation is `_least_rotation`'s closed form; every other row
+    is scored, and its tied classes' rotations go through `_lex_first`.
     """
-    reps, pick = np.empty(Bc.shape), np.empty(Bc.shape[0], dtype=np.intp)
-    alone = _identity_alone(Bc)
-    rot = _rotations(Bc[alone]).reshape(-1, 2, 2)
-    first = _lex_first(_lex_key(rot), np.arange(0, rot.shape[0], 4))
-    reps[alone], pick[alone] = rot[first], _C_CLASSES[_IDENTITY_CLASS, first % 4]
-    Br = Bc[~alone]
+    reps, r, decided = _least_rotation(Bc)
+    pick = _C_CLASSES[_IDENTITY_CLASS, r]
+    scored = np.flatnonzero(~(_identity_alone(Bc) & decided))
+    Br = Bc[scored]
     # H[n, i, c, l] = (b_n C_c)[i, l] for the class representatives C_c
     H = (Br[:, :, 0, None] * _REP_ROW0 + Br[:, :, 1, None] * _REP_ROW1).reshape(len(Br), 2, len(_C_CLASSES), 2)
     F = _f_of_stack(H.transpose(0, 2, 1, 3))
@@ -849,7 +879,7 @@ def _sweep_static(Bc: np.ndarray):
     # rows of the rotations of each tied class; distinct transforms give distinct keys
     rot = _rotations(H[tied_row, :, tied_class, :]).reshape(-1, 2, 2)
     first = _lex_first(_lex_key(rot), 4 * np.searchsorted(tied_row, np.arange(len(Br))))
-    reps[~alone], pick[~alone] = rot[first], _C_CLASSES[tied_class[first // 4], first % 4]
+    reps[scored], pick[scored] = rot[first], _C_CLASSES[tied_class[first // 4], first % 4]
     return reps, pick
 
 
@@ -911,11 +941,18 @@ def _sweep_certified_2x2(B: np.ndarray, reps: np.ndarray):
     return (n1 <= n2) & (np.abs(mu) <= 0.5) & (room < 4.0 * perp) & (reach < 3.0), root
 
 
-def _reduce_stack_2x2(P: np.ndarray):
+def _reduce_stack_2x2(P: np.ndarray, stage: Optional[str], t: Optional[float]):
     """Seeds B = P U, picks reps = B C, moves = U C and the certificate of a stack P (N, 2, 2).
 
-    Every stage runs on the whole stack, so its memory grows with N.
+    Every stage runs on the whole stack, so its memory grows with N.  A
+    NaN or inf entry is a PrecisionError before the first pass, naming
+    the lowest such row as a sample of `stage` at t (no site if stage is
+    None), as `lll_reduce_batch` names a d = 3 row.
     """
+    if not np.isfinite(P).all():
+        what = "matrix entries are not finite"
+        i = int(np.flatnonzero(~np.isfinite(P).all(axis=(1, 2)))[0])
+        raise PrecisionError(what if stage is None else f"{_failure_site(stage, i, t)}: {what}")
     B, U = _lagrange_2x2(P)
     reps, pick = _sweep_static(B)
     certified, certificate = _sweep_certified_2x2(B, reps)
@@ -927,12 +964,13 @@ def reduce_batch_2x2(P: np.ndarray, budget: int = DEFAULT_BUDGET, t: Optional[fl
 
     Row for row `_reduce_core`'s bits, with no Python object per certified
     row; a row that fails the certificate runs `_reduce_core` from its
-    seed, and a failure there names the sample and the flow time t.
+    seed, and a failure there, or a non-finite row before any pass,
+    names the sample and the flow time t.
     Every stage runs on the whole batch, so memory grows with it: the
     orbits pass it blocks of `orbits._BLOCK` rows.
     """
     P = np.asarray(P, dtype=float)
-    B, U, reps, moves, certified, _ = _reduce_stack_2x2(P)
+    B, U, reps, moves, certified, _ = _reduce_stack_2x2(P, "decompose", t)
     # gamma is the inverse of the det-1 transform, its adjugate; in C order,
     # since a caller's float products with it round by its layout
     gammas = np.ascontiguousarray(np.moveaxis(np.array(_int_adjugate(moves.transpose(1, 2, 0))), -1, 0))

@@ -181,11 +181,14 @@ class _ZigZag:
         self.count = 0
         self.value = self.base
 
+    def at(self, n: int) -> int:
+        """The value after n advances from the center's nearest integer."""
+        off = (n + 1) // 2
+        return self.base + self.sign * off * (1 if n % 2 == 1 else -1)
+
     def advance(self):
         self.count += 1
-        n = self.count
-        off = (n + 1) // 2
-        self.value = self.base + self.sign * off * (1 if n % 2 == 1 else -1)
+        self.value = self.at(self.count)
 
 
 def constrained_shortest(
@@ -199,7 +202,9 @@ def constrained_shortest(
     only the zero vector is excluded.  The walk is Schnorr-Euchner:
     per-level zig-zag around the Babai center (so the per-level cost
     sequence is nondecreasing and a failed value ends the level), with
-    the radius shrinking to every new best.
+    the radius shrinking to every new best.  A level-0 walk that cannot
+    beat the best has a node count known on entry: where it would pass
+    the budget, the BudgetExceededError is raised before it starts.
     """
     B = np.asarray(B, dtype=float)
     d = B.shape[0]
@@ -246,6 +251,20 @@ def constrained_shortest(
             w.advance()
             c[i] = w.value
 
+    def refuse_hopeless_level_0(top: float):
+        # Every level-0 value costs at least `top` >= best2, so none moves the bound:
+        # the zig-zag visits the c0 inside it in order of distance from the center,
+        # then one more, and a node at level 1 follows.  So if this level reaches
+        # node `budget`, the walk passes the budget.  It does iff the value of node
+        # budget - 1 lies inside, tested with the walk's own float expression, which
+        # is monotone along the zig-zag while c0 is exact.
+        w = walks[0]
+        if abs(w.base) + budget - nodes >= 2**53:
+            return
+        last = w.count + budget - nodes - 2
+        if last < w.count or top + (R[0][0] * (w.at(last) - centers[0])) ** 2 <= bound:
+            raise BudgetExceededError("shortest-vector search budget exceeded", nodes=budget + 1)
+
     i = d - 1
     enter(i)
     while True:
@@ -264,6 +283,8 @@ def constrained_shortest(
                 dist[i] = y
                 i -= 1
                 enter(i)
+                if i == 0 and y >= best2:
+                    refuse_hopeless_level_0(y)
         else:
             i += 1
             if i == d:

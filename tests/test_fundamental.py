@@ -730,6 +730,94 @@ def test_tie_break_keys_hold_entries_past_int64():
     assert _lex_first(_lex_key(fundamental._rotations(h)), [0])[0] == 2
 
 
+def _least_rotation_by_scan(h):
+    """The four-rotation scan that the closed form replaced, kept as the reference.
+
+    `_lex_first` over the keys of all four h J^r of each row: (rots, r).
+    """
+    rot = fundamental._rotations(h).reshape(-1, 2, 2)
+    first = _lex_first(_lex_key(rot), np.arange(0, rot.shape[0], 4))
+    return rot[first], first % 4
+
+
+def _assert_closed_form_matches_the_scan(h):
+    """`_least_rotation` equals the scan where it decides, and the sweep equals it on every row of the screen.
+
+    Returns (alone, decided).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # rows whose keys overflow to +-inf
+        rots, r, decided = fundamental._least_rotation(h)
+        ref_rots, ref_r = _least_rotation_by_scan(h)
+        alone = fundamental._identity_alone(h)
+        reps, pick = fundamental._sweep_static(h)
+    assert rots[decided].tobytes() == ref_rots[decided].tobytes()
+    assert np.array_equal(r[decided], ref_r[decided])
+    assert reps[alone].tobytes() == ref_rots[alone].tobytes()
+    assert np.array_equal(pick[alone], fundamental._C_CLASSES[fundamental._IDENTITY_CLASS, ref_r[alone]])
+    return alone, decided
+
+
+def _equal_key_rows(count, seed, gap):
+    """Rows [[a, b], [c, d]] of det 1 with |b| = |a| + delta, |delta| <= gap, nearly orthogonal columns.
+
+    |a| = x is a multiple of LEX_GRID, so with gap < LEX_GRID / 2 the keys of
+    a and b have equal magnitude; c solves <(a, c), (b, d)> = 0 at delta = 0.
+    """
+    rng = np.random.default_rng(seed)
+    x = np.rint(rng.uniform(0.5, 0.7, count) / fundamental.LEX_GRID) * fundamental.LEX_GRID
+    sa, sb = rng.choice([-1.0, 1.0], count), rng.choice([-1.0, 1.0], count)
+    c = (np.sqrt(1 - 4 * x**4) - 1) / (2 * sb * x) * rng.uniform(0.9, 1.1, count)
+    a, b = sa * x, sb * (x + rng.uniform(-gap, gap, count))
+    return np.stack([a, b, c, (1 + b * c) / a], axis=1).reshape(-1, 2, 2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_closed_form_rotation_matches_the_scan_on_orbits(seed):
+    x = SpecialLinearMatrix.from_entries(np.eye(2))
+    us = orbits.sample_V(orbits.NeighborhoodV(SplittingSignature(1, 1)), 10_000, seed)
+    for t in (0.5, 4.0, 8.0, 12.0):
+        B, _ = fundamental._lagrange_2x2(orbits._flowed(x, us, t, SplittingSignature(1, 1)))
+        alone, decided = _assert_closed_form_matches_the_scan(B)
+        assert (alone & decided).mean() > 0.99
+
+
+def test_closed_form_rotation_matches_the_scan_at_equal_keys_zeros_and_overflow(monkeypatch):
+    # |a| = |b| exactly, and |a|, |b| less than LEX_GRID / 2 apart: the keys
+    # tie in magnitude, and each row falls back to `_lex_first`
+    ties = np.concatenate([_equal_key_rows(2000, 0, 0.0), _equal_key_rows(2000, 1, 0.4 * fundamental.LEX_GRID)])
+    groups = []
+    real_lex_first = fundamental._lex_first
+
+    def spy(keys, starts):
+        groups.append(len(starts))
+        return real_lex_first(keys, starts)
+
+    monkeypatch.setattr(fundamental, "_lex_first", spy)
+    alone, decided = _assert_closed_form_matches_the_scan(ties)
+    assert alone.all() and not decided.any()
+    assert groups == [len(ties)]
+    # a grid step or two apart: the first keys decide
+    near = _equal_key_rows(2000, 2, 2.0 * fundamental.LEX_GRID)
+    alone, decided = _assert_closed_form_matches_the_scan(near)
+    assert alone.all() and 0 < decided.sum() < len(near)
+    # a or b of +-0.0, and a or b past 1.8e299, where a key overflows to +-inf
+    signed = (0.0, -0.0, 1.0, -1.0, 2.0, -2.0)
+    zeros = np.array(list(itertools.product(signed, signed, signed[:4], signed[:4]))).reshape(-1, 2, 2)
+    alone, decided = _assert_closed_form_matches_the_scan(zeros)
+    assert (alone & decided & ((zeros[:, 0, 0] == 0) | (zeros[:, 0, 1] == 0))).sum() > 20
+    huge = np.array(
+        [
+            [[1e300, 1.0], [0.0, 1e-300]],
+            [[-1e300, 1.0], [0.0, -1e-300]],
+            [[2.0, 1e300], [-1e-300, 0.0]],
+            [[2.0, -1.8e299], [1e-299, 0.0]],
+            [[1e300, -1e300], [0.0, 1e-300]],
+        ]
+    )
+    alone, decided = _assert_closed_form_matches_the_scan(huge)
+    assert not alone.any() and decided.tolist() == [True, True, True, True, False]
+
+
 def test_primitive_walk_fits_a_budget_the_full_walk_exceeds(monkeypatch):
     # lambda_1 = 10 e^{-8} ~ 3.4e-3, too deep for the certificate, so the
     # search runs; the full walk visits ~178k nodes (all but a few are

@@ -316,6 +316,102 @@ def test_constrained_shortest_excludes_span():
     assert math.sqrt(l2) == pytest.approx(3.0)
 
 
+def _constrained_shortest_plain(B, span_exclude, budget):
+    """`constrained_shortest` without the refusal of a hopeless level-0 walk, kept as the reference."""
+    d, k = B.shape[0], span_exclude
+    R = lattices._qr_positive(B).tolist()
+    best_c, best2 = None, math.inf
+    for j in range(k, d):
+        n2 = float(B[:, j] @ B[:, j])
+        if n2 < best2:
+            best2, best_c = n2, tuple(1 if i == j else 0 for i in range(d))
+    bound = best2 * (1.0 + 1e-12)
+    c, centers, dist, walks, nodes = [0] * d, [0.0] * d, [0.0] * (d + 1), [None] * d, 0
+
+    def step(i, w):
+        c[i] = w.value
+        if i == k and c[i] == 0 and all(c[j] == 0 for j in range(i + 1, d)):
+            w.advance()
+            c[i] = w.value
+
+    def enter(i):
+        s = 0.0
+        for j in range(i + 1, d):
+            s += R[i][j] * c[j]
+        centers[i] = -s / R[i][i]
+        walks[i] = lattices._ZigZag(centers[i])
+        step(i, walks[i])
+
+    def advance(i):
+        walks[i].advance()
+        step(i, walks[i])
+
+    i = d - 1
+    enter(i)
+    while True:
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError("shortest-vector search budget exceeded", nodes=nodes)
+        y = dist[i + 1] + (R[i][i] * (c[i] - centers[i])) ** 2
+        if y <= bound:
+            if i == 0:
+                if y < best2:
+                    best2, best_c, bound = y, tuple(c), y
+                advance(0)
+            else:
+                dist[i] = y
+                i -= 1
+                enter(i)
+        else:
+            i += 1
+            if i == d:
+                return best_c, best2
+            advance(i)
+
+
+def _walk_outcome(walk, B, span_exclude, budget):
+    try:
+        return walk(B, span_exclude, budget)
+    except BudgetExceededError as exc:
+        return str(exc), exc.nodes
+
+
+def test_hopeless_level_0_walk_is_refused_where_the_plain_walk_runs_out():
+    # under a column of length s, the last minimum's level-0 walk visits about
+    # 2 s^2 10^-6 values of c0 and cannot beat the best
+    rng = np.random.default_rng(33)
+    bases = []
+    for s in (6e3, 1.4e4):
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        bases += [np.diag([s, 1 / s]), q @ np.diag([1 / s, s]) @ [[1.0, 0.3], [0.0, 1.0]], np.diag([1 / s, 1.0, s])]
+    bases += [random_basis(rng, 3, spread=3.0) for _ in range(4)]
+    # unreduced: a level-0 walk that moves the bound, which the refusal must not predict
+    unreduced = [np.array([[1.0, 7.3], [0.0, 0.01]]), np.array([[1.0, 0.0, 4.6], [0.0, 1.0, 3.3], [0.0, 0.0, 0.02]])]
+    long_walks = 0
+    for B in [reduced(b) for b in bases] + unreduced:
+        for k in range(B.shape[0]):
+            # every budget up to the walk's node count n, where the plain walk stops raising
+            for budget in itertools.count(1):
+                plain = _walk_outcome(_constrained_shortest_plain, B, k, budget)
+                assert _walk_outcome(constrained_shortest, B, k, budget) == plain, (B, k, budget)
+                if not isinstance(plain[0], str):
+                    break
+            long_walks += budget > 100
+    assert long_walks >= 4
+
+
+def test_hopeless_walk_of_a_deep_cusp_exits_before_it_walks(monkeypatch):
+    # the LLL basis of diag(1e100, 1e-100): its second minimum's level-0 walk
+    # covers 10^188 values of c0, which the plain walk spends its budget on
+    advances = []
+    real = lattices._ZigZag.advance
+    monkeypatch.setattr(lattices._ZigZag, "advance", lambda w: advances.append(1) or real(w))
+    with pytest.raises(BudgetExceededError, match="^shortest-vector search budget exceeded$") as info:
+        successive_minima(reduced(np.diag([1e100, 1e-100])))
+    assert info.value.nodes == DEFAULT_BUDGET + 1
+    assert len(advances) < 10
+
+
 def full_recompute_lll(basis, delta=0.99, max_rounds=10_000):
     """Reference LLL: the whole Gram-Schmidt is rebuilt after every change."""
     B = np.array(basis, dtype=float)

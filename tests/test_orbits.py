@@ -1,6 +1,7 @@
 import hashlib
 import math
 import traceback
+import warnings
 
 import numpy as np
 import pytest
@@ -339,6 +340,28 @@ def test_failures_in_later_blocks_name_the_sample_by_its_index_in_the_orbit(monk
     y0 = AffineLatticePoint(x, TorusPoint.from_values(["1/3", "2/3", "1/5"]))
     with pytest.raises(PrecisionError, match=r"^decompose of sample 3 at t = 6.5: determinant"):
         orbit_pushforward(y0, 6.5, NeighborhoodV(S21), 20, seed=0)
+
+
+def test_a_non_finite_sample_in_a_later_block_fails_fast_and_names_it(monkeypatch):
+    # d = 2 as d = 3: a PrecisionError naming the sample by its index in the
+    # orbit and t, with no warning and no Lagrange pass over its block
+    us = sample_V(V, 3 * orbits._BLOCK, seed=0)
+    bad = orbits._BLOCK + 7
+    us[bad, 0, 0] = np.nan
+    blocks = []
+    real = fundamental._lagrange_2x2
+    monkeypatch.setattr(fundamental, "_lagrange_2x2", lambda P: blocks.append(len(P)) or real(P))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionError) as info:
+            decompose_batch(SpecialLinearMatrix.from_entries(np.eye(2)), us, 2.0, SIG)
+        assert str(info.value) == f"decompose of sample {bad} at t = 2: matrix entries are not finite"
+        assert blocks == [orbits._BLOCK]
+        us3 = sample_V(NeighborhoodV(S12), 12, seed=0)
+        us3[7, 0, 1] = np.nan
+        monkeypatch.setattr(orbits, "_BLOCK", 4)
+        with pytest.raises(PrecisionError, match=r"^decompose of sample 7 at t = 2: LLL size-reduction step is not finite$"):
+            decompose_batch(SpecialLinearMatrix.from_entries(np.eye(3)), us3, 2.0, S12)
 
 
 def _orbit_arrays(nu):

@@ -68,14 +68,16 @@ def _naming_rows(first: int):
         _FIRST_ROW.reset(token)
 
 
-def _failure_site(stage: str, i: Optional[int], t: Optional[float]) -> str:
-    """Where a failure happened: the stage, sample i (the base point if None) and t.
+def _at_site(what: str, stage: Optional[str], i: Optional[int], t: Optional[float]) -> str:
+    """A failure's message: what, after where it happened, the stage, sample i (the base point if None) and t.
 
     i is a row of the stack a stage is given, offset by `_naming_rows`.
-    t = None leaves the flow time out, for a batch reduced outside a flow.
+    t = None leaves out the flow time, and stage = None the whole site.
     """
-    what = "the base point" if i is None else f"sample {_FIRST_ROW.get() + i}"
-    return f"{stage} of {what}" if t is None else f"{stage} of {what} at t = {t:g}"
+    if stage is None:
+        return what
+    where = "the base point" if i is None else f"sample {_FIRST_ROW.get() + i}"
+    return f"{stage} of {where}: {what}" if t is None else f"{stage} of {where} at t = {t:g}: {what}"
 
 
 @contextmanager
@@ -89,10 +91,6 @@ def _naming_sample(stage: str, i: Optional[int], t: Optional[float]):
     try:
         yield
     except BudgetExceededError as exc:
-        raise BudgetExceededError(f"{_failure_site(stage, i, t)}: {exc}", nodes=exc.nodes).with_traceback(
-            exc.__traceback__
-        ) from None
+        raise BudgetExceededError(_at_site(str(exc), stage, i, t), exc.nodes).with_traceback(exc.__traceback__) from None
     except (PrecisionError, DeterminantError) as exc:
-        raise type(exc)(f"{_failure_site(stage, i, t)}: {exc}").with_traceback(
-            exc.__traceback__
-        ) from None
+        raise type(exc)(_at_site(str(exc), stage, i, t)).with_traceback(exc.__traceback__) from None

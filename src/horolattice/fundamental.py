@@ -41,12 +41,12 @@ a single matrix is a stack of one (`_search_starts`, `_reduce_core`).
 1. The seed: for d = 2 the vectorized Lagrange loop; for d = 3, LLL on
    the primal and on the dual basis (`lattices.lll_reduce_batch`, which
    gives a row the same bits in any stack), the one with the smaller F.
-2. The class sweep: `_search`'s rounds with a static table as the
-   candidates.  For d = 2 `_sweep_static`, one round over 36 transforms
-   past the identity screen; for d = 3 `sweep`, rounds over 4,632 ternary.
-3. The certificate, per row, that the table holds every C within
-   `_search`'s Frobenius bound; then the sweep's gamma is `_search`'s.
-4. A row that fails it runs `_search` from its seed: the certified
+2. The pick, and the certificate per row that it is `_search`'s: for
+   d = 2 the least rotation B J^r of the seed B, where the identity
+   screen below holds; for d = 3 the class sweep (`sweep`), `_search`'s
+   rounds over a static table of 4,632 ternary transforms, where the
+   table holds every C within `_search`'s Frobenius bound.
+3. A row that fails it runs `_search` from its seed: the certified
    successive minima of both sides, then the candidates of
    `_candidates_2d`, or of `_candidates_3d` on both sides, until no
    candidate lowers F, and the lexicographic tie-break.  Each walks
@@ -64,35 +64,24 @@ row gets the same bits in any stack.  Each d = 3 sample passes through
 `_reduce_core` with its start; `reduce_batch_2x2` keeps certified d = 2
 rows in arrays.
 
-The d = 2 certificate (`_sweep_certified_2x2`).  B = (b1, b2) is the
-seed, mu = <b1, b2> / |b1|^2 and |b2*|^2 = |b2|^2 - mu <b1, b2>.  F(h)^2
-= |h|_F^2 / 2 for d = 2, so each C with F(B C) <= F + TIE_TOL, F the
-sweep's pick, has |B C|_F^2 <= bound = (sqrt 2 (F + TIE_TOL) +
-BOUND_MARGIN)^2, and each column (x, y) of C is primitive with
-|x b1 + y b2|^2 <= room = bound - lambda_1^2.  A Gauss-reduced basis
-(|b1| <= |b2|, |mu| <= 1/2) attains both successive minima (Nguyen and
-Stehle, ACM TALG 2009), so lambda_1 = |b1|.  As
-|x b1 + y b2|^2 = |b1|^2 (x + mu y)^2 + y^2 |b2*|^2, room < 4 |b2*|^2
-forces |y| <= 1, and |mu| + sqrt((room - |b2*|^2) / |b1|^2) < 3 forces
-|x| <= 2 (x = +-1 if y = 0).  Both columns are then among the table's
-{(+-1, 0), (a, +-1) : |a| <= 2}, and so is C.  Margins of 1e-9 relative
-cover the rounding.  Gauss reduction is checked on the seed as computed,
-so a row that the loop's round cap stopped early fails unless reduced.
-
-The d = 2 identity screen (`_identity_alone`).  With n_i = |b_i|^2 and
-g = (min(n1, n2) - 2 |<b1, b2>|) / 2 > 0, each det-1 C outside the class
-{I, J, -I, -J} has F(B C)^2 >= F(B)^2 + g: a column x b1 + y b2 of B C
-has x, y != 0 and squared length >= n1 + n2 - 2 |<b1, b2>|, the other
->= min(n1, n2).  Where sqrt(F(B)^2 + g) clears F(B) + TIE_TOL, the
-sweep ties that class alone, and the row skips the scoring of classes.
-Its tie-break then picks among B J^r, r = 0..3, in closed form
+The d = 2 certificate, the identity screen (`_identity_alone`).  With
+n_i = |b_i|^2 for the seed B = (b1, b2) and g = (min(n1, n2) - 2 |<b1,
+b2>|) / 2 > 0, B is Lagrange-Gauss reduced, so min(n1, n2) = lambda_1^2
+(Nguyen and Stehle, ACM TALG 2009), and each det-1 C outside the class
+{I, J, -I, -J}, J = [[0, -1], [1, 0]], has F(B C)^2 >= F(B)^2 + g: a
+column x b1 + y b2 of B C has x, y != 0 and squared length >= n1 + n2 -
+2 |<b1, b2>|, the other >= lambda_1^2, and F^2 = |h|_F^2 / 2.  Where
+sqrt(F(B)^2 + g) clears F(B) + TIE_TOL, by relative margins of about
+1e-12 for the rounding, no such C ties or lowers F(B), so `_search` from
+B ties B J^r, r = 0..3, alone, and its tie-break has a closed form
 (`_least_rotation`).  With K = rint(b00 / LEX_GRID) and L = rint(b01 /
 LEX_GRID), the keys of B's first row, the first keys of B J^r are K, L,
 -K and -L exactly, since the division and rint are odd.  Where |K| !=
 |L| one of them is strictly least, and the lexicographic order reads no
 other key: r = 0 (b00 < 0) or 2 (b00 > 0) if |K| > |L|, else r = 1 (b01
-< 0) or 3 (b01 > 0).  A row where |K| = |L| is scored like any other,
-and the scoring ties its class alone, so `_lex_first` breaks the tie.
+< 0) or 3 (b01 > 0).  A row the screen leaves, or where |K| = |L|, runs
+`_search`.  The certificate is `_search`'s bound, sqrt 2 (F + TIE_TOL) +
+BOUND_MARGIN.
 
 The proxy distance from a reduced xi to a base point z,
 min over C in SL_d(Z) of |xi C z^{-1} - Id|_F, is defined here once for
@@ -123,7 +112,7 @@ from .core import (
     _inv_unimodular,
     _renormalized,
 )
-from .errors import DeterminantError, PrecisionError, _failure_site, _naming_sample
+from .errors import DeterminantError, PrecisionError, _at_site, _naming_sample
 from .lattices import DEFAULT_BUDGET, enumerate_ball, lll_reduce, lll_reduce_batch, successive_minima
 
 __all__ = [
@@ -179,14 +168,21 @@ class ReducedRepresentative:
     """Result of reducing g to its F-minimal coset representative.
 
     rep * gamma reproduces the input; `certificate` is the Frobenius
-    bound inside which minimality was verified, by the class sweep's
-    certificate or by the exhaustive search.
+    bound inside which minimality was verified: by the d = 2 identity
+    screen, the d = 3 class sweep's certificate or the exhaustive search.
     """
 
     rep: SpecialLinearMatrix
     gamma: IntegerMatrix
     fvalue: float
     certificate: float
+
+
+def _require_finite(stack: np.ndarray, what: str, stage: Optional[str], t: Optional[float]) -> None:
+    """A PrecisionError(what) unless every entry of a stack (N, ...) is finite, naming its lowest such row."""
+    if not np.isfinite(stack).all():
+        i = int(np.flatnonzero(~np.isfinite(stack.reshape(stack.shape[0], -1)).all(axis=1))[0])
+        raise PrecisionError(_at_site(what, stage, i, t))
 
 
 def _reduced_matrix(B: np.ndarray) -> SpecialLinearMatrix:
@@ -358,12 +354,12 @@ def _reduce_core(arr: np.ndarray, budget: int = DEFAULT_BUDGET, start: Optional[
     """Reduce a raw unimodular array.
 
     Returns (rep_array, U IntegerMatrix with arr @ U tracking rep,
-    certificate).  `start`, if given, is arr's item
-    of `_search_starts`, computed ahead for a whole stack; without it
-    the matrix is reduced as a stack of one.  A start that carries a
-    certificate is the class sweep's certified result and is returned
-    as it is; any other runs `_search` from its seed, with the seed's
-    primal and dual LLL bases (prim_B, dual_B) when the start has them.
+    certificate).  `start`, if given, is arr's item of `_search_starts`,
+    computed ahead for a whole stack; without it the matrix is reduced
+    as a stack of one.  A start that carries a certificate is the
+    certified pick and is returned as it is; any other runs `_search`
+    from its seed, with the seed's primal and dual LLL bases (prim_B,
+    dual_B) when the start has them.
     """
     if start is None:
         start = next(_search_starts(np.asarray(arr, dtype=float)[None], None, None))
@@ -381,10 +377,10 @@ def _seed_start(B: np.ndarray, U: np.ndarray) -> tuple:
 def _search_starts(P: np.ndarray, t: Optional[float], stage: Optional[str] = "decompose"):
     """The `start` of `_reduce_core` for each matrix of a stack P (N, d, d).
 
-    A certified row's start is (rep, U, None, certificate), the class
-    sweep's result; any other row's is (seed basis, U, (prim_B, dual_B),
-    None), the LLL bases of the seed's primal and dual lattices (each
-    None where not yet done) reaching `_minima_sq_of` ready-made.
+    A certified row's start is (rep, U, None, certificate), the certified
+    pick; any other row's is (seed basis, U, (prim_B, dual_B), None),
+    the LLL bases of the seed's primal and dual lattices (each None where
+    not yet done) reaching `_minima_sq_of` ready-made.
     Returns an iterator over the samples in order.  Only d in {2, 3} is
     reduced with a certificate, so a larger d is a ValueError, raised
     before any work.
@@ -392,9 +388,9 @@ def _search_starts(P: np.ndarray, t: Optional[float], stage: Optional[str] = "de
     For d = 2 the whole stack goes through `_reduce_stack_2x2`.  For
     d = 3 every LLL runs once over the whole stack, through
     `lll_reduce_batch`, which gives a row the bits it gets alone: on P,
-    on its duals and on both sides of the chosen seed bases.  An LLL
-    failure, or a non-finite d = 2 row, names the lowest failing row as
-    a sample of `stage` at t (no site if stage is None).
+    on its duals and on both sides of the chosen seed bases.  An LLL or
+    a d = 2 seed failure (`_reduce_stack_2x2`) names the lowest failing
+    row as a sample of `stage` at t (no site if stage is None).
     For d = 3 the seeds then go through the class sweep and its
     certificate (`sweep`) in blocks of `sweep.ROWS` rows, each block when
     the iterator reaches it, so their memory does not grow with N.
@@ -550,7 +546,7 @@ def certify_factorization(P, reps, gammas, stage: Optional[str], t: Optional[flo
         if ratios[i, k] > 1.0:
             tol = _reconstruction_tol(reps[i].reshape(-1, 1))[0] if k == 0 else RESIDUAL_TOL
             what = f"{kind} residual {ratios[i, k] * tol:.3g} exceeds {tol:.3g}"
-            raise PrecisionError(what if stage is None else f"{_failure_site(stage, i, t)}: {what}")
+            raise PrecisionError(_at_site(what, stage, i, t))
 
 
 def _exact_product(arr: np.ndarray, U: IntegerMatrix) -> np.ndarray:
@@ -760,68 +756,18 @@ def x_distance(rep_x, rep_z, max_distance: float = 1.0) -> float:
     return float(_proxy_distances(xa[None], z, max_distance)[0])
 
 
-# -- the d = 2 seed, sweep and certificate ----------------------------------
+# -- the d = 2 seed, pick and certificate ------------------------------------
 
-def _static_candidates_2x2() -> np.ndarray:
-    cols = [(1, 0), (-1, 0)]
-    for b in (-1, 1):
-        for a in range(-2, 3):
-            cols.append((a, b))
-    out = []
-    for u in cols:
-        for v in cols:
-            if u[0] * v[1] - u[1] * v[0] == 1:
-                out.append(((u[0], v[0]), (u[1], v[1])))
-    return np.array(out, dtype=np.int64)
-
-
-def _rotation_classes(table: np.ndarray) -> np.ndarray:
-    """Table indices of C J^r (columns r = 0..3) for each class {C J^r} of the table.
-
-    J = [[0, -1], [1, 0]].  The table is closed under C -> C J, and its
-    classes partition it; each row starts at the class's first entry.
-    """
-    J = np.array([[0, -1], [1, 0]], dtype=table.dtype)
-    index = {C.tobytes(): k for k, C in enumerate(table)}
-    classes, seen = [], set()
-    for k, C in enumerate(table):
-        if k in seen:
-            continue
-        orbit = [k]
-        for _ in range(3):
-            C = C @ J
-            orbit.append(index[C.tobytes()])
-        seen.update(orbit)
-        classes.append(orbit)
-    return np.array(classes, dtype=np.intp)
-
-
-_C_STATIC = _static_candidates_2x2()
-#: _C_CLASSES[c, r] is the table index of C_c J^r, C_c the class's first entry.
-_C_CLASSES = _rotation_classes(_C_STATIC)
-_IDENTITY_CLASS = int(np.flatnonzero((_C_STATIC[_C_CLASSES[:, 0]] == np.eye(2, dtype=np.int64)).all(axis=(1, 2)))[0])
-#: Rows 0 and 1 of the class representatives C_c, flattened over (c, l).
-_REP_ROW0 = _C_STATIC[_C_CLASSES[:, 0], 0, :].astype(float).ravel()
-_REP_ROW1 = _C_STATIC[_C_CLASSES[:, 0], 1, :].astype(float).ravel()
+#: J^r for r = 0..3, J = [[0, -1], [1, 0]]: the move of `_least_rotation`'s pick r.
+_J_POWERS = np.array([[[1, 0], [0, 1]], [[0, -1], [1, 0]], [[-1, 0], [0, -1]], [[0, 1], [-1, 0]]], dtype=np.int64)
 #: Round cap of the d = 2 Lagrange loop (`_lagrange_2x2`).
 _LAGRANGE_ROUNDS = 200
-
-
-def _rotations(h: np.ndarray) -> np.ndarray:
-    """h J^r for r = 0..3 on a new axis before the matrix axes, zeros as +0.0.
-
-    For h = [[a, b], [c, d]], h J = [[b, -a], [d, -c]] and h J^2 = -h:
-    sign flips and column swaps, so every rotation is exact.
-    """
-    a, b, c, d = h[..., 0, 0], h[..., 0, 1], h[..., 1, 0], h[..., 1, 1]
-    rot = np.stack([a, b, c, d, b, -a, d, -c, -a, -b, -c, -d, -b, a, -d, c], axis=-1)
-    return rot.reshape(h.shape[:-2] + (4, 2, 2)) + 0.0
 
 
 def _identity_alone(Bc: np.ndarray) -> np.ndarray:
     """Rows of Bc (N, 2, 2) the identity screen keeps, by relative margins of about 1e-12; no NaN or inf row."""
     b00, b01, b10, b11 = (Bc[:, i, j] for i in (0, 1) for j in (0, 1))
-    fsq = _f_sq(Bc)  # the sweep's F^2 of class I, bit for bit
+    fsq = _f_sq(Bc)  # `_search`'s F^2 of B, bit for bit
     g = (np.minimum(b00 * b00 + b10 * b10, b01 * b01 + b11 * b11) - 2.0 * np.abs(b00 * b01 + b10 * b11)) / 2.0
     # the lemma's lower bound on F outside the class does not tie F(B)
     return ~_tied(np.sqrt(fsq * (1.0 - 4e-12) + g) * (1.0 - 1e-12), np.sqrt(fsq))
@@ -830,10 +776,10 @@ def _identity_alone(Bc: np.ndarray) -> np.ndarray:
 def _least_rotation(h: np.ndarray):
     """The tie-break's least h J^r of each row of h (N, 2, 2), where the first keys decide: (rots, r, decided).
 
-    The closed form of the module docstring's identity screen: decided
-    where |rint(h00 / LEX_GRID)| != |rint(h01 / LEX_GRID)|, and elsewhere
-    r and rots are not the tie-break's.  rots are the sign flips and
-    column swaps of `_rotations`, zeros as +0.0.
+    The closed form of the module docstring: decided where the first keys
+    differ in magnitude; elsewhere r and rots are not the tie-break's.
+    rots come by sign flips and column swaps (h J = [[h01, -h00], [h11,
+    -h10]], h J^2 = -h), so each is exact, with zeros as +0.0.
     """
     a, b, c, d = (h[:, i, j] for i in (0, 1) for j in (0, 1))
     ka, kb = np.abs(np.rint(a / LEX_GRID)), np.abs(np.rint(b / LEX_GRID))
@@ -849,41 +795,7 @@ def _least_rotation(h: np.ndarray):
     return rots, np.where(by_a, 0, 1) + np.where(neg, 0, 2), ka != kb
 
 
-def _sweep_static(Bc: np.ndarray):
-    """F-minimal element of {b C : C in the static table} for each row b.
-
-    Returns (reps, pick): the chosen products and their table indices,
-    with `_search`'s tie-break: `_tied`, then `_lex_first`, whose order
-    among the candidates is immaterial, since b C and b C' differ by a
-    lattice vector of length at least lambda_1 in a column where C and C'
-    differ.  `_f_sq` gives h and h J the same bits, so the 36 entries
-    fall into 9 classes {C J^r} of equal F, and one representative per
-    class is scored.  Every table entry lies in {-2, ..., 2}, so each
-    product b_ij C_jl is exact and each nonzero entry of b C is one
-    rounding of an exact sum, however the product is evaluated.  Only
-    the sign of a zero can depend on the evaluation, so every zero is
-    returned as +0.0.  The tie-break runs over the four rotations of each
-    tied class.  On a row of `_identity_alone` (almost every row of an
-    orbit) that class is b's own, and where its first keys decide, the
-    least rotation is `_least_rotation`'s closed form; every other row
-    is scored, and its tied classes' rotations go through `_lex_first`.
-    """
-    reps, r, decided = _least_rotation(Bc)
-    pick = _C_CLASSES[_IDENTITY_CLASS, r]
-    scored = np.flatnonzero(~(_identity_alone(Bc) & decided))
-    Br = Bc[scored]
-    # H[n, i, c, l] = (b_n C_c)[i, l] for the class representatives C_c
-    H = (Br[:, :, 0, None] * _REP_ROW0 + Br[:, :, 1, None] * _REP_ROW1).reshape(len(Br), 2, len(_C_CLASSES), 2)
-    F = _f_of_stack(H.transpose(0, 2, 1, 3))
-    tied_row, tied_class = np.nonzero(_tied(F, F.min(axis=1)[:, None]))
-    # rows of the rotations of each tied class; distinct transforms give distinct keys
-    rot = _rotations(H[tied_row, :, tied_class, :]).reshape(-1, 2, 2)
-    first = _lex_first(_lex_key(rot), 4 * np.searchsorted(tied_row, np.arange(len(Br))))
-    reps[scored], pick[scored] = rot[first], _C_CLASSES[tied_class[first // 4], first % 4]
-    return reps, pick
-
-
-def _lagrange_2x2(P: np.ndarray):
+def _lagrange_2x2(P: np.ndarray, stage: Optional[str] = None, t: Optional[float] = None):
     """Lagrange reduction of each basis of a stack P (N, 2, 2): (B = P U, U int64).
 
     A pass swaps the columns, with a sign, where the second is shorter,
@@ -893,7 +805,10 @@ def _lagrange_2x2(P: np.ndarray):
     row-major order, and apply a swap or a shear through `np.where`, so
     an entry it does not touch keeps its bits and its sign of zero.  Each
     pass runs on the whole stack until no row moves: a pass leaves a
-    stopped row as it is, so a row keeps the bits it stopped with.
+    stopped row as it is, so a row keeps the bits it stopped with.  A
+    shear k that is NaN, or whose reach |k| max|u_0| + max|u_1| is not
+    below 2^62 (`lll_reduce_batch`'s rule), is a PrecisionError before its
+    cast to int64, naming the lowest such row (`_at_site`).
     """
     N = P.shape[0]
     b = [P[:, i, j].copy() for i in (0, 1) for j in (0, 1)]
@@ -913,6 +828,12 @@ def _lagrange_2x2(P: np.ndarray):
         shear = k != 0
         sheared = shear.any()
         if sheared:
+            reach = np.abs(k) * np.maximum(np.abs(u[0]), np.abs(u[2])) + np.maximum(np.abs(u[1]), np.abs(u[3]))
+            # every |u| stays below 2^62, so a row that does not shear passes
+            if not (reach < 2.0**62).all():
+                i = int(np.flatnonzero(~(reach < 2.0**62))[0])
+                what = f"Lagrange shear {k[i]:.3g} takes the transform beyond int64"
+                raise PrecisionError(_at_site(what, stage, i, t))
             kk = k.astype(np.int64)
             for i in (0, 2):
                 b[i + 1] = np.where(shear, b[i + 1] - k * b[i], b[i + 1])
@@ -922,50 +843,30 @@ def _lagrange_2x2(P: np.ndarray):
     return np.stack(b, axis=1).reshape(N, 2, 2), np.stack(u, axis=1).reshape(N, 2, 2)
 
 
-def _sweep_certified_2x2(B: np.ndarray, reps: np.ndarray):
-    """Per seed of B, whether the table holds every C `_search` could pick; reps are the sweep's.
-
-    The argument is in the module docstring.  Returns (certified, sqrt(bound)).
-    """
-    b00, b01, b10, b11 = B.reshape(-1, 4).T.copy()
-    # a row past the doubles' range overflows to inf or NaN here, and fails
-    # a comparison below: it is left to `_search`, without a warning
-    with np.errstate(all="ignore"):
-        n1, n2, dot = b00 * b00 + b10 * b10, b01 * b01 + b11 * b11, b00 * b01 + b10 * b11
-        mu = dot / n1
-        perp = (n2 - dot * mu) * (1 - 1e-9)
-        # sqrt 2 (F + TIE_TOL) + BOUND_MARGIN, as F = |rep|_F / sqrt 2
-        root = np.sqrt(2.0 * _f_sq(reps)) + (math.sqrt(2.0) * TIE_TOL + BOUND_MARGIN)
-        room = (root * root - n1 * (1 - 1e-9)) * (1 + 1e-9)
-        reach = (np.abs(mu) + np.sqrt(np.maximum(room - perp, 0.0) / n1)) * (1 + 1e-9)
-    return (n1 <= n2) & (np.abs(mu) <= 0.5) & (room < 4.0 * perp) & (reach < 3.0), root
-
-
 def _reduce_stack_2x2(P: np.ndarray, stage: Optional[str], t: Optional[float]):
-    """Seeds B = P U, picks reps = B C, moves = U C and the certificate of a stack P (N, 2, 2).
+    """The seeds and certified picks of a stack P (N, 2, 2): (B, U, reps, moves, certified, certificate).
 
-    Every stage runs on the whole stack, so its memory grows with N.  A
-    NaN or inf entry is a PrecisionError before the first pass, naming
-    the lowest such row as a sample of `stage` at t (no site if stage is
-    None), as `lll_reduce_batch` names a d = 3 row.
+    B = P U is the Lagrange seed, reps = B J^r its least rotation and
+    moves = U J^r, certified where the identity screen keeps the row and
+    its first keys decide r (the module docstring).  Every stage runs on
+    the whole stack, so its memory grows with N.  A NaN or inf entry, or
+    a shear past int64, is a PrecisionError naming the lowest such row
+    as a sample of `stage` at t (no site if stage is None).
     """
-    if not np.isfinite(P).all():
-        what = "matrix entries are not finite"
-        i = int(np.flatnonzero(~np.isfinite(P).all(axis=(1, 2)))[0])
-        raise PrecisionError(what if stage is None else f"{_failure_site(stage, i, t)}: {what}")
-    B, U = _lagrange_2x2(P)
-    reps, pick = _sweep_static(B)
-    certified, certificate = _sweep_certified_2x2(B, reps)
-    return B, U, reps, U @ _C_STATIC[pick], certified, certificate
+    _require_finite(P, "matrix entries are not finite", stage, t)
+    B, U = _lagrange_2x2(P, stage, t)
+    reps, r, decided = _least_rotation(B)
+    certificate = np.sqrt(2.0 * _f_sq(reps)) + (math.sqrt(2.0) * TIE_TOL + BOUND_MARGIN)
+    return B, U, reps, U @ _J_POWERS[r], _identity_alone(B) & decided, certificate
 
 
 def reduce_batch_2x2(P: np.ndarray, budget: int = DEFAULT_BUDGET, t: Optional[float] = None):
     """Reduce a batch of 2x2 unimodular matrices: (reps (N, 2, 2) float, gammas (N, 2, 2) int64).
 
     Row for row `_reduce_core`'s bits, with no Python object per certified
-    row; a row that fails the certificate runs `_reduce_core` from its
-    seed, and a failure there, or a non-finite row before any pass,
-    names the sample and the flow time t.
+    row (`_reduce_stack_2x2`); any other runs `_reduce_core` from its
+    Lagrange seed.  A failure there or in the seed names the sample and
+    the flow time t.
     Every stage runs on the whole batch, so memory grows with it: the
     orbits pass it blocks of `orbits._BLOCK` rows.
     """

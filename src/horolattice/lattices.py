@@ -36,7 +36,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .core import _bezout, _cross, _inv_unimodular
-from .errors import BudgetExceededError, PrecisionError, _failure_site, _naming_sample
+from .errors import BudgetExceededError, PrecisionError, _at_site, _naming_sample
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -119,7 +119,7 @@ def lll_reduce_batch(bases: np.ndarray, stage: Optional[str] = "LLL", t: Optiona
         valid[rows] = np.maximum(valid[rows], upto + 1)
 
     def fail(error, rows, what):
-        raise error(what if stage is None else f"{_failure_site(stage, int(rows.min()), t)}: {what}")
+        raise error(_at_site(what, stage, int(rows.min()), t))
 
     rounds = 0
     while True:

@@ -66,8 +66,9 @@ from .errors import (
 from .fundamental import (
     RESIDUAL_TOL,
     _proxy_distances,
+    _certified,
     _reduce_core,
-    _reduced_matrix,
+    _require_finite,
     _search_starts,
     certify_factorization,
     reduce_batch_2x2,
@@ -98,6 +99,7 @@ _BLOCK = 8192
 #: The benchmark's output checks import the certificate's tolerance
 #: under these two names; both are `fundamental.RESIDUAL_TOL`.
 RECONSTRUCTION_TOL = INTEGRALITY_TOL = RESIDUAL_TOL
+_U_NOT_FINITE = "horospherical coordinate u is not finite"
 
 
 @dataclass(frozen=True)
@@ -178,22 +180,20 @@ def decompose(
 
     gamma is exact by construction (the unimodular transform is
     accumulated in integers), and P = xi gamma must pass the
-    factorization certificate (`fundamental.certify_factorization`), as
-    a batch of one.  P has det 1 by construction, so a determinant drift
-    of a reduced basis is precision loss: a `PrecisionError`, like a
-    failed certificate.  `start`, if given, is this sample's item of
-    `fundamental._search_starts`, computed ahead over a stack: the class
-    sweep's certified result or the seed of the search.
+    factorization certificate as a batch of one (`fundamental._certified`).
+    P has det 1 by construction, so a determinant drift of a reduced
+    basis is precision loss: a `PrecisionError`, like a failed
+    certificate or a u that is not finite.  `start`, if given, is this
+    sample's item of `fundamental._search_starts`, computed ahead over a
+    stack: the certified pick or the seed of the search.
     """
     ub = np.atleast_2d(np.asarray(u, dtype=float))
     if ub.shape != (sig.m, sig.n):
         raise ValueError(f"u has shape {ub.shape}, expected ({sig.m},{sig.n})")
+    _require_finite(ub[None], _U_NOT_FINITE, None, s)
     P = _flowed(x_rep, ub[None], s, sig)[0]
     rep_arr, U, _ = _reduce_core(P, budget, start)
-    xi = _reduced_matrix(rep_arr)
-    gamma = U.inv()
-    certify_factorization(P[None], xi.entries[None], gamma.to_array()[None], None, None)
-    return xi, gamma
+    return _certified(P, rep_arr, U)
 
 
 def sigma(y: AffineLatticePoint, budget: int = DEFAULT_BUDGET) -> TorusPoint:
@@ -284,6 +284,7 @@ def _decomposed_blocks(x_rep: SpecialLinearMatrix, us: np.ndarray, t: float, sig
     for lo in range(0, count, _BLOCK):
         rows = slice(lo, min(lo + _BLOCK, count))
         with _naming_rows(lo):
+            _require_finite(us[rows], _U_NOT_FINITE, "decompose", t)  # before the flow, where inf * 0 warns
             if d == 2:
                 xis[rows], gammas[rows] = _bulk_decompose_2x2(x_rep, us[rows], t, sig, budget)
             else:

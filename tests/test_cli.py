@@ -157,6 +157,8 @@ def test_kind_runs_to_its_artifacts(argv, config, checks, headers, tmp_path):
         (["reduce", "--g0", "[[1e200, 0], [0, 1e-200]]"], "entry scale 1e+200 is beyond the determinant check's range"),
         # det 1 within a finite tolerance, so the search runs, and runs out
         (["reduce", "--g0", "[[1e100, 0], [0, 1e-100]]"], "shortest-vector search budget exceeded"),
+        # a shear whose transform would leave int64, refused before its cast
+        (["reduce", "--g0", "[[1, 1e20], [0, 1]]"], "Lagrange shear 1e+20 takes the transform beyond int64"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, message, capsys):

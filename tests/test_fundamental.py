@@ -346,26 +346,25 @@ def _flow_orbit(s, us):
 
 def _certified_2x2(monkeypatch, P):
     """reduce_batch_2x2(P), with the seeds B, the certified mask and the certificate it saw."""
-    real = fundamental._sweep_certified_2x2
+    real = fundamental._reduce_stack_2x2
     seen = []
 
-    def recording(B, reps):
-        certified, certificate = real(B, reps)
-        seen.append((B.copy(), certified, certificate))
-        return certified, certificate
+    def recording(P, stage, t):
+        seen.append(real(P, stage, t))
+        return seen[-1]
 
     with monkeypatch.context() as m:
-        m.setattr(fundamental, "_sweep_certified_2x2", recording)
+        m.setattr(fundamental, "_reduce_stack_2x2", recording)
         reps, gammas = reduce_batch_2x2(P)
-    (B, certified, certificate), = seen
+    (B, _, _, _, certified, certificate), = seen
     return reps, gammas, B, certified, certificate
 
 
 def test_batch_agrees_with_scalar(monkeypatch):
     # every row, bit for bit: a single matrix is a stack of one
     rng = np.random.default_rng(9)
-    # u = p / q gives lambda_1 = q e^{-8} at s = 8: the certificate refuses
-    # q <= 10, below the former batch threshold of 0.015 it accepts q = 30, 40
+    # u = p / q gives lambda_1 = q e^{-8} at s = 8: the identity screen
+    # refuses q = 3, 4, 5 and 7 here, and it accepts q = 8, 10, 30 and 40
     near = np.array([0.3, 0.25, 1 / 3, -0.2, 2 / 7, -0.125, 7 / 30, 11 / 40, -13 / 30, 9 / 40])
     cases = [(4.0, rng.uniform(-0.5, 0.5, 200)), (9.0, rng.uniform(-0.5, 0.5, 200))]
     cases.append((8.0, np.concatenate([rng.uniform(-0.5, 0.5, 190), near])))
@@ -385,26 +384,57 @@ def test_batch_agrees_with_scalar(monkeypatch):
 
 @pytest.mark.parametrize("s", [4.0, 8.0, 10.0, 12.0])
 def test_certified_2x2_rows_hold_every_near_minimal_transform_in_the_table(s, monkeypatch):
-    # the claim of the d = 2 certificate, checked by the exact search's own enumeration
-    table = {C.tobytes() for C in fundamental._C_STATIC}
+    # the claim of the d = 2 certificate, checked by the exact search's own
+    # enumeration: within the certificate's bound, the C that tie F(b) are
+    # the four rotations J^r and no other, so no C lowers F(b) either
+    rotations = {C.tobytes() for C in fundamental._J_POWERS}
     us = np.random.default_rng(int(s)).uniform(-0.5, 0.5, 300)
     _, _, B, certified, certificate = _certified_2x2(monkeypatch, _flow_orbit(s, us))
     assert certified.sum() > 200
     for b, bound in zip(B[certified], certificate[certified]):
         lam1sq = fundamental._minima_sq_of(b, DEFAULT_BUDGET)[0]
-        for rows in fundamental._candidates_2d(b, bound * bound, lam1sq, DEFAULT_BUDGET):
-            assert np.array(rows, dtype=np.int64).tobytes() in table
+        cs = fundamental._candidates_2d(b, bound * bound, lam1sq, DEFAULT_BUDGET)
+        near = _tied(_f_of_stack(b @ np.array(cs, dtype=float).reshape(-1, 2, 2)), _f_of_stack(b))
+        assert {np.array(C, dtype=np.int64).tobytes() for C, tie in zip(cs, near) if tie} == rotations
+
+
+def _static_candidates_2x2() -> np.ndarray:
+    """The 36 det-1 C whose columns are (+-1, 0) or (a, +-1), |a| <= 2: the static table of the former d = 2 sweep."""
+    cols = [(1, 0), (-1, 0)]
+    for b in (-1, 1):
+        for a in range(-2, 3):
+            cols.append((a, b))
+    out = []
+    for u in cols:
+        for v in cols:
+            if u[0] * v[1] - u[1] * v[0] == 1:
+                out.append(((u[0], v[0]), (u[1], v[1])))
+    return np.array(out, dtype=np.int64)
+
+
+_C_STATIC = _static_candidates_2x2()
+
+
+def _rotations(h: np.ndarray) -> np.ndarray:
+    """h J^r for r = 0..3 on a new axis before the matrix axes, zeros as +0.0.
+
+    For h = [[a, b], [c, d]], h J = [[b, -a], [d, -c]] and h J^2 = -h:
+    sign flips and column swaps, so every rotation is exact.
+    """
+    a, b, c, d = h[..., 0, 0], h[..., 0, 1], h[..., 1, 0], h[..., 1, 1]
+    rot = np.stack([a, b, c, d, b, -a, d, -c, -a, -b, -c, -d, -b, a, -d, c], axis=-1)
+    return rot.reshape(h.shape[:-2] + (4, 2, 2)) + 0.0
 
 
 def _sweep_all_36(Bc):
-    """The 36-candidate static sweep the rotation classes replaced, kept as the reference.
+    """The 36-candidate static sweep of the former d = 2 reduction, kept as the reference.
 
     It scores all 36 products in table order by the shared rule, `_f_of_stack`
     and `_tied`, and keeps the first with the least `_lex_key`, where a NaN
     key compares as least, as in `_lex_first`.  Returns (reps, pick, least),
     least the mask of the tied entries with the least key.
     """
-    H = np.matmul(Bc[:, None], fundamental._C_STATIC.astype(float))
+    H = np.matmul(Bc[:, None], _C_STATIC.astype(float))
     F = _f_of_stack(H)
     cand = _tied(F, F.min(axis=1)[:, None])
     keys = _lex_key(H)
@@ -415,49 +445,90 @@ def _sweep_all_36(Bc):
     return H[np.arange(Bc.shape[0]), pick], pick, cand
 
 
-def _assert_sweep_matches_reference(Bc):
-    reps, pick = fundamental._sweep_static(Bc)
-    ref_reps, ref_pick, _ = _sweep_all_36(Bc)
-    assert reps.tobytes() == ref_reps.tobytes()
-    assert np.array_equal(pick, ref_pick)
+def _adjugates(C):
+    """adj C of each C of an int64 stack (N, 2, 2): the inverse of a det-1 C."""
+    return np.stack([C[:, 1, 1], -C[:, 0, 1], -C[:, 1, 0], C[:, 0, 0]], axis=1).reshape(-1, 2, 2)
+
+
+def _assert_batch_matches_reference(P, alone=True):
+    """reduce_batch_2x2(P) is the 36-candidate reference from P's Lagrange seeds, stacked and (alone) row by row.
+
+    Bit for bit, but for the sign of a zero on a row the search reduces:
+    the reference writes +0.0, and the search returns its seed's -0.0.
+    """
+    B, U = fundamental._lagrange_2x2(P)
+    ref_reps, pick, _ = _sweep_all_36(B)
+    ref_gammas = _adjugates(U @ _C_STATIC[pick])
+    for rows in [slice(None)] + [slice(i, i + 1) for i in range(len(P) if alone else 0)]:
+        reps, gammas = reduce_batch_2x2(P[rows])
+        assert (reps + 0.0).tobytes() == (ref_reps[rows] + 0.0).tobytes()
+        assert np.array_equal(gammas, ref_gammas[rows])
+
+
+def _assert_search_agrees_with_the_batch(P):
+    """`_reduce_core` from each row's Lagrange seed gives reduce_batch_2x2's rep and gamma, bit for bit.
+
+    On a row of the identity screen this checks the screen and its closed
+    form against `_search`; on any other, the batch's fallback.  The
+    sign of a zero is left out: the closed form returns +0.0, and the
+    search's matmul can give -0.0 on an input with zeros.  Returns the
+    certified mask.
+    """
+    B, U, _, _, certified, _ = fundamental._reduce_stack_2x2(P, None, None)
+    reps, gammas = reduce_batch_2x2(P)
+    for p, b, u, rep, gamma in zip(P, B, U, reps, gammas):
+        rep_arr, U_ref, _ = fundamental._reduce_core(p, DEFAULT_BUDGET, fundamental._seed_start(b, u))
+        assert (rep_arr + 0.0).tobytes() == (rep + 0.0).tobytes()
+        assert np.array_equal(U_ref.inv().to_int64(), gamma)
+    return certified
+
+
+def _assert_screen_picks_the_reference(Bc):
+    """On the rows of Bc the identity screen certifies, `_least_rotation` is the 36-candidate reference's pick.
+
+    That is the screen's claim on the seeds as given: the reference ties
+    the identity class alone, and its tie-break is the closed form.
+    Returns the certified mask.
+    """
+    rots, r, decided = fundamental._least_rotation(Bc)
+    certified = fundamental._identity_alone(Bc) & decided
+    ref_reps, pick, _ = _sweep_all_36(Bc)
+    assert ref_reps[certified].tobytes() == rots[certified].tobytes()
+    assert np.array_equal(_C_STATIC[pick[certified]], fundamental._J_POWERS[r[certified]])
+    return certified
 
 
 def test_static_table_splits_into_rotation_classes():
-    table = fundamental._C_STATIC
-    classes = fundamental._C_CLASSES
-    assert classes.shape == (9, 4)
-    assert sorted(classes.ravel().tolist()) == list(range(len(table)))
+    # the reference table splits into 9 classes {C J^r}, and the identity's
+    # class, in order, is the batch's table of moves J^r
     J = np.array([[0, -1], [1, 0]])
-    for row in classes:
-        for r in range(4):
-            assert np.array_equal(table[row[r]], table[row[0]] @ np.linalg.matrix_power(J, r))
+    index = {C.tobytes(): k for k, C in enumerate(_C_STATIC)}
+    classes = {tuple(sorted(index[(C @ np.linalg.matrix_power(J, r)).tobytes()] for r in range(4))) for C in _C_STATIC}
+    assert len(_C_STATIC) == 36 and len(classes) == 9
+    assert sorted(k for c in classes for k in c) == list(range(36))
+    for r in range(4):
+        assert np.array_equal(fundamental._J_POWERS[r], np.linalg.matrix_power(J, r))
 
 
 @pytest.mark.parametrize("s", [4.0, 8.0, 12.0])
-def test_sweep_matches_36_candidate_reference_on_reduced_batches(s, monkeypatch):
-    # the seeds reduce_batch_2x2 hands to the sweep after its Lagrange loop
+def test_sweep_matches_36_candidate_reference_on_reduced_batches(s):
+    # the batch against the reference from its own Lagrange seeds
     us = np.random.default_rng(int(s)).uniform(-0.5, 0.5, 20_000)
     P = _flow_orbit(s, us)
-    blocks = []
-    real_sweep = fundamental._sweep_static
-
-    def spy(Bc):
-        blocks.append(Bc.copy())
-        return real_sweep(Bc)
-
-    monkeypatch.setattr(fundamental, "_sweep_static", spy)
-    reduce_batch_2x2(P)
-    assert sum(len(b) for b in blocks) == len(P)
-    _assert_sweep_matches_reference(np.concatenate(blocks))
+    _assert_batch_matches_reference(P, alone=False)
+    # on these orbits the match is bit for bit, the sign of every zero included
+    assert reduce_batch_2x2(P)[0].tobytes() == _sweep_all_36(fundamental._lagrange_2x2(P)[0])[0].tobytes()
 
 
-def test_sweep_matches_36_candidate_reference_on_ties_and_signed_zeros():
+_HEXAGONAL = np.array([[1.0, 0.5], [0.0, math.sqrt(3.0) / 2.0]]) / math.sqrt(math.sqrt(3.0) / 2.0)
+
+
+def _signed_zero_rows():
+    """Rotations, a rotation class of the hexagonal lattice, and rows with entries of -0.0."""
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
-    c = math.sqrt(math.sqrt(3.0) / 2.0)
-    hexagonal = np.array([[1.0, 0.5], [0.0, math.sqrt(3.0) / 2.0]]) / c
     th = 0.3
     rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-    mats = [np.eye(2), -np.eye(2), J, -J, rot, rot @ J, hexagonal, hexagonal @ J, -hexagonal]
+    mats = [np.eye(2), -np.eye(2), J, -J, rot, rot @ J, _HEXAGONAL, _HEXAGONAL @ J, -_HEXAGONAL]
     # entries of -0.0, where a product of the rows can come out as -0.0
     mats += [
         np.array([[-1.0, -0.0], [-0.0, -1.0]]),
@@ -465,32 +536,26 @@ def test_sweep_matches_36_candidate_reference_on_ties_and_signed_zeros():
         np.array([[1.0, -0.0], [0.0, 1.0]]),
         np.array([[-0.0, 1.0], [-1.0, 0.0]]),
     ]
-    Bc = np.array(mats)
-    # the hexagonal lattice ties several classes
-    H = np.matmul(hexagonal[None, None], fundamental._C_STATIC.astype(float))[0]
-    F = _f_of_stack(H)
-    tied = np.flatnonzero(_tied(F, F.min()))
-    assert np.isin(fundamental._C_CLASSES, tied).any(axis=1).sum() > 1
-    _assert_sweep_matches_reference(Bc)
-    for b in Bc:
-        _assert_sweep_matches_reference(b[None])
-    reps, _ = fundamental._sweep_static(Bc)
-    assert not np.signbit(reps[reps == 0]).any()
+    return np.array(mats)
+
+
+def test_sweep_matches_36_candidate_reference_on_ties_and_signed_zeros():
+    Bc = _signed_zero_rows()
+    # the hexagonal lattice ties several classes, so the screen leaves it
+    F = _f_of_stack(np.matmul(_HEXAGONAL[None], _C_STATIC.astype(float)))
+    assert _tied(F, F.min()).sum() > 4
+    assert 0 < _assert_screen_picks_the_reference(Bc).sum() < len(Bc)
+    _assert_batch_matches_reference(Bc)
+    certified = _assert_search_agrees_with_the_batch(Bc)
+    assert 0 < certified.sum() < len(Bc)
+    reps, _ = reduce_batch_2x2(Bc)
+    assert not np.signbit(reps[certified][reps[certified] == 0]).any()  # the closed form writes +0.0
     # shears TIE_TOL above F, to a few hundred ulps: one F and one tie rule
-    # give the class sweep and the table-order reference the same tie sets
+    # give the screen and the table-order reference the same tie sets
     for seed in range(4):
-        _assert_sweep_matches_reference(_tie_edge_rows(20_000, seed))
-    # NaN and inf rows tie every entry.  On the overflow row, every F is inf
-    # and the keys of the second row all round to 0, so the lexicographic
-    # order cannot tell some entries apart, and the first of them depends on
-    # the order of the candidates: the sweep picks from its tie set (entry
-    # 23), the table-order reference entry 11.  That pick stays as it is
-    # until a relative LEX_GRID can tell such keys apart.
-    with np.errstate(invalid="ignore", over="ignore"):
-        _assert_sweep_matches_reference(_NONFINITE_ROWS[:-1])
-        _, pick = fundamental._sweep_static(_NONFINITE_ROWS[-1:])
-        _, _, least = _sweep_all_36(_NONFINITE_ROWS[-1:])
-    assert least[0, pick[0]] and least[0].sum() > 1
+        tie = _tie_edge_rows(20_000, seed)
+        _assert_screen_picks_the_reference(tie)
+        _assert_batch_matches_reference(tie[:300])
 
 
 def _edge_basis(mu, eps):
@@ -508,8 +573,7 @@ def _screen_edge_rows():
             for sign in (1, -1):
                 b = _edge_basis(sign * mu, eps)
                 rows += [b, b[:, ::-1] * [1.0, -1.0]]  # and (b2, -b1)
-    c = math.sqrt(math.sqrt(3.0) / 2.0)
-    rows.append(np.array([[1.0, 0.5], [0.0, math.sqrt(3.0) / 2.0]]) / c)  # hexagonal
+    rows.append(_HEXAGONAL)
     return np.array(rows)
 
 
@@ -531,9 +595,9 @@ def test_identity_screen_matches_the_36_candidate_reference_at_its_edge():
     # the rows straddle the edge: mu = 1/2 - 10^-k clears it for small k, mu = 1/2 never
     assert 0 < alone.sum() < len(Bc)
     assert not alone[-1]  # the hexagonal lattice ties several classes
-    _assert_sweep_matches_reference(Bc)
-    for b in Bc:
-        _assert_sweep_matches_reference(b[None])
+    assert 0 < _assert_screen_picks_the_reference(Bc).sum() < len(Bc)
+    _assert_batch_matches_reference(Bc)
+    _assert_search_agrees_with_the_batch(Bc)
 
 
 def _tie_edge_rows(count, seed):
@@ -559,22 +623,20 @@ def _tie_edge_rows(count, seed):
     return b
 
 
-def test_identity_screen_agrees_with_the_class_scoring_at_ties_and_on_nonfinite_rows(monkeypatch):
-    # the reference is the sweep with the screen off: the 36-candidate one
-    # picks entry 0 of a NaN row, where no candidate compares, and sums a
-    # class's squares in another order, which moves a tie at TIE_TOL by an
-    # ulp.  Without its margins the screen errs on some of these tie rows.
+def test_identity_screen_agrees_with_the_class_scoring_at_ties_and_on_nonfinite_rows():
+    # the reference scores all nine classes of the 36-entry table.  With
+    # its margins the screen keeps no row where the reference picks
+    # outside the identity's class, nor a NaN or inf row; without them it
+    # errs on some of these tie rows
     tie = _tie_edge_rows(20_000, 3)
-    Bc = np.concatenate([_NONFINITE_ROWS, tie, _NONFINITE_ROWS])
-    lone = np.concatenate([_NONFINITE_ROWS, tie[:50]])
     with np.errstate(invalid="ignore", over="ignore"):
         assert not fundamental._identity_alone(_NONFINITE_ROWS).any()
-        screened = [fundamental._sweep_static(Bc)] + [fundamental._sweep_static(b[None]) for b in lone]
-        monkeypatch.setattr(fundamental, "_identity_alone", lambda Bc: np.zeros(len(Bc), dtype=bool))
-        scored = [fundamental._sweep_static(Bc)] + [fundamental._sweep_static(b[None]) for b in lone]
-    for (reps, pick), (ref_reps, ref_pick) in zip(screened, scored):
-        assert reps.tobytes() == ref_reps.tobytes()
-        assert np.array_equal(pick, ref_pick)
+    _assert_screen_picks_the_reference(tie)
+    _assert_batch_matches_reference(tie[:1000])
+    # a NaN or inf row is refused before the first pass, alone or in a stack
+    for rows in [_NONFINITE_ROWS[:-1]] + [b[None] for b in _NONFINITE_ROWS[:-1]]:
+        with pytest.raises(PrecisionError, match="^decompose of sample 0: matrix entries are not finite$"):
+            reduce_batch_2x2(np.concatenate([rows, tie[:3]]))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -582,13 +644,21 @@ def test_search_agrees_with_the_sweep_at_tie_edges(seed):
     # a certified row's gamma is `_search`'s: from the same seed both score by
     # the one F and break ties by the one rule, also where a shear lies at
     # TIE_TOL above F, to within a few hundred ulps
-    B = _tie_edge_rows(1000, seed)
-    reps, pick = fundamental._sweep_static(B)
-    eye = np.eye(2, dtype=np.int64)
-    for b, rep, C in zip(B, reps, fundamental._C_STATIC[pick]):
-        rep_arr, U, _ = fundamental._reduce_core(b, DEFAULT_BUDGET, fundamental._seed_start(b, eye))
-        assert rep_arr.tobytes() == rep.tobytes()
-        assert np.array_equal(U.to_int64(), C)
+    certified = _assert_search_agrees_with_the_batch(_tie_edge_rows(1000, seed))
+    assert 0 < certified.sum() < len(certified)
+
+
+@pytest.mark.parametrize(
+    "s, near",
+    [(4.0, [0.5]), (8.0, [0.25, 2 / 7, -0.2]), (12.0, [1 / 101, 3 / 151, 7 / 199, 1 / 61])],
+    ids=["s4", "s8", "s12"],
+)
+def test_search_agrees_with_the_batch_on_every_row_of_an_orbit(s, near):
+    # orbit rows, and rows u = p / q that the screen leaves to the search:
+    # lambda_1 = q e^{-s} below about 1.4e-3, but not so deep that the search is slow
+    us = np.random.default_rng(int(s) + 50).uniform(-0.5, 0.5, 150)
+    certified = _assert_search_agrees_with_the_batch(_flow_orbit(s, np.concatenate([us, near])))
+    assert 0 < certified.sum() < len(certified)
 
 
 def _sl3_stack(count, seed):
@@ -616,7 +686,7 @@ def test_the_one_F_has_the_same_bits_in_every_layout_and_on_every_rotation(monke
     adj = np.stack([d, -b, -c, a], axis=1).reshape(-1, 2, 2)
     for moved in (d2 @ np.array([[0.0, -1.0], [1.0, 0.0]]), d2.transpose(0, 2, 1), adj, -d2):
         assert _bits(fundamental._f_sq(moved)) == ref
-    rot = fundamental._rotations(d2)
+    rot = _rotations(d2)
     assert _bits(fundamental._f_sq(rot)) == _bits(np.repeat(fundamental._f_sq(d2)[:, None], 4, axis=1))
     # the identity screen's F^2 is the scorer's, bit for bit, on the rows as given
     real, seen = fundamental._f_sq, []
@@ -670,9 +740,8 @@ def _lagrange_2x2_reference(P):
 
 
 def _assert_lagrange_matches_reference(P):
-    with np.errstate(invalid="ignore"):
-        B, U = fundamental._lagrange_2x2(P)
-        ref_B, ref_U = _lagrange_2x2_reference(P)
+    B, U = fundamental._lagrange_2x2(P)
+    ref_B, ref_U = _lagrange_2x2_reference(P)
     assert B.dtype == ref_B.dtype and U.dtype == ref_U.dtype
     assert B.tobytes() == ref_B.tobytes()
     assert U.tobytes() == ref_U.tobytes()
@@ -691,8 +760,6 @@ _LAGRANGE_EDGE_ROWS = [
     np.array([[1.0, -0.0], [0.0, 1.0]]),
     np.array([[2.0, -0.0], [-0.0, 0.5]]),
     np.array([[1.0, 2.6], [-0.0, 1.0]]),
-    # a NaN row, which shears on every pass until the cap
-    np.array([[np.nan, 1.0], [0.0, 1.0]]),
 ]
 
 
@@ -714,20 +781,37 @@ def test_lagrange_matches_the_reference_on_edge_rows():
 def test_lagrange_matches_the_reference_at_the_round_cap(rounds, monkeypatch):
     us = np.random.default_rng(8).uniform(-0.5, 0.5, 2000)
     P = np.concatenate([_flow_orbit(8.0, us), np.array(_LAGRANGE_EDGE_ROWS)])
-    with np.errstate(invalid="ignore"):
-        uncapped, _ = fundamental._lagrange_2x2(P)
-        monkeypatch.setattr(fundamental, "_LAGRANGE_ROUNDS", rounds)
-        capped, _ = fundamental._lagrange_2x2(P)
+    uncapped, _ = fundamental._lagrange_2x2(P)
+    monkeypatch.setattr(fundamental, "_LAGRANGE_ROUNDS", rounds)
+    capped, _ = fundamental._lagrange_2x2(P)
     # rows the cap stops before they are reduced
     assert (capped != uncapped).any(axis=(1, 2)).sum() > 1000
     _assert_lagrange_matches_reference(P)
+
+
+def test_lagrange_refuses_a_shear_that_takes_the_transform_beyond_int64():
+    # the reach |k| max|u_0| + max|u_1| of the first shear of [[1, x], [0, 1]]
+    # is x + 1, which rounds to x: below 2^62 it shears, at 2^62 it is refused
+    below = np.array([[1.0, 2.0**62 - 1024], [0.0, 1.0]])
+    B, U = fundamental._lagrange_2x2(below[None])
+    assert B.tobytes() == np.eye(2).tobytes()
+    assert U.tolist() == [[[1, -(2**62 - 1024)], [0, 1]]]
+    rows = np.array([np.eye(2), [[1.0, 2.0**62], [0.0, 1.0]], [[1.0, 1e20], [0.0, 1.0]]])
+    with pytest.raises(PrecisionError, match=r"^Lagrange shear 4.61e\+18 takes the transform beyond int64$"):
+        fundamental._lagrange_2x2(rows)
+    # named as a sample of the stage at t, before the cast, with no warning
+    with pytest.raises(PrecisionError, match=r"^decompose of sample 2 at t = 3: Lagrange shear 1e\+20 takes"):
+        reduce_batch_2x2(rows[[0, 0, 2, 1]], t=3.0)
+    # a shear that is not a number is refused too: a NaN row never stops shearing
+    with pytest.raises(PrecisionError, match=r"^Lagrange shear nan takes"):
+        fundamental._lagrange_2x2(np.array([[[np.nan, 1.0], [0.0, 1.0]]]))
 
 
 def test_tie_break_keys_hold_entries_past_int64():
     # at LEX_GRID = 1e-9 an entry past 9.2e9 overflows an int64 key; the
     # rotations of h are h, hJ, -h and -hJ, and -h has the least first entry
     h = np.array([[1e11, -1.0], [1.0, 0.0]])
-    assert _lex_first(_lex_key(fundamental._rotations(h)), [0])[0] == 2
+    assert _lex_first(_lex_key(_rotations(h)), [0])[0] == 2
 
 
 def _least_rotation_by_scan(h):
@@ -735,13 +819,13 @@ def _least_rotation_by_scan(h):
 
     `_lex_first` over the keys of all four h J^r of each row: (rots, r).
     """
-    rot = fundamental._rotations(h).reshape(-1, 2, 2)
+    rot = _rotations(h).reshape(-1, 2, 2)
     first = _lex_first(_lex_key(rot), np.arange(0, rot.shape[0], 4))
     return rot[first], first % 4
 
 
 def _assert_closed_form_matches_the_scan(h):
-    """`_least_rotation` equals the scan where it decides, and the sweep equals it on every row of the screen.
+    """`_least_rotation` equals the scan where it decides, and the scan is the 36-candidate pick on every row of the screen.
 
     Returns (alone, decided).
     """
@@ -749,11 +833,11 @@ def _assert_closed_form_matches_the_scan(h):
         rots, r, decided = fundamental._least_rotation(h)
         ref_rots, ref_r = _least_rotation_by_scan(h)
         alone = fundamental._identity_alone(h)
-        reps, pick = fundamental._sweep_static(h)
+        reps, pick, _ = _sweep_all_36(h)
     assert rots[decided].tobytes() == ref_rots[decided].tobytes()
     assert np.array_equal(r[decided], ref_r[decided])
     assert reps[alone].tobytes() == ref_rots[alone].tobytes()
-    assert np.array_equal(pick[alone], fundamental._C_CLASSES[fundamental._IDENTITY_CLASS, ref_r[alone]])
+    assert np.array_equal(_C_STATIC[pick[alone]], fundamental._J_POWERS[ref_r[alone]])
     return alone, decided
 
 
@@ -781,21 +865,13 @@ def test_closed_form_rotation_matches_the_scan_on_orbits(seed):
         assert (alone & decided).mean() > 0.99
 
 
-def test_closed_form_rotation_matches_the_scan_at_equal_keys_zeros_and_overflow(monkeypatch):
+def test_closed_form_rotation_matches_the_scan_at_equal_keys_zeros_and_overflow():
     # |a| = |b| exactly, and |a|, |b| less than LEX_GRID / 2 apart: the keys
-    # tie in magnitude, and each row falls back to `_lex_first`
+    # tie in magnitude, and each row falls back to `_search`
     ties = np.concatenate([_equal_key_rows(2000, 0, 0.0), _equal_key_rows(2000, 1, 0.4 * fundamental.LEX_GRID)])
-    groups = []
-    real_lex_first = fundamental._lex_first
-
-    def spy(keys, starts):
-        groups.append(len(starts))
-        return real_lex_first(keys, starts)
-
-    monkeypatch.setattr(fundamental, "_lex_first", spy)
     alone, decided = _assert_closed_form_matches_the_scan(ties)
     assert alone.all() and not decided.any()
-    assert groups == [len(ties)]
+    assert not _assert_search_agrees_with_the_batch(ties[::8]).any()
     # a grid step or two apart: the first keys decide
     near = _equal_key_rows(2000, 2, 2.0 * fundamental.LEX_GRID)
     alone, decided = _assert_closed_form_matches_the_scan(near)
@@ -819,10 +895,10 @@ def test_closed_form_rotation_matches_the_scan_at_equal_keys_zeros_and_overflow(
 
 
 def test_primitive_walk_fits_a_budget_the_full_walk_exceeds(monkeypatch):
-    # lambda_1 = 10 e^{-8} ~ 3.4e-3, too deep for the certificate, so the
-    # search runs; the full walk visits ~178k nodes (all but a few are
-    # multiples k v_1), the primitive walk 33
-    (g,) = _flow_orbit(8.0, [0.3])
+    # lambda_1 = 7 e^{-8} ~ 2.3e-3, too deep for the identity screen, so the
+    # search runs; the full walk visits ~181k nodes (all but a few are
+    # multiples k v_1), the primitive walk a few dozen
+    (g,) = _flow_orbit(8.0, [2 / 7])
     assert next(fundamental._search_starts(g[None], 8.0))[3] is None
     budget = 10_000
     calls = []
@@ -1039,7 +1115,7 @@ def _recorded_search_calls(monkeypatch, m, n, t, count):
     return calls
 
 
-@pytest.mark.parametrize("m, n, t, count", [(1, 2, 8.0, 300), (2, 1, 5.0, 300), (1, 1, 12.0, 100_000)])
+@pytest.mark.parametrize("m, n, t, count", [(1, 2, 8.0, 300), (2, 1, 5.0, 300), (1, 1, 12.0, 400_000)])
 def test_search_candidates_match_the_bezout_walks_on_recorded_orbit_calls(m, n, t, count, monkeypatch):
     calls = _recorded_search_calls(monkeypatch, m, n, t, count)
     assert len(calls) >= (4 if m + n == 2 else 30)

@@ -284,11 +284,11 @@ def test_bulk_fallback_error_names_the_sample_and_t():
     # the certificate reduces the base point; the first sample it leaves to
     # the search sits deep in the cusp and runs out of a budget of 11 there
     y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(2)), TorusPoint.from_values([0.1, 0.2]))
-    P = orbits._flowed(reduce_matrix(np.eye(2)).rep, sample_V(V, 20_000, seed=0), 10.0, SIG)
-    first = next(i for i, start in enumerate(fundamental._search_starts(P, 10.0)) if start[3] is None)
+    P = orbits._flowed(reduce_matrix(np.eye(2)).rep, sample_V(V, 100_000, seed=0), 12.0, SIG)
+    first = next(i for i, start in enumerate(fundamental._search_starts(P, 12.0)) if start[3] is None)
     with pytest.raises(BudgetExceededError) as info:
-        orbit_pushforward(y0, 10.0, V, 20_000, seed=0, budget=11)
-    assert str(info.value) == f"decompose of sample {first} at t = 10: enumeration node budget exceeded"
+        orbit_pushforward(y0, 12.0, V, 100_000, seed=0, budget=11)
+    assert str(info.value) == f"decompose of sample {first} at t = 12: enumeration node budget exceeded"
     assert info.value.nodes == 12
     assert traceback.extract_tb(info.value.__traceback__)[-1].filename.endswith("lattices.py")
     # the same batch reduced outside a flow names the sample alone
@@ -297,15 +297,15 @@ def test_bulk_fallback_error_names_the_sample_and_t():
 
 
 def test_failures_in_later_blocks_name_the_sample_by_its_index_in_the_orbit(monkeypatch):
-    # d = 2, the search: sample 17898 of this orbit is row 898 of its block of 1,000
+    # d = 2, the search: sample 53770 of this orbit is row 770 of its block of 1,000
     y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(2)), TorusPoint.from_values([0.1, 0.2]))
-    P = orbits._flowed(reduce_matrix(np.eye(2)).rep, sample_V(V, 20_000, seed=0), 10.0, SIG)
-    first = next(i for i, start in enumerate(fundamental._search_starts(P, 10.0)) if start[3] is None)
+    P = orbits._flowed(reduce_matrix(np.eye(2)).rep, sample_V(V, 100_000, seed=0), 12.0, SIG)
+    first = next(i for i, start in enumerate(fundamental._search_starts(P, 12.0)) if start[3] is None)
     monkeypatch.setattr(orbits, "_BLOCK", 1000)
     assert first % 1000 > 0
     with pytest.raises(BudgetExceededError) as info:
-        orbit_pushforward(y0, 10.0, V, 20_000, seed=0, budget=11)
-    assert str(info.value) == f"decompose of sample {first} at t = 10: enumeration node budget exceeded"
+        orbit_pushforward(y0, 12.0, V, 100_000, seed=0, budget=11)
+    assert str(info.value) == f"decompose of sample {first} at t = 12: enumeration node budget exceeded"
     assert info.value.nodes == 12
 
     # d = 2, the certificate: two blocks of samples that pass, then one that
@@ -344,24 +344,31 @@ def test_failures_in_later_blocks_name_the_sample_by_its_index_in_the_orbit(monk
 
 def test_a_non_finite_sample_in_a_later_block_fails_fast_and_names_it(monkeypatch):
     # d = 2 as d = 3: a PrecisionError naming the sample by its index in the
-    # orbit and t, with no warning and no Lagrange pass over its block
-    us = sample_V(V, 3 * orbits._BLOCK, seed=0)
-    bad = orbits._BLOCK + 7
-    us[bad, 0, 0] = np.nan
-    blocks = []
+    # orbit and t, with no warning (inf u times a zero entry of the base
+    # point would warn in the flow) and no Lagrange pass over its block
+    what = "horospherical coordinate u is not finite"
     real = fundamental._lagrange_2x2
-    monkeypatch.setattr(fundamental, "_lagrange_2x2", lambda P: blocks.append(len(P)) or real(P))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(PrecisionError) as info:
-            decompose_batch(SpecialLinearMatrix.from_entries(np.eye(2)), us, 2.0, SIG)
-        assert str(info.value) == f"decompose of sample {bad} at t = 2: matrix entries are not finite"
-        assert blocks == [orbits._BLOCK]
+    for value in (np.nan, np.inf, -np.inf):
+        us = sample_V(V, 3 * orbits._BLOCK, seed=0)
+        bad = orbits._BLOCK + 7
+        us[bad, 0, 0] = value
         us3 = sample_V(NeighborhoodV(S12), 12, seed=0)
-        us3[7, 0, 1] = np.nan
-        monkeypatch.setattr(orbits, "_BLOCK", 4)
-        with pytest.raises(PrecisionError, match=r"^decompose of sample 7 at t = 2: LLL size-reduction step is not finite$"):
-            decompose_batch(SpecialLinearMatrix.from_entries(np.eye(3)), us3, 2.0, S12)
+        us3[7, 0, 1] = value
+        blocks = []
+        with monkeypatch.context() as m, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m.setattr(fundamental, "_lagrange_2x2", lambda P, *site: blocks.append(len(P)) or real(P, *site))
+            with pytest.raises(PrecisionError) as info:
+                decompose_batch(SpecialLinearMatrix.from_entries(np.eye(2)), us, 2.0, SIG)
+            assert str(info.value) == f"decompose of sample {bad} at t = 2: {what}"
+            assert blocks == [orbits._BLOCK]
+            m.setattr(orbits, "_BLOCK", 4)
+            with pytest.raises(PrecisionError, match=rf"^decompose of sample 7 at t = 2: {what}$"):
+                decompose_batch(SpecialLinearMatrix.from_entries(np.eye(3)), us3, 2.0, S12)
+            # one sample alone names no site
+            for x, sig, u in ((np.eye(2), SIG, us[bad]), (np.eye(3), S12, us3[7])):
+                with pytest.raises(PrecisionError, match=rf"^{what}$"):
+                    orbits.decompose(SpecialLinearMatrix.from_entries(x), u, 2.0, sig)
 
 
 def _orbit_arrays(nu):

@@ -6,8 +6,10 @@ calls the program through its modules.  A refactor that drops or renames
 one of them should fail here, not crash the benchmark.  Likewise every
 name in a module's `__all__` must resolve, every name that `src/` or
 `tests/` imports must be read, every parameter of a function in `src/`
-must be read by its body, and every name a module of `src/` assigns at
-top level must be read in `src/` or imported by the benchmark.
+must be read by its body, every name a module of `src/` assigns at top
+level must be read in `src/` or imported by the benchmark, and every
+function and class it defines at top level must be read in `src/`,
+listed in its module's `__all__`, or named by the benchmark.
 """
 
 import ast
@@ -174,6 +176,21 @@ def module_assignments(source: str) -> list:
     return out
 
 
+def module_definitions(source: str) -> list:
+    """(line, name) of each function and class that the module defines at top level."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [(node.lineno, node.name) for node in ast.parse(source).body if isinstance(node, kinds)]
+
+
+def names_exported(source: str) -> set:
+    """Each name that the module's `__all__` lists."""
+    out = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            out.update(e.value for e in node.value.elts)
+    return out
+
+
 def names_imported(source: str) -> set:
     """Each name that the module imports by name (`from ... import name`)."""
     return {alias.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom) for alias in node.names}
@@ -193,22 +210,37 @@ def names_read(source: str) -> set:
 def test_every_module_level_name_is_read():
     # a margin, a table or a cap that no code reads any more must go: each
     # name that a module of src/ assigns at top level is read in src/, or is
-    # imported by the benchmark (which reads, say, the residual tolerances)
+    # imported by the benchmark (which reads, say, the residual tolerances).
+    # Likewise a function or class: read in src/, public in its module's
+    # __all__, or named by the benchmark (which traces, say, `_candidates_2d`),
+    # so a reference that only tests use lives in the tests
     root = Path(__file__).resolve().parents[1]
     sources = {path: path.read_text(encoding="utf-8") for path in sorted((root / "src").rglob("*.py"))}
+    benchmark = [path.read_text(encoding="utf-8") for path in PERFBENCH.rglob("*.py")]
     read = set().union(*map(names_read, sources.values()))
-    read |= set().union(*(names_imported(path.read_text(encoding="utf-8")) for path in PERFBENCH.rglob("*.py")))
+    imported = read | set().union(*map(names_imported, benchmark))
+    named = read | set().union(*map(names_read, benchmark))
     unread = [
         f"{path.relative_to(root)}:{line} {name}"
         for path, source in sources.items()
         for line, name in module_assignments(source)
-        if name not in read
+        if name not in imported
+    ]
+    unread += [
+        f"{path.relative_to(root)}:{line} {name}"
+        for path, source in sources.items()
+        for line, name in module_definitions(source)
+        if name not in named | names_exported(source)
     ]
     assert unread == []
     # the check sees an unread top-level name, and reads attributes and imported names
     source = "A = 1\nB, (C, D) = 2, (3, 4)\nE: int = 5\n__all__ = []\nprint(x.B, C)\nfrom m import D\n"
     assert module_assignments(source) == [(1, "A"), (2, "B"), (2, "C"), (2, "D"), (3, "E")]
     assert sorted({name for _, name in module_assignments(source)} - names_read(source)) == ["A", "E"]
+    # and every top-level def and class, but no method or nested function
+    source = "__all__ = ['f']\ndef f():\n    def g(): pass\nclass K:\n    def m(self): pass\nasync def h(): pass\n"
+    assert module_definitions(source) == [(2, "f"), (4, "K"), (6, "h")]
+    assert names_exported(source) == {"f"}
 
 
 def unread_parameters(source: str) -> list:

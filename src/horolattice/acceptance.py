@@ -48,6 +48,7 @@ from .core import (
     matrix_norm,
 )
 from .diophantine import WeylInstance, dirichlet_cap, zeta, zeta_property_suite
+from .errors import _naming_site
 from .fundamental import TIE_TOL, _f_of_stack, _lex_first, _lex_key, _tied, reduce_matrix
 from .harness import (
     CheckResult,
@@ -326,7 +327,8 @@ def criterion_iota_height(budget=DEFAULT_BUDGET, cache=None, per_dim: int = 500)
             g = q @ D @ S
             gs.append(g)
             norms.append(matrix_norm(reduce_matrix(g, budget).rep))
-        hts = stack_heights(_renormalized(np.array(gs))[0], budget)
+        with _naming_site("height", 0, None):
+            hts = stack_heights(_renormalized(np.array(gs))[0], budget)
         norms = np.array(norms)
         fitted_C = float((norms / hts ** (d - 1)).max())
         mask = hts > 1.3

@@ -4,17 +4,17 @@ Errors are split by what the caller can do about them: bad inputs
 (ValueError family), exhausted enumeration budgets (retry with a larger
 budget or smaller instance), and exhausted floating precision (shrink the
 flow time; there is no silent degradation anywhere in the package).
-`_naming_sample` re-raises a failure under a message that says where it
-happened: the stage, the sample (or the base point) and the flow time.
-A stage names row i of the stack it is given; within `_naming_rows`
-that row is sample first + i, so a block of an orbit names its samples
-by their index in the orbit.
+A stage that works on a stack raises a budget or precision failure with
+the `row` of the stack that failed, and nothing else of where it ran; a
+per-row loop gives a failure of a stack of one its row (`_in_row`).  A
+caller that knows the site names it (`_naming_site`): the stage, the
+sample (or the base point) and t, as the orbits' block loop and
+base-point reduction, the siegel count and criterion 05's heights do.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import Optional
 
 
@@ -35,15 +35,20 @@ class RationalityError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An exhaustive enumeration hit its node budget; `nodes` is the count it reached."""
+    """An exhaustive enumeration hit its node budget; `nodes` is the count it reached, `row` its stack's failing row."""
 
-    def __init__(self, message: str, nodes: int = 0):
+    def __init__(self, message: str, nodes: int = 0, row: Optional[int] = None):
         super().__init__(message)
         self.nodes = nodes
+        self.row = row
 
 
 class PrecisionError(RuntimeError):
-    """Floating precision exhausted (a residual of the factorization certificate too large)."""
+    """Floating precision exhausted (a residual of the factorization certificate too large); `row` as above."""
+
+    def __init__(self, message: str, row: Optional[int] = None):
+        super().__init__(message)
+        self.row = row
 
 
 class EmptyLocalizationError(RuntimeError):
@@ -54,43 +59,31 @@ class ConfigError(ValueError):
     """Experiment configuration violates a documented cap or schema."""
 
 
-#: The orbit index of row 0 of the stack being reduced (`_naming_rows`).
-_FIRST_ROW: ContextVar = ContextVar("first_row", default=0)
+def _renamed(exc, message: str, row: Optional[int]):
+    """exc's class with a new message and row, its traceback and (a budget failure) its nodes."""
+    nodes = (exc.nodes,) if isinstance(exc, BudgetExceededError) else ()
+    return type(exc)(message, *nodes, row=row).with_traceback(exc.__traceback__)
 
 
 @contextmanager
-def _naming_rows(first: int):
-    """Within it, a failure site names row i of a stack as sample first + i."""
-    token = _FIRST_ROW.set(first)
+def _in_row(i: int):
+    """Within it, a budget or precision failure is row i of the caller's stack."""
     try:
         yield
-    finally:
-        _FIRST_ROW.reset(token)
-
-
-def _at_site(what: str, stage: Optional[str], i: Optional[int], t: Optional[float]) -> str:
-    """A failure's message: what, after where it happened, the stage, sample i (the base point if None) and t.
-
-    i is a row of the stack a stage is given, offset by `_naming_rows`.
-    t = None leaves out the flow time, and stage = None the whole site.
-    """
-    if stage is None:
-        return what
-    where = "the base point" if i is None else f"sample {_FIRST_ROW.get() + i}"
-    return f"{stage} of {where}: {what}" if t is None else f"{stage} of {where} at t = {t:g}: {what}"
+    except (BudgetExceededError, PrecisionError) as exc:
+        raise _renamed(exc, str(exc), i) from None
 
 
 @contextmanager
-def _naming_sample(stage: str, i: Optional[int], t: Optional[float]):
-    """Re-raise a typed failure as its own class, naming stage, sample i and t.
+def _naming_site(name: str, first: Optional[int], t: Optional[float]):
+    """Re-raise a budget or precision failure as "{name} of sample {first + row} at t = {t:g}: ...", row first + row.
 
-    i = None names the base point instead of a sample.  The original
-    traceback is kept, so the innermost failing frame stays visible; a
-    budget failure keeps its `nodes`.
+    first = None names the base point (row None), and t = None leaves out the " at t = ..." part.
     """
     try:
         yield
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(_at_site(str(exc), stage, i, t), exc.nodes).with_traceback(exc.__traceback__) from None
-    except (PrecisionError, DeterminantError) as exc:
-        raise type(exc)(_at_site(str(exc), stage, i, t)).with_traceback(exc.__traceback__) from None
+    except (BudgetExceededError, PrecisionError) as exc:
+        row = None if first is None else first + exc.row
+        site = f"{name} of the base point" if row is None else f"{name} of sample {row}"
+        at = "" if t is None else f" at t = {t:g}"
+        raise _renamed(exc, f"{site}{at}: {exc}", row) from None

@@ -112,7 +112,7 @@ from .core import (
     _inv_unimodular,
     _renormalized,
 )
-from .errors import DeterminantError, PrecisionError, _at_site, _naming_sample
+from .errors import DeterminantError, PrecisionError, _in_row
 from .lattices import DEFAULT_BUDGET, enumerate_ball, lll_reduce, lll_reduce_batch, successive_minima
 
 __all__ = [
@@ -178,11 +178,11 @@ class ReducedRepresentative:
     certificate: float
 
 
-def _require_finite(stack: np.ndarray, what: str, stage: Optional[str], t: Optional[float]) -> None:
-    """A PrecisionError(what) unless every entry of a stack (N, ...) is finite, naming its lowest such row."""
+def _require_finite(stack: np.ndarray, what: str) -> None:
+    """A PrecisionError(what) unless every entry of a stack (N, ...) is finite, with its lowest such row."""
     if not np.isfinite(stack).all():
         i = int(np.flatnonzero(~np.isfinite(stack.reshape(stack.shape[0], -1)).all(axis=1))[0])
-        raise PrecisionError(_at_site(what, stage, i, t))
+        raise PrecisionError(what, row=i)
 
 
 def _reduced_matrix(B: np.ndarray) -> SpecialLinearMatrix:
@@ -362,7 +362,7 @@ def _reduce_core(arr: np.ndarray, budget: int = DEFAULT_BUDGET, start: Optional[
     dual_B) when the start has them.
     """
     if start is None:
-        start = next(_search_starts(np.asarray(arr, dtype=float)[None], None, None))
+        start = next(_search_starts(np.asarray(arr, dtype=float)[None]))
     best_B, best_U, reduced, certificate = start
     if certificate is not None:
         return best_B, best_U, certificate
@@ -374,7 +374,7 @@ def _seed_start(B: np.ndarray, U: np.ndarray) -> tuple:
     return B, IntegerMatrix.from_rows(U.tolist()), (None, None), None
 
 
-def _search_starts(P: np.ndarray, t: Optional[float], stage: Optional[str] = "decompose"):
+def _search_starts(P: np.ndarray):
     """The `start` of `_reduce_core` for each matrix of a stack P (N, d, d).
 
     A certified row's start is (rep, U, None, certificate), the certified
@@ -385,33 +385,35 @@ def _search_starts(P: np.ndarray, t: Optional[float], stage: Optional[str] = "de
     reduced with a certificate, so a larger d is a ValueError, raised
     before any work.
 
-    For d = 2 the whole stack goes through `_reduce_stack_2x2`.  For
-    d = 3 every LLL runs once over the whole stack, through
-    `lll_reduce_batch`, which gives a row the bits it gets alone: on P,
-    on its duals and on both sides of the chosen seed bases.  An LLL or
-    a d = 2 seed failure (`_reduce_stack_2x2`) names the lowest failing
-    row as a sample of `stage` at t (no site if stage is None).
-    For d = 3 the seeds then go through the class sweep and its
-    certificate (`sweep`) in blocks of `sweep.ROWS` rows, each block when
-    the iterator reaches it, so their memory does not grow with N.
+    For d = 2 the whole stack goes through `_reduce_stack_2x2`, and a
+    certified row's certificate is the Frobenius bound sqrt(2) F of its
+    pick, widened by TIE_TOL and BOUND_MARGIN.  For d = 3 every LLL runs
+    once over the whole stack, through `lll_reduce_batch`, which gives a
+    row the bits it gets alone: on P, on its duals and on both sides of
+    the chosen seed bases.  An LLL or a d = 2 seed failure carries the
+    lowest failing row.  For d = 3 the seeds then go through the class
+    sweep and its certificate (`sweep`) in blocks of `sweep.ROWS` rows,
+    each block when the iterator reaches it, so their memory does not
+    grow with N; a certified rep has its zeros as +0.0, as `_search`'s.
     """
     if P.shape[-1] > 3:
         raise ValueError(f"reduction is certified for d in {{2, 3}} only, not d = {P.shape[-1]}")
     if P.shape[-1] == 2:
-        B, U, reps, moves, certified, certificate = _reduce_stack_2x2(P, stage, t)
+        B, U, reps, moves, certified = _reduce_stack_2x2(P)
+        certificate = np.sqrt(2.0 * _f_sq(reps)) + (math.sqrt(2.0) * TIE_TOL + BOUND_MARGIN)
         return (
             (reps[i], IntegerMatrix.from_rows(moves[i].tolist()), None, float(certificate[i]))
             if certified[i]
             else _seed_start(B[i], U[i])
             for i in range(P.shape[0])
         )
-    B0, U0 = lll_reduce_batch(P, stage=stage, t=t)
-    Bd, Ud = lll_reduce_batch(_inv_unimodular(P).transpose(0, 2, 1), stage=stage, t=t)
+    B0, U0 = lll_reduce_batch(P)
+    Bd, Ud = lll_reduce_batch(_inv_unimodular(P).transpose(0, 2, 1))
     seed_B = _inv_unimodular(Bd).transpose(0, 2, 1)
     dual_wins = _f_of_stack(seed_B) < _f_of_stack(B0)
     chosen = np.where(dual_wins[:, None, None], seed_B, B0)
-    prim = lll_reduce_batch(_renormalized(chosen)[0], stage=stage, t=t)
-    dual = lll_reduce_batch(_renormalized(_inv_unimodular(chosen).transpose(0, 2, 1))[0], stage=stage, t=t)
+    prim = lll_reduce_batch(_renormalized(chosen)[0])
+    dual = lll_reduce_batch(_renormalized(_inv_unimodular(chosen).transpose(0, 2, 1))[0])
 
     from . import sweep  # imported on first use: a d = 2 run never compiles it
 
@@ -419,10 +421,8 @@ def _search_starts(P: np.ndarray, t: Optional[float], stage: Optional[str] = "de
         rows = slice(lo, lo + sweep.ROWS)
         h, C, pick = sweep._sweep_3x3(chosen[rows])
         certified, certificate = sweep._sweep_certified(h, C, prim[1][rows], dual[1][rows])
-        # a pick of the identity keeps h's own bits, as in `_search`
-        stays = (pick == np.eye(3, dtype=pick.dtype)).all(axis=(1, 2))
-        reps = np.where(stays[:, None, None], h, np.matmul(h, pick.astype(float)))
-        unmoved = stays & (C == np.eye(3, dtype=C.dtype)).all(axis=(1, 2))
+        # h pick is exact on a pick of the identity up to the sign of a zero, which + 0.0 drops
+        reps = np.matmul(h, pick.astype(float)) + 0.0
         for k, i in enumerate(range(lo, lo + h.shape[0])):
             if dual_wins[i]:
                 best_B, best_U = seed_B[i], IntegerMatrix.from_rows(Ud[i].tolist()).inv().transpose()
@@ -431,9 +431,7 @@ def _search_starts(P: np.ndarray, t: Optional[float], stage: Optional[str] = "de
             if not certified[k]:
                 yield best_B, best_U, (prim[0][i], dual[0][i]), None
                 continue
-            # a seed that the sweep leaves as it is stays its own array, as in `_search`
-            rep = best_B if unmoved[k] else reps[k]
-            yield rep, best_U @ IntegerMatrix.from_rows((C[k] @ pick[k]).tolist()), None, float(certificate[k])
+            yield reps[k], best_U @ IntegerMatrix.from_rows((C[k] @ pick[k]).tolist()), None, float(certificate[k])
 
     return itertools.chain.from_iterable(block(lo) for lo in range(0, P.shape[0], sweep.ROWS))
 
@@ -444,7 +442,8 @@ def _search(best_B: np.ndarray, best_U: IntegerMatrix, budget: int, reduced: tup
     Runs until no candidate lowers F by more than MOVE_MARGIN, then breaks
     the ties (`_tied`) lexicographically.  `reduced` holds the LLL bases
     (prim_B, dual_B) of the primal and the dual lattice of the seed for
-    `_minima_sq_of`, each None where it is not yet done.
+    `_minima_sq_of`, each None where it is not yet done.  The rep has its
+    zeros as +0.0, whichever path certified it.
     """
     d = best_B.shape[0]
     # Successive minima are coset data; compute once per side.
@@ -488,7 +487,7 @@ def _search(best_B: np.ndarray, best_U: IntegerMatrix, budget: int, reduced: tup
         k = ties[_lex_first(_lex_key(hs[ties]), [0])[0]]
         if k:
             best_B, best_U = hs[k], best_U @ IntegerMatrix.from_rows(unique_cs[k - 1])
-        return best_B, best_U, certificate
+        return best_B + 0.0, best_U, certificate
 
 
 def _reconstruction_tol(rows: np.ndarray) -> np.ndarray:
@@ -530,14 +529,12 @@ def factorization_residuals(P: np.ndarray, reps: np.ndarray, gammas: np.ndarray)
     return ratios
 
 
-def certify_factorization(P, reps, gammas, stage: Optional[str], t: Optional[float]) -> None:
+def certify_factorization(P, reps, gammas) -> None:
     """Raise PrecisionError unless every row passes `factorization_residuals`.
 
     Reconstruction is checked before integrality, a NaN residual fails,
-    and the message gives the worst failing row's residual and its
-    tolerance.  With a stage, the message names that row as a sample of
-    the stage at flow time t; a caller that certifies one matrix passes
-    None and is named by its own caller.
+    and the error carries the worst failing row, its message that row's
+    residual and its tolerance.
     """
     ratios = factorization_residuals(P, reps, gammas)
     ratios[np.isnan(ratios)] = np.inf
@@ -546,7 +543,7 @@ def certify_factorization(P, reps, gammas, stage: Optional[str], t: Optional[flo
         if ratios[i, k] > 1.0:
             tol = _reconstruction_tol(reps[i].reshape(-1, 1))[0] if k == 0 else RESIDUAL_TOL
             what = f"{kind} residual {ratios[i, k] * tol:.3g} exceeds {tol:.3g}"
-            raise PrecisionError(_at_site(what, stage, i, t))
+            raise PrecisionError(what, row=i)
 
 
 def _exact_product(arr: np.ndarray, U: IntegerMatrix) -> np.ndarray:
@@ -560,7 +557,7 @@ def _certified(arr: np.ndarray, rep_arr: np.ndarray, U: IntegerMatrix):
     """(rep, gamma = U^{-1}) after `certify_factorization` of arr = rep gamma, a batch of one."""
     gamma = U.inv()
     rep = _reduced_matrix(rep_arr)
-    certify_factorization(arr[None], rep.entries[None], gamma.to_array()[None], None, None)
+    certify_factorization(arr[None], rep.entries[None], gamma.to_array()[None])
     return rep, gamma
 
 
@@ -795,7 +792,7 @@ def _least_rotation(h: np.ndarray):
     return rots, np.where(by_a, 0, 1) + np.where(neg, 0, 2), ka != kb
 
 
-def _lagrange_2x2(P: np.ndarray, stage: Optional[str] = None, t: Optional[float] = None):
+def _lagrange_2x2(P: np.ndarray):
     """Lagrange reduction of each basis of a stack P (N, 2, 2): (B = P U, U int64).
 
     A pass swaps the columns, with a sign, where the second is shorter,
@@ -808,7 +805,7 @@ def _lagrange_2x2(P: np.ndarray, stage: Optional[str] = None, t: Optional[float]
     stopped row as it is, so a row keeps the bits it stopped with.  A
     shear k that is NaN, or whose reach |k| max|u_0| + max|u_1| is not
     below 2^62 (`lll_reduce_batch`'s rule), is a PrecisionError before its
-    cast to int64, naming the lowest such row (`_at_site`).
+    cast to int64, with the lowest such row.
     """
     N = P.shape[0]
     b = [P[:, i, j].copy() for i in (0, 1) for j in (0, 1)]
@@ -833,7 +830,7 @@ def _lagrange_2x2(P: np.ndarray, stage: Optional[str] = None, t: Optional[float]
             if not (reach < 2.0**62).all():
                 i = int(np.flatnonzero(~(reach < 2.0**62))[0])
                 what = f"Lagrange shear {k[i]:.3g} takes the transform beyond int64"
-                raise PrecisionError(_at_site(what, stage, i, t))
+                raise PrecisionError(what, row=i)
             kk = k.astype(np.int64)
             for i in (0, 2):
                 b[i + 1] = np.where(shear, b[i + 1] - k * b[i], b[i + 1])
@@ -843,40 +840,37 @@ def _lagrange_2x2(P: np.ndarray, stage: Optional[str] = None, t: Optional[float]
     return np.stack(b, axis=1).reshape(N, 2, 2), np.stack(u, axis=1).reshape(N, 2, 2)
 
 
-def _reduce_stack_2x2(P: np.ndarray, stage: Optional[str], t: Optional[float]):
-    """The seeds and certified picks of a stack P (N, 2, 2): (B, U, reps, moves, certified, certificate).
+def _reduce_stack_2x2(P: np.ndarray):
+    """The seeds and certified picks of a stack P (N, 2, 2): (B, U, reps, moves, certified).
 
     B = P U is the Lagrange seed, reps = B J^r its least rotation and
     moves = U J^r, certified where the identity screen keeps the row and
     its first keys decide r (the module docstring).  Every stage runs on
     the whole stack, so its memory grows with N.  A NaN or inf entry, or
-    a shear past int64, is a PrecisionError naming the lowest such row
-    as a sample of `stage` at t (no site if stage is None).
+    a shear past int64, is a PrecisionError with the lowest such row.
     """
-    _require_finite(P, "matrix entries are not finite", stage, t)
-    B, U = _lagrange_2x2(P, stage, t)
+    _require_finite(P, "matrix entries are not finite")
+    B, U = _lagrange_2x2(P)
     reps, r, decided = _least_rotation(B)
-    certificate = np.sqrt(2.0 * _f_sq(reps)) + (math.sqrt(2.0) * TIE_TOL + BOUND_MARGIN)
-    return B, U, reps, U @ _J_POWERS[r], _identity_alone(B) & decided, certificate
+    return B, U, reps, U @ _J_POWERS[r], _identity_alone(B) & decided
 
 
-def reduce_batch_2x2(P: np.ndarray, budget: int = DEFAULT_BUDGET, t: Optional[float] = None):
+def reduce_batch_2x2(P: np.ndarray, budget: int = DEFAULT_BUDGET):
     """Reduce a batch of 2x2 unimodular matrices: (reps (N, 2, 2) float, gammas (N, 2, 2) int64).
 
     Row for row `_reduce_core`'s bits, with no Python object per certified
     row (`_reduce_stack_2x2`); any other runs `_reduce_core` from its
-    Lagrange seed.  A failure there or in the seed names the sample and
-    the flow time t.
+    Lagrange seed.  A failure there or in the seed carries its row of P.
     Every stage runs on the whole batch, so memory grows with it: the
     orbits pass it blocks of `orbits._BLOCK` rows.
     """
     P = np.asarray(P, dtype=float)
-    B, U, reps, moves, certified, _ = _reduce_stack_2x2(P, "decompose", t)
+    B, U, reps, moves, certified = _reduce_stack_2x2(P)
     # gamma is the inverse of the det-1 transform, its adjugate; in C order,
     # since a caller's float products with it round by its layout
     gammas = np.ascontiguousarray(np.moveaxis(np.array(_int_adjugate(moves.transpose(1, 2, 0))), -1, 0))
     for i in np.flatnonzero(~certified):
-        with _naming_sample("decompose", i, t):
+        with _in_row(int(i)):
             rep_arr, Ui, _ = _reduce_core(P[i], budget, _seed_start(B[i], U[i]))
         reps[i] = rep_arr
         gammas[i] = Ui.inv().to_int64()

@@ -43,7 +43,7 @@ from .core import (
     torus_to_json,
 )
 from .diophantine import WeylInstance, dirichlet_cap, weyl_bound, weyl_count, zeta
-from .errors import ConfigError
+from .errors import ConfigError, _naming_site
 from .fundamental import factorization_residuals, reduce_matrix
 from .lattices import DEFAULT_BUDGET, lll_reduce_batch, siegel_transform, siegel_values
 from .measures import fourier_spectrum, max_concentration
@@ -64,7 +64,8 @@ _STATISTICAL_KINDS = {"orbit", "fourier", "concentration", "gamma-orbit", "siege
 #: Caps on n * |t| within which double precision is certified, by
 #: signature (m, n), measured from the identity lattice.  (1, 1): against
 #: an exact oracle (xi* = P gamma^{-1} in rationals must be F-minimal
-#: against the static candidate table), the bulk path returns no wrong
+#: against the 36 candidates of the reference sweep in
+#: tests/test_fundamental.py), the bulk path returns no wrong
 #: gamma at t = 12 and 12.5 (20,000 samples, seeds 0-2), while 6 of
 #: 60,000 are wrong at t = 14, and no residual check fires there.  The
 #: d = 3 path: (1, 2) runs clean at t = 8 and 8.5; (2, 1) runs
@@ -77,6 +78,11 @@ PRECISION_CAPS = {(1, 1): 12.0, (1, 2): 16.0, (2, 1): 5.0}
 #: memory is flat and its time, linear in T, is the limit: at the cap a CLI
 #: run took 0.4 s and 35 MB (weyl) and 0.3 s (zeta, d <= 3) on a 2-core VM.
 HORIZON_CAPS = {"zeta": 1e10, "weyl": 1e7}
+
+#: Most samples of a statistical kind.  Memory is linear in N: at N = 10^6
+#: and t = 4 a CLI run peaked at 140 MB (orbit) and 200 MB (fourier
+#: --max-freq 4) on a 2-core VM, so a run at the cap takes about 1.4-2 GB.
+MAX_SAMPLES = 10_000_000
 
 
 def _integer(v) -> bool:
@@ -175,6 +181,8 @@ class ExperimentConfig:
                     )
             if self.samples < 100:
                 raise ConfigError("statistical experiments need at least 100 samples")
+            if self.samples > MAX_SAMPLES:
+                raise ConfigError(f"statistical experiments take at most {MAX_SAMPLES} samples, not {self.samples}")
         if self.kind == "fourier" and self.max_freq < 1:
             # the box |m| <= max_freq must hold a frequency m != 0
             raise ConfigError(f"fourier needs --max-freq >= 1, got {self.max_freq}")
@@ -337,9 +345,11 @@ def siegel_check(name: str, nu, radius: float, budget: int, oracle_stride: int =
     pi r^2; for other d it reports the average.  With oracle_stride > 0,
     every stride-th sample is recounted by enumeration
     (`siegel_transform`, over one stacked LLL): a disagreement fails the
-    check, and its details name the first disagreeing sample.
+    check, and its details name the first disagreeing sample.  A
+    failure of the count names "siegel" of its sample.
     """
-    values = siegel_values(nu.xis, radius, budget)
+    with _naming_site("siegel", 0, None):
+        values = siegel_values(nu.xis, radius, budget)
     avg = float(values @ nu.weights)
     details = {"average": avg}
     passed = True
@@ -348,7 +358,7 @@ def siegel_check(name: str, nu, radius: float, budget: int, oracle_stride: int =
         details.update(integral=target, relative_error=abs(avg / target - 1.0))
         passed = abs(avg - target) <= 0.1 * target
     if oracle_stride:
-        recounted, _ = lll_reduce_batch(nu.xis[::oracle_stride], stage=None)
+        recounted, _ = lll_reduce_batch(nu.xis[::oracle_stride])
         exact = np.array([siegel_transform(B, radius, budget) for B in recounted])
         wrong = np.flatnonzero(np.abs(exact - values[::oracle_stride]) > 1e-9) * oracle_stride
         details.update(oracle_samples=len(exact), oracle_first_disagreement=int(wrong[0]) if wrong.size else None)

@@ -31,12 +31,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .core import _bezout, _cross, _inv_unimodular
-from .errors import BudgetExceededError, PrecisionError, _at_site, _naming_sample
+from .errors import BudgetExceededError, PrecisionError, _in_row
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -59,11 +59,11 @@ _LLL_MAX_ROUNDS = 10_000
 
 def lll_reduce(basis: np.ndarray):
     """`lll_reduce_batch` of one basis, U as nested Python ints; `perfbench` counts its calls."""
-    B, U = lll_reduce_batch(np.asarray(basis, dtype=float)[None], stage=None)
+    B, U = lll_reduce_batch(np.asarray(basis, dtype=float)[None])
     return B[0], U[0].tolist()
 
 
-def lll_reduce_batch(bases: np.ndarray, stage: Optional[str] = "LLL", t: Optional[float] = None):
+def lll_reduce_batch(bases: np.ndarray):
     """Column LLL of every basis of a stack (N, d, d), all rows at once.
 
     Returns (B, U): the reduced bases, updated in place (the numerically
@@ -81,11 +81,9 @@ def lll_reduce_batch(bases: np.ndarray, stage: Optional[str] = "LLL", t: Optiona
     calls once per row, and rounding half to even): the result equals
     the full-recompute algorithm bit for bit.
 
-    A failure names the lowest failing row as a sample of `stage` at flow
-    time t (stage None names no site, for a stack of one that its caller
-    names): more than _LLL_MAX_ROUNDS rounds (BudgetExceededError), and
-    a size-reduction step that is not finite or would take U beyond int64
-    (PrecisionError).
+    A failure carries the lowest failing row: more than _LLL_MAX_ROUNDS
+    rounds (BudgetExceededError), and a size-reduction step that is not
+    finite or would take U beyond int64 (PrecisionError).
     """
     B = np.array(bases, dtype=float)
     n, d = B.shape[0], B.shape[-1]
@@ -119,7 +117,7 @@ def lll_reduce_batch(bases: np.ndarray, stage: Optional[str] = "LLL", t: Optiona
         valid[rows] = np.maximum(valid[rows], upto + 1)
 
     def fail(error, rows, what):
-        raise error(_at_site(what, stage, int(rows.min()), t))
+        raise error(what, row=int(rows.min()))
 
     rounds = 0
     while True:
@@ -484,7 +482,7 @@ def _box_lengths(B: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(sup, first)
 
 
-def stack_heights(bases: np.ndarray, budget: int = DEFAULT_BUDGET, t: Optional[float] = None) -> np.ndarray:
+def stack_heights(bases: np.ndarray, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """The height 1 / (sup-norm first minimum) of each det-1 basis of a stack (N, d, d).
 
     One `lll_reduce_batch` reduces the stack, and each row's length is
@@ -499,10 +497,10 @@ def stack_heights(bases: np.ndarray, budget: int = DEFAULT_BUDGET, t: Optional[f
     (`_box_lengths`): the sup-shortest vector is among them, and every
     other vector there has a sup-norm at least its own.  A row that
     fails the certificate runs `shortest_vector`, so only such rows
-    spend budget.  A failure names the sample as a stage "height" at t
-    (an LLL failure the lowest failing row).
+    spend budget.  A failure carries its row (an LLL failure the lowest
+    failing row).
     """
-    B, _ = lll_reduce_batch(bases, stage="height", t=t)
+    B, _ = lll_reduce_batch(bases)
     d = B.shape[-1]
     r = math.sqrt(d) * np.abs(B).max(axis=1).min(axis=1)
     spans = r[:, None] * np.sqrt((_inv_unimodular(B) ** 2).sum(axis=2))
@@ -513,7 +511,7 @@ def stack_heights(bases: np.ndarray, budget: int = DEFAULT_BUDGET, t: Optional[f
         rows = scan[lo : lo + _HEIGHT_ROWS]
         lengths[rows] = _box_lengths(B[rows], r[rows])
     for i in np.flatnonzero(~certified):
-        with _naming_sample("height", int(i), t):
+        with _in_row(int(i)):
             lengths[i] = shortest_vector(B[i], budget)[1]
     return 1.0 / lengths
 
@@ -534,10 +532,15 @@ def siegel_values(xis, radius: float, budget: int = DEFAULT_BUDGET) -> np.ndarra
     below 1 a closed form: only integer multiples of the shortest vector
     fit in the ball (two independent vectors would force covolume below
     1), so the count is 2 floor(radius / lambda_1) per sample.
-    Otherwise `siegel_transform` of each basis, from one stacked LLL.
+    Otherwise `siegel_transform` of each basis, from one stacked LLL; a
+    failure carries its row.
     """
     if xis.shape[1] != 2 or radius >= 1.0:
-        B, _ = lll_reduce_batch(xis, stage="siegel")
-        return np.array([siegel_transform(b, radius, budget) for b in B])
+        B, _ = lll_reduce_batch(xis)
+        values = []
+        for i, b in enumerate(B):
+            with _in_row(i):
+                values.append(siegel_transform(b, radius, budget))
+        return np.array(values)
     lam1 = np.minimum(np.linalg.norm(xis[:, :, 0], axis=1), np.linalg.norm(xis[:, :, 1], axis=1))
     return 2.0 * np.floor(radius / lam1)

@@ -16,11 +16,11 @@ sample would bias the measure.
 
 `decompose_batch` is the one decomposition entry point for a batch of
 samples, whatever the signature.  Every signature with d <= 3 is
-reduced by `fundamental`'s one protocol (seed, class sweep, per-row
-certificate, exact search where the certificate fails), and the
-reduction of a matrix P has the same bits in a batch as alone; a larger
-d is refused.  Every path builds P by `_flowed`, so a batch and a lone
-`decompose` of a sample reduce the same bits.
+reduced by `fundamental`'s one protocol (seed; certified pick of the
+d = 2 identity screen or the d = 3 class sweep; exact search where the
+pick is not certified), and a matrix P reduces to the same bits in a
+batch as alone; a larger d is refused.  Every path builds P by
+`_flowed`, so a batch and a lone `decompose` reduce the same bits.
 
 An orbit runs in blocks of _BLOCK rows (`_decomposed_blocks`), so each
 block's temporaries stay in cache and memory beyond the outputs stays
@@ -35,9 +35,11 @@ once; every other signature takes its starts from
 gate have one formula for every signature, and only the heights branch
 on d (a closed form for d = 2, `lattices.stack_heights` for d = 3).
 Every stage is row-independent, so a row has the same bits in any
-block.  A failure names the stage, the sample (by its index in the
-orbit) or the base point, and t.  `localized_measure` reweights an orbit
-by a bump in `fundamental._proxy_distances`, one kernel for d = 2 and 3.
+block.  A stage's failure carries its row of the block; the block loop
+and the base-point reduction name the site (`errors._naming_site`):
+the stage, the sample (by its index in the orbit) or the base point,
+and t.  `localized_measure` reweights an orbit by a bump in
+`fundamental._proxy_distances`, one kernel for d = 2 and 3.
 """
 
 from __future__ import annotations
@@ -57,12 +59,7 @@ from .core import (
     diagonal_flow_vector,
     torus_act,
 )
-from .errors import (
-    EmptyLocalizationError,
-    PrecisionError,
-    _naming_rows,
-    _naming_sample,
-)
+from .errors import EmptyLocalizationError, PrecisionError, _in_row, _naming_site
 from .fundamental import (
     RESIDUAL_TOL,
     _proxy_distances,
@@ -190,7 +187,7 @@ def decompose(
     ub = np.atleast_2d(np.asarray(u, dtype=float))
     if ub.shape != (sig.m, sig.n):
         raise ValueError(f"u has shape {ub.shape}, expected ({sig.m},{sig.n})")
-    _require_finite(ub[None], _U_NOT_FINITE, None, s)
+    _require_finite(ub[None], _U_NOT_FINITE)
     P = _flowed(x_rep, ub[None], s, sig)[0]
     rep_arr, U, _ = _reduce_core(P, budget, start)
     return _certified(P, rep_arr, U)
@@ -259,8 +256,8 @@ class EmpiricalTorusMeasure:
 def _bulk_decompose_2x2(x_rep: SpecialLinearMatrix, us: np.ndarray, t: float, sig: SplittingSignature, budget: int):
     """Vectorized decomposition for sig (1,1): returns (reps, gammas)."""
     P = _flowed(x_rep, us, t, sig)
-    reps, gammas = reduce_batch_2x2(P, budget, t=t)
-    certify_factorization(P, reps, gammas, "decompose", t)
+    reps, gammas = reduce_batch_2x2(P, budget)
+    certify_factorization(P, reps, gammas)
     return reps, gammas
 
 
@@ -272,7 +269,8 @@ def _decomposed_blocks(x_rep: SpecialLinearMatrix, us: np.ndarray, t: float, sig
     on a block.  Every other signature runs the seeds, the class sweep
     and its certificate of the block as one stack
     (`fundamental._search_starts`), then `decompose` sample by sample
-    from those starts.  Failures name samples by their index in the orbit.
+    from those starts.  A failure names "decompose" of the sample, by
+    its index in the orbit, and t.
     """
     # The benchmark (perfbench/layers.py) traces `_bulk_decompose_2x2` and
     # counts one `decompose` and one `_reduce_core` call per d = 3 sample
@@ -283,14 +281,14 @@ def _decomposed_blocks(x_rep: SpecialLinearMatrix, us: np.ndarray, t: float, sig
     gammas = np.empty((count, d, d), dtype=np.int64)
     for lo in range(0, count, _BLOCK):
         rows = slice(lo, min(lo + _BLOCK, count))
-        with _naming_rows(lo):
-            _require_finite(us[rows], _U_NOT_FINITE, "decompose", t)  # before the flow, where inf * 0 warns
+        with _naming_site("decompose", lo, t):
+            _require_finite(us[rows], _U_NOT_FINITE)  # before the flow, where inf * 0 warns
             if d == 2:
                 xis[rows], gammas[rows] = _bulk_decompose_2x2(x_rep, us[rows], t, sig, budget)
             else:
-                starts = _search_starts(_flowed(x_rep, us[rows], t, sig), t)
+                starts = _search_starts(_flowed(x_rep, us[rows], t, sig))
                 for k, u in enumerate(us[rows]):
-                    with _naming_sample("decompose", k, t):
+                    with _in_row(k):
                         xi, gamma = decompose(x_rep, u, t, sig, budget, next(starts))
                     xis[lo + k] = xi.entries
                     gammas[lo + k] = gamma.to_int64()
@@ -322,7 +320,7 @@ def decompose_batch(
     return xis, gammas
 
 
-def _heights(xis: np.ndarray, t: float, budget: int) -> np.ndarray:
+def _heights(xis: np.ndarray, budget: int) -> np.ndarray:
     """1 / (sup-norm first minimum) of each reduced basis xis[i].
 
     For d = 2 a closed form: the sup-shortest vector of a
@@ -333,14 +331,14 @@ def _heights(xis: np.ndarray, t: float, budget: int) -> np.ndarray:
     `lattices.stack_heights`: one LLL of the stack and a certified
     coefficient-box scan per row, bit for bit `shortest_vector`'s
     lengths; a row the box does not certify runs `shortest_vector`, and
-    a failure names the sample and t.  Each xi passed decompose's
-    checks, so it needs no second validation.
+    a failure carries its row.  Each xi passed decompose's checks, so it
+    needs no second validation.
     """
     if xis.shape[1] == 2:
         a, b, c, d = (xis[:, i, j] for i in (0, 1) for j in (0, 1))
         sups = [np.maximum(np.abs(x), np.abs(y)) for x, y in ((a, c), (b, d), (a + b, c + d), (a - b, c - d))]
         return 1.0 / np.minimum.reduce(sups)
-    return stack_heights(xis, budget, t)
+    return stack_heights(xis, budget)
 
 
 def _rational_fiber(gammas: np.ndarray, num0: list, q: int):
@@ -375,7 +373,7 @@ def orbit_pushforward(
     sig = V.sig
     if y0.dim != sig.d:
         raise ValueError("dimension mismatch between y0 and V")
-    with _naming_sample("reduce", None, t):
+    with _naming_site("reduce", None, t):
         r0 = reduce_matrix(y0.linear, budget)
     b_start = torus_act(r0.gamma, y0.torus)
     us = sample_V(V, count, seed)
@@ -389,8 +387,8 @@ def orbit_pushforward(
     nums = np.empty((count, sig.d), dtype=np.int64) if rational else None
     num0 = [int(c * q) for c in b_start.coords] if rational else None
     for rows, xis, gammas in _decomposed_blocks(r0.rep, us, t, sig, budget):
-        with _naming_rows(rows.start):
-            heights[rows] = _heights(xis[rows], t, budget)
+        with _naming_site("height", rows.start, t):
+            heights[rows] = _heights(xis[rows], budget)
         if rational:
             nums[rows], coords[rows] = _rational_fiber(gammas[rows], num0, q)
         else:

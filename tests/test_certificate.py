@@ -164,12 +164,13 @@ def test_entrywise_certificate_gives_the_stacked_verdicts(d):
 def test_certificate_fails_a_nan_row():
     cases = former_rule_cases(2)[:30]
     P, xis, gammas = (np.array([case[k] for case in cases[::3]]) for k in range(3))  # the exact triples
-    fundamental.certify_factorization(P, xis, gammas, "decompose", 4.0)
+    fundamental.certify_factorization(P, xis, gammas)
     for i, j in ((3, (0, 0)), (7, (1, 1))):
         bad = xis.copy()
         bad[i][j] = np.nan
-        with pytest.raises(PrecisionError, match=rf"^decompose of sample {i} at t = 4: reconstruction residual nan "):
-            fundamental.certify_factorization(P, bad, gammas, "decompose", 4.0)
+        with pytest.raises(PrecisionError, match=r"^reconstruction residual nan ") as info:
+            fundamental.certify_factorization(P, bad, gammas)
+        assert info.value.row == i
 
 
 def sheared(rep, delta, i, j):
@@ -200,8 +201,8 @@ def test_certificate_raises_through_every_entry_point(monkeypatch):
 
     real_batch = orbits.reduce_batch_2x2
 
-    def corrupt_batch(P, budget, t=None):
-        reps, gammas = real_batch(P, budget, t=t)
+    def corrupt_batch(P, budget):
+        reps, gammas = real_batch(P, budget)
         reps[7] = sheared(reps[7], 1e-4, 0, 1)
         return reps, gammas
 

@@ -68,6 +68,23 @@ def test_horizon_cap_edge(kind):
             harness.ExperimentConfig(kind=kind, t=T).validate()
 
 
+def test_samples_cap_edge(capsys):
+    # validate alone at the cap, which no test runs
+    cap = harness.MAX_SAMPLES
+    for kind in ("orbit", "fourier", "siegel"):
+        harness.ExperimentConfig(kind=kind, t=1.0, samples=cap).validate()
+    assert cli.main(["orbit", "--t", "1", "--samples", str(cap + 1)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: statistical experiments take at most {cap} samples, not {cap + 1}\n"
+
+
+def test_siegel_enumeration_failure_names_its_sample(capsys):
+    # at t = 4 the orbit reduces within a budget of 20; the count of sample 26
+    # is the first whose ball enumeration it does not cover
+    assert cli.main(["siegel", "--t", "4", "--samples", "100", "--radius", "1.5", "--budget", "20"]) == 2
+    assert capsys.readouterr().err == "budget/precision error: siegel of sample 26: enumeration node budget exceeded\n"
+
+
 @pytest.mark.parametrize(
     "argv, config, checks, headers",
     [

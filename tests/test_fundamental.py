@@ -344,23 +344,15 @@ def _flow_orbit(s, us):
     return P
 
 
-def _certified_2x2(monkeypatch, P):
-    """reduce_batch_2x2(P), with the seeds B, the certified mask and the certificate it saw."""
-    real = fundamental._reduce_stack_2x2
-    seen = []
-
-    def recording(P, stage, t):
-        seen.append(real(P, stage, t))
-        return seen[-1]
-
-    with monkeypatch.context() as m:
-        m.setattr(fundamental, "_reduce_stack_2x2", recording)
-        reps, gammas = reduce_batch_2x2(P)
-    (B, _, _, _, certified, certificate), = seen
+def _certified_2x2(P):
+    """reduce_batch_2x2(P), with the seeds B, the certified mask and the certificates of `_search_starts`."""
+    reps, gammas = reduce_batch_2x2(P)
+    B, _, _, _, certified = fundamental._reduce_stack_2x2(P)
+    certificate = np.array([start[3] if start[3] is not None else np.nan for start in fundamental._search_starts(P)])
     return reps, gammas, B, certified, certificate
 
 
-def test_batch_agrees_with_scalar(monkeypatch):
+def test_batch_agrees_with_scalar():
     # every row, bit for bit: a single matrix is a stack of one
     rng = np.random.default_rng(9)
     # u = p / q gives lambda_1 = q e^{-8} at s = 8: the identity screen
@@ -371,7 +363,7 @@ def test_batch_agrees_with_scalar(monkeypatch):
     kinds = {"certified, lambda_1 < 0.015": 0, "searched": 0}
     for s, us in cases:
         P = _flow_orbit(s, us)
-        reps, gammas, B, certified, _ = _certified_2x2(monkeypatch, P)
+        reps, gammas, B, certified, _ = _certified_2x2(P)
         lam1 = np.sqrt(np.minimum((B[:, :, 0] ** 2).sum(axis=1), (B[:, :, 1] ** 2).sum(axis=1)))
         kinds["certified, lambda_1 < 0.015"] += int((certified & (lam1 < 0.015)).sum())
         kinds["searched"] += int((~certified).sum())
@@ -383,13 +375,13 @@ def test_batch_agrees_with_scalar(monkeypatch):
 
 
 @pytest.mark.parametrize("s", [4.0, 8.0, 10.0, 12.0])
-def test_certified_2x2_rows_hold_every_near_minimal_transform_in_the_table(s, monkeypatch):
+def test_certified_2x2_rows_hold_every_near_minimal_transform_in_the_table(s):
     # the claim of the d = 2 certificate, checked by the exact search's own
     # enumeration: within the certificate's bound, the C that tie F(b) are
     # the four rotations J^r and no other, so no C lowers F(b) either
     rotations = {C.tobytes() for C in fundamental._J_POWERS}
     us = np.random.default_rng(int(s)).uniform(-0.5, 0.5, 300)
-    _, _, B, certified, certificate = _certified_2x2(monkeypatch, _flow_orbit(s, us))
+    _, _, B, certified, certificate = _certified_2x2(_flow_orbit(s, us))
     assert certified.sum() > 200
     for b, bound in zip(B[certified], certificate[certified]):
         lam1sq = fundamental._minima_sq_of(b, DEFAULT_BUDGET)[0]
@@ -453,15 +445,15 @@ def _adjugates(C):
 def _assert_batch_matches_reference(P, alone=True):
     """reduce_batch_2x2(P) is the 36-candidate reference from P's Lagrange seeds, stacked and (alone) row by row.
 
-    Bit for bit, but for the sign of a zero on a row the search reduces:
-    the reference writes +0.0, and the search returns its seed's -0.0.
+    Bit for bit, the sign of every zero included: the batch writes +0.0 on
+    every path.
     """
     B, U = fundamental._lagrange_2x2(P)
     ref_reps, pick, _ = _sweep_all_36(B)
     ref_gammas = _adjugates(U @ _C_STATIC[pick])
     for rows in [slice(None)] + [slice(i, i + 1) for i in range(len(P) if alone else 0)]:
         reps, gammas = reduce_batch_2x2(P[rows])
-        assert (reps + 0.0).tobytes() == (ref_reps[rows] + 0.0).tobytes()
+        assert reps.tobytes() == ref_reps[rows].tobytes()
         assert np.array_equal(gammas, ref_gammas[rows])
 
 
@@ -469,16 +461,14 @@ def _assert_search_agrees_with_the_batch(P):
     """`_reduce_core` from each row's Lagrange seed gives reduce_batch_2x2's rep and gamma, bit for bit.
 
     On a row of the identity screen this checks the screen and its closed
-    form against `_search`; on any other, the batch's fallback.  The
-    sign of a zero is left out: the closed form returns +0.0, and the
-    search's matmul can give -0.0 on an input with zeros.  Returns the
-    certified mask.
+    form against `_search`; on any other, the batch's fallback.  Both
+    return zeros as +0.0.  Returns the certified mask.
     """
-    B, U, _, _, certified, _ = fundamental._reduce_stack_2x2(P, None, None)
+    B, U, _, _, certified = fundamental._reduce_stack_2x2(P)
     reps, gammas = reduce_batch_2x2(P)
     for p, b, u, rep, gamma in zip(P, B, U, reps, gammas):
         rep_arr, U_ref, _ = fundamental._reduce_core(p, DEFAULT_BUDGET, fundamental._seed_start(b, u))
-        assert (rep_arr + 0.0).tobytes() == (rep + 0.0).tobytes()
+        assert rep_arr.tobytes() == rep.tobytes()
         assert np.array_equal(U_ref.inv().to_int64(), gamma)
     return certified
 
@@ -635,8 +625,9 @@ def test_identity_screen_agrees_with_the_class_scoring_at_ties_and_on_nonfinite_
     _assert_batch_matches_reference(tie[:1000])
     # a NaN or inf row is refused before the first pass, alone or in a stack
     for rows in [_NONFINITE_ROWS[:-1]] + [b[None] for b in _NONFINITE_ROWS[:-1]]:
-        with pytest.raises(PrecisionError, match="^decompose of sample 0: matrix entries are not finite$"):
+        with pytest.raises(PrecisionError, match="^matrix entries are not finite$") as info:
             reduce_batch_2x2(np.concatenate([rows, tie[:3]]))
+        assert info.value.row == 0
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -659,6 +650,28 @@ def test_search_agrees_with_the_batch_on_every_row_of_an_orbit(s, near):
     us = np.random.default_rng(int(s) + 50).uniform(-0.5, 0.5, 150)
     certified = _assert_search_agrees_with_the_batch(_flow_orbit(s, np.concatenate([us, near])))
     assert 0 < certified.sum() < len(certified)
+
+
+def test_d3_reps_write_zeros_as_plus_zero_on_every_path(monkeypatch):
+    # signed permutations, and a shear, with entries of -0.0: the sweep's
+    # certified rep and the search's rep from the same seed keep no -0.0
+    z = -0.0
+    rows = np.array([
+        [[1.0, z, z], [z, 1.0, z], [z, z, 1.0]],
+        [[-1.0, z, 0.0], [z, -1.0, z], [0.0, z, 1.0]],
+        [[z, -1.0, z], [1.0, z, z], [z, z, 1.0]],
+        [[z, z, 1.0], [1.0, z, z], [z, 1.0, z]],
+        [[1.0, 0.5, z], [z, 1.0, z], [z, z, 1.0]],
+    ])
+    starts = list(fundamental._search_starts(rows))
+    with monkeypatch.context() as m:
+        m.setattr(sweep, "_sweep_certified", lambda h, *_: (np.zeros(len(h), dtype=bool), None))
+        seeds = list(fundamental._search_starts(rows))
+    assert all(start[3] is not None for start in starts)
+    for p, start, seed in zip(rows, starts, seeds):
+        for s in (start, seed):
+            rep = fundamental._reduce_core(p, DEFAULT_BUDGET, s)[0]
+            assert (rep == 0).any() and not np.signbit(rep[rep == 0]).any()
 
 
 def _sl3_stack(count, seed):
@@ -797,11 +810,13 @@ def test_lagrange_refuses_a_shear_that_takes_the_transform_beyond_int64():
     assert B.tobytes() == np.eye(2).tobytes()
     assert U.tolist() == [[[1, -(2**62 - 1024)], [0, 1]]]
     rows = np.array([np.eye(2), [[1.0, 2.0**62], [0.0, 1.0]], [[1.0, 1e20], [0.0, 1.0]]])
-    with pytest.raises(PrecisionError, match=r"^Lagrange shear 4.61e\+18 takes the transform beyond int64$"):
+    with pytest.raises(PrecisionError, match=r"^Lagrange shear 4.61e\+18 takes the transform beyond int64$") as info:
         fundamental._lagrange_2x2(rows)
-    # named as a sample of the stage at t, before the cast, with no warning
-    with pytest.raises(PrecisionError, match=r"^decompose of sample 2 at t = 3: Lagrange shear 1e\+20 takes"):
-        reduce_batch_2x2(rows[[0, 0, 2, 1]], t=3.0)
+    assert info.value.row == 1
+    # the lowest such row of the batch, before the cast, with no warning
+    with pytest.raises(PrecisionError, match=r"^Lagrange shear 1e\+20 takes") as info:
+        reduce_batch_2x2(rows[[0, 0, 2, 1]])
+    assert info.value.row == 2
     # a shear that is not a number is refused too: a NaN row never stops shearing
     with pytest.raises(PrecisionError, match=r"^Lagrange shear nan takes"):
         fundamental._lagrange_2x2(np.array([[[np.nan, 1.0], [0.0, 1.0]]]))
@@ -899,7 +914,7 @@ def test_primitive_walk_fits_a_budget_the_full_walk_exceeds(monkeypatch):
     # search runs; the full walk visits ~181k nodes (all but a few are
     # multiples k v_1), the primitive walk a few dozen
     (g,) = _flow_orbit(8.0, [2 / 7])
-    assert next(fundamental._search_starts(g[None], 8.0))[3] is None
+    assert next(fundamental._search_starts(g[None]))[3] is None
     budget = 10_000
     calls = []
     real_enum = fundamental.enumerate_ball
@@ -1178,5 +1193,5 @@ def test_certificate_refuses_a_cusp_basis_with_near_ties_outside_the_table():
     assert _f_of_stack(h @ shear) - _f_of_stack(h) <= fundamental.TIE_TOL
     table = {C.tobytes() for C in sweep._ternary_classes().variants.astype(np.int64).reshape(-1, 3, 3)}
     assert shear.tobytes() not in table
-    start = next(fundamental._search_starts(h[None], None, None))
+    start = next(fundamental._search_starts(h[None]))
     assert start[3] is None  # left to the search

@@ -146,16 +146,16 @@ def test_height_at_least_one(seed):
 
 
 def _height_stack(name):
-    """(stack, t) for the tests below: a decomposed orbit, or lattices like criterion 05's."""
+    """A stack for the tests below: a decomposed orbit, or lattices like criterion 05's."""
     if name.startswith("orbit"):
         (m, n), t = {"orbit-12-t8": ((1, 2), 8.0), "orbit-21-t5": ((2, 1), 5.0)}[name]
         sig = SplittingSignature(m, n)
         us = sample_V(NeighborhoodV(sig), 300, seed=7)
-        return decompose_batch(SpecialLinearMatrix.from_entries(np.eye(3)), us, t, sig)[0], t
+        return decompose_batch(SpecialLinearMatrix.from_entries(np.eye(3)), us, t, sig)[0]
     # q diag(e^{-tau}, ...) S with tau up to criterion 05's 3.4 (d = 2) and 1.7 (d = 3), renormalized as it does
     d, spread = {"renormalized-d2": (2, 3.4), "renormalized-d3": (3, 1.7)}[name]
     rng = np.random.default_rng(24)
-    return _renormalized(np.array([random_basis(rng, d, spread) for _ in range(300)]))[0], None
+    return _renormalized(np.array([random_basis(rng, d, spread) for _ in range(300)]))[0]
 
 
 def _lone_heights(stack):
@@ -179,12 +179,12 @@ def test_height_box_holds_one_vector_per_sign_pair():
 
 @pytest.mark.parametrize("name", ["orbit-12-t8", "orbit-21-t5", "renormalized-d2", "renormalized-d3"])
 def test_stack_heights_equal_the_lone_heights_bit_for_bit(name):
-    stack, t = _height_stack(name)
-    heights = stack_heights(stack, t=t)
+    stack = _height_stack(name)
+    heights = stack_heights(stack)
     assert heights.tobytes() == _lone_heights(stack).tobytes()
     assert heights.min() >= 1.0 - 1e-9
     # every row of these stacks is certified by the box: none spends enumeration budget
-    assert stack_heights(stack, budget=0, t=t).tobytes() == heights.tobytes()
+    assert stack_heights(stack, budget=0).tobytes() == heights.tobytes()
 
 
 def test_stack_heights_fall_back_to_the_walk_on_uncertified_rows(monkeypatch):
@@ -205,11 +205,13 @@ def test_stack_heights_fall_back_to_the_walk_on_uncertified_rows(monkeypatch):
         return real(B, budget)
 
     monkeypatch.setattr(lattices, "shortest_vector", spy)
-    heights = stack_heights(stack, t=5.0)
+    heights = stack_heights(stack)
     assert walked == [357 - 340, 1213 - 1200 + 40]
     assert heights.tobytes() == _lone_heights(stack).tobytes()
-    with pytest.raises(BudgetExceededError, match=rf"^height of sample {walked[0]} at t = 5: enumeration node budget exceeded"):
-        stack_heights(stack, budget=1, t=5.0)
+    # the walk of the first such row fails, as that row of the stack
+    with pytest.raises(BudgetExceededError, match=r"^enumeration node budget exceeded$") as info:
+        stack_heights(stack, budget=1)
+    assert info.value.row == walked[0]
 
 
 def test_dual_pairing_integral_and_mahler():
@@ -520,12 +522,15 @@ def test_lll_batch_matches_full_recompute_bit_for_bit():
 def test_lll_batch_precision_failures_name_the_lowest_failing_row():
     # a transform entry beyond int64, for a stack of one as for any stack
     huge = np.array([np.eye(2), [[1.0, 2.0**70], [0.0, 1.0]]])
-    with pytest.raises(PrecisionError, match=r"^LLL transform leaves int64"):
+    with pytest.raises(PrecisionError, match=r"^LLL transform leaves int64") as info:
         lll_reduce(huge[1])
-    with pytest.raises(PrecisionError, match=r"^height of sample 1 at t = 2: LLL transform leaves int64"):
-        lll_reduce_batch(huge, stage="height", t=2.0)
-    with pytest.raises(PrecisionError, match=r"^LLL of sample 0: LLL size-reduction step is not finite"):
+    assert info.value.row == 0
+    with pytest.raises(PrecisionError, match=r"^LLL transform leaves int64") as info:
+        lll_reduce_batch(huge)
+    assert info.value.row == 1
+    with pytest.raises(PrecisionError, match=r"^LLL size-reduction step is not finite") as info:
         lll_reduce_batch(np.array([[[1.0, np.nan], [0.0, 1.0]]]))
+    assert info.value.row == 0
 
 
 def _first_ext_gcd(a, b):

@@ -209,7 +209,7 @@ def test_scalar_path_errors_name_stage_sample_and_t():
     # the class sweep certifies the base point and most samples without a
     # search; the first sample that runs `_search` fails a budget of 1
     P = orbits._flowed(y0.linear, sample_V(NeighborhoodV(sig), 20, seed=0), 4.0, sig)
-    first = next(i for i, start in enumerate(fundamental._search_starts(P, 4.0)) if start[3] is None)
+    first = next(i for i, start in enumerate(fundamental._search_starts(P)) if start[3] is None)
     with pytest.raises(BudgetExceededError) as info:
         orbit_pushforward(y0, 4.0, NeighborhoodV(sig), 20, seed=0, budget=1)
     assert str(info.value).startswith(f"decompose of sample {first} at t = 4: ")
@@ -272,7 +272,7 @@ def test_bulk_residual_error_names_the_sample_and_t():
 def test_bulk_base_point_error_names_the_base_point_and_t():
     # a base point deep in the cusp, which the certificate leaves to the search
     x = np.diag([1e3, 1e-3])
-    assert next(fundamental._search_starts(x[None], None, None))[3] is None
+    assert next(fundamental._search_starts(x[None]))[3] is None
     y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(x), TorusPoint.from_values(["0", "0"]))
     with pytest.raises(BudgetExceededError) as info:
         orbit_pushforward(y0, 4.0, V, 20, seed=0, budget=1)
@@ -285,22 +285,23 @@ def test_bulk_fallback_error_names_the_sample_and_t():
     # the search sits deep in the cusp and runs out of a budget of 11 there
     y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(2)), TorusPoint.from_values([0.1, 0.2]))
     P = orbits._flowed(reduce_matrix(np.eye(2)).rep, sample_V(V, 100_000, seed=0), 12.0, SIG)
-    first = next(i for i, start in enumerate(fundamental._search_starts(P, 12.0)) if start[3] is None)
+    first = next(i for i, start in enumerate(fundamental._search_starts(P)) if start[3] is None)
     with pytest.raises(BudgetExceededError) as info:
         orbit_pushforward(y0, 12.0, V, 100_000, seed=0, budget=11)
     assert str(info.value) == f"decompose of sample {first} at t = 12: enumeration node budget exceeded"
     assert info.value.nodes == 12
     assert traceback.extract_tb(info.value.__traceback__)[-1].filename.endswith("lattices.py")
-    # the same batch reduced outside a flow names the sample alone
-    with pytest.raises(BudgetExceededError, match=r"^decompose of sample 0: shortest-vector"):
-        reduce_batch_2x2(np.array([[[1e3, 0.0], [0.0, 1e-3]]]), budget=3)
+    # the same batch reduced outside a flow names no site, and carries the row
+    with pytest.raises(BudgetExceededError, match=r"^shortest-vector") as info:
+        reduce_batch_2x2(np.array([np.eye(2), [[1e3, 0.0], [0.0, 1e-3]]]), budget=3)
+    assert info.value.row == 1
 
 
 def test_failures_in_later_blocks_name_the_sample_by_its_index_in_the_orbit(monkeypatch):
     # d = 2, the search: sample 53770 of this orbit is row 770 of its block of 1,000
     y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(2)), TorusPoint.from_values([0.1, 0.2]))
     P = orbits._flowed(reduce_matrix(np.eye(2)).rep, sample_V(V, 100_000, seed=0), 12.0, SIG)
-    first = next(i for i, start in enumerate(fundamental._search_starts(P, 12.0)) if start[3] is None)
+    first = next(i for i, start in enumerate(fundamental._search_starts(P)) if start[3] is None)
     monkeypatch.setattr(orbits, "_BLOCK", 1000)
     assert first % 1000 > 0
     with pytest.raises(BudgetExceededError) as info:
@@ -312,7 +313,7 @@ def test_failures_in_later_blocks_name_the_sample_by_its_index_in_the_orbit(monk
     # fails; it names its worst failing row, and no earlier block fails
     us = sample_V(V, 100, seed=0)
     P = orbits._flowed(reduce_matrix(np.eye(2)).rep, us, 25.0, SIG)
-    ratios = fundamental.factorization_residuals(P, *reduce_batch_2x2(P, t=25.0))
+    ratios = fundamental.factorization_residuals(P, *reduce_batch_2x2(P))
     passing = np.flatnonzero(ratios.max(axis=1) <= 1.0)[:16]
     failing = np.flatnonzero(ratios[:, 0] > 1.0)[:8]
     assert passing.size == 16 and failing.size == 8
@@ -342,6 +343,29 @@ def test_failures_in_later_blocks_name_the_sample_by_its_index_in_the_orbit(monk
         orbit_pushforward(y0, 6.5, NeighborhoodV(S21), 20, seed=0)
 
 
+def test_a_height_failure_in_a_later_block_names_the_sample_by_its_index_in_the_orbit(monkeypatch):
+    # d = 3: with a box of reach -1 the height certificate holds no row, so
+    # every row walks (`shortest_vector`); sample 9 is row 1 of the third
+    # block of 4, and its walk runs out
+    y0 = AffineLatticePoint(SpecialLinearMatrix.from_entries(np.eye(3)), TorusPoint.from_values(["1/3", "2/3", "1/5"]))
+    target = lll_reduce(orbit_pushforward(y0, 4.0, NeighborhoodV(S12), 12, seed=0).xis[9])[0]
+    real = lattices.shortest_vector
+
+    def spy(B, budget):
+        if B.tobytes() == target.tobytes():
+            raise BudgetExceededError("shortest-vector search budget exceeded", nodes=7)
+        return real(B, budget)
+
+    monkeypatch.setattr(lattices, "_BOX", -1)
+    monkeypatch.setattr(lattices, "shortest_vector", spy)
+    monkeypatch.setattr(orbits, "_BLOCK", 4)
+    with pytest.raises(BudgetExceededError) as info:
+        orbit_pushforward(y0, 4.0, NeighborhoodV(S12), 12, seed=0)
+    assert str(info.value) == "height of sample 9 at t = 4: shortest-vector search budget exceeded"
+    assert (info.value.row, info.value.nodes) == (9, 7)
+    assert traceback.extract_tb(info.value.__traceback__)[-1].name == "spy"
+
+
 def test_a_non_finite_sample_in_a_later_block_fails_fast_and_names_it(monkeypatch):
     # d = 2 as d = 3: a PrecisionError naming the sample by its index in the
     # orbit and t, with no warning (inf u times a zero entry of the base
@@ -357,7 +381,7 @@ def test_a_non_finite_sample_in_a_later_block_fails_fast_and_names_it(monkeypatc
         blocks = []
         with monkeypatch.context() as m, warnings.catch_warnings():
             warnings.simplefilter("error")
-            m.setattr(fundamental, "_lagrange_2x2", lambda P, *site: blocks.append(len(P)) or real(P, *site))
+            m.setattr(fundamental, "_lagrange_2x2", lambda P: blocks.append(len(P)) or real(P))
             with pytest.raises(PrecisionError) as info:
                 decompose_batch(SpecialLinearMatrix.from_entries(np.eye(2)), us, 2.0, SIG)
             assert str(info.value) == f"decompose of sample {bad} at t = 2: {what}"
@@ -577,10 +601,10 @@ def test_class_sweep_gives_the_search_gamma_from_the_same_seed(monkeypatch):
         (S12, 4.0, _off_identity()),
     ):
         P = orbits._flowed(reduce_matrix(linear).rep, sample_V(NeighborhoodV(sig), 300, seed=5), t, sig)
-        starts = list(fundamental._search_starts(P, t))
+        starts = list(fundamental._search_starts(P))
         with monkeypatch.context() as m:
             m.setattr(sweep, "_sweep_certified", lambda h, *_: (np.zeros(len(h), dtype=bool), None))
-            seeds = list(fundamental._search_starts(P, t))
+            seeds = list(fundamental._search_starts(P))
         reps, gammas = [], []
         for p, start, seed in zip(P, starts, seeds):
             rep, U, *_ = fundamental._reduce_core(p, DEFAULT_BUDGET, start)
@@ -590,7 +614,7 @@ def test_class_sweep_gives_the_search_gamma_from_the_same_seed(monkeypatch):
             kinds["certified" if start[3] is not None else "searched"] += 1
             reps.append(rep)
             gammas.append(U.inv().to_int64())
-        fundamental.certify_factorization(P, np.array(reps), np.array(gammas), "decompose", t)
+        fundamental.certify_factorization(P, np.array(reps), np.array(gammas))
     assert min(kinds.values()) > 0, kinds
 
 
@@ -608,7 +632,7 @@ def test_certified_rows_hold_every_near_minimal_transform_in_the_table(monkeypat
     monkeypatch.setattr(sweep, "_sweep_certified", recording)
     for sig, t in ((S12, 8.0), (S21, 5.0)):
         P = orbits._flowed(reduce_matrix(np.eye(3)).rep, sample_V(NeighborhoodV(sig), 150, seed=6), t, sig)
-        list(fundamental._search_starts(P, t))
+        list(fundamental._search_starts(P))
     assert len(bases) > 200
     for h in bases:
         f_max = fundamental._f_of_stack(h) + fundamental.TIE_TOL
@@ -641,7 +665,7 @@ def test_d2_heights_equal_the_stacked_candidates_bit_for_bit():
     # ties between candidates, and entries of -0.0
     xis.append(np.array([np.eye(2), -np.eye(2), [[-0.0, -1.0], [1.0, -0.0]], [[1.0, 0.5], [0.0, 1.0]], [[1.0, -0.5], [-0.0, 1.0]]]))
     xis = np.concatenate(xis)
-    heights = orbits._heights(xis, 0.0, DEFAULT_BUDGET)
+    heights = orbits._heights(xis, DEFAULT_BUDGET)
     assert heights.tobytes() == stacked_heights_2x2(xis).tobytes()
 
 

@@ -276,3 +276,46 @@ def test_every_parameter_is_read():
     # the check sees an unread parameter, and reads nested functions and lambdas
     source = "def f(a, b, *c, d=1, **e):\n    g = lambda x, y: x + a\n    def h():\n        return d\n    return g, h, c\n"
     assert unread_parameters(source) == [(1, "f", "b"), (1, "f", "e"), (2, "<lambda>", "y")]
+
+
+def site_plumbing(source: str) -> list:
+    """(line, what) of each `stage` parameter, each `ContextVar` and each site text that the module holds.
+
+    A site text is " of sample " or " at t = " in a string or in the
+    template of an f-string (its fields as "{}"), docstrings aside.
+    """
+    tree = ast.parse(source)
+    skip = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    skip |= {id(part) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr) for part in node.values}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            params = (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+            out += [(node.lineno, "stage") for p in params if p.arg == "stage"]
+        elif "ContextVar" in (getattr(node, "id", None), getattr(node, "attr", None)):
+            out.append((node.lineno, "ContextVar"))
+        elif id(node) in skip:
+            continue
+        elif isinstance(node, ast.JoinedStr) or isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.values if isinstance(node, ast.JoinedStr) else [node]
+            text = "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in parts)
+            out += [(node.lineno, site) for site in (" of sample ", " at t = ") if site in text]
+    return out
+
+
+def test_only_the_errors_module_names_a_failure_site():
+    # a stage raises its failure with the row of its stack and knows nothing
+    # of the site: no function takes a `stage`, no hidden state carries a
+    # row offset, and only `errors._naming_site` writes the sample and t
+    root = Path(__file__).resolve().parents[1]
+    found = {
+        path.name: site_plumbing(path.read_text(encoding="utf-8")) for path in sorted((root / "src").rglob("*.py"))
+    }
+    assert sorted(what for _, what in found.pop("errors.py")) == [" at t = ", " of sample "]
+    assert {name: plumbing for name, plumbing in found.items() if plumbing} == {}
+    # the check sees each kind, in strings and f-strings, and skips docstrings
+    source = (
+        'import contextvars\ndef f(stage, t):\n    "f of sample 1 at t = 2"\n'
+        '    return f"{stage} of sample {t}" + " at t = " + str(contextvars.ContextVar)\n'
+    )
+    assert sorted(site_plumbing(source)) == [(2, "stage"), (4, " at t = "), (4, " of sample "), (4, "ContextVar")]

@@ -562,7 +562,7 @@ def criterion_ball_mass(budget=DEFAULT_BUDGET, cache=None, count: int = 100_000)
 def criterion_siegel(budget=DEFAULT_BUDGET, cache=None, count: int = 100_000) -> List[CheckResult]:
     cache = cache if cache is not None else _OrbitCache()
     nu = cache.get_orbit("irr", _irrational_y0(), 8.0, count, budget)
-    check, _ = siegel_check("13-siegel-consistency", nu, 0.3, budget, oracle_stride=331)
+    check, _ = siegel_check("13-siegel-consistency", nu, 8.0, 0.3, budget, oracle_stride=331)
     return [check]
 
 

@@ -10,8 +10,10 @@ as constructors.
 
 The integer primitives live here too, each written once for the whole
 package: the extended Euclidean step `_ext_gcd` and the Bezout
-coefficients `_bezout` of a vector, the cross product `_cross`, the
-adjugate `_int_adjugate` and determinant `_int_det`, and the one float
+coefficients `_bezout` of a vector, the closed-form completion
+`_complete_to_unimodular` of a primitive vector to a det +1 matrix, the
+cross product `_cross`, the adjugate `_int_adjugate` (of a stack:
+`_stack_adjugate`) and determinant `_int_det`, and the one float
 inverse `_inv_unimodular`, which applies the adjugate's formula to
 floats.
 
@@ -209,6 +211,28 @@ def _bezout(xs: Sequence[int]) -> list:
     return [-ci for ci in c] if g < 0 else c
 
 
+def _complete_to_unimodular(t: Sequence[int]) -> list:
+    """Columns of a det +1 integer matrix whose first column is t, a primitive 2- or 3-vector.
+
+    A closed form from Bezout coefficients.  (a, b) with a u + b v = 1
+    gives [[a, -v], [b, u]].  (a, b, c) with a x + b y = gcd(a, b) gets
+    the second column w = (-y, x, 0); x and y are coprime, so t x w =
+    (-c x, -c y, gcd(a, b)) has gcd gcd(a, b, c) = 1, and the third
+    column z = `_bezout`(t x w) makes det = (t x w) . z = 1.  A vector
+    that is not primitive is a ValueError.
+    """
+    t = [int(x) for x in t]
+    if math.gcd(*t) != 1:
+        raise ValueError("completion requires a primitive vector")
+    if len(t) == 2:
+        a, b = t
+        u, v = _bezout(t)
+        return [[a, -v], [b, u]]
+    x, y = _bezout(t[:2])
+    w = (-y, x, 0)
+    return [list(row) for row in zip(t, w, _bezout(_cross(t, w)))]
+
+
 def _cross(x: Sequence[int], y: Sequence[int]) -> tuple:
     """The cross product x x y of two 3-vectors; det(x, y, z) = (x x y) . z."""
     return (
@@ -246,6 +270,15 @@ def _int_adjugate(rows: Sequence[Sequence[int]]) -> tuple:
         )
         for j in range(d)
     )
+
+
+def _stack_adjugate(M: np.ndarray) -> np.ndarray:
+    """`_int_adjugate` of each matrix of a stack (N, d, d), d <= 3, in the dtype of M.
+
+    A view of the adjugates' entries, not C-contiguous; a caller whose
+    float products round by the layout makes it so.
+    """
+    return np.moveaxis(np.array(_int_adjugate(M.transpose(1, 2, 0))), -1, 0)
 
 
 def _first_row_det(rows, adj):
@@ -374,14 +407,11 @@ class TorusPoint:
         parsed = []
         rational_flags = []
         for v in vals:
-            if isinstance(v, Fraction):
-                parsed.append(v)
-                rational_flags.append(True)
-            elif isinstance(v, int):
-                parsed.append(Fraction(v))
-                rational_flags.append(True)
-            elif isinstance(v, str):
-                parsed.append(Fraction(v))
+            if isinstance(v, (Fraction, int, str)):
+                try:
+                    parsed.append(Fraction(v))
+                except ZeroDivisionError:
+                    raise ValueError(f"torus coordinate {v!r} has a zero denominator") from None
                 rational_flags.append(True)
             elif isinstance(v, float):
                 if not math.isfinite(v):

@@ -111,6 +111,7 @@ from .core import (
     _int_det,
     _inv_unimodular,
     _renormalized,
+    _stack_adjugate,
 )
 from .errors import DeterminantError, PrecisionError, _in_row
 from .lattices import DEFAULT_BUDGET, enumerate_ball, lll_reduce, lll_reduce_batch, successive_minima
@@ -701,7 +702,7 @@ def _proxy_distances(xis: np.ndarray, z_rep: SpecialLinearMatrix, reach: float) 
     dists = np.full(xis.shape[0], np.inf)
     live = np.flatnonzero(np.sqrt(_f_sq(xis) * (2.0 if d == 2 else 1.0)) <= S * (1 + 1e-9))
     X = xis[live]
-    adj = np.moveaxis(np.array(_int_adjugate(X.transpose(1, 2, 0))), -1, 0)
+    adj = _stack_adjugate(X)
     # window [i, j] bounds entry i of column j
     half = np.sqrt((adj * adj).sum(axis=2))[:, :, None] * np.sqrt((za * za).sum(axis=0))
     half *= (reach + 1e-9) * 1.0001
@@ -868,7 +869,7 @@ def reduce_batch_2x2(P: np.ndarray, budget: int = DEFAULT_BUDGET):
     B, U, reps, moves, certified = _reduce_stack_2x2(P)
     # gamma is the inverse of the det-1 transform, its adjugate; in C order,
     # since a caller's float products with it round by its layout
-    gammas = np.ascontiguousarray(np.moveaxis(np.array(_int_adjugate(moves.transpose(1, 2, 0))), -1, 0))
+    gammas = np.ascontiguousarray(_stack_adjugate(moves))
     for i in np.flatnonzero(~certified):
         with _in_row(int(i)):
             rep_arr, Ui, _ = _reduce_core(P[i], budget, _seed_start(B[i], U[i]))

@@ -338,17 +338,17 @@ def gamma_orbit_summary(res: GammaOrbitResult) -> dict:
     }
 
 
-def siegel_check(name: str, nu, radius: float, budget: int, oracle_stride: int = 0) -> tuple:
-    """(check, per-sample values) of the Siegel average of nu's bases for the ball of the radius.
+def siegel_check(name: str, nu, t: float, radius: float, budget: int, oracle_stride: int = 0) -> tuple:
+    """(check, per-sample values) of the Siegel average of nu's bases for the ball of the radius; nu is the orbit at t.
 
     For d = 2 the check holds the average within 10 % of the integral
     pi r^2; for other d it reports the average.  With oracle_stride > 0,
     every stride-th sample is recounted by enumeration
     (`siegel_transform`, over one stacked LLL): a disagreement fails the
     check, and its details name the first disagreeing sample.  A
-    failure of the count names "siegel" of its sample.
+    failure of the count names "siegel" of its sample and t.
     """
-    with _naming_site("siegel", 0, None):
+    with _naming_site("siegel", 0, t):
         values = siegel_values(nu.xis, radius, budget)
     avg = float(values @ nu.weights)
     details = {"average": avg}
@@ -575,7 +575,7 @@ def _run_gamma_orbit(cfg: ExperimentConfig) -> Iterator:
 
 def _run_siegel(cfg: ExperimentConfig) -> Iterator:
     for t, nu in _orbits(cfg):
-        check, values = siegel_check(f"siegel-average[t={t:g}]", nu, cfg.radius, cfg.budget)
+        check, values = siegel_check(f"siegel-average[t={t:g}]", nu, t, cfg.radius, cfg.budget)
         yield check
         yield Table(f"siegel_t{t:g}.csv", ["sample", "value"], [np.arange(len(values)), values])
 

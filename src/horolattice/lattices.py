@@ -31,11 +31,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .core import _bezout, _cross, _inv_unimodular
+from .core import _complete_to_unimodular, _inv_unimodular
 from .errors import BudgetExceededError, PrecisionError, _in_row
 
 __all__ = [
@@ -326,6 +326,8 @@ def enumerate_ball(
         if room < 0:
             return
         span = math.sqrt(room) / R[level][level]
+        if span == math.inf:  # the ball holds more points than any budget
+            raise BudgetExceededError("enumeration node budget exceeded", nodes=budget + 1)
         lo = math.ceil(center - span - 1e-12)
         hi = math.floor(center + span + 1e-12)
         cvals = range(lo, hi + 1)
@@ -383,49 +385,14 @@ def shortest_vector(B: np.ndarray, budget: int = DEFAULT_BUDGET):
     return c, length
 
 
-def _complete_to_unimodular(tail: Sequence[int]) -> list:
-    """Columns completing a primitive vector to a det +1 integer matrix.
-
-    Supports lengths 2 and 3: `successive_minima` completes the tail of
-    each minimum but the last.  Raises if the vector is not primitive.
-    """
-    t = [int(x) for x in tail]
-    if math.gcd(*t) != 1:
-        raise ValueError("completion requires a primitive vector")
-    if len(t) == 2:
-        a, b = t
-        u, v = _bezout(t)
-        # det [[a, -v], [b, u]] = a u + b v = 1
-        return [[a, -v], [b, u]]
-    a, b, c = t
-    if a == 0 and b == 0:
-        # c = +-1
-        return [[0, 1, 0], [0, 0, c], [c, 0, 0]]
-    g1 = math.gcd(a, b)
-    v2 = [-b // g1, a // g1, 0]
-    # third column solves det = 1: Bezout coefficients of the cross product
-    nvec = _cross(t, v2)
-    if math.gcd(*nvec) != 1:
-        # not rare (396 of the 1,730 primitive vectors with entries in
-        # [-6, 6]): step the second column by a unit vector
-        for e in ([1, 0, 0], [0, 1, 0], [0, 0, 1]):
-            w = [v2[i] + e[i] for i in range(3)]
-            nv = _cross(t, w)
-            if math.gcd(*nv) == 1:
-                v2, nvec = w, nv
-                break
-        else:
-            raise ValueError("no unimodular completion found")
-    v3 = _bezout(nvec)
-    return [[t[0], v2[0], v3[0]], [t[1], v2[1], v3[1]], [t[2], v2[2], v3[2]]]
-
-
 def successive_minima(B: np.ndarray, budget: int = DEFAULT_BUDGET) -> list:
-    """Euclidean successive minima [lambda_1, ..., lambda_d] of the lattice of LLL basis B, certified.
+    """Euclidean successive minima [lambda_1, ..., lambda_d] of the lattice of basis B, d <= 3.
 
+    Certified for any basis; an LLL basis only makes the searches fast.
     Greedy: the j-th search excludes the span of the j-1 vectors found
     so far by a coordinate change putting them first (for d <= 3 greedy
-    realizers always extend to a basis, so the completion exists).
+    realizers always extend to a basis, so the tail of each is primitive
+    and `_complete_to_unimodular` completes it).
     """
     d = B.shape[0]
     cur = B.copy()
@@ -436,16 +403,10 @@ def successive_minima(B: np.ndarray, budget: int = DEFAULT_BUDGET) -> list:
         if j == d - 1:
             break
         # rebase: found vector becomes column j; columns < j stay put
-        tail = list(c[j:])
-        comp = _complete_to_unimodular(tail)
-        T = [[1 if i == jj else 0 for jj in range(d)] for i in range(d)]
-        for i in range(d):
-            for jj in range(j, d):
-                if i < j:
-                    T[i][jj] = c[i] if jj == j else 0
-                else:
-                    T[i][jj] = comp[i - j][jj - j]
-        cur = cur @ np.array(T, dtype=float)
+        T = np.eye(d)
+        T[j:, j:] = _complete_to_unimodular(c[j:])
+        T[:j, j] = c[:j]
+        cur = cur @ T
     return minima
 
 

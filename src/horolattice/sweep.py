@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _first_row_det, _int_adjugate, _int_det, _inv_unimodular
+from .core import _int_det, _inv_unimodular, _stack_adjugate
 from .fundamental import MOVE_MARGIN, TIE_TOL, _f_of_stack, _lex_first, _lex_key, _side_bound_sq, _tied
 
 #: Rows per block of the sweep and its certificate; bounds their memory.
@@ -65,13 +65,6 @@ class _Box(NamedTuple):
     primitive: np.ndarray  # (B,) bool: gcd 1
     parallel: np.ndarray  # (B, B) bool: c x c' = 0
     outer: np.ndarray  # (9, B): c c^T flattened, so (L^T L).ravel() @ outer is |L c|^2
-
-
-def _adjugates(M: np.ndarray):
-    """Exact adjugates (N, 3, 3) and determinants (N,) of an integer stack (N, 3, 3)."""
-    rows = M.transpose(1, 2, 0)
-    adj = _int_adjugate(rows)
-    return np.moveaxis(np.array(adj), -1, 0), _first_row_det(rows, adj)
 
 
 @functools.cache
@@ -106,7 +99,7 @@ def _ternary_classes() -> _TernaryClasses:
         least = np.minimum(least, (table @ S + 2).reshape(-1, 9) @ place)
     firsts = table[codes == least]
     variants = firsts[:, None] @ np.array(signed)
-    inverses = _adjugates(firsts)[0]
+    inverses = _stack_adjugate(firsts)
     out = _TernaryClasses(
         variants,
         int(np.argwhere((variants == np.eye(3, dtype=np.int8)).all(axis=(2, 3)))[0, 0]),
@@ -255,7 +248,7 @@ def _sweep_certified(h: np.ndarray, C: np.ndarray, prim_U: np.ndarray, dual_U: n
     box = _coefficient_box()
     f_max = _f_of_stack(h) + TIE_TOL
     # coefficients with respect to h: h^{-1} L = C^{-1} U, and (h^{-T})^{-1} L' = C^T U'
-    back = (_adjugates(C)[0] @ prim_U, C.transpose(0, 2, 1) @ dual_U)
+    back = (_stack_adjugate(C) @ prim_U, C.transpose(0, 2, 1) @ dual_U)
     dual = _inv_unimodular(h).transpose(0, 2, 1)
     bases = (np.matmul(h, back[0].astype(float)), np.matmul(dual, back[1].astype(float)))
     (q_p, lam_p), (q_d, lam_d) = _box_minima(bases[0], box), _box_minima(bases[1], box)

@@ -82,7 +82,7 @@ def test_siegel_enumeration_failure_names_its_sample(capsys):
     # at t = 4 the orbit reduces within a budget of 20; the count of sample 26
     # is the first whose ball enumeration it does not cover
     assert cli.main(["siegel", "--t", "4", "--samples", "100", "--radius", "1.5", "--budget", "20"]) == 2
-    assert capsys.readouterr().err == "budget/precision error: siegel of sample 26: enumeration node budget exceeded\n"
+    assert capsys.readouterr().err == "budget/precision error: siegel of sample 26 at t = 4: enumeration node budget exceeded\n"
 
 
 @pytest.mark.parametrize(
@@ -144,41 +144,52 @@ def test_kind_runs_to_its_artifacts(argv, config, checks, headers, tmp_path):
         assert (out / name).read_text().split("\n", 1)[0] == header
 
 
+_CONFIG, _BUDGET = "configuration error:", "budget/precision error:"
+#: (argv, message, stderr prefix) of each bad input
+_BAD_INPUT = [
+    (["orbit", "--m", "2", "--n", "2", "--t", "2", "--samples", "200"], "signature (2,2) has no certified reduction", _CONFIG),
+    (["orbit", "--t", "1", "--samples", "100", "--b0", "1/3"], "torus part 1", _CONFIG),
+    (["orbit", "--t", "1", "--samples", "100", "--b0", "abc,1"], "Invalid literal for Fraction", _CONFIG),
+    (["orbit", "--m", "1", "--n", "2", "--t", "9", "--samples", "100"], "exceeds the certified precision cap", _CONFIG),
+    (["concentration", "--t", "1", "--samples", "100", "--rho", "0.7"], "rho must lie in", _CONFIG),
+    (["fourier", "--t", "1", "--samples", "100", "--max-freq", "0"], "fourier needs --max-freq >= 1", _CONFIG),
+    (["siegel", "--t", "2", "--samples", "100", "--radius", "0"], "siegel needs a finite positive --radius", _CONFIG),
+    (["siegel", "--t", "2", "--samples", "100", "--radius", "inf"], "siegel needs a finite positive --radius", _CONFIG),
+    (["siegel", "--t", "2", "--samples", "100", "--radius", "nan"], "siegel needs a finite positive --radius", _CONFIG),
+    (["siegel", "--t", "2", "--samples", "100", "--radius", "-0.5"], "siegel needs a finite positive --radius", _CONFIG),
+    (["siegel", "--m", "1", "--n", "2", "--t", "2", "--samples", "100", "--radius", "-0.5"], "siegel needs a finite positive --radius", _CONFIG),
+    (["zeta", "--t", "inf"], "time inf is not finite", _CONFIG),
+    (["weyl", "--t", "inf", "--alpha", "0.3"], "time inf is not finite", _CONFIG),
+    (["orbit", "--t", "nan", "--samples", "100"], "time nan is not finite", _CONFIG),
+    (["orbit", "--t-grid", "1,-inf", "--samples", "100"], "time -inf is not finite", _CONFIG),
+    (["weyl", "--t", "1e12", "--alpha", "0.3"], "weyl horizon T = 1e+12 lies outside [1, 1e+07]", _CONFIG),
+    (["weyl", "--t-grid", "100,0.5", "--alpha", "0.3"], "weyl horizon T = 0.5 lies outside", _CONFIG),
+    (["zeta", "--t", "1e300"], "zeta horizon T = 1e+300 lies outside [1, 1e+10]", _CONFIG),
+    (["zeta", "--t", "0"], "zeta horizon T = 0 lies outside", _CONFIG),
+    (["weyl", "--t", "10", "--alpha", "0.3", "--x0", "nan"], "alpha, x0 and rho must be finite, not 0.3, nan, 0.05", _CONFIG),
+    (["weyl", "--t", "10", "--alpha", "nan"], "alpha, x0 and rho must be finite, not nan, 0.3, 0.05", _CONFIG),
+    (["weyl", "--t", "10", "--alpha", "0.3", "--rho", "inf"], "alpha, x0 and rho must be finite, not 0.3, 0.3, inf", _CONFIG),
+    (["concentration", "--t", "1", "--samples", "100", "--rho", "nan"], "alpha, x0 and rho must be finite, not None, 0.3, nan", _CONFIG),
+    (["reduce", "--g0", "[[1e160, 0], [0, 1e-160]]"], "entry scale 1e+160 is beyond the determinant check's range", _BUDGET),
+    (["reduce", "--g0", "[[1e200, 0], [0, 1e-200]]"], "entry scale 1e+200 is beyond the determinant check's range", _BUDGET),
+    # det 1 within a finite tolerance, so the search runs, and runs out
+    (["reduce", "--g0", "[[1e100, 0], [0, 1e-100]]"], "shortest-vector search budget exceeded", _BUDGET),
+    # a shear whose transform would leave int64, refused before its cast
+    (["reduce", "--g0", "[[1, 1e20], [0, 1]]"], "Lagrange shear 1e+20 takes the transform beyond int64", _BUDGET),
+    (["orbit", "--t", "1", "--samples", "100", "--b0", "1/0,1/2"], "torus coordinate '1/0' has a zero denominator", _CONFIG),
+    (["zeta", "--t", "10", "--b0", "1/0"], "torus coordinate '1/0' has a zero denominator", _CONFIG),
+    # a ball of infinite span holds more points than any budget, refused before the walk
+    (["siegel", "--t", "2", "--samples", "100", "--radius", "1e200"], "siegel of sample 0 at t = 2: enumeration node budget exceeded", _BUDGET),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["orbit", "--m", "2", "--n", "2", "--t", "2", "--samples", "200"], "signature (2,2) has no certified reduction"),
-        (["orbit", "--t", "1", "--samples", "100", "--b0", "1/3"], "torus part 1"),
-        (["orbit", "--t", "1", "--samples", "100", "--b0", "abc,1"], "Invalid literal for Fraction"),
-        (["orbit", "--m", "1", "--n", "2", "--t", "9", "--samples", "100"], "exceeds the certified precision cap"),
-        (["concentration", "--t", "1", "--samples", "100", "--rho", "0.7"], "rho must lie in"),
-        (["fourier", "--t", "1", "--samples", "100", "--max-freq", "0"], "fourier needs --max-freq >= 1"),
-        (["siegel", "--t", "2", "--samples", "100", "--radius", "0"], "siegel needs a finite positive --radius"),
-        (["siegel", "--t", "2", "--samples", "100", "--radius", "inf"], "siegel needs a finite positive --radius"),
-        (["siegel", "--t", "2", "--samples", "100", "--radius", "nan"], "siegel needs a finite positive --radius"),
-        (["siegel", "--t", "2", "--samples", "100", "--radius", "-0.5"], "siegel needs a finite positive --radius"),
-        (["siegel", "--m", "1", "--n", "2", "--t", "2", "--samples", "100", "--radius", "-0.5"], "siegel needs a finite positive --radius"),
-        (["zeta", "--t", "inf"], "time inf is not finite"),
-        (["weyl", "--t", "inf", "--alpha", "0.3"], "time inf is not finite"),
-        (["orbit", "--t", "nan", "--samples", "100"], "time nan is not finite"),
-        (["orbit", "--t-grid", "1,-inf", "--samples", "100"], "time -inf is not finite"),
-        (["weyl", "--t", "1e12", "--alpha", "0.3"], "weyl horizon T = 1e+12 lies outside [1, 1e+07]"),
-        (["weyl", "--t-grid", "100,0.5", "--alpha", "0.3"], "weyl horizon T = 0.5 lies outside"),
-        (["zeta", "--t", "1e300"], "zeta horizon T = 1e+300 lies outside [1, 1e+10]"),
-        (["zeta", "--t", "0"], "zeta horizon T = 0 lies outside"),
-        (["weyl", "--t", "10", "--alpha", "0.3", "--x0", "nan"], "alpha, x0 and rho must be finite, not 0.3, nan, 0.05"),
-        (["weyl", "--t", "10", "--alpha", "nan"], "alpha, x0 and rho must be finite, not nan, 0.3, 0.05"),
-        (["weyl", "--t", "10", "--alpha", "0.3", "--rho", "inf"], "alpha, x0 and rho must be finite, not 0.3, 0.3, inf"),
-        (["concentration", "--t", "1", "--samples", "100", "--rho", "nan"], "alpha, x0 and rho must be finite, not None, 0.3, nan"),
-        (["reduce", "--g0", "[[1e160, 0], [0, 1e-160]]"], "entry scale 1e+160 is beyond the determinant check's range"),
-        (["reduce", "--g0", "[[1e200, 0], [0, 1e-200]]"], "entry scale 1e+200 is beyond the determinant check's range"),
-        # det 1 within a finite tolerance, so the search runs, and runs out
-        (["reduce", "--g0", "[[1e100, 0], [0, 1e-100]]"], "shortest-vector search budget exceeded"),
-        # a shear whose transform would leave int64, refused before its cast
-        (["reduce", "--g0", "[[1, 1e20], [0, 1]]"], "Lagrange shear 1e+20 takes the transform beyond int64"),
-    ],
+    "argv, message, prefix",
+    _BAD_INPUT,
+    # a row is named by its index and message alone
+    ids=[f"argv{i}-{message}" for i, (_, message, _) in enumerate(_BAD_INPUT)],
 )
-def test_bad_input_exits_2_with_one_line(argv, message, capsys):
+def test_bad_input_exits_2_with_one_line(argv, message, prefix, capsys):
     # exit 1 is kept for a failed invariant; a ValueError of any kind is bad
     # input, and a matrix too large to reduce is a budget or precision error;
     # a warning would print a second stderr line outside the test runner
@@ -187,7 +198,6 @@ def test_bad_input_exits_2_with_one_line(argv, message, capsys):
         assert cli.main(argv) == 2
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
-    prefix = "budget/precision error:" if argv[0] == "reduce" else "configuration error:"
     assert err.startswith(prefix) and message in err and err.count("\n") == 1
 
 
@@ -308,8 +318,9 @@ def run_csv_files(config, out):
     ],
 )
 def test_orbit_csv_matches_per_cell_reference(config, tmp_path, monkeypatch):
-    # every CSV kind; the 5000-row orbit spans two blocks of the writer, and
-    # siegel's closed form gives a float64 column, its enumeration an int64 one
+    # every CSV kind; the 5000-row orbit spans two blocks of the writer; siegel's
+    # values are float64 by the closed form and by enumeration alike, and the
+    # int64 kernel runs on the gamma columns and on siegel's sample column
     got = run_csv_files(config, tmp_path / "new")
     one_per_t = config["kind"] in ("orbit", "fourier", "siegel")
     assert len(got) == (len(config.get("t_grid", [0])) if one_per_t else 1)

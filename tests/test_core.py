@@ -213,6 +213,17 @@ def test_dual_candidate_cofactors_match_inverse_transpose():
         assert direct == IntegerMatrix.from_rows(rows).inv().transpose().rows
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_stack_adjugate_is_the_adjugate_of_each_matrix(d):
+    rng = np.random.default_rng(15)
+    ints = np.array([unimodular_integer_matrices(rng, d, det, steps=8, big=1) for det in (1, -1) for _ in range(20)])
+    for M in (ints.astype(np.int64), rng.normal(size=(40, d, d))):
+        adj = core._stack_adjugate(M)
+        assert adj.shape == M.shape and adj.dtype == M.dtype
+        for A, m in zip(adj, M):
+            assert A.tobytes() == np.array(core._int_adjugate(m.tolist()), dtype=M.dtype).tobytes()
+
+
 def np_delete_unimodular_inverse(a):
     """Reference: the adjugate with each minor taken by np.delete, over the first-row expansion.
 

@@ -19,6 +19,7 @@ from horolattice.core import (
     _bezout,
     _cross,
     _int_det,
+    _stack_adjugate,
     diagonal_flow_vector,
 )
 from horolattice.errors import BudgetExceededError, DeterminantError, PrecisionError
@@ -1153,9 +1154,8 @@ def test_ternary_table_holds_every_class_of_24_closed_under_inverse_transpose():
     assert variants.shape == (193, 24, 3, 3)
     members = variants.reshape(-1, 3, 3)
     assert len({C.tobytes() for C in members}) == 4632
-    adj, det = sweep._adjugates(members)
-    assert np.all(det == 1)
-    cofactors = adj.transpose(0, 2, 1)  # C^{-T}
+    assert np.all(_int_det(members.transpose(1, 2, 0)) == 1)
+    cofactors = _stack_adjugate(members).transpose(0, 2, 1)  # C^{-T}
     assert {C.tobytes() for C in cofactors} == {C.tobytes() for C in members}
     assert np.all((np.abs(members) <= 1).all(axis=(1, 2)) | (np.abs(cofactors) <= 1).all(axis=(1, 2)))
     # every ternary matrix of det 1, enumerated apart from the table, is in it
@@ -1163,7 +1163,7 @@ def test_ternary_table_holds_every_class_of_24_closed_under_inverse_transpose():
     unit = ternary[np.rint(np.linalg.det(ternary)) == 1]
     assert len(unit) == 3480 and {C.tobytes() for C in unit} <= {C.tobytes() for C in members}
     # each class is its first member times the 24 signed permutations of det 1
-    signed = sweep._adjugates(variants[:, :1].repeat(24, axis=1).reshape(-1, 3, 3))[0] @ members
+    signed = _stack_adjugate(variants[:, :1].repeat(24, axis=1).reshape(-1, 3, 3)) @ members
     signed = signed.reshape(193, 24, 3, 3)
     assert np.all(signed == signed[:1])
     assert np.all((np.abs(signed[0]) == 1).sum(axis=1) == 1) and np.all(np.rint(np.linalg.det(signed[0])) == 1)

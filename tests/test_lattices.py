@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from horolattice.core import (
     AffineLatticePoint,
+    IntegerMatrix,
     SpecialLinearMatrix,
     SplittingSignature,
     TorusPoint,
     _bezout,
-    _cross,
+    _complete_to_unimodular,
     _int_det,
     _inv_unimodular,
     _renormalized,
@@ -22,7 +23,6 @@ from horolattice.errors import BudgetExceededError, PrecisionError
 from horolattice import lattices
 from horolattice.lattices import (
     DEFAULT_BUDGET,
-    _complete_to_unimodular,
     constrained_shortest,
     enumerate_ball,
     lll_reduce,
@@ -533,63 +533,27 @@ def test_lll_batch_precision_failures_name_the_lowest_failing_row():
     assert info.value.row == 0
 
 
-def _first_ext_gcd(a, b):
-    old_r, r, old_s, s, old_t, t = a, b, 1, 0, 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-def first_completion(t):
-    """Reference: the completion as first written, with its own Euclid and sign fixes."""
-    if len(t) == 2:
-        a, b = t
-        gg, u, v = _first_ext_gcd(a, b)
-        if gg < 0:
-            u, v = -u, -v
-        return [[a, -v], [b, u]]
-    a, b, c = t
-    if a == 0 and b == 0:
-        return [[0, 1, 0], [0, 0, 1 * c], [c, 0, 0]] if c == 1 else [[0, 1, 0], [0, 0, -1], [-1, 0, 0]]
-    g1 = math.gcd(abs(a), abs(b))
-    v2 = [-b // g1, a // g1, 0]
-
-    def cross(w):
-        return (t[1] * w[2] - t[2] * w[1], t[2] * w[0] - t[0] * w[2], t[0] * w[1] - t[1] * w[0])
-
-    nvec = cross(v2)
-    if math.gcd(*nvec) != 1:
-        for e in ([1, 0, 0], [0, 1, 0], [0, 0, 1]):
-            w = [v2[i] + e[i] for i in range(3)]
-            if math.gcd(*cross(w)) == 1:
-                v2, nvec = w, cross(w)
-                break
-    g1_, pp, qq = _first_ext_gcd(nvec[0], nvec[1])
-    g2_, rr, ss = _first_ext_gcd(g1_, nvec[2])
-    if g2_ < 0:
-        rr, ss = -rr, -ss
-    v3 = [rr * pp, rr * qq, ss]
-    return [[t[0], v2[0], v3[0]], [t[1], v2[1], v3[1]], [t[2], v2[2], v3[2]]]
-
-
 def test_completion_of_every_primitive_vector_in_a_box():
-    # entries in [-6, 6]: Bezout for lengths 1-3, the completion for 2 and 3
-    unit_steps = 0
+    # entries in [-20, 20]: Bezout for lengths 1-3, the completion for 2 and 3
     for n in (1, 2, 3):
-        box = [t for t in itertools.product(range(-6, 7), repeat=n) if math.gcd(*t) == 1]
+        box = [t for t in itertools.product(range(-20, 21), repeat=n) if math.gcd(*t) == 1]
         for t in box:
             assert sum(x * c for x, c in zip(t, _bezout(t))) == 1
-            if n == 1:
-                continue
-            cols = _complete_to_unimodular(t)
-            assert tuple(row[0] for row in cols) == t and _int_det(cols) == 1
-            assert cols == first_completion(t)
-            if n == 3 and t[:2] != (0, 0):
-                g = math.gcd(t[0], t[1])
-                unit_steps += math.gcd(*_cross(t, (-t[1] // g, t[0] // g, 0))) != 1
-        if n == 3:
-            assert len(box) == 1730
-    assert unit_steps == 396
+            if n > 1:
+                cols = _complete_to_unimodular(t)
+                assert tuple(row[0] for row in cols) == t and _int_det(cols) == 1
+    assert len(box) == 57026
+
+
+def test_completion_of_a_vector_that_is_not_primitive_is_a_value_error():
+    for t in ((0, 0), (2, 4), (0, 0, 0), (3, 6, 9), (0, 0, 2)):
+        with pytest.raises(ValueError, match="^completion requires a primitive vector$"):
+            _complete_to_unimodular(t)
+
+
+def test_successive_minima_of_a_basis_that_is_not_lll_reduced():
+    # far from LLL-reduced: the first minimum has the coefficients (19, 17, 18)
+    U = IntegerMatrix.from_rows([[19, -9, 0], [17, -8, 0], [18, 0, 1]])
+    lam = [0.5, 1.3, 1 / 0.65]
+    minima = successive_minima(np.diag(lam) @ U.inv().to_array())
+    assert minima == pytest.approx(lam, rel=1e-12)

@@ -13,6 +13,7 @@ from horolattice.core import (
     SplittingSignature,
     TorusPoint,
     diagonal_flow,
+    _stack_adjugate,
     horo_embed,
     torus_act,
 )
@@ -641,7 +642,7 @@ def test_certified_rows_hold_every_near_minimal_transform_in_the_table(monkeypat
         dual_min = fundamental._minima_sq_of(dual, DEFAULT_BUDGET)
         cands = fundamental._candidates_3d(h, fundamental._side_bound_sq(f_max, sum(dual_min)), prim_min, DEFAULT_BUDGET)
         dual_cands = fundamental._candidates_3d(dual, fundamental._side_bound_sq(f_max, sum(prim_min)), dual_min, DEFAULT_BUDGET)
-        cands += [np.array(rows).T for rows in (sweep._adjugates(np.array(dual_cands))[0] if dual_cands else [])]
+        cands += [np.array(rows).T for rows in (_stack_adjugate(np.array(dual_cands)) if dual_cands else [])]
         for C in np.array(cands, dtype=np.int64):
             if fundamental._f_of_stack(h @ C) <= f_max:
                 assert C.tobytes() in table

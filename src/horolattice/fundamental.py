@@ -806,11 +806,14 @@ def _lagrange_2x2(P: np.ndarray):
     stopped row as it is, so a row keeps the bits it stopped with.  A
     shear k that is NaN, or whose reach |k| max|u_0| + max|u_1| is not
     below 2^62 (`lll_reduce_batch`'s rule), is a PrecisionError before its
-    cast to int64, with the lowest such row.
+    cast to int64, with the lowest such row.  The rows' reach is computed
+    only where a stack-wide bound on max|u|, times max|k| + 1 per
+    shearing pass, reaches 2^62; there the bound is reset to max|u|.
     """
     N = P.shape[0]
     b = [P[:, i, j].copy() for i in (0, 1) for j in (0, 1)]
     u = [np.full(N, int(i == j), dtype=np.int64) for i in (0, 1) for j in (0, 1)]
+    bound = 1.0  # max|u| over the stack is at most this
     for _ in range(_LAGRANGE_ROUNDS):
         n1 = b[0] ** 2 + b[2] ** 2
         n2 = b[1] ** 2 + b[3] ** 2
@@ -826,16 +829,21 @@ def _lagrange_2x2(P: np.ndarray):
         shear = k != 0
         sheared = shear.any()
         if sheared:
-            reach = np.abs(k) * np.maximum(np.abs(u[0]), np.abs(u[2])) + np.maximum(np.abs(u[1]), np.abs(u[3]))
-            # every |u| stays below 2^62, so a row that does not shear passes
-            if not (reach < 2.0**62).all():
-                i = int(np.flatnonzero(~(reach < 2.0**62))[0])
-                what = f"Lagrange shear {k[i]:.3g} takes the transform beyond int64"
-                raise PrecisionError(what, row=i)
+            bound *= float(np.abs(k).max()) + 1.0
+            exact = not (bound < 2.0**62)  # and where a shear is NaN
+            if exact:
+                reach = np.abs(k) * np.maximum(np.abs(u[0]), np.abs(u[2])) + np.maximum(np.abs(u[1]), np.abs(u[3]))
+                # every |u| stays below 2^62, so a row that does not shear passes
+                if not (reach < 2.0**62).all():
+                    i = int(np.flatnonzero(~(reach < 2.0**62))[0])
+                    what = f"Lagrange shear {k[i]:.3g} takes the transform beyond int64"
+                    raise PrecisionError(what, row=i)
             kk = k.astype(np.int64)
             for i in (0, 2):
                 b[i + 1] = np.where(shear, b[i + 1] - k * b[i], b[i + 1])
                 u[i + 1] = u[i + 1] - kk * u[i]
+            if exact:
+                bound = float(max(np.abs(x).max() for x in u))
         if not (swapped or sheared):
             break
     return np.stack(b, axis=1).reshape(N, 2, 2), np.stack(u, axis=1).reshape(N, 2, 2)

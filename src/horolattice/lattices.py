@@ -10,14 +10,15 @@ minimum) is taken for a whole stack of det-1 bases (`stack_heights`).
 Two enumeration engines drive everything exhaustive here:
 
 * `constrained_shortest`: Schnorr-Euchner search (zig-zag around the
-  Babai center per level, radius shrinking to the running best, and an
-  O(1) skip of the subtree spanned by a coordinate prefix).  This is
+  Babai center per level, descending only below the running best, and
+  an O(1) skip of the subtree spanned by a coordinate prefix).  This is
   what keeps deep-cusp lattices cheap; a fixed-radius walk would visit
   ~lambda_d^d nodes there.
 * `enumerate_ball`: fixed-radius Fincke-Pohst walk yielding every
   lattice vector in a Euclidean ball, used where the full list is the
   point (Siegel transforms, the reduction's candidate columns, sup-norm
-  certification).
+  certification).  A level whose range alone passes the budget is
+  refused on entry.
 
 Budgets are hard errors, never silent truncation.  Sup-norm questions
 are certified by the Euclidean ball of radius sqrt(d) times the best sup
@@ -179,14 +180,10 @@ class _ZigZag:
         self.count = 0
         self.value = self.base
 
-    def at(self, n: int) -> int:
-        """The value after n advances from the center's nearest integer."""
-        off = (n + 1) // 2
-        return self.base + self.sign * off * (1 if n % 2 == 1 else -1)
-
     def advance(self):
         self.count += 1
-        self.value = self.at(self.count)
+        off = (self.count + 1) // 2
+        self.value = self.base + self.sign * (off if self.count % 2 else -off)
 
 
 def constrained_shortest(
@@ -198,11 +195,12 @@ def constrained_shortest(
 
     Returns (coefficient tuple, squared length).  With span_exclude = 0
     only the zero vector is excluded.  The walk is Schnorr-Euchner:
-    per-level zig-zag around the Babai center (so the per-level cost
-    sequence is nondecreasing and a failed value ends the level), with
-    the radius shrinking to every new best.  A level-0 walk that cannot
-    beat the best has a node count known on entry: where it would pass
-    the budget, the BudgetExceededError is raised before it starts.
+    per-level zig-zag around the Babai center, descending into a level or
+    going on along it only while the partial length is below the running
+    best.  Nothing it prunes could replace the best: a leaf's float length
+    is never below its ancestors' (a rounded sum of nonnegative terms
+    never decreases), and the costs along a level are nondecreasing.  So
+    the result is that of the walk which visits every node up to the best.
     """
     B = np.asarray(B, dtype=float)
     d = B.shape[0]
@@ -217,7 +215,6 @@ def constrained_shortest(
         if n2 < best2:
             best2 = n2
             best_c = tuple(1 if i == j else 0 for i in range(d))
-    bound = best2 * (1.0 + 1e-12)
 
     c = [0] * d
     centers = [0.0] * d
@@ -225,43 +222,25 @@ def constrained_shortest(
     walks: list = [None] * d
     nodes = 0
 
-    def outer_zero(i: int) -> bool:
-        return all(c[j] == 0 for j in range(i + 1, d))
+    def take(i: int):
+        # the current value of level i, past a zero that would stay in the span
+        w = walks[i]
+        c[i] = w.value
+        if i == k and c[i] == 0 and all(c[j] == 0 for j in range(i + 1, d)):
+            w.advance()
+            c[i] = w.value
 
     def enter(i: int):
         s = 0.0
         for j in range(i + 1, d):
             s += R[i][j] * c[j]
-        mu = -s / R[i][i]
-        centers[i] = mu
-        w = _ZigZag(mu)
-        walks[i] = w
-        c[i] = w.value
-        if i == k and c[i] == 0 and outer_zero(i):
-            w.advance()
-            c[i] = w.value
+        centers[i] = -s / R[i][i]
+        walks[i] = _ZigZag(centers[i])
+        take(i)
 
     def advance(i: int):
-        w = walks[i]
-        w.advance()
-        c[i] = w.value
-        if i == k and c[i] == 0 and outer_zero(i):
-            w.advance()
-            c[i] = w.value
-
-    def refuse_hopeless_level_0(top: float):
-        # Every level-0 value costs at least `top` >= best2, so none moves the bound:
-        # the zig-zag visits the c0 inside it in order of distance from the center,
-        # then one more, and a node at level 1 follows.  So if this level reaches
-        # node `budget`, the walk passes the budget.  It does iff the value of node
-        # budget - 1 lies inside, tested with the walk's own float expression, which
-        # is monotone along the zig-zag while c0 is exact.
-        w = walks[0]
-        if abs(w.base) + budget - nodes >= 2**53:
-            return
-        last = w.count + budget - nodes - 2
-        if last < w.count or top + (R[0][0] * (w.at(last) - centers[0])) ** 2 <= bound:
-            raise BudgetExceededError("shortest-vector search budget exceeded", nodes=budget + 1)
+        walks[i].advance()
+        take(i)
 
     i = d - 1
     enter(i)
@@ -270,19 +249,15 @@ def constrained_shortest(
         if nodes > budget:
             raise BudgetExceededError("shortest-vector search budget exceeded", nodes=nodes)
         y = dist[i + 1] + (R[i][i] * (c[i] - centers[i])) ** 2
-        if y <= bound:
+        if y < best2:
             if i == 0:
-                if y < best2:
-                    best2 = y
-                    best_c = tuple(c)
-                    bound = best2
+                best2 = y
+                best_c = tuple(c)
                 advance(0)
             else:
                 dist[i] = y
                 i -= 1
                 enter(i)
-                if i == 0 and y >= best2:
-                    refuse_hopeless_level_0(y)
         else:
             i += 1
             if i == d:
@@ -302,11 +277,17 @@ def enumerate_ball(
     positive); callers needing both signs mirror.  Every visited
     coefficient tuple costs one unit of budget.
 
+    Every value of a level's range costs a node, so a level whose range
+    holds more values than the budget left is refused on entry, with the
+    error the walk would raise on passing the budget (nodes = budget + 1).
+
     With `primitive`, only tuples with gcd 1 are visited: at the
     innermost level, c_0 must be coprime to the gcd g of the outer
     coefficients (c_0 = +-1 when g = 0).  The walk, its order and its
     float tests are otherwise unchanged, so the output is exactly the
     gcd-filtered output of the full walk; skipped tuples cost no budget.
+    The filter is lazy: a value is tested when the walk reaches it, so a
+    walk that runs out of budget tests about g / phi(g) values per node.
     """
     B = np.asarray(basis, dtype=float)
     d = B.shape[0]
@@ -331,12 +312,13 @@ def enumerate_ball(
         lo = math.ceil(center - span - 1e-12)
         hi = math.floor(center + span + 1e-12)
         cvals = range(lo, hi + 1)
-        if primitive and level == 0:
-            g = math.gcd(*coeff[1:])
-            if g == 0:
-                cvals = [c for c in (-1, 1) if lo <= c <= hi]
-            elif g > 1:
-                cvals = [c for c in cvals if math.gcd(c, g) == 1]
+        g = math.gcd(*coeff[1:]) if primitive and level == 0 else 1
+        if g == 0:
+            cvals = [c for c in (-1, 1) if lo <= c <= hi]
+        elif g > 1:
+            cvals = (c for c in cvals if math.gcd(c, g) == 1)
+        elif hi - lo + 1 > budget - nodes:  # Python ints: len() of a huge range overflows
+            raise BudgetExceededError("enumeration node budget exceeded", nodes=budget + 1)
         for cval in cvals:
             nodes += 1
             if nodes > budget:

@@ -172,14 +172,18 @@ _BAD_INPUT = [
     (["concentration", "--t", "1", "--samples", "100", "--rho", "nan"], "alpha, x0 and rho must be finite, not None, 0.3, nan", _CONFIG),
     (["reduce", "--g0", "[[1e160, 0], [0, 1e-160]]"], "entry scale 1e+160 is beyond the determinant check's range", _BUDGET),
     (["reduce", "--g0", "[[1e200, 0], [0, 1e-200]]"], "entry scale 1e+200 is beyond the determinant check's range", _BUDGET),
-    # det 1 within a finite tolerance, so the search runs, and runs out
-    (["reduce", "--g0", "[[1e100, 0], [0, 1e-100]]"], "shortest-vector search budget exceeded", _BUDGET),
+    # det 1 within a finite tolerance, so the search runs: the minima are found,
+    # and the ball of candidate columns holds more points than the budget
+    (["reduce", "--g0", "[[1e100, 0], [0, 1e-100]]"], "enumeration node budget exceeded", _BUDGET),
     # a shear whose transform would leave int64, refused before its cast
     (["reduce", "--g0", "[[1, 1e20], [0, 1]]"], "Lagrange shear 1e+20 takes the transform beyond int64", _BUDGET),
     (["orbit", "--t", "1", "--samples", "100", "--b0", "1/0,1/2"], "torus coordinate '1/0' has a zero denominator", _CONFIG),
     (["zeta", "--t", "10", "--b0", "1/0"], "torus coordinate '1/0' has a zero denominator", _CONFIG),
     # a ball of infinite span holds more points than any budget, refused before the walk
     (["siegel", "--t", "2", "--samples", "100", "--radius", "1e200"], "siegel of sample 0 at t = 2: enumeration node budget exceeded", _BUDGET),
+    # a level whose range alone passes the budget, refused on entry, not walked
+    (["siegel", "--t", "2", "--samples", "100", "--radius", "1e20"], "siegel of sample 0 at t = 2: enumeration node budget exceeded", _BUDGET),
+    (["reduce", "--g0", "[[1e8, 0, 0], [0, 1e-4, 0], [0, 0, 1e-4]]"], "enumeration node budget exceeded", _BUDGET),
 ]
 
 

@@ -823,6 +823,15 @@ def test_lagrange_refuses_a_shear_that_takes_the_transform_beyond_int64():
         fundamental._lagrange_2x2(np.array([[[np.nan, 1.0], [0.0, 1.0]]]))
 
 
+def test_lagrange_checks_each_row_where_the_stack_bound_reaches_2_62():
+    # row 0 shears by 2^40 on its first pass and row 1 by 2^30 - 1 on its
+    # second, so the stack-wide bound on max|u| reads about 2^70 there; no
+    # row's reach passes 2^62, so the per-row check lets both shear
+    rows = np.array([[[1.0, 2.0**40], [0.0, 1.0]], [[2.0**30, 2.0**30 - 1], [1.0, 1.0]]])
+    _assert_lagrange_matches_reference(rows)
+    assert fundamental._lagrange_2x2(rows)[1].tolist() == [[[1, -(2**40)], [0, 1]], [[-1, 2**30 - 1], [1, -(2**30)]]]
+
+
 def test_tie_break_keys_hold_entries_past_int64():
     # at LEX_GRID = 1e-9 an entry past 9.2e9 overflows an int64 key; the
     # rotations of h are h, hJ, -h and -hJ, and -h has the least first entry

@@ -307,6 +307,105 @@ def test_enumerate_ball_primitive_is_filtered_full_walk(d, deep, radius):
     assert list(enumerate_ball(B, radius, primitive=True)) == expected
 
 
+def _enumerate_ball_plain(basis, radius, budget, primitive=False):
+    """`enumerate_ball` without the refusal of a level on entry, and with an eager primitive filter."""
+    R = lattices._qr_positive(np.asarray(basis, dtype=float)).tolist()
+    d = len(R)
+    rad2 = radius * radius * (1.0 + 1e-12) + 1e-300
+    coeff, nodes = [0] * d, 0
+
+    def walk(level, partial):
+        nonlocal nodes
+        center = 0.0
+        for j in range(level + 1, d):
+            center -= R[level][j] * coeff[j]
+        center /= R[level][level]
+        room = rad2 - partial
+        if room < 0:
+            return
+        span = math.sqrt(room) / R[level][level]
+        if span == math.inf:
+            raise BudgetExceededError("enumeration node budget exceeded", nodes=budget + 1)
+        lo, hi = math.ceil(center - span - 1e-12), math.floor(center + span + 1e-12)
+        cvals = range(lo, hi + 1)
+        if primitive and level == 0:
+            g = math.gcd(*coeff[1:])
+            if g == 0:
+                cvals = [c for c in (-1, 1) if lo <= c <= hi]
+            elif g > 1:
+                cvals = [c for c in cvals if math.gcd(c, g) == 1]
+        for cval in cvals:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError("enumeration node budget exceeded", nodes=nodes)
+            coeff[level] = cval
+            resid = R[level][level] * cval
+            for j in range(level + 1, d):
+                resid += R[level][j] * coeff[j]
+            new_partial = partial + resid * resid
+            if new_partial > rad2:
+                continue
+            if level == 0:
+                tup = tuple(coeff)
+                last = next((x for x in reversed(tup) if x), 0)
+                if last > 0:
+                    yield tup
+            else:
+                yield from walk(level - 1, new_partial)
+        coeff[level] = 0
+
+    yield from walk(d - 1, 0.0)
+
+
+def _ball_outcome(walk, B, radius, budget, primitive):
+    try:
+        return list(walk(B, radius, budget, primitive=primitive))
+    except BudgetExceededError as exc:
+        return str(exc), exc.nodes
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_enumerate_ball_refusing_a_level_on_entry_keeps_the_plain_walks_outcome(d):
+    rng = np.random.default_rng(40 + d)
+    bases = [random_basis(rng, d, spread=1.0) for _ in range(3)] + [_deep_cusp_basis(rng, d) for _ in range(3)]
+    refused = 0
+    for B, radius, primitive in itertools.product(bases, (0.5, 2.0, 20.0), (False, True)):
+        for budget in (1, 2, 3, 5, 10, 30, 100, 1_000, 100_000):
+            plain = _ball_outcome(_enumerate_ball_plain, B, radius, budget, primitive)
+            assert _ball_outcome(enumerate_ball, B, radius, budget, primitive) == plain, (B, radius, budget)
+            refused += plain == ("enumeration node budget exceeded", budget + 1)
+    assert refused > 0
+
+
+def test_a_level_whose_range_passes_the_budget_is_refused_on_entry():
+    # diag(0.1, 1), radius 2.5: c1 = -2, ..., 2 leave 31, 45, 51, 45 and 31
+    # values of c0; on entry to c1 = 1, 131 nodes are spent and 19 are left
+    def run(walk):
+        got = []
+        with pytest.raises(BudgetExceededError, match="^enumeration node budget exceeded$") as info:
+            for c in walk(np.diag([0.1, 1.0]), 2.5, 150):
+                got.append(c)
+        assert info.value.nodes == 151
+        return got
+
+    at_c1_0 = [(c0, 0) for c0 in range(1, 26)]
+    assert run(enumerate_ball) == at_c1_0
+    # the plain walk yields 19 more before it runs out
+    assert run(_enumerate_ball_plain) == at_c1_0 + [(c0, 1) for c0 in range(-22, -3)]
+
+
+def test_primitive_filter_tests_values_as_the_walk_reaches_them(monkeypatch):
+    # at c1 = -2 the level-0 range holds 2e6 values, half of them odd; the
+    # walk reaches 100 of them before it passes the budget
+    tested = []
+    real = math.gcd
+    monkeypatch.setattr(math, "gcd", lambda *a: tested.append(a) or real(*a))
+    with pytest.raises(BudgetExceededError, match="^enumeration node budget exceeded$") as info:
+        list(enumerate_ball(np.diag([1.5e-6, 1.0]), 2.5, 100, primitive=True))
+    assert info.value.nodes == 101
+    assert len(tested) < 300
+
+
 def test_constrained_shortest_excludes_span():
     B = np.diag([0.1, 1.0, 3.0])
     c, l2 = constrained_shortest(B, 0)
@@ -319,7 +418,7 @@ def test_constrained_shortest_excludes_span():
 
 
 def _constrained_shortest_plain(B, span_exclude, budget):
-    """`constrained_shortest` without the refusal of a hopeless level-0 walk, kept as the reference."""
+    """`constrained_shortest` as it visited every node up to 1e-12 above the best, kept as the reference."""
     d, k = B.shape[0], span_exclude
     R = lattices._qr_positive(B).tolist()
     best_c, best2 = None, math.inf
@@ -371,47 +470,60 @@ def _constrained_shortest_plain(B, span_exclude, budget):
             advance(i)
 
 
-def _walk_outcome(walk, B, span_exclude, budget):
-    try:
-        return walk(B, span_exclude, budget)
-    except BudgetExceededError as exc:
-        return str(exc), exc.nodes
+def _least_budget(walk, B, span_exclude):
+    """The least budget at which the walk returns (its node count), and what it returns."""
+
+    def runs_out(budget):
+        try:
+            walk(B, span_exclude, budget)
+        except BudgetExceededError:
+            return True
+        return False
+
+    hi = 1
+    while runs_out(hi):
+        hi *= 2
+    lo = hi // 2  # 0, or a budget the walk runs out of
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if runs_out(mid) else (lo, mid)
+    return hi, walk(B, span_exclude, hi)
 
 
-def test_hopeless_level_0_walk_is_refused_where_the_plain_walk_runs_out():
-    # under a column of length s, the last minimum's level-0 walk visits about
-    # 2 s^2 10^-6 values of c0 and cannot beat the best
+def test_walk_pruned_at_the_best_returns_the_plain_walks_result():
+    # under a column of length s, the plain walk's last level-0 walk visits
+    # about 2 s^2 10^-6 values of c0, none of which can beat the best
     rng = np.random.default_rng(33)
     bases = []
     for s in (6e3, 1.4e4):
         q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
         bases += [np.diag([s, 1 / s]), q @ np.diag([1 / s, s]) @ [[1.0, 0.3], [0.0, 1.0]], np.diag([1 / s, 1.0, s])]
     bases += [random_basis(rng, 3, spread=3.0) for _ in range(4)]
-    # unreduced: a level-0 walk that moves the bound, which the refusal must not predict
+    # unreduced: level-0 walks that move the best
     unreduced = [np.array([[1.0, 7.3], [0.0, 0.01]]), np.array([[1.0, 0.0, 4.6], [0.0, 1.0, 3.3], [0.0, 0.0, 0.02]])]
-    long_walks = 0
+    plain_nodes, nodes = [], []
     for B in [reduced(b) for b in bases] + unreduced:
         for k in range(B.shape[0]):
-            # every budget up to the walk's node count n, where the plain walk stops raising
-            for budget in itertools.count(1):
-                plain = _walk_outcome(_constrained_shortest_plain, B, k, budget)
-                assert _walk_outcome(constrained_shortest, B, k, budget) == plain, (B, k, budget)
-                if not isinstance(plain[0], str):
-                    break
-            long_walks += budget > 100
-    assert long_walks >= 4
+            n_plain, plain = _least_budget(_constrained_shortest_plain, B, k)
+            n, got = _least_budget(constrained_shortest, B, k)
+            # the walk returns at every budget the plain walk returns at
+            assert got == plain and n <= n_plain, (B, k)
+            plain_nodes.append(n_plain)
+            nodes.append(n)
+    assert sum(n > 100 for n in plain_nodes) >= 4
+    assert (sum(plain_nodes), sum(nodes)) == (3189, 415)
 
 
-def test_hopeless_walk_of_a_deep_cusp_exits_before_it_walks(monkeypatch):
-    # the LLL basis of diag(1e100, 1e-100): its second minimum's level-0 walk
-    # covers 10^188 values of c0, which the plain walk spends its budget on
+def test_minima_of_a_deep_cusp_are_found_in_a_few_advances(monkeypatch):
+    # the LLL basis of diag(1e100, 1e-100): the plain walk's second minimum
+    # covers 10^188 values of c0 within 1e-12 of the best, and runs out
     advances = []
     real = lattices._ZigZag.advance
     monkeypatch.setattr(lattices._ZigZag, "advance", lambda w: advances.append(1) or real(w))
-    with pytest.raises(BudgetExceededError, match="^shortest-vector search budget exceeded$") as info:
-        successive_minima(reduced(np.diag([1e100, 1e-100])))
-    assert info.value.nodes == DEFAULT_BUDGET + 1
+    assert successive_minima(reduced(np.diag([1e100, 1e-100]))) == [1e-100, 1e100]
     assert len(advances) < 10
+    with pytest.raises(BudgetExceededError, match="^shortest-vector search budget exceeded$"):
+        _constrained_shortest_plain(reduced(np.diag([1e100, 1e-100])), 1, 10_000)
 
 
 def full_recompute_lll(basis, delta=0.99, max_rounds=10_000):
